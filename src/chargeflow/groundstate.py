@@ -42,7 +42,6 @@ from .model import ChargeSystem, Configuration
 
 __all__ = [
     "GroundState",
-    "FieldSample",
     "NearNodeError",
     "ground_state",
     "psi1",
@@ -122,8 +121,8 @@ def psi1_gradient(system, y):
 class GroundState:
     """Ground-state data: decay constant, normalization and Poisson rate.
 
-    norm_const is Ncal = exp(-poisson_rate/2); norm_integral is the computed
-    integral of |psi1|^2 over R^3.
+    norm_const is Ncal = exp(-poisson_rate/2); norm_integral is the
+    closed-form integral of |psi1|^2 over R^3.
     """
 
     system: ChargeSystem
@@ -133,34 +132,15 @@ class GroundState:
     norm_integral: float
 
 
-def _norm_integral_quad(system):
-    """integral |psi1|^2 d^3y by adaptive 1D quadratures.
+def _norm_integral_closed(system):
+    """integral |psi1|^2 d^3y in closed form,
+
+    (2*pi/alpha) * (sum_j |g_j|^2 + 2 sum_{i<j} Re(conj(g_i) g_j) e^{-alpha R_ij}).
 
     The square expands into pair terms conj(g_i) g_j u_i u_j with
-    u_j = exp(-alpha r_j)/r_j.  Diagonal terms reduce to a radial integral
-    4*pi*int_0^inf exp(-2 alpha r) dr; each cross term reduces in prolate
-    spheroidal coordinates around the pair axis to
+    u_j = exp(-alpha r_j)/r_j; a diagonal term is 4*pi*int_0^inf exp(-2 alpha r) dr
+    and a cross term, in prolate spheroidal coordinates around the pair axis,
     2*pi*R*int_1^inf exp(-alpha R xi) dxi with R the source separation.
-    Both 1D integrals are evaluated adaptively (the integrands decay
-    exponentially, so the infinite upper limits are unproblematic).
-    """
-    a = _alpha(system)
-    g = system.charges
-    dist = system.pair_distances()
-    total = 0.0
-    for i in range(system.n_sources):
-        radial, err = integrate.quad(lambda r: np.exp(-2.0 * a * r), 0.0, np.inf)
-        total += abs(g[i]) ** 2 * 4.0 * np.pi * radial
-        for j in range(i + 1, system.n_sources):
-            R = dist[i, j]
-            cross, err = integrate.quad(lambda xi: np.exp(-a * R * xi), 1.0, np.inf)
-            total += 2.0 * np.real(np.conj(g[i]) * g[j]) * 2.0 * np.pi * R * cross
-    return total
-
-
-def _norm_integral_closed(system):
-    """Closed form of the same integral, used as a cross-check in tests:
-    (2*pi/alpha) * (sum_j |g_j|^2 + 2 sum_{i<j} Re(conj(g_i) g_j) e^{-alpha R_ij}).
     """
     a = _alpha(system)
     g = system.charges
@@ -173,10 +153,14 @@ def _norm_integral_closed(system):
 
 
 def ground_state(system):
-    """Construct the GroundState (requires E0 > 0 for normalizability)."""
+    """Construct the GroundState (requires E0 > 0 for normalizability).
+
+    The norm integral and hence the Poisson rate use the closed form of
+    `_norm_integral_closed`.
+    """
     if not system.E0 > 0:
         raise ValueError("E0 must be positive: |psi1|^2 is not integrable otherwise")
-    w = _norm_integral_quad(system)
+    w = _norm_integral_closed(system)
     lam = (system.m / (2.0 * np.pi * system.hbar**2)) ** 2 * w
     return GroundState(
         system=system,
@@ -501,27 +485,6 @@ def verify_eigen_vacuum(gs, radii=None, tol=1e-6, n_polar=24, n_azimuth=48):
 
 
 @dataclass(frozen=True)
-class FieldSample:
-    """psi1, current and velocity at one point."""
-
-    point: np.ndarray
-    psi1: complex
-    current: np.ndarray
-    velocity: np.ndarray
-
-
-def field_sample(system, y):
-    """Evaluate psi1, the closed-form current and the velocity at `y`."""
-    y = np.asarray(y, dtype=float)
-    return FieldSample(
-        point=y,
-        psi1=complex(psi1(system, y)),
-        current=current_closed_form(system, y),
-        velocity=velocity(system, y),
-    )
-
-
-@dataclass(frozen=True)
 class Streamline:
     """One integral curve of the normalized current field."""
 
@@ -770,26 +733,31 @@ def radial_distance_cdf(system, center, r_values):
     """CDF of the distance to the 1-based `center` source under |psi1|^2.
 
     Semi-analytic: the shell density decomposes into closed-form pieces (plus
-    a numeric sphere quadrature only when two non-center sources exist); the
-    remaining 1D integrals are evaluated adaptively.  The returned values are
-    normalized by the total integral of |psi1|^2.
+    a numeric sphere quadrature only when two non-center sources exist).  The
+    requested radii are sorted and merged with the source distances, where
+    the shell density has a kink; one adaptive quadrature per gap between
+    consecutive nodes and a cumulative sum give every value in one pass.
+    Values are normalized by the closed-form integral of |psi1|^2, and +inf
+    maps to exactly 1.  Negative or NaN radii raise ValueError.  A scalar
+    radius returns a float, anything else an array of the input's shape.
     """
+    r = np.atleast_1d(np.asarray(r_values, dtype=float))
+    if np.any(np.isnan(r) | (r < 0.0)):
+        raise ValueError("radii must be nonnegative numbers")
+    finite = np.isfinite(r)
+    radii, where = np.unique(r[finite], return_inverse=True)
+    xc = system.positions[center - 1]
+    kinks = np.linalg.norm(np.delete(system.positions, center - 1, axis=0) - xc, axis=1)
+    nodes = np.union1d(np.concatenate([[0.0], radii]), kinks[kinks < radii.max(initial=0.0)])
     terms = _radial_density_terms(system, center)
-    breakpoints = sorted(
-        float(np.linalg.norm(system.positions[k] - system.positions[center - 1]))
-        for k in range(system.n_sources)
-        if k != center - 1
-    )
 
     def shell(s):
         return sum(t(s) for t in terms)
 
-    w_total = _norm_integral_quad(system)
-    out = np.empty(len(np.atleast_1d(r_values)))
-    for idx, r in enumerate(np.atleast_1d(r_values)):
-        inner = [b for b in breakpoints if b < r]
-        val, _ = integrate.quad(shell, 0.0, float(r), points=inner or None, limit=200)
-        out[idx] = val / w_total
+    gaps = [integrate.quad(shell, lo, hi, limit=200)[0] for lo, hi in zip(nodes[:-1], nodes[1:])]
+    cumulative = np.concatenate([[0.0], np.cumsum(gaps)]) / _norm_integral_closed(system)
+    out = np.ones(r.shape)
+    out[finite] = cumulative[np.searchsorted(nodes, radii)][where]
     return out if np.ndim(r_values) else float(out[0])
 
 
@@ -814,9 +782,7 @@ def radial_cdf_interpolator(system, center, r_max, n_grid=512):
         cluster = np.concatenate([[R], R - offsets, R + offsets])
         grid = np.concatenate([grid, cluster[(cluster > 0) & (cluster < r_max)]])
     grid = np.unique(grid)
-    vals = np.empty_like(grid)
-    vals[0] = 0.0
-    vals[1:] = radial_distance_cdf(system, center, grid[1:])
+    vals = radial_distance_cdf(system, center, grid)
     interp = PchipInterpolator(grid, vals, extrapolate=False)
     tail = float(vals[-1])
 

@@ -520,7 +520,9 @@ def run_ensemble(gs, params, law=None):
 
     Every run starts in the stationary law; emission clocks are exponential
     at the (constant) total rate and all bosons step synchronously, so the
-    whole ensemble advances with a handful of array operations per dt.
+    whole ensemble advances with a handful of array operations per dt.  The
+    bosons born during a step advance from their birth times to the step's
+    end in the same `_advance` call as the carried bosons.
 
     Counting conventions: emissions[j] and absorptions[j] are totals for the
     source labeled j+1; sector bookkeeping is per run.
@@ -561,31 +563,28 @@ def run_ensemble(gs, params, law=None):
         snapshots.append(EnsembleSnapshot(0.0, sectors.copy(), pos.copy(), run.copy()))
     for i in range(n_steps):
         t1 = (i + 1) * params.dt
+        # births due by t1 (constant rates make every candidate clock fire)
+        # join the carried bosons, each advanced from its birth time to t1
+        rows, runs, durations = [pos], [run], [np.full(pos.shape[0], params.dt)]
+        while total > 0.0:
+            due = np.flatnonzero(next_emit <= t1)
+            if due.size == 0:
+                break
+            src = np.searchsorted(cum, rng.random(due.size) * total, side="right")
+            np.add.at(emissions, src, 1)
+            np.add.at(sectors, due, 1)
+            rows.append(X[src] + eps_start * _unit_vectors(rng, due.size))
+            runs.append(due)
+            durations.append(t1 - next_emit[due])
+            next_emit[due] += rng.exponential(1.0 / total, size=due.size)
+        pos, run = np.concatenate(rows), np.concatenate(runs)
         if pos.shape[0]:
-            pos, hit_src = _advance(system, pos, params.dt, eps_absorb)
+            pos, hit_src = _advance(system, pos, np.concatenate(durations), eps_absorb)
             hit = hit_src >= 0
             if hit.any():
                 np.add.at(absorptions, hit_src[hit], 1)
                 np.subtract.at(sectors, run[hit], 1)
                 pos, run = pos[~hit], run[~hit]
-        # births due by t1; constant rates make every candidate clock fire
-        while total > 0.0:
-            due = np.flatnonzero(next_emit <= t1)
-            if due.size == 0:
-                break
-            t_birth = next_emit[due]
-            src = np.searchsorted(cum, rng.random(due.size) * total, side="right")
-            born = X[src] + eps_start * _unit_vectors(rng, due.size)
-            born, hit_src = _advance(system, born, t1 - t_birth, eps_absorb)
-            np.add.at(emissions, src, 1)
-            np.add.at(sectors, due, 1)
-            hit = hit_src >= 0
-            if hit.any():
-                np.add.at(absorptions, hit_src[hit], 1)
-                np.subtract.at(sectors, due[hit], 1)
-            pos = np.vstack([pos, born[~hit]])
-            run = np.concatenate([run, due[~hit]])
-            next_emit[due] += rng.exponential(1.0 / total, size=due.size)
         if i + 1 in snap_steps:
             snapshots.append(
                 EnsembleSnapshot(snap_steps[i + 1], sectors.copy(), pos.copy(), run.copy())

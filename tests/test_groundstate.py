@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
+from chargeflow import groundstate
 from chargeflow.groundstate import (
     NearNodeError,
+    _alpha,
     _current_alt_index_reading,
     _norm_integral_closed,
+    _radial_density_terms,
     current_closed_form,
     current_numeric,
     effective_kappa,
@@ -44,6 +47,60 @@ def figure_system():
         E0=0.005,
         hbar=1.0,
     )
+
+
+def three_source_system():
+    """Non-collinear sources, so the radial CDF needs its off-center term."""
+    return ChargeSystem(
+        positions=np.array([[0.0, 0.0, 0.0], [1.2, 0.0, 0.0], [0.3, 0.9, 0.2]]),
+        charges=np.array([1.0, 0.8 * np.exp(0.7j), 1.3 * np.exp(2.1j)]),
+        m=1.0,
+        E0=0.05,
+        hbar=1.0,
+    )
+
+
+def _norm_integral_quad(system):
+    """Reference integral |psi1|^2 d^3y by adaptive 1D quadratures.
+
+    The square expands into pair terms conj(g_i) g_j u_i u_j with
+    u_j = exp(-alpha r_j)/r_j.  Diagonal terms reduce to a radial integral
+    4*pi*int_0^inf exp(-2 alpha r) dr; each cross term reduces in prolate
+    spheroidal coordinates around the pair axis to
+    2*pi*R*int_1^inf exp(-alpha R xi) dxi with R the source separation.
+    """
+    a = _alpha(system)
+    g = system.charges
+    dist = system.pair_distances()
+    total = 0.0
+    for i in range(system.n_sources):
+        radial, _ = integrate.quad(lambda r: np.exp(-2.0 * a * r), 0.0, np.inf)
+        total += abs(g[i]) ** 2 * 4.0 * np.pi * radial
+        for j in range(i + 1, system.n_sources):
+            R = dist[i, j]
+            cross, _ = integrate.quad(lambda xi: np.exp(-a * R * xi), 1.0, np.inf)
+            total += 2.0 * np.real(np.conj(g[i]) * g[j]) * 2.0 * np.pi * R * cross
+    return total
+
+
+def _radial_cdf_oracle(system, center, radii):
+    """Reference radial CDF: one adaptive quadrature from 0 to each radius,
+    with the source distances below it as break points, normalized by the
+    quadrature norm."""
+    terms = _radial_density_terms(system, center)
+    xc = system.positions[center - 1]
+    kinks = sorted(
+        float(np.linalg.norm(x - xc)) for k, x in enumerate(system.positions) if k != center - 1
+    )
+    w_total = _norm_integral_quad(system)
+    out = []
+    for r in radii:
+        inner = [b for b in kinks if b < r]
+        val, _ = integrate.quad(
+            lambda s: sum(t(s) for t in terms), 0.0, float(r), points=inner or None, limit=200
+        )
+        out.append(val / w_total)
+    return np.array(out)
 
 
 def random_system(rng, n_max=4, complex_charges=True):
@@ -130,7 +187,8 @@ def test_quadrature_matches_closed_form_normalization():
     for _ in range(8):
         sys_ = random_system(rng)
         gs = ground_state(sys_)
-        np.testing.assert_allclose(gs.norm_integral, _norm_integral_closed(sys_), rtol=1e-9)
+        assert gs.norm_integral == _norm_integral_closed(sys_)
+        np.testing.assert_allclose(gs.norm_integral, _norm_integral_quad(sys_), rtol=1e-9)
 
 
 def test_ground_state_requires_positive_rest_energy():
@@ -279,6 +337,59 @@ def test_radial_cdf_reference_value_and_normalization():
     sys_ = figure_system()
     np.testing.assert_allclose(radial_distance_cdf(sys_, 1, 0.8), CDF_AT_0P8, rtol=1e-8)
     np.testing.assert_allclose(radial_distance_cdf(sys_, 1, 200.0), 1.0, rtol=1e-6)
+
+
+@pytest.mark.parametrize("make_system", [figure_system, three_source_system])
+def test_radial_cdf_matches_per_radius_quadrature_oracle(make_system):
+    sys_ = make_system()
+    kinks = np.linalg.norm(sys_.positions[1:] - sys_.positions[0], axis=1)
+    radii = np.concatenate(
+        [[2.5, 0.3, 0.0, 12.0], kinks * (1.0 + 1e-3), kinks, kinks * (1.0 - 1e-3), [0.3, 2.5]]
+    )
+    got = radial_distance_cdf(sys_, 1, radii)
+    assert isinstance(got, np.ndarray) and got.shape == radii.shape
+    np.testing.assert_allclose(got, _radial_cdf_oracle(sys_, 1, radii), rtol=0, atol=1e-12)
+    assert got[2] == 0.0 and got[1] == got[-2] and got[0] == got[-1]
+    scalar = radial_distance_cdf(sys_, 1, 0.8)
+    assert isinstance(scalar, float)
+    assert abs(scalar - _radial_cdf_oracle(sys_, 1, [0.8])[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.nan, [0.5, -1e-9], [0.5, np.nan]])
+def test_radial_cdf_rejects_negative_and_nan_radii(bad):
+    with pytest.raises(ValueError):
+        radial_distance_cdf(figure_system(), 1, bad)
+
+
+def test_radial_cdf_is_exactly_one_at_infinity():
+    sys_ = figure_system()
+    assert radial_distance_cdf(sys_, 1, np.inf) == 1.0
+    vals = radial_distance_cdf(sys_, 1, [np.inf, 0.8])
+    assert vals[0] == 1.0
+    np.testing.assert_allclose(vals[1], CDF_AT_0P8, rtol=1e-8)
+
+
+def test_radial_cdf_of_no_radii_is_empty():
+    out = radial_distance_cdf(figure_system(), 1, [])
+    assert isinstance(out, np.ndarray) and out.shape == (0,)
+
+
+def test_radial_cdf_interpolator_integrand_budget(monkeypatch):
+    # every shell-density evaluation calls each term once; count the first
+    evaluations = []
+
+    def counting_terms(system, center):
+        first, *rest = _radial_density_terms(system, center)
+
+        def counted(s):
+            evaluations.append(1)
+            return first(s)
+
+        return [counted, *rest]
+
+    monkeypatch.setattr(groundstate, "_radial_density_terms", counting_terms)
+    radial_cdf_interpolator(figure_system(), 1, r_max=80.0)
+    assert 0 < len(evaluations) <= 25_000
 
 
 def test_radial_cdf_interpolator_tracks_direct_evaluation():
