@@ -5,202 +5,26 @@ the explicit ground state with its currents and samplers (`groundstate`),
 truncated lattice Fock models with Bell-type jump processes (`lattice`),
 continuum Bohmian trajectories with stochastic creation/annihilation
 (`process`), one-dimensional boundary-condition analogues (`boundary`),
-and a config-driven command line interface (`cli`).
+and a config-driven command line interface (`cli`).  The package re-exports
+the `__all__` of each of these modules except `cli`, plus `presets`.
 """
 
-from .model import (
-    ChargeSystem,
-    Configuration,
-    GeneralIBCParams,
-    SymmetryVerdict,
-    classify_charges,
-    classify_general_ibc,
-    gauge_transform,
-    reversed_charges,
-    sector_inner_product,
-    time_reverse,
-)
-from .groundstate import (
-    GroundState,
-    NearNodeError,
-    current_closed_form,
-    current_numeric,
-    effective_kappa,
-    ground_energy,
-    ground_state,
-    normalization_and_poisson,
-    psi1,
-    psi1_gradient,
-    psi_min,
-    radial_cdf_interpolator,
-    radial_distance_cdf,
-    sample_boson_positions,
-    source_flux,
-    streamlines,
-    velocity,
-    verify_eigen_vacuum,
-    verify_ibc,
-)
-from .lattice import (
-    BellEnsembleResult,
-    GroundCurrentReport,
-    JumpChainRecord,
-    LatticeModel,
-    LatticeParams,
-    NodeError,
-    ReversalReport,
-    bell_jump_rates,
-    build_model,
-    check_T_commutation,
-    check_gauge_equivalence,
-    evolve,
-    ground_state_current,
-    lattice_dimension,
-    lattice_ground_state,
-    reversal_conditions_check,
-    run_bell_ensemble,
-    run_bell_process,
-    sector_reversal,
-)
-from .process import (
-    AbsorbEvent,
-    EmissionLaw,
-    EmitEvent,
-    EnsembleParams,
-    EnsembleResult,
-    EnsembleSnapshot,
-    EquivarianceReport,
-    MoveEvent,
-    ReversalTestReport,
-    SampleStats,
-    SimulationParams,
-    StartSensitivityReport,
-    TrajectoryRecord,
-    derive_emission_law,
-    emission_start_sensitivity,
-    equivariance_test,
-    reversal_test,
-    run_ensemble,
-    simulate,
-)
-from .boundary import (
-    BethePeierlsReport,
-    ConservationReport,
-    DiscreteGroundReport,
-    EmissionWitness,
-    EndVerdict,
-    LeakReport,
-    PeriodicVerdict,
-    PhasePeriodicBC,
-    RobinBC,
-    RobinEvolution,
-    WitnessInput,
-    bethe_peierls_check,
-    boundary_current,
-    discrete_periodic_ground,
-    emission_witness,
-    evolve_robin,
-    is_probability_conserving,
-    periodic_ground_current,
-    periodic_spectrum,
-    robin_leak_check,
-    symmetry_verdict_periodic,
-)
-from .presets import FIGURE_CHARGES, figure_system, lattice_preset
+from . import boundary, groundstate, lattice, model, presets, process
+from .boundary import *  # noqa: F403
+from .groundstate import *  # noqa: F403
+from .lattice import *  # noqa: F403
+from .model import *  # noqa: F403
+from .presets import *  # noqa: F403
+from .process import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChargeSystem",
-    "Configuration",
-    "GeneralIBCParams",
-    "SymmetryVerdict",
-    "classify_charges",
-    "classify_general_ibc",
-    "gauge_transform",
-    "reversed_charges",
-    "sector_inner_product",
-    "time_reverse",
-    "GroundState",
-    "NearNodeError",
-    "current_closed_form",
-    "current_numeric",
-    "effective_kappa",
-    "ground_energy",
-    "ground_state",
-    "normalization_and_poisson",
-    "psi1",
-    "psi1_gradient",
-    "psi_min",
-    "radial_cdf_interpolator",
-    "radial_distance_cdf",
-    "sample_boson_positions",
-    "source_flux",
-    "streamlines",
-    "velocity",
-    "verify_eigen_vacuum",
-    "verify_ibc",
-    "LatticeParams",
-    "LatticeModel",
-    "JumpChainRecord",
-    "BellEnsembleResult",
-    "ReversalReport",
-    "GroundCurrentReport",
-    "NodeError",
-    "lattice_dimension",
-    "build_model",
-    "evolve",
-    "check_T_commutation",
-    "check_gauge_equivalence",
-    "sector_reversal",
-    "bell_jump_rates",
-    "run_bell_process",
-    "run_bell_ensemble",
-    "reversal_conditions_check",
-    "ground_state_current",
-    "lattice_ground_state",
-    "EmissionLaw",
-    "derive_emission_law",
-    "SimulationParams",
-    "MoveEvent",
-    "EmitEvent",
-    "AbsorbEvent",
-    "TrajectoryRecord",
-    "simulate",
-    "EnsembleParams",
-    "EnsembleSnapshot",
-    "EnsembleResult",
-    "run_ensemble",
-    "SampleStats",
-    "EquivarianceReport",
-    "equivariance_test",
-    "ReversalTestReport",
-    "reversal_test",
-    "StartSensitivityReport",
-    "emission_start_sensitivity",
-    "RobinBC",
-    "PhasePeriodicBC",
-    "WitnessInput",
-    "EndVerdict",
-    "ConservationReport",
-    "BethePeierlsReport",
-    "DiscreteGroundReport",
-    "PeriodicVerdict",
-    "EmissionWitness",
-    "RobinEvolution",
-    "LeakReport",
-    "boundary_current",
-    "is_probability_conserving",
-    "bethe_peierls_check",
-    "periodic_spectrum",
-    "periodic_ground_current",
-    "discrete_periodic_ground",
-    "symmetry_verdict_periodic",
-    "emission_witness",
-    "evolve_robin",
-    "robin_leak_check",
-    "figure_system",
-    "lattice_preset",
-    "FIGURE_CHARGES",
+    *model.__all__,
+    *groundstate.__all__,
+    *lattice.__all__,
+    *process.__all__,
+    *boundary.__all__,
+    *presets.__all__,
     "__version__",
 ]

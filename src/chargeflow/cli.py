@@ -18,7 +18,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.stats import chisquare
 
 from .boundary import (
     RobinBC,
@@ -66,6 +65,7 @@ from .model import GeneralIBCParams, classify_charges, classify_general_ibc
 from .process import (
     EnsembleParams,
     SimulationParams,
+    _pooled_chisquare,
     derive_emission_law,
     equivariance_test,
     reversal_test,
@@ -301,25 +301,6 @@ def _cmd_simulate(config, out):
             }
         write_json(os.path.join(out, "statistics.json"), payload, prov)
     return 0
-
-
-def _pooled_chisquare(observed, expected, min_expected=5.0):
-    """Chi-square p-value with greedy left-to-right pooling of thin bins."""
-    obs_pool, exp_pool = [], []
-    acc_o = acc_e = 0.0
-    for o, e in zip(observed, expected):
-        acc_o += o
-        acc_e += e
-        if acc_e >= min_expected:
-            obs_pool.append(acc_o)
-            exp_pool.append(acc_e)
-            acc_o = acc_e = 0.0
-    if (acc_o or acc_e) and exp_pool:
-        obs_pool[-1] += acc_o
-        exp_pool[-1] += acc_e
-    if len(exp_pool) < 2:
-        return 1.0
-    return float(chisquare(obs_pool, np.array(exp_pool) * sum(obs_pool) / sum(exp_pool)).pvalue)
 
 
 def _cmd_lattice(config, out, check=None):

@@ -54,7 +54,6 @@ __all__ = [
     "effective_kappa",
     "verify_ibc",
     "verify_eigen_vacuum",
-    "normalization_and_poisson",
     "streamlines",
     "source_flux",
     "sample_boson_positions",
@@ -171,11 +170,6 @@ def ground_state(system):
     )
 
 
-def normalization_and_poisson(gs):
-    """(Ncal, lambda_P) of a GroundState."""
-    return gs.norm_const, gs.poisson_rate
-
-
 def psi_min(gs, q):
     """Ground-state amplitude at configuration q (sequence of boson positions).
 
@@ -193,13 +187,15 @@ def psi_min(gs, q):
     return complex(pref * np.prod(psi1(sys_, pos)))
 
 
-def _double_sum_current(system, y, unit_vector_matches_radial_index):
-    """The double-sum current formula with a selectable unit-vector index.
+def current_closed_form(system, y):
+    """Probability current of psi1 in closed form.
 
-    j(y) = (hbar/m) sum_{i != j} Im[conj(g_i) g_j] * u_i u_j * (alpha + 1/r_j) * e
-    where u_j = exp(-alpha r_j)/r_j.  The two readings attach the unit vector e
-    either to the same source as the radial factor (e = (y-x_j)/r_j) or to the
-    other summation index (e = (y-x_i)/r_i).
+    j(y) = (hbar/m) sum_{i != j} Im[conj(g_i) g_j] * u_i u_j * (alpha + 1/r_j) * e_j
+    where u_j = exp(-alpha r_j)/r_j and e_j = (y - x_j)/r_j.  Of the two
+    possible unit-vector attachments in this double sum, the one tying e_j to
+    the radial factor (alpha + 1/r_j) agrees with the finite-difference
+    evaluation of (hbar/m) Im[conj(psi1) grad psi1]; a regression test against
+    `current_numeric` freezes that reading.
     """
     y = np.asarray(y, dtype=float)
     shape = y.shape
@@ -214,26 +210,8 @@ def _double_sum_current(system, y, unit_vector_matches_radial_index):
             if i == j:
                 continue
             w = np.imag(np.conj(g[i]) * g[j]) * u[:, i] * u[:, j] * (a + 1.0 / r[:, j])
-            unit = e[:, j, :] if unit_vector_matches_radial_index else e[:, i, :]
-            out += w[:, None] * unit
+            out += w[:, None] * e[:, j, :]
     return (system.hbar / system.m * out).reshape(shape)
-
-
-def current_closed_form(system, y):
-    """Probability current of psi1 in closed form.
-
-    Of the two possible unit-vector attachments in the double-sum formula,
-    the one tying the unit vector (y - x_j)/r_j to the radial factor
-    (alpha + 1/r_j) agrees with the finite-difference evaluation of
-    (hbar/m) Im[conj(psi1) grad psi1]; that reading is used here and frozen
-    by a regression test against `current_numeric`.
-    """
-    return _double_sum_current(system, y, unit_vector_matches_radial_index=True)
-
-
-def _current_alt_index_reading(system, y):
-    """The rejected unit-vector attachment, kept for the resolution test."""
-    return _double_sum_current(system, y, unit_vector_matches_radial_index=False)
 
 
 def current_numeric(system, y, h=1e-3):

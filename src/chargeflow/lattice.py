@@ -21,16 +21,18 @@ time-reversal and gauge statements become exact matrix identities:
     statistics follow |psi_t|^2) and reverses exactly when T commutes.
 
 Site indices are 0-based; basis states are ordered sector-major (total boson
-number ascending), deterministic across runs.
+number ascending), deterministic across runs.  H is stored as a sparse CSR
+array at every size; only the eigendecomposition and what builds on it keep
+a dense copy, up to DENSE_LIMIT states.
 """
 
 import warnings
-from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
-from scipy.sparse import lil_matrix
+from scipy.sparse import csr_array
+from scipy.sparse.linalg import expm_multiply
 
 __all__ = [
     "LatticeParams",
@@ -55,7 +57,7 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 200_000
-DENSE_LIMIT = 2000
+DENSE_LIMIT = 2000  # largest dimension with a dense copy of H (eig, spectral evolve)
 
 
 class NodeError(ValueError):
@@ -108,28 +110,46 @@ class LatticeParams:
         object.__setattr__(self, "charges", charges)
 
 
-def _enumerate_basis(L, n_max):
-    states = []
-    for k in range(n_max + 1):
-        for sites in combinations_with_replacement(range(L), k):
-            occ = [0] * L
-            for s in sites:
-                occ[s] += 1
-            states.append(tuple(occ))
-    return states
+def _occupations(L, n_max):
+    """Occupation rows of the truncated basis in basis order.
+
+    Sector-major (total boson number ascending), then descending
+    lexicographic in (n_1..n_L) within a sector, which is the order of
+    combinations_with_replacement over sorted site tuples.
+    """
+    occ = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(L):
+        width = n_max + 1 - occ.sum(axis=1)  # occupations allowed on the next site
+        parent = np.repeat(np.arange(len(occ)), width)
+        first = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
+        occ = np.column_stack([first, occ[parent]])
+    return occ[np.lexsort(np.vstack([-occ.T[::-1], occ.sum(axis=1)]))]
 
 
 class LatticeModel:
-    """Immutable assembled model: basis, Hamiltonian, cached spectral data."""
+    """Immutable assembled model: basis, CSR Hamiltonian, cached spectral data.
 
-    def __init__(self, params, basis, H, dense):
+    `H` is a scipy CSR array at every size and `occupations` the basis as a
+    (dim, L) integer array.  What needs a dense copy of H (`eig`, hence
+    `lattice_ground_state`, `ground_state_current` and the spectral `evolve`,
+    and the kind="op" commutator norm) is limited to DENSE_LIMIT states and
+    raises ValueError above it.
+    """
+
+    def __init__(self, params, occupations, H):
         self.params = params
-        self.basis = basis
-        self.index = {occ: i for i, occ in enumerate(basis)}
+        self.occupations = occupations
+        self.basis = list(map(tuple, occupations.tolist()))
+        self.index = dict(zip(self.basis, range(len(self.basis))))
         self.H = H
-        self.dense = dense
-        self.dim = len(basis)
-        self.sector = np.array([sum(occ) for occ in basis])
+        self.dim = len(self.basis)
+        self.sector = occupations.sum(axis=1)
+        # row of each stored entry of H, and the position of its mirror
+        # entry: H's pattern is symmetric, so column-major order lists the
+        # mirror of each entry in CSR order
+        self._rows = np.repeat(np.arange(self.dim), np.diff(H.indptr))
+        self._transpose = np.lexsort((self._rows, H.indices))
+        self._dense = None
         self._eig = None
 
     def state_index(self, q):
@@ -143,110 +163,107 @@ class LatticeModel:
             raise KeyError(f"occupation {key} is not in the truncated basis")
         return self.index[key]
 
+    def _dense_H(self):
+        if self.dim > DENSE_LIMIT:
+            raise ValueError(
+                f"dense forms of H are limited to {DENSE_LIMIT} states (dimension {self.dim})"
+            )
+        if self._dense is None:
+            self._dense = self.H.toarray()
+        return self._dense
+
     def eig(self):
-        """Cached eigendecomposition (dense models only)."""
-        if not self.dense:
-            raise ValueError("eigendecomposition is only cached for dense models")
+        """Cached eigendecomposition (at most DENSE_LIMIT states)."""
         if self._eig is None:
-            evals, evecs = np.linalg.eigh(self.H)
-            self._eig = (evals, evecs)
+            self._eig = tuple(np.linalg.eigh(self._dense_H()))
         return self._eig
 
 
 def build_model(params):
-    """Assemble the truncated Hamiltonian over the occupation basis.
+    """Assemble the truncated Hamiltonian over the occupation basis as CSR.
 
-    Dense storage up to dimension 2000, sparse beyond; Hermiticity is checked
-    at build time (1e-12 on the maximum element).
+    The entries come as COO triplets for whole arrays of states: a hop or a
+    creation maps basis index i to i + shift, with the shift read off the
+    combinatorial number system of the basis order.  Each hop right and each
+    creation is entered together with its Hermitian conjugate (hop left,
+    annihilation); Hermiticity is checked at build time (1e-12 on the
+    maximum element).
     """
     L, n_max = params.L, params.n_max
-    basis = _enumerate_basis(L, n_max)
-    dim = len(basis)
-    index = {occ: i for i, occ in enumerate(basis)}
-    dense = dim <= DENSE_LIMIT
-    H = np.zeros((dim, dim), dtype=complex) if dense else lil_matrix((dim, dim), dtype=complex)
+    occ = _occupations(L, n_max)
+    dim, total = len(occ), occ.sum(axis=1)
+    i = np.arange(dim)
+    # Combinatorial number system of the basis order: moving one boson from
+    # site s to s+1 raises the index by ways[r, s], the number of placements
+    # of the r bosons right of s on the L-s-1 sites there; creating a boson
+    # at site c raises it by the sector size plus the shifts of every bond
+    # left of c.
+    right = (total[:, None] - np.cumsum(occ, axis=1))[:, :-1]
+    ways = np.array(
+        [[comb(r + L - s - 2, r) for s in range(L - 1)] for r in range(n_max + 1)],
+        dtype=np.int64,
+    )
+    shift = ways[right, np.arange(L - 1)]
+    shift_left_of = np.column_stack([np.zeros(dim, dtype=np.int64), np.cumsum(shift, axis=1)])
+    sector_size = np.array([comb(L + k - 1, k) for k in range(n_max + 1)], dtype=np.int64)
+
     hop = params.hbar**2 / (2.0 * params.m * params.a**2)
     onsite = params.E0 + params.hbar**2 / (params.m * params.a**2)
-    for i, occ in enumerate(basis):
-        total = sum(occ)
-        H[i, i] = onsite * total
-        # hopping s -> s+1 and s+1 -> s across each bond
-        for s in range(L - 1):
-            for frm, to in ((s, s + 1), (s + 1, s)):
-                if occ[frm] == 0:
-                    continue
-                new = list(occ)
-                new[frm] -= 1
-                new[to] += 1
-                j = index[tuple(new)]
-                H[j, i] += -hop * np.sqrt(occ[frm] * (occ[to] + 1))
-        # sources: creation conj(g) sqrt(n+1) upward, annihilation g sqrt(n) downward
-        for site, g in zip(params.source_sites, params.charges):
-            if total < n_max:
-                new = list(occ)
-                new[site] += 1
-                j = index[tuple(new)]
-                H[j, i] += np.conj(g) * np.sqrt(occ[site] + 1)
-            if occ[site] > 0:
-                new = list(occ)
-                new[site] -= 1
-                j = index[tuple(new)]
-                H[j, i] += g * np.sqrt(occ[site])
-    if dense:
-        herm = np.max(np.abs(H - H.conj().T))
-    else:
-        H = H.tocsr()
-        herm = abs(H - H.conj().T).max()
-    if herm > 1e-12:
+    frm, bond = np.nonzero(occ[:, :-1])
+    rows, cols = [frm + shift[frm, bond]], [frm]
+    vals = [-hop * np.sqrt(occ[frm, bond] * (occ[frm, bond + 1] + 1))]
+    open_states = i[total < n_max]
+    for site, g in zip(params.source_sites, params.charges):
+        rows.append(open_states + sector_size[total[open_states]] + shift_left_of[open_states, site])
+        cols.append(open_states)
+        vals.append(np.conj(g) * np.sqrt(occ[open_states, site] + 1.0))
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    H = csr_array(
+        (
+            np.concatenate([vals, np.conj(vals), onsite * total]),
+            (np.concatenate([rows, cols, i]), np.concatenate([cols, rows, i])),
+        ),
+        shape=(dim, dim),
+        dtype=complex,
+    )
+    if abs(H - H.conj().T).max() > 1e-12:
         raise AssertionError("assembled Hamiltonian is not Hermitian")
-    return LatticeModel(params, basis, H, dense)
+    return LatticeModel(params, occ, H)
 
 
 def evolve(model, psi, t):
     """Propagate psi by e^{-iHt/hbar}.
 
-    Dense models use the spectral form of the matrix exponential (exact,
-    norm drift at rounding level); sparse models integrate the Schrodinger
-    equation adaptively and rescale to the initial norm (drift < 1e-9 per
-    unit time by construction).
+    Up to DENSE_LIMIT states this is the spectral form of the matrix
+    exponential (exact, norm drift at rounding level); above it, scipy's
+    expm_multiply on the CSR H (Al-Mohy & Higham, SIAM J. Sci. Comput. 33
+    (2011) 488), which needs no eigendecomposition.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (model.dim,):
         raise ValueError("psi must be a vector over the basis")
     if t == 0:
         return psi.copy()
-    if model.dense:
-        evals, evecs = model.eig()
-        return evecs @ (np.exp(-1j * evals * t / model.params.hbar) * (evecs.conj().T @ psi))
-    from scipy.integrate import solve_ivp
-
-    H = model.H
-
-    def rhs(_, y):
-        v = y[: model.dim] + 1j * y[model.dim :]
-        dv = -1j / model.params.hbar * (H @ v)
-        return np.concatenate([dv.real, dv.imag])
-
-    y0 = np.concatenate([psi.real, psi.imag])
-    sol = solve_ivp(rhs, (0.0, t), y0, rtol=1e-10, atol=1e-12, method="DOP853")
-    if not sol.success:
-        raise RuntimeError("propagation failed: " + sol.message)
-    out = sol.y[: model.dim, -1] + 1j * sol.y[model.dim :, -1]
-    norm0 = np.linalg.norm(psi)
-    return out * (norm0 / np.linalg.norm(out))
+    if model.dim > DENSE_LIMIT:
+        return expm_multiply((-1j * t / model.params.hbar) * model.H, psi)
+    evals, evecs = model.eig()
+    return evecs @ (np.exp(-1j * evals * t / model.params.hbar) * (evecs.conj().T @ psi))
 
 
-def _operator_norm(matvec, rmatvec, dim, tol=1e-10, max_iter=500):
-    """Largest singular value by power iteration on M^dag M, deterministic start."""
+def _operator_norm(M, tol=1e-10, max_iter=500):
+    """Largest singular value of a dense or sparse M by power iteration on
+    M^dag M, deterministic start."""
+    M_dag = M.conj().T
+    dim = M.shape[1]
     v = np.ones(dim, dtype=complex) + 1e-3 * np.arange(dim)
     v /= np.linalg.norm(v)
     sigma = 0.0
     for _ in range(max_iter):
-        w = matvec(v)
+        w = M @ v
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
-        u = rmatvec(w / nw)
+        u = M_dag @ (w / nw)
         nu = np.linalg.norm(u)
         new_sigma = np.sqrt(nw * nu) if nu > 0 else nw
         if abs(new_sigma - sigma) <= tol * max(new_sigma, 1.0):
@@ -267,18 +284,19 @@ def _t_commutator_matrix(model, theta):
 
     T_theta H - H T_theta applied to psi equals Delta applied to
     D conj(psi), and D is unitary, so any matrix norm of the antilinear
-    commutator equals the same norm of Delta.
+    commutator equals the same norm of Delta.  Dense, so at most
+    DENSE_LIMIT states.
     """
-    if not model.dense:
-        raise ValueError("commutator matrix requires a dense model")
+    H = model._dense_H()
     phases = np.exp(-2j * theta * model.sector)
-    return (phases[:, None] * np.conj(model.H)) * np.conj(phases)[None, :] - model.H
+    return (phases[:, None] * np.conj(H)) * np.conj(phases)[None, :] - H
 
 
 def check_T_commutation(model, theta, kind="op"):
     """Norm of the commutator of T_theta with H.
 
-    kind="op": operator norm estimated by power iteration (1e-10 tolerance).
+    kind="op": operator norm estimated by power iteration (1e-10 tolerance)
+        on the dense commutator, so at most DENSE_LIMIT states.
     kind="fro": exact Frobenius norm from the closed form
         ||.||_F^2 = 8 sum_j S_j Im(e^{-i theta} g_j)^2,
     where S_j sums n_{s_j}(q) + 1 over the states q that still accept a boson;
@@ -288,21 +306,16 @@ def check_T_commutation(model, theta, kind="op"):
     """
     if kind == "fro":
         theta_arr = np.asarray(theta, dtype=float)
-        weights = np.zeros(len(model.params.charges))
         open_states = model.sector < model.params.n_max
-        for j, site in enumerate(model.params.source_sites):
-            occ_at_site = np.array([occ[site] for occ in model.basis])
-            weights[j] = np.sum(occ_at_site[open_states] + 1)
+        occ = model.occupations[open_states][:, list(model.params.source_sites)]
+        weights = np.sum(occ + 1, axis=0)
         g = np.array(model.params.charges)
         im = np.imag(np.exp(-1j * theta_arr[..., None]) * g)
         val = np.sqrt(8.0 * np.sum(weights * im**2, axis=-1))
         return val if val.ndim else float(val)
     if kind != "op":
         raise ValueError("kind must be 'op' or 'fro'")
-    delta = _t_commutator_matrix(model, float(theta))
-    return _operator_norm(
-        lambda v: delta @ v, lambda v: delta.conj().T @ v, model.dim
-    )
+    return _operator_norm(_t_commutator_matrix(model, float(theta)))
 
 
 def check_gauge_equivalence(model, theta):
@@ -312,41 +325,25 @@ def check_gauge_equivalence(model, theta):
     identically (the transform shifts every coupling phase back), so the
     returned value is a rounding-level residual.
     """
-    params = model.params
-    rotated = LatticeParams(
-        L=params.L,
-        a=params.a,
-        n_max=params.n_max,
-        source_sites=params.source_sites,
-        charges=tuple(np.exp(1j * theta) * g for g in params.charges),
-        m=params.m,
-        E0=params.E0,
-        hbar=params.hbar,
-    )
-    H_rot = build_model(rotated).H
+    charges = tuple(np.exp(1j * theta) * g for g in model.params.charges)
+    rot = build_model(replace(model.params, charges=charges))
     phases = np.exp(-1j * theta * model.sector)
-    if model.dense:
-        delta = (np.conj(phases)[:, None] * H_rot) * phases[None, :] - model.H
-        return _operator_norm(
-            lambda v: delta @ v, lambda v: delta.conj().T @ v, model.dim
-        )
-    D = phases
-
-    def matvec(v):
-        return np.conj(D) * (H_rot @ (D * v)) - model.H @ v
-
-    def rmatvec(v):
-        return np.conj(D) * (H_rot.conj().T @ (D * v)) - model.H.conj().T @ v
-
-    return _operator_norm(matvec, rmatvec, model.dim)
+    entries = (np.conj(phases)[rot._rows] * rot.H.data) * phases[rot.H.indices]
+    delta = csr_array((entries, rot.H.indices, rot.H.indptr), shape=rot.H.shape) - model.H
+    return _operator_norm(delta)
 
 
-def _flux_matrix(model, psi):
-    """F(q -> q') = (2/hbar) max{0, Im[conj(psi(q')) H_{q'q} psi(q)]}, entry [q', q]."""
-    if not model.dense:
-        raise ValueError("flux matrix requires a dense model")
-    M = np.imag(np.conj(psi)[:, None] * model.H * psi[None, :])
-    return 2.0 / model.params.hbar * np.maximum(0.0, M)
+def _current(model, psi):
+    """J(q -> q') = (2/hbar) Im[conj(psi(q')) H_{q'q} psi(q)] at each stored
+    entry (q', q) of H, in CSR order."""
+    H = model.H
+    return 2.0 / model.params.hbar * np.imag((np.conj(psi)[model._rows] * H.data) * psi[H.indices])
+
+
+def _flux(model, psi):
+    """F(q -> q') = max{0, J(q -> q')} at each stored entry (q', q) of H, in
+    CSR order; indexing with model._transpose gives F(q' -> q) instead."""
+    return np.maximum(0.0, _current(model, psi))
 
 
 def bell_jump_rates(model, psi, q):
@@ -362,13 +359,14 @@ def bell_jump_rates(model, psi, q):
     dens = abs(psi[qi]) ** 2
     if dens == 0.0:
         raise NodeError("jump rates are undefined at a node of psi")
-    col = model.H[:, qi] if model.dense else model.H[:, [qi]].toarray()[:, 0]
-    flux = 2.0 / model.params.hbar * np.maximum(0.0, np.imag(np.conj(psi) * col * psi[qi]))
-    out = {}
-    for target in np.nonzero(flux)[0]:
-        if target != qi:
-            out[model.basis[target]] = float(flux[target] / dens)
-    return out
+    lo, hi = model.H.indptr[qi], model.H.indptr[qi + 1]
+    targets = model.H.indices[lo:hi]
+    flux = _flux(model, psi)[model._transpose[lo:hi]]
+    return {
+        model.basis[target]: float(f / dens)
+        for target, f in zip(targets, flux)
+        if f > 0.0 and target != qi
+    }
 
 
 @dataclass(frozen=True)
@@ -382,74 +380,6 @@ class JumpChainRecord:
     node_warnings: int
 
 
-def _bell_step_probabilities(model, psi_t, dt_cap, rate_floor_warn):
-    """Per-state jump probability table for one synchronous step.
-
-    Returns (dt, cumulative target table, totals); dt is capped so that the
-    largest total jump probability in one step stays small.
-    """
-    flux = _flux_matrix(model, psi_t)
-    dens = np.abs(psi_t) ** 2
-    floor = rate_floor_warn * np.max(dens)
-    safe = np.maximum(dens, floor)
-    rates = flux / safe[None, :]
-    totals = rates.sum(axis=0)
-    lam = totals.max()
-    dt = min(dt_cap, 0.05 / lam) if lam > 0 else dt_cap
-    return dt, rates, totals, dens < floor
-
-
-def run_bell_process(model, psi0, t_max, seed, dt_cap=2e-3, node_floor=1e-12):
-    """Run one minimal-jump chain with the wavefunction evolved alongside.
-
-    The initial configuration is drawn from |psi0|^2.  Rates are refreshed on
-    a time grid (midpoint wavefunction, step capped at dt_cap and at 5% total
-    jump probability); near-node configurations have their rate denominator
-    floored, each occurrence counted in node_warnings and reported with a
-    warning at the end.
-    """
-    if not model.dense:
-        raise ValueError("the jump process needs a dense (exactly solvable) model")
-    psi0 = np.asarray(psi0, dtype=complex)
-    psi0 = psi0 / np.linalg.norm(psi0)
-    rng = np.random.default_rng(seed)
-    state = int(rng.choice(model.dim, p=np.abs(psi0) ** 2 / np.sum(np.abs(psi0) ** 2)))
-    t = 0.0
-    times = [0.0]
-    states = [model.basis[state]]
-    node_hits = 0
-    while t < t_max:
-        dt, _, _, _ = _bell_step_probabilities(
-            model, evolve(model, psi0, t), dt_cap, node_floor
-        )
-        dt = min(dt, t_max - t)
-        # rates taken at the step midpoint for second-order accuracy
-        _, rates, totals, flagged = _bell_step_probabilities(
-            model, evolve(model, psi0, t + dt / 2.0), dt_cap, node_floor
-        )
-        if flagged[state]:
-            node_hits += 1
-        p_jump = min(totals[state] * dt, 1.0)
-        if rng.random() < p_jump:
-            probs = rates[:, state] / totals[state]
-            target = int(rng.choice(model.dim, p=probs / probs.sum()))
-            state = target
-            times.append(t + dt)
-            states.append(model.basis[state])
-        t += dt
-    if node_hits:
-        warnings.warn(
-            f"jump rates were capped near wavefunction nodes {node_hits} time(s); "
-            "statistics near nodes carry extra error",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return JumpChainRecord(
-        times=np.array(times), states=states, t_max=float(t_max), seed=int(seed),
-        node_warnings=node_hits,
-    )
-
-
 @dataclass(frozen=True)
 class BellEnsembleResult:
     """Synchronous ensemble of Bell chains: final occupation statistics."""
@@ -460,54 +390,94 @@ class BellEnsembleResult:
     node_warnings: int
 
 
-def run_bell_ensemble(model, psi0, t_max, n_chains, seed, dt_cap=2e-3, node_floor=1e-12):
-    """Evolve n_chains independent jump chains in lockstep (shared rate table).
-
-    The wavefunction (hence the rate table) is common to all chains, so each
-    step computes one flux matrix and advances every chain vectorized;
-    destination draws group chains by their current state.
-    """
-    if not model.dense:
-        raise ValueError("the jump process needs a dense (exactly solvable) model")
+def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
+    """The stepping loop of run_bell_ensemble.  Returns its result and the
+    path of the first chain as (time, states[:1]) pairs: the start and each
+    of its jumps."""
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     rng = np.random.default_rng(seed)
+    H, rows = model.H, model._rows
+    # row q of the rate table holds sigma(q -> q') for the q' of row q of H
+    slots = np.arange(H.nnz) - H.indptr[rows]
+    targets = np.zeros((model.dim, slots.max() + 1), dtype=np.int64)
+    targets[rows, slots] = H.indices
+
+    def cumulative_rates(psi):
+        dens = np.abs(psi) ** 2
+        floor = node_floor * np.max(dens)
+        rates = np.zeros(targets.shape)
+        rates[rows, slots] = _flux(model, psi)[model._transpose] / np.maximum(dens, floor)[rows]
+        return np.cumsum(rates, axis=1), dens < floor
+
     states = rng.choice(model.dim, size=n_chains, p=np.abs(psi0) ** 2)
     n_jumps = np.zeros(n_chains, dtype=int)
+    path = [(0.0, states[:1].copy())]
     node_hits = 0
     t = 0.0
+    cum, _ = cumulative_rates(psi0)
     while t < t_max:
-        dt, _, _, _ = _bell_step_probabilities(
-            model, evolve(model, psi0, t), dt_cap, node_floor
-        )
-        dt = min(dt, t_max - t)
-        # rates taken at the step midpoint for second-order accuracy
-        _, rates, totals, flagged = _bell_step_probabilities(
-            model, evolve(model, psi0, t + dt / 2.0), dt_cap, node_floor
-        )
+        lam = cum[:, -1].max()
+        dt = min(dt_cap, 0.05 / lam if lam > 0 else np.inf, t_max - t)
+        cum, flagged = cumulative_rates(evolve(model, psi0, t + dt / 2.0))
         node_hits += int(np.sum(flagged[states]))
-        p_jump = np.minimum(totals[states] * dt, 1.0)
+        p_jump = np.minimum(cum[states, -1] * dt, 1.0)
         jumping = np.nonzero(rng.random(n_chains) < p_jump)[0]
         if jumping.size:
-            cum = np.cumsum(rates, axis=0)
-            cum = cum / np.maximum(cum[-1, :], 1e-300)
-            u = rng.random(jumping.size)
-            src_states = states[jumping].copy()
-            for src in np.unique(src_states):
-                sel = jumping[src_states == src]
-                states[sel] = np.searchsorted(cum[:, src], u[: sel.size], side="right")
-                u = u[sel.size :]
+            # the uniforms go to the jumping chains ordered by current state
+            chains = jumping[np.argsort(states[jumping], kind="stable")]
+            row = cum[states[chains]]
+            row /= np.maximum(row[:, -1:], 1e-300)
+            slot = np.sum(row <= rng.random(chains.size)[:, None], axis=1)
+            states[chains] = targets[states[chains], slot]
             n_jumps[jumping] += 1
+            if jumping[0] == 0:
+                path.append((t + dt, states[:1].copy()))
         t += dt
     if node_hits:
         warnings.warn(
-            f"jump rates were capped near wavefunction nodes {node_hits} time(s)",
+            f"jump rates were capped near wavefunction nodes {node_hits} time(s); "
+            "statistics near nodes carry extra error",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return BellEnsembleResult(
+    result = BellEnsembleResult(
         final_indices=states, n_jumps=n_jumps, t_final=float(t), node_warnings=node_hits
     )
+    return result, path
+
+
+def run_bell_process(model, psi0, t_max, seed, dt_cap=2e-3, node_floor=1e-12):
+    """Run one minimal-jump chain with the wavefunction evolved alongside.
+
+    The chain is an ensemble of one (`run_bell_ensemble` with n_chains=1 and
+    the same seed ends in the same state, under the same stepping rule); the
+    record holds its jump times and visited configurations.
+    """
+    result, path = _run_chains(model, psi0, t_max, 1, seed, dt_cap, node_floor)
+    return JumpChainRecord(
+        times=np.array([time for time, _ in path]),
+        states=[model.basis[state[0]] for _, state in path],
+        t_max=float(t_max),
+        seed=int(seed),
+        node_warnings=result.node_warnings,
+    )
+
+
+def run_bell_ensemble(model, psi0, t_max, n_chains, seed, dt_cap=2e-3, node_floor=1e-12):
+    """Evolve n_chains independent jump chains in lockstep (shared rate table).
+
+    Initial configurations are drawn from |psi0|^2.  The wavefunction, hence
+    the rate table, is common to all chains, so each step builds one table on
+    H's non-zeros, at the step midpoint (second-order accuracy), and
+    advances every chain vectorized.  The step is capped at dt_cap and at 5%
+    total jump probability under the previous step's table (the t = 0 table
+    for the first step).  Near-node configurations have their rate
+    denominator floored at node_floor times the largest density, each
+    occurrence counted in node_warnings and reported with a warning at the
+    end.
+    """
+    return _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor)[0]
 
 
 @dataclass(frozen=True)
@@ -530,8 +500,8 @@ class ReversalReport:
 def reversal_conditions_check(model, theta, psi, tol=1e-10):
     """Verify that reversing psi reverses every directed jump flux."""
     psi = np.asarray(psi, dtype=complex)
-    forward = _flux_matrix(model, sector_reversal(model, theta, psi))
-    backward = _flux_matrix(model, psi).T
+    forward = _flux(model, sector_reversal(model, theta, psi))
+    backward = _flux(model, psi)[model._transpose]
     max_violation = float(np.max(np.abs(forward - backward)))
     return ReversalReport(
         passed=bool(max_violation <= tol),
@@ -543,9 +513,12 @@ def reversal_conditions_check(model, theta, psi, tol=1e-10):
 
 @dataclass(frozen=True)
 class GroundCurrentReport:
-    """Net probability currents of the exact ground state over basis pairs."""
+    """Net probability currents of the exact ground state over basis pairs.
 
-    currents: np.ndarray
+    `currents` is a CSR array on H's non-zeros, entry [q', q] = J(q, q').
+    """
+
+    currents: csr_array
     max_abs: float
     eigengap: float
     energy: float
@@ -569,8 +542,10 @@ def ground_state_current(model, gap_tol=1e-8):
     scale = max(abs(evals[-1]), abs(evals[0]), 1.0)
     if gap <= gap_tol * scale:
         raise ValueError(f"ground state is degenerate within tolerance (gap {gap:.3e})")
-    psi = evecs[:, 0]
-    J = 2.0 / model.params.hbar * np.imag(np.conj(psi)[:, None] * model.H * psi[None, :])
+    J = _current(model, evecs[:, 0])
     return GroundCurrentReport(
-        currents=J, max_abs=float(np.max(np.abs(J))), eigengap=gap, energy=float(evals[0])
+        currents=csr_array((J, model.H.indices, model.H.indptr), shape=model.H.shape),
+        max_abs=float(np.max(np.abs(J))),
+        eigengap=gap,
+        energy=float(evals[0]),
     )

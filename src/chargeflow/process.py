@@ -133,12 +133,6 @@ class EmissionLaw:
     def total_rate(self):
         return float(self.rates.sum())
 
-    def rate_in_sector(self, n):
-        """Per-source rates in sector n (independent of n; see class docs)."""
-        if n < 0:
-            raise ValueError("sector must be nonnegative")
-        return self.rates
-
 
 def derive_emission_law(gs, radii=None, directions=None, direction_tol=1e-6):
     """Extract the per-source emission rates from the flux limit.
@@ -319,10 +313,10 @@ def simulate(gs, params, initial=None, law=None):
     The initial configuration is drawn from the stationary law (Poisson
     sector, i.i.d. |psi1|^2 positions) unless `initial` supplies an (n, 3)
     position array (or an object with a .positions attribute).  Emission
-    uses an exponential clock at the total rate with a thinning acceptance
-    draw (the bound is tight for the constant ground-state law, so every
-    candidate fires); absorbing contacts are localized by bisection.  Output
-    is bit-reproducible for a given seed.
+    uses an exponential clock at the total rate of the (constant)
+    ground-state law, so every ring of the clock emits; absorbing contacts
+    are found by solve_ivp's terminal events.  Output is bit-reproducible
+    for a given seed.
     """
     system = gs.system
     X = system.positions
@@ -358,7 +352,6 @@ def simulate(gs, params, initial=None, law=None):
         if total > 0.0:
             t_emit = t + rng.exponential(1.0 / total)
             u_source = rng.random()
-            u_accept = rng.random()
         else:
             t_emit = np.inf
         t_stop = min(t_emit, params.t_max)
@@ -381,7 +374,7 @@ def simulate(gs, params, initial=None, law=None):
                 continue  # the pending emission clock is redrawn (memoryless)
         else:
             t = t_stop
-        if t_emit <= params.t_max and u_accept * total <= total:
+        if t_emit <= params.t_max:
             source = int(np.searchsorted(cum, u_source * total, side="right"))
             direction = _unit_vectors(rng, 1)[0]
             born = X[source] + eps_start * direction
@@ -604,21 +597,17 @@ def run_ensemble(gs, params, law=None):
     )
 
 
-def _poisson_chisquare(samples, lam, min_expected=5.0):
-    """Chi-square p-value of integer samples against Poisson(lam).
+def _pooled_chisquare(observed, expected, min_expected=5.0):
+    """Chi-square p-value with greedy left-to-right pooling of thin bins.
 
-    Bins 0..max plus an upper tail, pooled greedily (left to right) until
-    each expected count reaches min_expected; lam is fixed a priori, so no
-    degrees of freedom are subtracted.
+    Bins are merged in order until each pool's expected count reaches
+    min_expected, a thin remainder joins the last pool, and the expected
+    counts are rescaled to the observed total.  Fewer than two pools give
+    1.0; no degrees of freedom are subtracted.
     """
-    samples = np.asarray(samples)
-    n = samples.size
-    kmax = int(samples.max(initial=0))
-    counts = np.bincount(samples, minlength=kmax + 2)
-    expected = n * np.append(poisson.pmf(np.arange(kmax + 1), lam), poisson.sf(kmax, lam))
     obs_pool, exp_pool = [], []
     acc_obs = acc_exp = 0.0
-    for o, e in zip(counts, expected):
+    for o, e in zip(observed, expected):
         acc_obs += o
         acc_exp += e
         if acc_exp >= min_expected:
@@ -630,7 +619,17 @@ def _poisson_chisquare(samples, lam, min_expected=5.0):
         exp_pool[-1] += acc_exp
     if len(exp_pool) < 2:
         return 1.0
-    return float(chisquare(obs_pool, exp_pool).pvalue)
+    return float(chisquare(obs_pool, np.array(exp_pool) * sum(obs_pool) / sum(exp_pool)).pvalue)
+
+
+def _poisson_chisquare(samples, lam, min_expected=5.0):
+    """Chi-square p-value of integer samples against Poisson(lam), lam fixed
+    a priori: bins 0..max plus an upper tail, pooled by _pooled_chisquare."""
+    samples = np.asarray(samples)
+    kmax = int(samples.max(initial=0))
+    counts = np.bincount(samples, minlength=kmax + 2)
+    expected = np.append(poisson.pmf(np.arange(kmax + 1), lam), poisson.sf(kmax, lam))
+    return _pooled_chisquare(counts, samples.size * expected, min_expected)
 
 
 def _symmetry_axis(system):

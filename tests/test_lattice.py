@@ -1,7 +1,11 @@
+from dataclasses import replace
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from chargeflow import lattice
 from chargeflow.lattice import (
     LatticeParams,
     NodeError,
@@ -59,15 +63,16 @@ def test_free_chain_matrix_by_hand():
         [[0.0, 0.0, 0.0], [0.0, onsite, -0.5], [0.0, -0.5, onsite]], dtype=complex
     )
     assert model.basis == [(0, 0), (1, 0), (0, 1)]
-    np.testing.assert_allclose(model.H, expected, atol=1e-15)
+    np.testing.assert_allclose(model.H.toarray(), expected, atol=1e-15)
 
 
 def test_single_real_source_gives_real_symmetric_matrix():
     model = build_model(
         LatticeParams(L=4, a=1.0, n_max=2, source_sites=(1,), charges=(0.7,))
     )
-    assert np.max(np.abs(model.H.imag)) == 0.0
-    np.testing.assert_allclose(model.H, model.H.T, atol=1e-15)
+    H = model.H.toarray()
+    assert np.max(np.abs(H.imag)) == 0.0
+    np.testing.assert_allclose(H, H.T, atol=1e-15)
 
 
 def test_imaginary_source_matrix_by_hand():
@@ -77,14 +82,62 @@ def test_imaginary_source_matrix_by_hand():
     expected = np.array(
         [[0.0, 1j, 0.0], [-1j, 1.5, -0.5], [0.0, -0.5, 1.5]], dtype=complex
     )
-    np.testing.assert_allclose(model.H, expected, atol=1e-15)
+    np.testing.assert_allclose(model.H.toarray(), expected, atol=1e-15)
 
 
 def test_hermiticity_of_random_models():
     rng = np.random.default_rng(0)
     for _ in range(10):
         model = build_model(random_params(rng))
-        np.testing.assert_allclose(model.H, model.H.conj().T, atol=1e-12)
+        H = model.H.toarray()
+        np.testing.assert_allclose(H, H.conj().T, atol=1e-12)
+
+
+def per_state_oracle(params):
+    """Basis and dense H assembled state by state with a dict lookup."""
+    L, n_max = params.L, params.n_max
+    basis = []
+    for k in range(n_max + 1):
+        for sites in combinations_with_replacement(range(L), k):
+            occ = [0] * L
+            for s in sites:
+                occ[s] += 1
+            basis.append(tuple(occ))
+    index = {occ: i for i, occ in enumerate(basis)}
+    H = np.zeros((len(basis), len(basis)), dtype=complex)
+    hop = params.hbar**2 / (2.0 * params.m * params.a**2)
+    onsite = params.E0 + params.hbar**2 / (params.m * params.a**2)
+    for i, occ in enumerate(basis):
+        H[i, i] = onsite * sum(occ)
+        for s in range(L - 1):
+            for frm, to in ((s, s + 1), (s + 1, s)):
+                if occ[frm]:
+                    new = list(occ)
+                    new[frm] -= 1
+                    new[to] += 1
+                    H[index[tuple(new)], i] += -hop * np.sqrt(occ[frm] * (occ[to] + 1))
+        for site, g in zip(params.source_sites, params.charges):
+            if sum(occ) < n_max:
+                new = list(occ)
+                new[site] += 1
+                H[index[tuple(new)], i] += np.conj(g) * np.sqrt(occ[site] + 1)
+            if occ[site]:
+                new = list(occ)
+                new[site] -= 1
+                H[index[tuple(new)], i] += g * np.sqrt(occ[site])
+    return basis, H
+
+
+def test_build_matches_per_state_oracle():
+    rng = np.random.default_rng(9)
+    for _ in range(25):
+        params = random_params(rng, L_max=9)
+        params = replace(params, n_max=int(rng.integers(1, 5)), a=float(rng.uniform(0.5, 2.0)))
+        model = build_model(params)
+        basis, H = per_state_oracle(params)
+        assert model.basis == basis
+        assert all(model.state_index(occ) == i for i, occ in enumerate(basis))
+        np.testing.assert_array_equal(model.H.toarray(), H)
 
 
 def test_dimension_guard():
@@ -105,6 +158,18 @@ def test_evolve_identity_phase_and_group_property():
     np.testing.assert_allclose(back, psi, atol=1e-8)
     drift = abs(np.linalg.norm(evolve(model, psi, 1.0)) - 1.0)
     assert drift < 1e-9
+
+
+def test_evolve_expm_multiply_branch_matches_spectral_form(monkeypatch):
+    rng = np.random.default_rng(10)
+    model = build_model(lattice_preset())
+    psi = random_state(rng, model.dim)
+    spectral = [evolve(model, psi, t) for t in (0.3, -1.7, 4.0)]
+    monkeypatch.setattr(lattice, "DENSE_LIMIT", 10)
+    with pytest.raises(ValueError):
+        build_model(lattice_preset()).eig()
+    for t, want in zip((0.3, -1.7, 4.0), spectral):
+        np.testing.assert_allclose(evolve(model, psi, t), want, atol=1e-12)
 
 
 def test_sector_reversal_is_an_antiunitary_involution():
@@ -300,6 +365,51 @@ def _pool_bins(counts, expected, min_expected=5.0):
     obs = np.array(obs_pool)
     exp = np.array(exp_pool)
     return obs, exp * obs.sum() / exp.sum()
+
+
+def test_bell_process_is_the_one_chain_ensemble():
+    model = build_model(lattice_preset((1.0, 1j)))
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[0] = 1.0
+    jumps = 0
+    for seed in (3, 4, 5):
+        rec = run_bell_process(model, psi0, 1.5, seed=seed)
+        res = run_bell_ensemble(model, psi0, 1.5, 1, seed=seed)
+        assert model.state_index(rec.states[-1]) == res.final_indices[0]
+        assert len(rec.states) == len(rec.times) == res.n_jumps[0] + 1
+        assert np.all(np.diff(rec.times) > 0) and rec.times[-1] <= 1.5
+        jumps += res.n_jumps[0]
+    assert jumps > 0
+
+
+def test_sparse_sizes_above_the_dense_limit():
+    params = LatticeParams(
+        L=13, a=1.0, n_max=4, source_sites=(2, 9), charges=(1.0, 0.6 * np.exp(0.4j)), E0=0.5
+    )
+    model = build_model(params)
+    assert model.dim == 2380 > lattice.DENSE_LIMIT
+    with pytest.raises(ValueError):
+        model.eig()
+    with pytest.raises(ValueError):
+        check_T_commutation(model, 0.0)
+    assert check_gauge_equivalence(model, 0.9) <= 1e-12
+    rng = np.random.default_rng(11)
+    psi = random_state(rng, model.dim)
+    for qi in rng.choice(model.dim, size=4, replace=False):
+        rates = bell_jump_rates(model, psi, int(qi))
+        assert rates
+        for occ, rate in rates.items():
+            qj = model.state_index(occ)
+            flow = 2.0 * np.imag(np.conj(psi[qj]) * model.H[qj, qi] * psi[qi])
+            np.testing.assert_allclose(rate * abs(psi[qi]) ** 2, flow, rtol=1e-12)
+            assert model.basis[int(qi)] not in bell_jump_rates(model, psi, qj)
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[0] = 1.0
+    res = run_bell_ensemble(model, psi0, 0.3, 3000, seed=12)
+    probs = np.abs(evolve(model, psi0, 0.3)) ** 2
+    np.testing.assert_allclose(np.sum(probs), 1.0, atol=1e-12)
+    counts = np.bincount(res.final_indices, minlength=model.dim)
+    assert stats.chisquare(*_pool_bins(counts, probs * 3000)).pvalue > 0.01
 
 
 def test_reversal_identity_follows_commutation():

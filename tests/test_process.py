@@ -149,13 +149,6 @@ def test_single_source_emits_nothing():
     assert law.total_rate == 0.0
 
 
-def test_rate_in_sector_is_constant(fig_law):
-    for n in (0, 1, 7, 100):
-        np.testing.assert_array_equal(fig_law.rate_in_sector(n), fig_law.rates)
-    with pytest.raises(ValueError):
-        fig_law.rate_in_sector(-1)
-
-
 def test_rates_scale_with_squared_charge_norm(fig_gs, fig_law):
     scaled = ground_state(fig_gs.system.with_charges(np.sqrt(2.0) * fig_gs.system.charges))
     law2 = derive_emission_law(scaled)
