@@ -509,6 +509,7 @@ class LeakReport:
     Positive values mean probability leaves the box through the tested end
     (the norm decays); the prediction is -(hbar/m)|psi(1)|^2 Im(alpha1/beta1)
     at the right end and +(hbar/m)|psi(0)|^2 Im(alpha0/beta0) at the left.
+    times and norms are the packet's evolution the measurement was read from.
     """
 
     end: int
@@ -517,6 +518,8 @@ class LeakReport:
     rel_error: float
     passed: bool
     sample_time: float
+    times: np.ndarray
+    norms: np.ndarray
 
 
 def robin_leak_check(bc, end=1, t_final=0.3, n_grid=512, dt=None, m=1.0, hbar=1.0, tol=0.1):
@@ -535,7 +538,7 @@ def robin_leak_check(bc, end=1, t_final=0.3, n_grid=512, dt=None, m=1.0, hbar=1.
         raise ValueError("the opposite end must conserve probability for a clean leak test")
 
     def packet(x):
-        return np.exp(-((x - 0.5) ** 2) / (2 * 0.12**2)) * np.exp(1j * 0.0 * x)
+        return np.exp(-((x - 0.5) ** 2) / (2 * 0.12**2))
 
     ev = evolve_robin(bc, packet, t_final, n_grid=n_grid, dt=dt, m=m, hbar=hbar)
     dens = ev.end1_density if end == 1 else ev.end0_density
@@ -554,4 +557,6 @@ def robin_leak_check(bc, end=1, t_final=0.3, n_grid=512, dt=None, m=1.0, hbar=1.
         rel_error=float(rel),
         passed=bool(rel <= tol),
         sample_time=float(ev.times[k]),
+        times=ev.times,
+        norms=ev.norms,
     )

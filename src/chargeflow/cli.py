@@ -24,7 +24,6 @@ from .boundary import (
     WitnessInput,
     discrete_periodic_ground,
     emission_witness,
-    evolve_robin,
     is_probability_conserving,
     periodic_ground_current,
     periodic_spectrum,
@@ -52,12 +51,14 @@ from .io import (
     write_jsonl,
 )
 from .lattice import (
+    DENSE_LIMIT,
     NodeError,
     build_model,
     check_gauge_equivalence,
     check_T_commutation,
     evolve,
     ground_state_current,
+    lattice_dimension,
     reversal_conditions_check,
     run_bell_ensemble,
 )
@@ -306,6 +307,14 @@ def _cmd_simulate(config, out):
 def _cmd_lattice(config, out, check=None):
     params = config.lattice_params()
     opts = dict(config.options("lattice"))
+    dim = lattice_dimension(params.L, params.n_max)
+    # the spectrum and the operator-norm commutator need a dense copy of H
+    if check in (None, "commutation") and dim > DENSE_LIMIT:
+        raise ConfigError(
+            f"basis dimension {dim} exceeds the dense limit of {DENSE_LIMIT} states "
+            "(only --check gauge and --check reversal run above it)",
+            config.section_lines.get("lattice"),
+        )
     model = build_model(params)
     theta = opts["theta"]
     if check is not None:
@@ -507,15 +516,10 @@ def _cmd_boundary(config, out):
                 "passed": leak.passed,
                 "sample_time": leak.sample_time,
             }
-
-            def packet(x):
-                return np.exp(-((x - 0.5) ** 2) / (2 * 0.12**2))
-
-            ev = evolve_robin(bc, packet, 0.3, n_grid=opts["grid"], m=m, hbar=hbar)
             write_csv(
                 os.path.join(out, "norm_decay.csv"),
                 ("t", "norm"),
-                zip(ev.times, ev.norms),
+                zip(leak.times, leak.norms),
                 prov,
             )
         write_json(os.path.join(out, "robin.json"), payload, prov)

@@ -29,12 +29,12 @@ against a finite-difference evaluation of (hbar/m) Im[conj(psi1) grad psi1].
 Source labels in all public signatures are 1-based.
 """
 
+import warnings
 from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
 from scipy import integrate
-from scipy.integrate import solve_ivp
 from scipy.interpolate import PchipInterpolator
 from scipy.special import exp1
 
@@ -250,6 +250,50 @@ def velocity(system, y):
     if np.any(dens < 1e-300 * max(scale, 1.0)):
         raise NearNodeError("velocity requested at a near-node of psi1")
     return current_closed_form(system, y) / dens[..., None]
+
+
+def _advance(system, field, pts, span, eps_absorb, max_rounds=20000):
+    """Advance points by `span` (scalar or per-row) along field(system, pts).
+
+    The one integrator of every path through the flow: classical RK4 with
+    per-point adaptive substepping.  Each substep moves a point by at most a
+    quarter of its current distance to the nearest source (floored at a
+    quarter of the absorption radius), so a point cannot cross the
+    absorption ball undetected.  Returns (positions, absorbed, left):
+    absorbed[k] is the 0-based source whose ball row k entered, or -1, and
+    left[k] the part of its span not travelled, so an absorbed row made
+    contact at span - left.  A row still short of its span when the round
+    budget runs out keeps absorbed = -1 and left > 1e-15.
+    """
+    K = pts.shape[0]
+    X = system.positions
+    out = pts.copy()
+    remaining = np.broadcast_to(np.asarray(span, dtype=float), (K,)).copy()
+    absorbed = np.full(K, -1, dtype=int)
+    active = remaining > 0.0
+    for _ in range(max_rounds):
+        act = np.flatnonzero(active)
+        if act.size == 0:
+            return out, absorbed, remaining
+        p = out[act]
+        k1 = field(system, p)
+        speed = np.linalg.norm(k1, axis=1)
+        d = np.min(np.linalg.norm(p[:, None, :] - X[None, :, :], axis=-1), axis=1)
+        target = np.maximum(0.25 * d, 0.25 * eps_absorb)
+        h = np.minimum(remaining[act], target / np.maximum(speed, 1e-300))[:, None]
+        k2 = field(system, p + 0.5 * h * k1)
+        k3 = field(system, p + 0.5 * h * k2)
+        k4 = field(system, p + h * k3)
+        p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[act] = p
+        remaining[act] -= h[:, 0]
+        dd = np.linalg.norm(p[:, None, :] - X[None, :, :], axis=-1)
+        nearest = np.argmin(dd, axis=1)
+        hit = dd[np.arange(act.size), nearest] < eps_absorb
+        absorbed[act[hit]] = nearest[hit]
+        active[act] = ~hit & (remaining[act] > 1e-15)
+    warnings.warn("substepping budget exhausted; some points frozen early")
+    return out, absorbed, remaining
 
 
 def ground_energy(system):
@@ -472,24 +516,26 @@ class Streamline:
     source: int | None = None
 
 
-def streamlines(
-    system,
-    seeds,
-    eps_absorb=None,
-    max_arc=None,
-    domain_radius=None,
-    rtol=1e-8,
-    atol=1e-10,
-):
+def _unit_current(system, pts):
+    """Direction field j/|j|, zero where the current vanishes."""
+    j = current_closed_form(system, pts)
+    n = np.linalg.norm(j, axis=-1, keepdims=True)
+    return np.divide(j, n, out=np.zeros_like(j), where=n > 0.0)
+
+
+def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None):
     """Integrate integral curves of the current direction field.
 
     The curves are parametrized by arc length (dy/ds = j/|j|), which traces
     the same geometric paths as Bohmian motion dy/dt = v(y) since
-    v = j/|psi1|^2 and |psi1|^2 > 0.  Each curve terminates on source contact
-    (within eps_absorb), domain exit, or when the arc budget is exhausted;
+    v = j/|psi1|^2 and |psi1|^2 > 0.  All seeds advance together through
+    `_advance` in arc-length chunks of a quarter of the smallest source
+    spacing (of 1/alpha for one source), with one vertex per chunk end.  Each curve terminates on source contact
+    (within eps_absorb, the last vertex being the contact point), on leaving
+    the ball of domain_radius about the origin (the last vertex being the
+    first chunk end outside), or when the arc budget max_arc is exhausted;
     seeds at stationary points (symmetric charges) return a degenerate
-    zero-length polyline.  Integrator step failure close to a source is
-    reported as a source hit.
+    zero-length polyline.
     """
     a = _alpha(system)
     spacing = system.min_source_spacing()
@@ -502,91 +548,35 @@ def streamlines(
     if domain_radius is None:
         domain_radius = extent + 40.0 / a
 
-    def rhs(s, y):
-        j = current_closed_form(system, y)
-        n = np.linalg.norm(j)
-        if n == 0.0:
-            return np.zeros(3)
-        return j / n
-
-    def hit_event(s, y):
-        d = np.linalg.norm(y - system.positions, axis=1)
-        return float(np.min(d) - eps_absorb)
-
-    hit_event.terminal = True
-
-    def exit_event(s, y):
-        return float(np.linalg.norm(y) - domain_radius)
-
-    exit_event.terminal = True
-
-    out = []
-    for seed in np.atleast_2d(np.asarray(seeds, dtype=float)):
-        j0 = current_closed_form(system, seed)
-        if np.linalg.norm(j0) == 0.0:
-            out.append(
-                Streamline(
-                    points=seed[None, :],
-                    arc_lengths=np.zeros(1),
-                    termination="stationary",
-                )
-            )
-            continue
-        try:
-            sol = solve_ivp(
-                rhs,
-                (0.0, max_arc),
-                seed,
-                events=(hit_event, exit_event),
-                rtol=rtol,
-                atol=atol,
-                dense_output=False,
-                max_step=0.25 * scale,
-            )
-        except ValueError:
-            sol = None
-        if sol is None or not sol.success:
-            end = sol.y[:, -1] if sol is not None and sol.y.size else seed
-            d = np.linalg.norm(end - system.positions, axis=1)
-            near = int(np.argmin(d))
-            if d[near] < 10.0 * eps_absorb:
-                out.append(
-                    Streamline(
-                        points=(sol.y.T if sol is not None else seed[None, :]),
-                        arc_lengths=(sol.t if sol is not None else np.zeros(1)),
-                        termination="source_hit",
-                        source=near + 1,
-                    )
-                )
+    seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+    points = [[seed] for seed in seeds]
+    arcs = [[0.0] for _ in seeds]
+    termination = ["stationary"] * len(seeds)
+    source = [None] * len(seeds)
+    pos = seeds.copy()
+    live = np.flatnonzero(np.linalg.norm(current_closed_form(system, seeds), axis=1) > 0.0)
+    s = 0.0
+    while live.size:
+        s_next = min(s + 0.25 * scale, max_arc)
+        pos[live], hit, left = _advance(system, _unit_current, pos[live], s_next - s, eps_absorb)
+        outside = np.linalg.norm(pos[live], axis=1) > domain_radius
+        for k, row in enumerate(live):
+            points[row].append(pos[row].copy())
+            if hit[k] >= 0:
+                arcs[row].append(s_next - left[k])
+                termination[row], source[row] = "source_hit", int(hit[k]) + 1
                 continue
-            raise RuntimeError("streamline integration failed away from sources")
-        pts = sol.y.T
-        arcs = sol.t
-        if sol.t_events[0].size:
-            end = sol.y_events[0][0]
-            pts = np.vstack([pts, end])
-            arcs = np.append(arcs, sol.t_events[0][0])
-            d = np.linalg.norm(end - system.positions, axis=1)
-            out.append(
-                Streamline(
-                    points=pts,
-                    arc_lengths=arcs,
-                    termination="source_hit",
-                    source=int(np.argmin(d)) + 1,
-                )
-            )
-        elif sol.t_events[1].size:
-            end = sol.y_events[1][0]
-            out.append(
-                Streamline(
-                    points=np.vstack([pts, end]),
-                    arc_lengths=np.append(arcs, sol.t_events[1][0]),
-                    termination="domain_exit",
-                )
-            )
-        else:
-            out.append(Streamline(points=pts, arc_lengths=arcs, termination="arc_budget"))
-    return out
+            arcs[row].append(s_next)
+            if outside[k]:
+                termination[row] = "domain_exit"
+            elif s_next == max_arc:
+                termination[row] = "arc_budget"
+        live = live[(hit < 0) & ~outside & (s_next < max_arc)]
+        s = s_next
+    return [
+        Streamline(np.array(p), np.array(arc), term, src)
+        for p, arc, term, src in zip(points, arcs, termination, source)
+    ]
 
 
 def source_flux(system, source, radius, n_polar=24, n_azimuth=48):

@@ -4,10 +4,12 @@ Every artifact begins with a provenance block naming the tool version, the
 sha256 of the config text, the command, the master seed and the derived
 per-stream seeds, and every resolved option of the command (defaults
 included).  Floating-point values are printed with a fixed 17-significant-
-digit format, so identical configs and seeds give byte-identical files.
-Files are written to a temporary sibling and renamed into place.
+digit format, so identical configs and seeds give byte-identical files; JSON
+writes NaN and infinities as null.  Files are written to a temporary sibling
+and renamed into place with the permissions the umask grants.
 """
 
+import json
 import os
 import tempfile
 from dataclasses import dataclass
@@ -115,6 +117,10 @@ def atomic_write_text(path, text):
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+        # mkstemp creates the file with mode 0600; give it what open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -139,11 +145,12 @@ def _json_fragment(obj, out, indent):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format(float(obj), ".17g"))
+        # JSON has no NaN or infinity
+        out.append(format(float(obj), ".17g") if np.isfinite(obj) else "null")
     elif isinstance(obj, (complex, np.complexfloating)):
         _json_fragment([obj.real, obj.imag], out, indent)
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, np.ndarray):
         _json_fragment(obj.tolist(), out, indent)
     elif isinstance(obj, dict):
@@ -153,7 +160,7 @@ def _json_fragment(obj, out, indent):
         if indent is None:
             out.append("{")
             for i, (key, value) in enumerate(obj.items()):
-                out.append(f'"{key}": ')
+                out.append(json.dumps(str(key), ensure_ascii=False) + ": ")
                 _json_fragment(value, out, None)
                 if i < len(obj) - 1:
                     out.append(", ")
@@ -162,7 +169,7 @@ def _json_fragment(obj, out, indent):
         pad = " " * indent
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
-            out.append(f'{pad}  "{key}": ')
+            out.append(f"{pad}  {json.dumps(str(key), ensure_ascii=False)}: ")
             _json_fragment(value, out, indent + 2)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")

@@ -20,15 +20,17 @@ the ensemble driver exploits this by time-stepping every boson of every run
 in one flat array.  Source labels in public signatures are 1-based.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+# nothing here calls solve_ivp; the binding stays because the per-layer
+# tracer in perfbench/tracing.py patches process.solve_ivp by name
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.spatial.distance import pdist
 from scipy.stats import binomtest, chisquare, kstest, poisson
 
 from .groundstate import (
+    _advance,
     _default_radii,
     _extrapolate_to_zero,
     psi1_gradient,
@@ -180,8 +182,9 @@ def derive_emission_law(gs, radii=None, directions=None, direction_tol=1e-6):
 class SimulationParams:
     """Controls for a single event-resolved run.
 
-    dt_max caps the integrator step (and thus the path sampling interval);
-    eps_absorb and eps_start default as in `_resolve_radii`.
+    dt_max is the longest step between two path vertices (steps also end at
+    emissions and absorptions); eps_absorb and eps_start default as in
+    `_resolve_radii`.
     """
 
     t_max: float
@@ -229,11 +232,12 @@ class AbsorbEvent:
 class TrajectoryRecord:
     """Event history of one run.
 
-    events interleaves Move segments with Emit/Absorb jumps in time order;
-    paths maps particle id to a (k, 4) array of (t, x, y, z) vertices sampled
-    at the integrator's accepted steps.  failure is None for a clean run, or
-    a message when the integrator gave up (the record then ends early, at
-    t_final < the requested horizon).
+    events interleaves Move segments (the drift between consecutive jumps)
+    with Emit/Absorb jumps in time order; paths maps particle id to a (k, 4)
+    array of (t, x, y, z) vertices, one per step end.  failure is None for a
+    clean run, or a message when a step ran out of substep rounds (the
+    record then ends early, at the start of that step, t_final < the
+    requested horizon).
     """
 
     seed: int
@@ -250,63 +254,6 @@ class TrajectoryRecord:
         return self.initial_sector + emitted - absorbed
 
 
-@dataclass
-class _Segment:
-    t_end: float
-    times: np.ndarray
-    states: np.ndarray
-    absorbed: tuple
-    failure: str
-
-
-def _integrate_segment(system, pos, t0, t1, eps_absorb, dt_max):
-    """Drift all bosons over [t0, t1] or up to the first source hit.
-
-    Adaptive RK45 at 1e-8 relative tolerance with one terminal contact event
-    per (boson, source) pair.  An absorbed trajectory reaches its source at
-    finite speed, and the velocity field kinks there, so the error control
-    shrinks accepted steps geometrically into the contact; the event then
-    fires with a bracketed root refinement on the step interpolant.  Letting
-    the integrator cross the kink instead stalls it in rejected steps.
-    """
-    X = system.positions
-    K = pos.shape[0]
-    n_src = X.shape[0]
-
-    def rhs(t, y):
-        return _velocity_raw(system, y.reshape(-1, 3)).ravel()
-
-    events = []
-    for k in range(K):
-        for s in range(n_src):
-
-            def contact(t, y, k=k, s=s):
-                rel = y[3 * k : 3 * k + 3] - X[s]
-                return float(np.sqrt(rel @ rel)) - eps_absorb
-
-            contact.terminal = True
-            contact.direction = -1.0
-            events.append(contact)
-    sol = solve_ivp(
-        rhs,
-        (t0, t1),
-        pos.ravel(),
-        method="RK45",
-        rtol=1e-8,
-        atol=1e-10,
-        max_step=dt_max,
-        events=events,
-    )
-    states = sol.y.T.reshape(-1, K, 3)
-    if sol.status == -1:
-        return _Segment(float(sol.t[-1]), sol.t.copy(), states, None, str(sol.message))
-    absorbed = None
-    if sol.status == 1:
-        fired = [i for i, te in enumerate(sol.t_events) if te.size]
-        absorbed = divmod(fired[0], n_src)
-    return _Segment(float(sol.t[-1]), sol.t.copy(), states, absorbed, None)
-
-
 def simulate(gs, params, initial=None, law=None):
     """Run one event-resolved realization of the stationary process.
 
@@ -314,9 +261,12 @@ def simulate(gs, params, initial=None, law=None):
     sector, i.i.d. |psi1|^2 positions) unless `initial` supplies an (n, 3)
     position array (or an object with a .positions attribute).  Emission
     uses an exponential clock at the total rate of the (constant)
-    ground-state law, so every ring of the clock emits; absorbing contacts
-    are found by solve_ivp's terminal events.  Output is bit-reproducible
-    for a given seed.
+    ground-state law, so every ring of the clock emits.  All bosons move
+    together through `_advance` in steps of min(dt_max, next emission,
+    t_max), with one path vertex per step end.  When a boson enters an
+    absorption ball the step is cut at its contact time, the others are
+    re-advanced to that time, and the absorption is recorded there.  Output
+    is bit-reproducible for a given seed.
     """
     system = gs.system
     X = system.positions
@@ -348,34 +298,37 @@ def simulate(gs, params, initial=None, law=None):
         events.append(AbsorbEvent(time=0.0, source=s + 1, particle=ids[k]))
         ids.pop(k)
         pos = np.delete(pos, k, axis=0)
+    # the clock is independent of the configuration, so absorptions leave
+    # the pending emission time in place
+    t_emit = rng.exponential(1.0 / total) if total > 0.0 else np.inf
     while t < params.t_max - 1e-12:
-        if total > 0.0:
-            t_emit = t + rng.exponential(1.0 / total)
-            u_source = rng.random()
-        else:
-            t_emit = np.inf
-        t_stop = min(t_emit, params.t_max)
+        t_stop = min(t + params.dt_max, t_emit, params.t_max)
         if ids:
-            seg = _integrate_segment(system, pos, t, t_stop, eps_absorb, params.dt_max)
-            for col, pid in enumerate(ids):
-                for row in range(1, seg.times.size):
-                    paths[pid].append((seg.times[row], *seg.states[row, col]))
-            events.append(MoveEvent(t_start=t, t_end=seg.t_end, particles=tuple(ids)))
-            pos = seg.states[-1].copy()
-            t = seg.t_end
-            if seg.failure is not None:
-                failure = f"integrator failure at t={t:.6g}: {seg.failure}"
+            moved, hit, left = _advance(system, _velocity_raw, pos, t_stop - t, eps_absorb)
+            if np.any((hit < 0) & (left > 1e-15)):
+                failure = f"substep budget exhausted in the step from t={t:.6g}"
                 break
-            if seg.absorbed is not None:
-                k, s = seg.absorbed
-                events.append(AbsorbEvent(time=t, source=s + 1, particle=ids[k]))
-                ids.pop(k)
-                pos = np.delete(pos, k, axis=0)
-                continue  # the pending emission clock is redrawn (memoryless)
-        else:
-            t = t_stop
-        if t_emit <= params.t_max:
-            source = int(np.searchsorted(cum, u_source * total, side="right"))
+            absorbed = np.flatnonzero(hit >= 0)
+            if absorbed.size:
+                first = absorbed[np.argmax(left[absorbed])]
+                t_stop -= left[first]
+                others = np.arange(len(ids)) != first
+                moved[others], hit[others], _ = _advance(
+                    system, _velocity_raw, pos[others], t_stop - t, eps_absorb
+                )
+                absorbed = np.flatnonzero(hit >= 0)
+            for k, pid in enumerate(ids):
+                paths[pid].append((t_stop, *moved[k]))
+            # steps with no jump between them extend one Move segment
+            t_start = events.pop().t_start if events and isinstance(events[-1], MoveEvent) else t
+            events.append(MoveEvent(t_start=t_start, t_end=t_stop, particles=tuple(ids)))
+            for k in absorbed:
+                events.append(AbsorbEvent(time=t_stop, source=int(hit[k]) + 1, particle=ids[k]))
+            ids = [pid for k, pid in enumerate(ids) if hit[k] < 0]
+            pos = moved[hit < 0]
+        t = t_stop
+        if t == t_emit:
+            source = int(np.searchsorted(cum, rng.random() * total, side="right"))
             direction = _unit_vectors(rng, 1)[0]
             born = X[source] + eps_start * direction
             pos = np.vstack([pos, born])
@@ -390,6 +343,7 @@ def simulate(gs, params, initial=None, law=None):
                 )
             )
             next_id += 1
+            t_emit = t + rng.exponential(1.0 / total)
     return TrajectoryRecord(
         seed=params.seed,
         initial_sector=n0,
@@ -398,46 +352,6 @@ def simulate(gs, params, initial=None, law=None):
         paths={pid: np.array(rows) for pid, rows in paths.items()},
         failure=failure,
     )
-
-
-def _advance(system, pts, dt, eps_absorb, max_rounds=20000):
-    """Advance bosons by dt (scalar or per-row) along the velocity field.
-
-    Classical RK4 with per-boson adaptive substepping: each substep moves a
-    boson by at most a quarter of its current distance to the nearest source
-    (floored at a quarter of the absorption radius), so a boson cannot cross
-    the absorption ball undetected.  Returns (positions, absorbed) where
-    absorbed[k] is the 0-based source index, or -1 for surviving bosons.
-    """
-    K = pts.shape[0]
-    X = system.positions
-    out = pts.copy()
-    remaining = np.broadcast_to(np.asarray(dt, dtype=float), (K,)).copy()
-    absorbed = np.full(K, -1, dtype=int)
-    active = remaining > 0.0
-    for _ in range(max_rounds):
-        act = np.flatnonzero(active)
-        if act.size == 0:
-            return out, absorbed
-        p = out[act]
-        k1 = _velocity_raw(system, p)
-        speed = np.linalg.norm(k1, axis=1)
-        d = np.min(np.linalg.norm(p[:, None, :] - X[None, :, :], axis=-1), axis=1)
-        target = np.maximum(0.25 * d, 0.25 * eps_absorb)
-        h = np.minimum(remaining[act], target / np.maximum(speed, 1e-300))[:, None]
-        k2 = _velocity_raw(system, p + 0.5 * h * k1)
-        k3 = _velocity_raw(system, p + 0.5 * h * k2)
-        k4 = _velocity_raw(system, p + h * k3)
-        p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[act] = p
-        remaining[act] -= h[:, 0]
-        dd = np.linalg.norm(p[:, None, :] - X[None, :, :], axis=-1)
-        nearest = np.argmin(dd, axis=1)
-        hit = dd[np.arange(act.size), nearest] < eps_absorb
-        absorbed[act[hit]] = nearest[hit]
-        active[act] = ~hit & (remaining[act] > 1e-15)
-    warnings.warn("substepping budget exhausted; some bosons frozen early")
-    return out, absorbed
 
 
 @dataclass(frozen=True)
@@ -572,7 +486,9 @@ def run_ensemble(gs, params, law=None):
             next_emit[due] += rng.exponential(1.0 / total, size=due.size)
         pos, run = np.concatenate(rows), np.concatenate(runs)
         if pos.shape[0]:
-            pos, hit_src = _advance(system, pos, np.concatenate(durations), eps_absorb)
+            pos, hit_src, _ = _advance(
+                system, _velocity_raw, pos, np.concatenate(durations), eps_absorb
+            )
             hit = hit_src >= 0
             if hit.any():
                 np.add.at(absorptions, hit_src[hit], 1)
@@ -797,16 +713,11 @@ def emission_start_sensitivity(gs, t_probe=2.0, factors=(0.5, 1.0, 2.0), eps_sta
     source = int(np.argmax(law.rates))
     if law.rates[source] <= 0.0:
         return StartSensitivityReport(source + 1, eps0, tuple(factors), t_probe, (), 0.0)
-    origin = system.positions[source]
     dirs = np.concatenate([np.eye(3), -np.eye(3)])
-    deviations = []
-    for w in dirs:
-        ends = []
-        for f in factors:
-            start = (origin + f * eps0 * w).reshape(1, 3)
-            seg = _integrate_segment(system, start, 0.0, t_probe, eps_absorb, 0.05)
-            ends.append(seg.states[-1, 0])
-        deviations.append(float(pdist(np.array(ends)).max()))
+    offsets = np.asarray(factors, dtype=float)[None, :, None] * eps0 * dirs[:, None, :]
+    starts = (system.positions[source] + offsets).reshape(-1, 3)
+    ends, _, _ = _advance(system, _velocity_raw, starts, t_probe, eps_absorb)
+    deviations = [float(pdist(e).max()) for e in ends.reshape(len(dirs), len(factors), 3)]
     return StartSensitivityReport(
         source=source + 1,
         eps_start=eps0,

@@ -5,12 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeflow.cli import main
 from chargeflow.config import ConfigError, parse_config
 from chargeflow.groundstate import ground_energy
 from chargeflow.io import (
     Provenance,
+    _json_text,
     derive_seed,
     format_value,
     write_csv,
@@ -321,6 +324,45 @@ def test_writers_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _finite_or_null(doc):
+    if isinstance(doc, float):
+        return doc if np.isfinite(doc) else None
+    if isinstance(doc, list):
+        return [_finite_or_null(v) for v in doc]
+    if isinstance(doc, dict):
+        return {k: _finite_or_null(v) for k, v in doc.items()}
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_DOCS)
+def test_json_emitter_writes_valid_json(doc):
+    # every document parses, non-finite floats become null, and finite
+    # floats survive the 17-digit format exactly
+    for indent in (0, None):
+        assert json.loads(_json_text(doc, indent=indent)) == _finite_or_null(doc)
+
+
+def test_artifacts_honour_the_umask(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_csv(tmp_path / "a.csv", ("a",), [(1,)], prov_stub())
+        os.umask(0o002)
+        write_json(tmp_path / "b.json", {"x": 1}, prov_stub())
+    finally:
+        os.umask(old)
+    assert (tmp_path / "a.csv").stat().st_mode & 0o777 == 0o640
+    assert (tmp_path / "b.json").stat().st_mode & 0o777 == 0o664
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -495,6 +537,16 @@ def test_lattice_check_reversal_asymmetric_fails(tmp_path):
     payload = read_json(out / "lattice_check.json")
     assert payload["passed"] is False
     assert payload["commutator_norm"] > 0.0
+
+
+def test_lattice_above_the_dense_limit_is_a_config_error(tmp_path, capsys):
+    # L = 13, n_max = 4 has 2,380 basis states, above the 2,000-state dense limit
+    big = LATTICE_SMALL.replace("L = 4\nn_max = 2", "L = 13\nn_max = 4")
+    for extra in ((), ("--check", "commutation")):
+        code, out = run_cli(tmp_path, big, "lattice", *extra)
+        assert code == 1
+        assert "dense limit of 2000" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_potential_artifacts(tmp_path):

@@ -5,10 +5,12 @@ from scipy import integrate, stats
 from chargeflow import groundstate
 from chargeflow.groundstate import (
     NearNodeError,
+    _advance,
     _alpha,
     _norm_integral_closed,
     _radial_density_terms,
     _source_displacements,
+    _unit_current,
     current_closed_form,
     current_numeric,
     effective_kappa,
@@ -27,6 +29,7 @@ from chargeflow.groundstate import (
     verify_ibc,
 )
 from chargeflow.model import ChargeSystem
+from chargeflow.process import _velocity_raw
 
 # Two sources one unit apart, couplings (1, e^{i pi/4}), decay constant 0.1.
 # The reference numbers below were computed independently (adaptive quadrature,
@@ -445,3 +448,100 @@ def test_streamlines_report_stationary_field():
     lines = streamlines(sys_, np.array([[0.5, 0.3, 0.0]]))
     assert lines[0].termination == "stationary"
     assert lines[0].points.shape == (1, 3)
+
+
+def _solve_ivp_oracle(system, field, start, span, eps_absorb, max_step):
+    """One point through scipy's adaptive RK45 (rtol 1e-8) with a terminal
+    contact event per source: the reference for `_advance`.
+
+    Returns (end, 0-based absorbing source or -1, span travelled).
+    """
+    events = []
+    for x in system.positions:
+
+        def contact(s, y, x=x):
+            return float(np.linalg.norm(y - x)) - eps_absorb
+
+        contact.terminal = True
+        contact.direction = -1.0
+        events.append(contact)
+    sol = integrate.solve_ivp(
+        lambda s, y: field(system, y[None, :])[0],
+        (0.0, span),
+        start,
+        rtol=1e-8,
+        atol=1e-10,
+        max_step=max_step,
+        events=events,
+    )
+    assert sol.status != -1, sol.message
+    hits = [j for j, te in enumerate(sol.t_events) if te.size]
+    return sol.y[:, -1], (hits[0] if hits else -1), sol.t[-1]
+
+
+def test_advance_matches_per_point_solve_ivp_oracle():
+    sys_ = figure_system()
+    eps_absorb = 1e-4
+    pts = sample_boson_positions(ground_state(sys_), 40, np.random.default_rng(3))
+    end, hit, left = _advance(sys_, _velocity_raw, pts, 2.0, eps_absorb)
+    ref = [_solve_ivp_oracle(sys_, _velocity_raw, p, 2.0, eps_absorb, 0.05) for p in pts]
+    ref_end = np.array([r[0] for r in ref])
+    np.testing.assert_array_equal(hit, [r[1] for r in ref])
+    absorbed = hit >= 0
+    assert 0 < absorbed.sum() < 40
+    # an absorbed row stops at its contact point; left gives the contact time
+    np.testing.assert_allclose(2.0 - left[absorbed], [r[2] for r in ref if r[1] >= 0], atol=1e-3)
+    gap = np.linalg.norm(end - ref_end, axis=1)
+    assert gap[absorbed].max() < eps_absorb
+    assert np.median(gap[~absorbed]) < 1e-9
+    assert gap[~absorbed].max() < 1e-3
+    assert np.all(left[~absorbed] <= 1e-15)
+
+
+def test_streamlines_match_per_seed_solve_ivp_oracle():
+    sys_ = figure_system()
+    rng = np.random.default_rng(11)
+    dirs = rng.normal(size=(8, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    seeds = sys_.positions[1] + 0.05 * dirs
+    for line, seed in zip(streamlines(sys_, seeds, max_arc=40.0), seeds):
+        end, hit, arc = _solve_ivp_oracle(sys_, _unit_current, seed, 40.0, 1e-4, 0.25)
+        assert (line.termination, line.source) == ("source_hit", hit + 1)
+        assert np.linalg.norm(line.points[-1] - end) < 1e-4
+        assert abs(line.arc_lengths[-1] - arc) < 1e-3
+
+
+def _assert_polyline_follows_arc_length(line):
+    # unit speed: each chord is at most, and for quarter-spacing chunks
+    # nearly, the arc length between its vertices
+    chords = np.linalg.norm(np.diff(line.points, axis=0), axis=1)
+    steps = np.diff(line.arc_lengths)
+    assert np.all(steps > 0.0) and np.all(steps <= 0.25 + 1e-12)
+    assert np.all(chords <= steps + 1e-12)
+    assert np.all(chords >= 0.9 * steps)
+
+
+def test_streamlines_stop_at_the_arc_budget():
+    sys_ = figure_system()
+    seeds = sys_.positions[1] + 0.05 * np.array([[0.0, 1.0, 0.0], [0.0, 0.0, -1.0]])
+    for line in streamlines(sys_, seeds, max_arc=0.6):
+        assert line.termination == "arc_budget"
+        assert line.source is None
+        np.testing.assert_array_equal(line.arc_lengths, [0.0, 0.25, 0.5, 0.6])
+        _assert_polyline_follows_arc_length(line)
+
+
+def test_streamlines_stop_on_leaving_the_domain():
+    sys_ = figure_system()
+    # launched away from the absorber, the line bulges beyond |y| = 1.3
+    # before it turns back
+    seed = sys_.positions[1] + 0.05 * np.array([1.0, 0.3, 0.0]) / np.hypot(1.0, 0.3)
+    (line,) = streamlines(sys_, seed, domain_radius=1.3, max_arc=40.0)
+    assert line.termination == "domain_exit"
+    assert line.source is None
+    radii = np.linalg.norm(line.points, axis=1)
+    assert radii[-1] > 1.3 and np.all(radii[:-1] <= 1.3)
+    _assert_polyline_follows_arc_length(line)
+    (whole,) = streamlines(sys_, seed, max_arc=40.0)
+    assert whole.termination == "source_hit" and whole.source == 1
+    np.testing.assert_array_equal(whole.points[: len(line.points)], line.points)

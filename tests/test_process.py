@@ -1,13 +1,16 @@
 import types
+from functools import partial
 
 import numpy as np
 import pytest
 
+from chargeflow import groundstate, process
 from chargeflow.groundstate import ground_state, source_flux
 from chargeflow.model import ChargeSystem
 from chargeflow.presets import figure_system
 from chargeflow.process import (
     AbsorbEvent,
+    EmissionLaw,
     EmitEvent,
     EnsembleParams,
     MoveEvent,
@@ -260,6 +263,38 @@ def test_stationary_run_bookkeeping(fig_gs, fig_law):
     for event in rec.events:
         if isinstance(event, MoveEvent):
             assert all(pid in rec.paths for pid in event.particles)
+
+
+def _no_emission_law():
+    return EmissionLaw(rates=np.zeros(2), limits=np.zeros(2), direction_spread=0.0)
+
+
+def test_absorption_is_recorded_at_the_contact_time(fig_gs):
+    # the first boson reaches source 1 near t = 0.68, the second survives
+    start = np.array([[0.5, 0.1, 0.0], [0.5, 0.8, 0.3]])
+    rec = simulate(fig_gs, SimulationParams(t_max=2.0), initial=start, law=_no_emission_law())
+    move1, absorb, move2 = rec.events
+    assert (move1.t_start, move1.particles) == (0.0, (0, 1))
+    assert absorb.particle == 0 and absorb.source == 1
+    assert move1.t_end == absorb.time == move2.t_start
+    assert 0.6 < absorb.time < 0.75
+    assert (move2.t_end, move2.particles) == (2.0, (1,))
+    absorbed, survivor = rec.paths[0], rec.paths[1]
+    assert absorbed[-1, 0] == absorb.time
+    assert np.linalg.norm(absorbed[-1, 1:]) < 1e-4
+    # the survivor was re-advanced to the contact time, so it has a vertex there
+    assert absorb.time in survivor[:, 0]
+    assert np.all(np.diff(survivor[:, 0]) <= 0.05 + 1e-12)
+    assert survivor[-1, 0] == 2.0
+
+
+def test_exhausted_substep_budget_ends_the_record(fig_gs, monkeypatch):
+    monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=1))
+    start = np.array([[0.5, 0.1, 0.0]])
+    with pytest.warns(UserWarning, match="budget"):
+        rec = simulate(fig_gs, SimulationParams(t_max=2.0), initial=start, law=_no_emission_law())
+    assert rec.failure is not None and "budget" in rec.failure
+    assert rec.t_final < 2.0
 
 
 def test_ensemble_params_validate():
