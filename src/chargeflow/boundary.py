@@ -349,8 +349,8 @@ def emission_witness(w, m=1.0, hbar=1.0):
     and r = s / (2*(1 + |Im(alpha/beta)|)); then the current
     (hbar/m)*(r*s*sin(chi - phi) - r^2*Im(alpha/beta)) has the sign selected
     by phi.  Both pairs are verified against the condition (1e-14 relative)
-    and their current signs before returning; r is halved on a sign failure
-    (at most 60 times, never needed for the analytic choice above).
+    and their current signs before returning; a failure raises
+    ArithmeticError.
     """
     alpha, beta, psi_q = w.alpha, w.beta, w.psi_q
     if beta == 0:
@@ -361,19 +361,11 @@ def emission_witness(w, m=1.0, hbar=1.0):
         s = abs(ratio)
         chi = np.angle(ratio)
         im = abs(np.imag(alpha / beta))
+        r = s / (2.0 * (1.0 + im))
         pairs = {}
         for label, sign in (("positive", 1.0), ("negative", -1.0)):
-            phi = chi - sign * np.pi / 2.0
-            r = s / (2.0 * (1.0 + im))
-            for _ in range(61):
-                u = r * np.exp(1j * phi)
-                v = (psi_q - alpha * u) / beta
-                if sign * _witness_current(w, u, v, m, hbar) > 0:
-                    break
-                r /= 2.0
-            else:
-                raise ArithmeticError("no current witness found after 60 halvings")
-            pairs[label] = (u, v)
+            u = r * np.exp(1j * (chi - sign * np.pi / 2.0))
+            pairs[label] = (u, (psi_q - alpha * u) / beta)
     for label, (u, v) in pairs.items():
         residual = abs(alpha * u + beta * v - psi_q)
         if residual > 1e-14 * max(abs(psi_q), abs(alpha * u), abs(beta * v)):

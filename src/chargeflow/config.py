@@ -2,7 +2,7 @@
 
 The format is sectioned key-value text:
 
-    # comment
+    # comment (';' also starts one)
     [model]
     charge = 1.0 0.0 0.0 0.0 0.0   # re im x y z, one line per source
     E0 = 0.005
@@ -22,6 +22,7 @@ keys.
 """
 
 import hashlib
+import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -52,7 +53,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class _Field:
-    kind: str                 # float | int | bool | floats | tuple
+    kind: str                 # float | int | u64 | bool | floats | tuple
     default: object = None
     repeat: bool = False      # key may occur on several lines (kind "tuple")
     arity: int = 0            # number of floats per line for kind "tuple"
@@ -61,7 +62,7 @@ class _Field:
 # fmt: off
 _SCHEMA = {
     "run": {
-        "seed": _Field("int", 0),
+        "seed": _Field("u64", 0),
         "out": _Field("str", "out"),
     },
     "model": {
@@ -135,22 +136,37 @@ _SCHEMA = {
 _KIND_NOUN = {
     "float": "a number",
     "int": "an integer",
+    "u64": "an integer",
     "bool": "a boolean (true/false)",
     "floats": "a list of numbers",
 }
 
 
+def _finite(values, key, text, line):
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"key '{key}' must be finite, got '{text}'", line)
+    return values
+
+
+def _u64(value, what, line=None):
+    if not 0 <= value < 2**64:
+        raise ConfigError(f"{what} must be an unsigned 64-bit integer, got {value}", line)
+    return value
+
+
 def _parse_scalar(kind, text, key, line):
-    if kind == "float":
+    if kind in ("float", "floats"):
         try:
-            return float(text)
+            value = float(text) if kind == "float" else tuple(float(t) for t in text.split())
         except ValueError:
             raise ConfigError(f"key '{key}' expects {_KIND_NOUN[kind]}, got '{text}'", line)
-    if kind == "int":
+        return _finite(value, key, text, line)
+    if kind in ("int", "u64"):
         try:
-            return int(text)
+            value = int(text)
         except ValueError:
             raise ConfigError(f"key '{key}' expects {_KIND_NOUN[kind]}, got '{text}'", line)
+        return _u64(value, f"key '{key}'", line) if kind == "u64" else value
     if kind == "bool":
         low = text.lower()
         if low in ("true", "yes", "1", "on"):
@@ -158,11 +174,6 @@ def _parse_scalar(kind, text, key, line):
         if low in ("false", "no", "0", "off"):
             return False
         raise ConfigError(f"key '{key}' expects {_KIND_NOUN[kind]}, got '{text}'", line)
-    if kind == "floats":
-        try:
-            return tuple(float(tok) for tok in text.split())
-        except ValueError:
-            raise ConfigError(f"key '{key}' expects {_KIND_NOUN[kind]}, got '{text}'", line)
     return text  # str
 
 
@@ -191,7 +202,7 @@ class RunConfig:
         return replace(
             self,
             command=command,
-            seed=self.seed if seed is None else int(seed),
+            seed=self.seed if seed is None else _u64(int(seed), "seed"),
             out_dir=self.out_dir if out_dir is None else str(out_dir),
         )
 
@@ -237,10 +248,8 @@ class RunConfig:
 
 
 def _strip(line):
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
+    """The line without its '#' or ';' comment and surrounding blanks."""
+    return re.split("[#;]", line, maxsplit=1)[0].strip()
 
 
 def parse_config(text):
@@ -282,6 +291,7 @@ def parse_config(text):
                 row = tuple(float(tok) for tok in parts)
             except ValueError:
                 raise ConfigError(f"key '{key}' expects {spec.arity} numbers", lineno)
+            _finite(row, key, value, lineno)
             if spec.repeat:
                 values[current].setdefault(key, []).append(row)
             elif key in values[current]:

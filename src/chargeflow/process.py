@@ -16,8 +16,9 @@ ways, so the two factors cancel.  `derive_emission_law` extracts the rate
 numerically rather than hard-coding a constant.
 
 Because the stationary state factorizes over bosons, bosons never interact;
-the ensemble driver exploits this by time-stepping every boson of every run
-in one flat array.  Source labels in public signatures are 1-based.
+the ensemble driver exploits this by moving every boson of every run in one
+flat array, from one sample time to the next.  Source labels in public
+signatures are 1-based.
 """
 
 from dataclasses import dataclass
@@ -356,10 +357,11 @@ def simulate(gs, params, initial=None, law=None):
 
 @dataclass(frozen=True)
 class EnsembleParams:
-    """Controls for the vectorized synchronous ensemble driver.
+    """Controls for the vectorized ensemble driver.
 
-    Sample times (and t_max, which defaults to the largest sample time) must
-    lie on the dt grid.
+    dt is the sample grid: sample times (and t_max, which defaults to the
+    largest sample time) must lie on it, and emission-clock draws are
+    batched per dt.  It does not cap the integrator's substeps.
     """
 
     runs: int
@@ -426,82 +428,80 @@ def run_ensemble(gs, params, law=None):
     """Run `params.runs` independent realizations in one flat array.
 
     Every run starts in the stationary law; emission clocks are exponential
-    at the (constant) total rate and all bosons step synchronously, so the
-    whole ensemble advances with a handful of array operations per dt.  The
-    bosons born during a step advance from their birth times to the step's
-    end in the same `_advance` call as the carried bosons.
+    at the (constant) total rate.  Bosons never interact and the clocks
+    ignore the configuration, so every birth is drawn first (clock draws
+    batched per dt); then one `_advance` call per segment between stop times
+    (the positive sample times and the horizon) moves the carried bosons
+    and, from their birth times, the segment's newborns.  Raises
+    RuntimeError when a boson runs out of substep rounds.
 
     Counting conventions: emissions[j] and absorptions[j] are totals for the
     source labeled j+1; sector bookkeeping is per run.
     """
     system = gs.system
     X = system.positions
-    n_src = system.n_sources
     law = derive_emission_law(gs) if law is None else law
     eps_absorb, eps_start = _resolve_radii(system, params.eps_absorb, params.eps_start)
     rng = np.random.default_rng(params.seed)
     m_runs = params.runs
-    t_max = params.horizon
-    n_steps = _grid_step(t_max, params.dt, "t_max")
-    snap_steps = {_grid_step(ts, params.dt, "sample times"): ts for ts in params.sample_times}
+    dt = params.dt
+    n_steps = _grid_step(params.horizon, dt, "t_max")
+    snap_steps = {_grid_step(ts, dt, "sample times"): ts for ts in params.sample_times}
     sectors = rng.poisson(gs.poisson_rate, size=m_runs)
-    total_bosons = int(sectors.sum())
-    pos = sample_boson_positions(gs, total_bosons, rng) if total_bosons else np.empty((0, 3))
+    pos = sample_boson_positions(gs, int(sectors.sum()), rng)
     run = np.repeat(np.arange(m_runs), sectors)
     initial_sectors = sectors.copy()
-    emissions = np.zeros(n_src, dtype=int)
-    absorptions = np.zeros(n_src, dtype=int)
-    if pos.shape[0]:
-        # bosons sampled inside the absorption ball are absorbed on the spot
-        d0 = np.linalg.norm(pos[:, None, :] - X[None, :, :], axis=-1)
-        nearest = np.argmin(d0, axis=1)
-        inside = d0[np.arange(pos.shape[0]), nearest] < eps_absorb
-        if inside.any():
-            np.add.at(absorptions, nearest[inside], 1)
-            np.subtract.at(sectors, run[inside], 1)
-            pos, run = pos[~inside], run[~inside]
+    emissions = np.zeros(system.n_sources, dtype=int)
+    absorptions = np.zeros(system.n_sources, dtype=int)
+    # bosons sampled inside the absorption ball are absorbed on the spot
+    d0 = np.linalg.norm(pos[:, None, :] - X[None, :, :], axis=-1)
+    nearest = np.argmin(d0, axis=1)
+    inside = d0[np.arange(pos.shape[0]), nearest] < eps_absorb
+    np.add.at(absorptions, nearest[inside], 1)
+    np.subtract.at(sectors, run[inside], 1)
+    pos, run = pos[~inside], run[~inside]
     total = law.total_rate
     cum = np.cumsum(law.rates)
     next_emit = (
         rng.exponential(1.0 / total, size=m_runs) if total > 0.0 else np.full(m_runs, np.inf)
     )
-    snapshots = []
-    if 0 in snap_steps:
-        snapshots.append(EnsembleSnapshot(0.0, sectors.copy(), pos.copy(), run.copy()))
+    # births in draw order: grid step, time, run and start position
+    b_step, b_time, b_run = [np.empty(0, int)], [np.empty(0)], [np.empty(0, int)]
+    b_pos = [np.empty((0, 3))]
     for i in range(n_steps):
-        t1 = (i + 1) * params.dt
-        # births due by t1 (constant rates make every candidate clock fire)
-        # join the carried bosons, each advanced from its birth time to t1
-        rows, runs, durations = [pos], [run], [np.full(pos.shape[0], params.dt)]
-        while total > 0.0:
-            due = np.flatnonzero(next_emit <= t1)
-            if due.size == 0:
-                break
+        # constant rates make every candidate clock fire
+        while (due := np.flatnonzero(next_emit <= (i + 1) * dt)).size:
             src = np.searchsorted(cum, rng.random(due.size) * total, side="right")
             np.add.at(emissions, src, 1)
-            np.add.at(sectors, due, 1)
-            rows.append(X[src] + eps_start * _unit_vectors(rng, due.size))
-            runs.append(due)
-            durations.append(t1 - next_emit[due])
+            b_pos.append(X[src] + eps_start * _unit_vectors(rng, due.size))
+            b_step.append(np.full(due.size, i + 1))
+            b_time.append(next_emit[due])
+            b_run.append(due)
             next_emit[due] += rng.exponential(1.0 / total, size=due.size)
-        pos, run = np.concatenate(rows), np.concatenate(runs)
-        if pos.shape[0]:
-            pos, hit_src, _ = _advance(
-                system, _velocity_raw, pos, np.concatenate(durations), eps_absorb
-            )
-            hit = hit_src >= 0
-            if hit.any():
-                np.add.at(absorptions, hit_src[hit], 1)
-                np.subtract.at(sectors, run[hit], 1)
-                pos, run = pos[~hit], run[~hit]
-        if i + 1 in snap_steps:
-            snapshots.append(
-                EnsembleSnapshot(snap_steps[i + 1], sectors.copy(), pos.copy(), run.copy())
-            )
+    b_step, b_time, b_run, b_pos = map(np.concatenate, (b_step, b_time, b_run, b_pos))
+    snapshots = []
+    if 0 in snap_steps:
+        snapshots.append(EnsembleSnapshot(0.0, sectors.copy(), pos, run))
+    k0 = 0
+    for k1 in sorted(k for k in {*snap_steps, n_steps} if k > 0):
+        new = slice(*np.searchsorted(b_step, [k0, k1], side="right"))
+        np.add.at(sectors, b_run[new], 1)
+        span = np.append(np.full(pos.shape[0], (k1 - k0) * dt), k1 * dt - b_time[new])
+        pos, run = np.concatenate([pos, b_pos[new]]), np.append(run, b_run[new])
+        pos, hit_src, left = _advance(system, _velocity_raw, pos, span, eps_absorb)
+        if np.any((hit_src < 0) & (left > 1e-15)):
+            raise RuntimeError(f"substep budget exhausted before t={k1 * dt:.6g}")
+        hit = hit_src >= 0
+        np.add.at(absorptions, hit_src[hit], 1)
+        np.subtract.at(sectors, run[hit], 1)
+        pos, run = pos[~hit], run[~hit]
+        if k1 in snap_steps:
+            snapshots.append(EnsembleSnapshot(snap_steps[k1], sectors.copy(), pos, run))
+        k0 = k1
     return EnsembleResult(
         runs=m_runs,
-        t_final=n_steps * params.dt,
-        dt=params.dt,
+        t_final=n_steps * dt,
+        dt=dt,
         seed=params.seed,
         eps_absorb=eps_absorb,
         eps_start=eps_start,

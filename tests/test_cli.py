@@ -3,11 +3,14 @@ import json
 import os
 from pathlib import Path
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargeflow import groundstate, process
 from chargeflow.cli import main
 from chargeflow.config import ConfigError, parse_config
 from chargeflow.groundstate import ground_energy
@@ -155,12 +158,23 @@ def test_with_command_overrides():
     assert config.out_dir == "elsewhere"
     with pytest.raises(ConfigError, match="unknown command 'nope'"):
         parse_config(MODEL).with_command("nope")
+    assert parse_config(MODEL).with_command("field", seed=2**64 - 1).seed == 2**64 - 1
+    for seed in (-5, 2**64):
+        with pytest.raises(ConfigError, match="unsigned 64-bit"):
+            parse_config(MODEL).with_command("field", seed=seed)
 
 
 def test_parse_comments_and_inline_values():
     text = "# header comment\n[model]\ncharge = 1 0 0 0 0\nm = 2.5\n"
     config = parse_config(text)
     assert config.options("model")["m"] == 2.5
+
+
+def test_semicolon_starts_a_comment():
+    text = "; header comment\n[model]  ; sources\ncharge = 1 0 0 0 0 ; source 1\nm = 1.0 ; note\n"
+    config = parse_config(text)
+    assert config.options("model")["m"] == 1.0
+    assert config.options("model")["charge"] == ((1.0, 0.0, 0.0, 0.0, 0.0),)
 
 
 @pytest.mark.parametrize(
@@ -177,6 +191,14 @@ def test_parse_comments_and_inline_values():
         ("[model]\nm = abc\n", r"line 2: key 'm' expects a number"),
         ("[simulate]\ntrajectory = maybe\n", r"line 2: key 'trajectory' expects a boolean"),
         ("[field]\nnx = 5\nnx = 7\n", r"line 3: duplicate key 'nx'"),
+        ("[field]\nx_max = inf\n", r"line 2: key 'x_max' must be finite, got 'inf'"),
+        ("[model]\nE0 = nan\n", r"line 2: key 'E0' must be finite, got 'nan'"),
+        ("[model]\nm = 1e999\n", r"line 2: key 'm' must be finite"),
+        ("[simulate]\nsample_times = 1.0 -inf\n", r"line 2: key 'sample_times' must be finite"),
+        ("[model]\ncharge = 1 0 0 nan 0\n", r"line 2: key 'charge' must be finite"),
+        ("[boundary]\nrobin = 1 0 0 0 0 1 inf 0\n", r"line 2: key 'robin' must be finite"),
+        ("[run]\nseed = -5\n", r"line 2: key 'seed' must be an unsigned 64-bit integer"),
+        ("[run]\nseed = 18446744073709551616\n", r"line 2: key 'seed' must be an unsigned"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, message):
@@ -621,6 +643,36 @@ def test_exit_code_for_grid_node_on_source(tmp_path):
     text = MODEL + "\n[field]\nx_min = 0.0\nx_max = 1.0\nnx = 2\ny_min = 0.0\ny_max = 1.0\nny = 2\nz = 0.0\n"
     code, _ = run_cli(tmp_path, text, "field")
     assert code == 2
+
+
+def test_non_finite_field_bound_exits_1_and_writes_nothing(tmp_path, capsys):
+    code, out = run_cli(tmp_path, FIELD_SMALL.replace("x_max = 1.4", "x_max = inf"), "field")
+    assert code == 1
+    assert "line 7: key 'x_max' must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_model_value_exits_1_and_writes_nothing(tmp_path, capsys):
+    code, out = run_cli(tmp_path, POTENTIAL_CFG.replace("E0 = 0.5", "E0 = nan"), "potential")
+    assert code == 1
+    assert "line 5: key 'E0' must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    code, out = run_cli(tmp_path, SIM_ENS, "simulate", "--seed", "-5")
+    assert code == 1
+    assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exhausted_substep_budget_exits_2_without_statistics(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=2))
+    with pytest.warns(UserWarning, match="budget"):
+        code, out = run_cli(tmp_path, SIM_ENS, "simulate")
+    assert code == 2
+    assert "substep budget exhausted" in capsys.readouterr().err
+    assert not (out / "statistics.json").exists()
 
 
 def test_check_flag_only_for_lattice(tmp_path):

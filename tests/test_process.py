@@ -339,6 +339,89 @@ def test_ensemble_counts_and_determinism(fig_gs, fig_law):
     assert res1.t_final == pytest.approx(2.0)
 
 
+def per_dt_run_ensemble(gs, params, law):
+    """The ensemble driver that steps every boson in lock-step on the dt grid:
+    one `_advance` call per dt, carrying that step's newborns from their birth
+    times.  It draws the same random stream as `run_ensemble`."""
+    system = gs.system
+    X = system.positions
+    eps_absorb, eps_start = _resolve_radii(system, params.eps_absorb, params.eps_start)
+    rng = np.random.default_rng(params.seed)
+    n_steps = process._grid_step(params.horizon, params.dt, "t_max")
+    snap_steps = {process._grid_step(ts, params.dt, "times"): ts for ts in params.sample_times}
+    sectors = rng.poisson(gs.poisson_rate, size=params.runs)
+    pos = groundstate.sample_boson_positions(gs, int(sectors.sum()), rng)
+    run = np.repeat(np.arange(params.runs), sectors)
+    initial_sectors = sectors.copy()
+    emissions = np.zeros(system.n_sources, dtype=int)
+    absorptions = np.zeros(system.n_sources, dtype=int)
+    d0 = np.linalg.norm(pos[:, None, :] - X[None, :, :], axis=-1)
+    nearest = np.argmin(d0, axis=1)
+    inside = d0[np.arange(pos.shape[0]), nearest] < eps_absorb
+    np.add.at(absorptions, nearest[inside], 1)
+    np.subtract.at(sectors, run[inside], 1)
+    pos, run = pos[~inside], run[~inside]
+    total = law.total_rate
+    cum = np.cumsum(law.rates)
+    next_emit = rng.exponential(1.0 / total, size=params.runs)
+    snapshots = []
+    if 0 in snap_steps:
+        snapshots.append(process.EnsembleSnapshot(0.0, sectors.copy(), pos, run))
+    for i in range(n_steps):
+        t1 = (i + 1) * params.dt
+        rows, runs, durations = [pos], [run], [np.full(pos.shape[0], params.dt)]
+        while True:
+            due = np.flatnonzero(next_emit <= t1)
+            if due.size == 0:
+                break
+            src = np.searchsorted(cum, rng.random(due.size) * total, side="right")
+            np.add.at(emissions, src, 1)
+            np.add.at(sectors, due, 1)
+            rows.append(X[src] + eps_start * process._unit_vectors(rng, due.size))
+            runs.append(due)
+            durations.append(t1 - next_emit[due])
+            next_emit[due] += rng.exponential(1.0 / total, size=due.size)
+        pos, run = np.concatenate(rows), np.concatenate(runs)
+        pos, hit_src, _ = groundstate._advance(
+            system, process._velocity_raw, pos, np.concatenate(durations), eps_absorb
+        )
+        hit = hit_src >= 0
+        np.add.at(absorptions, hit_src[hit], 1)
+        np.subtract.at(sectors, run[hit], 1)
+        pos, run = pos[~hit], run[~hit]
+        if i + 1 in snap_steps:
+            snapshots.append(process.EnsembleSnapshot(snap_steps[i + 1], sectors.copy(), pos, run))
+    return types.SimpleNamespace(
+        emissions=emissions,
+        absorptions=absorptions,
+        initial_sectors=initial_sectors,
+        final_sectors=sectors,
+        snapshots=tuple(snapshots),
+    )
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_ensemble_matches_the_per_dt_oracle(fig_gs, fig_law, seed):
+    params = EnsembleParams(runs=1000, sample_times=(0.0, 0.5, 1.0), seed=seed)
+    got = run_ensemble(fig_gs, params, law=fig_law)
+    want = per_dt_run_ensemble(fig_gs, params, fig_law)
+    for name in ("emissions", "absorptions", "initial_sectors", "final_sectors"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert len(got.snapshots) == len(want.snapshots) == 3
+    for snap, ref in zip(got.snapshots, want.snapshots):
+        assert snap.time == ref.time
+        np.testing.assert_array_equal(snap.sectors, ref.sectors)
+        np.testing.assert_array_equal(snap.run_ids, ref.run_ids)
+        np.testing.assert_allclose(snap.positions, ref.positions, rtol=0.0, atol=1e-3)
+
+
+def test_ensemble_raises_when_the_substep_budget_runs_out(fig_gs, fig_law, monkeypatch):
+    monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=2))
+    with pytest.warns(UserWarning, match="budget"):
+        with pytest.raises(RuntimeError, match="budget"):
+            run_ensemble(fig_gs, EnsembleParams(runs=50, t_max=1.0, seed=0), law=fig_law)
+
+
 def test_ensemble_snapshot_structure(fig_gs, fig_law):
     params = EnsembleParams(runs=200, sample_times=(0.0, 1.0), seed=4)
     res = run_ensemble(fig_gs, params, law=fig_law)
