@@ -222,6 +222,9 @@ def _cmd_simulate(config, out):
         if opts["sample_times"]:
             streams["equivariance"] = 2
     prov = _provenance(config, ("model", "simulate"), streams)
+    # everything is computed before the first artifact is written, so a
+    # failing ensemble leaves no partial output behind
+    record = payload = None
     if opts["trajectory"]:
         record = simulate(
             gs,
@@ -233,13 +236,6 @@ def _cmd_simulate(config, out):
                 eps_start=eps_start,
             ),
             law=law,
-        )
-        write_jsonl(os.path.join(out, "trajectory.jsonl"), trajectory_events(record), prov)
-        write_csv(
-            os.path.join(out, "trajectory_paths.csv"),
-            ("particle", "t", "x", "y", "z"),
-            trajectory_path_rows(record),
-            prov,
         )
     if opts["runs"] > 0:
         payload = {
@@ -300,32 +296,34 @@ def _cmd_simulate(config, out):
                     for s in eq.samples
                 ],
             }
+    if record is not None:
+        write_jsonl(os.path.join(out, "trajectory.jsonl"), trajectory_events(record), prov)
+        write_csv(
+            os.path.join(out, "trajectory_paths.csv"),
+            ("particle", "t", "x", "y", "z"),
+            trajectory_path_rows(record),
+            prov,
+        )
+    if payload is not None:
         write_json(os.path.join(out, "statistics.json"), payload, prov)
     return 0
 
 
 def _cmd_lattice(config, out, check=None):
     params = config.lattice_params()
-    opts = dict(config.options("lattice"))
+    opts = config.options("lattice")
     dim = lattice_dimension(params.L, params.n_max)
-    # the spectrum and the operator-norm commutator need a dense copy of H
-    if check in (None, "commutation") and dim > DENSE_LIMIT:
+    # the spectrum needs a dense copy of H
+    if check is None and dim > DENSE_LIMIT:
         raise ConfigError(
             f"basis dimension {dim} exceeds the dense limit of {DENSE_LIMIT} states "
-            "(only --check gauge and --check reversal run above it)",
+            "(every --check runs at any size)",
             config.section_lines.get("lattice"),
         )
     model = build_model(params)
     theta = opts["theta"]
     if check is not None:
-        opts["check"] = check
-        prov = Provenance(
-            command=config.command,
-            config_sha256=config.config_sha256,
-            master_seed=config.seed,
-            seed_streams={"random_state": 1} if check == "reversal" else {},
-            options={"lattice": opts},
-        )
+        prov = _provenance(config, ("lattice",), {"random_state": 1} if check == "reversal" else {})
         if check == "gauge":
             norm = check_gauge_equivalence(model, theta)
             payload = {

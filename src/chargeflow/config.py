@@ -257,6 +257,7 @@ def parse_config(text):
     sections = {}
     values = {name: {} for name in _SCHEMA}
     section_lines = {}
+    key_lines = {}  # (section, key) -> line of each occurrence
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -281,6 +282,7 @@ def parse_config(text):
         spec = _SCHEMA[current].get(key)
         if spec is None:
             raise ConfigError(f"unknown key '{key}' in section [{current}]", lineno)
+        key_lines.setdefault((current, key), []).append(lineno)
         if spec.kind == "tuple":
             parts = value.split()
             if len(parts) != spec.arity:
@@ -313,7 +315,7 @@ def parse_config(text):
                 resolved[key] = spec.default
         sections[name] = resolved
 
-    _validate(sections, section_lines)
+    _validate(sections, section_lines, key_lines)
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return RunConfig(
         sections=sections,
@@ -324,41 +326,50 @@ def parse_config(text):
     )
 
 
-def _positive(sections, lines, section, *keys):
-    for key in keys:
-        if not sections[section][key] > 0:
-            raise ConfigError(f"key '{key}' must be positive", lines.get(section))
+def _validate(sections, section_lines, key_lines):
+    def line(section, *keys):
+        """Line of the first of `keys` set in `section`, else of its header."""
+        for key in keys:
+            if (section, key) in key_lines:
+                return key_lines[section, key][0]
+        return section_lines.get(section)
 
+    def positive(section, *keys):
+        for key in keys:
+            if not sections[section][key] > 0:
+                raise ConfigError(f"key '{key}' must be positive", line(section, key))
 
-def _validate(sections, lines):
-    for row in sections["model"]["charge"]:
+    for row, lineno in zip(sections["model"]["charge"], key_lines.get(("model", "charge"), ())):
         if row[0] == 0.0 and row[1] == 0.0:
-            raise ConfigError("couplings must be nonzero", lines.get("model"))
-    _positive(sections, lines, "model", "m", "hbar")
+            raise ConfigError("couplings must be nonzero", lineno)
+    positive("model", "m", "hbar")
     if sections["model"]["E0"] < 0:
-        raise ConfigError("key 'E0' must be nonnegative", lines.get("model"))
-    _positive(sections, lines, "symmetry", "tol")
+        raise ConfigError("key 'E0' must be nonnegative", line("model", "E0"))
+    positive("symmetry", "tol")
     fld = sections["field"]
-    if fld["nx"] < 2 or fld["ny"] < 2:
-        raise ConfigError("grid needs nx, ny >= 2", lines.get("field"))
-    if not (fld["x_min"] < fld["x_max"] and fld["y_min"] < fld["y_max"]):
-        raise ConfigError("grid bounds must satisfy min < max", lines.get("field"))
+    for key in ("nx", "ny"):
+        if fld[key] < 2:
+            raise ConfigError("grid needs nx, ny >= 2", line("field", key))
+    for lo, hi in (("x_min", "x_max"), ("y_min", "y_max")):
+        if not fld[lo] < fld[hi]:
+            raise ConfigError("grid bounds must satisfy min < max", line("field", lo, hi))
     stream = sections["streamlines"]
     if stream["n_seeds"] < 1:
-        raise ConfigError("key 'n_seeds' must be positive", lines.get("streamlines"))
+        raise ConfigError("key 'n_seeds' must be positive", line("streamlines", "n_seeds"))
     if stream["source"] < 1:
-        raise ConfigError("source labels are 1-based", lines.get("streamlines"))
-    _positive(sections, lines, "streamlines", "seed_radius")
+        raise ConfigError("source labels are 1-based", line("streamlines", "source"))
+    positive("streamlines", "seed_radius")
     sim = sections["simulate"]
-    _positive(sections, lines, "simulate", "t_max", "dt", "dt_max")
+    positive("simulate", "t_max", "dt", "dt_max")
     if sim["runs"] < 0:
-        raise ConfigError("key 'runs' must be nonnegative", lines.get("simulate"))
+        raise ConfigError("key 'runs' must be nonnegative", line("simulate", "runs"))
     if sim["sample_times"] and sim["runs"] < 1000:
         raise ConfigError(
-            "equivariance sampling (sample_times) needs runs >= 1000", lines.get("simulate")
+            "equivariance sampling (sample_times) needs runs >= 1000",
+            line("simulate", "runs", "sample_times"),
         )
     if any(ts > sim["t_max"] for ts in sim["sample_times"]):
-        raise ConfigError("sample times exceed t_max", lines.get("simulate"))
+        raise ConfigError("sample times exceed t_max", line("simulate", "sample_times"))
     if sim["runs"] > 0:
         for label, value in [("t_max", sim["t_max"])] + [
             ("sample_times", ts) for ts in sim["sample_times"]
@@ -367,22 +378,24 @@ def _validate(sections, lines):
             if abs(k * sim["dt"] - value) > 1e-9 * max(abs(value), 1.0):
                 raise ConfigError(
                     f"key '{label}' must lie on the dt grid for ensemble runs",
-                    lines.get("simulate"),
+                    line("simulate", label, "dt"),
                 )
     lat = sections["lattice"]
-    if lat["L"] < 2 or lat["n_max"] < 0:
-        raise ConfigError("lattice needs L >= 2 and n_max >= 0", lines.get("lattice"))
+    if lat["L"] < 2 or lat["n_max"] < 1:
+        raise ConfigError(
+            "lattice needs L >= 2 and n_max >= 1",
+            line("lattice", "L" if lat["L"] < 2 else "n_max"),
+        )
     if lat["chains"] < 0:
-        raise ConfigError("key 'chains' must be nonnegative", lines.get("lattice"))
-    _positive(sections, lines, "lattice", "a", "m", "hbar", "t", "check_tol")
+        raise ConfigError("key 'chains' must be nonnegative", line("lattice", "chains"))
+    positive("lattice", "a", "m", "hbar", "t", "check_tol")
     bnd = sections["boundary"]
-    _positive(sections, lines, "boundary", "m", "hbar", "leak_tol")
+    positive("boundary", "m", "hbar", "leak_tol")
     if bnd["grid"] < 8:
-        raise ConfigError("key 'grid' must be at least 8", lines.get("boundary"))
+        raise ConfigError("key 'grid' must be at least 8", line("boundary", "grid"))
     if bnd["n_levels"] < 0:
-        raise ConfigError("key 'n_levels' must be nonnegative", lines.get("boundary"))
+        raise ConfigError("key 'n_levels' must be nonnegative", line("boundary", "n_levels"))
     if bnd["leak_end"] not in (0, 1):
-        raise ConfigError("key 'leak_end' must be 0 or 1", lines.get("boundary"))
-    for th in bnd["theta"]:
-        if not (-np.pi < th <= np.pi):
-            raise ConfigError("key 'theta' entries must lie in (-pi, pi]", lines.get("boundary"))
+        raise ConfigError("key 'leak_end' must be 0 or 1", line("boundary", "leak_end"))
+    if any(not -np.pi < th <= np.pi for th in bnd["theta"]):
+        raise ConfigError("key 'theta' entries must lie in (-pi, pi]", line("boundary", "theta"))

@@ -26,13 +26,16 @@ array at every size; only the eigendecomposition and what builds on it keep
 a dense copy, up to DENSE_LIMIT states.
 """
 
+import cmath
 import warnings
 from dataclasses import dataclass, replace
-from math import comb
+from functools import lru_cache
+from math import comb, sqrt
 
 import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import roots_hermite
 
 __all__ = [
     "LatticeParams",
@@ -130,10 +133,9 @@ class LatticeModel:
     """Immutable assembled model: basis, CSR Hamiltonian, cached spectral data.
 
     `H` is a scipy CSR array at every size and `occupations` the basis as a
-    (dim, L) integer array.  What needs a dense copy of H (`eig`, hence
-    `lattice_ground_state`, `ground_state_current` and the spectral `evolve`,
-    and the kind="op" commutator norm) is limited to DENSE_LIMIT states and
-    raises ValueError above it.
+    (dim, L) integer array.  Only `eig` makes a dense copy of H, so it and
+    what builds on it (`lattice_ground_state`, `ground_state_current`) are
+    limited to DENSE_LIMIT states and raise ValueError above it.
     """
 
     def __init__(self, params, occupations, H):
@@ -149,7 +151,6 @@ class LatticeModel:
         # mirror of each entry in CSR order
         self._rows = np.repeat(np.arange(self.dim), np.diff(H.indptr))
         self._transpose = np.lexsort((self._rows, H.indices))
-        self._dense = None
         self._eig = None
 
     def state_index(self, q):
@@ -163,19 +164,16 @@ class LatticeModel:
             raise KeyError(f"occupation {key} is not in the truncated basis")
         return self.index[key]
 
-    def _dense_H(self):
-        if self.dim > DENSE_LIMIT:
-            raise ValueError(
-                f"dense forms of H are limited to {DENSE_LIMIT} states (dimension {self.dim})"
-            )
-        if self._dense is None:
-            self._dense = self.H.toarray()
-        return self._dense
-
     def eig(self):
-        """Cached eigendecomposition (at most DENSE_LIMIT states)."""
+        """Cached eigendecomposition of a dense copy of H (at most DENSE_LIMIT
+        states)."""
         if self._eig is None:
-            self._eig = tuple(np.linalg.eigh(self._dense_H()))
+            if self.dim > DENSE_LIMIT:
+                raise ValueError(
+                    f"the eigendecomposition is limited to {DENSE_LIMIT} states "
+                    f"(dimension {self.dim})"
+                )
+            self._eig = tuple(np.linalg.eigh(self.H.toarray()))
         return self._eig
 
 
@@ -250,87 +248,69 @@ def evolve(model, psi, t):
     return evecs @ (np.exp(-1j * evals * t / model.params.hbar) * (evecs.conj().T @ psi))
 
 
-def _operator_norm(M, tol=1e-10, max_iter=500):
-    """Largest singular value of a dense or sparse M by power iteration on
-    M^dag M, deterministic start."""
-    M_dag = M.conj().T
-    dim = M.shape[1]
-    v = np.ones(dim, dtype=complex) + 1e-3 * np.arange(dim)
-    v /= np.linalg.norm(v)
-    sigma = 0.0
-    for _ in range(max_iter):
-        w = M @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        u = M_dag @ (w / nw)
-        nu = np.linalg.norm(u)
-        new_sigma = np.sqrt(nw * nu) if nu > 0 else nw
-        if abs(new_sigma - sigma) <= tol * max(new_sigma, 1.0):
-            return float(new_sigma)
-        sigma = new_sigma
-        v = u / nu
-    return float(sigma)
-
-
 def sector_reversal(model, theta, psi):
     """Apply T_theta: multiply sector n by e^{-2 i theta n} and conjugate."""
     psi = np.asarray(psi, dtype=complex)
     return np.exp(-2j * theta * model.sector) * np.conj(psi)
 
 
-def _t_commutator_matrix(model, theta):
-    """Linear part Delta = D conj(H) D^dag - H of the antilinear commutator.
-
-    T_theta H - H T_theta applied to psi equals Delta applied to
-    D conj(psi), and D is unitary, so any matrix norm of the antilinear
-    commutator equals the same norm of Delta.  Dense, so at most
-    DENSE_LIMIT states.
-    """
-    H = model._dense_H()
-    phases = np.exp(-2j * theta * model.sector)
-    return (phases[:, None] * np.conj(H)) * np.conj(phases)[None, :] - H
+@lru_cache(maxsize=None)
+def _largest_hermite_root(n):
+    """Largest root of the physicists' Hermite polynomial H_n."""
+    return float(roots_hermite(n)[0].max())
 
 
 def check_T_commutation(model, theta, kind="op"):
-    """Norm of the commutator of T_theta with H.
+    """Norm of the commutator of T_theta with H, in closed form at every size.
 
-    kind="op": operator norm estimated by power iteration (1e-10 tolerance)
-        on the dense commutator, so at most DENSE_LIMIT states.
-    kind="fro": exact Frobenius norm from the closed form
-        ||.||_F^2 = 8 sum_j S_j Im(e^{-i theta} g_j)^2,
-    where S_j sums n_{s_j}(q) + 1 over the states q that still accept a boson;
-    only the source columns of H fail to commute, and these are their exact
-    magnitudes.  theta may be an array with kind="fro".  The two norms vanish
-    together, and op <= fro <= sqrt(rank) * op.
+    T_theta H - H T_theta applied to psi equals Delta applied to D conj(psi),
+    with D = diag(e^{-2 i theta n(q)}) unitary and Delta = D conj(H) D^dag - H.
+    Hopping and on-site terms are real and keep the sector, so only the
+    sources survive:
+        Delta = -2i e^{i theta} sum_j s_j b_{s_j} + h.c.,
+        s_j = Im(e^{-i theta} g_j).
+    Both norms are sqrt(sum_j w_j s_j^2):
+    kind="op": w_j = 8 x^2, with x the largest root of the Hermite polynomial
+        H_{n_max+1}.  A sector phase and a rotation of the modes turn Delta
+        into 2 |s| (b + b^dag) under the cutoff n_max, whose largest
+        eigenvalue is sqrt(2) x (the Jacobi matrix of Gauss-Hermite
+        quadrature; Golub & Welsch, Math. Comp. 23 (1969) 221).
+    kind="fro": w_j = 8 S_j, where S_j sums n_{s_j}(q) + 1 over the states q
+        that still accept a boson: the squared magnitudes of Delta's entries.
+    theta may be an array.  The two norms vanish together, and
+    op <= fro <= sqrt(rank) * op.
     """
-    if kind == "fro":
-        theta_arr = np.asarray(theta, dtype=float)
+    charges = model.params.charges
+    if kind == "op":
+        weights = (8.0 * _largest_hermite_root(model.params.n_max + 1) ** 2,) * len(charges)
+    elif kind == "fro":
         open_states = model.sector < model.params.n_max
         occ = model.occupations[open_states][:, list(model.params.source_sites)]
-        weights = np.sum(occ + 1, axis=0)
-        g = np.array(model.params.charges)
-        im = np.imag(np.exp(-1j * theta_arr[..., None]) * g)
-        val = np.sqrt(8.0 * np.sum(weights * im**2, axis=-1))
-        return val if val.ndim else float(val)
-    if kind != "op":
+        weights = tuple(8.0 * np.sum(occ + 1, axis=0))
+    else:
         raise ValueError("kind must be 'op' or 'fro'")
-    return _operator_norm(_t_commutator_matrix(model, float(theta)))
+    if np.ndim(theta) == 0:
+        # scalar theta in plain Python: a sweep calls this once per grid point
+        rot = cmath.exp(-1j * theta)
+        return sqrt(sum(w * (rot * g).imag ** 2 for w, g in zip(weights, charges)))
+    s = np.imag(np.exp(-1j * np.asarray(theta, dtype=float)[..., None]) * np.array(charges))
+    return np.sqrt(np.sum(np.array(weights) * s**2, axis=-1))
 
 
 def check_gauge_equivalence(model, theta):
-    """Operator norm of U_theta^dag H_{e^{i theta} g} U_theta - H_g.
+    """Frobenius norm of U_theta^dag H_{e^{i theta} g} U_theta - H_g.
 
     U_theta multiplies sector n by e^{-i theta n}.  The difference vanishes
     identically (the transform shifts every coupling phase back), so the
-    returned value is a rounding-level residual.
+    returned value is a rounding-level residual; it bounds the operator norm
+    from above.
     """
     charges = tuple(np.exp(1j * theta) * g for g in model.params.charges)
     rot = build_model(replace(model.params, charges=charges))
     phases = np.exp(-1j * theta * model.sector)
     entries = (np.conj(phases)[rot._rows] * rot.H.data) * phases[rot.H.indices]
     delta = csr_array((entries, rot.H.indices, rot.H.indptr), shape=rot.H.shape) - model.H
-    return _operator_norm(delta)
+    return float(np.linalg.norm(delta.data))
 
 
 def _current(model, psi):

@@ -199,6 +199,17 @@ def test_semicolon_starts_a_comment():
         ("[boundary]\nrobin = 1 0 0 0 0 1 inf 0\n", r"line 2: key 'robin' must be finite"),
         ("[run]\nseed = -5\n", r"line 2: key 'seed' must be an unsigned 64-bit integer"),
         ("[run]\nseed = 18446744073709551616\n", r"line 2: key 'seed' must be an unsigned"),
+        ("[model]\ncharge = 1 0 0 0 0\nm = 1.0\nE0 = -1.0\n", r"line 4: key 'E0' must be nonneg"),
+        ("[simulate]\nt_max = 2.0\ndt = 0.01\nruns = -1\n", r"line 4: key 'runs' must be nonneg"),
+        ("[model]\ncharge = 1 0 0 0 0\ncharge = 0 0 1 0 0\n", r"line 3: couplings must be nonzero"),
+        ("[field]\nnx = 5\nny = 1\n", r"line 3: grid needs nx, ny >= 2"),
+        ("[field]\nz = 0.0\ny_max = -2.0\n", r"line 3: grid bounds must satisfy min < max"),
+        ("[boundary]\nm = 1.0\nhbar = 0\n", r"line 3: key 'hbar' must be positive"),
+        ("[lattice]\nL = 4\nn_max = 0\n", r"line 3: lattice needs L >= 2 and n_max >= 1"),
+        (
+            "[simulate]\nruns = 1000\ndt = 0.01\nsample_times = 0.005\n",
+            r"line 4: key 'sample_times' must lie on the dt grid",
+        ),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, message):
@@ -564,11 +575,19 @@ def test_lattice_check_reversal_asymmetric_fails(tmp_path):
 def test_lattice_above_the_dense_limit_is_a_config_error(tmp_path, capsys):
     # L = 13, n_max = 4 has 2,380 basis states, above the 2,000-state dense limit
     big = LATTICE_SMALL.replace("L = 4\nn_max = 2", "L = 13\nn_max = 4")
-    for extra in ((), ("--check", "commutation")):
-        code, out = run_cli(tmp_path, big, "lattice", *extra)
-        assert code == 1
-        assert "dense limit of 2000" in capsys.readouterr().err
-        assert not out.exists()
+    code, out = run_cli(tmp_path, big, "lattice")
+    assert code == 1
+    assert "dense limit of 2000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_lattice_check_commutation_above_the_dense_limit(tmp_path):
+    for text, want in ((LATTICE_SMALL, 3), (LATTICE_REAL, 0)):
+        big = text.replace("L = 4\nn_max = 2", "L = 13\nn_max = 4")
+        code, out = run_cli(tmp_path, big, "lattice", "--check", "commutation")
+        assert code == want
+        payload = read_json(out / "lattice_check.json")
+        assert payload["passed"] is (want == 0)
 
 
 def test_potential_artifacts(tmp_path):
@@ -668,11 +687,15 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
 
 def test_exhausted_substep_budget_exits_2_without_statistics(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=2))
-    with pytest.warns(UserWarning, match="budget"):
-        code, out = run_cli(tmp_path, SIM_ENS, "simulate")
-    assert code == 2
-    assert "substep budget exhausted" in capsys.readouterr().err
-    assert not (out / "statistics.json").exists()
+    for trajectory in ("false", "true"):
+        text = SIM_ENS.replace("trajectory = false", f"trajectory = {trajectory}")
+        (tmp_path / trajectory).mkdir()
+        with pytest.warns(UserWarning, match="budget"):
+            code, out = run_cli(tmp_path / trajectory, text, "simulate")
+        assert code == 2
+        assert "substep budget exhausted" in capsys.readouterr().err
+        # nothing is written before every result is in, trajectory files included
+        assert not out.exists() or not any(out.iterdir())
 
 
 def test_check_flag_only_for_lattice(tmp_path):

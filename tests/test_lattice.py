@@ -3,13 +3,14 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from chargeflow import lattice
 from chargeflow.lattice import (
     LatticeParams,
     NodeError,
-    _t_commutator_matrix,
     bell_jump_rates,
     build_model,
     check_T_commutation,
@@ -41,6 +42,23 @@ def random_params(rng, L_max=6, n_sources_max=3):
         L=L, a=1.0, n_max=n_max, source_sites=sites, charges=g,
         m=float(rng.uniform(0.5, 2.0)), E0=float(rng.uniform(0.0, 1.0)), hbar=1.0,
     )
+
+
+def t_commutator_matrix(model, theta):
+    """Dense Delta = D conj(H) D^dag - H, D = diag(e^{-2 i theta n(q)}).
+
+    T_theta H - H T_theta applied to psi equals Delta applied to D conj(psi),
+    and D is unitary, so any matrix norm of the antilinear commutator equals
+    the same norm of Delta.  The oracle for the closed forms of
+    check_T_commutation.
+    """
+    H = model.H.toarray()
+    phases = np.exp(-2j * theta * model.sector)
+    return (phases[:, None] * np.conj(H)) * np.conj(phases)[None, :] - H
+
+
+def oracle_op_norm(model, theta):
+    return np.linalg.norm(t_commutator_matrix(model, theta), 2)
 
 
 def random_state(rng, dim):
@@ -212,11 +230,58 @@ def test_frobenius_closed_form_matches_explicit_matrix():
     for _ in range(8):
         model = build_model(random_params(rng))
         theta = float(rng.uniform(-np.pi, np.pi))
-        explicit = np.linalg.norm(_t_commutator_matrix(model, theta), "fro")
+        explicit = np.linalg.norm(t_commutator_matrix(model, theta), "fro")
         closed = check_T_commutation(model, theta, kind="fro")
         np.testing.assert_allclose(closed, explicit, rtol=1e-11, atol=1e-13)
         op = check_T_commutation(model, theta, kind="op")
         assert op <= closed * (1 + 1e-9) + 1e-12
+
+
+def test_operator_norm_matches_the_dense_oracle_on_the_dichotomy_family():
+    # the model family of acceptance criterion 01: L = 6, n_max = 1, up to
+    # five sources; symmetric sets share a grid phase, asymmetric ones do not
+    rng = np.random.default_rng(21)
+    sites = (1, 3, 5, 2, 4)
+    for n, symmetric in [(1, True), (2, True), (2, False), (3, True), (3, False),
+                         (4, True), (4, False), (5, True), (5, False)]:
+        mags = rng.uniform(0.3, 2.0, size=n)
+        if symmetric:
+            phases = THETA_GRID[rng.integers(THETA_GRID.size)] + np.pi * rng.integers(0, 2, n)
+        else:
+            phases = rng.uniform(-np.pi, np.pi, size=n)
+        charges = tuple(mags * np.exp(1j * phases))
+        model = build_model(
+            LatticeParams(L=6, a=1.0, n_max=1, source_sites=sites[:n], charges=charges, E0=0.7)
+        )
+        closed = check_T_commutation(model, THETA_GRID)
+        oracle = np.array([oracle_op_norm(model, theta) for theta in THETA_GRID])
+        np.testing.assert_allclose(closed, oracle, rtol=1e-12, atol=1e-14)
+        best = int(np.argmin(oracle))
+        np.testing.assert_allclose(
+            check_T_commutation(model, THETA_GRID[best]), oracle[best], rtol=1e-12, atol=1e-14
+        )
+        assert classify_charges(charges).symmetric == symmetric == (closed.min() < 1e-8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    L=st.integers(2, 7),
+    n_max=st.integers(1, 4),
+    data=st.data(),
+    theta=st.floats(-np.pi, np.pi),
+)
+def test_operator_norm_matches_the_dense_oracle(L, n_max, data, theta):
+    n_src = data.draw(st.integers(1, min(3, L)))
+    sites = data.draw(st.lists(st.integers(0, L - 1), min_size=n_src, max_size=n_src, unique=True))
+    mags = data.draw(st.lists(st.floats(0.3, 2.0), min_size=n_src, max_size=n_src))
+    phases = data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=n_src, max_size=n_src))
+    charges = tuple(r * np.exp(1j * phi) for r, phi in zip(mags, phases))
+    model = build_model(
+        LatticeParams(L=L, a=1.0, n_max=n_max, source_sites=tuple(sites), charges=charges)
+    )
+    np.testing.assert_allclose(
+        check_T_commutation(model, theta), oracle_op_norm(model, theta), rtol=1e-12, atol=1e-14
+    )
 
 
 def test_commutation_dichotomy_matches_charge_classification():
@@ -390,8 +455,8 @@ def test_sparse_sizes_above_the_dense_limit():
     assert model.dim == 2380 > lattice.DENSE_LIMIT
     with pytest.raises(ValueError):
         model.eig()
-    with pytest.raises(ValueError):
-        check_T_commutation(model, 0.0)
+    op = check_T_commutation(model, 0.0)
+    assert 0.0 < op <= check_T_commutation(model, 0.0, kind="fro")
     assert check_gauge_equivalence(model, 0.9) <= 1e-12
     rng = np.random.default_rng(11)
     psi = random_state(rng, model.dim)
