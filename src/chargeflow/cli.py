@@ -124,6 +124,21 @@ def _cmd_symmetry(config, out):
     return 0
 
 
+def _field_table(system, pts):
+    """Columns x, y, z, jx, jy, jz, |psi1|, phase at the (N, 3) points."""
+    val = psi1(system, pts)
+    # hypot and the array angle give the bits of scalar abs() and np.angle;
+    # np.abs of the complex array differs from them in the last place
+    cur = current_closed_form(system, pts)
+    return np.column_stack([pts, cur, np.hypot(val.real, val.imag), np.angle(val)])
+
+
+def _chunked_rows(table, chunk=4096):
+    """Rows of a 2-D array as lists of Python scalars, a chunk at a time."""
+    for start in range(0, table.shape[0], chunk):
+        yield from table[start : start + chunk].tolist()
+
+
 def _cmd_field(config, out):
     system = config.charge_system()
     opts = config.options("field")
@@ -135,17 +150,11 @@ def _cmd_field(config, out):
     scale = max(system.min_source_spacing() or 1.0, 1.0)
     if dmin < 1e-12 * scale:
         raise RuntimeError("a grid node coincides with a source; shift the grid bounds")
-    cur = current_closed_form(system, pts)
-    val = psi1(system, pts)
-    rows = (
-        (p[0], p[1], p[2], j[0], j[1], j[2], abs(v), float(np.angle(v)))
-        for p, j, v in zip(pts, cur, val)
-    )
     prov = _provenance(config, ("model", "field"), {})
     write_csv(
         os.path.join(out, "field.csv"),
         ("x", "y", "z", "jx", "jy", "jz", "|psi1|", "phase"),
-        rows,
+        _chunked_rows(_field_table(system, pts)),
         prov,
     )
     return 0
@@ -157,7 +166,7 @@ def _cmd_streamlines(config, out):
     if opts["source"] > system.n_sources:
         raise ConfigError(
             f"source label {opts['source']} exceeds the {system.n_sources} configured sources",
-            config.section_lines.get("streamlines"),
+            config.line("streamlines", "source"),
         )
     rng = np.random.default_rng(derive_seed(config.seed, 0))
     dirs = rng.normal(size=(opts["n_seeds"], 3))
@@ -174,11 +183,9 @@ def _cmd_streamlines(config, out):
 
     def rows():
         for i, line in enumerate(lines):
-            cur = current_closed_form(system, line.points)
-            val = psi1(system, line.points)
-            for k in range(line.points.shape[0]):
-                p, j, v = line.points[k], cur[k], val[k]
-                yield (i, line.arc_lengths[k], p[0], p[1], p[2], j[0], j[1], j[2], abs(v), float(np.angle(v)))
+            table = np.column_stack([line.arc_lengths, _field_table(system, line.points)])
+            for row in _chunked_rows(table):
+                yield (i, *row)
 
     write_csv(
         os.path.join(out, "streamlines.csv"),
@@ -318,7 +325,7 @@ def _cmd_lattice(config, out, check=None):
         raise ConfigError(
             f"basis dimension {dim} exceeds the dense limit of {DENSE_LIMIT} states "
             "(every --check runs at any size)",
-            config.section_lines.get("lattice"),
+            config.line("lattice", "n_max", "L"),
         )
     model = build_model(params)
     theta = opts["theta"]
@@ -427,7 +434,29 @@ def _witness_pair(pair):
 def _cmd_boundary(config, out):
     opts = config.options("boundary")
     m, hbar = opts["m"], opts["hbar"]
-    line = config.section_lines.get("boundary")
+    # rejected witness and Robin rows are config errors: raise them before
+    # the first artifact is written
+    witnesses = []
+    for wr, line in zip(opts["witness"], config.key_lines.get(("boundary", "witness"), ())):
+        try:
+            witness_in = WitnessInput(
+                alpha=complex(wr[0], wr[1]), beta=complex(wr[2], wr[3]), psi_q=complex(wr[4], wr[5])
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc), line) from exc
+        witnesses.append(witness_in)
+    bc = None
+    if opts["robin"]:
+        r = opts["robin"]
+        try:
+            bc = RobinBC(
+                alpha0=complex(r[0], r[1]),
+                beta0=complex(r[2], r[3]),
+                alpha1=complex(r[4], r[5]),
+                beta1=complex(r[6], r[7]),
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc), config.line("boundary", "robin")) from exc
     prov = _provenance(config, ("boundary",), {})
     rows = []
     currents = []
@@ -454,15 +483,9 @@ def _cmd_boundary(config, out):
         )
     write_csv(os.path.join(out, "spectra.csv"), ("theta", "k", "E"), rows, prov)
     write_json(os.path.join(out, "currents.json"), {"levels": currents}, prov)
-    if opts["witness"]:
+    if witnesses:
         entries = []
-        for wr in opts["witness"]:
-            try:
-                witness_in = WitnessInput(
-                    alpha=complex(wr[0], wr[1]), beta=complex(wr[2], wr[3]), psi_q=complex(wr[4], wr[5])
-                )
-            except ValueError as exc:
-                raise ConfigError(str(exc), line) from exc
+        for witness_in in witnesses:
             witness = emission_witness(witness_in, m, hbar)
             entries.append(
                 {
@@ -476,17 +499,7 @@ def _cmd_boundary(config, out):
                 }
             )
         write_json(os.path.join(out, "witnesses.json"), {"witnesses": entries}, prov)
-    if opts["robin"]:
-        r = opts["robin"]
-        try:
-            bc = RobinBC(
-                alpha0=complex(r[0], r[1]),
-                beta0=complex(r[2], r[3]),
-                alpha1=complex(r[4], r[5]),
-                beta1=complex(r[6], r[7]),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc), line) from exc
+    if bc is not None:
         verdicts = is_probability_conserving(bc)
         payload = {
             "ends": [

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lattice import LatticeParams
+from .lattice import MAX_DIMENSION, LatticeParams, lattice_dimension
 from .model import ChargeSystem
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "COMMANDS"]
@@ -182,8 +182,10 @@ class RunConfig:
     """A validated configuration: resolved options for every section.
 
     `sections` maps section name to its option dict with all defaults filled
-    in; `section_lines` records where each configured section starts (for
-    late constraint errors).  The command is attached by the CLI dispatcher.
+    in; `section_lines` records where each configured section starts and
+    `key_lines` the line of each occurrence of a (section, key), so late
+    constraint errors can name the offending line.  The command is attached
+    by the CLI dispatcher.
     """
 
     sections: dict
@@ -192,9 +194,17 @@ class RunConfig:
     out_dir: str
     command: str = None
     section_lines: dict = field(default_factory=dict)
+    key_lines: dict = field(default_factory=dict)
 
     def options(self, section):
         return self.sections[section]
+
+    def line(self, section, *keys):
+        """Line of the first of `keys` set in `section`, else of its header."""
+        for key in keys:
+            if (section, key) in self.key_lines:
+                return self.key_lines[section, key][0]
+        return self.section_lines.get(section)
 
     def with_command(self, command, seed=None, out_dir=None):
         if command not in COMMANDS:
@@ -210,9 +220,8 @@ class RunConfig:
         """Build the continuum source system from the [model] section."""
         opts = self.sections["model"]
         charges = opts["charge"]
-        line = self.section_lines.get("model")
         if not charges:
-            raise ConfigError("section [model] needs at least one 'charge' line", line)
+            raise ConfigError("section [model] needs at least one 'charge' line", self.line("model"))
         rows = np.array(charges, dtype=float)
         try:
             return ChargeSystem(
@@ -223,12 +232,19 @@ class RunConfig:
                 hbar=opts["hbar"],
             )
         except ValueError as exc:
-            raise ConfigError(str(exc), line) from exc
+            # _validate has checked every other key: the charge rows are at fault
+            raise ConfigError(str(exc), self.line("model", "charge")) from exc
 
     def lattice_params(self):
         """Build the lattice model parameters from the [lattice] section."""
         opts = self.sections["lattice"]
-        line = self.section_lines.get("lattice")
+        dim = lattice_dimension(opts["L"], opts["n_max"])
+        if dim > MAX_DIMENSION:
+            raise ConfigError(
+                f"basis dimension {dim} exceeds the supported maximum {MAX_DIMENSION}",
+                self.line("lattice", "n_max", "L"),
+            )
+        line = self.line("lattice", "source_sites", "charge")
         sites = tuple(int(s) for s in opts["source_sites"])
         if [float(s) for s in sites] != list(opts["source_sites"]):
             raise ConfigError("key 'source_sites' expects integers", line)
@@ -244,6 +260,8 @@ class RunConfig:
                 hbar=opts["hbar"],
             )
         except ValueError as exc:
+            # _validate has checked every other key: the sites and their
+            # couplings do not fit together or on the chain
             raise ConfigError(str(exc), line) from exc
 
 
@@ -315,33 +333,31 @@ def parse_config(text):
                 resolved[key] = spec.default
         sections[name] = resolved
 
-    _validate(sections, section_lines, key_lines)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return RunConfig(
+    config = RunConfig(
         sections=sections,
-        config_sha256=digest,
+        config_sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(),
         seed=sections["run"]["seed"],
         out_dir=sections["run"]["out"],
         section_lines=section_lines,
+        key_lines=key_lines,
     )
+    _validate(config)
+    return config
 
 
-def _validate(sections, section_lines, key_lines):
-    def line(section, *keys):
-        """Line of the first of `keys` set in `section`, else of its header."""
-        for key in keys:
-            if (section, key) in key_lines:
-                return key_lines[section, key][0]
-        return section_lines.get(section)
+def _validate(config):
+    sections, line = config.sections, config.line
 
     def positive(section, *keys):
         for key in keys:
             if not sections[section][key] > 0:
                 raise ConfigError(f"key '{key}' must be positive", line(section, key))
 
-    for row, lineno in zip(sections["model"]["charge"], key_lines.get(("model", "charge"), ())):
-        if row[0] == 0.0 and row[1] == 0.0:
-            raise ConfigError("couplings must be nonzero", lineno)
+    for section in ("model", "lattice"):
+        rows = sections[section]["charge"]
+        for row, lineno in zip(rows, config.key_lines.get((section, "charge"), ())):
+            if row[0] == 0.0 and row[1] == 0.0:
+                raise ConfigError("couplings must be nonzero", lineno)
     positive("model", "m", "hbar")
     if sections["model"]["E0"] < 0:
         raise ConfigError("key 'E0' must be nonnegative", line("model", "E0"))
@@ -386,6 +402,8 @@ def _validate(sections, section_lines, key_lines):
             "lattice needs L >= 2 and n_max >= 1",
             line("lattice", "L" if lat["L"] < 2 else "n_max"),
         )
+    if lat["E0"] < 0:
+        raise ConfigError("key 'E0' must be nonnegative", line("lattice", "E0"))
     if lat["chains"] < 0:
         raise ConfigError("key 'chains' must be nonnegative", line("lattice", "chains"))
     positive("lattice", "a", "m", "hbar", "t", "check_tol")

@@ -9,6 +9,7 @@ writes NaN and infinities as null.  Files are written to a temporary sibling
 and renamed into place with the permissions the umask grants.
 """
 
+import itertools
 import json
 import os
 import tempfile
@@ -109,14 +110,14 @@ def _option_text(value):
     return format_value(value)
 
 
-def atomic_write_text(path, text):
-    """Write text via a temporary sibling file and an atomic rename."""
+def atomic_write_text(path, chunks):
+    """Write an iterable of strings via a temporary sibling and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         # mkstemp creates the file with mode 0600; give it what open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -127,13 +128,34 @@ def atomic_write_text(path, text):
         raise
 
 
-def write_csv(path, columns, rows, provenance):
-    """CSV with '#'-prefixed provenance, a header row, and 17-digit floats."""
-    lines = [f"# {line}" for line in provenance.comment_lines()]
-    lines.append(",".join(columns))
+# printf conversions that print exactly what format_value prints, keyed by the
+# exact type: bool is an int subclass but prints as true/false
+_CONVERSIONS = {int: "%d", np.int64: "%d", float: "%.17g", np.float64: "%.17g", str: "%s"}
+
+
+def _csv_lines(rows):
+    formats = {}  # row signature -> one '%' string for the row, or None
     for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        signature = tuple(map(type, row))
+        try:
+            fmt = formats[signature]
+        except KeyError:
+            conversions = [_CONVERSIONS.get(t) for t in signature]
+            fmt = formats[signature] = None if None in conversions else ",".join(conversions) + "\n"
+        if fmt is None:
+            yield ",".join(map(format_value, row)) + "\n"
+        else:
+            yield fmt % tuple(row)
+
+
+def write_csv(path, columns, rows, provenance):
+    """CSV with '#'-prefixed provenance, a header row, and 17-digit floats.
+
+    `rows` is consumed once, and the lines stream into the temporary file.
+    """
+    header = [f"# {line}\n" for line in provenance.comment_lines()]
+    header.append(",".join(columns) + "\n")
+    atomic_write_text(path, itertools.chain(header, _csv_lines(rows)))
 
 
 def _json_fragment(obj, out, indent):
@@ -199,14 +221,13 @@ def write_json(path, payload, provenance):
     """JSON report with the provenance block under the leading key."""
     document = {"_provenance": provenance.json_dict()}
     document.update(payload)
-    atomic_write_text(path, _json_text(document) + "\n")
+    atomic_write_text(path, (_json_text(document), "\n"))
 
 
 def write_jsonl(path, records, provenance):
     """JSON-lines: a provenance record first, then one record per line."""
-    lines = [_json_text({"type": "provenance", **provenance.json_dict()}, indent=None)]
-    lines.extend(_json_text(record, indent=None) for record in records)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    records = itertools.chain([{"type": "provenance", **provenance.json_dict()}], records)
+    atomic_write_text(path, (_json_text(record, indent=None) + "\n" for record in records))
 
 
 def trajectory_events(record):
@@ -254,5 +275,5 @@ def trajectory_events(record):
 def trajectory_path_rows(record):
     """TrajectoryRecord -> (particle, t, x, y, z) rows, one polyline per id."""
     for pid in sorted(record.paths):
-        for t, x, y, z in record.paths[pid]:
+        for t, x, y, z in record.paths[pid].tolist():
             yield (pid, t, x, y, z)

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import tempfile
 from pathlib import Path
 
 from functools import partial
@@ -10,10 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargeflow import groundstate, process
+from chargeflow import cli, groundstate, process
 from chargeflow.cli import main
 from chargeflow.config import ConfigError, parse_config
-from chargeflow.groundstate import ground_energy
+from chargeflow.groundstate import current_closed_form, ground_energy, psi1
 from chargeflow.io import (
     Provenance,
     _json_text,
@@ -262,6 +264,39 @@ def test_lattice_source_sites_must_be_integers():
         parse_config("[lattice]\nsource_sites = 1.5 3.0\n").lattice_params()
 
 
+@pytest.mark.parametrize(
+    ("text", "command", "message"),
+    [
+        ("[lattice]\nL = 4\nsource_sites = 1 1\n", "lattice", "line 3: source sites must be distinct"),
+        ("[lattice]\nL = 4\nsource_sites = 1.5 2\n", "lattice", "line 3: key 'source_sites' expects integers"),
+        ("[lattice]\nL = 4\nsource_sites = 1 7\n", "lattice", "line 3: source sites must lie on the chain"),
+        ("[lattice]\nL = 4\nE0 = 0.5\nsource_sites = 0 1 2\n", "lattice", "line 4: one coupling per source"),
+        ("[lattice]\nL = 4\ncharge = 1 0\ncharge = 0 0\n", "lattice", "line 4: couplings must be nonzero"),
+        ("[lattice]\nL = 4\nE0 = -0.5\n", "lattice", "line 3: key 'E0' must be nonnegative"),
+        ("[lattice]\nL = 40\nn_max = 8\n", "lattice", "line 3: basis dimension 377348994 exceeds"),
+        (LATTICE_SMALL.replace("L = 4\nn_max = 2", "L = 13\nn_max = 4"), "lattice", "line 3: basis dimension 2380"),
+        (
+            "[model]\nm = 1.0\ncharge = 1 0 0 0 0\ncharge = 0 1 0 0 0\n",
+            "field",
+            "line 3: sources must be pairwise distinct",
+        ),
+        (MODEL + "\n[streamlines]\nn_seeds = 4\nsource = 3\n", "streamlines", "line 7: source label 3 exceeds"),
+        (
+            "[boundary]\ntheta = 0.3\nwitness = 1 0 0 0 1 0\nwitness = 1 0 0 0 0 0\n",
+            "boundary",
+            "line 4: psi(q) must be nonzero",
+        ),
+        ("[boundary]\ntheta = 0.3\nrobin = 0 0 0 0 1 0 0 0\n", "boundary", "line 3: boundary condition at end 0"),
+    ],
+)
+def test_late_config_errors_name_the_key_line(tmp_path, capsys, text, command, message):
+    # errors on keys that only a command's model uses: each names its key's line
+    code, out = run_cli(tmp_path, text, command)
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_shipped_figure_config_parses():
     config = parse_config(FIGURE_CFG.read_text())
     system = config.charge_system()
@@ -322,6 +357,71 @@ def test_write_csv_provenance_and_atomicity(tmp_path):
     assert any("option model.m = 1.5" in c for c in comments)
     assert header == "a,b"
     assert rows == [["1", "0.10000000000000001"], ["2", "0.25"]]
+
+
+def _per_value_csv(columns, rows, provenance):
+    """The CSV text of the per-value writer write_csv replaced: the oracle."""
+    lines = [f"# {line}" for line in provenance.comment_lines()]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(format_value(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_EDGE_FLOATS = st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1.7e308, -1.7e308]
+)
+_ANY_FLOATS = st.floats() | _EDGE_FLOATS
+# one strategy per exact type a row value may have
+_CSV_KINDS = {
+    "int": st.integers(),
+    "float": _ANY_FLOATS,
+    "bool": st.booleans(),
+    "str": st.text(st.characters(blacklist_characters=",\n\r")),
+    "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    "float64": _ANY_FLOATS.map(np.float64),
+    "float32": st.floats(width=32).map(np.float32),
+    "bool_": st.booleans().map(np.bool_),
+}
+# tables of one row signature each, so the writer meets repeated signatures
+_CSV_TABLES = st.lists(st.sampled_from(sorted(_CSV_KINDS)), min_size=1, max_size=6).flatmap(
+    lambda kinds: st.lists(st.tuples(*(_CSV_KINDS[k] for k in kinds)), min_size=1, max_size=4)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_CSV_TABLES, min_size=1, max_size=3))
+def test_write_csv_matches_the_per_value_writer(tables):
+    rows = [row for table in tables for row in table]
+    columns = tuple(f"c{i}" for i in range(max(len(row) for row in rows)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_csv(path, columns, iter(rows), prov_stub())
+        data = path.read_bytes()
+    assert data == _per_value_csv(columns, rows, prov_stub()).encode("utf-8")
+    lines = data.decode("utf-8").split("\n")[-len(rows) - 1 : -1]
+    for row, line in zip(rows, lines):
+        fields = line.split(",")
+        assert len(fields) == len(row)
+        for value, text in zip(row, fields):
+            if type(value) in (float, np.float64, np.float32):
+                # a NaN comes back as NaN; every other float exactly, -0.0 too
+                back = float(text)
+                if math.isnan(value):
+                    assert math.isnan(back)
+                else:
+                    assert back == value and math.copysign(1.0, back) == math.copysign(1.0, value)
+
+
+def test_write_csv_failing_rows_leave_no_file(tmp_path):
+    def rows():
+        for i in range(20000):
+            yield (i, i / 7)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError, match="row source failed"):
+        write_csv(tmp_path / "t.csv", ("i", "x"), rows(), prov_stub())
+    assert os.listdir(tmp_path) == []
 
 
 def test_write_json_provenance_and_17_digit_floats(tmp_path):
@@ -448,6 +548,52 @@ def test_field_outputs_byte_identical_across_out_dirs(tmp_path):
         assert main(["field", "--config", str(cfg), "--out", str(out)]) == 0
         blobs.append((out / "field.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def _per_value_field_rows(system, pts):
+    # the row builder the field and streamlines commands replaced
+    cur = current_closed_form(system, pts)
+    val = psi1(system, pts)
+    return [(p[0], p[1], p[2], j[0], j[1], j[2], abs(v), float(np.angle(v))) for p, j, v in zip(pts, cur, val)]
+
+
+def test_field_and_streamlines_csv_match_the_per_value_rows(tmp_path, monkeypatch):
+    # pins the array forms of |psi1| and its phase: np.abs on the complex
+    # array differs from scalar abs() in the last bit at some of these points
+    text = FIELD_SMALL.replace("nx = 5\nny = 4", "nx = 21\nny = 17") + STREAM_SMALL[len(MODEL) :]
+    config = parse_config(text)
+    system = config.charge_system()
+    opts = config.options("field")
+    gx, gy = np.meshgrid(
+        np.linspace(opts["x_min"], opts["x_max"], opts["nx"]),
+        np.linspace(opts["y_min"], opts["y_max"], opts["ny"]),
+        indexing="ij",
+    )
+    pts = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, opts["z"])])
+    code, out = run_cli(tmp_path, text, "field")
+    assert code == 0
+    prov = cli._provenance(config.with_command("field"), ("model", "field"), {})
+    columns = ("x", "y", "z", "jx", "jy", "jz", "|psi1|", "phase")
+    expected = _per_value_csv(columns, _per_value_field_rows(system, pts), prov)
+    assert (out / "field.csv").read_text() == expected
+
+    lines = []
+
+    def recorded(*args, **kwargs):
+        lines.extend(groundstate.streamlines(*args, **kwargs))
+        return lines
+
+    monkeypatch.setattr(cli, "streamlines", recorded)
+    code, out = run_cli(tmp_path, text, "streamlines")
+    assert code == 0
+    rows = [
+        (i, s, *row)
+        for i, line in enumerate(lines)
+        for s, row in zip(line.arc_lengths, _per_value_field_rows(system, line.points))
+    ]
+    prov = cli._provenance(config.with_command("streamlines"), ("model", "streamlines"), {"seed_directions": 0})
+    expected = _per_value_csv(("line", "s") + columns, rows, prov)
+    assert (out / "streamlines.csv").read_text() == expected
 
 
 def test_seed_flag_overrides_config(tmp_path):

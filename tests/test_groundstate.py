@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from chargeflow import groundstate
@@ -271,6 +273,26 @@ def test_velocity_is_current_over_density_and_phase_invariant():
     np.testing.assert_allclose(v, current_closed_form(sys_, y) / dens, rtol=1e-14)
     rotated = sys_.with_charges(np.exp(0.7j) * sys_.charges)
     np.testing.assert_allclose(velocity(rotated, y), v, rtol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), phi=st.floats(-np.pi, np.pi))
+def test_velocity_gauge_invariant_and_reversed_by_conjugation(seed, n, phi):
+    # the paper's T: g -> e^{i phi} g leaves the velocity field alone and
+    # g -> conj(g) reverses it
+    rng = np.random.default_rng(seed)
+    while True:
+        pos = rng.uniform(-2.0, 2.0, size=(n, 3))
+        if np.min(np.linalg.norm(pos[:, None] - pos[None, :], axis=-1)[~np.eye(n, dtype=bool)]) > 0.3:
+            break
+    g = rng.uniform(0.5, 2.0, size=n) * np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=n))
+    sys_ = ChargeSystem(pos, g, m=rng.uniform(0.5, 2.0), E0=rng.uniform(0.05, 1.0), hbar=rng.uniform(0.5, 2.0))
+    y = np.array([random_point(rng, sys_) for _ in range(8)])
+    v = velocity(sys_, y)
+    scale = np.linalg.norm(v, axis=-1)
+    for other, want in ((sys_.with_charges(np.exp(1j * phi) * g), v), (sys_.with_charges(np.conj(g)), -v)):
+        err = np.linalg.norm(velocity(other, y) - want, axis=-1)
+        assert np.all(err <= 1e-12 * scale)
 
 
 def test_velocity_raises_at_underflowing_density():
