@@ -25,7 +25,8 @@ emission and absorption in the full model.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 __all__ = [
     "RobinBC",
@@ -200,24 +201,6 @@ def periodic_ground_current(theta, m=1.0, hbar=1.0):
     return hbar * theta / m
 
 
-def _ring_hamiltonian(theta, m, hbar, n_grid):
-    """Finite-difference Hamiltonian on the unit circle with phase-shifted wrap.
-
-    The wraparound bonds carry e^{+/- i theta} so that grid eigenvectors are
-    the sampled plane waves e^{ikx}, k = theta + 2*pi*n.
-    """
-    h = 1.0 / n_grid
-    c = hbar**2 / (2.0 * m * h**2)
-    H = np.zeros((n_grid, n_grid), dtype=complex)
-    idx = np.arange(n_grid)
-    H[idx, idx] = 2.0 * c
-    H[idx[:-1], idx[:-1] + 1] = -c
-    H[idx[:-1] + 1, idx[:-1]] = -c
-    H[n_grid - 1, 0] = -c * np.exp(1j * theta)
-    H[0, n_grid - 1] = -c * np.exp(-1j * theta)
-    return H, h
-
-
 @dataclass(frozen=True)
 class DiscreteGroundReport:
     """Finite-difference circle ground state versus the analytic one."""
@@ -231,19 +214,28 @@ class DiscreteGroundReport:
 
 
 def discrete_periodic_ground(theta, m=1.0, hbar=1.0, n_grid=512):
-    """Diagonalize the phase-shifted ring and compare with e^{i theta x}.
+    """Ground state of the phase-shifted finite-difference ring versus e^{i theta x}.
 
-    The lowest eigenvalue approaches hbar^2 theta^2 / (2m) at second order in
-    the grid spacing.  The ground-state current is evaluated with the
-    phase-aware central difference across the wrap and is spatially constant;
-    it is reported as None when the ground level is degenerate (theta in
-    {0, pi} has +/-k pairs at the same energy, where the current within the
-    eigenspace is not determined).
+    The ring is the second difference on n_grid >= 3 nodes x_j = j*h,
+    h = 1/n_grid, whose wraparound bonds carry e^{+/- i theta}.  The twisted
+    translation commutes with it, so its eigenvectors are the sampled plane
+    waves e^{ikx}, k = theta + 2*pi*n for n_grid consecutive n, with
+    eigenvalues (2 hbar^2 / (m h^2)) sin^2(k h / 2).  The lowest one, at
+    k = theta, approaches hbar^2 theta^2 / (2m) at second order in h.  The
+    current of the normalized ground wave, taken with the phase-aware central
+    difference across the wrap, is the constant hbar sin(theta h) / (m h); it
+    is reported as None when the ground level is degenerate (theta = pi,
+    where k = +/-pi tie and the current within the eigenspace is not
+    determined).
     """
     if not (-np.pi < theta <= np.pi):
         raise ValueError("theta must lie in (-pi, pi]")
-    H, h = _ring_hamiltonian(theta, m, hbar, n_grid)
-    evals, evecs = np.linalg.eigh(H)
+    if n_grid < 3:
+        raise ValueError("the ring needs at least 3 grid points")
+    h = 1.0 / n_grid
+    k = theta + 2.0 * np.pi * (np.arange(n_grid) - n_grid // 2)
+    # the sin^2 form keeps the digits that 1 - cos(k h) loses to cancellation
+    evals = np.sort(2.0 * hbar**2 / (m * h**2) * np.sin(k * h / 2.0) ** 2)
     e0 = float(evals[0])
     econt = hbar**2 * theta**2 / (2.0 * m)
     scale = hbar**2 / (2.0 * m)
@@ -253,15 +245,7 @@ def discrete_periodic_ground(theta, m=1.0, hbar=1.0, n_grid=512):
     current = None
     current_rel = None
     if gap > 1e-8 * scale:
-        psi = evecs[:, 0]
-        psi = psi / np.sqrt(np.sum(np.abs(psi) ** 2) * h)
-        nxt = np.roll(psi, -1).astype(complex)
-        prv = np.roll(psi, 1).astype(complex)
-        nxt[-1] *= np.exp(1j * theta)
-        prv[0] *= np.exp(-1j * theta)
-        deriv = (nxt - prv) / (2.0 * h)
-        j = hbar / m * np.imag(np.conj(psi) * deriv)
-        current = float(np.mean(j))
+        current = float(hbar * np.sin(theta * h) / (m * h))
         jcont = periodic_ground_current(theta, m, hbar)
         current_rel = abs(current - jcont) / max(abs(jcont), 1e-300)
     return DiscreteGroundReport(
@@ -297,7 +281,7 @@ def periodic_spectrum(theta, m=1.0, hbar=1.0, n_range=3, verify=True, n_grid=256
     if verify:
         rep = discrete_periodic_ground(theta, m, hbar, n_grid)
         h = 1.0 / n_grid
-        # second-order truncation budget plus an eigensolver rounding floor
+        # second-order truncation budget plus a rounding floor
         budget = (theta * h) ** 2 / 6.0 * abs(rep.continuum_energy)
         floor = 1e-10 * hbar**2 / (m * h**2)
         if abs(rep.eigenvalue - rep.continuum_energy) > budget + floor:
@@ -336,7 +320,9 @@ class EmissionWitness:
 
 
 def _witness_current(w, u, v, m, hbar):
-    return hbar / m * float(np.imag(np.conj(u) * v))
+    # emission_witness rejects a current that under- or overflows
+    with np.errstate(all="ignore"):
+        return hbar / m * float(np.imag(np.conj(u) * v))
 
 
 def emission_witness(w, m=1.0, hbar=1.0):
@@ -346,11 +332,13 @@ def emission_witness(w, m=1.0, hbar=1.0):
     normal current of either sign.  For beta = 0, u is forced and v is free:
     v = +/- i*u gives current +/- (hbar/m)|u|^2.  For beta != 0 write
     psi(q)/beta = s*e^{i chi} and pick u = r*e^{i phi} with phi = chi -/+ pi/2
-    and r = s / (2*(1 + |Im(alpha/beta)|)); then the current
+    and r = s / (2*(1 + |alpha/beta|)); then the current
     (hbar/m)*(r*s*sin(chi - phi) - r^2*Im(alpha/beta)) has the sign selected
-    by phi.  Both pairs are verified against the condition (1e-14 relative)
-    and their current signs before returning; a failure raises
-    ArithmeticError.
+    by phi, and |alpha*u/beta| < s/2 keeps a large real ratio from drowning it
+    in rounding.  Both pairs are verified against the condition (1e-14
+    relative) and their current signs before returning; a failure raises
+    ArithmeticError.  Inputs whose current under- or overflows (zero or not
+    finite) raise ValueError.
     """
     alpha, beta, psi_q = w.alpha, w.beta, w.psi_q
     if beta == 0:
@@ -360,26 +348,27 @@ def emission_witness(w, m=1.0, hbar=1.0):
         ratio = psi_q / beta
         s = abs(ratio)
         chi = np.angle(ratio)
-        im = abs(np.imag(alpha / beta))
-        r = s / (2.0 * (1.0 + im))
+        r = s / (2.0 * (1.0 + abs(alpha / beta)))
         pairs = {}
         for label, sign in (("positive", 1.0), ("negative", -1.0)):
             u = r * np.exp(1j * (chi - sign * np.pi / 2.0))
             pairs[label] = (u, (psi_q - alpha * u) / beta)
+    currents = {}
     for label, (u, v) in pairs.items():
+        j = _witness_current(w, u, v, m, hbar)
+        if not np.isfinite(j) or j == 0:
+            raise ValueError(f"the witness current is {j}: alpha, beta and psi(q) are out of range")
         residual = abs(alpha * u + beta * v - psi_q)
         if residual > 1e-14 * max(abs(psi_q), abs(alpha * u), abs(beta * v)):
             raise ArithmeticError("witness violates the boundary condition")
-        j = _witness_current(w, u, v, m, hbar)
-        if (j > 0) != (label == "positive") or j == 0:
+        if (j > 0) != (label == "positive"):
             raise ArithmeticError("witness current has the wrong sign")
-    jp = _witness_current(w, *pairs["positive"], m, hbar)
-    jn = _witness_current(w, *pairs["negative"], m, hbar)
+        currents[label] = j
     return EmissionWitness(
         positive=pairs["positive"],
         negative=pairs["negative"],
-        current_positive=jp,
-        current_negative=jn,
+        current_positive=currents["positive"],
+        current_negative=currents["negative"],
     )
 
 
@@ -423,6 +412,8 @@ def _build_robin_tridiag(bc, n_grid, m, hbar, length):
     if rows[1] is None:
         active[-1] = False
     na = int(active.sum())
+    if na < 3:
+        raise ValueError("the grid needs at least 3 nodes besides its Dirichlet ends")
     diag = np.full(na, 2.0 * c, dtype=complex)
     up = np.full(na - 1, -c, dtype=complex)
     lo = np.full(na - 1, -c, dtype=complex)
@@ -449,6 +440,8 @@ def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0, length
         raise ValueError("t_final must be positive")
     if dt is None:
         dt = t_final / 2000.0
+    if not dt > 0:
+        raise ValueError("dt must be positive")
     grid = np.linspace(0.0, length, n_grid)
     psi = psi0(grid).astype(complex) if callable(psi0) else np.asarray(psi0, dtype=complex).copy()
     if psi.shape != grid.shape:
@@ -456,13 +449,14 @@ def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0, length
     diag, up, lo, active, h = _build_robin_tridiag(bc, n_grid, m, hbar, length)
     psi[~active] = 0.0
     z = 1j * dt / (2.0 * hbar)
-    # Crank-Nicolson: (I + zH) psi_next = (I - zH) psi, both tridiagonal
-    na = diag.size
-    band_up = np.zeros(na, dtype=complex)
-    band_lo = np.zeros(na, dtype=complex)
-    band_up[1:] = z * up
-    band_lo[:-1] = z * lo
-    ab_plus = np.vstack([band_up, 1.0 + z * diag, band_lo])
+    # Crank-Nicolson: (I + zH) psi_next = (I - zH) psi, both tridiagonal; the
+    # left side is LU-factored once (LAPACK gttrf) and solved per step (gttrs)
+    bands = (z * lo, 1.0 + z * diag, z * up)
+    if not (np.isfinite(psi).all() and all(np.isfinite(b).all() for b in bands)):
+        raise ValueError("the packet and the Robin ratios must give finite values")
+    *lu, info = zgttrf(*bands)
+    if info > 0:
+        raise LinAlgError("singular matrix")
     n_steps = int(np.ceil(t_final / dt))
     times = np.empty(n_steps + 1)
     norms = np.empty(n_steps + 1)
@@ -485,7 +479,7 @@ def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0, length
         rhs = act - z * (diag * act)
         rhs[:-1] -= z * up * act[1:]
         rhs[1:] -= z * lo * act[:-1]
-        act = solve_banded((1, 1), ab_plus, rhs)
+        act = zgttrs(*lu, rhs)[0]
         full = np.zeros(n_grid, dtype=complex)
         full[active] = act
         record(k + 1, (k + 1) * dt, full)
@@ -535,7 +529,11 @@ def robin_leak_check(bc, end=1, t_final=0.3, n_grid=512, dt=None, m=1.0, hbar=1.
     ev = evolve_robin(bc, packet, t_final, n_grid=n_grid, dt=dt, m=m, hbar=hbar)
     dens = ev.end1_density if end == 1 else ev.end0_density
     coef = (verdicts.end1 if end == 1 else verdicts.end0).leak_coefficient
-    settle = ev.times.size // 10
+    # the window skips a settling tenth at each end, and always the two end
+    # samples, so the sample k has neighbours on both sides
+    settle = max(ev.times.size // 10, 1)
+    if ev.times.size - 2 * settle < 1:
+        raise ValueError("the leak check needs at least two time steps")
     k = settle + int(np.argmax(dens[settle : ev.times.size - settle]))
     dtv = ev.times[1] - ev.times[0]
     measured = -(ev.norms[k + 1] - ev.norms[k - 1]) / (2.0 * dtv)

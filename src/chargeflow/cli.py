@@ -434,17 +434,29 @@ def _witness_pair(pair):
 def _cmd_boundary(config, out):
     opts = config.options("boundary")
     m, hbar = opts["m"], opts["hbar"]
-    # rejected witness and Robin rows are config errors: raise them before
-    # the first artifact is written
+    # rejected witness and Robin rows are config errors, and everything is
+    # computed before the first artifact is written, so a failing command
+    # leaves no partial output behind
     witnesses = []
     for wr, line in zip(opts["witness"], config.key_lines.get(("boundary", "witness"), ())):
         try:
             witness_in = WitnessInput(
                 alpha=complex(wr[0], wr[1]), beta=complex(wr[2], wr[3]), psi_q=complex(wr[4], wr[5])
             )
+            witness = emission_witness(witness_in, m, hbar)
         except ValueError as exc:
             raise ConfigError(str(exc), line) from exc
-        witnesses.append(witness_in)
+        witnesses.append(
+            {
+                "alpha": witness_in.alpha,
+                "beta": witness_in.beta,
+                "psi_q": witness_in.psi_q,
+                "positive": _witness_pair(witness.positive),
+                "negative": _witness_pair(witness.negative),
+                "current_positive": witness.current_positive,
+                "current_negative": witness.current_negative,
+            }
+        )
     bc = None
     if opts["robin"]:
         r = opts["robin"]
@@ -481,27 +493,10 @@ def _cmd_boundary(config, out):
                 },
             }
         )
-    write_csv(os.path.join(out, "spectra.csv"), ("theta", "k", "E"), rows, prov)
-    write_json(os.path.join(out, "currents.json"), {"levels": currents}, prov)
-    if witnesses:
-        entries = []
-        for witness_in in witnesses:
-            witness = emission_witness(witness_in, m, hbar)
-            entries.append(
-                {
-                    "alpha": witness_in.alpha,
-                    "beta": witness_in.beta,
-                    "psi_q": witness_in.psi_q,
-                    "positive": _witness_pair(witness.positive),
-                    "negative": _witness_pair(witness.negative),
-                    "current_positive": witness.current_positive,
-                    "current_negative": witness.current_negative,
-                }
-            )
-        write_json(os.path.join(out, "witnesses.json"), {"witnesses": entries}, prov)
+    robin = leak = None
     if bc is not None:
         verdicts = is_probability_conserving(bc)
-        payload = {
+        robin = {
             "ends": [
                 {
                     "end": end,
@@ -519,7 +514,7 @@ def _cmd_boundary(config, out):
             leak = robin_leak_check(
                 bc, end=opts["leak_end"], n_grid=opts["grid"], m=m, hbar=hbar, tol=opts["leak_tol"]
             )
-            payload["leak"] = {
+            robin["leak"] = {
                 "end": leak.end,
                 "measured": leak.measured,
                 "predicted": leak.predicted,
@@ -527,13 +522,16 @@ def _cmd_boundary(config, out):
                 "passed": leak.passed,
                 "sample_time": leak.sample_time,
             }
-            write_csv(
-                os.path.join(out, "norm_decay.csv"),
-                ("t", "norm"),
-                zip(leak.times, leak.norms),
-                prov,
-            )
-        write_json(os.path.join(out, "robin.json"), payload, prov)
+    write_csv(os.path.join(out, "spectra.csv"), ("theta", "k", "E"), rows, prov)
+    write_json(os.path.join(out, "currents.json"), {"levels": currents}, prov)
+    if witnesses:
+        write_json(os.path.join(out, "witnesses.json"), {"witnesses": witnesses}, prov)
+    if leak is not None:
+        write_csv(
+            os.path.join(out, "norm_decay.csv"), ("t", "norm"), zip(leak.times, leak.norms), prov
+        )
+    if robin is not None:
+        write_json(os.path.join(out, "robin.json"), robin, prov)
     return 0
 
 

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from chargeflow.boundary import (
     PhasePeriodicBC,
@@ -16,6 +19,7 @@ from chargeflow.boundary import (
     robin_leak_check,
     symmetry_verdict_periodic,
 )
+from chargeflow.boundary import _build_robin_tridiag
 
 
 def gaussian_packet(center=0.5, width=0.1, momentum=0.0):
@@ -137,6 +141,9 @@ def test_discrete_ring_matches_analytic_ground():
     for theta in (0.3, 1.0, 2.0):
         rep = discrete_periodic_ground(theta, n_grid=512)
         assert rep.energy_rel_error < 1e-4
+        # the second-order error of the ring is (theta h)^2 / 12 to 1e-5
+        # relative; a dense eigensolver's rounding floor misses this by 7e-3
+        assert abs(rep.energy_rel_error / ((theta / 512) ** 2 / 12.0) - 1.0) < 1e-5
         assert rep.current_rel_error < 1e-4
         np.testing.assert_allclose(rep.continuum_current, theta)
     rep = discrete_periodic_ground(0.0, n_grid=64)
@@ -154,6 +161,59 @@ def test_conjugation_maps_theta_to_minus_theta():
 def test_degenerate_half_turn_has_no_current_verdict():
     rep = discrete_periodic_ground(np.pi, n_grid=64)
     assert rep.current is None
+
+
+def _ring_hamiltonian(theta, m, hbar, n_grid):
+    """Dense finite-difference Hamiltonian on the unit circle with phase-shifted wrap."""
+    h = 1.0 / n_grid
+    c = hbar**2 / (2.0 * m * h**2)
+    H = np.zeros((n_grid, n_grid), dtype=complex)
+    idx = np.arange(n_grid)
+    H[idx, idx] = 2.0 * c
+    H[idx[:-1], idx[:-1] + 1] = -c
+    H[idx[:-1] + 1, idx[:-1]] = -c
+    H[n_grid - 1, 0] = -c * np.exp(1j * theta)
+    H[0, n_grid - 1] = -c * np.exp(-1j * theta)
+    return H, h
+
+
+def _dense_ground_current(theta, evec, h, m, hbar):
+    # phase-aware central difference of the normalized ground vector
+    psi = evec / np.sqrt(np.sum(np.abs(evec) ** 2) * h)
+    nxt = np.roll(psi, -1)
+    prv = np.roll(psi, 1)
+    nxt[-1] *= np.exp(1j * theta)
+    prv[0] *= np.exp(-1j * theta)
+    return float(np.mean(hbar / m * np.imag(np.conj(psi) * (nxt - prv) / (2.0 * h))))
+
+
+@pytest.mark.parametrize("n_grid", [64, 512])
+@pytest.mark.parametrize("theta", [0.0, 0.3, -0.3, 1.0, 2.0, np.pi])
+def test_closed_form_ring_matches_dense_eigh_oracle(theta, n_grid):
+    m, hbar = 1.3, 0.8
+    H, h = _ring_hamiltonian(theta, m, hbar, n_grid)
+    evals, evecs = np.linalg.eigh(H)
+    k = theta + 2.0 * np.pi * (np.arange(n_grid) - n_grid // 2)
+    closed = np.sort(2.0 * hbar**2 / (m * h**2) * np.sin(k * h / 2.0) ** 2)
+    # eigh's rounding floor is ~1e-11 relative to ||H|| ~ 4 hbar^2 / (2m h^2)
+    np.testing.assert_allclose(evals, closed, rtol=0, atol=1e-9)
+    rep = discrete_periodic_ground(theta, m, hbar, n_grid)
+    assert abs(rep.eigenvalue - evals[0]) < 1e-9
+    if theta == np.pi:
+        assert rep.current is None
+        return
+    wave = np.exp(1j * theta * h * np.arange(n_grid)) / np.sqrt(n_grid)
+    assert abs(np.vdot(wave, evecs[:, 0])) ** 2 > 1.0 - 1e-12
+    np.testing.assert_allclose(
+        rep.current, _dense_ground_current(theta, evecs[:, 0], h, m, hbar), rtol=1e-12, atol=1e-15
+    )
+
+
+@pytest.mark.parametrize("n_grid", [1, 2])
+def test_ring_rejects_grids_without_two_distinct_neighbours(n_grid):
+    # at n_grid = 2 the dense matrix's wrap entries overwrote its one bond
+    with pytest.raises(ValueError, match="at least 3"):
+        discrete_periodic_ground(0.5, n_grid=n_grid)
 
 
 def test_periodic_symmetry_verdict():
@@ -212,6 +272,42 @@ def test_emission_witness_random_inputs():
             assert sign * witness_current(u, v) > 0
 
 
+# magnitudes in [1e-30, 1e30] times a unit phase, exactly real or imaginary
+# in some draws
+_COMPLEX_IN_RANGE = st.builds(
+    lambda r, phase: r * phase,
+    st.floats(1e-30, 1e30),
+    st.one_of(
+        st.sampled_from([1.0, -1.0, 1j, -1j]),
+        st.floats(-np.pi, np.pi).map(lambda phi: complex(np.cos(phi), np.sin(phi))),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    alpha=_COMPLEX_IN_RANGE,
+    beta=st.one_of(st.just(0.0), _COMPLEX_IN_RANGE),
+    psi_q=_COMPLEX_IN_RANGE,
+)
+def test_emission_witness_is_total(alpha, beta, psi_q):
+    w = emission_witness(WitnessInput(alpha=alpha, beta=beta, psi_q=psi_q))
+    for (u, v), sign, j in (
+        (w.positive, 1.0, w.current_positive),
+        (w.negative, -1.0, w.current_negative),
+    ):
+        residual = abs(alpha * u + beta * v - psi_q)
+        assert residual <= 1e-14 * max(abs(psi_q), abs(alpha * u), abs(beta * v))
+        assert np.isfinite(j) and sign * j > 0
+        assert j == witness_current(u, v)
+
+
+@pytest.mark.parametrize("psi_q", [1e-200, 1e200])
+def test_emission_witness_rejects_currents_out_of_range(psi_q):
+    with pytest.raises(ValueError, match="out of range"):
+        emission_witness(WitnessInput(alpha=1.0, beta=1.0, psi_q=psi_q))
+
+
 def test_emission_witness_rejects_vanishing_interior_value():
     with pytest.raises(ValueError):
         WitnessInput(alpha=1.0, beta=0.5, psi_q=0.0)
@@ -221,6 +317,77 @@ def test_conserving_evolution_preserves_norm():
     for bc in (RobinBC(1.0, 0.0, 1.0, 0.0), RobinBC(2.5, 1.0, -1.0, 1.0)):
         ev = evolve_robin(bc, gaussian_packet(momentum=25.0), 1.0, n_grid=512)
         assert abs(ev.norms[-1] / ev.norms[0] - 1.0) < 1e-6
+
+
+def _solve_banded_robin(bc, psi0, t_final, n_grid=512, m=1.0, hbar=1.0, length=1.0):
+    """The Crank-Nicolson loop that refactors its matrix each step (LAPACK gtsv)."""
+    dt = t_final / 2000.0
+    grid = np.linspace(0.0, length, n_grid)
+    diag, up, lo, active, h = _build_robin_tridiag(bc, n_grid, m, hbar, length)
+    full = psi0(grid).astype(complex)
+    full[~active] = 0.0
+    z = 1j * dt / (2.0 * hbar)
+    band_up = np.zeros(diag.size, dtype=complex)
+    band_lo = np.zeros(diag.size, dtype=complex)
+    band_up[1:] = z * up
+    band_lo[:-1] = z * lo
+    ab_plus = np.vstack([band_up, 1.0 + z * diag, band_lo])
+    wts = np.full(n_grid, h)
+    wts[0] = wts[-1] = h / 2.0
+    samples = [(np.sum(wts * np.abs(full) ** 2), abs(full[0]) ** 2, abs(full[-1]) ** 2)]
+    act = full[active].copy()
+    for _ in range(int(np.ceil(t_final / dt))):
+        rhs = act - z * (diag * act)
+        rhs[:-1] -= z * up * act[1:]
+        rhs[1:] -= z * lo * act[:-1]
+        act = solve_banded((1, 1), ab_plus, rhs)
+        full = np.zeros(n_grid, dtype=complex)
+        full[active] = act
+        samples.append((np.sum(wts * np.abs(full) ** 2), abs(full[0]) ** 2, abs(full[-1]) ** 2))
+    norms, d0, d1 = np.array(samples).T
+    return norms, d0, d1, full
+
+
+@pytest.mark.parametrize(
+    "bc", [RobinBC(2.5, 1.0, -1.0, 1.0), RobinBC(1j, 1.0, 1.0, 0.0)], ids=["conserving", "leaking"]
+)
+def test_factored_robin_stepper_matches_solve_banded_bit_for_bit(bc):
+    packet = gaussian_packet(width=0.12, momentum=25.0)
+    ev = evolve_robin(bc, packet, 0.5)
+    norms, d0, d1, psi_final = _solve_banded_robin(bc, packet, 0.5)
+    assert np.array_equal(ev.norms, norms)
+    assert np.array_equal(ev.end0_density, d0)
+    assert np.array_equal(ev.end1_density, d1)
+    assert np.array_equal(ev.psi_final, psi_final)
+
+
+@pytest.mark.parametrize("n_grid", [2, 4])
+def test_robin_rejects_grids_with_fewer_than_three_free_nodes(n_grid):
+    # two Dirichlet ends leave n_grid - 2 free nodes
+    with pytest.raises(ValueError, match="at least 3 nodes"):
+        evolve_robin(RobinBC(1.0, 0.0, 1.0, 0.0), gaussian_packet(), 0.1, n_grid=n_grid)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, np.nan])
+def test_robin_rejects_steps_that_are_not_positive(dt):
+    with pytest.raises(ValueError, match="dt must be positive"):
+        evolve_robin(RobinBC(1.0, 0.0, 1j, 1.0), gaussian_packet(), 0.1, n_grid=16, dt=dt)
+
+
+def test_robin_rejects_non_finite_packets_and_ratios():
+    with pytest.raises(ValueError, match="finite"):
+        evolve_robin(RobinBC(1.0, 0.0, 1.0, 0.0), np.full(16, np.nan), 0.1, n_grid=16)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        evolve_robin(RobinBC(1.0, 0.0, 1e300, 1e-300), gaussian_packet(), 0.1, n_grid=16)
+
+
+def test_leak_check_samples_inside_a_short_evolution():
+    # six steps: the sampled density maximum keeps a neighbour on each side
+    rep = robin_leak_check(RobinBC(1.0, 0.0, 1j, 1.0), dt=0.05)
+    assert 0.0 < rep.sample_time < 0.3
+    assert rep.times.size == 7
+    with pytest.raises(ValueError, match="at least two time steps"):
+        robin_leak_check(RobinBC(1.0, 0.0, 1j, 1.0), dt=0.3)
 
 
 def test_leak_rate_matches_formula_at_right_end():

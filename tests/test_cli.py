@@ -287,6 +287,17 @@ def test_lattice_source_sites_must_be_integers():
             "line 4: psi(q) must be nonzero",
         ),
         ("[boundary]\ntheta = 0.3\nrobin = 0 0 0 0 1 0 0 0\n", "boundary", "line 3: boundary condition at end 0"),
+        # currents that under- and overflow: the whole command writes nothing
+        (
+            "[boundary]\ntheta = 0.3\nwitness = 1 0 0 0 1 0\nwitness = 0 0 1 0 1e-200 0\n",
+            "boundary",
+            "line 4: the witness current is 0.0",
+        ),
+        (
+            "[boundary]\ntheta = 0.3\nwitness = 1 0 1 0 1e200 0\nrobin = 1 0 0 0 0 1 1 0\n",
+            "boundary",
+            "line 3: the witness current is inf",
+        ),
     ],
 )
 def test_late_config_errors_name_the_key_line(tmp_path, capsys, text, command, message):

@@ -553,6 +553,22 @@ def test_streamlines_stop_at_the_arc_budget():
         _assert_polyline_follows_arc_length(line)
 
 
+def test_long_streamline_reaches_the_absorber_beyond_forty_units():
+    # launched just off the axis along +x, away from the absorber, the line
+    # swings out to |r| ~ 12 and needs 42.2 units of arc to reach source 1;
+    # exactly on the axis the current points along it by symmetry
+    sys_ = figure_system()
+    direction = np.array([0.99962402, 0.02595928, 0.00882849])
+    seed = sys_.positions[1] + 0.05 * direction / np.linalg.norm(direction)
+    (line,) = streamlines(sys_, seed, max_arc=80.0)
+    assert (line.termination, line.source) == ("source_hit", 1)
+    assert abs(line.arc_lengths[-1] - 42.19) < 0.01
+    assert np.linalg.norm(line.points, axis=1).max() > 11.0
+    (cut,) = streamlines(sys_, seed, max_arc=40.0)
+    assert (cut.termination, cut.source) == ("arc_budget", None)
+    assert cut.arc_lengths[-1] == 40.0
+
+
 def test_streamlines_stop_on_leaving_the_domain():
     sys_ = figure_system()
     # launched away from the absorber, the line bulges beyond |y| = 1.3
