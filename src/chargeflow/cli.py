@@ -365,13 +365,9 @@ def _cmd_lattice(config, out, check=None):
         return 0 if payload["passed"] else 3
     streams = {"bell_chains": 0} if opts["chains"] > 0 else {}
     prov = _provenance(config, ("lattice",), streams)
+    # everything is computed before the first artifact is written, so a
+    # degenerate ground level leaves no partial output behind
     evals, evecs = model.eig()
-    write_csv(
-        os.path.join(out, "spectrum.csv"),
-        ("index", "eigenvalue"),
-        ((i, float(e)) for i, e in enumerate(evals)),
-        prov,
-    )
     current = ground_state_current(model)
     psi0 = evecs[:, 0]
     psi_t = evolve(model, psi0, opts["t"])
@@ -397,6 +393,12 @@ def _cmd_lattice(config, out, check=None):
             "occupation_p": _pooled_chisquare(observed, expected),
             "node_warnings": result.node_warnings,
         }
+    write_csv(
+        os.path.join(out, "spectrum.csv"),
+        ("index", "eigenvalue"),
+        ((i, float(e)) for i, e in enumerate(evals)),
+        prov,
+    )
     write_json(os.path.join(out, "lattice.json"), payload, prov)
     return 0
 

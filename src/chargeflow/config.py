@@ -390,7 +390,12 @@ def _validate(config):
         for label, value in [("t_max", sim["t_max"])] + [
             ("sample_times", ts) for ts in sim["sample_times"]
         ]:
-            k = round(value / sim["dt"])
+            steps = value / sim["dt"]
+            if not np.isfinite(steps):
+                raise ConfigError(
+                    f"key 'dt' is too small: {label}/dt overflows", line("simulate", "dt")
+                )
+            k = round(steps)
             if abs(k * sim["dt"] - value) > 1e-9 * max(abs(value), 1.0):
                 raise ConfigError(
                     f"key '{label}' must lie on the dt grid for ensemble runs",

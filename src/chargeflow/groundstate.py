@@ -31,6 +31,7 @@ Source labels in all public signatures are 1-based.
 
 import warnings
 from dataclasses import dataclass
+from itertools import combinations, pairwise
 from math import lgamma
 
 import numpy as np
@@ -630,102 +631,100 @@ def sample_boson_positions(gs, n, rng):
     return out
 
 
-def _radial_density_terms(system, center):
-    """Terms of dG/ds for the radial distance CDF about a source.
+def _offcenter_shell_density(system, center):
+    """dG/ds of the pairs of two distinct non-center sources, or None.
 
-    G(r) = integral over the ball of radius r around the center of |psi1|^2.
-    Expanding |psi1|^2 into pair terms and integrating each over the sphere
-    of radius s around the center c = x_c gives, with R the distance from c
-    to the relevant source and u = exp(-alpha d)/d:
-
-      center-center: |g_c|^2 * 4*pi * exp(-2 alpha s)
-      other-other (same source at distance R):
-          |g_k|^2 * (2*pi*s/R) * (E1(2 alpha |s-R|) - E1(2 alpha (s+R)))
-      center-other: 2 Re(conj(g_c) g_k) * (2*pi/(R*alpha)) * exp(-alpha s)
-          * (exp(-alpha |s-R|) - exp(-alpha (s+R)))
-      other-other (two distinct non-center sources): numeric sphere quadrature.
-    """
+    G(r) is the integral of |psi1|^2 over the ball of radius r about the
+    center.  These pairs, present from three sources on, have no closed form
+    and take a product quadrature over the sphere of radius s."""
+    others = [k for k in range(system.n_sources) if k != center - 1]
+    if len(others) < 2:
+        return None
     a = _alpha(system)
     g = system.charges
+    xc = system.positions[center - 1]
+    omega, w = _sphere_nodes(24, 48)
+
+    def density(s):
+        pts = xc + np.atleast_1d(s)[:, None, None] * omega  # (ns, nq, 3)
+        d = np.linalg.norm(pts[..., None, :] - system.positions[others], axis=-1)
+        u = np.exp(-a * d) / d
+        total = sum(
+            2.0 * np.real(np.conj(g[ki]) * g[kj]) * np.sum(u[..., i] * u[..., j] * w, axis=-1)
+            for (i, ki), (j, kj) in combinations(enumerate(others), 2)
+        )
+        return float(total[0]) * s**2 if np.isscalar(s) else total * s**2
+
+    return density
+
+
+def _e1_antiderivatives(t, b):
+    """int E1(b t) dt = t E1(b t) - exp(-b t)/b and int t E1(b t) dt =
+    t^2 E1(b t)/2 - (b t + 1) exp(-b t)/(2 b^2) (Abramowitz & Stegun 5.1),
+    with t E1(b t) and t^2 E1(b t) set to exactly 0 at t = 0."""
+    with np.errstate(invalid="ignore"):
+        t_e1 = np.where(t > 0.0, t * exp1(b * t), 0.0)
+    decay = np.exp(-b * t) / b
+    return t_e1 - decay, 0.5 * t * t_e1 - decay * (b * t + 1.0) / (2.0 * b)
+
+
+def _radial_closed_cdf(system, center, r):
+    """G(r) without the off-center pairs, unnormalized.  With R = |x_k - x_c|
+    and b = 2 alpha, the shell densities integrate in closed form:
+      center-center: |g_c|^2 * 4*pi * exp(-b s) integrates to
+          |g_c|^2 (2*pi/alpha) (1 - exp(-b r));
+      center-other: 2 Re(conj(g_c) g_k) * (2*pi/(R*alpha)) * exp(-alpha s)
+          * (exp(-alpha |s-R|) - exp(-alpha (s+R))) is exp(-alpha R)
+          (1 - exp(-b s)) inside R and 2 sinh(alpha R) exp(-b s) beyond;
+      other-other (same source): |g_k|^2 * (2*pi*s/R)
+          * (E1(b |s-R|) - E1(b (s+R))) integrates, in t = |s - R| and
+          t = s + R, through the antiderivatives of E1(b t) and t E1(b t).
+    """
+    a = _alpha(system)
+    b = 2.0 * a
+    g = system.charges
     c = center - 1
-    xc = system.positions[c]
-    terms = []
-    terms.append(lambda s: np.abs(g[c]) ** 2 * 4.0 * np.pi * np.exp(-2.0 * a * s))
-    others = [k for k in range(system.n_sources) if k != c]
-    for k in others:
-        R = float(np.linalg.norm(system.positions[k] - xc))
-        gk2 = abs(g[k]) ** 2
-        coef = 2.0 * np.real(np.conj(g[c]) * g[k])
-
-        def other_sq(s, R=R, gk2=gk2):
-            lo = np.abs(s - R)
-            hi = s + R
-            with np.errstate(divide="ignore"):
-                val = exp1(2.0 * a * lo) - exp1(2.0 * a * hi)
-            return gk2 * (2.0 * np.pi * s / R) * val
-
-        def cross(s, R=R, coef=coef):
-            lo = np.abs(s - R)
-            hi = s + R
-            return (
-                coef
-                * (2.0 * np.pi / (R * a))
-                * np.exp(-a * s)
-                * (np.exp(-a * lo) - np.exp(-a * hi))
-            )
-
-        terms.append(other_sq)
-        terms.append(cross)
-    if len(others) > 1:
-        omega, w = _sphere_nodes(24, 48)
-
-        def offcenter_cross(s):
-            pts = xc + np.atleast_1d(s)[:, None, None] * omega  # (ns, nq, 3)
-            total = np.zeros(np.atleast_1d(s).shape)
-            for ii in range(len(others)):
-                for jj in range(ii + 1, len(others)):
-                    ki, kj = others[ii], others[jj]
-                    di = np.linalg.norm(pts - system.positions[ki], axis=-1)
-                    dj = np.linalg.norm(pts - system.positions[kj], axis=-1)
-                    ui = np.exp(-a * di) / di
-                    uj = np.exp(-a * dj) / dj
-                    coef = 2.0 * np.real(np.conj(g[ki]) * g[kj])
-                    total += coef * np.sum(ui * uj * w, axis=-1)
-            return float(total[0]) * s**2 if np.isscalar(s) else total * s**2
-
-        terms.append(offcenter_cross)
-    return terms
+    decayed = np.expm1(-b * r)
+    total = np.abs(g[c]) ** 2 * (-2.0 * np.pi / a) * decayed
+    for k in (k for k in range(system.n_sources) if k != c):
+        R = float(np.linalg.norm(system.positions[k] - system.positions[c]))
+        inside = np.minimum(r, R)
+        beyond = np.maximum(r - R, 0.0)
+        cross = np.exp(-a * R) * (inside + (decayed - np.expm1(-b * beyond)) / b)
+        total += 2.0 * np.real(np.conj(g[c]) * g[k]) * 2.0 * np.pi / (R * a) * cross
+        (i_far, j_far), (i_near, j_near), (i_out, j_out), (i_0, j_0) = (
+            _e1_antiderivatives(t, b) for t in (r + R, R - inside, beyond, 0.0)
+        )
+        same = R * (i_far - i_near + i_out - i_0) - j_far + j_near + j_out - j_0
+        total += abs(g[k]) ** 2 * 2.0 * np.pi / R * same
+    return total
 
 
 def radial_distance_cdf(system, center, r_values):
     """CDF of the distance to the 1-based `center` source under |psi1|^2.
 
-    Semi-analytic: the shell density decomposes into closed-form pieces (plus
-    a numeric sphere quadrature only when two non-center sources exist).  The
-    requested radii are sorted and merged with the source distances, where
-    the shell density has a kink; one adaptive quadrature per gap between
-    consecutive nodes and a cumulative sum give every value in one pass.
-    Values are normalized by the closed-form integral of |psi1|^2, and +inf
-    maps to exactly 1.  Negative or NaN radii raise ValueError.  A scalar
-    radius returns a float, anything else an array of the input's shape.
+    `_radial_closed_cdf` plus, from three sources on, the off-center pairs:
+    one adaptive quadrature per gap between the radii merged with the source
+    distances (where that density has a kink) and a cumulative sum.  Values
+    are normalized by the closed-form integral of |psi1|^2, and +inf maps to
+    exactly 1.  Negative or NaN radii raise ValueError.  A scalar radius
+    returns a float, anything else an array of the input's shape.
     """
     r = np.atleast_1d(np.asarray(r_values, dtype=float))
     if np.any(np.isnan(r) | (r < 0.0)):
         raise ValueError("radii must be nonnegative numbers")
     finite = np.isfinite(r)
-    radii, where = np.unique(r[finite], return_inverse=True)
-    xc = system.positions[center - 1]
-    kinks = np.linalg.norm(np.delete(system.positions, center - 1, axis=0) - xc, axis=1)
-    nodes = np.union1d(np.concatenate([[0.0], radii]), kinks[kinks < radii.max(initial=0.0)])
-    terms = _radial_density_terms(system, center)
-
-    def shell(s):
-        return sum(t(s) for t in terms)
-
-    gaps = [integrate.quad(shell, lo, hi, limit=200)[0] for lo, hi in zip(nodes[:-1], nodes[1:])]
-    cumulative = np.concatenate([[0.0], np.cumsum(gaps)]) / _norm_integral_closed(system)
+    total = _radial_closed_cdf(system, center, r[finite])
+    density = _offcenter_shell_density(system, center)
+    if density is not None:
+        radii, where = np.unique(r[finite], return_inverse=True)
+        xc = system.positions[center - 1]
+        kinks = np.linalg.norm(np.delete(system.positions, center - 1, axis=0) - xc, axis=1)
+        nodes = np.union1d(np.concatenate([[0.0], radii]), kinks[kinks < radii.max(initial=0.0)])
+        gaps = [integrate.quad(density, lo, hi, limit=200)[0] for lo, hi in pairwise(nodes)]
+        total += np.concatenate([[0.0], np.cumsum(gaps)])[np.searchsorted(nodes, radii)][where]
     out = np.ones(r.shape)
-    out[finite] = cumulative[np.searchsorted(nodes, radii)][where]
+    out[finite] = total / _norm_integral_closed(system)
     return out if np.ndim(r_values) else float(out[0])
 
 

@@ -384,6 +384,9 @@ class EnsembleParams:
             raise ValueError("need t_max or sample_times")
         if self.t_max is not None and self.sample_times and self.sample_times[-1] > self.t_max:
             raise ValueError("sample times exceed t_max")
+        _grid_step(self.horizon, self.dt, "t_max")
+        for ts in self.sample_times:
+            _grid_step(ts, self.dt, "sample times")
 
     @property
     def horizon(self):
@@ -418,7 +421,10 @@ class EnsembleResult:
 
 
 def _grid_step(value, dt, what):
-    k = int(round(value / dt))
+    steps = value / dt
+    if not np.isfinite(steps):
+        raise ValueError(f"dt is too small: {what}/dt overflows")
+    k = int(round(steps))
     if abs(k * dt - value) > 1e-9 * max(abs(value), 1.0):
         raise ValueError(f"{what} must lie on the dt grid")
     return k

@@ -1,3 +1,4 @@
+import filecmp
 import hashlib
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from chargeflow import cli, groundstate, process
 from chargeflow.cli import main
-from chargeflow.config import ConfigError, parse_config
+from chargeflow.config import COMMANDS, ConfigError, parse_config
 from chargeflow.groundstate import current_closed_form, ground_energy, psi1
 from chargeflow.io import (
     Provenance,
@@ -661,6 +662,41 @@ def test_simulate_is_byte_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+# one config for all seven commands, each section small
+ALL_COMMANDS_SMALL = MODEL + """E0 = 0.005
+
+[field]
+nx = 5
+ny = 4
+
+[streamlines]
+source = 2
+n_seeds = 4
+max_arc = 20.0
+
+[simulate]
+t_max = 0.2
+sample_times = 0.1 0.2
+dt = 0.01
+runs = 1000
+trajectory = true
+
+""" + LATTICE_SMALL + "\n" + BOUNDARY_CFG
+
+
+def test_every_command_repeats_byte_identically(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ALL_COMMANDS_SMALL)
+    for command in COMMANDS:
+        outs = [tmp_path / command / name for name in ("a", "b")]
+        for out in outs:
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names and names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), (command, name)
+
+
 def test_simulate_ensemble_statistics(tmp_path):
     code, out = run_cli(tmp_path, SIM_ENS, "simulate", "--seed", "2")
     assert code == 0
@@ -833,6 +869,26 @@ def test_non_finite_model_value_exits_1_and_writes_nothing(tmp_path, capsys):
     assert code == 1
     assert "line 5: key 'E0' must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_overflowing_dt_exits_1_for_every_command(tmp_path, capsys, command):
+    text = SIM_ENS.replace("dt = 0.01", "dt = 1e-320")
+    code, out = run_cli(tmp_path, text, command)
+    assert code == 1
+    assert "line 9: key 'dt' is too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_degenerate_lattice_ground_level_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    def degenerate(model):
+        raise ValueError("ground state is degenerate within tolerance (gap 0.000e+00)")
+
+    monkeypatch.setattr(cli, "ground_state_current", degenerate)
+    code, out = run_cli(tmp_path, LATTICE_SMALL, "lattice")
+    assert code == 2
+    assert "degenerate" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):

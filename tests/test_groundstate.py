@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import exp1
 
-from chargeflow import groundstate
 from chargeflow.groundstate import (
     NearNodeError,
     _advance,
     _alpha,
     _norm_integral_closed,
-    _radial_density_terms,
+    _offcenter_shell_density,
     _source_displacements,
     _unit_current,
     current_closed_form,
@@ -31,7 +31,7 @@ from chargeflow.groundstate import (
     verify_ibc,
 )
 from chargeflow.model import ChargeSystem
-from chargeflow.process import _velocity_raw
+from chargeflow.process import EnsembleParams, _velocity_raw, equivariance_test
 
 # Two sources one unit apart, couplings (1, e^{i pi/4}), decay constant 0.1.
 # The reference numbers below were computed independently (adaptive quadrature,
@@ -64,6 +64,11 @@ def three_source_system():
     )
 
 
+# the default tolerance (1.49e-8) of a quad over [0, inf) would limit every
+# normalized oracle value to about 1e-9
+TIGHT = {"epsabs": 0.0, "epsrel": 1e-13}
+
+
 def _norm_integral_quad(system):
     """Reference integral |psi1|^2 d^3y by adaptive 1D quadratures.
 
@@ -78,30 +83,84 @@ def _norm_integral_quad(system):
     dist = system.pair_distances()
     total = 0.0
     for i in range(system.n_sources):
-        radial, _ = integrate.quad(lambda r: np.exp(-2.0 * a * r), 0.0, np.inf)
+        radial, _ = integrate.quad(lambda r: np.exp(-2.0 * a * r), 0.0, np.inf, **TIGHT)
         total += abs(g[i]) ** 2 * 4.0 * np.pi * radial
         for j in range(i + 1, system.n_sources):
             R = dist[i, j]
-            cross, _ = integrate.quad(lambda xi: np.exp(-a * R * xi), 1.0, np.inf)
+            cross, _ = integrate.quad(lambda xi: np.exp(-a * R * xi), 1.0, np.inf, **TIGHT)
             total += 2.0 * np.real(np.conj(g[i]) * g[j]) * 2.0 * np.pi * R * cross
     return total
 
 
+def _radial_density_terms(system, center):
+    """Terms of dG/ds for the radial distance CDF about a source.
+
+    G(r) = integral over the ball of radius r around the center of |psi1|^2.
+    Expanding |psi1|^2 into pair terms and integrating each over the sphere
+    of radius s around the center c = x_c gives, with R the distance from c
+    to the relevant source:
+
+      center-center: |g_c|^2 * 4*pi * exp(-2 alpha s)
+      other-other (same source at distance R):
+          |g_k|^2 * (2*pi*s/R) * (E1(2 alpha |s-R|) - E1(2 alpha (s+R)))
+      center-other: 2 Re(conj(g_c) g_k) * (2*pi/(R*alpha)) * exp(-alpha s)
+          * (exp(-alpha |s-R|) - exp(-alpha (s+R)))
+      other-other (two distinct non-center sources): the production sphere
+          quadrature `_offcenter_shell_density`.
+    """
+    a = _alpha(system)
+    g = system.charges
+    c = center - 1
+    xc = system.positions[c]
+    terms = [lambda s: np.abs(g[c]) ** 2 * 4.0 * np.pi * np.exp(-2.0 * a * s)]
+    for k in range(system.n_sources):
+        if k == c:
+            continue
+        R = float(np.linalg.norm(system.positions[k] - xc))
+        gk2 = abs(g[k]) ** 2
+        coef = 2.0 * np.real(np.conj(g[c]) * g[k])
+
+        def other_sq(s, R=R, gk2=gk2):
+            with np.errstate(divide="ignore"):
+                val = exp1(2.0 * a * np.abs(s - R)) - exp1(2.0 * a * (s + R))
+            return gk2 * (2.0 * np.pi * s / R) * val
+
+        def cross(s, R=R, coef=coef):
+            return (
+                coef
+                * (2.0 * np.pi / (R * a))
+                * np.exp(-a * s)
+                * (np.exp(-a * np.abs(s - R)) - np.exp(-a * (s + R)))
+            )
+
+        terms += [other_sq, cross]
+    offcenter = _offcenter_shell_density(system, center)
+    return terms if offcenter is None else [*terms, offcenter]
+
+
 def _radial_cdf_oracle(system, center, radii):
     """Reference radial CDF: one adaptive quadrature from 0 to each radius,
-    with the source distances below it as break points, normalized by the
-    quadrature norm."""
+    normalized by the quadrature norm.  The break points below the radius are
+    the source distances, where the shell density has a logarithmic kink,
+    and points graded geometrically towards them, so that a radius within
+    1e-9 of a kink does not leave a near-singularity at the end of one
+    quadrature interval."""
     terms = _radial_density_terms(system, center)
     xc = system.positions[center - 1]
-    kinks = sorted(
-        float(np.linalg.norm(x - xc)) for k, x in enumerate(system.positions) if k != center - 1
-    )
+    kinks = np.linalg.norm(np.delete(system.positions, center - 1, axis=0) - xc, axis=1)
+    offsets = 10.0 ** -np.arange(1.0, 13.0)
+    grading = np.concatenate([1.0 - offsets, [1.0], 1.0 + offsets])
+    breaks = np.sort(np.outer(kinks, grading).ravel())
     w_total = _norm_integral_quad(system)
     out = []
     for r in radii:
-        inner = [b for b in kinks if b < r]
+        inner = breaks[(breaks > 0.0) & (breaks < r)]
         val, _ = integrate.quad(
-            lambda s: sum(t(s) for t in terms), 0.0, float(r), points=inner or None, limit=200
+            lambda s: sum(t(s) for t in terms),
+            0.0,
+            float(r),
+            points=inner if inner.size else None,
+            limit=200,
         )
         out.append(val / w_total)
     return np.array(out)
@@ -413,22 +472,37 @@ def test_radial_cdf_of_no_radii_is_empty():
     assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
-def test_radial_cdf_interpolator_integrand_budget(monkeypatch):
-    # every shell-density evaluation calls each term once; count the first
-    evaluations = []
+def test_radial_cdf_matches_oracle_on_random_one_and_two_source_systems():
+    rng = np.random.default_rng(2024)
+    systems = [random_system(rng, n_max=2) for _ in range(12)]
+    assert {s.n_sources for s in systems} == {1, 2}
+    for sys_ in systems:
+        for center in range(1, sys_.n_sources + 1):
+            others = np.delete(sys_.positions, center - 1, axis=0)
+            R = np.linalg.norm(others - sys_.positions[center - 1], axis=1)
+            radii = np.concatenate(
+                [[0.0, 2.5, 60.0], R, R * (1.0 - 1e-9), R * (1.0 + 1e-9), R - 1e-3, R + 1e-3]
+            )
+            got = radial_distance_cdf(sys_, center, radii)
+            want = _radial_cdf_oracle(sys_, center, radii)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def counting_terms(system, center):
-        first, *rest = _radial_density_terms(system, center)
 
-        def counted(s):
-            evaluations.append(1)
-            return first(s)
+def test_radial_cdf_of_two_sources_runs_no_quadrature(monkeypatch):
+    calls = []
+    quad = integrate.quad
 
-        return [counted, *rest]
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return quad(*args, **kwargs)
 
-    monkeypatch.setattr(groundstate, "_radial_density_terms", counting_terms)
+    monkeypatch.setattr(integrate, "quad", counted)
     radial_cdf_interpolator(figure_system(), 1, r_max=80.0)
-    assert 0 < len(evaluations) <= 25_000
+    gs = ground_state(figure_system())
+    equivariance_test(gs, EnsembleParams(runs=1000, sample_times=(0.05,), seed=3))
+    assert calls == []
+    radial_distance_cdf(three_source_system(), 1, [0.5, 2.0])
+    assert calls
 
 
 def test_radial_cdf_interpolator_tracks_direct_evaluation():

@@ -312,6 +312,13 @@ def test_ensemble_params_validate():
     assert EnsembleParams(runs=10, t_max=3.0).horizon == 3.0
 
 
+def test_ensemble_params_reject_a_dt_that_overflows_the_grid():
+    with pytest.raises(ValueError, match="dt is too small"):
+        EnsembleParams(runs=10, t_max=1.0, dt=1e-320)
+    with pytest.raises(ValueError, match="dt is too small"):
+        EnsembleParams(runs=1000, sample_times=(0.0, 1.0), dt=1e-320)
+
+
 def test_ensemble_grid_alignment(fig_gs, fig_law):
     with pytest.raises(ValueError, match="grid"):
         run_ensemble(fig_gs, EnsembleParams(runs=2, t_max=1.0, dt=0.3), law=fig_law)
