@@ -188,31 +188,39 @@ def psi_min(gs, q):
     return complex(pref * np.prod(psi1(sys_, pos)))
 
 
+def _flow(system, y):
+    """psi1 and its current at points y (any leading shape), in one pass.
+
+    With u_j = exp(-alpha r_j)/r_j and B = system.im_products, the current is
+    (hbar/m) sum_j (u @ B)_j (alpha + 1/r_j) u_j/r_j (y - x_j): the pair sum
+    of `current_closed_form` taken over its first index first.  B is exactly
+    antisymmetric; for real charges it is zero, the terms of that sum can be
+    -0.0, and the + 0.0 makes the current +0.0 whatever order they add in.
+    """
+    d = np.asarray(y, dtype=float)[..., None, :] - system.positions
+    r = np.sqrt(np.einsum("...i,...i->...", d, d))
+    if np.any(r == 0.0):
+        raise ValueError("evaluation point coincides with a source")
+    a = _alpha(system)
+    u = np.exp(-a * r) / r
+    w = (u @ system.im_products) * (a + 1.0 / r) * u / r
+    cur = system.hbar / system.m * np.einsum("...n,...ni->...i", w, d) + 0.0
+    # psi1 = u @ conj(g) as one real product with the (N, 2) rows (Re, -Im)
+    conj_rows = np.conj(system.charges).view(float).reshape(-1, 2)
+    return (u @ conj_rows).view(complex)[..., 0], cur
+
+
 def current_closed_form(system, y):
     """Probability current of psi1 in closed form.
 
     j(y) = (hbar/m) sum_{i != j} Im[conj(g_i) g_j] * u_i u_j * (alpha + 1/r_j) * e_j
-    where u_j = exp(-alpha r_j)/r_j and e_j = (y - x_j)/r_j.  Of the two
-    possible unit-vector attachments in this double sum, the one tying e_j to
-    the radial factor (alpha + 1/r_j) agrees with the finite-difference
-    evaluation of (hbar/m) Im[conj(psi1) grad psi1]; a regression test against
-    `current_numeric` freezes that reading.
+    where u_j = exp(-alpha r_j)/r_j and e_j = (y - x_j)/r_j, evaluated by
+    `_flow`.  Of the two possible unit-vector attachments in this double
+    sum, the one tying e_j to the radial factor (alpha + 1/r_j) agrees with
+    the finite-difference evaluation of (hbar/m) Im[conj(psi1) grad psi1]; a
+    regression test against `current_numeric` freezes that reading.
     """
-    y = np.asarray(y, dtype=float)
-    shape = y.shape
-    d, r = _source_displacements(system, y.reshape(-1, 3))
-    a = _alpha(system)
-    u = np.exp(-a * r) / r
-    e = d / r[..., None]
-    g = system.charges
-    out = np.zeros((r.shape[0], 3))
-    for i in range(system.n_sources):
-        for j in range(system.n_sources):
-            if i == j:
-                continue
-            w = np.imag(np.conj(g[i]) * g[j]) * u[:, i] * u[:, j] * (a + 1.0 / r[:, j])
-            out += w[:, None] * e[:, j, :]
-    return (system.hbar / system.m * out).reshape(shape)
+    return _flow(system, y)[1]
 
 
 def current_numeric(system, y, h=1e-3):
@@ -245,12 +253,12 @@ def velocity(system, y):
     |psi1|^2 underflows (within 1e-300 of zero on the natural charge scale)
     raise NearNodeError.
     """
-    val = np.asarray(psi1(system, y))
+    val, cur = _flow(system, y)
     dens = np.abs(val) ** 2
     scale = float(np.max(np.abs(system.charges)) * _alpha(system)) ** 2
     if np.any(dens < 1e-300 * max(scale, 1.0)):
         raise NearNodeError("velocity requested at a near-node of psi1")
-    return current_closed_form(system, y) / dens[..., None]
+    return cur / dens[..., None]
 
 
 def _advance(system, field, pts, span, eps_absorb, max_rounds=20000):
@@ -272,6 +280,8 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=20000):
     remaining = np.broadcast_to(np.asarray(span, dtype=float), (K,)).copy()
     absorbed = np.full(K, -1, dtype=int)
     active = remaining > 0.0
+    # nearest-source distance of every row, carried from each round's step end
+    nearest_d = np.min(np.linalg.norm(out[:, None, :] - X[None, :, :], axis=-1), axis=1)
     for _ in range(max_rounds):
         act = np.flatnonzero(active)
         if act.size == 0:
@@ -279,8 +289,7 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=20000):
         p = out[act]
         k1 = field(system, p)
         speed = np.linalg.norm(k1, axis=1)
-        d = np.min(np.linalg.norm(p[:, None, :] - X[None, :, :], axis=-1), axis=1)
-        target = np.maximum(0.25 * d, 0.25 * eps_absorb)
+        target = np.maximum(0.25 * nearest_d[act], 0.25 * eps_absorb)
         h = np.minimum(remaining[act], target / np.maximum(speed, 1e-300))[:, None]
         k2 = field(system, p + 0.5 * h * k1)
         k3 = field(system, p + 0.5 * h * k2)
@@ -290,7 +299,8 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=20000):
         remaining[act] -= h[:, 0]
         dd = np.linalg.norm(p[:, None, :] - X[None, :, :], axis=-1)
         nearest = np.argmin(dd, axis=1)
-        hit = dd[np.arange(act.size), nearest] < eps_absorb
+        nearest_d[act] = dd[np.arange(act.size), nearest]
+        hit = nearest_d[act] < eps_absorb
         absorbed[act[hit]] = nearest[hit]
         active[act] = ~hit & (remaining[act] > 1e-15)
     warnings.warn("substepping budget exhausted; some points frozen early")

@@ -68,8 +68,11 @@ class NodeError(ValueError):
 
 
 def lattice_dimension(L, n_max):
-    """Number of occupation states with at most n_max bosons on L sites."""
-    return sum(comb(L + k - 1, k) for k in range(n_max + 1))
+    """Number of occupation states with at most n_max bosons on L sites:
+    sum_k C(L + k - 1, k) over k <= n_max, which is C(L + n_max, n_max)
+    (hockey-stick identity) and costs min(L, n_max) steps, so a huge n_max
+    is rejected at once."""
+    return comb(L + n_max, n_max)
 
 
 @dataclass(frozen=True)

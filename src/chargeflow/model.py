@@ -56,6 +56,11 @@ class ChargeSystem:
     m         : boson mass, > 0
     E0        : boson rest energy, >= 0
     hbar      : action scale, > 0 (kept explicit; default 1)
+
+    Derived: im_products, the (N, N) matrix Im(conj(g_i) g_j) of the pair
+    currents, built as P - P^T from P_ij = Re(g_i) Im(g_j) so that it is
+    antisymmetric to the bit (a complex product gives B + B^T != 0 in the
+    last place, which the current's cancellations amplify).
     """
 
     positions: np.ndarray
@@ -63,6 +68,7 @@ class ChargeSystem:
     m: float = 1.0
     E0: float = 1.0
     hbar: float = 1.0
+    im_products: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -86,10 +92,13 @@ class ChargeSystem:
             raise ValueError("E0 must be nonnegative")
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
-        pos.flags.writeable = False
-        g.flags.writeable = False
+        outer = np.outer(g.real, g.imag)
+        im_products = outer - outer.T
+        for arr in (pos, g, im_products):
+            arr.flags.writeable = False
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "charges", g)
+        object.__setattr__(self, "im_products", im_products)
         object.__setattr__(self, "m", float(self.m))
         object.__setattr__(self, "E0", float(self.E0))
         object.__setattr__(self, "hbar", float(self.hbar))

@@ -34,6 +34,7 @@ from .groundstate import (
     _advance,
     _default_radii,
     _extrapolate_to_zero,
+    _flow,
     psi1_gradient,
     radial_cdf_interpolator,
     sample_boson_positions,
@@ -82,10 +83,8 @@ def _velocity_raw(system, pts):
     near nodes and the ensemble driver must not die there.  Real charge
     vectors give an exactly zero current and hence exactly zero velocity.
     """
-    val, grad = psi1_gradient(system, pts)
-    cur = np.imag(np.conj(val)[..., None] * grad)
-    dens = np.abs(val) ** 2
-    return (system.hbar / system.m) * cur / np.maximum(dens, 1e-300)[..., None]
+    val, cur = _flow(system, pts)
+    return cur / np.maximum(np.abs(val) ** 2, 1e-300)[..., None]
 
 
 def _unit_vectors(rng, n):
@@ -430,6 +429,36 @@ def _grid_step(value, dt, what):
     return k
 
 
+def _draw_births(rng, law, runs, n_steps, dt):
+    """Every birth before step n_steps in draw order: arrays of grid step,
+    time, run, 0-based source and emission direction.
+
+    One exponential clock per run at the (constant) total rate, so every
+    clock that rings emits.  The draws are batched per grid step, every clock
+    due by the step's end at once (one due twice in the next batch); steps
+    with no clock due draw nothing and are skipped.
+    """
+    total = law.total_rate
+    cum = np.cumsum(law.rates)
+    next_emit = rng.exponential(1.0 / total, size=runs) if total > 0.0 else np.full(runs, np.inf)
+    births = [(np.empty(0, int), np.empty(0), np.empty(0, int), np.empty(0, int), np.empty((0, 3)))]
+    i = 0
+    while i < n_steps and (soonest := next_emit.min()) <= n_steps * dt:
+        # jump to the first step whose end (i + 1) * dt reaches the soonest
+        # clock: the quotient's guess is walked back in the floats of a scan
+        # over every step, and a guess one short draws nothing and moves on
+        start, i = i, max(i, int(soonest / dt))
+        while i > start and soonest <= i * dt:
+            i -= 1
+        while (due := np.flatnonzero(next_emit <= (i + 1) * dt)).size:
+            src = np.searchsorted(cum, rng.random(due.size) * total, side="right")
+            direction = _unit_vectors(rng, due.size)
+            births.append((np.full(due.size, i + 1), next_emit[due], due, src, direction))
+            next_emit[due] += rng.exponential(1.0 / total, size=due.size)
+        i += 1
+    return [np.concatenate(column) for column in zip(*births)]
+
+
 def run_ensemble(gs, params, law=None):
     """Run `params.runs` independent realizations in one flat array.
 
@@ -457,7 +486,6 @@ def run_ensemble(gs, params, law=None):
     pos = sample_boson_positions(gs, int(sectors.sum()), rng)
     run = np.repeat(np.arange(m_runs), sectors)
     initial_sectors = sectors.copy()
-    emissions = np.zeros(system.n_sources, dtype=int)
     absorptions = np.zeros(system.n_sources, dtype=int)
     # bosons sampled inside the absorption ball are absorbed on the spot
     d0 = np.linalg.norm(pos[:, None, :] - X[None, :, :], axis=-1)
@@ -466,25 +494,9 @@ def run_ensemble(gs, params, law=None):
     np.add.at(absorptions, nearest[inside], 1)
     np.subtract.at(sectors, run[inside], 1)
     pos, run = pos[~inside], run[~inside]
-    total = law.total_rate
-    cum = np.cumsum(law.rates)
-    next_emit = (
-        rng.exponential(1.0 / total, size=m_runs) if total > 0.0 else np.full(m_runs, np.inf)
-    )
-    # births in draw order: grid step, time, run and start position
-    b_step, b_time, b_run = [np.empty(0, int)], [np.empty(0)], [np.empty(0, int)]
-    b_pos = [np.empty((0, 3))]
-    for i in range(n_steps):
-        # constant rates make every candidate clock fire
-        while (due := np.flatnonzero(next_emit <= (i + 1) * dt)).size:
-            src = np.searchsorted(cum, rng.random(due.size) * total, side="right")
-            np.add.at(emissions, src, 1)
-            b_pos.append(X[src] + eps_start * _unit_vectors(rng, due.size))
-            b_step.append(np.full(due.size, i + 1))
-            b_time.append(next_emit[due])
-            b_run.append(due)
-            next_emit[due] += rng.exponential(1.0 / total, size=due.size)
-    b_step, b_time, b_run, b_pos = map(np.concatenate, (b_step, b_time, b_run, b_pos))
+    b_step, b_time, b_run, b_src, b_dir = _draw_births(rng, law, m_runs, n_steps, dt)
+    emissions = np.bincount(b_src, minlength=system.n_sources)
+    b_pos = X[b_src] + eps_start * b_dir
     snapshots = []
     if 0 in snap_steps:
         snapshots.append(EnsembleSnapshot(0.0, sectors.copy(), pos, run))

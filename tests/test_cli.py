@@ -316,6 +316,29 @@ def test_shipped_figure_config_parses():
     assert config.options("simulate")["runs"] == 5000
 
 
+_FIGURE_LINES = FIGURE_CFG.read_text().splitlines()
+_FIGURE_KEY_LINES = [i for i, line in enumerate(_FIGURE_LINES) if "=" in line.partition("#")[0]]
+# value shapes: empty, signed and edge numbers, non-finite, text, lists, an
+# integer past u64, and a row of numbers
+_VALUE_SHAPES = (
+    "", "0", "-1", "1", "7", "0.5", "-0.0", "1e-320", "1e308", "nan", "inf", "-inf",
+    "abc", "1 2", "true", str(2**64), "0 0 0 0 0",
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(index=st.sampled_from(_FIGURE_KEY_LINES), value=st.sampled_from(_VALUE_SHAPES))
+def test_single_line_edits_of_the_figure_config_parse_or_name_their_line(index, value):
+    lines = list(_FIGURE_LINES)
+    lines[index] = f"{lines[index].partition('=')[0]}= {value}"
+    try:
+        config = parse_config("\n".join(lines) + "\n")
+        config.charge_system()
+        config.lattice_params()
+    except ConfigError as exc:
+        assert exc.line is not None, str(exc)
+
+
 # ---------------------------------------------------------------- seeds
 
 
@@ -606,6 +629,30 @@ def test_field_and_streamlines_csv_match_the_per_value_rows(tmp_path, monkeypatc
     prov = cli._provenance(config.with_command("streamlines"), ("model", "streamlines"), {"seed_directions": 0})
     expected = _per_value_csv(("line", "s") + columns, rows, prov)
     assert (out / "streamlines.csv").read_text() == expected
+
+
+def test_field_of_real_charges_has_positive_zero_currents(tmp_path):
+    # opposite real couplings carry no current; the pair loop that evaluated
+    # it before summed +0.0 terms into np.zeros, so every current cell read
+    # "0", and the |psi1| and phase columns are computed as before
+    text = FIELD_SMALL.replace("charge = 0.0 1.0 1.0", "charge = -2.0 0.0 1.0")
+    config = parse_config(text)
+    system = config.charge_system()
+    opts = config.options("field")
+    gx, gy = np.meshgrid(
+        np.linspace(opts["x_min"], opts["x_max"], opts["nx"]),
+        np.linspace(opts["y_min"], opts["y_max"], opts["ny"]),
+        indexing="ij",
+    )
+    pts = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, opts["z"])])
+    rows = [(*p, 0.0, 0.0, 0.0, abs(v), float(np.angle(v))) for p, v in zip(pts, psi1(system, pts))]
+    code, out = run_cli(tmp_path, text, "field")
+    assert code == 0
+    prov = cli._provenance(config.with_command("field"), ("model", "field"), {})
+    columns = ("x", "y", "z", "jx", "jy", "jz", "|psi1|", "phase")
+    assert (out / "field.csv").read_text() == _per_value_csv(columns, rows, prov)
+    _, _, cells = read_csv(out / "field.csv")
+    assert all(row[3:6] == ["0", "0", "0"] for row in cells)
 
 
 def test_seed_flag_overrides_config(tmp_path):

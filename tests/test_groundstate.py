@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import exp1
@@ -9,6 +9,7 @@ from chargeflow.groundstate import (
     NearNodeError,
     _advance,
     _alpha,
+    _flow,
     _norm_integral_closed,
     _offcenter_shell_density,
     _source_displacements,
@@ -309,12 +310,86 @@ def test_alternative_index_reading_is_wrong():
     assert np.linalg.norm(alt - jn) > 0.1 * np.linalg.norm(jn)
 
 
-def test_current_vanishes_identically_for_symmetric_charges():
+@pytest.mark.parametrize("phase", [1.0, 1j])
+def test_current_vanishes_identically_for_symmetric_charges(phase):
+    # real (or purely imaginary) couplings of either sign: every component
+    # of the current and the velocity is +0.0, never -0.0, so no CSV cell
+    # reads "-0"
     rng = np.random.default_rng(4)
-    sys_ = figure_system().with_charges(np.array([1.0, -2.0]))
-    for _ in range(10):
-        y = random_point(rng, sys_)
-        np.testing.assert_allclose(current_closed_form(sys_, y), 0.0, atol=1e-300)
+    systems = [figure_system().with_charges(np.array([1.0, -2.0]))]
+    systems += [random_system(rng, complex_charges=False) for _ in range(8)]
+    for sys_ in systems:
+        sys_ = sys_.with_charges(phase * sys_.charges)
+        y = np.array([random_point(rng, sys_) for _ in range(10)])
+        for field in (current_closed_form(sys_, y), velocity(sys_, y), _velocity_raw(sys_, y)):
+            assert np.all(field == 0.0)
+            assert not np.any(np.signbit(field))
+
+
+def current_pair_loop(system, y):
+    """Oracle: the closed-form current summed one ordered source pair at a
+    time, as production evaluated it before `_flow`, plus the pair-term
+    scale (hbar/m) sum_{i != j} |Im[conj(g_i) g_j]| u_i u_j (alpha + 1/r_j)."""
+    d, r = _source_displacements(system, y)
+    a = _alpha(system)
+    u = np.exp(-a * r) / r
+    e = d / r[..., None]
+    g = system.charges
+    out = np.zeros((r.shape[0], 3))
+    scale = np.zeros(r.shape[0])
+    for i in range(system.n_sources):
+        for j in range(system.n_sources):
+            if i == j:
+                continue
+            w = np.imag(np.conj(g[i]) * g[j]) * u[:, i] * u[:, j] * (a + 1.0 / r[:, j])
+            out += w[:, None] * e[:, j, :]
+            scale += np.abs(w)
+    return system.hbar / system.m * out, system.hbar / system.m * scale
+
+
+def velocity_complex(system, y):
+    """Oracle: (hbar/m) Im[conj(psi1) grad psi1] / |psi1|^2 from the complex
+    gradient, as the ensemble evaluated it before `_flow`, plus that path's
+    own rounding scale (hbar/m) |grad psi1| / |psi1|: the self terms
+    |g_j|^2 u_j du_j/dr cancel inside the imaginary part, so near a source
+    its error is set by them, not by the pair terms."""
+    val, grad = psi1_gradient(system, y)
+    cur = np.imag(np.conj(val)[..., None] * grad)
+    dens = np.abs(val) ** 2
+    own = system.hbar / system.m * np.linalg.norm(np.abs(grad), axis=-1) / np.abs(val)
+    return system.hbar / system.m * cur / np.maximum(dens, 1e-300)[..., None], own
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_flow_kernel_matches_the_pair_loop_and_complex_gradient_oracles(seed):
+    # 1-4 sources, points from 1e-6 to 60 units off a source
+    rng = np.random.default_rng(seed)
+    sys_ = random_system(rng)
+    k = 64
+    dirs = rng.normal(size=(k, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    offsets = np.geomspace(1e-6, 60.0, k)[:, None] * dirs
+    y = sys_.positions[rng.integers(0, sys_.n_sources, k)] + offsets
+    ref, pair_scale = current_pair_loop(sys_, y)
+    cur = current_closed_form(sys_, y)
+    assert np.all(np.linalg.norm(cur - ref, axis=1) <= 1e-13 * pair_scale)
+    val, _ = _flow(sys_, y)
+    _, r = _source_displacements(sys_, y)
+    magnitude = np.sum(np.abs(sys_.charges) * np.exp(-_alpha(sys_) * r) / r, axis=1)
+    assert np.all(np.abs(val - psi1(sys_, y)) <= 1e-13 * magnitude)
+    v_ref, own = velocity_complex(sys_, y)
+    budget = 1e-13 * (pair_scale / np.abs(val) ** 2 + own)
+    for v in (velocity(sys_, y), _velocity_raw(sys_, y)):
+        assert np.all(np.linalg.norm(v - v_ref, axis=1) <= budget)
+
+
+def test_flow_kernel_keeps_the_shape_of_its_points():
+    sys_ = three_source_system()
+    y = np.random.default_rng(6).uniform(-3.0, 3.0, size=(2, 5, 3))
+    val, cur = _flow(sys_, y)
+    assert val.shape == (2, 5) and cur.shape == (2, 5, 3)
+    np.testing.assert_allclose(cur[1, 3], current_closed_form(sys_, y[1, 3]), rtol=1e-14)
+    np.testing.assert_allclose(velocity(sys_, y)[0], velocity(sys_, y[0]), rtol=1e-14)
 
 
 def test_current_numeric_rejects_large_steps_near_sources():
@@ -336,6 +411,8 @@ def test_velocity_is_current_over_density_and_phase_invariant():
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 3), phi=st.floats(-np.pi, np.pi))
+# pair terms that cancel here expose any asymmetry of Im(conj(g_i) g_j)
+@example(seed=2303, n=2, phi=2.0)
 def test_velocity_gauge_invariant_and_reversed_by_conjugation(seed, n, phi):
     # the paper's T: g -> e^{i phi} g leaves the velocity field alone and
     # g -> conj(g) reverses it

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from itertools import combinations_with_replacement
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import stats
 
 from chargeflow import lattice
 from chargeflow.lattice import (
+    MAX_DIMENSION,
     LatticeParams,
     NodeError,
     bell_jump_rates,
@@ -71,6 +73,11 @@ def test_dimension_formula_and_preset_size():
     assert model.dim == 45 == lattice_dimension(8, 2)
     assert lattice_dimension(2, 1) == 3
     assert lattice_dimension(3, 3) == 1 + 3 + 6 + 10
+    for L in range(2, 9):
+        for n_max in range(1, 9):
+            assert lattice_dimension(L, n_max) == sum(comb(L + k - 1, k) for k in range(n_max + 1))
+    # one binomial of min(L, n_max) steps, however large n_max is
+    assert lattice_dimension(8, 2**64) > MAX_DIMENSION
 
 
 def test_free_chain_matrix_by_hand():

@@ -165,6 +165,20 @@ def test_charge_system_validation():
         sys_.positions[0, 0] = 5.0
 
 
+def test_im_products_are_antisymmetric_to_the_bit():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 4, 6):
+        g = rng.uniform(0.1, 3.0, size=n) * np.exp(1j * rng.uniform(-np.pi, np.pi, size=n))
+        sys_ = ChargeSystem(positions=rng.uniform(-2.0, 2.0, size=(n, 3)), charges=g)
+        B = sys_.im_products
+        np.testing.assert_array_equal(B, -B.T)
+        np.testing.assert_array_equal(np.diag(B), 0.0)
+        want = np.imag(np.conj(g)[:, None] * g[None, :])
+        np.testing.assert_allclose(B, want, rtol=0, atol=1e-15 * np.max(np.abs(g)) ** 2)
+        assert not B.flags.writeable
+        np.testing.assert_array_equal(sys_.with_charges(np.conj(g)).im_products, -B)
+
+
 def test_configuration_sector_and_interior():
     sys_ = ChargeSystem(
         positions=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),

@@ -1,3 +1,4 @@
+import time
 import types
 from functools import partial
 
@@ -420,6 +421,101 @@ def test_ensemble_matches_the_per_dt_oracle(fig_gs, fig_law, seed):
         np.testing.assert_array_equal(snap.sectors, ref.sectors)
         np.testing.assert_array_equal(snap.run_ids, ref.run_ids)
         np.testing.assert_allclose(snap.positions, ref.positions, rtol=0.0, atol=1e-3)
+
+
+def stepwise_births(rng, law, runs, n_steps, dt):
+    """The birth draw as a scan over every grid step: the loop that
+    `process._draw_births` shortcuts over the steps where no clock is due."""
+    total = law.total_rate
+    cum = np.cumsum(law.rates)
+    next_emit = rng.exponential(1.0 / total, size=runs) if total > 0.0 else np.full(runs, np.inf)
+    births = [(np.empty(0, int), np.empty(0), np.empty(0, int), np.empty(0, int), np.empty((0, 3)))]
+    for i in range(n_steps):
+        while (due := np.flatnonzero(next_emit <= (i + 1) * dt)).size:
+            src = np.searchsorted(cum, rng.random(due.size) * total, side="right")
+            direction = process._unit_vectors(rng, due.size)
+            births.append((np.full(due.size, i + 1), next_emit[due], due, src, direction))
+            next_emit[due] += rng.exponential(1.0 / total, size=due.size)
+    return [np.concatenate(column) for column in zip(*births)]
+
+
+def assert_same_ensemble(got, want):
+    for name in ("runs", "t_final", "dt", "seed", "eps_absorb", "eps_start"):
+        assert getattr(got, name) == getattr(want, name)
+    for name in ("emissions", "absorptions", "initial_sectors", "final_sectors"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert len(got.snapshots) == len(want.snapshots)
+    for snap, ref in zip(got.snapshots, want.snapshots):
+        assert snap.time == ref.time
+        for name in ("sectors", "positions", "run_ids"):
+            np.testing.assert_array_equal(getattr(snap, name), getattr(ref, name))
+
+
+def busy_system():
+    """Close sources with large couplings: a total emission rate of about 11.5
+    per run and unit time at a Poisson rate of about 1.3."""
+    return ChargeSystem(
+        positions=np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]]),
+        charges=np.array([2.0, 2.0j]),
+        E0=0.5,
+    )
+
+
+@pytest.mark.parametrize(
+    "system, seed, dt",
+    [
+        (figure_system(), 1, 1e-3),
+        (figure_system(), 2, 1e-3),
+        (figure_system(), 5, 1e-3),
+        (symmetric_system(), 4, 1e-3),
+        (busy_system(), 6, 1e-3),
+        # about one birth in ten follows an earlier one of its run in the same step
+        (busy_system(), 9, 0.02),
+    ],
+)
+def test_skipping_quiet_grid_steps_draws_every_birth_of_the_step_scan(system, seed, dt, monkeypatch):
+    gs = ground_state(system)
+    law = derive_emission_law(gs)
+    params = EnsembleParams(runs=40, sample_times=(0.0, 0.2, 0.4), dt=dt, seed=seed)
+    got = run_ensemble(gs, params, law=law)
+    assert (got.emissions.sum() > 0) == (law.total_rate > 0.0)
+    monkeypatch.setattr(process, "_draw_births", stepwise_births)
+    assert_same_ensemble(got, run_ensemble(gs, params, law=law))
+
+
+class GridClocks:
+    """A stand-in generator whose exponential draws are whole multiples of
+    dt as floats, k * dt: clocks due exactly at a step end, where the
+    quotient (k * dt) / dt can round past k."""
+
+    def __init__(self, dt, seed):
+        self.dt, self.rng = dt, np.random.default_rng(seed)
+
+    def exponential(self, scale, size):
+        return self.rng.integers(1, 40, size=size) * self.dt
+
+    def random(self, size):
+        return self.rng.random(size)
+
+    def normal(self, size):
+        return self.rng.normal(size=size)
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.01, 0.3, 1e-3])
+def test_skipped_steps_land_clocks_due_at_a_step_end_in_that_step(fig_law, dt):
+    got = process._draw_births(GridClocks(dt, 1), fig_law, 30, 400, dt)
+    want = stepwise_births(GridClocks(dt, 1), fig_law, 30, 400, dt)
+    assert got[0].size > 100
+    for column, ref in zip(got, want):
+        np.testing.assert_array_equal(column, ref)
+
+
+def test_a_fine_emission_grid_costs_no_step_scan(fig_gs, fig_law):
+    # 10^7 grid steps: the step scan took minutes here
+    start = time.perf_counter()
+    res = run_ensemble(fig_gs, EnsembleParams(runs=10, t_max=1.0, dt=1e-7, seed=3), law=fig_law)
+    assert time.perf_counter() - start < 5.0
+    assert res.final_sectors.sum() == res.initial_sectors.sum() + res.emissions.sum() - res.absorptions.sum()
 
 
 def test_ensemble_raises_when_the_substep_budget_runs_out(fig_gs, fig_law, monkeypatch):
