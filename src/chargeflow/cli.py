@@ -18,6 +18,7 @@ import os
 import sys
 
 import numpy as np
+from scipy.sparse.linalg import expm_multiply
 
 from .boundary import (
     RobinBC,
@@ -56,7 +57,6 @@ from .lattice import (
     build_model,
     check_gauge_equivalence,
     check_T_commutation,
-    evolve,
     ground_state_current,
     lattice_dimension,
     reversal_conditions_check,
@@ -367,10 +367,10 @@ def _cmd_lattice(config, out, check=None):
     prov = _provenance(config, ("lattice",), streams)
     # everything is computed before the first artifact is written, so a
     # degenerate ground level leaves no partial output behind
-    evals, evecs = model.eig()
+    evals, psi0 = model.ground()
     current = ground_state_current(model)
-    psi0 = evecs[:, 0]
-    psi_t = evolve(model, psi0, opts["t"])
+    # the ground pair checked against a propagator that does not use it
+    psi_t = expm_multiply((-1j * opts["t"] / params.hbar) * model.H, psi0)
     phase = np.exp(-1j * evals[0] * opts["t"] / params.hbar)
     payload = {
         "dimension": model.dim,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lattice import MAX_DIMENSION, LatticeParams, lattice_dimension
+from .lattice import LatticeParams, dimension_error
 from .model import ChargeSystem
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "COMMANDS"]
@@ -238,12 +238,9 @@ class RunConfig:
     def lattice_params(self):
         """Build the lattice model parameters from the [lattice] section."""
         opts = self.sections["lattice"]
-        dim = lattice_dimension(opts["L"], opts["n_max"])
-        if dim > MAX_DIMENSION:
-            raise ConfigError(
-                f"basis dimension {dim} exceeds the supported maximum {MAX_DIMENSION}",
-                self.line("lattice", "n_max", "L"),
-            )
+        error = dimension_error(opts["L"], opts["n_max"])
+        if error is not None:
+            raise ConfigError(error, self.line("lattice", "n_max", "L"))
         line = self.line("lattice", "source_sites", "charge")
         sites = tuple(int(s) for s in opts["source_sites"])
         if [float(s) for s in sites] != list(opts["source_sites"]):

@@ -22,17 +22,20 @@ time-reversal and gauge statements become exact matrix identities:
 
 Site indices are 0-based; basis states are ordered sector-major (total boson
 number ascending), deterministic across runs.  H is stored as a sparse CSR
-array at every size; only the eigendecomposition and what builds on it keep
-a dense copy, up to DENSE_LIMIT states.
+array at every size; only the spectral data keep a dense copy, up to
+DENSE_LIMIT states: the ground pair (every eigenvalue and the ground
+eigenvector, from one Householder reduction) and the full eigendecomposition
+behind the spectral `evolve`.
 """
 
 import cmath
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, sqrt
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.sparse import csr_array
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import roots_hermite
@@ -46,6 +49,7 @@ __all__ = [
     "GroundCurrentReport",
     "NodeError",
     "lattice_dimension",
+    "dimension_error",
     "build_model",
     "evolve",
     "check_T_commutation",
@@ -60,19 +64,44 @@ __all__ = [
 ]
 
 MAX_DIMENSION = 200_000
-DENSE_LIMIT = 2000  # largest dimension with a dense copy of H (eig, spectral evolve)
+DENSE_LIMIT = 2000  # largest dimension with a dense copy of H (ground, eig, spectral evolve)
+_SHOWN_DIMENSION = 10**18  # largest dimension an error message spells out
 
 
 class NodeError(ValueError):
     """Jump rates requested at a configuration where the wavefunction vanishes."""
 
 
-def lattice_dimension(L, n_max):
+def lattice_dimension(L, n_max, cap=None):
     """Number of occupation states with at most n_max bosons on L sites:
     sum_k C(L + k - 1, k) over k <= n_max, which is C(L + n_max, n_max)
-    (hockey-stick identity) and costs min(L, n_max) steps, so a huge n_max
-    is rejected at once."""
-    return comb(L + n_max, n_max)
+    (hockey-stick identity).
+
+    It is the last of the running products C(m + i, i), i = 1..k, with
+    k = min(L, n_max) and m = max(L, n_max), which grow with i.  Given a cap,
+    the product stops once it passes the cap and returns that partial value:
+    the dimension exceeds the cap exactly when the returned value does, and a
+    huge lattice is settled in a few steps instead of k.
+    """
+    k, m = min(L, n_max), max(L, n_max)
+    dim = 1
+    for i in range(1, k + 1):
+        dim = dim * (m + i) // i
+        if cap is not None and dim > cap:
+            break
+    return dim
+
+
+def dimension_error(L, n_max):
+    """The message rejecting a basis of more than MAX_DIMENSION states, or
+    None.  The running product stops past 10**18 (at most about 60 steps),
+    so a dimension above that is reported as such, never computed or
+    formatted in full."""
+    dim = lattice_dimension(L, n_max, cap=_SHOWN_DIMENSION)
+    if dim <= MAX_DIMENSION:
+        return None
+    shown = dim if dim <= _SHOWN_DIMENSION else "above 10**18"
+    return f"basis dimension {shown} exceeds the supported maximum {MAX_DIMENSION}"
 
 
 @dataclass(frozen=True)
@@ -107,11 +136,9 @@ class LatticeParams:
             raise ValueError("source sites must lie on the chain")
         if any(g == 0 for g in charges):
             raise ValueError("couplings must be nonzero")
-        dim = lattice_dimension(self.L, self.n_max)
-        if dim > MAX_DIMENSION:
-            raise ValueError(
-                f"basis dimension {dim} exceeds the supported maximum {MAX_DIMENSION}"
-            )
+        error = dimension_error(self.L, self.n_max)
+        if error is not None:
+            raise ValueError(error)
         object.__setattr__(self, "source_sites", sites)
         object.__setattr__(self, "charges", charges)
 
@@ -136,25 +163,34 @@ class LatticeModel:
     """Immutable assembled model: basis, CSR Hamiltonian, cached spectral data.
 
     `H` is a scipy CSR array at every size and `occupations` the basis as a
-    (dim, L) integer array.  Only `eig` makes a dense copy of H, so it and
-    what builds on it (`lattice_ground_state`, `ground_state_current`) are
-    limited to DENSE_LIMIT states and raise ValueError above it.
+    (dim, L) integer array; `basis` (occupation tuples) and `index` (tuple to
+    basis index) are built on first use.  Only `ground` and `eig` make a
+    dense copy of H, so they and what builds on them (`lattice_ground_state`,
+    `ground_state_current`, the spectral `evolve`) are limited to DENSE_LIMIT
+    states and raise ValueError above it.
     """
 
     def __init__(self, params, occupations, H):
         self.params = params
         self.occupations = occupations
-        self.basis = list(map(tuple, occupations.tolist()))
-        self.index = dict(zip(self.basis, range(len(self.basis))))
         self.H = H
-        self.dim = len(self.basis)
+        self.dim = len(occupations)
         self.sector = occupations.sum(axis=1)
         # row of each stored entry of H, and the position of its mirror
         # entry: H's pattern is symmetric, so column-major order lists the
         # mirror of each entry in CSR order
         self._rows = np.repeat(np.arange(self.dim), np.diff(H.indptr))
         self._transpose = np.lexsort((self._rows, H.indices))
+        self._ground = None
         self._eig = None
+
+    @cached_property
+    def basis(self):
+        return list(map(tuple, self.occupations.tolist()))
+
+    @cached_property
+    def index(self):
+        return dict(zip(self.basis, range(self.dim)))
 
     def state_index(self, q):
         """Index of an occupation tuple (or pass an int index through)."""
@@ -167,17 +203,60 @@ class LatticeModel:
             raise KeyError(f"occupation {key} is not in the truncated basis")
         return self.index[key]
 
+    def _dense_H(self, what):
+        if self.dim > DENSE_LIMIT:
+            raise ValueError(
+                f"the {what} is limited to {DENSE_LIMIT} states (dimension {self.dim})"
+            )
+        # column-major, so that LAPACK works on it in place
+        return self.H.toarray(order="F")
+
+    def ground(self):
+        """Cached ground pair: every eigenvalue of H (ascending) and the
+        eigenvector of the lowest, from one Householder reduction of a dense
+        copy of H (at most DENSE_LIMIT states).
+
+        zhetrd reduces H to a real tridiagonal T = Q^H H Q, dsterf gives T's
+        eigenvalues, dstein the lowest eigenvector z of T by inverse
+        iteration, and zunmqr applies the reflectors to z (lower storage:
+        Q = diag(1, Q'), with Q' the QR-form product of the reflectors below
+        the subdiagonal, as in zunmtr; LAPACK Users' Guide, SIAM 1999).  No
+        other eigenvector is formed.  A LAPACK failure raises LinAlgError.
+        """
+        if self._ground is None:
+            n = self.dim
+            lwork, info = lapack.zhetrd_lwork(n, lower=1)
+            _check_lapack("zhetrd_lwork", info)
+            c, d, e, tau, info = lapack.zhetrd(
+                self._dense_H("ground state"), lower=1, lwork=int(lwork.real), overwrite_a=1
+            )
+            _check_lapack("zhetrd", info)
+            evals, info = lapack.dsterf(d, e)
+            _check_lapack("dsterf", info)
+            # one block: dstein's inverse iteration runs on all of T
+            block = np.ones(n, dtype=np.int32)
+            split = np.full(n, n, dtype=np.int32)
+            z, info = lapack.dstein(d, e, evals[:1], block, split)
+            _check_lapack("dstein", info)
+            ground = z[:, 0].astype(complex)
+            # lwork = 1 selects the unblocked form, which suits one vector
+            tail, _, info = lapack.zunmqr(b"L", b"N", c[1:, :-1], tau, ground[1:, None], 1)
+            _check_lapack("zunmqr", info)
+            ground[1:] = tail[:, 0]
+            self._ground = (evals, ground)
+        return self._ground
+
     def eig(self):
         """Cached eigendecomposition of a dense copy of H (at most DENSE_LIMIT
-        states)."""
+        states); only the spectral `evolve` needs every eigenvector."""
         if self._eig is None:
-            if self.dim > DENSE_LIMIT:
-                raise ValueError(
-                    f"the eigendecomposition is limited to {DENSE_LIMIT} states "
-                    f"(dimension {self.dim})"
-                )
-            self._eig = tuple(np.linalg.eigh(self.H.toarray()))
+            self._eig = tuple(np.linalg.eigh(self._dense_H("eigendecomposition")))
         return self._eig
+
+
+def _check_lapack(name, info):
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} failed (info = {info})")
 
 
 def build_model(params):
@@ -232,23 +311,31 @@ def build_model(params):
     return LatticeModel(params, occ, H)
 
 
-def evolve(model, psi, t):
-    """Propagate psi by e^{-iHt/hbar}.
+def _propagator(model, psi):
+    """t -> e^{-iHt/hbar} psi for one fixed psi.
 
     Up to DENSE_LIMIT states this is the spectral form of the matrix
-    exponential (exact, norm drift at rounding level); above it, scipy's
-    expm_multiply on the CSR H (Al-Mohy & Higham, SIAM J. Sci. Comput. 33
-    (2011) 488), which needs no eigendecomposition.
+    exponential (exact, norm drift at rounding level), with the coefficients
+    V^H psi computed once; above it, scipy's expm_multiply on the CSR H
+    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488), which needs no
+    eigendecomposition.
     """
+    hbar = model.params.hbar
+    if model.dim > DENSE_LIMIT:
+        return lambda t: expm_multiply((-1j * t / hbar) * model.H, psi)
+    evals, evecs = model.eig()
+    coeffs = evecs.conj().T @ psi
+    return lambda t: evecs @ (np.exp(-1j * evals * t / hbar) * coeffs)
+
+
+def evolve(model, psi, t):
+    """Propagate psi by e^{-iHt/hbar} (see `_propagator`)."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (model.dim,):
         raise ValueError("psi must be a vector over the basis")
     if t == 0:
         return psi.copy()
-    if model.dim > DENSE_LIMIT:
-        return expm_multiply((-1j * t / model.params.hbar) * model.H, psi)
-    evals, evecs = model.eig()
-    return evecs @ (np.exp(-1j * evals * t / model.params.hbar) * (evecs.conj().T @ psi))
+    return _propagator(model, psi)(t)
 
 
 def sector_reversal(model, theta, psi):
@@ -373,6 +460,16 @@ class BellEnsembleResult:
     node_warnings: int
 
 
+def _is_stationary(model, psi):
+    """Whether unit-norm psi is an eigenvector of H to rounding:
+    ||H psi - E psi|| <= 1e-12 max(1, ||H||_1) with E = <psi|H|psi>.  Then
+    psi(t) = e^{-iEt/hbar} psi, whose error is at most t ||(H - E) psi||/hbar,
+    and every jump rate is constant in time."""
+    H_psi = model.H @ psi
+    residual = np.linalg.norm(H_psi - np.vdot(psi, H_psi).real * psi)
+    return residual <= 1e-12 * max(1.0, float(abs(model.H).sum(axis=0).max()))
+
+
 def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
     """The stepping loop of run_bell_ensemble.  Returns its result and the
     path of the first chain as (time, states[:1]) pairs: the start and each
@@ -381,6 +478,9 @@ def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
     psi0 = psi0 / np.linalg.norm(psi0)
     rng = np.random.default_rng(seed)
     H, rows = model.H, model._rows
+    # a stationary state keeps its t = 0 rate table; any other is propagated
+    # to each step's midpoint
+    propagate = None if _is_stationary(model, psi0) else _propagator(model, psi0)
     # row q of the rate table holds sigma(q -> q') for the q' of row q of H
     slots = np.arange(H.nnz) - H.indptr[rows]
     targets = np.zeros((model.dim, slots.max() + 1), dtype=np.int64)
@@ -398,11 +498,12 @@ def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
     path = [(0.0, states[:1].copy())]
     node_hits = 0
     t = 0.0
-    cum, _ = cumulative_rates(psi0)
+    cum, flagged = cumulative_rates(psi0)
     while t < t_max:
         lam = cum[:, -1].max()
         dt = min(dt_cap, 0.05 / lam if lam > 0 else np.inf, t_max - t)
-        cum, flagged = cumulative_rates(evolve(model, psi0, t + dt / 2.0))
+        if propagate is not None:
+            cum, flagged = cumulative_rates(propagate(t + dt / 2.0))
         node_hits += int(np.sum(flagged[states]))
         p_jump = np.minimum(cum[states, -1] * dt, 1.0)
         jumping = np.nonzero(rng.random(n_chains) < p_jump)[0]
@@ -453,12 +554,13 @@ def run_bell_ensemble(model, psi0, t_max, n_chains, seed, dt_cap=2e-3, node_floo
     Initial configurations are drawn from |psi0|^2.  The wavefunction, hence
     the rate table, is common to all chains, so each step builds one table on
     H's non-zeros, at the step midpoint (second-order accuracy), and
-    advances every chain vectorized.  The step is capped at dt_cap and at 5%
-    total jump probability under the previous step's table (the t = 0 table
-    for the first step).  Near-node configurations have their rate
-    denominator floored at node_floor times the largest density, each
-    occurrence counted in node_warnings and reported with a warning at the
-    end.
+    advances every chain vectorized; an eigenstate psi0 (to rounding) has
+    rates that do not depend on time, so its one table serves every step.
+    The step is capped at dt_cap and at 5% total jump probability under the
+    previous step's table (the t = 0 table for the first step).  Near-node
+    configurations have their rate denominator floored at node_floor times
+    the largest density, each occurrence counted in node_warnings and
+    reported with a warning at the end.
     """
     return _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor)[0]
 
@@ -509,8 +611,8 @@ class GroundCurrentReport:
 
 def lattice_ground_state(model):
     """(energy, amplitude vector) of the exact ground state."""
-    evals, evecs = model.eig()
-    return float(evals[0]), evecs[:, 0]
+    evals, ground = model.ground()
+    return float(evals[0]), ground
 
 
 def ground_state_current(model, gap_tol=1e-8):
@@ -520,12 +622,12 @@ def ground_state_current(model, gap_tol=1e-8):
     vanishes (<= 1e-10) exactly for symmetric couplings and is strictly
     positive otherwise.
     """
-    evals, evecs = model.eig()
+    evals, ground = model.ground()
     gap = float(evals[1] - evals[0])
     scale = max(abs(evals[-1]), abs(evals[0]), 1.0)
     if gap <= gap_tol * scale:
         raise ValueError(f"ground state is degenerate within tolerance (gap {gap:.3e})")
-    J = _current(model, evecs[:, 0])
+    J = _current(model, ground)
     return GroundCurrentReport(
         currents=csr_array((J, model.H.indices, model.H.indptr), shape=model.H.shape),
         max_abs=float(np.max(np.abs(J))),

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import time
 from pathlib import Path
 
 from functools import partial
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargeflow import cli, groundstate, process
+from chargeflow import cli, groundstate, lattice, process
 from chargeflow.cli import main
 from chargeflow.config import COMMANDS, ConfigError, parse_config
 from chargeflow.groundstate import current_closed_form, ground_energy, psi1
@@ -936,6 +937,36 @@ def test_degenerate_lattice_ground_level_exits_2_and_writes_nothing(tmp_path, mo
     assert code == 2
     assert "degenerate" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_lattice_uses_neither_eig_nor_eigh(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the lattice command needs no dense eigenvectors")
+
+    monkeypatch.setattr(lattice.LatticeModel, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    code, out = run_cli(tmp_path, LATTICE_SMALL, "lattice")
+    assert code == 0
+    assert read_json(out / "lattice.json")["bell"]["mean_jumps"] > 0.0
+
+
+def test_lattice_lapack_failure_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(lattice.lapack, "dsterf", lambda d, e: (d, 7))
+    code, out = run_cli(tmp_path, LATTICE_SMALL, "lattice")
+    assert code == 2
+    assert "LAPACK dsterf failed (info = 7)" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("n", [100_000, 10**6])
+def test_huge_lattice_exits_1_at_once(tmp_path, capsys, n):
+    text = LATTICE_SMALL.replace("L = 4\nn_max = 2", f"L = {n}\nn_max = {n}")
+    start = time.perf_counter()
+    code, out = run_cli(tmp_path, text, "lattice")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert "line 3: basis dimension above 10**18 exceeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):

@@ -533,3 +533,116 @@ def test_truncation_convergence_is_quartic_in_coupling():
     assert 10.0 < ratio < 24.0  # fourth-order scaling: ratio ~ 16
     d23 = abs(energy(g, 2) - energy(g, 3))
     assert d23 < d12
+
+
+def test_capped_dimension_stops_early():
+    for L in range(2, 9):
+        for n_max in range(1, 9):
+            assert lattice_dimension(L, n_max, cap=MAX_DIMENSION) == comb(L + n_max, n_max)
+    # C(2 * 10**6, 10**6) has 600,000 digits; the capped product passes the
+    # cap within a few steps
+    for n in (10**5, 10**6, 10**100):
+        assert MAX_DIMENSION < lattice_dimension(n, n, cap=MAX_DIMENSION) <= MAX_DIMENSION * n
+        with pytest.raises(ValueError, match="above 10\\*\\*18"):
+            LatticeParams(L=n, a=1.0, n_max=n, source_sites=(0,), charges=(1.0,))
+
+
+def ground_pair_models():
+    yield build_model(lattice_preset())
+    yield build_model(lattice_preset(FIGURE_CHARGES))
+    # the chain of the benchmark's lattice workload (dimension 680)
+    yield build_model(
+        LatticeParams(L=14, a=1.0, n_max=3, source_sites=(2, 10), charges=(1.0, 1j), E0=0.5)
+    )
+    rng = np.random.default_rng(14)
+    for _ in range(12):
+        yield build_model(random_params(rng, L_max=7))
+
+
+def test_ground_pair_matches_dense_eigh():
+    for model in ground_pair_models():
+        evals, ground = model.ground()
+        want, vecs = np.linalg.eigh(model.H.toarray())
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(evals - want)) <= 1e-12 * scale
+        assert abs(np.vdot(vecs[:, 0], ground)) >= 1.0 - 1e-12
+        assert np.linalg.norm(model.H @ ground - evals[0] * ground) <= 1e-12 * scale
+        assert lattice_ground_state(model)[1] is ground
+
+
+def test_ground_pair_failure_raises_linalg_error(monkeypatch):
+    monkeypatch.setattr(lattice.lapack, "dstein", lambda d, e, w, block, split: (None, 1))
+    with pytest.raises(np.linalg.LinAlgError, match="dstein"):
+        build_model(lattice_preset()).ground()
+
+
+def per_step_chains(model, psi0, t_max, n_chains, seed, dt_cap=2e-3, node_floor=1e-12):
+    """The Bell stepping loop with `evolve` called at every step midpoint,
+    whether psi0 is stationary or not: the oracle for the one-table run of a
+    stationary state and for the propagator built once per run."""
+    psi0 = psi0 / np.linalg.norm(psi0)
+    rng = np.random.default_rng(seed)
+    H, rows = model.H, model._rows
+    slots = np.arange(H.nnz) - H.indptr[rows]
+    targets = np.zeros((model.dim, slots.max() + 1), dtype=np.int64)
+    targets[rows, slots] = H.indices
+
+    def cumulative_rates(psi):
+        dens = np.abs(psi) ** 2
+        floor = node_floor * np.max(dens)
+        rates = np.zeros(targets.shape)
+        flux = lattice._flux(model, psi)[model._transpose]
+        rates[rows, slots] = flux / np.maximum(dens, floor)[rows]
+        return np.cumsum(rates, axis=1)
+
+    states = rng.choice(model.dim, size=n_chains, p=np.abs(psi0) ** 2)
+    n_jumps = np.zeros(n_chains, dtype=int)
+    t = 0.0
+    cum = cumulative_rates(psi0)
+    while t < t_max:
+        lam = cum[:, -1].max()
+        dt = min(dt_cap, 0.05 / lam if lam > 0 else np.inf, t_max - t)
+        cum = cumulative_rates(evolve(model, psi0, t + dt / 2.0))
+        jumping = np.nonzero(rng.random(n_chains) < np.minimum(cum[states, -1] * dt, 1.0))[0]
+        if jumping.size:
+            chains = jumping[np.argsort(states[jumping], kind="stable")]
+            row = cum[states[chains]]
+            row /= np.maximum(row[:, -1:], 1e-300)
+            slot = np.sum(row <= rng.random(chains.size)[:, None], axis=1)
+            states[chains] = targets[states[chains], slot]
+            n_jumps[jumping] += 1
+        t += dt
+    return states, n_jumps
+
+
+def test_stationary_ensemble_builds_one_rate_table(monkeypatch):
+    for charges in ((1.0, 1j), FIGURE_CHARGES):
+        model = build_model(lattice_preset(charges))
+        _, ground = lattice_ground_state(model)
+        states, n_jumps = per_step_chains(model, ground, 2.0, 5000, seed=5)
+        assert n_jumps.sum() > 500
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stationary run propagates nothing")
+
+        monkeypatch.setattr(lattice, "evolve", refuse)
+        monkeypatch.setattr(lattice, "_propagator", refuse)
+        res = run_bell_ensemble(model, ground, 2.0, 5000, seed=5)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(res.final_indices, states)
+        np.testing.assert_array_equal(res.n_jumps, n_jumps)
+
+
+def test_non_stationary_ensemble_matches_the_per_step_loop():
+    # the vacuum run of acceptance criterion 08
+    model = build_model(lattice_preset())
+    psi0 = np.zeros(model.dim, dtype=complex)
+    psi0[0] = 1.0
+    states, n_jumps = per_step_chains(model, psi0, 1.0, 20000, seed=201)
+    res = run_bell_ensemble(model, psi0, 1.0, 20000, seed=201)
+    np.testing.assert_array_equal(res.final_indices, states)
+    np.testing.assert_array_equal(res.n_jumps, n_jumps)
+    rng = np.random.default_rng(15)
+    psi = random_state(rng, model.dim)
+    for t in (0.3, -1.7):
+        np.testing.assert_array_equal(evolve(model, psi, t), lattice._propagator(model, psi)(t))
