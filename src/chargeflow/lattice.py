@@ -65,42 +65,29 @@ __all__ = [
 
 MAX_DIMENSION = 200_000
 DENSE_LIMIT = 2000  # largest dimension with a dense copy of H (ground, eig, spectral evolve)
-_SHOWN_DIMENSION = 10**18  # largest dimension an error message spells out
 
 
 class NodeError(ValueError):
     """Jump rates requested at a configuration where the wavefunction vanishes."""
 
 
-def lattice_dimension(L, n_max, cap=None):
+def lattice_dimension(L, n_max):
     """Number of occupation states with at most n_max bosons on L sites:
     sum_k C(L + k - 1, k) over k <= n_max, which is C(L + n_max, n_max)
-    (hockey-stick identity).
-
-    It is the last of the running products C(m + i, i), i = 1..k, with
-    k = min(L, n_max) and m = max(L, n_max), which grow with i.  Given a cap,
-    the product stops once it passes the cap and returns that partial value:
-    the dimension exceeds the cap exactly when the returned value does, and a
-    huge lattice is settled in a few steps instead of k.
-    """
-    k, m = min(L, n_max), max(L, n_max)
-    dim = 1
-    for i in range(1, k + 1):
-        dim = dim * (m + i) // i
-        if cap is not None and dim > cap:
-            break
-    return dim
+    (hockey-stick identity) and costs min(L, n_max) steps, so a huge n_max
+    is rejected at once."""
+    return comb(L + n_max, n_max)
 
 
 def dimension_error(L, n_max):
     """The message rejecting a basis of more than MAX_DIMENSION states, or
-    None.  The running product stops past 10**18 (at most about 60 steps),
-    so a dimension above that is reported as such, never computed or
-    formatted in full."""
-    dim = lattice_dimension(L, n_max, cap=_SHOWN_DIMENSION)
-    if dim <= MAX_DIMENSION:
+    None.  The dimension is at least C(2k, k) with k = min(L, n_max), which
+    passes 10**18 from k = 32 on, so past k = 60 it is not computed at all,
+    and a dimension above 10**18 is never formatted in full."""
+    dim = lattice_dimension(L, n_max) if min(L, n_max) <= 60 else None
+    if dim is not None and dim <= MAX_DIMENSION:
         return None
-    shown = dim if dim <= _SHOWN_DIMENSION else "above 10**18"
+    shown = dim if dim is not None and dim <= 10**18 else "above 10**18"
     return f"basis dimension {shown} exceeds the supported maximum {MAX_DIMENSION}"
 
 
@@ -311,31 +298,23 @@ def build_model(params):
     return LatticeModel(params, occ, H)
 
 
-def _propagator(model, psi):
-    """t -> e^{-iHt/hbar} psi for one fixed psi.
+def evolve(model, psi, t):
+    """Propagate psi by e^{-iHt/hbar}.
 
     Up to DENSE_LIMIT states this is the spectral form of the matrix
-    exponential (exact, norm drift at rounding level), with the coefficients
-    V^H psi computed once; above it, scipy's expm_multiply on the CSR H
-    (Al-Mohy & Higham, SIAM J. Sci. Comput. 33 (2011) 488), which needs no
-    eigendecomposition.
+    exponential (exact, norm drift at rounding level); above it, scipy's
+    expm_multiply on the CSR H (Al-Mohy & Higham, SIAM J. Sci. Comput. 33
+    (2011) 488), which needs no eigendecomposition.
     """
-    hbar = model.params.hbar
-    if model.dim > DENSE_LIMIT:
-        return lambda t: expm_multiply((-1j * t / hbar) * model.H, psi)
-    evals, evecs = model.eig()
-    coeffs = evecs.conj().T @ psi
-    return lambda t: evecs @ (np.exp(-1j * evals * t / hbar) * coeffs)
-
-
-def evolve(model, psi, t):
-    """Propagate psi by e^{-iHt/hbar} (see `_propagator`)."""
     psi = np.asarray(psi, dtype=complex)
     if psi.shape != (model.dim,):
         raise ValueError("psi must be a vector over the basis")
     if t == 0:
         return psi.copy()
-    return _propagator(model, psi)(t)
+    if model.dim > DENSE_LIMIT:
+        return expm_multiply((-1j * t / model.params.hbar) * model.H, psi)
+    evals, evecs = model.eig()
+    return evecs @ (np.exp(-1j * evals * t / model.params.hbar) * (evecs.conj().T @ psi))
 
 
 def sector_reversal(model, theta, psi):
@@ -480,7 +459,7 @@ def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
     H, rows = model.H, model._rows
     # a stationary state keeps its t = 0 rate table; any other is propagated
     # to each step's midpoint
-    propagate = None if _is_stationary(model, psi0) else _propagator(model, psi0)
+    stationary = _is_stationary(model, psi0)
     # row q of the rate table holds sigma(q -> q') for the q' of row q of H
     slots = np.arange(H.nnz) - H.indptr[rows]
     targets = np.zeros((model.dim, slots.max() + 1), dtype=np.int64)
@@ -502,8 +481,8 @@ def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
     while t < t_max:
         lam = cum[:, -1].max()
         dt = min(dt_cap, 0.05 / lam if lam > 0 else np.inf, t_max - t)
-        if propagate is not None:
-            cum, flagged = cumulative_rates(propagate(t + dt / 2.0))
+        if not stationary:
+            cum, flagged = cumulative_rates(evolve(model, psi0, t + dt / 2.0))
         node_hits += int(np.sum(flagged[states]))
         p_jump = np.minimum(cum[states, -1] * dt, 1.0)
         jumping = np.nonzero(rng.random(n_chains) < p_jump)[0]

@@ -4,7 +4,6 @@ import json
 import math
 import os
 import tempfile
-import time
 from pathlib import Path
 
 from functools import partial
@@ -958,12 +957,27 @@ def test_lattice_lapack_failure_exits_2_and_writes_nothing(tmp_path, monkeypatch
     assert not out.exists() or not any(out.iterdir())
 
 
-@pytest.mark.parametrize("n", [100_000, 10**6])
-def test_huge_lattice_exits_1_at_once(tmp_path, capsys, n):
-    text = LATTICE_SMALL.replace("L = 4\nn_max = 2", f"L = {n}\nn_max = {n}")
-    start = time.perf_counter()
+def test_long_lattice_time_checks_the_ground_pair_spectrally(tmp_path, monkeypatch):
+    # ||tH/hbar||_1 = 6.5e4: expm_multiply would take seconds
+    def refuse(*args, **kwargs):
+        raise AssertionError("a long t is not propagated by expm_multiply")
+
+    monkeypatch.setattr(cli, "expm_multiply", refuse)
+    text = LATTICE_SMALL.replace("t = 0.8\nchains = 200", "t = 10000.0\nchains = 0")
     code, out = run_cli(tmp_path, text, "lattice")
-    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    # t times the difference of two estimates of E0, dsterf's and eigh's
+    assert read_json(out / "lattice.json")["evolution_phase_error"] <= 1e-8
+
+
+@pytest.mark.parametrize("n", [100_000, 10**6])
+def test_huge_lattice_exits_1_without_computing_its_dimension(tmp_path, monkeypatch, capsys, n):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dimension of a huge lattice is not computed")
+
+    monkeypatch.setattr(lattice, "comb", refuse)
+    text = LATTICE_SMALL.replace("L = 4\nn_max = 2", f"L = {n}\nn_max = {n}")
+    code, out = run_cli(tmp_path, text, "lattice")
     assert code == 1
     assert "line 3: basis dimension above 10**18 exceeds" in capsys.readouterr().err
     assert not out.exists()

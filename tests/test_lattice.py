@@ -17,6 +17,7 @@ from chargeflow.lattice import (
     build_model,
     check_T_commutation,
     check_gauge_equivalence,
+    dimension_error,
     evolve,
     ground_state_current,
     lattice_dimension,
@@ -535,14 +536,25 @@ def test_truncation_convergence_is_quartic_in_coupling():
     assert d23 < d12
 
 
-def test_capped_dimension_stops_early():
-    for L in range(2, 9):
-        for n_max in range(1, 9):
-            assert lattice_dimension(L, n_max, cap=MAX_DIMENSION) == comb(L + n_max, n_max)
-    # C(2 * 10**6, 10**6) has 600,000 digits; the capped product passes the
-    # cap within a few steps
-    for n in (10**5, 10**6, 10**100):
-        assert MAX_DIMENSION < lattice_dimension(n, n, cap=MAX_DIMENSION) <= MAX_DIMENSION * n
+def test_dimension_error_formats_no_dimension_above_10_to_the_18(monkeypatch):
+    for L in range(1, 12):
+        for n_max in range(0, 12):
+            dim = comb(L + n_max, n_max)
+            if dim <= MAX_DIMENSION:
+                assert dimension_error(L, n_max) is None
+            else:
+                assert dimension_error(L, n_max).startswith(f"basis dimension {dim} exceeds")
+    # C(62, 31) is below 10**18 and C(64, 32) above it
+    assert dimension_error(31, 31).startswith(f"basis dimension {comb(62, 31)} exceeds")
+    for L, n_max in ((32, 32), (40, 10**100), (10**100, 60)):
+        assert dimension_error(L, n_max).startswith("basis dimension above 10**18 exceeds")
+
+    # past min(L, n_max) = 60 the dimension is not computed at all
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dimension of a huge lattice is not computed")
+
+    monkeypatch.setattr(lattice, "comb", refuse)
+    for n in (61, 10**5, 10**6, 10**100):
         with pytest.raises(ValueError, match="above 10\\*\\*18"):
             LatticeParams(L=n, a=1.0, n_max=n, source_sites=(0,), charges=(1.0,))
 
@@ -579,7 +591,7 @@ def test_ground_pair_failure_raises_linalg_error(monkeypatch):
 def per_step_chains(model, psi0, t_max, n_chains, seed, dt_cap=2e-3, node_floor=1e-12):
     """The Bell stepping loop with `evolve` called at every step midpoint,
     whether psi0 is stationary or not: the oracle for the one-table run of a
-    stationary state and for the propagator built once per run."""
+    stationary state."""
     psi0 = psi0 / np.linalg.norm(psi0)
     rng = np.random.default_rng(seed)
     H, rows = model.H, model._rows
@@ -626,7 +638,6 @@ def test_stationary_ensemble_builds_one_rate_table(monkeypatch):
             raise AssertionError("a stationary run propagates nothing")
 
         monkeypatch.setattr(lattice, "evolve", refuse)
-        monkeypatch.setattr(lattice, "_propagator", refuse)
         res = run_bell_ensemble(model, ground, 2.0, 5000, seed=5)
         monkeypatch.undo()
         np.testing.assert_array_equal(res.final_indices, states)
@@ -642,7 +653,3 @@ def test_non_stationary_ensemble_matches_the_per_step_loop():
     res = run_bell_ensemble(model, psi0, 1.0, 20000, seed=201)
     np.testing.assert_array_equal(res.final_indices, states)
     np.testing.assert_array_equal(res.n_jumps, n_jumps)
-    rng = np.random.default_rng(15)
-    psi = random_state(rng, model.dim)
-    for t in (0.3, -1.7):
-        np.testing.assert_array_equal(evolve(model, psi, t), lattice._propagator(model, psi)(t))
