@@ -215,10 +215,21 @@ def _cmd_streamlines(config, out):
     return 0
 
 
-def _cmd_simulate(config, out):
+def _bound_system(config):
+    """The [model] system of a command that needs its normalizable ground state."""
     system = config.charge_system()
+    if not system.E0 > 0:
+        raise ConfigError(
+            f"key 'E0' must be positive for '{config.command}': the ground state is not "
+            "normalizable at E0 = 0",
+            config.line("model", "E0"),
+        )
+    return system
+
+
+def _cmd_simulate(config, out):
+    gs = ground_state(_bound_system(config))
     opts = config.options("simulate")
-    gs = ground_state(system)
     law = derive_emission_law(gs)
     eps_absorb = opts["eps_absorb"] or None
     eps_start = opts["eps_start"] or None
@@ -248,11 +259,7 @@ def _cmd_simulate(config, out):
     if opts["runs"] > 0:
         payload = {
             "poisson_rate": gs.poisson_rate,
-            "emission_law": {
-                "rates": law.rates,
-                "limits": law.limits,
-                "direction_spread": law.direction_spread,
-            },
+            "emission_law": {"rates": law.rates, "limits": law.limits},
         }
         rev = reversal_test(
             gs,
@@ -417,17 +424,16 @@ def _cmd_lattice(config, out, check=None):
 
 
 def _cmd_potential(config, out):
-    system = config.charge_system()
+    system = _bound_system(config)
     opts = config.options("potential")
     prov = _provenance(config, ("model", "potential"), {})
+    # everything is computed before the first artifact is written, so a
+    # failing command leaves no partial output behind
     rows = []
     for i in range(1, system.n_sources + 1):
         for j in range(i + 1, system.n_sources + 1):
             pair = effective_kappa(system, i, j)
             rows.append((i, j, pair.kappa, pair.interaction_range))
-    write_csv(
-        os.path.join(out, "kappa_table.csv"), ("i", "j", "kappa", "range"), rows, prov
-    )
     payload = {"ground_energy": ground_energy(system), "pairs": len(rows)}
     if opts["verify"]:
         report = verify_eigen_vacuum(ground_state(system))
@@ -437,6 +443,9 @@ def _cmd_potential(config, out):
             "rel_error": report.rel_error,
             "passed": report.passed,
         }
+    write_csv(
+        os.path.join(out, "kappa_table.csv"), ("i", "j", "kappa", "range"), rows, prov
+    )
     write_json(os.path.join(out, "potential.json"), payload, prov)
     return 0
 

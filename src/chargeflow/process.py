@@ -12,8 +12,9 @@ the absorption counts at its partners.
 The per-source emission rate is the same in every sector n: the amplitude
 ratio of consecutive sectors contributes a factor 1/(n+1) to the flux limit,
 and the emitted boson can join an unordered n-boson configuration in n+1
-ways, so the two factors cancel.  `derive_emission_law` extracts the rate
-numerically rather than hard-coding a constant.
+ways, so the two factors cancel.  `derive_emission_law` evaluates that limit
+in closed form from the pair products Im(conj(g_i) g_j) and the source
+separations.
 
 Because the stationary state factorizes over bosons, bosons never interact;
 the ensemble driver exploits this by moving every boson of every run in one
@@ -30,15 +31,7 @@ from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.spatial.distance import pdist
 from scipy.stats import binomtest, chisquare, kstest, poisson
 
-from .groundstate import (
-    _advance,
-    _default_radii,
-    _extrapolate_to_zero,
-    _flow,
-    psi1_gradient,
-    radial_cdf_interpolator,
-    sample_boson_positions,
-)
+from .groundstate import _advance, _flow, radial_cdf_interpolator, sample_boson_positions
 
 __all__ = [
     "EmissionLaw",
@@ -61,20 +54,6 @@ __all__ = [
     "StartSensitivityReport",
     "emission_start_sensitivity",
 ]
-
-# six axis and eight diagonal probe directions: cheap, deterministic, and
-# spread enough to expose any directional dependence of the flux limit
-_PROBE_DIRECTIONS = np.concatenate(
-    [
-        np.eye(3),
-        -np.eye(3),
-        np.array(
-            [[sx, sy, sz] for sx in (-1.0, 1.0) for sy in (-1.0, 1.0) for sz in (-1.0, 1.0)]
-        )
-        / np.sqrt(3.0),
-    ]
-)
-
 
 def _velocity_raw(system, pts):
     """Velocity field current/|psi1|^2 with the density floored near nodes.
@@ -115,17 +94,16 @@ class EmissionLaw:
     """Per-source emission rates of the stationary process.
 
     limits[j] is the r -> 0 limit of Im[conj(F) dF/dr] at source j, with
-    F(r) = r * psi1(x_j + r*omega); it is direction independent (the largest
-    deviation seen across probe directions is recorded as direction_spread)
-    and rates[j] = (m/(pi hbar^3)) * max(0, limits[j]).  The rates carry the
-    sector bookkeeping already: they are the same in every sector, and the
-    emission direction is uniform because the singular part of psi1 is
-    isotropic.
+    F(r) = r * psi1(x_j + r*omega): only the cross terms of |psi1|^2 survive,
+    so limits[j] = sum_{i != j} Im(conj(g_i) g_j) exp(-alpha R_ij)/R_ij, the
+    same in every direction omega.  rates[j] = (m/(pi hbar^3)) * max(0,
+    limits[j]).  The rates carry the sector bookkeeping already: they are the
+    same in every sector, and the emission direction is uniform because the
+    singular part of psi1 is isotropic.
     """
 
     rates: np.ndarray
     limits: np.ndarray
-    direction_spread: float
 
     def __post_init__(self):
         self.rates.setflags(write=False)
@@ -136,46 +114,24 @@ class EmissionLaw:
         return float(self.rates.sum())
 
 
-def derive_emission_law(gs, radii=None, directions=None, direction_tol=1e-6):
-    """Extract the per-source emission rates from the flux limit.
+def derive_emission_law(gs):
+    """Per-source emission rates from the closed-form flux limit.
 
-    For each source and probe direction the smooth radial function
-    G(r) = Im[r^2 conj(psi1) d(psi1)/dr] is evaluated on a geometric ladder
-    of radii and extrapolated to r = 0 (Neville).  The limits must agree
-    across directions to direction_tol (relative); their mean gives the rate.
-    Raises RuntimeError when the extrapolation stalls or the limit is
-    direction dependent.
+    limits[j] = sum_i B_ij K_ij with B = system.im_products and
+    K_ij = exp(-alpha R_ij)/R_ij, K_jj = 0.  A limit within 1e-10 of the
+    largest sum_i |g_i||g_j| K_ij is snapped to exact zero: a 1e-10 phase
+    tolerance at every E0, so charges with a common phase emit nothing.
     """
     system = gs.system
-    radii = _default_radii(system) if radii is None else np.asarray(radii, dtype=float)
-    if radii.size < 3:
-        raise ValueError("need at least three radii")
-    dirs = _PROBE_DIRECTIONS if directions is None else np.asarray(directions, dtype=float)
-    ref = float(np.max(np.abs(system.charges)) ** 2) * gs.alpha
-    limits = np.empty(system.n_sources)
-    spread = 0.0
-    for j in range(system.n_sources):
-        pts = system.positions[j] + radii[None, :, None] * dirs[:, None, :]
-        val, grad = psi1_gradient(system, pts)
-        radial = np.einsum("drk,dk->dr", grad, dirs)
-        g_of_r = radii[None, :] ** 2 * np.imag(np.conj(val) * radial)
-        ext = _extrapolate_to_zero(radii, [g_of_r[:, i] for i in range(radii.size)])
-        ext_coarse = _extrapolate_to_zero(
-            radii[:-1], [g_of_r[:, i] for i in range(radii.size - 1)]
-        )
-        scale = max(ref, float(np.max(np.abs(ext))))
-        if np.max(np.abs(ext - ext_coarse)) > 1e-8 * scale:
-            raise RuntimeError(f"flux-limit extrapolation did not converge at source {j + 1}")
-        spread_j = float(np.max(ext) - np.min(ext))
-        if spread_j > direction_tol * scale:
-            raise RuntimeError(f"flux limit is direction dependent at source {j + 1}")
-        spread = max(spread, spread_j)
-        limits[j] = float(np.mean(ext))
-    # snap limits below the extrapolation resolution to exact zero so that
-    # symmetric charge vectors yield exactly rate-free sources
-    limits[np.abs(limits) < 1e-10 * ref] = 0.0
+    dist = system.pair_distances()
+    off = ~np.eye(system.n_sources, dtype=bool)
+    K = np.divide(np.exp(-gs.alpha * dist), dist, out=np.zeros_like(dist), where=off)
+    limits = np.sum(system.im_products * K, axis=0)
+    mod = np.abs(system.charges)
+    scale = float(np.max(mod * (mod @ K)))
+    limits[np.abs(limits) <= 1e-10 * scale] = 0.0
     rates = (system.m / (np.pi * system.hbar**3)) * np.maximum(0.0, limits)
-    return EmissionLaw(rates=rates, limits=limits, direction_spread=spread)
+    return EmissionLaw(rates=rates, limits=limits)
 
 
 @dataclass(frozen=True)

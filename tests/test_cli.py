@@ -10,7 +10,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargeflow import cli, groundstate, lattice, process
@@ -299,6 +299,9 @@ def test_lattice_source_sites_must_be_integers():
             "boundary",
             "line 3: the witness current is inf",
         ),
+        # the ground state is not normalizable at E0 = 0
+        (MODEL + "E0 = 0\n", "potential", "line 4: key 'E0' must be positive"),
+        (MODEL + "E0 = 0\n", "simulate", "line 4: key 'E0' must be positive"),
     ],
 )
 def test_late_config_errors_name_the_key_line(tmp_path, capsys, text, command, message):
@@ -337,6 +340,23 @@ def test_single_line_edits_of_the_figure_config_parse_or_name_their_line(index, 
         config.lattice_params()
     except ConfigError as exc:
         assert exc.line is not None, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(index=st.sampled_from(_FIGURE_KEY_LINES), value=st.sampled_from(_VALUE_SHAPES))
+@example(index=_FIGURE_LINES.index("E0 = 0.005"), value="0")
+def test_single_line_edits_of_the_figure_config_run_or_fail_cleanly(index, value):
+    lines = list(_FIGURE_LINES)
+    lines[index] = f"{lines[index].partition('=')[0]}= {value}"
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "edited.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        for command in ("potential", "symmetry"):
+            out = Path(tmp) / command
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+            assert code in (0, 1, 2), (command, code)
+            if code != 0:
+                assert not out.exists() or not any(out.iterdir()), (command, code)
 
 
 # ---------------------------------------------------------------- seeds
@@ -761,6 +781,31 @@ def test_simulate_ensemble_statistics(tmp_path):
     assert len(rev["p_values"]) == 2
     assert rev["flux_balance_error"] >= 0.0
     assert "equivariance" not in stats
+
+
+# couplings e^{i} * (1, -2, 0.7): one common phase, so no source emits
+_COMMON_PHASE_ROWS = "".join(
+    f"charge = {float(g.real)!r} {float(g.imag)!r} {x} {y} 0.0\n"
+    for g, (x, y) in zip(np.exp(1j) * np.array([1.0, -2.0, 0.7]), [(0, 0), (1, 0), (0, 2)])
+)
+
+
+def test_simulate_common_phase_charges_at_small_E0(tmp_path):
+    text = f"""\
+[model]
+{_COMMON_PHASE_ROWS}E0 = 1e-8
+
+[simulate]
+t_max = 0.05
+dt = 0.01
+runs = 1000
+trajectory = false
+"""
+    code, out = run_cli(tmp_path, text, "simulate", "--seed", "3")
+    assert code == 0
+    stats = read_json(out / "statistics.json")
+    assert stats["emission_law"] == {"rates": [0.0, 0.0, 0.0], "limits": [0.0, 0.0, 0.0]}
+    assert stats["reversal"]["emissions"] == [0, 0, 0]
 
 
 def test_lattice_full_artifacts(tmp_path):
