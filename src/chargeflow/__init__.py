@@ -7,24 +7,32 @@ continuum Bohmian trajectories with stochastic creation/annihilation
 (`process`), one-dimensional boundary-condition analogues (`boundary`),
 and a config-driven command line interface (`cli`).  The package re-exports
 the `__all__` of each of these modules except `cli`, plus `presets`.
+
+The re-exports resolve on first access (PEP 562), so importing the package
+or one of its light modules (`model`, `config`, `io`, `cli`) loads no scipy.
 """
 
-from . import boundary, groundstate, lattice, model, presets, process
-from .boundary import *  # noqa: F403
-from .groundstate import *  # noqa: F403
-from .lattice import *  # noqa: F403
-from .model import *  # noqa: F403
-from .presets import *  # noqa: F403
-from .process import *  # noqa: F403
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *model.__all__,
-    *groundstate.__all__,
-    *lattice.__all__,
-    *process.__all__,
-    *boundary.__all__,
-    *presets.__all__,
-    "__version__",
-]
+# the re-exporting modules, in the order of `__all__`
+_MODULES = ("model", "groundstate", "lattice", "process", "boundary", "presets")
+
+
+def __getattr__(name):
+    """Import a module of `_MODULES`, or the module that exports `name`, and
+    bind the result in the package namespace."""
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name == "__all__":
+        value = [*(n for m in _MODULES for n in __getattr__(m).__all__), "__version__"]
+    elif name.startswith("_"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    else:
+        module = next((m for m in map(__getattr__, _MODULES) if name in m.__all__), None)
+        if module is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(module, name)
+    globals()[name] = value
+    return value

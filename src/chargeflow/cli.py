@@ -18,30 +18,10 @@ import os
 import sys
 
 import numpy as np
-from scipy.sparse.linalg import expm_multiply
 
-from .boundary import (
-    RobinBC,
-    WitnessInput,
-    discrete_periodic_ground,
-    emission_witness,
-    is_probability_conserving,
-    periodic_ground_current,
-    periodic_spectrum,
-    robin_leak_check,
-    symmetry_verdict_periodic,
-)
+# the light modules only: each command imports the rest when it runs, so a
+# fresh process loads no scipy module that its command does not use
 from .config import COMMANDS, ConfigError, parse_config
-from .groundstate import (
-    NearNodeError,
-    current_closed_form,
-    effective_kappa,
-    ground_energy,
-    ground_state,
-    psi1,
-    streamlines,
-    verify_eigen_vacuum,
-)
 from .io import (
     Provenance,
     derive_seed,
@@ -51,39 +31,12 @@ from .io import (
     write_json,
     write_jsonl,
 )
-from .lattice import (
-    DENSE_LIMIT,
-    NodeError,
-    build_model,
-    check_gauge_equivalence,
-    check_T_commutation,
-    evolve,
-    ground_state_current,
-    lattice_dimension,
-    reversal_conditions_check,
-    run_bell_ensemble,
-)
 from .model import GeneralIBCParams, classify_charges, classify_general_ibc
-from .process import (
-    EnsembleParams,
-    SimulationParams,
-    _pooled_chisquare,
-    derive_emission_law,
-    equivariance_test,
-    reversal_test,
-    simulate,
-)
 
 __all__ = ["main", "dispatch"]
 
-_NUMERICAL = (
-    RuntimeError,
-    ArithmeticError,
-    FloatingPointError,
-    np.linalg.LinAlgError,
-    NearNodeError,
-    NodeError,
-)
+# LinAlgError, NearNodeError and NodeError are ValueErrors
+_NUMERICAL = (RuntimeError, ArithmeticError, ValueError)
 
 
 def _provenance(config, sections, seed_streams):
@@ -127,6 +80,8 @@ def _cmd_symmetry(config, out):
 
 def _field_table(system, pts):
     """Columns x, y, z, jx, jy, jz, |psi1|, phase at the (N, 3) points."""
+    from .groundstate import current_closed_form, psi1
+
     val = psi1(system, pts)
     # hypot and the array angle give the bits of scalar abs() and np.angle;
     # np.abs of the complex array differs from them in the last place
@@ -162,6 +117,8 @@ def _cmd_field(config, out):
 
 
 def _cmd_streamlines(config, out):
+    from .groundstate import streamlines
+
     system = config.charge_system()
     opts = config.options("streamlines")
     if opts["source"] > system.n_sources:
@@ -228,6 +185,16 @@ def _bound_system(config):
 
 
 def _cmd_simulate(config, out):
+    from .groundstate import ground_state
+    from .process import (
+        EnsembleParams,
+        SimulationParams,
+        derive_emission_law,
+        equivariance_test,
+        reversal_test,
+        simulate,
+    )
+
     gs = ground_state(_bound_system(config))
     opts = config.options("simulate")
     law = derive_emission_law(gs)
@@ -329,8 +296,30 @@ def _cmd_simulate(config, out):
 # of the dense eigendecomposition that `evolve` needs)
 _EXPM_NORM_LIMIT = 1000.0
 
+# the most steps of BELL_DT_CAP that the Bell ensemble of `chargeflow lattice`
+# may take: a t beyond it would run for hours or, at t = 1e308, never end
+_BELL_STEP_LIMIT = 10**6
+
 
 def _cmd_lattice(config, out, check=None):
+    from scipy.sparse.linalg import expm_multiply
+
+    from .lattice import (
+        BELL_DT_CAP,
+        DENSE_LIMIT,
+        build_model,
+        check_gauge_equivalence,
+        check_T_commutation,
+        evolve,
+        ground_state_current,
+        lattice_dimension,
+        reversal_conditions_check,
+        run_bell_ensemble,
+    )
+    # imported before the model's arrays exist: loading process (scipy.stats)
+    # after them raises the peak RSS of a lattice run by about 1 MB
+    from .process import _pooled_chisquare
+
     params = config.lattice_params()
     opts = config.options("lattice")
     dim = lattice_dimension(params.L, params.n_max)
@@ -340,6 +329,12 @@ def _cmd_lattice(config, out, check=None):
             f"basis dimension {dim} exceeds the dense limit of {DENSE_LIMIT} states "
             "(every --check runs at any size)",
             config.line("lattice", "n_max", "L"),
+        )
+    if check is None and opts["chains"] > 0 and opts["t"] > _BELL_STEP_LIMIT * BELL_DT_CAP:
+        raise ConfigError(
+            f"key 't' must be at most {_BELL_STEP_LIMIT * BELL_DT_CAP:g} when chains > 0: "
+            f"the Bell chains take steps of at most {BELL_DT_CAP:g}",
+            config.line("lattice", "t", "chains"),
         )
     model = build_model(params)
     theta = opts["theta"]
@@ -424,6 +419,8 @@ def _cmd_lattice(config, out, check=None):
 
 
 def _cmd_potential(config, out):
+    from .groundstate import effective_kappa, ground_energy, ground_state, verify_eigen_vacuum
+
     system = _bound_system(config)
     opts = config.options("potential")
     prov = _provenance(config, ("model", "potential"), {})
@@ -456,6 +453,18 @@ def _witness_pair(pair):
 
 
 def _cmd_boundary(config, out):
+    from .boundary import (
+        RobinBC,
+        WitnessInput,
+        discrete_periodic_ground,
+        emission_witness,
+        is_probability_conserving,
+        periodic_ground_current,
+        periodic_spectrum,
+        robin_leak_check,
+        symmetry_verdict_periodic,
+    )
+
     opts = config.options("boundary")
     m, hbar = opts["m"], opts["hbar"]
     # rejected witness and Robin rows are config errors, and everything is
@@ -622,9 +631,6 @@ def main(argv=None):
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except _NUMERICAL as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

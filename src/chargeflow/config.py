@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .lattice import LatticeParams, dimension_error
 from .model import ChargeSystem
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "COMMANDS"]
@@ -133,6 +132,10 @@ _SCHEMA = {
 }
 # fmt: on
 
+# the most plane-wave levels on each side of the ground level that `boundary`
+# lists per theta; the list is built in memory before it is written
+_MAX_LEVELS = 100_000
+
 _KIND_NOUN = {
     "float": "a number",
     "int": "an integer",
@@ -237,6 +240,9 @@ class RunConfig:
 
     def lattice_params(self):
         """Build the lattice model parameters from the [lattice] section."""
+        # lattice loads scipy, which parsing a config does not need
+        from .lattice import LatticeParams, dimension_error
+
         opts = self.sections["lattice"]
         error = dimension_error(opts["L"], opts["n_max"])
         if error is not None:
@@ -413,8 +419,10 @@ def _validate(config):
     positive("boundary", "m", "hbar", "leak_tol")
     if bnd["grid"] < 8:
         raise ConfigError("key 'grid' must be at least 8", line("boundary", "grid"))
-    if bnd["n_levels"] < 0:
-        raise ConfigError("key 'n_levels' must be nonnegative", line("boundary", "n_levels"))
+    if not 0 <= bnd["n_levels"] <= _MAX_LEVELS:
+        raise ConfigError(
+            f"key 'n_levels' must lie in [0, {_MAX_LEVELS}]", line("boundary", "n_levels")
+        )
     if bnd["leak_end"] not in (0, 1):
         raise ConfigError("key 'leak_end' must be 0 or 1", line("boundary", "leak_end"))
     if any(not -np.pi < th <= np.pi for th in bnd["theta"]):

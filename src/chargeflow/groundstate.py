@@ -26,7 +26,8 @@ nonzero probability current even though it is (the one-boson shadow of) a
 ground state; the closed-form current implemented here is cross-checked
 against a finite-difference evaluation of (hbar/m) Im[conj(psi1) grad psi1].
 
-Source labels in all public signatures are 1-based.
+Source labels in all public signatures are 1-based.  scipy is imported only
+inside the radial-CDF functions, so the field and its streamlines load none.
 """
 
 import warnings
@@ -35,9 +36,6 @@ from itertools import combinations, pairwise
 from math import lgamma
 
 import numpy as np
-from scipy import integrate
-from scipy.interpolate import PchipInterpolator
-from scipy.special import exp1
 
 from .model import ChargeSystem, Configuration
 
@@ -69,6 +67,20 @@ class NearNodeError(ValueError):
 
 def _alpha(system):
     return np.sqrt(2.0 * system.m * system.E0) / system.hbar
+
+
+def _pair_scale(system):
+    """m/(pi*hbar^2), the scale of the pair couplings and the ground energy;
+    ValueError when it leaves the float range."""
+    try:
+        scale = system.m / (np.pi * system.hbar**2)
+    except (OverflowError, ZeroDivisionError):  # hbar**2 left the float range
+        scale = 0.0
+    if not 0.0 < scale < np.inf:
+        raise ValueError(
+            f"m/(pi*hbar^2) leaves the float range at m = {system.m!r}, hbar = {system.hbar!r}"
+        )
+    return scale
 
 
 def _positions_of(q):
@@ -161,7 +173,15 @@ def ground_state(system):
     if not system.E0 > 0:
         raise ValueError("E0 must be positive: |psi1|^2 is not integrable otherwise")
     w = _norm_integral_closed(system)
-    lam = (system.m / (2.0 * np.pi * system.hbar**2)) ** 2 * w
+    try:
+        lam = (system.m / (2.0 * np.pi * system.hbar**2)) ** 2 * w
+    except (OverflowError, ZeroDivisionError):
+        lam = np.inf
+    if not np.isfinite(lam):
+        raise ValueError(
+            "the Poisson rate lambda = (m/(2*pi*hbar^2))^2 * int |psi1|^2 leaves the float "
+            f"range at m = {system.m!r}, hbar = {system.hbar!r}"
+        )
     return GroundState(
         system=system,
         alpha=_alpha(system),
@@ -329,7 +349,12 @@ def ground_energy(system):
         for j in range(i + 1, system.n_sources):
             R = dist[i, j]
             pair_term += np.real(np.conj(g[i]) * g[j]) * np.exp(-a * R) / R
-    return float(system.m / (np.pi * system.hbar**2) * (self_term - pair_term))
+    energy = float(_pair_scale(system) * (self_term - pair_term))
+    if not np.isfinite(energy):
+        raise ValueError(
+            f"the ground energy leaves the float range at m = {system.m!r}, hbar = {system.hbar!r}"
+        )
+    return energy
 
 
 @dataclass(frozen=True)
@@ -353,7 +378,7 @@ def effective_kappa(system, i, j):
     if i == j:
         raise ValueError("pair interaction needs two distinct sources")
     g = system.charges
-    kappa = system.m / (np.pi * system.hbar**2) * float(
+    kappa = _pair_scale(system) * float(
         np.real(np.conj(g[i - 1]) * g[j - 1])
     )
     if system.E0 > 0:
@@ -672,6 +697,8 @@ def _e1_antiderivatives(t, b):
     """int E1(b t) dt = t E1(b t) - exp(-b t)/b and int t E1(b t) dt =
     t^2 E1(b t)/2 - (b t + 1) exp(-b t)/(2 b^2) (Abramowitz & Stegun 5.1),
     with t E1(b t) and t^2 E1(b t) set to exactly 0 at t = 0."""
+    from scipy.special import exp1
+
     with np.errstate(invalid="ignore"):
         t_e1 = np.where(t > 0.0, t * exp1(b * t), 0.0)
     decay = np.exp(-b * t) / b
@@ -727,6 +754,8 @@ def radial_distance_cdf(system, center, r_values):
     total = _radial_closed_cdf(system, center, r[finite])
     density = _offcenter_shell_density(system, center)
     if density is not None:
+        from scipy import integrate
+
         radii, where = np.unique(r[finite], return_inverse=True)
         xc = system.positions[center - 1]
         kinks = np.linalg.norm(np.delete(system.positions, center - 1, axis=0) - xc, axis=1)
@@ -746,6 +775,8 @@ def radial_cdf_interpolator(system, center, r_max, n_grid=512):
     refined geometrically around each source distance, where the shell
     density has a kink.
     """
+    from scipy.interpolate import PchipInterpolator
+
     r_max = float(r_max)
     grid = np.linspace(0.0, r_max, n_grid)
     xc = system.positions[center - 1]

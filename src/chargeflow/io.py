@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .process import AbsorbEvent, EmitEvent, MoveEvent
 
 __all__ = [
     "derive_seed",
@@ -232,6 +231,9 @@ def write_jsonl(path, records, provenance):
 
 def trajectory_events(record):
     """TrajectoryRecord -> JSON-ready event dicts plus a summary record."""
+    # process loads scipy, which the other writers do not need
+    from .process import AbsorbEvent, EmitEvent, MoveEvent
+
     events = []
     for event in record.events:
         if isinstance(event, MoveEvent):

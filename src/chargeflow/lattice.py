@@ -65,6 +65,7 @@ __all__ = [
 
 MAX_DIMENSION = 200_000
 DENSE_LIMIT = 2000  # largest dimension with a dense copy of H (ground, eig, spectral evolve)
+BELL_DT_CAP = 2e-3  # largest step of a Bell chain
 
 
 class NodeError(ValueError):
@@ -510,7 +511,7 @@ def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
     return result, path
 
 
-def run_bell_process(model, psi0, t_max, seed, dt_cap=2e-3, node_floor=1e-12):
+def run_bell_process(model, psi0, t_max, seed, dt_cap=BELL_DT_CAP, node_floor=1e-12):
     """Run one minimal-jump chain with the wavefunction evolved alongside.
 
     The chain is an ensemble of one (`run_bell_ensemble` with n_chains=1 and
@@ -527,7 +528,7 @@ def run_bell_process(model, psi0, t_max, seed, dt_cap=2e-3, node_floor=1e-12):
     )
 
 
-def run_bell_ensemble(model, psi0, t_max, n_chains, seed, dt_cap=2e-3, node_floor=1e-12):
+def run_bell_ensemble(model, psi0, t_max, n_chains, seed, dt_cap=BELL_DT_CAP, node_floor=1e-12):
     """Evolve n_chains independent jump chains in lockstep (shared rate table).
 
     Initial configurations are drawn from |psi0|^2.  The wavefunction, hence

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +12,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -276,6 +279,9 @@ def test_lattice_source_sites_must_be_integers():
         ("[lattice]\nL = 4\nE0 = -0.5\n", "lattice", "line 3: key 'E0' must be nonnegative"),
         ("[lattice]\nL = 40\nn_max = 8\n", "lattice", "line 3: basis dimension 377348994 exceeds"),
         (LATTICE_SMALL.replace("L = 4\nn_max = 2", "L = 13\nn_max = 4"), "lattice", "line 3: basis dimension 2380"),
+        # 10**6 steps of the largest Bell step; a longer run never ends in practice
+        (LATTICE_SMALL.replace("t = 0.8", "t = 2000.5"), "lattice", "line 8: key 't' must be at most 2000"),
+        ("[boundary]\ntheta = 0.3\nn_levels = 100001\n", "boundary", "line 3: key 'n_levels' must lie in"),
         (
             "[model]\nm = 1.0\ncharge = 1 0 0 0 0\ncharge = 0 1 0 0 0\n",
             "field",
@@ -312,6 +318,26 @@ def test_late_config_errors_name_the_key_line(tmp_path, capsys, text, command, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    ("edit", "quantity"),
+    [
+        ("m = 1e308", "the ground energy"),
+        ("hbar = 1e308", "m/(pi*hbar^2)"),
+        ("hbar = 1e-320", "m/(pi*hbar^2)"),
+    ],
+)
+def test_potential_outside_the_float_range_exits_2_naming_the_quantity(tmp_path, capsys, edit, quantity):
+    key = edit.partition(" ")[0]
+    text = FIGURE_CFG.read_text().replace(f"\n{key} = 1.0\n", f"\n{edit}\n", 1)
+    assert edit in text
+    with np.errstate(all="ignore"):
+        code, out = run_cli(tmp_path, text, "potential")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"numerical failure: {quantity} leaves the float range" in err
+    assert not out.exists()
+
+
 def test_shipped_figure_config_parses():
     config = parse_config(FIGURE_CFG.read_text())
     system = config.charge_system()
@@ -342,16 +368,34 @@ def test_single_line_edits_of_the_figure_config_parse_or_name_their_line(index, 
         assert exc.line is not None, str(exc)
 
 
-@settings(max_examples=300, deadline=None)
+# the figure config with every size cut down, for the commands to run cheaply
+_REDUCED = {
+    "nx = 101": "nx = 5",
+    "ny = 101": "ny = 4",
+    "n_seeds = 100": "n_seeds = 4",
+    "max_arc = 40.0": "max_arc = 10.0",
+    "L = 8": "L = 6",
+    "chains = 20000": "chains = 200",
+    "grid = 512": "grid = 64",
+}
+_REDUCED_LINES = [_REDUCED.get(line, line) for line in _FIGURE_LINES]
+
+
+# every command but simulate, whose ensemble is too slow to run this often;
+# the two extra examples are edits that once ran without end (the Bell chains
+# at t = 1e308, the plane-wave levels at n_levels = 2**64)
+@settings(max_examples=250, deadline=None)
 @given(index=st.sampled_from(_FIGURE_KEY_LINES), value=st.sampled_from(_VALUE_SHAPES))
 @example(index=_FIGURE_LINES.index("E0 = 0.005"), value="0")
+@example(index=_FIGURE_LINES.index("t = 1.0"), value="1e308")
+@example(index=_FIGURE_LINES.index("n_levels = 3"), value=str(2**64))
 def test_single_line_edits_of_the_figure_config_run_or_fail_cleanly(index, value):
-    lines = list(_FIGURE_LINES)
+    lines = list(_REDUCED_LINES)
     lines[index] = f"{lines[index].partition('=')[0]}= {value}"
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "edited.cfg"
         cfg.write_text("\n".join(lines) + "\n")
-        for command in ("potential", "symmetry"):
+        for command in ("potential", "symmetry", "field", "streamlines", "lattice", "boundary"):
             out = Path(tmp) / command
             code = main([command, "--config", str(cfg), "--out", str(out)])
             assert code in (0, 1, 2), (command, code)
@@ -633,12 +677,13 @@ def test_field_and_streamlines_csv_match_the_per_value_rows(tmp_path, monkeypatc
     assert (out / "field.csv").read_text() == expected
 
     lines = []
+    original = groundstate.streamlines
 
     def recorded(*args, **kwargs):
-        lines.extend(groundstate.streamlines(*args, **kwargs))
+        lines.extend(original(*args, **kwargs))
         return lines
 
-    monkeypatch.setattr(cli, "streamlines", recorded)
+    monkeypatch.setattr(groundstate, "streamlines", recorded)
     code, out = run_cli(tmp_path, text, "streamlines")
     assert code == 0
     rows = [
@@ -976,7 +1021,7 @@ def test_degenerate_lattice_ground_level_exits_2_and_writes_nothing(tmp_path, mo
     def degenerate(model):
         raise ValueError("ground state is degenerate within tolerance (gap 0.000e+00)")
 
-    monkeypatch.setattr(cli, "ground_state_current", degenerate)
+    monkeypatch.setattr(lattice, "ground_state_current", degenerate)
     code, out = run_cli(tmp_path, LATTICE_SMALL, "lattice")
     assert code == 2
     assert "degenerate" in capsys.readouterr().err
@@ -1007,7 +1052,7 @@ def test_long_lattice_time_checks_the_ground_pair_spectrally(tmp_path, monkeypat
     def refuse(*args, **kwargs):
         raise AssertionError("a long t is not propagated by expm_multiply")
 
-    monkeypatch.setattr(cli, "expm_multiply", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
     text = LATTICE_SMALL.replace("t = 0.8\nchains = 200", "t = 10000.0\nchains = 0")
     code, out = run_cli(tmp_path, text, "lattice")
     assert code == 0
@@ -1052,3 +1097,106 @@ def test_check_flag_only_for_lattice(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MODEL)
     assert main(["symmetry", "--config", str(cfg), "--check", "gauge"]) == 1
+
+
+# ---------------------------------------------------------------- fresh interpreters
+# An in-process suite loads every module for every test, so only a fresh
+# interpreter shows what an import or a command loads by itself.
+
+_SRC_PATH = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+
+_SCIPY_MODULES = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+"""
+
+_IMPORT_AND_SYMMETRY = _SCIPY_MODULES + """
+import chargeflow.cli
+from chargeflow.config import parse_config
+
+with open(sys.argv[1], encoding="utf-8") as handle:
+    parse_config(handle.read())
+loaded = scipy_modules()
+code = chargeflow.cli.main(["symmetry", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"import": loaded, "code": code, "symmetry": scipy_modules()}))
+"""
+
+_STAR_IMPORT = """
+import json, sys
+
+import chargeflow
+
+bare = sorted(m for m in sys.modules if m.partition(".")[0] in ("chargeflow", "scipy"))
+namespace = {}
+exec("from chargeflow import *", namespace)
+modules = [
+    getattr(chargeflow, name)
+    for name in ("model", "groundstate", "lattice", "process", "boundary", "presets")
+]
+owner = {name: module for module in modules for name in module.__all__}
+print(json.dumps({
+    "bare": bare,
+    "all": chargeflow.__all__,
+    "expected": [*owner, "__version__"],
+    "bound": sorted(set(namespace) - {"__builtins__"}),
+    "same": [
+        name for name, module in owner.items()
+        if namespace[name] is getattr(module, name) and getattr(chargeflow, name) is namespace[name]
+    ],
+    "version": namespace["__version__"] == chargeflow.__version__,
+}))
+"""
+
+_COMMAND = _SCIPY_MODULES + """
+from chargeflow.cli import main
+
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "scipy": scipy_modules()}))
+"""
+
+# the commands whose modules import no scipy
+_SCIPY_FREE = ("symmetry", "field", "streamlines", "potential")
+
+
+def run_fresh(script, *args):
+    """Run `script` in a new interpreter; returns its last stdout line as JSON."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC_PATH},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_importing_the_cli_and_running_symmetry_load_no_scipy(tmp_path):
+    result = run_fresh(_IMPORT_AND_SYMMETRY, str(FIGURE_CFG), str(tmp_path / "out"))
+    assert result["import"] == []
+    assert result["code"] == 0
+    assert result["symmetry"] == []
+    assert (tmp_path / "out" / "symmetry.json").exists()
+
+
+def test_star_import_binds_every_name_of_the_module_exports():
+    result = run_fresh(_STAR_IMPORT)
+    assert result["bare"] == ["chargeflow"]
+    assert result["all"] == result["expected"]
+    assert result["bound"] == sorted(result["expected"])
+    assert result["same"] == result["expected"][:-1]
+    assert result["version"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_runs_in_a_fresh_interpreter(tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ALL_COMMANDS_SMALL)
+    out = tmp_path / "out"
+    result = run_fresh(_COMMAND, command, "--config", str(cfg), "--out", str(out))
+    assert result["code"] == 0
+    assert any(out.iterdir())
+    if command in _SCIPY_FREE:
+        assert result["scipy"] == []

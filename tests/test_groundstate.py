@@ -469,6 +469,24 @@ def test_effective_kappa_value_and_range():
         effective_kappa(sys_, 0, 1)
 
 
+@pytest.mark.parametrize(("m", "hbar"), [(1e308, 1.0), (1.0, 1e308), (1.0, 1e-320)])
+def test_scales_outside_the_float_range_raise_value_errors_that_name_them(m, hbar):
+    sys_ = ChargeSystem(
+        positions=figure_system().positions, charges=figure_system().charges, m=m, E0=0.005, hbar=hbar
+    )
+    with pytest.raises(ValueError, match=r"the Poisson rate lambda .* leaves the float range"):
+        ground_state(sys_)
+    if m == 1e308:
+        # m/(pi*hbar^2) is finite, the ground energy built on it is not
+        assert np.isfinite(effective_kappa(sys_, 1, 2).kappa)
+        with pytest.raises(ValueError, match=r"the ground energy leaves the float range"):
+            ground_energy(sys_)
+    else:
+        for quantity in (lambda: effective_kappa(sys_, 1, 2), lambda: ground_energy(sys_)):
+            with pytest.raises(ValueError, match=r"m/\(pi\*hbar\^2\) leaves the float range"):
+                quantity()
+
+
 def test_ibc_holds_at_every_source():
     rng = np.random.default_rng(6)
     gs = ground_state(figure_system())
