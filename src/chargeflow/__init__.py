@@ -18,12 +18,15 @@ __version__ = "0.1.0"
 
 # the re-exporting modules, in the order of `__all__`
 _MODULES = ("model", "groundstate", "lattice", "process", "boundary", "presets")
+# every submodule: `from chargeflow import cli` asks this hook for `cli`
+# before it imports the submodule, and must not load the others to answer
+_SUBMODULES = (*_MODULES, "config", "io", "cli")
 
 
 def __getattr__(name):
-    """Import a module of `_MODULES`, or the module that exports `name`, and
-    bind the result in the package namespace."""
-    if name in _MODULES:
+    """Import the submodule `name`, or the module of `_MODULES` that exports
+    `name`, and bind the result in the package namespace."""
+    if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
     if name == "__all__":
         value = [*(n for m in _MODULES for n in __getattr__(m).__all__), "__version__"]

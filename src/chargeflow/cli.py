@@ -296,9 +296,13 @@ def _cmd_simulate(config, out):
 # of the dense eigendecomposition that `evolve` needs)
 _EXPM_NORM_LIMIT = 1000.0
 
-# the most steps of BELL_DT_CAP that the Bell ensemble of `chargeflow lattice`
-# may take: a t beyond it would run for hours or, at t = 1e308, never end
-_BELL_STEP_LIMIT = 10**6
+# the Bell ensemble of `chargeflow lattice` takes at least t/BELL_DT_CAP
+# steps, each costing about 11 ns per chain plus 13-16 us for the step itself
+# (the cost of about 1000 chains) on a 2-CPU Xeon at dim 45 and 680 alike;
+# its work, steps * (chains + _BELL_STEP_CHAINS), may not exceed
+# _BELL_WORK_LIMIT, about 20-30 minutes there (t = 1e308 would never end)
+_BELL_STEP_CHAINS = 1000
+_BELL_WORK_LIMIT = 10**11
 
 
 def _cmd_lattice(config, out, check=None):
@@ -330,12 +334,16 @@ def _cmd_lattice(config, out, check=None):
             "(every --check runs at any size)",
             config.line("lattice", "n_max", "L"),
         )
-    if check is None and opts["chains"] > 0 and opts["t"] > _BELL_STEP_LIMIT * BELL_DT_CAP:
-        raise ConfigError(
-            f"key 't' must be at most {_BELL_STEP_LIMIT * BELL_DT_CAP:g} when chains > 0: "
-            f"the Bell chains take steps of at most {BELL_DT_CAP:g}",
-            config.line("lattice", "t", "chains"),
-        )
+    # compared as limit/steps against an int, which overflows at no chain count
+    steps = opts["t"] / BELL_DT_CAP
+    if check is None and opts["chains"] > 0:
+        if _BELL_WORK_LIMIT / steps < opts["chains"] + _BELL_STEP_CHAINS:
+            raise ConfigError(
+                f"the Bell ensemble of {opts['chains']} chains to t = {opts['t']!r} exceeds "
+                f"{_BELL_WORK_LIMIT:.0e} units of work: each of its t/{BELL_DT_CAP:g} or more "
+                f"steps costs {_BELL_STEP_CHAINS} units plus one per chain",
+                config.line("lattice", "t", "chains"),
+            )
     model = build_model(params)
     theta = opts["theta"]
     if check is not None:

@@ -173,10 +173,10 @@ def ground_state(system):
     if not system.E0 > 0:
         raise ValueError("E0 must be positive: |psi1|^2 is not integrable otherwise")
     w = _norm_integral_closed(system)
-    try:
-        lam = (system.m / (2.0 * np.pi * system.hbar**2)) ** 2 * w
-    except (OverflowError, ZeroDivisionError):
-        lam = np.inf
+    # halving m/(pi*hbar^2) is exact, and the float64 power has the bits of
+    # the float one but overflows to inf (or to nan, times a w that underflowed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam = np.float64(_pair_scale(system) / 2.0) ** 2 * w
     if not np.isfinite(lam):
         raise ValueError(
             "the Poisson rate lambda = (m/(2*pi*hbar^2))^2 * int |psi1|^2 leaves the float "
