@@ -78,6 +78,37 @@ def _cmd_symmetry(config, out):
     return 0
 
 
+def _model_system(config, bound=False):
+    """The [model] system of a command that evaluates psi1, with its derived
+    scales checked: a ValueError (exit 2) names the first one that leaves
+    the float range.
+
+    Every such command uses alpha = sqrt(2 m E0)/hbar.  A `bound` command
+    needs the normalizable ground state (E0 > 0, a config error otherwise)
+    and its energy, which `ground_energy` checks together with m/(pi hbar^2);
+    a non-finite alpha makes that energy infinite.
+    """
+    from .groundstate import _alpha, ground_energy
+
+    system = config.charge_system()
+    if bound:
+        if not system.E0 > 0:
+            raise ConfigError(
+                f"key 'E0' must be positive for '{config.command}': the ground state is not "
+                "normalizable at E0 = 0",
+                config.line("model", "E0"),
+            )
+        ground_energy(system)
+    with np.errstate(over="ignore"):
+        alpha = _alpha(system)
+    if not np.isfinite(alpha):
+        raise ValueError(
+            "alpha = sqrt(2*m*E0)/hbar leaves the float range at "
+            f"m = {system.m!r}, E0 = {system.E0!r}, hbar = {system.hbar!r}"
+        )
+    return system
+
+
 def _field_table(system, pts):
     """Columns x, y, z, jx, jy, jz, |psi1|, phase at the (N, 3) points."""
     from .groundstate import current_closed_form, psi1
@@ -86,7 +117,16 @@ def _field_table(system, pts):
     # hypot and the array angle give the bits of scalar abs() and np.angle;
     # np.abs of the complex array differs from them in the last place
     cur = current_closed_form(system, pts)
-    return np.column_stack([pts, cur, np.hypot(val.real, val.imag), np.angle(val)])
+    table = np.column_stack([pts, cur, np.hypot(val.real, val.imag), np.angle(val)])
+    # scales that pass _model_system can still overflow in the products:
+    # hbar = 1e308 makes the current 1e308 times the pair sum, m = 1e-320
+    # makes hbar/m infinite
+    if not np.all(np.isfinite(table)):
+        raise ValueError(
+            f"the current or |psi1| leaves the float range at m = {system.m!r}, "
+            f"E0 = {system.E0!r}, hbar = {system.hbar!r}"
+        )
+    return table
 
 
 def _chunked_rows(table, chunk=4096):
@@ -96,7 +136,7 @@ def _chunked_rows(table, chunk=4096):
 
 
 def _cmd_field(config, out):
-    system = config.charge_system()
+    system = _model_system(config)
     opts = config.options("field")
     xs = np.linspace(opts["x_min"], opts["x_max"], opts["nx"])
     ys = np.linspace(opts["y_min"], opts["y_max"], opts["ny"])
@@ -119,7 +159,7 @@ def _cmd_field(config, out):
 def _cmd_streamlines(config, out):
     from .groundstate import streamlines
 
-    system = config.charge_system()
+    system = _model_system(config)
     opts = config.options("streamlines")
     if opts["source"] > system.n_sources:
         raise ConfigError(
@@ -172,30 +212,19 @@ def _cmd_streamlines(config, out):
     return 0
 
 
-def _bound_system(config):
-    """The [model] system of a command that needs its normalizable ground state."""
-    system = config.charge_system()
-    if not system.E0 > 0:
-        raise ConfigError(
-            f"key 'E0' must be positive for '{config.command}': the ground state is not "
-            "normalizable at E0 = 0",
-            config.line("model", "E0"),
-        )
-    return system
-
-
 def _cmd_simulate(config, out):
     from .groundstate import ground_state
     from .process import (
         EnsembleParams,
         SimulationParams,
         derive_emission_law,
-        equivariance_test,
-        reversal_test,
+        equivariance_report,
+        reversal_report,
+        run_ensemble,
         simulate,
     )
 
-    gs = ground_state(_bound_system(config))
+    gs = ground_state(_model_system(config, bound=True))
     opts = config.options("simulate")
     law = derive_emission_law(gs)
     eps_absorb = opts["eps_absorb"] or None
@@ -204,9 +233,7 @@ def _cmd_simulate(config, out):
     if opts["trajectory"]:
         streams["trajectory"] = 0
     if opts["runs"] > 0:
-        streams["reversal"] = 1
-        if opts["sample_times"]:
-            streams["equivariance"] = 2
+        streams["ensemble"] = 2
     prov = _provenance(config, ("model", "simulate"), streams)
     # everything is computed before the first artifact is written, so a
     # failing ensemble leaves no partial output behind
@@ -224,45 +251,38 @@ def _cmd_simulate(config, out):
             law=law,
         )
     if opts["runs"] > 0:
-        payload = {
-            "poisson_rate": gs.poisson_rate,
-            "emission_law": {"rates": law.rates, "limits": law.limits},
-        }
-        rev = reversal_test(
+        # one ensemble to t_max serves both statistics: its counts feed the
+        # reversal block and its snapshots the equivariance block
+        result = run_ensemble(
             gs,
             EnsembleParams(
                 runs=opts["runs"],
                 t_max=opts["t_max"],
+                sample_times=opts["sample_times"],
                 dt=opts["dt"],
-                seed=derive_seed(config.seed, 1),
+                seed=derive_seed(config.seed, 2),
                 eps_absorb=eps_absorb,
                 eps_start=eps_start,
             ),
             law=law,
         )
-        payload["reversal"] = {
-            "test": "per-source emission/absorption balance (two-sided binomial)",
-            "runs": rev.runs,
-            "t_final": rev.t_final,
-            "emissions": list(rev.emissions),
-            "absorptions": list(rev.absorptions),
-            "p_values": list(rev.p_values),
-            "balanced": rev.balanced,
-            "flux_balance_error": rev.flux_balance_error,
+        rev = reversal_report(result)
+        payload = {
+            "poisson_rate": gs.poisson_rate,
+            "emission_law": {"rates": law.rates, "limits": law.limits},
+            "reversal": {
+                "test": "per-source emission/absorption balance (two-sided binomial)",
+                "runs": rev.runs,
+                "t_final": rev.t_final,
+                "emissions": list(rev.emissions),
+                "absorptions": list(rev.absorptions),
+                "p_values": list(rev.p_values),
+                "balanced": rev.balanced,
+                "flux_balance_error": rev.flux_balance_error,
+            },
         }
         if opts["sample_times"]:
-            eq = equivariance_test(
-                gs,
-                EnsembleParams(
-                    runs=opts["runs"],
-                    sample_times=opts["sample_times"],
-                    dt=opts["dt"],
-                    seed=derive_seed(config.seed, 2),
-                    eps_absorb=eps_absorb,
-                    eps_start=eps_start,
-                ),
-                law=law,
-            )
+            eq = equivariance_report(gs, result)
             payload["equivariance"] = {
                 "test": "sector chi-square and radial/angular KS against the invariant law",
                 "runs": eq.runs,
@@ -308,6 +328,7 @@ _BELL_WORK_LIMIT = 10**11
 def _cmd_lattice(config, out, check=None):
     from scipy.sparse.linalg import expm_multiply
 
+    from .chisquare import pooled_chisquare
     from .lattice import (
         BELL_DT_CAP,
         DENSE_LIMIT,
@@ -320,9 +341,6 @@ def _cmd_lattice(config, out, check=None):
         reversal_conditions_check,
         run_bell_ensemble,
     )
-    # imported before the model's arrays exist: loading process (scipy.stats)
-    # after them raises the peak RSS of a lattice run by about 1 MB
-    from .process import _pooled_chisquare
 
     params = config.lattice_params()
     opts = config.options("lattice")
@@ -413,7 +431,7 @@ def _cmd_lattice(config, out, check=None):
             "chains": opts["chains"],
             "t": opts["t"],
             "mean_jumps": float(result.n_jumps.mean()),
-            "occupation_p": _pooled_chisquare(observed, expected),
+            "occupation_p": pooled_chisquare(observed, expected),
             "node_warnings": result.node_warnings,
         }
     write_csv(
@@ -429,7 +447,7 @@ def _cmd_lattice(config, out, check=None):
 def _cmd_potential(config, out):
     from .groundstate import effective_kappa, ground_energy, ground_state, verify_eigen_vacuum
 
-    system = _bound_system(config)
+    system = _model_system(config, bound=True)
     opts = config.options("potential")
     prov = _provenance(config, ("model", "potential"), {})
     # everything is computed before the first artifact is written, so a

@@ -29,8 +29,9 @@ import numpy as np
 # tracer in perfbench/tracing.py patches process.solve_ivp by name
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.spatial.distance import pdist
-from scipy.stats import binomtest, chisquare, kstest, poisson
+from scipy.stats import binomtest, kstest, poisson
 
+from .chisquare import pooled_chisquare
 from .groundstate import _advance, _flow, radial_cdf_interpolator, sample_boson_positions
 
 __all__ = [
@@ -48,8 +49,10 @@ __all__ = [
     "run_ensemble",
     "SampleStats",
     "EquivarianceReport",
+    "equivariance_report",
     "equivariance_test",
     "ReversalTestReport",
+    "reversal_report",
     "reversal_test",
     "StartSensitivityReport",
     "emission_start_sensitivity",
@@ -487,39 +490,14 @@ def run_ensemble(gs, params, law=None):
     )
 
 
-def _pooled_chisquare(observed, expected, min_expected=5.0):
-    """Chi-square p-value with greedy left-to-right pooling of thin bins.
-
-    Bins are merged in order until each pool's expected count reaches
-    min_expected, a thin remainder joins the last pool, and the expected
-    counts are rescaled to the observed total.  Fewer than two pools give
-    1.0; no degrees of freedom are subtracted.
-    """
-    obs_pool, exp_pool = [], []
-    acc_obs = acc_exp = 0.0
-    for o, e in zip(observed, expected):
-        acc_obs += o
-        acc_exp += e
-        if acc_exp >= min_expected:
-            obs_pool.append(acc_obs)
-            exp_pool.append(acc_exp)
-            acc_obs = acc_exp = 0.0
-    if (acc_obs or acc_exp) and exp_pool:
-        obs_pool[-1] += acc_obs
-        exp_pool[-1] += acc_exp
-    if len(exp_pool) < 2:
-        return 1.0
-    return float(chisquare(obs_pool, np.array(exp_pool) * sum(obs_pool) / sum(exp_pool)).pvalue)
-
-
 def _poisson_chisquare(samples, lam, min_expected=5.0):
     """Chi-square p-value of integer samples against Poisson(lam), lam fixed
-    a priori: bins 0..max plus an upper tail, pooled by _pooled_chisquare."""
+    a priori: bins 0..max plus an upper tail, pooled by `pooled_chisquare`."""
     samples = np.asarray(samples)
     kmax = int(samples.max(initial=0))
     counts = np.bincount(samples, minlength=kmax + 2)
     expected = np.append(poisson.pmf(np.arange(kmax + 1), lam), poisson.sf(kmax, lam))
-    return _pooled_chisquare(counts, samples.size * expected, min_expected)
+    return pooled_chisquare(counts, samples.size * expected, min_expected)
 
 
 def _symmetry_axis(system):
@@ -574,7 +552,17 @@ class EquivarianceReport:
 
 
 def equivariance_test(gs, params, law=None):
-    """Test that the ensemble stays in the stationary law.
+    """Test that the ensemble stays in the stationary law: `run_ensemble`
+    with at least 1000 runs and some sample times, then `equivariance_report`."""
+    if params.runs < 1000:
+        raise ValueError("equivariance needs at least 1000 runs")
+    if not params.sample_times:
+        raise ValueError("no sample times requested")
+    return equivariance_report(gs, run_ensemble(gs, params, law=law))
+
+
+def equivariance_report(gs, result):
+    """Snapshot statistics of an ensemble result against the invariant law.
 
     At each sample time the pooled ensemble is compared to the invariant
     distribution: boson count per run against Poisson(lambda_P) (chi-square),
@@ -582,11 +570,6 @@ def equivariance_test(gs, params, law=None):
     the sources are collinear, azimuth about the source axis against the
     uniform law (KS).
     """
-    if params.runs < 1000:
-        raise ValueError("equivariance needs at least 1000 runs")
-    if not params.sample_times:
-        raise ValueError("no sample times requested")
-    result = run_ensemble(gs, params, law=law)
     system = gs.system
     axis = _symmetry_axis(system)
     if axis is not None:
@@ -612,7 +595,7 @@ def equivariance_test(gs, params, law=None):
         stats_out.append(
             SampleStats(snap.time, int(dists.size), float(sector_p), radial_p, angular_p)
         )
-    return EquivarianceReport(params.runs, params.seed, gs.poisson_rate, tuple(stats_out))
+    return EquivarianceReport(result.runs, result.seed, gs.poisson_rate, tuple(stats_out))
 
 
 @dataclass(frozen=True)
@@ -639,8 +622,13 @@ class ReversalTestReport:
 
 
 def reversal_test(gs, params, law=None):
-    """Exchange-rate balance test of time-reversal symmetry."""
-    result = run_ensemble(gs, params, law=law)
+    """Exchange-rate balance test of time-reversal symmetry: `run_ensemble`,
+    then `reversal_report`."""
+    return reversal_report(run_ensemble(gs, params, law=law))
+
+
+def reversal_report(result):
+    """Per-source emission/absorption balance of an ensemble result."""
     p_values = []
     for e, a in zip(result.emissions, result.absorptions):
         n = int(e + a)
@@ -648,9 +636,9 @@ def reversal_test(gs, params, law=None):
     total_e = int(result.emissions.sum())
     total_a = int(result.absorptions.sum())
     return ReversalTestReport(
-        runs=params.runs,
+        runs=result.runs,
         t_final=result.t_final,
-        seed=params.seed,
+        seed=result.seed,
         emissions=tuple(int(e) for e in result.emissions),
         absorptions=tuple(int(a) for a in result.absorptions),
         p_values=tuple(p_values),

@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import hashlib
 import json
@@ -407,6 +408,38 @@ def test_single_line_edits_of_the_figure_config_run_or_fail_cleanly(index, value
             assert code in (0, 1, 2), (command, code)
             if code != 0:
                 assert not out.exists() or not any(out.iterdir()), (command, code)
+
+
+@pytest.mark.parametrize("command", ["field", "streamlines"])
+@pytest.mark.parametrize(
+    ("edit", "quantity"),
+    [
+        ("E0 = 1e308", "alpha = sqrt(2*m*E0)/hbar"),
+        ("m = 1e308", "alpha = sqrt(2*m*E0)/hbar"),
+        ("hbar = 1e-320", "alpha = sqrt(2*m*E0)/hbar"),
+        ("m = 1e-320", "the current or |psi1|"),
+        ("hbar = 1e308", "the current or |psi1|"),
+    ],
+)
+def test_field_outside_the_float_range_exits_2_naming_the_quantity(tmp_path, capsys, command, edit, quantity):
+    key = edit.partition(" ")[0]
+    lines = list(_REDUCED_LINES)
+    # the first line of the key is the [model] one
+    lines[next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))] = edit
+    with np.errstate(all="ignore"):
+        code, out = run_cli(tmp_path, "\n".join(lines) + "\n", command)
+    assert code == 2
+    assert f"numerical failure: {quantity} leaves the float range" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["field", "streamlines"])
+def test_field_at_E0_zero_is_finite(tmp_path, command):
+    text = "\n".join(_REDUCED_LINES).replace("\nE0 = 0.005\n", "\nE0 = 0\n", 1) + "\n"
+    code, out = run_cli(tmp_path, text, command)
+    assert code == 0
+    _, _, rows = read_csv(out / f"{command}.csv")
+    assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
 
 
 # ---------------------------------------------------------------- seeds
@@ -834,6 +867,39 @@ def test_simulate_ensemble_statistics(tmp_path):
     assert "equivariance" not in stats
 
 
+def test_simulate_statistics_read_one_ensemble_on_stream_2(tmp_path):
+    text = SIM_ENS.replace("t_max = 2.0", "t_max = 1.0\nsample_times = 0.5 1.0").replace(
+        "runs = 150", "runs = 1000"
+    )
+    code, out = run_cli(tmp_path, text, "simulate", "--seed", "7")
+    assert code == 0
+    stats = read_json(out / "statistics.json")
+    seed = derive_seed(7, 2)
+    assert stats["_provenance"]["derived_seeds"] == {"ensemble": {"stream": 2, "seed": seed}}
+    gs = groundstate.ground_state(parse_config(text).charge_system())
+    law = process.derive_emission_law(gs)
+    # the ensemble also stops at t = 0.5, which moves none of the counts of
+    # an unsplit run to t_max on the same stream
+    rev = process.reversal_test(
+        gs, process.EnsembleParams(runs=1000, t_max=1.0, dt=0.01, seed=seed), law=law
+    )
+    assert {k: v for k, v in stats["reversal"].items() if k != "test"} == {
+        "runs": rev.runs,
+        "t_final": rev.t_final,
+        "emissions": list(rev.emissions),
+        "absorptions": list(rev.absorptions),
+        "p_values": list(rev.p_values),
+        "balanced": rev.balanced,
+        "flux_balance_error": rev.flux_balance_error,
+    }
+    eq = process.equivariance_test(
+        gs, process.EnsembleParams(runs=1000, sample_times=(0.5, 1.0), dt=0.01, seed=seed), law=law
+    )
+    assert stats["equivariance"]["runs"] == eq.runs
+    assert stats["equivariance"]["passed"] == eq.passed
+    assert stats["equivariance"]["samples"] == [dataclasses.asdict(s) for s in eq.samples]
+
+
 # couplings e^{i} * (1, -2, 0.7): one common phase, so no source emits
 _COMMON_PHASE_ROWS = "".join(
     f"charge = {float(g.real)!r} {float(g.imag)!r} {x} {y} 0.0\n"
@@ -1194,3 +1260,6 @@ def test_every_command_runs_in_a_fresh_interpreter(tmp_path, command):
     assert any(out.iterdir())
     if command in _SCIPY_FREE:
         assert result["scipy"] == []
+    # only simulate's statistics need scipy.stats; lattice's chi-square does not
+    if command != "simulate":
+        assert not [m for m in result["scipy"] if m == "scipy.stats" or m.startswith("scipy.stats.")]
