@@ -129,10 +129,16 @@ def _field_table(system, pts):
     return table
 
 
-def _chunked_rows(table, chunk=4096):
-    """Rows of a 2-D array as lists of Python scalars, a chunk at a time."""
-    for start in range(0, table.shape[0], chunk):
-        yield from table[start : start + chunk].tolist()
+# points per block of a field table: a row depends on its point only, and
+# blocks of a fixed size keep the temporaries small however long the table,
+# so the heap does not grow and shrink by megabytes with each command
+_BLOCK = 4096
+
+
+def _field_rows(system, blocks):
+    """Rows of `_field_table`, as lists of Python scalars, over blocks of points."""
+    for pts in blocks:
+        yield from _field_table(system, pts).tolist()
 
 
 def _cmd_field(config, out):
@@ -140,9 +146,17 @@ def _cmd_field(config, out):
     opts = config.options("field")
     xs = np.linspace(opts["x_min"], opts["x_max"], opts["nx"])
     ys = np.linspace(opts["y_min"], opts["y_max"], opts["ny"])
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel(), np.full(gx.size, opts["z"])])
-    dmin = np.min(np.linalg.norm(pts[:, None, :] - system.positions[None, :, :], axis=-1))
+    n, ny = opts["nx"] * opts["ny"], opts["ny"]
+
+    def blocks():
+        # the nodes in the order meshgrid(xs, ys, indexing="ij") ravels them
+        for start in range(0, n, _BLOCK):
+            k = np.arange(start, min(start + _BLOCK, n))
+            yield np.column_stack([xs[k // ny], ys[k % ny], np.full(k.size, opts["z"])])
+
+    dmin = min(
+        np.min(np.linalg.norm(pts[:, None, :] - system.positions, axis=-1)) for pts in blocks()
+    )
     scale = max(system.min_source_spacing() or 1.0, 1.0)
     if dmin < 1e-12 * scale:
         raise RuntimeError("a grid node coincides with a source; shift the grid bounds")
@@ -150,7 +164,7 @@ def _cmd_field(config, out):
     write_csv(
         os.path.join(out, "field.csv"),
         ("x", "y", "z", "jx", "jy", "jz", "|psi1|", "phase"),
-        _chunked_rows(_field_table(system, pts)),
+        _field_rows(system, blocks()),
         prov,
     )
     return 0
@@ -179,11 +193,15 @@ def _cmd_streamlines(config, out):
     )
     prov = _provenance(config, ("model", "streamlines"), {"seed_directions": 0})
 
+    # the vertices of every line stacked, their field rows a block at a time
+    pts = np.concatenate([line.points for line in lines])
+    labels = np.repeat(np.arange(len(lines)), [len(line.points) for line in lines]).tolist()
+    arcs = np.concatenate([line.arc_lengths for line in lines]).tolist()
+    blocks = (pts[start : start + _BLOCK] for start in range(0, len(pts), _BLOCK))
+
     def rows():
-        for i, line in enumerate(lines):
-            table = np.column_stack([line.arc_lengths, _field_table(system, line.points)])
-            for row in _chunked_rows(table):
-                yield (i, *row)
+        for i, s, row in zip(labels, arcs, _field_rows(system, blocks)):
+            yield (i, s, *row)
 
     write_csv(
         os.path.join(out, "streamlines.csv"),

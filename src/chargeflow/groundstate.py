@@ -61,6 +61,11 @@ __all__ = [
 ]
 
 
+# RK4 substeps a point may take to cover one span: an `_advance` call, or
+# one arc chunk of a streamline
+_SUBSTEP_BUDGET = 20000
+
+
 class NearNodeError(ValueError):
     """Velocity requested at a point where |psi1| underflows."""
 
@@ -281,48 +286,61 @@ def velocity(system, y):
     return cur / dens[..., None]
 
 
-def _advance(system, field, pts, span, eps_absorb, max_rounds=20000):
+def _rk4_round(system, field, p, remaining, nearest_d, eps_absorb):
+    """One RK4 substep of the rows p, each of at most its `remaining` span.
+
+    A substep moves a point by at most a quarter of its distance to the
+    nearest source, nearest_d, floored at a quarter of the absorption
+    radius, so a point cannot cross the absorption ball undetected.  Every
+    quantity is per row: a row's substep does not depend on the others.
+    Returns (positions, remaining, nearest_d, absorbed) after the substep,
+    absorbed[k] being the 0-based source whose ball row k entered, or -1.
+    """
+    X = system.positions
+    k1 = field(system, p)
+    speed = np.linalg.norm(k1, axis=1)
+    target = np.maximum(0.25 * nearest_d, 0.25 * eps_absorb)
+    h = np.minimum(remaining, target / np.maximum(speed, 1e-300))[:, None]
+    k2 = field(system, p + 0.5 * h * k1)
+    k3 = field(system, p + 0.5 * h * k2)
+    k4 = field(system, p + h * k3)
+    p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    dd = np.linalg.norm(p[:, None, :] - X[None, :, :], axis=-1)
+    nearest = np.argmin(dd, axis=1)
+    nearest_d = dd[np.arange(p.shape[0]), nearest]
+    return p, remaining - h[:, 0], nearest_d, np.where(nearest_d < eps_absorb, nearest, -1)
+
+
+def _nearest_distance(system, pts):
+    return np.min(np.linalg.norm(pts[:, None, :] - system.positions[None, :, :], axis=-1), axis=1)
+
+
+def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
     """Advance points by `span` (scalar or per-row) along field(system, pts).
 
-    The one integrator of every path through the flow: classical RK4 with
-    per-point adaptive substepping.  Each substep moves a point by at most a
-    quarter of its current distance to the nearest source (floored at a
-    quarter of the absorption radius), so a point cannot cross the
-    absorption ball undetected.  Returns (positions, absorbed, left):
+    The integrator of the trajectory and the ensemble: classical RK4 with
+    per-point adaptive substepping, one `_rk4_round` per round for every
+    row still short of its span.  Returns (positions, absorbed, left):
     absorbed[k] is the 0-based source whose ball row k entered, or -1, and
     left[k] the part of its span not travelled, so an absorbed row made
     contact at span - left.  A row still short of its span when the round
     budget runs out keeps absorbed = -1 and left > 1e-15.
     """
     K = pts.shape[0]
-    X = system.positions
     out = pts.copy()
     remaining = np.broadcast_to(np.asarray(span, dtype=float), (K,)).copy()
     absorbed = np.full(K, -1, dtype=int)
     active = remaining > 0.0
     # nearest-source distance of every row, carried from each round's step end
-    nearest_d = np.min(np.linalg.norm(out[:, None, :] - X[None, :, :], axis=-1), axis=1)
+    nearest_d = _nearest_distance(system, out)
     for _ in range(max_rounds):
         act = np.flatnonzero(active)
         if act.size == 0:
             return out, absorbed, remaining
-        p = out[act]
-        k1 = field(system, p)
-        speed = np.linalg.norm(k1, axis=1)
-        target = np.maximum(0.25 * nearest_d[act], 0.25 * eps_absorb)
-        h = np.minimum(remaining[act], target / np.maximum(speed, 1e-300))[:, None]
-        k2 = field(system, p + 0.5 * h * k1)
-        k3 = field(system, p + 0.5 * h * k2)
-        k4 = field(system, p + h * k3)
-        p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[act] = p
-        remaining[act] -= h[:, 0]
-        dd = np.linalg.norm(p[:, None, :] - X[None, :, :], axis=-1)
-        nearest = np.argmin(dd, axis=1)
-        nearest_d[act] = dd[np.arange(act.size), nearest]
-        hit = nearest_d[act] < eps_absorb
-        absorbed[act[hit]] = nearest[hit]
-        active[act] = ~hit & (remaining[act] > 1e-15)
+        out[act], remaining[act], nearest_d[act], absorbed[act] = _rk4_round(
+            system, field, out[act], remaining[act], nearest_d[act], eps_absorb
+        )
+        active[act] = (absorbed[act] < 0) & (remaining[act] > 1e-15)
     warnings.warn("substepping budget exhausted; some points frozen early")
     return out, absorbed, remaining
 
@@ -564,14 +582,19 @@ def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None
 
     The curves are parametrized by arc length (dy/ds = j/|j|), which traces
     the same geometric paths as Bohmian motion dy/dt = v(y) since
-    v = j/|psi1|^2 and |psi1|^2 > 0.  All seeds advance together through
-    `_advance` in arc-length chunks of a quarter of the smallest source
-    spacing (of 1/alpha for one source), with one vertex per chunk end.  Each curve terminates on source contact
-    (within eps_absorb, the last vertex being the contact point), on leaving
-    the ball of domain_radius about the origin (the last vertex being the
-    first chunk end outside), or when the arc budget max_arc is exhausted;
-    seeds at stationary points (symmetric charges) return a degenerate
-    zero-length polyline.
+    v = j/|psi1|^2 and |psi1|^2 > 0.  Each curve runs through arc-length
+    chunks of a quarter of the smallest source spacing (of 1/alpha for one
+    source), with one vertex per chunk end.  Every live curve takes one
+    `_rk4_round` substep per round, and a curve that ends a chunk starts its
+    next one in the same round, so a batch takes as many rounds as its
+    longest curve and each curve comes out as it would alone.  Each curve
+    terminates on source contact (within eps_absorb, the last vertex being
+    the contact point), on leaving the ball of domain_radius about the
+    origin (the last vertex being the first chunk end outside), when the arc
+    budget max_arc is exhausted, or, as "substep_budget", when a chunk is
+    still unfinished after _SUBSTEP_BUDGET substeps (the last vertex and
+    arc length being where it stopped); seeds at stationary points
+    (symmetric charges) return a degenerate zero-length polyline.
     """
     a = _alpha(system)
     spacing = system.min_source_spacing()
@@ -580,35 +603,57 @@ def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None
         eps_absorb = 1e-4 * scale
     if max_arc is None:
         max_arc = max(100.0 * scale, 60.0 / a)
+    if not max_arc >= 0.0:
+        raise ValueError(f"max_arc must be nonnegative, got {max_arc!r}")
     extent = float(np.max(np.linalg.norm(system.positions, axis=1)))
     if domain_radius is None:
         domain_radius = extent + 40.0 / a
 
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+    n = len(seeds)
     points = [[seed] for seed in seeds]
     arcs = [[0.0] for _ in seeds]
-    termination = ["stationary"] * len(seeds)
-    source = [None] * len(seeds)
+    termination = ["stationary"] * n
+    source = [None] * n
+    # per curve: position, end of its current chunk and the span left to it,
+    # nearest-source distance, absorbing source and substeps in the chunk
     pos = seeds.copy()
-    live = np.flatnonzero(np.linalg.norm(current_closed_form(system, seeds), axis=1) > 0.0)
-    s = 0.0
-    while live.size:
-        s_next = min(s + 0.25 * scale, max_arc)
-        pos[live], hit, left = _advance(system, _unit_current, pos[live], s_next - s, eps_absorb)
-        outside = np.linalg.norm(pos[live], axis=1) > domain_radius
-        for k, row in enumerate(live):
+    s_next = np.full(n, min(0.25 * scale, max_arc))
+    left = s_next.copy()
+    nearest_d = _nearest_distance(system, pos)
+    hit = np.full(n, -1)
+    substeps = np.zeros(n, dtype=int)
+    running = np.linalg.norm(current_closed_form(system, seeds), axis=1) > 0.0
+    while np.any(running):
+        live = np.flatnonzero(running)
+        pos[live], left[live], nearest_d[live], hit[live] = _rk4_round(
+            system, _unit_current, pos[live], left[live], nearest_d[live], eps_absorb
+        )
+        substeps[live] += 1
+        # the test of `_advance`, so that a NaN span ends the chunk too
+        going = (hit[live] < 0) & (left[live] > 1e-15)
+        end = live[~going | (substeps[live] == _SUBSTEP_BUDGET)]
+        # stopped short of the chunk end: by contact or by the substep budget
+        short = (hit[end] >= 0) | (left[end] > 1e-15)
+        outside = np.linalg.norm(pos[end], axis=1) > domain_radius
+        for row, cut, out in zip(end, short, outside):
             points[row].append(pos[row].copy())
-            if hit[k] >= 0:
-                arcs[row].append(s_next - left[k])
-                termination[row], source[row] = "source_hit", int(hit[k]) + 1
-                continue
-            arcs[row].append(s_next)
-            if outside[k]:
+            arcs[row].append(s_next[row] - left[row] if cut else s_next[row])
+            if hit[row] >= 0:
+                termination[row], source[row] = "source_hit", int(hit[row]) + 1
+            elif cut:
+                termination[row] = "substep_budget"
+            elif out:
                 termination[row] = "domain_exit"
-            elif s_next == max_arc:
+            elif s_next[row] == max_arc:
                 termination[row] = "arc_budget"
-        live = live[(hit < 0) & ~outside & (s_next < max_arc)]
-        s = s_next
+        stop = short | outside | (s_next[end] == max_arc)
+        running[end[stop]] = False
+        go = end[~stop]
+        s = s_next[go]
+        s_next[go] = np.minimum(s + 0.25 * scale, max_arc)
+        left[go] = s_next[go] - s
+        substeps[go] = 0
     return [
         Streamline(np.array(p), np.array(arc), term, src)
         for p, arc, term, src in zip(points, arcs, termination, source)

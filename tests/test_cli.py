@@ -434,6 +434,19 @@ def test_field_outside_the_float_range_exits_2_naming_the_quantity(tmp_path, cap
 
 
 @pytest.mark.parametrize("command", ["field", "streamlines"])
+def test_field_tables_do_not_depend_on_the_block_size(tmp_path, monkeypatch, command):
+    text = "\n".join(_REDUCED_LINES) + "\n"
+    tables = []
+    for block in (10**9, 7):  # one block; blocks of 7 points and a shorter last one
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        (tmp_path / str(block)).mkdir()
+        code, out = run_cli(tmp_path / str(block), text, command)
+        assert code == 0
+        tables.append((out / f"{command}.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("command", ["field", "streamlines"])
 def test_field_at_E0_zero_is_finite(tmp_path, command):
     text = "\n".join(_REDUCED_LINES).replace("\nE0 = 0.005\n", "\nE0 = 0\n", 1) + "\n"
     code, out = run_cli(tmp_path, text, command)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import exp1
 
+from chargeflow import groundstate
 from chargeflow.groundstate import (
     NearNodeError,
     _advance,
@@ -757,3 +758,84 @@ def test_streamlines_stop_on_leaving_the_domain():
     (whole,) = streamlines(sys_, seed, max_arc=40.0)
     assert whole.termination == "source_hit" and whole.source == 1
     np.testing.assert_array_equal(whole.points[: len(line.points)], line.points)
+
+
+def _seeds_about(system, source, n, seed, radius=0.05):
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    return system.positions[source - 1] + radius * dirs
+
+
+def test_batched_streamlines_equal_each_line_alone():
+    # with a small domain and a short arc budget the lines of this batch end
+    # by contact, by leaving the domain and by the budget, in different chunks
+    sys_ = figure_system()
+    seeds = _seeds_about(sys_, 2, 12, 3)
+    lines = streamlines(sys_, seeds, domain_radius=1.3, max_arc=2.0)
+    ends = {(line.termination, len(line.points)) for line in lines}
+    assert {term for term, _ in ends} == {"source_hit", "domain_exit", "arc_budget"}
+    assert len({n for term, n in ends if term == "source_hit"}) > 1
+    assert len({n for term, n in ends if term == "domain_exit"}) > 1
+    for line, seed in zip(lines, seeds):
+        (alone,) = streamlines(sys_, seed, domain_radius=1.3, max_arc=2.0)
+        assert np.array_equal(line.points, alone.points)
+        assert np.array_equal(line.arc_lengths, alone.arc_lengths)
+        assert (line.termination, line.source) == (alone.termination, alone.source)
+
+
+def test_streamline_batch_takes_as_many_rounds_as_its_longest_line(monkeypatch):
+    # each round evaluates the direction field four times over every live
+    # line, after one current evaluation at the seeds; a line that ends its
+    # chunk goes on to the next in the same round, so no line waits for another
+    sys_ = figure_system()
+    seeds = _seeds_about(sys_, 2, 60, 12345)
+    calls = []
+    original = groundstate.current_closed_form
+
+    def counted(system, y):
+        calls.append(len(y))
+        return original(system, y)
+
+    monkeypatch.setattr(groundstate, "current_closed_form", counted)
+    alone = []
+    for seed in seeds:
+        calls.clear()
+        streamlines(sys_, seed, max_arc=40.0)
+        assert len(calls) % 4 == 1
+        alone.append(len(calls))
+    calls.clear()
+    lines = streamlines(sys_, seeds, max_arc=40.0)
+    assert all(line.termination == "source_hit" for line in lines)
+    assert len(calls) == max(alone)
+    assert calls[0] == 60 and calls[1] == 60
+
+
+def test_streamline_ends_where_its_substep_budget_runs_out(monkeypatch):
+    # near the absorber a chunk takes more than ten substeps, so with that
+    # budget every line stops in its last chunk, short of the chunk end,
+    # exactly where `_advance` with the same round budget leaves it
+    sys_ = figure_system()
+    seeds = _seeds_about(sys_, 2, 6, 3)
+    whole = streamlines(sys_, seeds, max_arc=40.0)
+    monkeypatch.setattr(groundstate, "_SUBSTEP_BUDGET", 10)
+    lines = streamlines(sys_, seeds, max_arc=40.0)
+    for line, full in zip(lines, whole):
+        assert (line.termination, line.source) == ("substep_budget", None)
+        assert np.array_equal(line.points[:-1], full.points[: len(line.points) - 1])
+        assert np.array_equal(line.arc_lengths[:-1], full.arc_lengths[: len(line.points) - 1])
+        s = line.arc_lengths[-2]
+        s_next = min(s + 0.25, 40.0)
+        with pytest.warns(UserWarning, match="substepping budget exhausted"):
+            end, hit, left = _advance(sys_, _unit_current, line.points[-2:-1], s_next - s, 1e-4, max_rounds=10)
+        assert hit[0] == -1 and left[0] > 1e-15
+        np.testing.assert_array_equal(line.points[-1], end[0])
+        assert line.arc_lengths[-1] == s_next - left[0]
+        assert s < line.arc_lengths[-1] < s_next
+
+
+@pytest.mark.parametrize("max_arc", [-1.0, float("nan")])
+def test_streamlines_reject_a_negative_or_nan_arc_budget(max_arc):
+    sys_ = figure_system()
+    with pytest.raises(ValueError, match="max_arc"):
+        streamlines(sys_, sys_.positions[1] + [0.05, 0.0, 0.0], max_arc=max_arc)
