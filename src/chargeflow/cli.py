@@ -26,7 +26,6 @@ from .io import (
     Provenance,
     derive_seed,
     trajectory_events,
-    trajectory_path_rows,
     write_csv,
     write_json,
     write_jsonl,
@@ -135,12 +134,6 @@ def _field_table(system, pts):
 _BLOCK = 4096
 
 
-def _field_rows(system, blocks):
-    """Rows of `_field_table`, as lists of Python scalars, over blocks of points."""
-    for pts in blocks:
-        yield from _field_table(system, pts).tolist()
-
-
 def _cmd_field(config, out):
     system = _model_system(config)
     opts = config.options("field")
@@ -164,7 +157,7 @@ def _cmd_field(config, out):
     write_csv(
         os.path.join(out, "field.csv"),
         ("x", "y", "z", "jx", "jy", "jz", "|psi1|", "phase"),
-        _field_rows(system, blocks()),
+        (_field_table(system, pts).T for pts in blocks()),
         prov,
     )
     return 0
@@ -195,18 +188,16 @@ def _cmd_streamlines(config, out):
 
     # the vertices of every line stacked, their field rows a block at a time
     pts = np.concatenate([line.points for line in lines])
-    labels = np.repeat(np.arange(len(lines)), [len(line.points) for line in lines]).tolist()
-    arcs = np.concatenate([line.arc_lengths for line in lines]).tolist()
-    blocks = (pts[start : start + _BLOCK] for start in range(0, len(pts), _BLOCK))
-
-    def rows():
-        for i, s, row in zip(labels, arcs, _field_rows(system, blocks)):
-            yield (i, s, *row)
-
+    labels = np.repeat(np.arange(len(lines)), [len(line.points) for line in lines])
+    arcs = np.concatenate([line.arc_lengths for line in lines])
+    blocks = (
+        (labels[part], arcs[part], *_field_table(system, pts[part]).T)
+        for part in (slice(k, k + _BLOCK) for k in range(0, len(pts), _BLOCK))
+    )
     write_csv(
         os.path.join(out, "streamlines.csv"),
         ("line", "s", "x", "y", "z", "jx", "jy", "jz", "|psi1|", "phase"),
-        rows(),
+        blocks,
         prov,
     )
     counts = {}
@@ -321,7 +312,7 @@ def _cmd_simulate(config, out):
         write_csv(
             os.path.join(out, "trajectory_paths.csv"),
             ("particle", "t", "x", "y", "z"),
-            trajectory_path_rows(record),
+            ((np.full(len(p), pid), *p.T) for pid, p in sorted(record.paths.items())),
             prov,
         )
     if payload is not None:
@@ -455,7 +446,7 @@ def _cmd_lattice(config, out, check=None):
     write_csv(
         os.path.join(out, "spectrum.csv"),
         ("index", "eigenvalue"),
-        ((i, float(e)) for i, e in enumerate(evals)),
+        [(np.arange(len(evals)), evals)],
         prov,
     )
     write_json(os.path.join(out, "lattice.json"), payload, prov)
@@ -484,9 +475,9 @@ def _cmd_potential(config, out):
             "rel_error": report.rel_error,
             "passed": report.passed,
         }
-    write_csv(
-        os.path.join(out, "kappa_table.csv"), ("i", "j", "kappa", "range"), rows, prov
-    )
+    # one block of columns, or none for a single source
+    blocks = [list(zip(*rows))] if rows else []
+    write_csv(os.path.join(out, "kappa_table.csv"), ("i", "j", "kappa", "range"), blocks, prov)
     write_json(os.path.join(out, "potential.json"), payload, prov)
     return 0
 
@@ -599,13 +590,14 @@ def _cmd_boundary(config, out):
                 "passed": leak.passed,
                 "sample_time": leak.sample_time,
             }
-    write_csv(os.path.join(out, "spectra.csv"), ("theta", "k", "E"), rows, prov)
+    blocks = [list(zip(*rows))] if rows else []
+    write_csv(os.path.join(out, "spectra.csv"), ("theta", "k", "E"), blocks, prov)
     write_json(os.path.join(out, "currents.json"), {"levels": currents}, prov)
     if witnesses:
         write_json(os.path.join(out, "witnesses.json"), {"witnesses": witnesses}, prov)
     if leak is not None:
         write_csv(
-            os.path.join(out, "norm_decay.csv"), ("t", "norm"), zip(leak.times, leak.norms), prov
+            os.path.join(out, "norm_decay.csv"), ("t", "norm"), [(leak.times, leak.norms)], prov
         )
     if robin is not None:
         write_json(os.path.join(out, "robin.json"), robin, prov)

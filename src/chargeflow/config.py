@@ -356,14 +356,18 @@ def _validate(config):
             if not sections[section][key] > 0:
                 raise ConfigError(f"key '{key}' must be positive", line(section, key))
 
+    def nonnegative(section, *keys):
+        for key in keys:
+            if not sections[section][key] >= 0:
+                raise ConfigError(f"key '{key}' must be nonnegative", line(section, key))
+
     for section in ("model", "lattice"):
         rows = sections[section]["charge"]
         for row, lineno in zip(rows, config.key_lines.get((section, "charge"), ())):
             if row[0] == 0.0 and row[1] == 0.0:
                 raise ConfigError("couplings must be nonzero", lineno)
     positive("model", "m", "hbar")
-    if sections["model"]["E0"] < 0:
-        raise ConfigError("key 'E0' must be nonnegative", line("model", "E0"))
+    nonnegative("model", "E0")
     positive("symmetry", "tol")
     fld = sections["field"]
     for key in ("nx", "ny"):
@@ -378,10 +382,11 @@ def _validate(config):
     if stream["source"] < 1:
         raise ConfigError("source labels are 1-based", line("streamlines", "source"))
     positive("streamlines", "seed_radius")
+    # 0 selects the library default of each of these radii
+    nonnegative("streamlines", "max_arc", "eps_absorb", "domain_radius")
     sim = sections["simulate"]
     positive("simulate", "t_max", "dt", "dt_max")
-    if sim["runs"] < 0:
-        raise ConfigError("key 'runs' must be nonnegative", line("simulate", "runs"))
+    nonnegative("simulate", "runs", "eps_absorb", "eps_start")
     if sim["sample_times"] and sim["runs"] < 1000:
         raise ConfigError(
             "equivariance sampling (sample_times) needs runs >= 1000",
@@ -410,10 +415,7 @@ def _validate(config):
             "lattice needs L >= 2 and n_max >= 1",
             line("lattice", "L" if lat["L"] < 2 else "n_max"),
         )
-    if lat["E0"] < 0:
-        raise ConfigError("key 'E0' must be nonnegative", line("lattice", "E0"))
-    if lat["chains"] < 0:
-        raise ConfigError("key 'chains' must be nonnegative", line("lattice", "chains"))
+    nonnegative("lattice", "E0", "chains")
     positive("lattice", "a", "m", "hbar", "t", "check_tol")
     bnd = sections["boundary"]
     positive("boundary", "m", "hbar", "leak_tol")

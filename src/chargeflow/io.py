@@ -5,8 +5,10 @@ sha256 of the config text, the command, the master seed and the derived
 per-stream seeds, and every resolved option of the command (defaults
 included).  Floating-point values are printed with a fixed 17-significant-
 digit format, so identical configs and seeds give byte-identical files; JSON
-writes NaN and infinities as null.  Files are written to a temporary sibling
-and renamed into place with the permissions the umask grants.
+writes NaN and infinities as null.  CSV tables are written in blocks of
+columns, each column formatted in one pass.  Files are written to a
+temporary sibling and renamed into place with the permissions the umask
+grants; a failed write leaves no file, nor a directory that it created.
 """
 
 import itertools
@@ -28,7 +30,6 @@ __all__ = [
     "write_json",
     "write_jsonl",
     "trajectory_events",
-    "trajectory_path_rows",
 ]
 
 
@@ -112,6 +113,11 @@ def _option_text(value):
 def atomic_write_text(path, chunks):
     """Write an iterable of strings via a temporary sibling and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path))
+    created = []  # the directories makedirs adds, deepest first
+    head = directory
+    while not os.path.isdir(head):
+        created.append(head)
+        head = os.path.dirname(head)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -124,37 +130,54 @@ def atomic_write_text(path, chunks):
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
+        try:
+            for created_dir in created:
+                os.rmdir(created_dir)
+        except OSError:
+            pass  # another writer has put a file there
         raise
 
 
-# printf conversions that print exactly what format_value prints, keyed by the
-# exact type: bool is an int subclass but prints as true/false
-_CONVERSIONS = {int: "%d", np.int64: "%d", float: "%.17g", np.float64: "%.17g", str: "%s"}
+def _column(col):
+    """One column of a CSV block -> its '%' conversion and its values."""
+    dtype = getattr(col, "dtype", np.dtype(object))
+    if dtype == np.float64:
+        # where the distinct bit patterns are at most half of the column, format
+        # each once; bits, not values, so -0.0 and NaN print as format_value does.
+        # A sort finds them: numpy 2.4's np.unique hashes first, 0.6 ms against
+        # 35 us for 4,096 distinct values on a 2-core Xeon
+        bits = col.view(np.int64)
+        ordered = np.sort(bits)
+        distinct = np.append(ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])
+        if 2 * distinct.size > bits.size:
+            return "%.17g", col.tolist()
+        text = list(map("%.17g".__mod__, distinct.view(np.float64).tolist()))
+        return "%s", list(map(text.__getitem__, np.searchsorted(distinct, bits).tolist()))
+    if dtype.kind in "iu":
+        return "%d", col.tolist()
+    return "%s", list(map(format_value, col))
 
 
-def _csv_lines(rows):
-    formats = {}  # row signature -> one '%' string for the row, or None
-    for row in rows:
-        signature = tuple(map(type, row))
-        try:
-            fmt = formats[signature]
-        except KeyError:
-            conversions = [_CONVERSIONS.get(t) for t in signature]
-            fmt = formats[signature] = None if None in conversions else ",".join(conversions) + "\n"
-        if fmt is None:
-            yield ",".join(map(format_value, row)) + "\n"
-        else:
-            yield fmt % tuple(row)
-
-
-def write_csv(path, columns, rows, provenance):
+def write_csv(path, columns, blocks, provenance):
     """CSV with '#'-prefixed provenance, a header row, and 17-digit floats.
 
-    `rows` is consumed once, and the lines stream into the temporary file.
+    `blocks` is consumed once.  Each block is a sequence of len(columns)
+    equal-length 1-D columns (numpy arrays or lists) and becomes one string
+    that streams into the temporary file.  A float64 array prints with
+    %.17g, an integer array with %d, anything else through `format_value`.
     """
+
+    def text(block):
+        lengths = {len(col) for col in block}
+        if len(block) != len(columns) or len(lengths) > 1:
+            raise ValueError(f"a CSV block needs {len(columns)} columns of equal length")
+        conversions, values = zip(*map(_column, block))
+        line = ",".join(conversions) + "\n"
+        return line * lengths.pop() % tuple(itertools.chain.from_iterable(zip(*values)))
+
     header = [f"# {line}\n" for line in provenance.comment_lines()]
     header.append(",".join(columns) + "\n")
-    atomic_write_text(path, itertools.chain(header, _csv_lines(rows)))
+    atomic_write_text(path, itertools.chain(header, map(text, blocks)))
 
 
 def _json_fragment(obj, out, indent):
@@ -272,10 +295,3 @@ def trajectory_events(record):
         }
     )
     return events
-
-
-def trajectory_path_rows(record):
-    """TrajectoryRecord -> (particle, t, x, y, z) rows, one polyline per id."""
-    for pid in sorted(record.paths):
-        for t, x, y, z in record.paths[pid].tolist():
-            yield (pid, t, x, y, z)

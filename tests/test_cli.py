@@ -24,6 +24,7 @@ from chargeflow.groundstate import current_closed_form, ground_energy, psi1
 from chargeflow.io import (
     Provenance,
     _json_text,
+    atomic_write_text,
     derive_seed,
     format_value,
     write_csv,
@@ -433,6 +434,43 @@ def test_field_outside_the_float_range_exits_2_naming_the_quantity(tmp_path, cap
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_a_failed_field_write_leaves_no_output_directory(tmp_path, capsys):
+    text = "\n".join(_REDUCED_LINES).replace("\nhbar = 1.0\n", "\nhbar = 1e308\n", 1) + "\n"
+    (tmp_path / "run.cfg").write_text(text)
+    out = tmp_path / "fresh" / "out"
+    with np.errstate(all="ignore"):
+        code = main(["field", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    assert code == 2
+    assert "the current or |psi1| leaves the float range" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+@pytest.mark.parametrize(
+    ("section", "key", "command"),
+    [
+        ("streamlines", "max_arc", "streamlines"),
+        ("streamlines", "eps_absorb", "streamlines"),
+        ("streamlines", "domain_radius", "streamlines"),
+        ("simulate", "eps_absorb", "simulate"),
+        ("simulate", "eps_start", "simulate"),
+    ],
+)
+def test_negative_radii_are_config_errors_at_their_line(tmp_path, capsys, section, key, command):
+    # 0 keeps selecting the library default; a negative radius is an error
+    lines = list(_FIGURE_LINES)
+    edit = f"{key} = -1.0"
+    if key == "max_arc":  # the one of the five that figure.cfg sets
+        index = lines.index("max_arc = 40.0")
+        lines[index] = edit
+    else:
+        index = lines.index(f"[{section}]") + 1
+        lines.insert(index, edit)
+    code, out = run_cli(tmp_path, "\n".join(lines) + "\n", command)
+    assert code == 1
+    assert f"line {index + 1}: key '{key}' must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["field", "streamlines"])
 def test_field_tables_do_not_depend_on_the_block_size(tmp_path, monkeypatch, command):
     text = "\n".join(_REDUCED_LINES) + "\n"
@@ -497,7 +535,7 @@ def test_format_value_round_trips_floats():
 
 def test_write_csv_provenance_and_atomicity(tmp_path):
     path = tmp_path / "table.csv"
-    write_csv(path, ("a", "b"), [(1, 0.1), (2, 0.25)], prov_stub())
+    write_csv(path, ("a", "b"), [(np.array([1, 2]), np.array([0.1, 0.25]))], prov_stub())
     assert os.listdir(tmp_path) == ["table.csv"]
     comments, header, rows = read_csv(path)
     assert comments[0].startswith("# chargeflow ")
@@ -523,31 +561,51 @@ _EDGE_FLOATS = st.sampled_from(
     [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1.7e308, -1.7e308]
 )
 _ANY_FLOATS = st.floats() | _EDGE_FLOATS
-# one strategy per exact type a row value may have
-_CSV_KINDS = {
-    "int": st.integers(),
-    "float": _ANY_FLOATS,
-    "bool": st.booleans(),
-    "str": st.text(st.characters(blacklist_characters=",\n\r")),
-    "int64": st.integers(-(2**63), 2**63 - 1).map(np.int64),
-    "float64": _ANY_FLOATS.map(np.float64),
-    "float32": st.floats(width=32).map(np.float32),
-    "bool_": st.booleans().map(np.bool_),
+# per kind of column: the strategy of its values (None: the block's pool of
+# floats) and the container; a float64 column drawn from a pool of k values
+# has at most k distinct ones, so some columns cross the writer's threshold
+# for formatting each distinct bit pattern once (half the column) and some
+# do not
+_CSV_COLUMNS = {
+    "int64": (st.integers(-(2**63), 2**63 - 1), partial(np.array, dtype=np.int64)),
+    "float64": (None, partial(np.array, dtype=np.float64)),
+    "bool_": (st.booleans(), np.array),
+    "int": (st.integers(), list),
+    "float": (None, list),
+    "bool": (st.booleans(), list),
+    "str": (st.text(st.characters(blacklist_characters=",\n\r")), list),
+    "float32": (st.floats(width=32).map(np.float32), list),
 }
-# tables of one row signature each, so the writer meets repeated signatures
-_CSV_TABLES = st.lists(st.sampled_from(sorted(_CSV_KINDS)), min_size=1, max_size=6).flatmap(
-    lambda kinds: st.lists(st.tuples(*(_CSV_KINDS[k] for k in kinds)), min_size=1, max_size=4)
+
+
+@st.composite
+def _csv_block(draw, kinds):
+    n = draw(st.integers(0, 12))
+    pool = st.sampled_from(draw(st.lists(_ANY_FLOATS, min_size=1, max_size=max(n, 1))))
+    block = []
+    for kind in kinds:
+        values, container = _CSV_COLUMNS[kind]
+        values = pool if values is None else values
+        block.append(container(draw(st.lists(values, min_size=n, max_size=n))))
+    return tuple(block)
+
+
+# tables of several blocks over one list of column kinds
+_CSV_TABLES = st.lists(st.sampled_from(sorted(_CSV_COLUMNS)), min_size=1, max_size=6).flatmap(
+    lambda kinds: st.lists(_csv_block(kinds), min_size=1, max_size=3)
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(_CSV_TABLES, min_size=1, max_size=3))
-def test_write_csv_matches_the_per_value_writer(tables):
-    rows = [row for table in tables for row in table]
-    columns = tuple(f"c{i}" for i in range(max(len(row) for row in rows)))
+@given(_CSV_TABLES)
+@example([(np.array([0.0, -0.0, 0.0, -0.0]), np.array([math.nan, 1.0, math.nan, math.nan]))])
+@example([(np.array([1.0]), ["a"])])
+def test_write_csv_matches_the_per_value_writer(blocks):
+    rows = [row for block in blocks for row in zip(*block)]
+    columns = tuple(f"c{i}" for i in range(len(blocks[0])))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        write_csv(path, columns, iter(rows), prov_stub())
+        write_csv(path, columns, iter(blocks), prov_stub())
         data = path.read_bytes()
     assert data == _per_value_csv(columns, rows, prov_stub()).encode("utf-8")
     lines = data.decode("utf-8").split("\n")[-len(rows) - 1 : -1]
@@ -565,14 +623,36 @@ def test_write_csv_matches_the_per_value_writer(tables):
 
 
 def test_write_csv_failing_rows_leave_no_file(tmp_path):
-    def rows():
-        for i in range(20000):
-            yield (i, i / 7)
-        raise RuntimeError("row source failed")
+    def blocks():
+        for k in range(5):
+            i = np.arange(k * 4096, (k + 1) * 4096)
+            yield i, i / 7
+        raise RuntimeError("block source failed")
 
-    with pytest.raises(RuntimeError, match="row source failed"):
-        write_csv(tmp_path / "t.csv", ("i", "x"), rows(), prov_stub())
+    with pytest.raises(RuntimeError, match="block source failed"):
+        write_csv(tmp_path / "t.csv", ("i", "x"), blocks(), prov_stub())
     assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("block", [([1, 2], [0.5]), ([1, 2],), ([1], [2], [3])])
+def test_write_csv_rejects_blocks_of_the_wrong_shape(tmp_path, block):
+    with pytest.raises(ValueError, match="2 columns of equal length"):
+        write_csv(tmp_path / "t.csv", ("a", "b"), [block], prov_stub())
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_failed_write_removes_only_the_directories_it_created(tmp_path):
+    def failing():
+        yield "partial"
+        raise RuntimeError("source failed")
+
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    for target in (tmp_path / "new" / "deeper" / "t.txt", kept / "t.txt"):
+        with pytest.raises(RuntimeError, match="source failed"):
+            atomic_write_text(target, failing())
+    assert sorted(os.listdir(tmp_path)) == ["kept"]
+    assert os.listdir(kept) == []
 
 
 def test_write_json_provenance_and_17_digit_floats(tmp_path):
@@ -638,7 +718,7 @@ def test_json_emitter_writes_valid_json(doc):
 def test_artifacts_honour_the_umask(tmp_path):
     old = os.umask(0o027)
     try:
-        write_csv(tmp_path / "a.csv", ("a",), [(1,)], prov_stub())
+        write_csv(tmp_path / "a.csv", ("a",), [([1],)], prov_stub())
         os.umask(0o002)
         write_json(tmp_path / "b.json", {"x": 1}, prov_stub())
     finally:
@@ -746,6 +826,28 @@ def test_field_and_streamlines_csv_match_the_per_value_rows(tmp_path, monkeypatc
     prov = cli._provenance(config.with_command("streamlines"), ("model", "streamlines"), {"seed_directions": 0})
     expected = _per_value_csv(("line", "s") + columns, rows, prov)
     assert (out / "streamlines.csv").read_text() == expected
+
+
+def test_perfbench_tracer_runs_field_with_the_block_writer(tmp_path, monkeypatch):
+    # the tracer wraps the third positional argument of write_csv to count
+    # what the writer consumes, so every call site passes it positionally
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FIELD_SMALL)
+    assert main(["field", "--config", str(cfg), "--out", str(tmp_path / "plain")]) == 0
+    tracer = tracing.Tracer()
+    tracing.instrument(tracer)
+    try:
+        code = tracer.run("cli", main, ["field", "--config", str(cfg), "--out", str(tmp_path / "traced")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counts["io.rows"] > 0
+    traced, plain = (tmp_path / name / "field.csv" for name in ("traced", "plain"))
+    assert traced.read_bytes() == plain.read_bytes()
+    assert cli.write_csv is write_csv
 
 
 def test_field_of_real_charges_has_positive_zero_currents(tmp_path):
