@@ -426,6 +426,11 @@ def _build_robin_tridiag(bc, n_grid, m, hbar, length):
     return diag, up, lo, active, h
 
 
+# steps of `evolve_robin` recorded per block of full-grid rows: 256 kB at
+# grid 512; 128 rows ran no faster and left a larger heap behind
+_ROBIN_BLOCK_ROWS = 32
+
+
 def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0, length=1.0):
     """Evolve a packet under Robin conditions with Crank-Nicolson stepping.
 
@@ -458,33 +463,36 @@ def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0, length
     if info > 0:
         raise LinAlgError("singular matrix")
     n_steps = int(np.ceil(t_final / dt))
-    times = np.empty(n_steps + 1)
+    times = np.arange(n_steps + 1) * dt
     norms = np.empty(n_steps + 1)
     d0 = np.empty(n_steps + 1)
     d1 = np.empty(n_steps + 1)
     # trapezoid weights make the discrete operator self-adjoint for real ratios
     wts = np.full(n_grid, h)
     wts[0] = wts[-1] = h / 2.0
-
-    def record(k, t, cur):
-        times[k] = t
-        norms[k] = float(np.sum(wts * np.abs(cur) ** 2))
-        d0[k] = float(abs(cur[0]) ** 2)
-        d1[k] = float(abs(cur[-1]) ** 2)
-
+    norms[0] = np.sum(wts * np.abs(psi) ** 2)
+    d0[0], d1[0] = abs(psi[0]) ** 2, abs(psi[-1]) ** 2
+    act = psi[active].copy()
+    # the active nodes are the grid less its Dirichlet ends; the steps are
+    # written as full-grid rows into a block whose Dirichlet columns stay 0,
+    # and the norms of a block are taken at once
+    first = 0 if active[0] else 1
+    inner = slice(first, first + act.size)
+    rows = np.zeros((min(n_steps, _ROBIN_BLOCK_ROWS), n_grid), dtype=complex)
     full = psi
-    record(0, 0.0, full)
-    act = full[active].copy()
-    for k in range(n_steps):
-        rhs = act - z * (diag * act)
-        rhs[:-1] -= z * up * act[1:]
-        rhs[1:] -= z * lo * act[:-1]
-        act = zgttrs(*lu, rhs)[0]
-        full = np.zeros(n_grid, dtype=complex)
-        full[active] = act
-        record(k + 1, (k + 1) * dt, full)
+    for k0 in range(0, n_steps, len(rows)):
+        block = rows[: n_steps - k0]
+        for k, row in enumerate(block, start=k0 + 1):
+            rhs = act - z * (diag * act)
+            rhs[:-1] -= z * up * act[1:]
+            rhs[1:] -= z * lo * act[:-1]
+            act = zgttrs(*lu, rhs)[0]
+            row[inner] = act
+            d0[k], d1[k] = abs(row[0]) ** 2, abs(row[-1]) ** 2
+        norms[k0 + 1 : k0 + 1 + len(block)] = np.sum(wts * np.abs(block) ** 2, axis=1)
+        full = block[-1]
     return RobinEvolution(
-        grid=grid, times=times, norms=norms, end0_density=d0, end1_density=d1, psi_final=full
+        grid=grid, times=times, norms=norms, end0_density=d0, end1_density=d1, psi_final=full.copy()
     )
 
 

@@ -87,7 +87,7 @@ def _model_system(config, bound=False):
     and its energy, which `ground_energy` checks together with m/(pi hbar^2);
     a non-finite alpha makes that energy infinite.
     """
-    from .groundstate import _alpha, ground_energy
+    from .groundstate import ground_energy
 
     system = config.charge_system()
     if bound:
@@ -98,9 +98,7 @@ def _model_system(config, bound=False):
                 config.line("model", "E0"),
             )
         ground_energy(system)
-    with np.errstate(over="ignore"):
-        alpha = _alpha(system)
-    if not np.isfinite(alpha):
+    if not np.isfinite(system.alpha):
         raise ValueError(
             "alpha = sqrt(2*m*E0)/hbar leaves the float range at "
             f"m = {system.m!r}, E0 = {system.E0!r}, hbar = {system.hbar!r}"
@@ -221,7 +219,23 @@ def _cmd_streamlines(config, out):
     return 0
 
 
+# the trajectory of `chargeflow simulate` takes at least t_max/dt_max steps,
+# each adding a path vertex of 4 floats (32 bytes) per boson present and
+# taking 0.2-0.3 ms with a handful of bosons on a 2-CPU Xeon; t_max/dt_max
+# may not exceed _TRAJECTORY_VERTEX_LIMIT, 32 MB of path per boson and 3-5
+# minutes (at t_max = 1e308 the steps stop advancing, t + dt_max == t)
+_TRAJECTORY_VERTEX_LIMIT = 10**6
+
+
 def _cmd_simulate(config, out):
+    opts = config.options("simulate")
+    if opts["trajectory"] and not opts["t_max"] / opts["dt_max"] <= _TRAJECTORY_VERTEX_LIMIT:
+        raise ConfigError(
+            f"the trajectory to t_max = {opts['t_max']!r} in steps of dt_max = "
+            f"{opts['dt_max']!r} exceeds {_TRAJECTORY_VERTEX_LIMIT:.0e} steps, each a path "
+            "vertex of 4 floats per boson (set trajectory = false for the ensemble alone)",
+            config.line("simulate", "t_max", "dt_max"),
+        )
     from .groundstate import ground_state
     from .process import (
         EnsembleParams,
@@ -234,7 +248,6 @@ def _cmd_simulate(config, out):
     )
 
     gs = ground_state(_model_system(config, bound=True))
-    opts = config.options("simulate")
     law = derive_emission_law(gs)
     eps_absorb = opts["eps_absorb"] or None
     eps_start = opts["eps_start"] or None

@@ -70,10 +70,6 @@ class NearNodeError(ValueError):
     """Velocity requested at a point where |psi1| underflows."""
 
 
-def _alpha(system):
-    return np.sqrt(2.0 * system.m * system.E0) / system.hbar
-
-
 def _pair_scale(system):
     """m/(pi*hbar^2), the scale of the pair couplings and the ground energy;
     ValueError when it leaves the float range."""
@@ -115,7 +111,7 @@ def psi1(system, y):
     a source is rejected.
     """
     _, r = _source_displacements(system, y)
-    a = _alpha(system)
+    a = system.alpha
     return np.sum(np.conj(system.charges) * np.exp(-a * r) / r, axis=-1)
 
 
@@ -126,7 +122,7 @@ def psi1_gradient(system, y):
     with e_j the unit vector from x_j towards y.
     """
     d, r = _source_displacements(system, y)
-    a = _alpha(system)
+    a = system.alpha
     u = np.exp(-a * r) / r
     val = np.sum(np.conj(system.charges) * u, axis=-1)
     coef = np.conj(system.charges) * (-(a + 1.0 / r)) * u / r
@@ -159,7 +155,7 @@ def _norm_integral_closed(system):
     and a cross term, in prolate spheroidal coordinates around the pair axis,
     2*pi*R*int_1^inf exp(-alpha R xi) dxi with R the source separation.
     """
-    a = _alpha(system)
+    a = system.alpha
     g = system.charges
     dist = system.pair_distances()
     total = np.sum(np.abs(g) ** 2)
@@ -189,7 +185,7 @@ def ground_state(system):
         )
     return GroundState(
         system=system,
-        alpha=_alpha(system),
+        alpha=system.alpha,
         norm_const=float(np.exp(-lam / 2.0)),
         poisson_rate=float(lam),
         norm_integral=float(w),
@@ -224,15 +220,14 @@ def _flow(system, y):
     """
     d = np.asarray(y, dtype=float)[..., None, :] - system.positions
     r = np.sqrt(np.einsum("...i,...i->...", d, d))
-    if np.any(r == 0.0):
+    if (r == 0.0).any():
         raise ValueError("evaluation point coincides with a source")
-    a = _alpha(system)
+    a = system.alpha
     u = np.exp(-a * r) / r
     w = (u @ system.im_products) * (a + 1.0 / r) * u / r
-    cur = system.hbar / system.m * np.einsum("...n,...ni->...i", w, d) + 0.0
+    cur = system.hbar_over_m * np.einsum("...n,...ni->...i", w, d) + 0.0
     # psi1 = u @ conj(g) as one real product with the (N, 2) rows (Re, -Im)
-    conj_rows = np.conj(system.charges).view(float).reshape(-1, 2)
-    return (u @ conj_rows).view(complex)[..., 0], cur
+    return (u @ system.conj_rows).view(complex)[..., 0], cur
 
 
 def current_closed_form(system, y):
@@ -280,7 +275,7 @@ def velocity(system, y):
     """
     val, cur = _flow(system, y)
     dens = np.abs(val) ** 2
-    scale = float(np.max(np.abs(system.charges)) * _alpha(system)) ** 2
+    scale = float(np.max(np.abs(system.charges)) * system.alpha) ** 2
     if np.any(dens < 1e-300 * max(scale, 1.0)):
         raise NearNodeError("velocity requested at a near-node of psi1")
     return cur / dens[..., None]
@@ -296,23 +291,29 @@ def _rk4_round(system, field, p, remaining, nearest_d, eps_absorb):
     Returns (positions, remaining, nearest_d, absorbed) after the substep,
     absorbed[k] being the 0-based source whose ball row k entered, or -1.
     """
-    X = system.positions
     k1 = field(system, p)
-    speed = np.linalg.norm(k1, axis=1)
+    speed = _row_norms(k1)
     target = np.maximum(0.25 * nearest_d, 0.25 * eps_absorb)
     h = np.minimum(remaining, target / np.maximum(speed, 1e-300))[:, None]
-    k2 = field(system, p + 0.5 * h * k1)
-    k3 = field(system, p + 0.5 * h * k2)
+    half = 0.5 * h
+    k2 = field(system, p + half * k1)
+    k3 = field(system, p + half * k2)
     k4 = field(system, p + h * k3)
     p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    dd = np.linalg.norm(p[:, None, :] - X[None, :, :], axis=-1)
-    nearest = np.argmin(dd, axis=1)
-    nearest_d = dd[np.arange(p.shape[0]), nearest]
-    return p, remaining - h[:, 0], nearest_d, np.where(nearest_d < eps_absorb, nearest, -1)
+    dd = _row_norms(p[:, None, :] - system.positions)
+    nearest_d = dd.min(axis=1)
+    absorbed = np.where(nearest_d < eps_absorb, dd.argmin(axis=1), -1)
+    return p, remaining - h[:, 0], nearest_d, absorbed
+
+
+def _row_norms(x):
+    """Euclidean norms over the last axis: what np.linalg.norm(x, axis=-1)
+    computes for real x, without its Python wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _nearest_distance(system, pts):
-    return np.min(np.linalg.norm(pts[:, None, :] - system.positions[None, :, :], axis=-1), axis=1)
+    return _row_norms(pts[:, None, :] - system.positions).min(axis=1)
 
 
 def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
@@ -328,15 +329,23 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
     """
     K = pts.shape[0]
     out = pts.copy()
-    remaining = np.broadcast_to(np.asarray(span, dtype=float), (K,)).copy()
+    remaining = np.empty(K)
+    remaining[:] = span
     absorbed = np.full(K, -1, dtype=int)
     active = remaining > 0.0
     # nearest-source distance of every row, carried from each round's step end
     nearest_d = _nearest_distance(system, out)
     for _ in range(max_rounds):
-        act = np.flatnonzero(active)
+        act = active.nonzero()[0]
         if act.size == 0:
             return out, absorbed, remaining
+        if act.size == K:
+            # every row moves: no gather and scatter
+            out, remaining, nearest_d, absorbed = _rk4_round(
+                system, field, out, remaining, nearest_d, eps_absorb
+            )
+            active = (absorbed < 0) & (remaining > 1e-15)
+            continue
         out[act], remaining[act], nearest_d[act], absorbed[act] = _rk4_round(
             system, field, out[act], remaining[act], nearest_d[act], eps_absorb
         )
@@ -356,7 +365,7 @@ def ground_energy(system):
     """
     if not system.E0 > 0:
         raise ValueError("E0 must be positive")
-    a = _alpha(system)
+    a = system.alpha
     g = system.charges
     dist = system.pair_distances()
     self_term = (np.sqrt(2.0 * system.m * system.E0) / (2.0 * system.hbar)) * np.sum(
@@ -424,7 +433,7 @@ def _extrapolate_to_zero(rs, vals):
 def _default_radii(system, n=7, start_fraction=0.05):
     d = system.min_source_spacing()
     if d is None:
-        d = 1.0 / _alpha(system)
+        d = 1.0 / system.alpha
     r0 = start_fraction * d
     return np.array([r0 * 0.5**k for k in range(n)])
 
@@ -573,7 +582,7 @@ class Streamline:
 def _unit_current(system, pts):
     """Direction field j/|j|, zero where the current vanishes."""
     j = current_closed_form(system, pts)
-    n = np.linalg.norm(j, axis=-1, keepdims=True)
+    n = _row_norms(j)[..., None]
     return np.divide(j, n, out=np.zeros_like(j), where=n > 0.0)
 
 
@@ -596,7 +605,7 @@ def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None
     arc length being where it stopped); seeds at stationary points
     (symmetric charges) return a degenerate zero-length polyline.
     """
-    a = _alpha(system)
+    a = system.alpha
     spacing = system.min_source_spacing()
     scale = spacing if spacing is not None else 1.0 / a
     if eps_absorb is None:
@@ -720,7 +729,7 @@ def _offcenter_shell_density(system, center):
     others = [k for k in range(system.n_sources) if k != center - 1]
     if len(others) < 2:
         return None
-    a = _alpha(system)
+    a = system.alpha
     g = system.charges
     xc = system.positions[center - 1]
     omega, w = _sphere_nodes(24, 48)
@@ -762,7 +771,7 @@ def _radial_closed_cdf(system, center, r):
           * (E1(b |s-R|) - E1(b (s+R))) integrates, in t = |s - R| and
           t = s + R, through the antiderivatives of E1(b t) and t E1(b t).
     """
-    a = _alpha(system)
+    a = system.alpha
     b = 2.0 * a
     g = system.charges
     c = center - 1

@@ -57,10 +57,13 @@ class ChargeSystem:
     E0        : boson rest energy, >= 0
     hbar      : action scale, > 0 (kept explicit; default 1)
 
-    Derived: im_products, the (N, N) matrix Im(conj(g_i) g_j) of the pair
-    currents, built as P - P^T from P_ij = Re(g_i) Im(g_j) so that it is
-    antisymmetric to the bit (a complex product gives B + B^T != 0 in the
-    last place, which the current's cancellations amplify).
+    Derived, read-only: im_products, the (N, N) matrix Im(conj(g_i) g_j) of
+    the pair currents, built as P - P^T from P_ij = Re(g_i) Im(g_j) so that
+    it is antisymmetric to the bit (a complex product gives B + B^T != 0 in
+    the last place, which the current's cancellations amplify); alpha =
+    sqrt(2 m E0)/hbar, the decay constant of psi1 (inf when it leaves the
+    float range); hbar_over_m; and conj_rows, the (N, 2) rows (Re g, -Im g)
+    of conj(g) as real numbers, which the field kernel multiplies by.
     """
 
     positions: np.ndarray
@@ -69,6 +72,9 @@ class ChargeSystem:
     E0: float = 1.0
     hbar: float = 1.0
     im_products: np.ndarray = field(init=False, repr=False, compare=False)
+    alpha: float = field(init=False, repr=False, compare=False)
+    hbar_over_m: float = field(init=False, repr=False, compare=False)
+    conj_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -92,16 +98,23 @@ class ChargeSystem:
             raise ValueError("E0 must be nonnegative")
         if not self.hbar > 0:
             raise ValueError("hbar must be positive")
+        m, E0, hbar = float(self.m), float(self.E0), float(self.hbar)
         outer = np.outer(g.real, g.imag)
         im_products = outer - outer.T
-        for arr in (pos, g, im_products):
+        conj_rows = np.conj(g).view(float).reshape(-1, 2)
+        for arr in (pos, g, im_products, conj_rows):
             arr.flags.writeable = False
+        with np.errstate(over="ignore"):
+            alpha = np.sqrt(2.0 * m * E0) / hbar
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "charges", g)
         object.__setattr__(self, "im_products", im_products)
-        object.__setattr__(self, "m", float(self.m))
-        object.__setattr__(self, "E0", float(self.E0))
-        object.__setattr__(self, "hbar", float(self.hbar))
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "E0", E0)
+        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "hbar_over_m", hbar / m)
+        object.__setattr__(self, "conj_rows", conj_rows)
 
     @property
     def n_sources(self):

@@ -224,8 +224,10 @@ def simulate(gs, params, initial=None, law=None):
     together through `_advance` in steps of min(dt_max, next emission,
     t_max), with one path vertex per step end.  When a boson enters an
     absorption ball the step is cut at its contact time, the others are
-    re-advanced to that time, and the absorption is recorded there.  Output
-    is bit-reproducible for a given seed.
+    re-advanced to that time, and the absorption is recorded there.  The
+    vertices of a stretch between two jumps are gathered step by step and
+    written out, with the stretch's one MoveEvent, when the stretch ends.
+    Output is bit-reproducible for a given seed.
     """
     system = gs.system
     X = system.positions
@@ -239,13 +241,28 @@ def simulate(gs, params, initial=None, law=None):
         pos = np.array(getattr(initial, "positions", initial), dtype=float).reshape(-1, 3)
         n0 = pos.shape[0]
     ids = list(range(n0))
-    paths = {pid: [(0.0, *pos[k])] for k, pid in enumerate(ids)}
+    # per particle, its path as a list of (k, 4) blocks of (t, x, y, z) vertices
+    paths = {pid: [np.array([(0.0, *pos[k])])] for k, pid in enumerate(ids)}
     events = []
     failure = None
     next_id = n0
     total = law.total_rate
     cum = np.cumsum(law.rates)
     t = 0.0
+    # the stretch since the last jump: its start, step ends and positions
+    t_start, ends, verts = t, [], []
+
+    def end_stretch():
+        if ends:
+            events.append(MoveEvent(t_start=t_start, t_end=ends[-1], particles=tuple(ids)))
+            block = np.empty((len(ends), len(ids), 4))
+            block[:, :, 0] = np.array(ends)[:, None]
+            block[:, :, 1:] = verts
+            for k, pid in enumerate(ids):
+                paths[pid].append(block[:, k])
+            ends.clear()
+            verts.clear()
+
     # a sampled boson can start inside the absorption ball (probability of
     # order eps_absorb); it is absorbed on the spot
     while ids:
@@ -264,10 +281,10 @@ def simulate(gs, params, initial=None, law=None):
         t_stop = min(t + params.dt_max, t_emit, params.t_max)
         if ids:
             moved, hit, left = _advance(system, _velocity_raw, pos, t_stop - t, eps_absorb)
-            if np.any((hit < 0) & (left > 1e-15)):
+            if ((hit < 0) & (left > 1e-15)).any():
                 failure = f"substep budget exhausted in the step from t={t:.6g}"
                 break
-            absorbed = np.flatnonzero(hit >= 0)
+            absorbed = (hit >= 0).nonzero()[0]
             if absorbed.size:
                 first = absorbed[np.argmax(left[absorbed])]
                 t_stop -= left[first]
@@ -275,24 +292,27 @@ def simulate(gs, params, initial=None, law=None):
                 moved[others], hit[others], _ = _advance(
                     system, _velocity_raw, pos[others], t_stop - t, eps_absorb
                 )
-                absorbed = np.flatnonzero(hit >= 0)
-            for k, pid in enumerate(ids):
-                paths[pid].append((t_stop, *moved[k]))
-            # steps with no jump between them extend one Move segment
-            t_start = events.pop().t_start if events and isinstance(events[-1], MoveEvent) else t
-            events.append(MoveEvent(t_start=t_start, t_end=t_stop, particles=tuple(ids)))
-            for k in absorbed:
-                events.append(AbsorbEvent(time=t_stop, source=int(hit[k]) + 1, particle=ids[k]))
-            ids = [pid for k, pid in enumerate(ids) if hit[k] < 0]
-            pos = moved[hit < 0]
+                absorbed = (hit >= 0).nonzero()[0]
+            if not ends:
+                t_start = t
+            ends.append(t_stop)
+            verts.append(moved)
+            pos = moved
+            if absorbed.size:
+                end_stretch()
+                for k in absorbed:
+                    events.append(AbsorbEvent(time=t_stop, source=int(hit[k]) + 1, particle=ids[k]))
+                ids = [pid for k, pid in enumerate(ids) if hit[k] < 0]
+                pos = moved[hit < 0]
         t = t_stop
         if t == t_emit:
+            end_stretch()
             source = int(np.searchsorted(cum, rng.random() * total, side="right"))
             direction = _unit_vectors(rng, 1)[0]
             born = X[source] + eps_start * direction
             pos = np.vstack([pos, born])
             ids.append(next_id)
-            paths[next_id] = [(t, *born)]
+            paths[next_id] = [np.array([(t, *born)])]
             events.append(
                 EmitEvent(
                     time=t,
@@ -303,12 +323,13 @@ def simulate(gs, params, initial=None, law=None):
             )
             next_id += 1
             t_emit = t + rng.exponential(1.0 / total)
+    end_stretch()
     return TrajectoryRecord(
         seed=params.seed,
         initial_sector=n0,
         t_final=t,
         events=tuple(events),
-        paths={pid: np.array(rows) for pid, rows in paths.items()},
+        paths={pid: np.concatenate(blocks) for pid, blocks in paths.items()},
         failure=failure,
     )
 

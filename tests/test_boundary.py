@@ -19,7 +19,7 @@ from chargeflow.boundary import (
     robin_leak_check,
     symmetry_verdict_periodic,
 )
-from chargeflow.boundary import _build_robin_tridiag
+from chargeflow.boundary import _ROBIN_BLOCK_ROWS, _build_robin_tridiag
 
 
 def gaussian_packet(center=0.5, width=0.1, momentum=0.0):
@@ -359,6 +359,21 @@ def test_factored_robin_stepper_matches_solve_banded_bit_for_bit(bc):
     assert np.array_equal(ev.end0_density, d0)
     assert np.array_equal(ev.end1_density, d1)
     assert np.array_equal(ev.psi_final, psi_final)
+
+
+def test_block_recorded_robin_stepper_matches_solve_banded_at_a_dirichlet_end():
+    # the figure config's packet: Dirichlet left end, leaking right end;
+    # its 2000 steps end in a part-filled block of rows
+    assert 2000 % _ROBIN_BLOCK_ROWS
+    bc = RobinBC(1.0, 0.0, 1j, 1.0)
+    packet = gaussian_packet(width=0.12, momentum=25.0)
+    ev = evolve_robin(bc, packet, 0.5)
+    norms, d0, d1, psi_final = _solve_banded_robin(bc, packet, 0.5)
+    assert np.array_equal(ev.norms, norms)
+    assert np.array_equal(ev.end0_density, d0) and not d0.any()
+    assert np.array_equal(ev.end1_density, d1)
+    assert np.array_equal(ev.psi_final, psi_final)
+    assert np.array_equal(ev.times, np.array([k * (0.5 / 2000.0) for k in range(2001)]))
 
 
 @pytest.mark.parametrize("n_grid", [2, 4])

@@ -316,6 +316,11 @@ def test_lattice_source_sites_must_be_integers():
         # the ground state is not normalizable at E0 = 0
         (MODEL + "E0 = 0\n", "potential", "line 4: key 'E0' must be positive"),
         (MODEL + "E0 = 0\n", "simulate", "line 4: key 'E0' must be positive"),
+        # a trajectory of more than 1e6 steps: at t_max = 1e308 its steps
+        # stop advancing, at dt_max = 1e-300 it takes 5e299 of them
+        (SIM_TRAJ.replace("t_max = 10.0", "t_max = 1e308"), "simulate", "line 8: the trajectory to"),
+        (SIM_TRAJ.replace("dt_max = 0.05", "dt_max = 1e-300"), "simulate", "exceeds 1e+06 steps"),
+        (MODEL + "E0 = 0.005\n[simulate]\ndt_max = 1e-300\n", "simulate", "line 6: the trajectory to"),
     ],
 )
 def test_late_config_errors_name_the_key_line(tmp_path, capsys, text, command, message):
@@ -385,25 +390,36 @@ _REDUCED = {
     "L = 8": "L = 6",
     "chains = 20000": "chains = 200",
     "grid = 512": "grid = 64",
+    # simulate runs its trajectory alone, and the ensemble's dt line is
+    # dt_max, the trajectory's step
+    "t_max = 10.0": "t_max = 0.5",
+    "runs = 5000": "runs = 0",
+    "sample_times = 5.0 10.0": "sample_times =",
+    "dt = 0.01": "dt_max = 0.05",
 }
 _REDUCED_LINES = [_REDUCED.get(line, line) for line in _FIGURE_LINES]
 
 
-# every command but simulate, whose ensemble is too slow to run this often;
-# the two extra examples are edits that once ran without end (the Bell chains
-# at t = 1e308, the plane-wave levels at n_levels = 2**64)
+# every command, simulate with its trajectory alone (its ensemble is too slow
+# to run this often); the extra examples are edits that once ran without end
+# (the Bell chains at t = 1e308, the plane-wave levels at n_levels = 2**64,
+# the trajectory at t_max = 1e308 and at dt_max = 1e-300)
 @settings(max_examples=300, deadline=None)
 @given(index=st.sampled_from(_FIGURE_KEY_LINES), value=st.sampled_from(_VALUE_SHAPES))
 @example(index=_FIGURE_LINES.index("E0 = 0.005"), value="0")
 @example(index=_FIGURE_LINES.index("t = 1.0"), value="1e308")
 @example(index=_FIGURE_LINES.index("n_levels = 3"), value=str(2**64))
+@example(index=_FIGURE_LINES.index("t_max = 10.0"), value="1e308")
+@example(index=_FIGURE_LINES.index("dt = 0.01"), value="1e-300")
 def test_single_line_edits_of_the_figure_config_run_or_fail_cleanly(index, value):
     lines = list(_REDUCED_LINES)
     lines[index] = f"{lines[index].partition('=')[0]}= {value}"
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "edited.cfg"
         cfg.write_text("\n".join(lines) + "\n")
-        for command in ("potential", "symmetry", "field", "streamlines", "lattice", "boundary"):
+        for command in (
+            "potential", "symmetry", "field", "streamlines", "lattice", "boundary", "simulate"
+        ):
             out = Path(tmp) / command
             code = main([command, "--config", str(cfg), "--out", str(out)])
             assert code in (0, 1, 2), (command, code)

@@ -9,7 +9,6 @@ from chargeflow import groundstate
 from chargeflow.groundstate import (
     NearNodeError,
     _advance,
-    _alpha,
     _flow,
     _norm_integral_closed,
     _offcenter_shell_density,
@@ -80,7 +79,7 @@ def _norm_integral_quad(system):
     spheroidal coordinates around the pair axis to
     2*pi*R*int_1^inf exp(-alpha R xi) dxi with R the source separation.
     """
-    a = _alpha(system)
+    a = system.alpha
     g = system.charges
     dist = system.pair_distances()
     total = 0.0
@@ -110,7 +109,7 @@ def _radial_density_terms(system, center):
       other-other (two distinct non-center sources): the production sphere
           quadrature `_offcenter_shell_density`.
     """
-    a = _alpha(system)
+    a = system.alpha
     g = system.charges
     c = center - 1
     xc = system.positions[c]
@@ -291,7 +290,7 @@ def _current_alt_index_reading(system, y):
     (y - x_i)/r_i attached to the other summation index than the radial
     factor (alpha + 1/r_j)."""
     d, r = _source_displacements(system, np.reshape(y, (-1, 3)))
-    a = _alpha(system)
+    a = system.alpha
     u = np.exp(-a * r) / r
     g = system.charges
     out = np.zeros((r.shape[0], 3))
@@ -332,7 +331,7 @@ def current_pair_loop(system, y):
     time, as production evaluated it before `_flow`, plus the pair-term
     scale (hbar/m) sum_{i != j} |Im[conj(g_i) g_j]| u_i u_j (alpha + 1/r_j)."""
     d, r = _source_displacements(system, y)
-    a = _alpha(system)
+    a = system.alpha
     u = np.exp(-a * r) / r
     e = d / r[..., None]
     g = system.charges
@@ -376,7 +375,7 @@ def test_flow_kernel_matches_the_pair_loop_and_complex_gradient_oracles(seed):
     assert np.all(np.linalg.norm(cur - ref, axis=1) <= 1e-13 * pair_scale)
     val, _ = _flow(sys_, y)
     _, r = _source_displacements(sys_, y)
-    magnitude = np.sum(np.abs(sys_.charges) * np.exp(-_alpha(sys_) * r) / r, axis=1)
+    magnitude = np.sum(np.abs(sys_.charges) * np.exp(-sys_.alpha * r) / r, axis=1)
     assert np.all(np.abs(val - psi1(sys_, y)) <= 1e-13 * magnitude)
     v_ref, own = velocity_complex(sys_, y)
     budget = 1e-13 * (pair_scale / np.abs(val) ** 2 + own)
@@ -693,6 +692,21 @@ def test_advance_matches_per_point_solve_ivp_oracle():
     assert np.median(gap[~absorbed]) < 1e-9
     assert gap[~absorbed].max() < 1e-3
     assert np.all(left[~absorbed] <= 1e-15)
+
+
+def test_advance_of_a_batch_equals_each_row_alone():
+    # rows finish, and are absorbed, in different rounds; a lone row moves
+    # in every round until it stops, so this compares the rounds that move
+    # every row with those that gather the rows still moving
+    sys_ = figure_system()
+    pts = sample_boson_positions(ground_state(sys_), 30, np.random.default_rng(5))
+    span = np.linspace(0.0, 1.5, 30)
+    end, hit, left = _advance(sys_, _velocity_raw, pts, span, 1e-4)
+    assert 0 < np.count_nonzero(hit >= 0) < 30
+    for k in range(30):
+        alone = _advance(sys_, _velocity_raw, pts[k : k + 1], span[k], 1e-4)
+        assert np.array_equal(end[k], alone[0][0])
+        assert (hit[k], left[k]) == (alone[1][0], alone[2][0])
 
 
 def test_streamlines_match_per_seed_solve_ivp_oracle():

@@ -359,6 +359,150 @@ def test_exhausted_substep_budget_ends_the_record(fig_gs, monkeypatch):
     assert rec.t_final < 2.0
 
 
+def per_step_simulate(gs, params, initial=None, law=None):
+    """The trajectory loop that appends one (t, x, y, z) vertex per boson per
+    step and pops and re-pushes the open MoveEvent every step: the oracle of
+    `process.simulate`, which gathers a stretch between two jumps at once."""
+    system = gs.system
+    X = system.positions
+    law = derive_emission_law(gs) if law is None else law
+    eps_absorb, eps_start = _resolve_radii(system, params.eps_absorb, params.eps_start)
+    rng = np.random.default_rng(params.seed)
+    if initial is None:
+        n0 = int(rng.poisson(gs.poisson_rate))
+        pos = process.sample_boson_positions(gs, n0, rng) if n0 else np.empty((0, 3))
+    else:
+        pos = np.array(initial, dtype=float).reshape(-1, 3)
+        n0 = pos.shape[0]
+    ids = list(range(n0))
+    paths = {pid: [(0.0, *pos[k])] for k, pid in enumerate(ids)}
+    events = []
+    failure = None
+    next_id = n0
+    total = law.total_rate
+    cum = np.cumsum(law.rates)
+    t = 0.0
+    while ids:
+        d = np.linalg.norm(pos - X[:, None, :], axis=-1)
+        k = int(np.argmin(np.min(d, axis=0)))
+        if np.min(d[:, k]) >= eps_absorb:
+            break
+        s = int(np.argmin(d[:, k]))
+        events.append(AbsorbEvent(time=0.0, source=s + 1, particle=ids[k]))
+        ids.pop(k)
+        pos = np.delete(pos, k, axis=0)
+    t_emit = rng.exponential(1.0 / total) if total > 0.0 else np.inf
+    velocity = process._velocity_raw
+    while t < params.t_max - 1e-12:
+        t_stop = min(t + params.dt_max, t_emit, params.t_max)
+        if ids:
+            moved, hit, left = process._advance(system, velocity, pos, t_stop - t, eps_absorb)
+            if np.any((hit < 0) & (left > 1e-15)):
+                failure = f"substep budget exhausted in the step from t={t:.6g}"
+                break
+            absorbed = np.flatnonzero(hit >= 0)
+            if absorbed.size:
+                first = absorbed[np.argmax(left[absorbed])]
+                t_stop -= left[first]
+                others = np.arange(len(ids)) != first
+                moved[others], hit[others], _ = process._advance(
+                    system, velocity, pos[others], t_stop - t, eps_absorb
+                )
+                absorbed = np.flatnonzero(hit >= 0)
+            for k, pid in enumerate(ids):
+                paths[pid].append((t_stop, *moved[k]))
+            t_start = events.pop().t_start if events and isinstance(events[-1], MoveEvent) else t
+            events.append(MoveEvent(t_start=t_start, t_end=t_stop, particles=tuple(ids)))
+            for k in absorbed:
+                events.append(AbsorbEvent(time=t_stop, source=int(hit[k]) + 1, particle=ids[k]))
+            ids = [pid for k, pid in enumerate(ids) if hit[k] < 0]
+            pos = moved[hit < 0]
+        t = t_stop
+        if t == t_emit:
+            source = int(np.searchsorted(cum, rng.random() * total, side="right"))
+            direction = process._unit_vectors(rng, 1)[0]
+            born = X[source] + eps_start * direction
+            pos = np.vstack([pos, born])
+            ids.append(next_id)
+            paths[next_id] = [(t, *born)]
+            events.append(
+                EmitEvent(time=t, source=source + 1, direction=tuple(direction), particle=next_id)
+            )
+            next_id += 1
+            t_emit = t + rng.exponential(1.0 / total)
+    return process.TrajectoryRecord(
+        seed=params.seed,
+        initial_sector=n0,
+        t_final=t,
+        events=tuple(events),
+        paths={pid: np.array(rows) for pid, rows in paths.items()},
+        failure=failure,
+    )
+
+
+def assert_same_record(got, want):
+    assert got.events == want.events
+    assert type(got.t_final) is type(want.t_final) and got.t_final == want.t_final
+    assert (got.initial_sector, got.failure) == (want.initial_sector, want.failure)
+    assert list(got.paths) == list(want.paths)
+    for pid, path in want.paths.items():
+        assert got.paths[pid].dtype == path.dtype
+        assert np.array_equal(got.paths[pid], path)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 8, 13, 21])
+def test_simulate_matches_the_per_step_oracle(fig_gs, fig_law, seed):
+    params = SimulationParams(t_max=30.0, seed=seed)
+    rec = simulate(fig_gs, params, law=fig_law)
+    assert_same_record(rec, per_step_simulate(fig_gs, params, law=fig_law))
+    assert any(isinstance(e, AbsorbEvent) for e in rec.events)
+
+
+# explicit starts against the oracle, each with the case it pins
+_SIMULATE_CASES = {
+    # the first boson starts inside the absorption ball of source 1
+    "absorbed at t = 0": (np.array([[3e-5, 0.0, 0.0], [0.5, 0.8, 0.3]]), 0),
+    # the first boson's contact cuts the step, and the second is re-advanced
+    "cut re-advances the others": (np.array([[0.5, 0.1, 0.0], [0.5, 0.8, 0.3]]), 0),
+    # mirror images in the z = 0 plane reach source 1 in the same cut
+    "two absorbed in one cut": (np.array([[0.5, 0.1, 0.05], [0.5, 0.1, -0.05]]), 0),
+    # the emission clock ends a step while bosons move
+    "step ends on the clock": (np.array([[0.5, 0.8, 0.3], [-0.6, 0.4, 0.2]]), 3),
+}
+
+
+@pytest.mark.parametrize("case", list(_SIMULATE_CASES))
+def test_simulate_matches_the_per_step_oracle_from_explicit_starts(fig_gs, fig_law, case):
+    start, seed = _SIMULATE_CASES[case]
+    law = fig_law if case == "step ends on the clock" else _no_emission_law()
+    params = SimulationParams(t_max=3.0, seed=seed)
+    rec = simulate(fig_gs, params, initial=start, law=law)
+    assert_same_record(rec, per_step_simulate(fig_gs, params, initial=start, law=law))
+    absorbs = [e for e in rec.events if isinstance(e, AbsorbEvent)]
+    if case == "absorbed at t = 0":
+        assert absorbs[0] == AbsorbEvent(time=0.0, source=1, particle=0)
+    elif case == "cut re-advances the others":
+        assert len(absorbs) == 1 and absorbs[0].time in rec.paths[1][:, 0]
+    elif case == "two absorbed in one cut":
+        assert [a.particle for a in absorbs] == [0, 1]
+        assert absorbs[0].time == absorbs[1].time
+    else:
+        emits = [e.time for e in rec.events if isinstance(e, EmitEvent)]
+        moves = [e for e in rec.events if isinstance(e, MoveEvent)]
+        assert any(m.t_end in emits and len(m.particles) == 2 for m in moves)
+
+
+def test_simulate_matches_the_per_step_oracle_when_the_substep_budget_runs_out(fig_gs, monkeypatch):
+    monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=3))
+    start = np.array([[0.5, 0.1, 0.0], [0.5, 0.8, 0.3]])
+    params = SimulationParams(t_max=2.0)
+    with pytest.warns(UserWarning, match="budget"):
+        rec = simulate(fig_gs, params, initial=start, law=_no_emission_law())
+        want = per_step_simulate(fig_gs, params, initial=start, law=_no_emission_law())
+    assert rec.failure is not None and rec.t_final > 0.0
+    assert_same_record(rec, want)
+
+
 def test_ensemble_params_validate():
     with pytest.raises(ValueError):
         EnsembleParams(runs=0, t_max=1.0)
