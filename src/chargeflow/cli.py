@@ -219,25 +219,9 @@ def _cmd_streamlines(config, out):
     return 0
 
 
-# the trajectory of `chargeflow simulate` takes at least t_max/dt_max steps,
-# each adding a path vertex of 4 floats (32 bytes) per boson present and
-# taking 0.2-0.3 ms with a handful of bosons on a 2-CPU Xeon; t_max/dt_max
-# may not exceed _TRAJECTORY_VERTEX_LIMIT, 32 MB of path per boson and 3-5
-# minutes (at t_max = 1e308 the steps stop advancing, t + dt_max == t)
-_TRAJECTORY_VERTEX_LIMIT = 10**6
-
-
 def _cmd_simulate(config, out):
-    opts = config.options("simulate")
-    if opts["trajectory"] and not opts["t_max"] / opts["dt_max"] <= _TRAJECTORY_VERTEX_LIMIT:
-        raise ConfigError(
-            f"the trajectory to t_max = {opts['t_max']!r} in steps of dt_max = "
-            f"{opts['dt_max']!r} exceeds {_TRAJECTORY_VERTEX_LIMIT:.0e} steps, each a path "
-            "vertex of 4 floats per boson (set trajectory = false for the ensemble alone)",
-            config.line("simulate", "t_max", "dt_max"),
-        )
-    from .groundstate import ground_state
     from .process import (
+        MAX_TRAJECTORY_STEPS,
         EnsembleParams,
         SimulationParams,
         derive_emission_law,
@@ -246,6 +230,16 @@ def _cmd_simulate(config, out):
         run_ensemble,
         simulate,
     )
+
+    opts = config.options("simulate")
+    if opts["trajectory"] and not opts["t_max"] / opts["dt_max"] <= MAX_TRAJECTORY_STEPS:
+        raise ConfigError(
+            f"the trajectory to t_max = {opts['t_max']!r} in steps of dt_max = "
+            f"{opts['dt_max']!r} exceeds {MAX_TRAJECTORY_STEPS:.0e} steps, each a path "
+            "vertex of 4 floats per boson (set trajectory = false for the ensemble alone)",
+            config.line("simulate", "t_max", "dt_max"),
+        )
+    from .groundstate import ground_state
 
     gs = ground_state(_model_system(config, bound=True))
     law = derive_emission_law(gs)

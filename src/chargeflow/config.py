@@ -135,6 +135,9 @@ _SCHEMA = {
 # the most plane-wave levels on each side of the ground level that `boundary`
 # lists per theta; the list is built in memory before it is written
 _MAX_LEVELS = 100_000
+# the most runs of a `simulate` ensemble, which holds about 2.4 kB per run on
+# the figure system (5.2 bosons per run): about 2.4 GB at the bound
+_MAX_RUNS = 10**6
 
 _KIND_NOUN = {
     "float": "a number",
@@ -387,6 +390,8 @@ def _validate(config):
     sim = sections["simulate"]
     positive("simulate", "t_max", "dt", "dt_max")
     nonnegative("simulate", "runs", "eps_absorb", "eps_start")
+    if sim["runs"] > _MAX_RUNS:
+        raise ConfigError(f"key 'runs' may not exceed {_MAX_RUNS}", line("simulate", "runs"))
     if sim["sample_times"] and sim["runs"] < 1000:
         raise ConfigError(
             "equivariance sampling (sample_times) needs runs >= 1000",

@@ -22,10 +22,12 @@ time-reversal and gauge statements become exact matrix identities:
 
 Site indices are 0-based; basis states are ordered sector-major (total boson
 number ascending), deterministic across runs.  H is stored as a sparse CSR
-array at every size; only the spectral data keep a dense copy, up to
-DENSE_LIMIT states: the ground pair (every eigenvalue and the ground
-eigenvector, from one Householder reduction) and the full eigendecomposition
-behind the spectral `evolve`.
+array at every size; the spectral data are limited to DENSE_LIMIT states.
+The ground pair takes every eigenvalue from the real Hamiltonian of the
+chain's normal modes, which has H's spectrum (one real Householder
+reduction of a dense copy), and the ground eigenvector from H by sparse
+inverse iteration; only the full eigendecomposition behind the spectral
+`evolve` needs a dense complex copy of H.
 """
 
 import cmath
@@ -36,8 +38,8 @@ from math import comb, sqrt
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.sparse import csr_array
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse import csr_array, eye_array
+from scipy.sparse.linalg import expm_multiply, splu
 from scipy.special import roots_hermite
 
 __all__ = [
@@ -147,23 +149,103 @@ def _occupations(L, n_max):
     return occ[np.lexsort(np.vstack([-occ.T[::-1], occ.sum(axis=1)]))]
 
 
+@dataclass(frozen=True)
+class _Basis:
+    """Index tables of the truncated basis, shared by every Hamiltonian
+    assembled over it.
+
+    Combinatorial number system of the basis order: moving one boson from
+    site s to s+1 raises the index by shift[i, s], the number of placements
+    of the bosons right of s on the L-s-1 sites there; creating a boson at
+    site c raises it by the size of the state's sector plus shift_left_of[i,
+    c], the shifts of every bond left of c.  Both raise the index, so these
+    entries of a Hamiltonian lie in its strictly lower triangle.
+    """
+
+    occupations: np.ndarray  # (dim, L) occupation rows in basis order
+    total: np.ndarray  # boson number of each state
+    shift: np.ndarray  # (dim, L - 1)
+    shift_left_of: np.ndarray  # (dim, L)
+    sector_size: np.ndarray  # states with exactly k bosons, k = 0..n_max
+
+
+def _basis(L, n_max):
+    occ = _occupations(L, n_max)
+    total = occ.sum(axis=1)
+    right = (total[:, None] - np.cumsum(occ, axis=1))[:, :-1]
+    ways = np.array(
+        [[comb(r + L - s - 2, r) for s in range(L - 1)] for r in range(n_max + 1)],
+        dtype=np.int64,
+    )
+    shift = ways[right, np.arange(L - 1)]
+    return _Basis(
+        occupations=occ,
+        total=total,
+        shift=shift,
+        shift_left_of=np.column_stack([np.zeros(len(occ), dtype=np.int64), shift.cumsum(axis=1)]),
+        sector_size=np.array([comb(L + k - 1, k) for k in range(n_max + 1)], dtype=np.int64),
+    )
+
+
+def _hop_entries(basis, hop):
+    """(rows, cols, values) of the hops right, -hop sqrt(n_s (n_{s+1} + 1))."""
+    occ = basis.occupations
+    frm, bond = np.nonzero(occ[:, :-1])
+    values = -hop * np.sqrt(occ[frm, bond] * (occ[frm, bond + 1] + 1))
+    return frm + basis.shift[frm, bond], frm, values
+
+
+def _creation_entries(basis, sites, amplitudes):
+    """(rows, cols, values) of the creations amplitude sqrt(n_site + 1), one
+    site after the other."""
+    n_max = len(basis.sector_size) - 1
+    open_states = np.nonzero(basis.total < n_max)[0]
+    sites = np.asarray(sites, dtype=np.int64)
+    target = open_states + basis.sector_size[basis.total[open_states]]
+    rows = target + basis.shift_left_of[open_states][:, sites].T
+    occ = basis.occupations[open_states][:, sites].T
+    values = np.asarray(amplitudes)[:, None] * np.sqrt(occ + 1.0)
+    return rows.ravel(), np.broadcast_to(open_states, rows.shape).ravel(), values.ravel()
+
+
+def _hamiltonian(basis, params):
+    """H of `params` over `basis` as CSR: each hop right and each creation
+    together with its Hermitian conjugate (hop left, annihilation)."""
+    hop = params.hbar**2 / (2.0 * params.m * params.a**2)
+    onsite = params.E0 + params.hbar**2 / (params.m * params.a**2)
+    hops = _hop_entries(basis, hop)
+    creations = _creation_entries(basis, params.source_sites, np.conj(params.charges))
+    rows, cols, vals = (np.concatenate(pair) for pair in zip(hops, creations))
+    i = np.arange(len(basis.total))
+    return csr_array(
+        (
+            np.concatenate([vals, np.conj(vals), onsite * basis.total]),
+            (np.concatenate([rows, cols, i]), np.concatenate([cols, rows, i])),
+        ),
+        shape=(len(i), len(i)),
+        dtype=complex,
+    )
+
+
 class LatticeModel:
     """Immutable assembled model: basis, CSR Hamiltonian, cached spectral data.
 
     `H` is a scipy CSR array at every size and `occupations` the basis as a
     (dim, L) integer array; `basis` (occupation tuples) and `index` (tuple to
-    basis index) are built on first use.  Only `ground` and `eig` make a
-    dense copy of H, so they and what builds on them (`lattice_ground_state`,
+    basis index) are built on first use.  Only `ground` and `eig` work on
+    dense matrices, so they and what builds on them (`lattice_ground_state`,
     `ground_state_current`, the spectral `evolve`) are limited to DENSE_LIMIT
-    states and raise ValueError above it.
+    states and raise ValueError above it.  `ground` reduces the real
+    Hamiltonian of the chain's normal modes, not H itself (see there).
     """
 
-    def __init__(self, params, occupations, H):
+    def __init__(self, params, basis, H):
         self.params = params
-        self.occupations = occupations
+        self._basis = basis
+        self.occupations = basis.occupations
+        self.sector = basis.total
         self.H = H
-        self.dim = len(occupations)
-        self.sector = occupations.sum(axis=1)
+        self.dim = len(self.occupations)
         # row of each stored entry of H, and the position of its mirror
         # entry: H's pattern is symmetric, so column-major order lists the
         # mirror of each entry in CSR order
@@ -191,54 +273,95 @@ class LatticeModel:
             raise KeyError(f"occupation {key} is not in the truncated basis")
         return self.index[key]
 
-    def _dense_H(self, what):
+    def _check_dense(self, what):
         if self.dim > DENSE_LIMIT:
             raise ValueError(
                 f"the {what} is limited to {DENSE_LIMIT} states (dimension {self.dim})"
             )
-        # column-major, so that LAPACK works on it in place
-        return self.H.toarray(order="F")
 
     def ground(self):
         """Cached ground pair: every eigenvalue of H (ascending) and the
-        eigenvector of the lowest, from one Householder reduction of a dense
-        copy of H (at most DENSE_LIMIT states).
+        eigenvector of the lowest, at most DENSE_LIMIT states.
 
-        zhetrd reduces H to a real tridiagonal T = Q^H H Q, dsterf gives T's
-        eigenvalues, dstein the lowest eigenvector z of T by inverse
-        iteration, and zunmqr applies the reflectors to z (lower storage:
-        Q = diag(1, Q'), with Q' the QR-form product of the reflectors below
-        the subdiagonal, as in zunmtr; LAPACK Users' Guide, SIAM 1999).  No
-        other eigenvector is formed.  A LAPACK failure raises LinAlgError.
+        The spectrum comes from the chain's normal modes.  The open chain's
+        one-boson Hamiltonian has the modes W_kx = sqrt(2/(L+1))
+        sin(k pi (x+1)/(L+1)) with energies eps_k = E0 + hbar^2/(m a^2)
+        (1 - cos(k pi/(L+1))), k = 1..L; the sources couple to mode k with
+        phi_k = sum_j W_{k s_j} conj(g_j).  A_k = e^{-i arg phi_k} sum_x
+        W_kx b_x are Bose modes that keep every boson-number sector, so the
+        truncated H is unitarily equivalent to the real symmetric
+            H' = sum_k eps_k n_k + sum_k |phi_k| (A_k + A_k^dag)
+        on the same occupation basis, with a source of amplitude |phi_k| on
+        every mode and no hopping.  dsytrd reduces a dense copy of H' to
+        tridiagonal form and dsterf gives its eigenvalues (LAPACK Users'
+        Guide, SIAM 1999).
+
+        The ground vector comes from H itself, by inverse iteration: one
+        sparse LU factorization of H - sigma, sigma a few ulps of the
+        spectral scale below the lowest eigenvalue, and two solves from the
+        start x0(q) = d^n(q) r(q), r a fixed real vector and d = conj(g_1) /
+        |g_1|.  A Hamiltonian that a sector phase d^n makes real keeps every
+        iterate in that gauge, exactly so when d is a power of i, and the
+        phase fixed by a real positive vacuum amplitude makes a real H's
+        ground vector exactly real.  A LAPACK failure, or a vector whose
+        residual ||H psi - E0 psi|| exceeds 1e-12 max(1, |E|) over the
+        spectrum, raises LinAlgError.
         """
         if self._ground is None:
-            n = self.dim
-            lwork, info = lapack.zhetrd_lwork(n, lower=1)
-            _check_lapack("zhetrd_lwork", info)
-            c, d, e, tau, info = lapack.zhetrd(
-                self._dense_H("ground state"), lower=1, lwork=int(lwork.real), overwrite_a=1
-            )
-            _check_lapack("zhetrd", info)
-            evals, info = lapack.dsterf(d, e)
-            _check_lapack("dsterf", info)
-            # one block: dstein's inverse iteration runs on all of T
-            block = np.ones(n, dtype=np.int32)
-            split = np.full(n, n, dtype=np.int32)
-            z, info = lapack.dstein(d, e, evals[:1], block, split)
-            _check_lapack("dstein", info)
-            ground = z[:, 0].astype(complex)
-            # lwork = 1 selects the unblocked form, which suits one vector
-            tail, _, info = lapack.zunmqr(b"L", b"N", c[1:, :-1], tau, ground[1:, None], 1)
-            _check_lapack("zunmqr", info)
-            ground[1:] = tail[:, 0]
-            self._ground = (evals, ground)
+            self._check_dense("ground state")
+            evals = self._mode_spectrum()
+            self._ground = (evals, self._ground_vector(evals))
         return self._ground
+
+    def _mode_spectrum(self):
+        p = self.params
+        k = np.arange(1, p.L + 1)
+        eps = p.E0 + p.hbar**2 / (p.m * p.a**2) * (1.0 - np.cos(k * np.pi / (p.L + 1)))
+        modes = sqrt(2.0 / (p.L + 1)) * np.sin(
+            np.outer(k, np.add(p.source_sites, 1)) * (np.pi / (p.L + 1))
+        )
+        phi = modes @ np.conj(np.array(p.charges, dtype=complex))
+        rows, cols, vals = _creation_entries(self._basis, range(p.L), np.abs(phi))
+        # only the lower triangle, which every creation lies in, is read
+        h = np.zeros((self.dim, self.dim), order="F")
+        h[rows, cols] = vals
+        h[np.diag_indices(self.dim)] = self.occupations @ eps
+        lwork, info = lapack.dsytrd_lwork(self.dim, lower=1)
+        _check_lapack("dsytrd_lwork", info)
+        _, d, e, _, info = lapack.dsytrd(h, lower=1, lwork=int(lwork), overwrite_a=1)
+        _check_lapack("dsytrd", info)
+        evals, info = lapack.dsterf(d, e)
+        _check_lapack("dsterf", info)
+        return evals
+
+    def _ground_vector(self, evals):
+        scale = max(1.0, abs(evals[0]), abs(evals[-1]))
+        shifted = self.H - (evals[0] - 4.0 * np.spacing(scale)) * eye_array(self.dim)
+        lu = splu(shifted.tocsc())
+        charges = self.params.charges
+        d = charges[0].conjugate() / abs(charges[0]) if charges else 1.0
+        powers = [1.0 + 0j]
+        for _ in range(self.params.n_max):
+            powers.append(powers[-1] * d)
+        # a fixed real start vector, in the gauge of the first charge
+        psi = np.array(powers)[self.sector] * np.random.default_rng(20).random(self.dim)
+        for _ in range(2):
+            psi = lu.solve(psi)
+            psi /= np.linalg.norm(psi)
+        residual = float(np.linalg.norm(self.H @ psi - evals[0] * psi))
+        if not residual <= 1e-12 * scale:
+            raise np.linalg.LinAlgError(
+                f"inverse iteration left a ground-state residual of {residual:.3e}"
+            )
+        # the vacuum amplitude of the ground state never vanishes
+        return psi * (np.conj(psi[0]) / abs(psi[0]))
 
     def eig(self):
         """Cached eigendecomposition of a dense copy of H (at most DENSE_LIMIT
         states); only the spectral `evolve` needs every eigenvector."""
         if self._eig is None:
-            self._eig = tuple(np.linalg.eigh(self._dense_H("eigendecomposition")))
+            self._check_dense("eigendecomposition")
+            self._eig = tuple(np.linalg.eigh(self.H.toarray(order="F")))
         return self._eig
 
 
@@ -252,51 +375,16 @@ def build_model(params):
 
     The entries come as COO triplets for whole arrays of states: a hop or a
     creation maps basis index i to i + shift, with the shift read off the
-    combinatorial number system of the basis order.  Each hop right and each
-    creation is entered together with its Hermitian conjugate (hop left,
-    annihilation); Hermiticity is checked at build time (1e-12 on the
-    maximum element).
+    combinatorial number system of the basis order (`_Basis`, kept on the
+    model).  Each hop right and each creation is entered together with its
+    Hermitian conjugate (hop left, annihilation); Hermiticity is checked at
+    build time (1e-12 on the maximum element).
     """
-    L, n_max = params.L, params.n_max
-    occ = _occupations(L, n_max)
-    dim, total = len(occ), occ.sum(axis=1)
-    i = np.arange(dim)
-    # Combinatorial number system of the basis order: moving one boson from
-    # site s to s+1 raises the index by ways[r, s], the number of placements
-    # of the r bosons right of s on the L-s-1 sites there; creating a boson
-    # at site c raises it by the sector size plus the shifts of every bond
-    # left of c.
-    right = (total[:, None] - np.cumsum(occ, axis=1))[:, :-1]
-    ways = np.array(
-        [[comb(r + L - s - 2, r) for s in range(L - 1)] for r in range(n_max + 1)],
-        dtype=np.int64,
-    )
-    shift = ways[right, np.arange(L - 1)]
-    shift_left_of = np.column_stack([np.zeros(dim, dtype=np.int64), np.cumsum(shift, axis=1)])
-    sector_size = np.array([comb(L + k - 1, k) for k in range(n_max + 1)], dtype=np.int64)
-
-    hop = params.hbar**2 / (2.0 * params.m * params.a**2)
-    onsite = params.E0 + params.hbar**2 / (params.m * params.a**2)
-    frm, bond = np.nonzero(occ[:, :-1])
-    rows, cols = [frm + shift[frm, bond]], [frm]
-    vals = [-hop * np.sqrt(occ[frm, bond] * (occ[frm, bond + 1] + 1))]
-    open_states = i[total < n_max]
-    for site, g in zip(params.source_sites, params.charges):
-        rows.append(open_states + sector_size[total[open_states]] + shift_left_of[open_states, site])
-        cols.append(open_states)
-        vals.append(np.conj(g) * np.sqrt(occ[open_states, site] + 1.0))
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    H = csr_array(
-        (
-            np.concatenate([vals, np.conj(vals), onsite * total]),
-            (np.concatenate([rows, cols, i]), np.concatenate([cols, rows, i])),
-        ),
-        shape=(dim, dim),
-        dtype=complex,
-    )
+    basis = _basis(params.L, params.n_max)
+    H = _hamiltonian(basis, params)
     if abs(H - H.conj().T).max() > 1e-12:
         raise AssertionError("assembled Hamiltonian is not Hermitian")
-    return LatticeModel(params, occ, H)
+    return LatticeModel(params, basis, H)
 
 
 def evolve(model, psi, t):
@@ -376,11 +464,12 @@ def check_gauge_equivalence(model, theta):
     from above.
     """
     charges = tuple(np.exp(1j * theta) * g for g in model.params.charges)
-    rot = build_model(replace(model.params, charges=charges))
+    # assembled over the model's own basis tables, so it stores its entries
+    # in the CSR positions of H's
+    rot = _hamiltonian(model._basis, replace(model.params, charges=charges))
     phases = np.exp(-1j * theta * model.sector)
-    entries = (np.conj(phases)[rot._rows] * rot.H.data) * phases[rot.H.indices]
-    delta = csr_array((entries, rot.H.indices, rot.H.indptr), shape=rot.H.shape) - model.H
-    return float(np.linalg.norm(delta.data))
+    entries = (np.conj(phases)[model._rows] * rot.data) * phases[rot.indices]
+    return float(np.linalg.norm(entries - model.H.data))
 
 
 def _current(model, psi):

@@ -137,12 +137,21 @@ def derive_emission_law(gs):
     return EmissionLaw(rates=rates, limits=limits)
 
 
+# a trajectory takes at least t_max/dt_max steps, each adding a path vertex
+# of 4 floats (32 bytes) per boson present and taking 0.2-0.3 ms with a
+# handful of bosons on a 2-CPU Xeon; t_max/dt_max may not exceed
+# MAX_TRAJECTORY_STEPS, 32 MB of path per boson and 3-5 minutes (at t_max =
+# 1e308 the steps stop advancing, t + dt_max == t, and a run never ends)
+MAX_TRAJECTORY_STEPS = 10**6
+
+
 @dataclass(frozen=True)
 class SimulationParams:
     """Controls for a single event-resolved run.
 
     dt_max is the longest step between two path vertices (steps also end at
-    emissions and absorptions); eps_absorb and eps_start default as in
+    emissions and absorptions), and t_max/dt_max may not exceed
+    MAX_TRAJECTORY_STEPS; eps_absorb and eps_start default as in
     `_resolve_radii`.
     """
 
@@ -157,6 +166,8 @@ class SimulationParams:
             raise ValueError("t_max must be positive")
         if not self.dt_max > 0.0:
             raise ValueError("dt_max must be positive")
+        if not self.t_max / self.dt_max <= MAX_TRAJECTORY_STEPS:
+            raise ValueError(f"t_max/dt_max exceeds {MAX_TRAJECTORY_STEPS:.0e} steps")
 
 
 @dataclass(frozen=True)

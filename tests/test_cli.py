@@ -209,6 +209,7 @@ def test_semicolon_starts_a_comment():
         ("[run]\nseed = 18446744073709551616\n", r"line 2: key 'seed' must be an unsigned"),
         ("[model]\ncharge = 1 0 0 0 0\nm = 1.0\nE0 = -1.0\n", r"line 4: key 'E0' must be nonneg"),
         ("[simulate]\nt_max = 2.0\ndt = 0.01\nruns = -1\n", r"line 4: key 'runs' must be nonneg"),
+        ("[simulate]\nt_max = 2.0\ndt = 0.01\nruns = 1000001\n", r"line 4: key 'runs' may not exceed"),
         ("[model]\ncharge = 1 0 0 0 0\ncharge = 0 0 1 0 0\n", r"line 3: couplings must be nonzero"),
         ("[field]\nnx = 5\nny = 1\n", r"line 3: grid needs nx, ny >= 2"),
         ("[field]\nz = 0.0\ny_max = -2.0\n", r"line 3: grid bounds must satisfy min < max"),
@@ -328,6 +329,16 @@ def test_late_config_errors_name_the_key_line(tmp_path, capsys, text, command, m
     code, out = run_cli(tmp_path, text, command)
     assert code == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("runs", [1000001, 2**64])
+def test_run_count_above_the_bound_is_a_config_error(tmp_path, capsys, runs):
+    # 2**64 runs once reached rng.poisson and exited 2 as a numerical failure
+    text = SIM_TRAJ.replace("runs = 0", f"runs = {runs}\ntrajectory = false")
+    code, out = run_cli(tmp_path, text, "simulate")
+    assert code == 1
+    assert "line 10: key 'runs' may not exceed 1000000" in capsys.readouterr().err
     assert not out.exists()
 
 

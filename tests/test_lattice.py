@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.sparse import eye_array
 
 from chargeflow import lattice
 from chargeflow.lattice import (
@@ -583,9 +584,67 @@ def test_ground_pair_matches_dense_eigh():
 
 
 def test_ground_pair_failure_raises_linalg_error(monkeypatch):
-    monkeypatch.setattr(lattice.lapack, "dstein", lambda d, e, w, block, split: (None, 1))
-    with pytest.raises(np.linalg.LinAlgError, match="dstein"):
+    failures = {
+        "dsytrd": lambda a, lower, lwork, overwrite_a: (None, None, None, None, -1),
+        "dsterf": lambda d, e: (None, 1),
+    }
+    for name, failure in failures.items():
+        with monkeypatch.context() as patch:
+            patch.setattr(lattice.lapack, name, failure)
+            with pytest.raises(np.linalg.LinAlgError, match=name):
+                build_model(lattice_preset()).ground()
+
+
+def test_ground_vector_residual_check_raises_linalg_error(monkeypatch):
+    # a factorization shifted one unit off the ground energy leaves two
+    # inverse-iteration solves far from the eigenvector
+    factor = lattice.splu
+    monkeypatch.setattr(lattice, "splu", lambda a: factor(a + eye_array(a.shape[0], format="csc")))
+    with pytest.raises(np.linalg.LinAlgError, match="residual"):
         build_model(lattice_preset()).ground()
+
+
+@pytest.mark.parametrize("charges", [(1j, 2j), (1j, -3j)])
+def test_quarter_turn_charges_leave_every_ground_flux_exactly_zero(charges):
+    model = build_model(
+        LatticeParams(L=6, a=1.0, n_max=3, source_sites=(1, 4), charges=charges, E0=0.5)
+    )
+    _, ground = model.ground()
+    assert np.all(lattice._flux(model, ground) == 0.0)
+    assert ground_state_current(model).max_abs == 0.0
+
+
+def test_real_charges_give_an_exactly_real_ground_vector():
+    model = build_model(
+        LatticeParams(L=6, a=1.0, n_max=3, source_sites=(1, 4), charges=(1.0, -2.0), E0=0.5)
+    )
+    _, ground = model.ground()
+    assert np.all(ground.imag == 0.0) and ground[0].real > 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(2, 7),
+    n_max=st.integers(1, 3),
+    data=st.data(),
+    E0=st.floats(0.0, 2.0),
+    m=st.floats(0.5, 2.0),
+    a=st.floats(0.5, 2.0),
+)
+def test_mode_spectrum_matches_dense_eigvalsh(L, n_max, data, E0, m, a):
+    n_src = data.draw(st.integers(0, min(3, L)))
+    sites = data.draw(st.lists(st.integers(0, L - 1), min_size=n_src, max_size=n_src, unique=True))
+    mags = data.draw(st.lists(st.floats(0.1, 3.0), min_size=n_src, max_size=n_src))
+    phases = data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=n_src, max_size=n_src))
+    charges = tuple(r * np.exp(1j * phi) for r, phi in zip(mags, phases))
+    model = build_model(
+        LatticeParams(
+            L=L, a=a, n_max=n_max, source_sites=tuple(sites), charges=charges, m=m, E0=E0
+        )
+    )
+    want = np.linalg.eigvalsh(model.H.toarray())
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.max(np.abs(model._mode_spectrum() - want)) <= 1e-12 * scale
 
 
 def per_step_chains(model, psi0, t_max, n_chains, seed, dt_cap=2e-3, node_floor=1e-12):

@@ -249,6 +249,18 @@ def test_simulation_params_validate():
         SimulationParams(t_max=0.0)
     with pytest.raises(ValueError):
         SimulationParams(t_max=1.0, dt_max=-0.1)
+    assert SimulationParams(t_max=5e4, dt_max=0.05).t_max == 5e4
+
+
+def test_unbounded_trajectory_is_rejected_at_once(fig_gs):
+    # past t = 1e15 a step of 0.05 no longer advances t, so this run would
+    # never end; t_max/dt_max above MAX_TRAJECTORY_STEPS is refused up front
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exceeds 1e\\+06 steps"):
+        simulate(fig_gs, SimulationParams(t_max=1e308, dt_max=0.05), initial=np.empty((0, 3)))
+    with pytest.raises(ValueError, match="steps"):
+        SimulationParams(t_max=1.0, dt_max=1e-300)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_vacuum_run_with_zero_rates_stays_empty():
