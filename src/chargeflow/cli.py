@@ -327,11 +327,6 @@ def _cmd_simulate(config, out):
     return 0
 
 
-# ||tH/hbar||_1 up to which `chargeflow lattice` checks the ground pair with
-# expm_multiply (0.18 s at the lattice workload's dimension 680, about half
-# of the dense eigendecomposition that `evolve` needs)
-_EXPM_NORM_LIMIT = 1000.0
-
 # the Bell ensemble of `chargeflow lattice` takes at least t/BELL_DT_CAP
 # steps, each costing about 11 ns per chain plus 13-16 us for the step itself
 # (the cost of about 1000 chains) on a 2-CPU Xeon at dim 45 and 680 alike;
@@ -342,8 +337,6 @@ _BELL_WORK_LIMIT = 10**11
 
 
 def _cmd_lattice(config, out, check=None):
-    from scipy.sparse.linalg import expm_multiply
-
     from .chisquare import pooled_chisquare
     from .lattice import (
         BELL_DT_CAP,
@@ -351,7 +344,6 @@ def _cmd_lattice(config, out, check=None):
         build_model,
         check_gauge_equivalence,
         check_T_commutation,
-        evolve,
         ground_state_current,
         lattice_dimension,
         reversal_conditions_check,
@@ -420,21 +412,15 @@ def _cmd_lattice(config, out, check=None):
     # degenerate ground level leaves no partial output behind
     evals, psi0 = model.ground()
     current = ground_state_current(model)
-    # the ground pair checked against a propagator that does not use it;
-    # expm_multiply's work grows in proportion to ||tH/hbar||_1, so a long t
-    # goes to the spectral evolve, whose cost does not grow with t
-    step = (-1j * opts["t"] / params.hbar) * model.H
-    if abs(step).sum(axis=0).max() <= _EXPM_NORM_LIMIT:
-        psi_t = expm_multiply(step, psi0)
-    else:
-        psi_t = evolve(model, psi0, opts["t"])
-    phase = np.exp(-1j * evals[0] * opts["t"] / params.hbar)
+    # Duhamel: ||e^{-iHt/hbar} psi0 - e^{-iE0 t/hbar} psi0|| <= t ||H psi0 -
+    # E0 psi0|| / hbar, and two unit vectors lie at most 2 apart
+    residual = float(np.linalg.norm(model.H @ psi0 - evals[0] * psi0))
     payload = {
         "dimension": model.dim,
         "ground_energy": float(evals[0]),
         "eigengap": current.eigengap,
         "max_ground_current": current.max_abs,
-        "evolution_phase_error": float(np.linalg.norm(psi_t - phase * psi0)),
+        "evolution_phase_error": min(2.0, opts["t"] * residual / params.hbar),
     }
     if opts["chains"] > 0:
         result = run_bell_ensemble(

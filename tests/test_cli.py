@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import filecmp
 import hashlib
@@ -10,6 +11,7 @@ import tempfile
 from pathlib import Path
 
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -411,10 +413,65 @@ _REDUCED = {
 _REDUCED_LINES = [_REDUCED.get(line, line) for line in _FIGURE_LINES]
 
 
+def _non_finite(obj):
+    """Every non-finite float in a payload, a record or a CSV block."""
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "fc":
+        return obj[~np.isfinite(obj)].tolist()
+    if isinstance(obj, (float, complex, np.floating, np.complexfloating)):
+        return [] if np.isfinite(obj) else [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)) or (isinstance(obj, np.ndarray) and obj.dtype == object):
+        return [bad for item in obj for bad in _non_finite(item)]
+    return []
+
+
+@contextlib.contextmanager
+def _writers_recording_non_finite(found):
+    """The CLI's writers, as it binds them, each first recording into `found`
+    the non-finite floats of its payload, records or blocks (lazily, as the
+    writer consumes them) and of its provenance."""
+
+    def checked(items):
+        for item in items:
+            found.extend(_non_finite(item))
+            yield item
+
+    def recording(writer):
+        # write_csv takes its column names before the blocks
+        def write(path, *args):
+            *columns, data, provenance = args
+            found.extend(_non_finite(provenance.json_dict()))
+            if isinstance(data, dict):
+                found.extend(_non_finite(data))
+            else:
+                data = checked(data)
+            return writer(path, *columns, data, provenance)
+
+        return write
+
+    names = ("write_json", "write_csv", "write_jsonl")
+    with mock.patch.multiple(cli, **{name: recording(getattr(cli, name)) for name in names}):
+        yield
+
+
+def test_the_writer_hook_records_every_non_finite_float(tmp_path):
+    prov = Provenance("lattice", "0" * 64, 0, {}, {"lattice": {"t": 1.0}})
+    found = []
+    with _writers_recording_non_finite(found):
+        cli.write_json(tmp_path / "a.json", {"x": [1.0, {"y": float("nan")}], "z": None}, prov)
+        cli.write_csv(tmp_path / "b.csv", ("u", "v"), iter([(np.array([1.0, np.inf]), [2, 3])]), prov)
+        cli.write_jsonl(tmp_path / "c.jsonl", [{"w": complex(1.0, -np.inf)}], prov)
+    assert [str(value) for value in found] == ["nan", "inf", "(1-infj)"]
+    assert (tmp_path / "b.csv").read_text().endswith("u,v\n1,2\ninf,3\n")
+
+
 # every command, simulate with its trajectory alone (its ensemble is too slow
-# to run this often); the extra examples are edits that once ran without end
-# (the Bell chains at t = 1e308, the plane-wave levels at n_levels = 2**64,
-# the trajectory at t_max = 1e308 and at dt_max = 1e-300)
+# to run this often); a command that exits 0 passes no NaN or infinity to a
+# writer, whose JSON would print it as null; the extra examples are edits
+# that once ran without end (the Bell chains at t = 1e308, the plane-wave
+# levels at n_levels = 2**64, the trajectory at t_max = 1e308 and at
+# dt_max = 1e-300)
 @settings(max_examples=300, deadline=None)
 @given(index=st.sampled_from(_FIGURE_KEY_LINES), value=st.sampled_from(_VALUE_SHAPES))
 @example(index=_FIGURE_LINES.index("E0 = 0.005"), value="0")
@@ -432,10 +489,14 @@ def test_single_line_edits_of_the_figure_config_run_or_fail_cleanly(index, value
             "potential", "symmetry", "field", "streamlines", "lattice", "boundary", "simulate"
         ):
             out = Path(tmp) / command
-            code = main([command, "--config", str(cfg), "--out", str(out)])
+            found = []
+            with _writers_recording_non_finite(found):
+                code = main([command, "--config", str(cfg), "--out", str(out)])
             assert code in (0, 1, 2), (command, code)
             if code != 0:
                 assert not out.exists() or not any(out.iterdir()), (command, code)
+            else:
+                assert not found, (command, found[:5])
 
 
 @pytest.mark.parametrize("command", ["field", "streamlines"])
@@ -1261,17 +1322,37 @@ def test_lattice_lapack_failure_exits_2_and_writes_nothing(tmp_path, monkeypatch
     assert not out.exists() or not any(out.iterdir())
 
 
-def test_long_lattice_time_checks_the_ground_pair_spectrally(tmp_path, monkeypatch):
-    # ||tH/hbar||_1 = 6.5e4: expm_multiply would take seconds
+def test_long_lattice_time_reports_the_capped_residual_bound(tmp_path, monkeypatch):
+    # ||tH/hbar||_1 = 6.5e4: a propagator would take seconds, and plain
+    # lattice runs none
     def refuse(*args, **kwargs):
-        raise AssertionError("a long t is not propagated by expm_multiply")
+        raise AssertionError("plain lattice neither propagates nor diagonalizes H")
 
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
+    monkeypatch.setattr(lattice, "expm_multiply", refuse)
+    monkeypatch.setattr(lattice.LatticeModel, "eig", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     text = LATTICE_SMALL.replace("t = 0.8\nchains = 200", "t = 10000.0\nchains = 0")
     code, out = run_cli(tmp_path, text, "lattice")
     assert code == 0
-    # t times the difference of two estimates of E0, dsterf's and eigh's
-    assert read_json(out / "lattice.json")["evolution_phase_error"] <= 1e-8
+    params = parse_config(text).lattice_params()
+    model = lattice.build_model(params)
+    evals, psi0 = model.ground()
+    residual = float(np.linalg.norm(model.H @ psi0 - evals[0] * psi0))
+    bound = read_json(out / "lattice.json")["evolution_phase_error"]
+    assert bound == min(2.0, 10000.0 * residual / params.hbar)
+    assert bound <= 1e-8
+
+
+@pytest.mark.parametrize("edit", ["t = 1e308\nhbar = 0.5", "t = 1e300\nhbar = 1e-300"])
+def test_lattice_phase_error_is_capped_at_extreme_times(tmp_path, edit):
+    # the propagated phase once overflowed at t = 1e308 and was written as
+    # null; t ||H psi0 - E0 psi0|| / hbar is 1.2e293 there and overflows to inf
+    # at t/hbar = 1e600, and two unit vectors are never more than 2 apart
+    text = LATTICE_SMALL.replace("t = 0.8\nchains = 200", f"{edit}\nchains = 0")
+    code, out = run_cli(tmp_path, text, "lattice")
+    assert code == 0
+    assert read_json(out / "lattice.json")["evolution_phase_error"] == 2.0
 
 
 @pytest.mark.parametrize("n", [100_000, 10**6])

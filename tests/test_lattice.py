@@ -199,6 +199,31 @@ def test_evolve_expm_multiply_branch_matches_spectral_form(monkeypatch):
         np.testing.assert_allclose(evolve(model, psi, t), want, atol=1e-12)
 
 
+def test_phase_error_obeys_the_duhamel_bound_against_the_spectral_propagator():
+    # ||e^{-iHt/hbar} psi - e^{-iEt/hbar} psi|| <= t ||(H - E) psi|| / hbar,
+    # the bound `chargeflow lattice` reports, with `evolve` as the oracle
+    rng = np.random.default_rng(3)
+    eps = np.finfo(float).eps
+    for charges in ((1.0, 1j), FIGURE_CHARGES):
+        model = build_model(lattice_preset(charges))
+        evals, ground = model.ground()
+        energy = evals[0]
+        h_norm = float(abs(model.H).sum(axis=0).max())
+        perturbed = ground + 1e-3 * random_state(rng, model.dim)
+        perturbed /= np.linalg.norm(perturbed)
+        for psi in (ground, perturbed):
+            residual = np.linalg.norm(model.H @ psi - energy * psi)
+            for t in (1e-3, 0.1, 10.0, 1e3):
+                error = np.linalg.norm(evolve(model, psi, t) - np.exp(-1j * energy * t) * psi)
+                # the oracle's own rounding grows with t ||H||
+                assert error <= t * residual + 16 * eps * (1.0 + t * h_norm), (t, error)
+        # at short t the bound is sharp: the phase error is t ||(H - E) psi||
+        # to first order
+        residual = np.linalg.norm(model.H @ perturbed - energy * perturbed)
+        error = np.linalg.norm(evolve(model, perturbed, 1e-3) - np.exp(-1e-3j * energy) * perturbed)
+        assert error >= 0.99e-3 * residual
+
+
 def test_sector_reversal_is_an_antiunitary_involution():
     rng = np.random.default_rng(2)
     model = build_model(lattice_preset())
