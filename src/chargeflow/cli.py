@@ -327,19 +327,19 @@ def _cmd_simulate(config, out):
     return 0
 
 
-# the Bell ensemble of `chargeflow lattice` takes at least t/BELL_DT_CAP
-# steps, each costing about 11 ns per chain plus 13-16 us for the step itself
-# (the cost of about 1000 chains) on a 2-CPU Xeon at dim 45 and 680 alike;
-# its work, steps * (chains + _BELL_STEP_CHAINS), may not exceed
-# _BELL_WORK_LIMIT, about 20-30 minutes there (t = 1e308 would never end)
-_BELL_STEP_CHAINS = 1000
-_BELL_WORK_LIMIT = 10**11
+# the Bell ensemble of `chargeflow lattice` starts in the stationary ground
+# state, so its chains run in continuous time and its work is one unit per
+# chain plus one per jump, chains * (1 + t * sum_q |psi0(q)|^2 sigma_out(q))
+# expected.  A unit costs 150-220 ns with many chains live and 30-47 us when
+# a lone chain jumps on (one vectorized round per jump), from dim 45 to 1,771
+# on a 2-CPU Xeon, so _BELL_WORK_LIMIT is 3-5 s of chains or 10-16 minutes
+# of one chain (t = 1e308 would never end)
+_BELL_WORK_LIMIT = 2 * 10**7
 
 
 def _cmd_lattice(config, out, check=None):
     from .chisquare import pooled_chisquare
     from .lattice import (
-        BELL_DT_CAP,
         DENSE_LIMIT,
         build_model,
         check_gauge_equivalence,
@@ -360,16 +360,6 @@ def _cmd_lattice(config, out, check=None):
             "(every --check runs at any size)",
             config.line("lattice", "n_max", "L"),
         )
-    # compared as limit/steps against an int, which overflows at no chain count
-    steps = opts["t"] / BELL_DT_CAP
-    if check is None and opts["chains"] > 0:
-        if _BELL_WORK_LIMIT / steps < opts["chains"] + _BELL_STEP_CHAINS:
-            raise ConfigError(
-                f"the Bell ensemble of {opts['chains']} chains to t = {opts['t']!r} exceeds "
-                f"{_BELL_WORK_LIMIT:.0e} units of work: each of its t/{BELL_DT_CAP:g} or more "
-                f"steps costs {_BELL_STEP_CHAINS} units plus one per chain",
-                config.line("lattice", "t", "chains"),
-            )
     model = build_model(params)
     theta = opts["theta"]
     if check is not None:
@@ -423,6 +413,17 @@ def _cmd_lattice(config, out, check=None):
         "evolution_phase_error": min(2.0, opts["t"] * residual / params.hbar),
     }
     if opts["chains"] > 0:
+        # sum_q |psi0(q)|^2 sigma_out(q) is the total directed flux; compared
+        # as limit/(1 + t*rate) against an int, which overflows at no chain count
+        rate = float(np.sum(np.maximum(current.currents.data, 0.0)))
+        if _BELL_WORK_LIMIT / (1.0 + opts["t"] * rate) < opts["chains"]:
+            raise ConfigError(
+                f"the Bell ensemble of {opts['chains']} chains to t = {opts['t']!r} exceeds "
+                f"{_BELL_WORK_LIMIT:.0e} units of work: one per chain plus one per jump, "
+                f"{opts['t'] * rate:.3g} jumps per chain expected at the total jump rate "
+                f"{rate:.3g} of the ground state",
+                config.line("lattice", "t", "chains"),
+            )
         result = run_bell_ensemble(
             model, psi0, opts["t"], opts["chains"], derive_seed(config.seed, 0)
         )

@@ -246,13 +246,18 @@ class LatticeModel:
         self.sector = basis.total
         self.H = H
         self.dim = len(self.occupations)
-        # row of each stored entry of H, and the position of its mirror
-        # entry: H's pattern is symmetric, so column-major order lists the
-        # mirror of each entry in CSR order
+        # row of each stored entry of H; `_transpose` gives the position of
+        # its mirror entry
         self._rows = np.repeat(np.arange(self.dim), np.diff(H.indptr))
-        self._transpose = np.lexsort((self._rows, H.indices))
         self._ground = None
         self._eig = None
+
+    @cached_property
+    def _transpose(self):
+        # H's pattern is symmetric, so column-major order lists the mirror of
+        # each entry in CSR order; built on first use, as only the fluxes
+        # read it (not the gauge or commutation checks)
+        return np.lexsort((self._rows, self.H.indices))
 
     @cached_property
     def basis(self):
@@ -521,7 +526,7 @@ class JumpChainRecord:
 
 @dataclass(frozen=True)
 class BellEnsembleResult:
-    """Synchronous ensemble of Bell chains: final occupation statistics."""
+    """Ensemble of Bell chains: final occupation statistics."""
 
     final_indices: np.ndarray
     n_jumps: np.ndarray
@@ -540,16 +545,13 @@ def _is_stationary(model, psi):
 
 
 def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
-    """The stepping loop of run_bell_ensemble.  Returns its result and the
-    path of the first chain as (time, states[:1]) pairs: the start and each
-    of its jumps."""
+    """The chains of run_bell_ensemble.  Returns its result and the path of
+    the first chain as (time, states[:1]) pairs: the start and each of its
+    jumps."""
     psi0 = np.asarray(psi0, dtype=complex)
     psi0 = psi0 / np.linalg.norm(psi0)
     rng = np.random.default_rng(seed)
     H, rows = model.H, model._rows
-    # a stationary state keeps its t = 0 rate table; any other is propagated
-    # to each step's midpoint
-    stationary = _is_stationary(model, psi0)
     # row q of the rate table holds sigma(q -> q') for the q' of row q of H
     slots = np.arange(H.nnz) - H.indptr[rows]
     targets = np.zeros((model.dim, slots.max() + 1), dtype=np.int64)
@@ -562,31 +564,54 @@ def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
         rates[rows, slots] = _flux(model, psi)[model._transpose] / np.maximum(dens, floor)[rows]
         return np.cumsum(rates, axis=1), dens < floor
 
+    def land(chains, cum):
+        # the uniforms go to the jumping chains ordered by current state
+        chains = chains[np.argsort(states[chains], kind="stable")]
+        row = cum[states[chains]]
+        row /= np.maximum(row[:, -1:], 1e-300)
+        slot = np.sum(row <= rng.random(chains.size)[:, None], axis=1)
+        states[chains] = targets[states[chains], slot]
+
     states = rng.choice(model.dim, size=n_chains, p=np.abs(psi0) ** 2)
     n_jumps = np.zeros(n_chains, dtype=int)
     path = [(0.0, states[:1].copy())]
-    node_hits = 0
-    t = 0.0
     cum, flagged = cumulative_rates(psi0)
-    while t < t_max:
-        lam = cum[:, -1].max()
-        dt = min(dt_cap, 0.05 / lam if lam > 0 else np.inf, t_max - t)
-        if not stationary:
+    if _is_stationary(model, psi0):
+        # constant rates: each live chain waits an exponential time at its
+        # total rate and jumps, until its clock passes t_max
+        node_hits = int(np.sum(flagged[states]))
+        total = cum[:, -1]
+        live = np.arange(n_chains)
+        clock = np.zeros(n_chains)
+        while live.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                clock += rng.standard_exponential(live.size) / total[states[live]]
+            keep = clock < t_max
+            live, clock = live[keep], clock[keep]
+            if live.size:
+                land(live, cum)
+                n_jumps[live] += 1
+                node_hits += int(np.sum(flagged[states[live]]))
+                if live[0] == 0:
+                    path.append((float(clock[0]), states[:1].copy()))
+        t = t_max
+    else:
+        # any other state is propagated to each step's midpoint
+        node_hits = 0
+        t = 0.0
+        while t < t_max:
+            lam = cum[:, -1].max()
+            dt = min(dt_cap, 0.05 / lam if lam > 0 else np.inf, t_max - t)
             cum, flagged = cumulative_rates(evolve(model, psi0, t + dt / 2.0))
-        node_hits += int(np.sum(flagged[states]))
-        p_jump = np.minimum(cum[states, -1] * dt, 1.0)
-        jumping = np.nonzero(rng.random(n_chains) < p_jump)[0]
-        if jumping.size:
-            # the uniforms go to the jumping chains ordered by current state
-            chains = jumping[np.argsort(states[jumping], kind="stable")]
-            row = cum[states[chains]]
-            row /= np.maximum(row[:, -1:], 1e-300)
-            slot = np.sum(row <= rng.random(chains.size)[:, None], axis=1)
-            states[chains] = targets[states[chains], slot]
-            n_jumps[jumping] += 1
-            if jumping[0] == 0:
-                path.append((t + dt, states[:1].copy()))
-        t += dt
+            node_hits += int(np.sum(flagged[states]))
+            p_jump = np.minimum(cum[states, -1] * dt, 1.0)
+            jumping = np.nonzero(rng.random(n_chains) < p_jump)[0]
+            if jumping.size:
+                land(jumping, cum)
+                n_jumps[jumping] += 1
+                if jumping[0] == 0:
+                    path.append((t + dt, states[:1].copy()))
+            t += dt
     if node_hits:
         warnings.warn(
             f"jump rates were capped near wavefunction nodes {node_hits} time(s); "
@@ -601,11 +626,13 @@ def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
 
 
 def run_bell_process(model, psi0, t_max, seed, dt_cap=BELL_DT_CAP, node_floor=1e-12):
-    """Run one minimal-jump chain with the wavefunction evolved alongside.
+    """Run one minimal-jump chain (the wavefunction evolved alongside unless
+    psi0 is stationary).
 
     The chain is an ensemble of one (`run_bell_ensemble` with n_chains=1 and
-    the same seed ends in the same state, under the same stepping rule); the
-    record holds its jump times and visited configurations.
+    the same seed ends in the same state, by the same rule); the record
+    holds its jump times and visited configurations, the exact jump times
+    for a stationary psi0.
     """
     result, path = _run_chains(model, psi0, t_max, 1, seed, dt_cap, node_floor)
     return JumpChainRecord(
@@ -618,17 +645,31 @@ def run_bell_process(model, psi0, t_max, seed, dt_cap=BELL_DT_CAP, node_floor=1e
 
 
 def run_bell_ensemble(model, psi0, t_max, n_chains, seed, dt_cap=BELL_DT_CAP, node_floor=1e-12):
-    """Evolve n_chains independent jump chains in lockstep (shared rate table).
+    """Evolve n_chains independent jump chains (shared rate table).
 
-    Initial configurations are drawn from |psi0|^2.  The wavefunction, hence
-    the rate table, is common to all chains, so each step builds one table on
-    H's non-zeros, at the step midpoint (second-order accuracy), and
-    advances every chain vectorized; an eigenstate psi0 (to rounding) has
-    rates that do not depend on time, so its one table serves every step.
-    The step is capped at dt_cap and at 5% total jump probability under the
-    previous step's table (the t = 0 table for the first step).  Near-node
-    configurations have their rate denominator floored at node_floor times
-    the largest density, each occurrence counted in node_warnings and
+    Initial configurations are drawn from |psi0|^2, and a jump from q goes to
+    q' with probability sigma(q -> q') / sigma_out(q), sigma_out(q) the total
+    rate out of q, drawn from the cumulative row of q's rate table.
+
+    An eigenstate psi0 (to rounding, `_is_stationary`) has rates that do not
+    depend on time, so one table built at t = 0 serves the whole run, and
+    the chains run in continuous time with no step (Gillespie, J. Phys.
+    Chem. 81 (1977) 2340): every live chain draws an exponential holding
+    time at rate sigma_out of its state, a chain whose clock passes t_max
+    drops out, and the rest jump.  A chain with sigma_out = 0 never jumps.
+    The cost grows with chains plus jumps, about chains * (1 + t_max *
+    sum_q |psi0(q)|^2 sigma_out(q)), and dt_cap is unused.  node_warnings
+    counts the chain visits (start or landing) to a floored configuration.
+
+    Any other psi0 is stepped: each step builds one table on H's non-zeros
+    at the step midpoint (second-order accuracy) and advances every chain
+    vectorized, a jump with probability min(sigma_out dt, 1).  The step is
+    capped at dt_cap and at 5% total jump probability under the previous
+    step's table (the t = 0 table for the first step); node_warnings counts
+    the chain-steps that start at a floored configuration.
+
+    Near-node configurations have their rate denominator floored at
+    node_floor times the largest density; a non-zero node_warnings is
     reported with a warning at the end.
     """
     return _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor)[0]

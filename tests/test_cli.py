@@ -284,13 +284,19 @@ def test_lattice_source_sites_must_be_integers():
         ("[lattice]\nL = 4\nE0 = -0.5\n", "lattice", "line 3: key 'E0' must be nonnegative"),
         ("[lattice]\nL = 40\nn_max = 8\n", "lattice", "line 3: basis dimension 377348994 exceeds"),
         (LATTICE_SMALL.replace("L = 4\nn_max = 2", "L = 13\nn_max = 4"), "lattice", "line 3: basis dimension 2380"),
-        # 1e8 Bell steps of 200 chains, or 400 steps of 10**400 chains, exceed
-        # 1e11 units of work (1000 per step plus one per chain-step)
-        (LATTICE_SMALL.replace("t = 0.8", "t = 2e5"), "lattice", "line 8: the Bell ensemble of 200"),
+        # 200 chains to t = 1e6 at the ground state's total jump rate 0.312
+        # expect 6.2e7 jumps, and 10**400 chains are 10**400 units alone: both
+        # exceed 2e7 units of work (one per chain plus one per jump)
+        (
+            LATTICE_SMALL.replace("t = 0.8", "t = 1e6"),
+            "lattice",
+            "line 8: the Bell ensemble of 200 chains to t = 1000000.0 exceeds 2e+07 units of work: "
+            "one per chain plus one per jump, 3.12e+05 jumps per chain expected",
+        ),
         (
             LATTICE_SMALL.replace("chains = 200", f"chains = {10**400}"),
             "lattice",
-            "to t = 0.8 exceeds 1e+11 units of work",
+            "to t = 0.8 exceeds 2e+07 units of work: one per chain plus one per jump, 0.249 jumps",
         ),
         ("[boundary]\ntheta = 0.3\nn_levels = 100001\n", "boundary", "line 3: key 'n_levels' must lie in"),
         (
@@ -394,7 +400,9 @@ def test_single_line_edits_of_the_figure_config_parse_or_name_their_line(index, 
         assert exc.line is not None, str(exc)
 
 
-# the figure config with every size cut down, for the commands to run cheaply
+# the figure config with every size cut down, for the commands to run
+# cheaply, and with the lattice's a, m and hbar, which figure.cfg leaves at
+# their defaults, written out so that single-line edits reach them
 _REDUCED = {
     "nx = 101": "nx = 5",
     "ny = 101": "ny = 4",
@@ -409,8 +417,10 @@ _REDUCED = {
     "runs = 5000": "runs = 0",
     "sample_times = 5.0 10.0": "sample_times =",
     "dt = 0.01": "dt_max = 0.05",
+    "E0 = 0.5": "E0 = 0.5\na = 1.0\nm = 1.0\nhbar = 1.0",
 }
-_REDUCED_LINES = [_REDUCED.get(line, line) for line in _FIGURE_LINES]
+_REDUCED_LINES = "\n".join(_REDUCED.get(line, line) for line in _FIGURE_LINES).splitlines()
+_REDUCED_KEY_LINES = [i for i, line in enumerate(_REDUCED_LINES) if "=" in line.partition("#")[0]]
 
 
 def _non_finite(obj):
@@ -473,12 +483,12 @@ def test_the_writer_hook_records_every_non_finite_float(tmp_path):
 # levels at n_levels = 2**64, the trajectory at t_max = 1e308 and at
 # dt_max = 1e-300)
 @settings(max_examples=300, deadline=None)
-@given(index=st.sampled_from(_FIGURE_KEY_LINES), value=st.sampled_from(_VALUE_SHAPES))
-@example(index=_FIGURE_LINES.index("E0 = 0.005"), value="0")
-@example(index=_FIGURE_LINES.index("t = 1.0"), value="1e308")
-@example(index=_FIGURE_LINES.index("n_levels = 3"), value=str(2**64))
-@example(index=_FIGURE_LINES.index("t_max = 10.0"), value="1e308")
-@example(index=_FIGURE_LINES.index("dt = 0.01"), value="1e-300")
+@given(index=st.sampled_from(_REDUCED_KEY_LINES), value=st.sampled_from(_VALUE_SHAPES))
+@example(index=_REDUCED_LINES.index("E0 = 0.005"), value="0")
+@example(index=_REDUCED_LINES.index("t = 1.0"), value="1e308")
+@example(index=_REDUCED_LINES.index("n_levels = 3"), value=str(2**64))
+@example(index=_REDUCED_LINES.index("t_max = 0.5"), value="1e308")
+@example(index=_REDUCED_LINES.index("dt_max = 0.05"), value="1e-300")
 def test_single_line_edits_of_the_figure_config_run_or_fail_cleanly(index, value):
     lines = list(_REDUCED_LINES)
     lines[index] = f"{lines[index].partition('=')[0]}= {value}"
@@ -1353,6 +1363,22 @@ def test_lattice_phase_error_is_capped_at_extreme_times(tmp_path, edit):
     code, out = run_cli(tmp_path, text, "lattice")
     assert code == 0
     assert read_json(out / "lattice.json")["evolution_phase_error"] == 2.0
+
+
+def test_bell_work_counts_jumps_so_a_currentless_ground_state_runs_to_any_time(tmp_path, capsys):
+    # real charges carry no ground current, so no chain ever jumps and the
+    # work is one unit per chain at every t; complex ones expect t * 0.312
+    # jumps per chain
+    text = LATTICE_REAL + "t = 1e308\nchains = 200\n"
+    code, out = run_cli(tmp_path, text, "lattice")
+    assert code == 0
+    bell = read_json(out / "lattice.json")["bell"]
+    assert bell["mean_jumps"] == 0.0 and bell["t"] == 1e308
+    (tmp_path / "complex").mkdir()
+    code, out = run_cli(tmp_path / "complex", LATTICE_SMALL.replace("t = 0.8", "t = 1e308"), "lattice")
+    assert code == 1
+    assert "line 8: the Bell ensemble of 200 chains to t = 1e+308 exceeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", [100_000, 10**6])

@@ -674,8 +674,8 @@ def test_mode_spectrum_matches_dense_eigvalsh(L, n_max, data, E0, m, a):
 
 def per_step_chains(model, psi0, t_max, n_chains, seed, dt_cap=2e-3, node_floor=1e-12):
     """The Bell stepping loop with `evolve` called at every step midpoint,
-    whether psi0 is stationary or not: the oracle for the one-table run of a
-    stationary state."""
+    whether psi0 is stationary or not: the oracle for the stepped run of a
+    state that is not stationary."""
     psi0 = psi0 / np.linalg.norm(psi0)
     rng = np.random.default_rng(seed)
     H, rows = model.H, model._rows
@@ -711,21 +711,98 @@ def per_step_chains(model, psi0, t_max, n_chains, seed, dt_cap=2e-3, node_floor=
     return states, n_jumps
 
 
-def test_stationary_ensemble_builds_one_rate_table(monkeypatch):
-    for charges in ((1.0, 1j), FIGURE_CHARGES):
-        model = build_model(lattice_preset(charges))
-        _, ground = lattice_ground_state(model)
-        states, n_jumps = per_step_chains(model, ground, 2.0, 5000, seed=5)
-        assert n_jumps.sum() > 500
+# ground states with a current: the figure lattice (dim 45) and the
+# benchmark's chain (dim 680), each with a time long enough for jumps
+STATIONARY_RUNS = {
+    "figure": (lattice_preset(), 2.0),
+    "chain": (
+        LatticeParams(L=14, a=1.0, n_max=3, source_sites=(2, 10), charges=(1.0, 1j), E0=0.5),
+        50.0,
+    ),
+}
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("a stationary run propagates nothing")
 
-        monkeypatch.setattr(lattice, "evolve", refuse)
-        res = run_bell_ensemble(model, ground, 2.0, 5000, seed=5)
-        monkeypatch.undo()
-        np.testing.assert_array_equal(res.final_indices, states)
-        np.testing.assert_array_equal(res.n_jumps, n_jumps)
+def stationary_run(name, n_chains=20000, seed=7):
+    """(model, ground state, sigma_out per configuration, t, ensemble result)
+    of a stationary Bell run that may call no `evolve`."""
+    params, t = STATIONARY_RUNS[name]
+    model = build_model(params)
+    _, ground = lattice_ground_state(model)
+    out_rates = np.array([sum(bell_jump_rates(model, ground, q).values()) for q in range(model.dim)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a stationary run propagates nothing")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lattice, "evolve", refuse)
+        res = run_bell_ensemble(model, ground, t, n_chains, seed=seed)
+    return model, ground, out_rates, t, res
+
+
+@pytest.mark.parametrize("name", sorted(STATIONARY_RUNS))
+def test_stationary_ensemble_builds_one_rate_table(name):
+    model, ground, _, t, res = stationary_run(name)
+    assert res.t_final == t and res.n_jumps.sum() > 500
+    counts = np.bincount(res.final_indices, minlength=model.dim)
+    p = stats.chisquare(*_pool_bins(counts, np.abs(ground) ** 2 * counts.sum())).pvalue
+    assert p > 0.01, p
+    again = run_bell_ensemble(model, ground, t, counts.sum(), seed=7)
+    np.testing.assert_array_equal(again.final_indices, res.final_indices)
+    np.testing.assert_array_equal(again.n_jumps, res.n_jumps)
+
+
+@pytest.mark.parametrize("name", sorted(STATIONARY_RUNS))
+def test_stationary_chains_hold_for_exponential_times(name):
+    # a chain that starts at q stays there to t with probability
+    # e^{-sigma_out(q) t}, so the chains that never jump are binomial and
+    # sit where |psi|^2 e^{-sigma_out t} puts them
+    model, ground, out_rates, t, res = stationary_run(name)
+    stay = np.abs(ground) ** 2 * np.exp(-out_rates * t)
+    idle = res.n_jumps == 0
+    assert stats.binomtest(int(idle.sum()), idle.size, float(stay.sum())).pvalue > 0.01
+    counts = np.bincount(res.final_indices[idle], minlength=model.dim)
+    p = stats.chisquare(*_pool_bins(counts, stay / stay.sum() * idle.sum())).pvalue
+    assert p > 0.01, p
+
+
+@pytest.mark.parametrize("name", sorted(STATIONARY_RUNS))
+def test_stationary_jump_count_matches_the_total_flux(name):
+    # |psi|^2 is stationary, so each chain expects t sum_q |psi(q)|^2
+    # sigma_out(q) jumps; the chains are independent, so their total lies
+    # within 3 standard errors of chains times that
+    model, ground, out_rates, t, res = stationary_run(name)
+    expected = res.n_jumps.size * t * np.sum(np.abs(ground) ** 2 * out_rates)
+    error = np.sqrt(res.n_jumps.size * res.n_jumps.var())
+    assert abs(res.n_jumps.sum() - expected) <= 3.0 * error, (res.n_jumps.sum(), expected, error)
+
+
+def test_stationary_bell_process_records_its_jump_times():
+    model = build_model(lattice_preset())
+    _, ground = lattice_ground_state(model)
+    jumps = 0
+    for seed in (3, 4, 5):
+        rec = run_bell_process(model, ground, 100.0, seed=seed)
+        res = run_bell_ensemble(model, ground, 100.0, 1, seed=seed)
+        assert model.state_index(rec.states[-1]) == res.final_indices[0]
+        assert len(rec.states) == len(rec.times) == res.n_jumps[0] + 1
+        assert rec.times[0] == 0.0 and np.all(np.diff(rec.times) > 0) and rec.times[-1] <= 100.0
+        again = run_bell_process(model, ground, 100.0, seed=seed)
+        np.testing.assert_array_equal(again.times, rec.times)
+        jumps += res.n_jumps[0]
+    assert jumps > 10
+
+
+def test_stationary_holding_times_are_exponential():
+    # a chain that enters q leaves after an exponential time at rate
+    # sigma_out(q), so 1 - e^{-sigma_out(q) tau} is uniform; one long chain
+    # gives about 2,200 holding times (the last, cut off at t, is left out)
+    model = build_model(lattice_preset())
+    _, ground = lattice_ground_state(model)
+    rec = run_bell_process(model, ground, 20000.0, seed=9)
+    out_rates = np.array([sum(bell_jump_rates(model, ground, q).values()) for q in rec.states[:-1]])
+    held = np.diff(rec.times)
+    assert held.size > 1000
+    assert stats.kstest(-np.expm1(-out_rates * held), "uniform").pvalue > 0.01
 
 
 def test_non_stationary_ensemble_matches_the_per_step_loop():
