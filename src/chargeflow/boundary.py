@@ -456,7 +456,9 @@ def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0, length
     z = 1j * dt / (2.0 * hbar)
     # Crank-Nicolson: (I + zH) psi_next = (I - zH) psi, both tridiagonal; the
     # left side is LU-factored once (LAPACK gttrf) and solved per step (gttrs)
-    bands = (z * lo, 1.0 + z * diag, z * up)
+    # an extreme Robin ratio makes the bands non-finite, which is checked next
+    with np.errstate(over="ignore", invalid="ignore"):
+        bands = (z * lo, 1.0 + z * diag, z * up)
     if not (np.isfinite(psi).all() and all(np.isfinite(b).all() for b in bands)):
         raise ValueError("the packet and the Robin ratios must give finite values")
     *lu, info = zgttrf(*bands)

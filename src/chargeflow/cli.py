@@ -106,18 +106,40 @@ def _model_system(config, bound=False):
     return system
 
 
+def _check_lattice_scales(params):
+    """ValueError (exit 2) naming m, a, hbar and E0 when a scale of the
+    lattice leaves the float range: the hopping energy hbar^2/(m a^2),
+    n_max (E0 + 2 hbar^2/(m a^2)), which bounds the diagonal of H in the
+    chain's normal modes, or 2/hbar, the factor of every current and rate."""
+    try:
+        hop = params.hbar**2 / (params.m * params.a**2)
+    except (OverflowError, ZeroDivisionError):  # a square left the float range
+        hop = np.inf
+    for name, value in (
+        ("hbar^2/(m*a^2)", hop),
+        ("n_max*(E0 + 2*hbar^2/(m*a^2))", params.n_max * (params.E0 + 2.0 * hop)),
+        ("2/hbar", 2.0 / params.hbar),
+    ):
+        if not value < np.inf:
+            raise ValueError(
+                f"the lattice scale {name} leaves the float range at m = {params.m!r}, "
+                f"a = {params.a!r}, hbar = {params.hbar!r}, E0 = {params.E0!r}"
+            )
+
+
 def _field_table(system, pts):
     """Columns x, y, z, jx, jy, jz, |psi1|, phase at the (N, 3) points."""
     from .groundstate import current_closed_form, psi1
 
-    val = psi1(system, pts)
-    # hypot and the array angle give the bits of scalar abs() and np.angle;
-    # np.abs of the complex array differs from them in the last place
-    cur = current_closed_form(system, pts)
-    table = np.column_stack([pts, cur, np.hypot(val.real, val.imag), np.angle(val)])
     # scales that pass _model_system can still overflow in the products:
     # hbar = 1e308 makes the current 1e308 times the pair sum, m = 1e-320
-    # makes hbar/m infinite
+    # makes hbar/m infinite; the table is checked as a whole below
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = psi1(system, pts)
+        # hypot and the array angle give the bits of scalar abs() and np.angle;
+        # np.abs of the complex array differs from them in the last place
+        cur = current_closed_form(system, pts)
+        table = np.column_stack([pts, cur, np.hypot(val.real, val.imag), np.angle(val)])
     if not np.all(np.isfinite(table)):
         raise ValueError(
             f"the current or |psi1| leaves the float range at m = {system.m!r}, "
@@ -145,9 +167,11 @@ def _cmd_field(config, out):
             k = np.arange(start, min(start + _BLOCK, n))
             yield np.column_stack([xs[k // ny], ys[k % ny], np.full(k.size, opts["z"])])
 
-    dmin = min(
-        np.min(np.linalg.norm(pts[:, None, :] - system.positions, axis=-1)) for pts in blocks()
-    )
+    # a node beyond about 1e154 is at an infinite distance, which passes
+    with np.errstate(over="ignore"):
+        dmin = min(
+            np.min(np.linalg.norm(pts[:, None, :] - system.positions, axis=-1)) for pts in blocks()
+        )
     scale = max(system.min_source_spacing() or 1.0, 1.0)
     if dmin < 1e-12 * scale:
         raise RuntimeError("a grid node coincides with a source; shift the grid bounds")
@@ -175,13 +199,16 @@ def _cmd_streamlines(config, out):
     dirs = rng.normal(size=(opts["n_seeds"], 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     seeds = system.positions[opts["source"] - 1] + opts["seed_radius"] * dirs
-    lines = streamlines(
-        system,
-        seeds,
-        eps_absorb=opts["eps_absorb"] or None,
-        max_arc=opts["max_arc"] or None,
-        domain_radius=opts["domain_radius"] or None,
-    )
+    # a current that overflows leaves non-finite vertices, which _field_table
+    # rejects with the current itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        lines = streamlines(
+            system,
+            seeds,
+            eps_absorb=opts["eps_absorb"] or None,
+            max_arc=opts["max_arc"] or None,
+            domain_radius=opts["domain_radius"] or None,
+        )
     prov = _provenance(config, ("model", "streamlines"), {"seed_directions": 0})
 
     # the vertices of every line stacked, their field rows a block at a time
@@ -351,6 +378,7 @@ def _cmd_lattice(config, out, check=None):
     )
 
     params = config.lattice_params()
+    _check_lattice_scales(params)
     opts = config.options("lattice")
     dim = lattice_dimension(params.L, params.n_max)
     # the spectrum needs a dense copy of H

@@ -173,11 +173,13 @@ def ground_state(system):
     """
     if not system.E0 > 0:
         raise ValueError("E0 must be positive: |psi1|^2 is not integrable otherwise")
-    w = _norm_integral_closed(system)
+    scale = _pair_scale(system)
     # halving m/(pi*hbar^2) is exact, and the float64 power has the bits of
-    # the float one but overflows to inf (or to nan, times a w that underflowed)
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam = np.float64(_pair_scale(system) / 2.0) ** 2 * w
+    # the float one but overflows to inf (or to nan, times a w that underflowed);
+    # w itself is infinite where 1/alpha leaves the float range
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = _norm_integral_closed(system)
+        lam = np.float64(scale / 2.0) ** 2 * w
     if not np.isfinite(lam):
         raise ValueError(
             "the Poisson rate lambda = (m/(2*pi*hbar^2))^2 * int |psi1|^2 leaves the float "
@@ -365,6 +367,7 @@ def ground_energy(system):
     """
     if not system.E0 > 0:
         raise ValueError("E0 must be positive")
+    scale = _pair_scale(system)
     a = system.alpha
     g = system.charges
     dist = system.pair_distances()
@@ -376,7 +379,7 @@ def ground_energy(system):
         for j in range(i + 1, system.n_sources):
             R = dist[i, j]
             pair_term += np.real(np.conj(g[i]) * g[j]) * np.exp(-a * R) / R
-    energy = float(_pair_scale(system) * (self_term - pair_term))
+    energy = float(scale * (self_term - pair_term))
     if not np.isfinite(energy):
         raise ValueError(
             f"the ground energy leaves the float range at m = {system.m!r}, hbar = {system.hbar!r}"
@@ -607,16 +610,19 @@ def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None
     """
     a = system.alpha
     spacing = system.min_source_spacing()
-    scale = spacing if spacing is not None else 1.0 / a
-    if eps_absorb is None:
-        eps_absorb = 1e-4 * scale
-    if max_arc is None:
-        max_arc = max(100.0 * scale, 60.0 / a)
+    extent = float(np.max(np.linalg.norm(system.positions, axis=1)))
+    # the defaults that scale with the decay length 1/alpha are infinite at
+    # alpha = 0 (E0 = 0) and where 1/alpha leaves the float range
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = spacing if spacing is not None else 1.0 / a
+        if eps_absorb is None:
+            eps_absorb = 1e-4 * scale
+        if max_arc is None:
+            max_arc = max(100.0 * scale, 60.0 / a)
+        if domain_radius is None:
+            domain_radius = extent + 40.0 / a
     if not max_arc >= 0.0:
         raise ValueError(f"max_arc must be nonnegative, got {max_arc!r}")
-    extent = float(np.max(np.linalg.norm(system.positions, axis=1)))
-    if domain_radius is None:
-        domain_radius = extent + 40.0 / a
 
     seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
     n = len(seeds)

@@ -67,7 +67,8 @@ __all__ = [
 
 MAX_DIMENSION = 200_000
 DENSE_LIMIT = 2000  # largest dimension with a dense copy of H (ground, eig, spectral evolve)
-BELL_DT_CAP = 2e-3  # largest step of a Bell chain
+BELL_DT_CAP = 2e-3  # longest stretch of constant Bell rates for a psi0 that is not stationary
+BELL_NODE_FLOOR = 1e-12  # Bell rate denominators are floored at this share of the largest density
 
 
 class NodeError(ValueError):
@@ -544,7 +545,7 @@ def _is_stationary(model, psi):
     return residual <= 1e-12 * max(1.0, float(abs(model.H).sum(axis=0).max()))
 
 
-def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
+def _run_chains(model, psi0, t_max, n_chains, seed):
     """The chains of run_bell_ensemble.  Returns its result and the path of
     the first chain as (time, states[:1]) pairs: the start and each of its
     jumps."""
@@ -559,59 +560,57 @@ def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
 
     def cumulative_rates(psi):
         dens = np.abs(psi) ** 2
-        floor = node_floor * np.max(dens)
+        floor = BELL_NODE_FLOOR * np.max(dens)
         rates = np.zeros(targets.shape)
         rates[rows, slots] = _flux(model, psi)[model._transpose] / np.maximum(dens, floor)[rows]
         return np.cumsum(rates, axis=1), dens < floor
 
     def land(chains, cum):
-        # the uniforms go to the jumping chains ordered by current state
-        chains = chains[np.argsort(states[chains], kind="stable")]
-        row = cum[states[chains]]
+        # the uniforms go to the jumping chains ordered by current state;
+        # returns the states they land in, in the order of `chains`
+        moving = chains[np.argsort(states[chains], kind="stable")]
+        at = states[moving]
+        row = cum[at]
         row /= np.maximum(row[:, -1:], 1e-300)
         slot = np.sum(row <= rng.random(chains.size)[:, None], axis=1)
-        states[chains] = targets[states[chains], slot]
+        states[moving] = targets[at, slot]
+        return states[chains]
 
     states = rng.choice(model.dim, size=n_chains, p=np.abs(psi0) ** 2)
     n_jumps = np.zeros(n_chains, dtype=int)
     path = [(0.0, states[:1].copy())]
     cum, flagged = cumulative_rates(psi0)
-    if _is_stationary(model, psi0):
-        # constant rates: each live chain waits an exponential time at its
-        # total rate and jumps, until its clock passes t_max
-        node_hits = int(np.sum(flagged[states]))
-        total = cum[:, -1]
-        live = np.arange(n_chains)
-        clock = np.zeros(n_chains)
-        while live.size:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                clock += rng.standard_exponential(live.size) / total[states[live]]
-            keep = clock < t_max
-            live, clock = live[keep], clock[keep]
-            if live.size:
-                land(live, cum)
-                n_jumps[live] += 1
-                node_hits += int(np.sum(flagged[states[live]]))
-                if live[0] == 0:
-                    path.append((float(clock[0]), states[:1].copy()))
-        t = t_max
-    else:
-        # any other state is propagated to each step's midpoint
-        node_hits = 0
-        t = 0.0
-        while t < t_max:
+    node_hits = int(np.sum(flagged[states]))
+    stationary = _is_stationary(model, psi0)
+    t = 0.0
+    while t < t_max:
+        # a stretch [t, end) of constant rates: the whole run for a
+        # stationary psi0, else a step with the rates of its midpoint
+        if stationary:
+            end = t_max
+        else:
             lam = cum[:, -1].max()
-            dt = min(dt_cap, 0.05 / lam if lam > 0 else np.inf, t_max - t)
-            cum, flagged = cumulative_rates(evolve(model, psi0, t + dt / 2.0))
-            node_hits += int(np.sum(flagged[states]))
-            p_jump = np.minimum(cum[states, -1] * dt, 1.0)
-            jumping = np.nonzero(rng.random(n_chains) < p_jump)[0]
-            if jumping.size:
-                land(jumping, cum)
-                n_jumps[jumping] += 1
-                if jumping[0] == 0:
-                    path.append((t + dt, states[:1].copy()))
-            t += dt
+            end = min(t + (min(BELL_DT_CAP, 0.05 / lam) if lam > 0 else BELL_DT_CAP), t_max)
+            cum, flagged = cumulative_rates(evolve(model, psi0, (t + end) / 2.0))
+        # each chain waits an exponential time at its total rate and jumps
+        # until its clock passes the end; the holding time is memoryless, so
+        # the next stretch draws afresh from its start
+        total = cum[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            clock = t + rng.standard_exponential(n_chains) / total[states]
+        live = np.flatnonzero(clock < end)
+        clock = clock[live]
+        while live.size:
+            at = land(live, cum)
+            n_jumps[live] += 1
+            node_hits += int(np.sum(flagged[at]))
+            if live[0] == 0:
+                path.append((float(clock[0]), states[:1].copy()))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                clock += rng.standard_exponential(live.size) / total[at]
+            keep = clock < end
+            live, clock = live[keep], clock[keep]
+        t = end
     if node_hits:
         warnings.warn(
             f"jump rates were capped near wavefunction nodes {node_hits} time(s); "
@@ -620,21 +619,20 @@ def _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor):
             stacklevel=3,
         )
     result = BellEnsembleResult(
-        final_indices=states, n_jumps=n_jumps, t_final=float(t), node_warnings=node_hits
+        final_indices=states, n_jumps=n_jumps, t_final=float(t_max), node_warnings=node_hits
     )
     return result, path
 
 
-def run_bell_process(model, psi0, t_max, seed, dt_cap=BELL_DT_CAP, node_floor=1e-12):
+def run_bell_process(model, psi0, t_max, seed):
     """Run one minimal-jump chain (the wavefunction evolved alongside unless
     psi0 is stationary).
 
     The chain is an ensemble of one (`run_bell_ensemble` with n_chains=1 and
     the same seed ends in the same state, by the same rule); the record
-    holds its jump times and visited configurations, the exact jump times
-    for a stationary psi0.
+    holds its exact jump times and the configurations it visits.
     """
-    result, path = _run_chains(model, psi0, t_max, 1, seed, dt_cap, node_floor)
+    result, path = _run_chains(model, psi0, t_max, 1, seed)
     return JumpChainRecord(
         times=np.array([time for time, _ in path]),
         states=[model.basis[state[0]] for _, state in path],
@@ -644,35 +642,27 @@ def run_bell_process(model, psi0, t_max, seed, dt_cap=BELL_DT_CAP, node_floor=1e
     )
 
 
-def run_bell_ensemble(model, psi0, t_max, n_chains, seed, dt_cap=BELL_DT_CAP, node_floor=1e-12):
-    """Evolve n_chains independent jump chains (shared rate table).
+def run_bell_ensemble(model, psi0, t_max, n_chains, seed):
+    """Evolve n_chains independent jump chains in continuous time
+    (Gillespie, J. Phys. Chem. 81 (1977) 2340).
 
-    Initial configurations are drawn from |psi0|^2, and a jump from q goes to
-    q' with probability sigma(q -> q') / sigma_out(q), sigma_out(q) the total
-    rate out of q, drawn from the cumulative row of q's rate table.
+    Starts are drawn from |psi0|^2.  The run is cut into stretches of
+    constant rates: one, [0, t_max), for a stationary psi0 (an eigenvector
+    to rounding, `_is_stationary`); for any other psi0, steps of at most
+    BELL_DT_CAP and 5% total jump probability under the previous table, each
+    with the rates of psi at its midpoint from `evolve`, the run's only
+    approximation.  In a stretch every chain draws exponential holding times
+    at sigma_out of its state, and jumps from q to q' with probability
+    sigma(q -> q') / sigma_out(q), until its clock passes the end; the next
+    stretch draws afresh, which the memoryless exponential makes exact.  A
+    stationary run costs about chains * (1 + t_max * sum_q |psi0(q)|^2
+    sigma_out(q)).
 
-    An eigenstate psi0 (to rounding, `_is_stationary`) has rates that do not
-    depend on time, so one table built at t = 0 serves the whole run, and
-    the chains run in continuous time with no step (Gillespie, J. Phys.
-    Chem. 81 (1977) 2340): every live chain draws an exponential holding
-    time at rate sigma_out of its state, a chain whose clock passes t_max
-    drops out, and the rest jump.  A chain with sigma_out = 0 never jumps.
-    The cost grows with chains plus jumps, about chains * (1 + t_max *
-    sum_q |psi0(q)|^2 sigma_out(q)), and dt_cap is unused.  node_warnings
-    counts the chain visits (start or landing) to a floored configuration.
-
-    Any other psi0 is stepped: each step builds one table on H's non-zeros
-    at the step midpoint (second-order accuracy) and advances every chain
-    vectorized, a jump with probability min(sigma_out dt, 1).  The step is
-    capped at dt_cap and at 5% total jump probability under the previous
-    step's table (the t = 0 table for the first step); node_warnings counts
-    the chain-steps that start at a floored configuration.
-
-    Near-node configurations have their rate denominator floored at
-    node_floor times the largest density; a non-zero node_warnings is
-    reported with a warning at the end.
+    Rate denominators are floored at BELL_NODE_FLOOR times the largest
+    density; node_warnings counts the chain visits (start or landing) to a
+    floored configuration, and a non-zero count is reported with a warning.
     """
-    return _run_chains(model, psi0, t_max, n_chains, seed, dt_cap, node_floor)[0]
+    return _run_chains(model, psi0, t_max, n_chains, seed)[0]
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ sector-wise on Fock wave functions,
     (T_theta psi)_n = exp(-2i*theta*n) * conj(psi_n),
 
 and the matching gauge rotations are (U_theta psi)_n = exp(-i*theta*n) psi_n.
-Both are implemented here abstractly on sector-indexed data so that the
-analytic evaluators (groundstate module) and the finite lattice vectors
-(lattice module) can reuse them.
+Both are implemented here on sector-indexed data (a mapping from boson
+number to that sector's array).  Neither the groundstate nor the lattice
+module calls them: the lattice applies T_theta to its occupation vectors
+with its own `sector_reversal`.
 
 Source labels in verdicts and reports are 1-based (sources are numbered
 1..N as in the usual physics notation g_1, g_2, ...).

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 from functools import partial
@@ -362,8 +363,7 @@ def test_potential_outside_the_float_range_exits_2_naming_the_quantity(tmp_path,
     key = edit.partition(" ")[0]
     text = FIGURE_CFG.read_text().replace(f"\n{key} = 1.0\n", f"\n{edit}\n", 1)
     assert edit in text
-    with np.errstate(all="ignore"):
-        code, out = run_cli(tmp_path, text, "potential")
+    code, out = run_cli(tmp_path, text, "potential")
     assert code == 2
     err = capsys.readouterr().err
     assert f"numerical failure: {quantity} leaves the float range" in err
@@ -525,8 +525,7 @@ def test_field_outside_the_float_range_exits_2_naming_the_quantity(tmp_path, cap
     lines = list(_REDUCED_LINES)
     # the first line of the key is the [model] one
     lines[next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))] = edit
-    with np.errstate(all="ignore"):
-        code, out = run_cli(tmp_path, "\n".join(lines) + "\n", command)
+    code, out = run_cli(tmp_path, "\n".join(lines) + "\n", command)
     assert code == 2
     assert f"numerical failure: {quantity} leaves the float range" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
@@ -536,8 +535,7 @@ def test_a_failed_field_write_leaves_no_output_directory(tmp_path, capsys):
     text = "\n".join(_REDUCED_LINES).replace("\nhbar = 1.0\n", "\nhbar = 1e308\n", 1) + "\n"
     (tmp_path / "run.cfg").write_text(text)
     out = tmp_path / "fresh" / "out"
-    with np.errstate(all="ignore"):
-        code = main(["field", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    code = main(["field", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
     assert code == 2
     assert "the current or |psi1| leaves the float range" in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
@@ -589,6 +587,74 @@ def test_field_at_E0_zero_is_finite(tmp_path, command):
     assert code == 0
     _, _, rows = read_csv(out / f"{command}.csv")
     assert rows and all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+
+def _edited(section, edit):
+    """The reduced figure config with the line of edit's key in [section]
+    replaced by edit."""
+    lines = list(_REDUCED_LINES)
+    key = edit.partition(" ")[0]
+    start = lines.index(f"[{section}]")
+    lines[next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))] = edit
+    return "\n".join(lines) + "\n"
+
+
+_HOP = "hbar^2/(m*a^2)"
+_TOP = "n_max*(E0 + 2*hbar^2/(m*a^2))"
+
+
+@pytest.mark.parametrize(
+    ("command", "extra", "section", "edit", "diagnostic"),
+    [
+        ("streamlines", (), "model", "E0 = 0", None),
+        ("field", (), "field", "x_max = 1e308", None),
+        *(
+            (command, (), "model", f"hbar = {hbar}", f"m/(pi*hbar^2) leaves the float range at m = 1.0, hbar = {shown}")
+            for command in ("potential", "simulate")
+            for hbar, shown in (("1e-320", "1e-320"), ("1e308", "1e+308"))
+        ),
+        *(
+            (command, (), "model", edit, f"the current or |psi1| leaves the float range at {scales}")
+            for command in ("field", "streamlines")
+            for edit, scales in (
+                ("hbar = 1e308", "m = 1.0, E0 = 0.005, hbar = 1e+308"),
+                ("m = 1e-320", "m = 1e-320, E0 = 0.005, hbar = 1.0"),
+            )
+        ),
+        (
+            "boundary",
+            (),
+            "boundary",
+            "robin = 1.0 0.0 0.0 0.0 1.0 1e308 1.0 0.0",
+            "the packet and the Robin ratios must give finite values",
+        ),
+        *(
+            ("lattice", extra, "lattice", edit, f"the lattice scale {scale} leaves the float range at {scales}")
+            for extra in ((), ("--check", "gauge"))
+            for edit, scale, scales in (
+                ("hbar = 1e160", _HOP, "m = 1.0, a = 1.0, hbar = 1e+160, E0 = 0.5"),
+                ("m = 1e-320", _HOP, "m = 1e-320, a = 1.0, hbar = 1.0, E0 = 0.5"),
+                ("a = 1e-160", _HOP, "m = 1.0, a = 1e-160, hbar = 1.0, E0 = 0.5"),
+                ("E0 = 1e308", _TOP, "m = 1.0, a = 1.0, hbar = 1.0, E0 = 1e+308"),
+                ("hbar = 1e-320", "2/hbar", "m = 1.0, a = 1.0, hbar = 1e-320, E0 = 0.5"),
+            )
+        ),
+    ],
+)
+def test_edits_at_the_float_limits_print_one_diagnostic_and_no_warning(
+    tmp_path, capsys, command, extra, section, edit, diagnostic
+):
+    # a run either succeeds in silence or prints its one diagnostic and
+    # writes nothing; no numpy warning reaches standard error before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run_cli(tmp_path, _edited(section, edit), command, *extra)
+    err = capsys.readouterr().err
+    if diagnostic is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, err) == (2, f"numerical failure: {diagnostic}\n")
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------- seeds

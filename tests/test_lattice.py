@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 from scipy.sparse import eye_array
 
 from chargeflow import lattice
@@ -672,45 +672,6 @@ def test_mode_spectrum_matches_dense_eigvalsh(L, n_max, data, E0, m, a):
     assert np.max(np.abs(model._mode_spectrum() - want)) <= 1e-12 * scale
 
 
-def per_step_chains(model, psi0, t_max, n_chains, seed, dt_cap=2e-3, node_floor=1e-12):
-    """The Bell stepping loop with `evolve` called at every step midpoint,
-    whether psi0 is stationary or not: the oracle for the stepped run of a
-    state that is not stationary."""
-    psi0 = psi0 / np.linalg.norm(psi0)
-    rng = np.random.default_rng(seed)
-    H, rows = model.H, model._rows
-    slots = np.arange(H.nnz) - H.indptr[rows]
-    targets = np.zeros((model.dim, slots.max() + 1), dtype=np.int64)
-    targets[rows, slots] = H.indices
-
-    def cumulative_rates(psi):
-        dens = np.abs(psi) ** 2
-        floor = node_floor * np.max(dens)
-        rates = np.zeros(targets.shape)
-        flux = lattice._flux(model, psi)[model._transpose]
-        rates[rows, slots] = flux / np.maximum(dens, floor)[rows]
-        return np.cumsum(rates, axis=1)
-
-    states = rng.choice(model.dim, size=n_chains, p=np.abs(psi0) ** 2)
-    n_jumps = np.zeros(n_chains, dtype=int)
-    t = 0.0
-    cum = cumulative_rates(psi0)
-    while t < t_max:
-        lam = cum[:, -1].max()
-        dt = min(dt_cap, 0.05 / lam if lam > 0 else np.inf, t_max - t)
-        cum = cumulative_rates(evolve(model, psi0, t + dt / 2.0))
-        jumping = np.nonzero(rng.random(n_chains) < np.minimum(cum[states, -1] * dt, 1.0))[0]
-        if jumping.size:
-            chains = jumping[np.argsort(states[jumping], kind="stable")]
-            row = cum[states[chains]]
-            row /= np.maximum(row[:, -1:], 1e-300)
-            slot = np.sum(row <= rng.random(chains.size)[:, None], axis=1)
-            states[chains] = targets[states[chains], slot]
-            n_jumps[jumping] += 1
-        t += dt
-    return states, n_jumps
-
-
 # ground states with a current: the figure lattice (dim 45) and the
 # benchmark's chain (dim 680), each with a time long enough for jumps
 STATIONARY_RUNS = {
@@ -805,12 +766,38 @@ def test_stationary_holding_times_are_exponential():
     assert stats.kstest(-np.expm1(-out_rates * held), "uniform").pvalue > 0.01
 
 
-def test_non_stationary_ensemble_matches_the_per_step_loop():
-    # the vacuum run of acceptance criterion 08
+def test_forced_stretches_keep_the_stationary_law(monkeypatch):
+    # the figure ground state run as if it were not stationary: cut into
+    # stretches of at most BELL_DT_CAP, at whose starts every chain draws its
+    # holding time afresh, it keeps the jump total and the occupations of the
+    # one-stretch run
+    params, t = STATIONARY_RUNS["figure"]
+    model = build_model(params)
+    _, ground = lattice_ground_state(model)
+    out_rates = np.array([sum(bell_jump_rates(model, ground, q).values()) for q in range(model.dim)])
+    monkeypatch.setattr(lattice, "_is_stationary", lambda model, psi: False)
+    res = run_bell_ensemble(model, ground, t, 20000, seed=7)
+    expected = res.n_jumps.size * t * np.sum(np.abs(ground) ** 2 * out_rates)
+    error = np.sqrt(res.n_jumps.size * res.n_jumps.var())
+    assert abs(res.n_jumps.sum() - expected) <= 3.0 * error, (res.n_jumps.sum(), expected, error)
+    counts = np.bincount(res.final_indices, minlength=model.dim)
+    p = stats.chisquare(*_pool_bins(counts, np.abs(ground) ** 2 * counts.sum())).pvalue
+    assert p > 0.01, p
+
+
+def test_vacuum_jump_count_matches_the_integrated_flux():
+    # the vacuum run of acceptance criterion 08: chains distributed as
+    # |psi_s|^2 jump at the total directed flux sum F_s(q -> q') of psi_s,
+    # so the independent chains' total lies within 3 standard errors of
+    # chains times its integral over [0, t]
     model = build_model(lattice_preset())
     psi0 = np.zeros(model.dim, dtype=complex)
     psi0[0] = 1.0
-    states, n_jumps = per_step_chains(model, psi0, 1.0, 20000, seed=201)
     res = run_bell_ensemble(model, psi0, 1.0, 20000, seed=201)
-    np.testing.assert_array_equal(res.final_indices, states)
-    np.testing.assert_array_equal(res.n_jumps, n_jumps)
+    flux, flux_error = integrate.quad(
+        lambda s: lattice._flux(model, evolve(model, psi0, s)).sum(), 0.0, 1.0, limit=200
+    )
+    expected = res.n_jumps.size * flux
+    error = np.sqrt(res.n_jumps.size * res.n_jumps.var())
+    assert res.n_jumps.size * flux_error <= 1e-3 * error
+    assert abs(res.n_jumps.sum() - expected) <= 3.0 * error, (res.n_jumps.sum(), expected, error)
