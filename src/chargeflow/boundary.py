@@ -258,14 +258,12 @@ def discrete_periodic_ground(theta, m=1.0, hbar=1.0, n_grid=512):
     )
 
 
-def periodic_spectrum(theta, m=1.0, hbar=1.0, n_range=3, verify=True, n_grid=256):
+def periodic_spectrum(theta, m=1.0, hbar=1.0, n_range=3):
     """Plane-wave levels (k, E) of the phase-shifted circle, sorted by energy.
 
     k = theta + 2*pi*n for n in -n_range..n_range (or an explicit iterable of
-    integers), E = hbar^2 k^2 / (2m).  The ground state sits at k = theta.
-    With verify=True the lowest level is cross-checked against the
-    finite-difference ring at resolution n_grid; disagreement beyond the
-    second-order error budget raises RuntimeError.
+    integers), E = hbar^2 k^2 / (2m).  The ground state sits at k = theta;
+    `discrete_periodic_ground` gives its finite-difference counterpart.
     """
     if not (-np.pi < theta <= np.pi):
         raise ValueError("theta must lie in (-pi, pi]")
@@ -278,14 +276,6 @@ def periodic_spectrum(theta, m=1.0, hbar=1.0, n_range=3, verify=True, n_grid=256
         k = theta + 2.0 * np.pi * n
         levels.append((k, hbar**2 * k**2 / (2.0 * m)))
     levels.sort(key=lambda ke: ke[1])
-    if verify:
-        rep = discrete_periodic_ground(theta, m, hbar, n_grid)
-        h = 1.0 / n_grid
-        # second-order truncation budget plus a rounding floor
-        budget = (theta * h) ** 2 / 6.0 * abs(rep.continuum_energy)
-        floor = 1e-10 * hbar**2 / (m * h**2)
-        if abs(rep.eigenvalue - rep.continuum_energy) > budget + floor:
-            raise RuntimeError("finite-difference ring disagrees with the analytic spectrum")
     return levels
 
 

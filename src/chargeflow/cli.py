@@ -563,7 +563,7 @@ def _cmd_boundary(config, out):
     rows = []
     currents = []
     for theta in opts["theta"]:
-        for k, energy in periodic_spectrum(theta, m, hbar, n_range=opts["n_levels"], verify=False):
+        for k, energy in periodic_spectrum(theta, m, hbar, n_range=opts["n_levels"]):
             rows.append((theta, k, energy))
         verdict = symmetry_verdict_periodic(theta)
         discrete = discrete_periodic_ground(theta, m, hbar, n_grid=opts["grid"])

@@ -318,6 +318,12 @@ def _nearest_distance(system, pts):
     return _row_norms(pts[:, None, :] - system.positions).min(axis=1)
 
 
+def _short_of_span(absorbed, left):
+    """Rows neither absorbed nor within rounding of their span's end; a NaN
+    span counts as ended."""
+    return (absorbed < 0) & (left > 1e-15)
+
+
 def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
     """Advance points by `span` (scalar or per-row) along field(system, pts).
 
@@ -326,8 +332,8 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
     row still short of its span.  Returns (positions, absorbed, left):
     absorbed[k] is the 0-based source whose ball row k entered, or -1, and
     left[k] the part of its span not travelled, so an absorbed row made
-    contact at span - left.  A row still short of its span when the round
-    budget runs out keeps absorbed = -1 and left > 1e-15.
+    contact at span - left.  A row still `_short_of_span` when the round
+    budget runs out is left there.
     """
     K = pts.shape[0]
     out = pts.copy()
@@ -346,12 +352,12 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
             out, remaining, nearest_d, absorbed = _rk4_round(
                 system, field, out, remaining, nearest_d, eps_absorb
             )
-            active = (absorbed < 0) & (remaining > 1e-15)
+            active = _short_of_span(absorbed, remaining)
             continue
         out[act], remaining[act], nearest_d[act], absorbed[act] = _rk4_round(
             system, field, out[act], remaining[act], nearest_d[act], eps_absorb
         )
-        active[act] = (absorbed[act] < 0) & (remaining[act] > 1e-15)
+        active[act] = _short_of_span(absorbed[act], remaining[act])
     warnings.warn("substepping budget exhausted; some points frozen early")
     return out, absorbed, remaining
 
@@ -495,12 +501,14 @@ def verify_ibc(gs, base_config, source, direction, radii=None, tol=1e-8):
     )
 
 
-def _sphere_nodes(n_polar=24, n_azimuth=48):
-    """Gauss-Legendre x trapezoid product nodes and weights on the unit sphere.
+def _sphere_nodes():
+    """Gauss-Legendre x trapezoid product nodes and weights on the unit
+    sphere: 24 polar by 48 azimuthal nodes.
 
     Weights sum to 4*pi; spectrally accurate for smooth integrands.
     """
-    nodes, wts = np.polynomial.legendre.leggauss(n_polar)
+    n_azimuth = 48
+    nodes, wts = np.polynomial.legendre.leggauss(24)
     phis = np.arange(n_azimuth) * 2.0 * np.pi / n_azimuth
     ct = nodes
     st = np.sqrt(1.0 - ct**2)
@@ -527,7 +535,7 @@ class EigenVacuumReport:
     per_source: np.ndarray
 
 
-def verify_eigen_vacuum(gs, radii=None, tol=1e-6, n_polar=24, n_azimuth=48):
+def verify_eigen_vacuum(gs, radii=None, tol=1e-6):
     """Apply the Hamiltonian's vacuum sector to the ground state numerically.
 
     The vacuum component of H psi_min is
@@ -544,7 +552,7 @@ def verify_eigen_vacuum(gs, radii=None, tol=1e-6, n_polar=24, n_azimuth=48):
     if radii is None:
         radii = _default_radii(sys_, n=6, start_fraction=0.08)
     radii = np.asarray(radii, dtype=float)
-    omega, w = _sphere_nodes(n_polar, n_azimuth)
+    omega, w = _sphere_nodes()
 
     def sector1(pts):
         return (-sys_.m / (2.0 * np.pi * sys_.hbar**2)) * psi1(sys_, pts)
@@ -646,10 +654,10 @@ def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None
         )
         substeps[live] += 1
         # the test of `_advance`, so that a NaN span ends the chunk too
-        going = (hit[live] < 0) & (left[live] > 1e-15)
+        going = _short_of_span(hit[live], left[live])
         end = live[~going | (substeps[live] == _SUBSTEP_BUDGET)]
         # stopped short of the chunk end: by contact or by the substep budget
-        short = (hit[end] >= 0) | (left[end] > 1e-15)
+        short = (hit[end] >= 0) | _short_of_span(hit[end], left[end])
         outside = np.linalg.norm(pos[end], axis=1) > domain_radius
         for row, cut, out in zip(end, short, outside):
             points[row].append(pos[row].copy())
@@ -675,7 +683,7 @@ def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None
     ]
 
 
-def source_flux(system, source, radius, n_polar=24, n_azimuth=48):
+def source_flux(system, source, radius):
     """Net outward probability flux of the psi1 current through a sphere.
 
     Sphere of given radius centered on the 1-based `source`; as radius -> 0
@@ -685,7 +693,7 @@ def source_flux(system, source, radius, n_polar=24, n_azimuth=48):
     """
     if not (1 <= source <= system.n_sources):
         raise IndexError("source label out of range (labels are 1-based)")
-    omega, w = _sphere_nodes(n_polar, n_azimuth)
+    omega, w = _sphere_nodes()
     pts = system.positions[source - 1] + radius * omega
     j = current_closed_form(system, pts)
     return float(np.sum(np.sum(j * omega, axis=-1) * w) * radius**2)
@@ -738,7 +746,7 @@ def _offcenter_shell_density(system, center):
     a = system.alpha
     g = system.charges
     xc = system.positions[center - 1]
-    omega, w = _sphere_nodes(24, 48)
+    omega, w = _sphere_nodes()
 
     def density(s):
         pts = xc + np.atleast_1d(s)[:, None, None] * omega  # (ns, nq, 3)

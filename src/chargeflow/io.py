@@ -15,7 +15,7 @@ import itertools
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -253,37 +253,14 @@ def write_jsonl(path, records, provenance):
 
 
 def trajectory_events(record):
-    """TrajectoryRecord -> JSON-ready event dicts plus a summary record."""
+    """TrajectoryRecord -> JSON-ready event dicts plus a summary record.
+
+    An event's record is its type and then its dataclass fields, in order."""
     # process loads scipy, which the other writers do not need
     from .process import AbsorbEvent, EmitEvent, MoveEvent
 
-    events = []
-    for event in record.events:
-        if isinstance(event, MoveEvent):
-            events.append(
-                {
-                    "type": "move",
-                    "t_start": event.t_start,
-                    "t_end": event.t_end,
-                    "particles": list(event.particles),
-                }
-            )
-        elif isinstance(event, EmitEvent):
-            events.append(
-                {
-                    "type": "emit",
-                    "time": event.time,
-                    "source": event.source,
-                    "direction": list(event.direction),
-                    "particle": event.particle,
-                }
-            )
-        elif isinstance(event, AbsorbEvent):
-            events.append(
-                {"type": "absorb", "time": event.time, "source": event.source, "particle": event.particle}
-            )
-        else:
-            raise TypeError(f"unknown event {type(event).__name__}")
+    kinds = {MoveEvent: "move", EmitEvent: "emit", AbsorbEvent: "absorb"}
+    events = [{"type": kinds[type(event)], **asdict(event)} for event in record.events]
     events.append(
         {
             "type": "summary",

@@ -309,9 +309,10 @@ class LatticeModel:
         |g_1|.  A Hamiltonian that a sector phase d^n makes real keeps every
         iterate in that gauge, exactly so when d is a power of i, and the
         phase fixed by a real positive vacuum amplitude makes a real H's
-        ground vector exactly real.  A LAPACK failure, or a vector whose
-        residual ||H psi - E0 psi|| exceeds 1e-12 max(1, |E|) over the
-        spectrum, raises LinAlgError.
+        ground vector exactly real.  A spectral scale max(1, |E|) beyond
+        1e154 raises ValueError; a LAPACK failure, or a vector whose
+        residual ||H psi - E0 psi|| exceeds 1e-12 times that scale, raises
+        LinAlgError.
         """
         if self._ground is None:
             self._check_dense("ground state")
@@ -342,6 +343,15 @@ class LatticeModel:
 
     def _ground_vector(self, evals):
         scale = max(1.0, abs(evals[0]), abs(evals[-1]))
+        if not scale < 1e154:
+            # a solve's entries are near 1/(eps*scale) and the norm squares
+            # them, which underflows from a scale of about 1e169 on; the
+            # bound is about the square root of the float range
+            p = self.params
+            raise ValueError(
+                f"the lattice spectral scale {scale:.3g} exceeds 1e+154 at m = {p.m!r}, "
+                f"a = {p.a!r}, hbar = {p.hbar!r}, E0 = {p.E0!r}"
+            )
         shifted = self.H - (evals[0] - 4.0 * np.spacing(scale)) * eye_array(self.dim)
         lu = splu(shifted.tocsc())
         charges = self.params.charges

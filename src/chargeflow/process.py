@@ -32,7 +32,8 @@ from scipy.spatial.distance import pdist
 from scipy.stats import binomtest, kstest, poisson
 
 from .chisquare import pooled_chisquare
-from .groundstate import _advance, _flow, radial_cdf_interpolator, sample_boson_positions
+from .groundstate import _advance, _flow, _short_of_span, radial_cdf_interpolator
+from .groundstate import sample_boson_positions
 
 __all__ = [
     "EmissionLaw",
@@ -72,6 +73,18 @@ def _velocity_raw(system, pts):
 def _unit_vectors(rng, n):
     v = rng.normal(size=(n, 3))
     return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _absorbed_at_start(X, pos, eps_absorb):
+    """Rows of pos inside an absorption ball, nearest to its source first,
+    and their 0-based sources.  A sampled boson starts there with
+    probability of order eps_absorb and is absorbed on the spot."""
+    d = np.linalg.norm(pos[:, None, :] - X, axis=-1)
+    nearest = np.argmin(d, axis=1)
+    gap = d[np.arange(pos.shape[0]), nearest]
+    inside = np.flatnonzero(gap < eps_absorb)
+    inside = inside[np.argsort(gap[inside], kind="stable")]
+    return inside, nearest[inside]
 
 
 def _length_scale(system):
@@ -229,16 +242,18 @@ def simulate(gs, params, initial=None, law=None):
 
     The initial configuration is drawn from the stationary law (Poisson
     sector, i.i.d. |psi1|^2 positions) unless `initial` supplies an (n, 3)
-    position array (or an object with a .positions attribute).  Emission
-    uses an exponential clock at the total rate of the (constant)
-    ground-state law, so every ring of the clock emits.  All bosons move
-    together through `_advance` in steps of min(dt_max, next emission,
-    t_max), with one path vertex per step end.  When a boson enters an
-    absorption ball the step is cut at its contact time, the others are
-    re-advanced to that time, and the absorption is recorded there.  The
-    vertices of a stretch between two jumps are gathered step by step and
-    written out, with the stretch's one MoveEvent, when the stretch ends.
-    Output is bit-reproducible for a given seed.
+    position array (or an object with a .positions attribute); bosons that
+    start inside an absorption ball are absorbed at t = 0, as in
+    `run_ensemble`.  Every birth is drawn next, by `_draw_births` for one run
+    on one grid step of length t_max: the ensemble's exponential clock at the
+    total rate of the (constant) ground-state law, which ignores the
+    configuration.  All bosons move together through `_advance` in steps of
+    min(dt_max, next birth, t_max), with one path vertex per step end.  When
+    a boson enters an absorption ball the step is cut at its contact time,
+    the others are re-advanced to that time, and the absorption is recorded
+    there.  The vertices of a stretch between two jumps are gathered step by
+    step and written out, with the stretch's one MoveEvent, when the stretch
+    ends.  Output is bit-reproducible for a given seed.
     """
     system = gs.system
     X = system.positions
@@ -247,18 +262,22 @@ def simulate(gs, params, initial=None, law=None):
     rng = np.random.default_rng(params.seed)
     if initial is None:
         n0 = int(rng.poisson(gs.poisson_rate))
-        pos = sample_boson_positions(gs, n0, rng) if n0 else np.empty((0, 3))
+        pos = sample_boson_positions(gs, n0, rng)
     else:
         pos = np.array(getattr(initial, "positions", initial), dtype=float).reshape(-1, 3)
         n0 = pos.shape[0]
-    ids = list(range(n0))
     # per particle, its path as a list of (k, 4) blocks of (t, x, y, z) vertices
-    paths = {pid: [np.array([(0.0, *pos[k])])] for k, pid in enumerate(ids)}
-    events = []
+    paths = {pid: [np.array([(0.0, *p)])] for pid, p in enumerate(pos)}
+    inside, nearest = _absorbed_at_start(X, pos, eps_absorb)
+    events = [AbsorbEvent(0.0, s + 1, k) for k, s in zip(inside.tolist(), nearest.tolist())]
+    ids = np.delete(np.arange(n0), inside).tolist()
+    pos = np.delete(pos, inside, axis=0)
+    _, b_time, _, b_src, b_dir = _draw_births(rng, law, 1, 1, params.t_max)
+    b_pos = X[b_src] + eps_start * b_dir
+    # Python floats, so that a birth time never makes t an np.float64
+    b_time = [*b_time.tolist(), np.inf]
+    born = 0
     failure = None
-    next_id = n0
-    total = law.total_rate
-    cum = np.cumsum(law.rates)
     t = 0.0
     # the stretch since the last jump: its start, step ends and positions
     t_start, ends, verts = t, [], []
@@ -274,25 +293,11 @@ def simulate(gs, params, initial=None, law=None):
             ends.clear()
             verts.clear()
 
-    # a sampled boson can start inside the absorption ball (probability of
-    # order eps_absorb); it is absorbed on the spot
-    while ids:
-        d = np.linalg.norm(pos - X[:, None, :], axis=-1)
-        k = int(np.argmin(np.min(d, axis=0)))
-        if np.min(d[:, k]) >= eps_absorb:
-            break
-        s = int(np.argmin(d[:, k]))
-        events.append(AbsorbEvent(time=0.0, source=s + 1, particle=ids[k]))
-        ids.pop(k)
-        pos = np.delete(pos, k, axis=0)
-    # the clock is independent of the configuration, so absorptions leave
-    # the pending emission time in place
-    t_emit = rng.exponential(1.0 / total) if total > 0.0 else np.inf
     while t < params.t_max - 1e-12:
-        t_stop = min(t + params.dt_max, t_emit, params.t_max)
+        t_stop = min(t + params.dt_max, b_time[born], params.t_max)
         if ids:
             moved, hit, left = _advance(system, _velocity_raw, pos, t_stop - t, eps_absorb)
-            if ((hit < 0) & (left > 1e-15)).any():
+            if _short_of_span(hit, left).any():
                 failure = f"substep budget exhausted in the step from t={t:.6g}"
                 break
             absorbed = (hit >= 0).nonzero()[0]
@@ -316,24 +321,14 @@ def simulate(gs, params, initial=None, law=None):
                 ids = [pid for k, pid in enumerate(ids) if hit[k] < 0]
                 pos = moved[hit < 0]
         t = t_stop
-        if t == t_emit:
+        if t == b_time[born]:
             end_stretch()
-            source = int(np.searchsorted(cum, rng.random() * total, side="right"))
-            direction = _unit_vectors(rng, 1)[0]
-            born = X[source] + eps_start * direction
-            pos = np.vstack([pos, born])
-            ids.append(next_id)
-            paths[next_id] = [np.array([(t, *born)])]
-            events.append(
-                EmitEvent(
-                    time=t,
-                    source=source + 1,
-                    direction=tuple(direction),
-                    particle=next_id,
-                )
-            )
-            next_id += 1
-            t_emit = t + rng.exponential(1.0 / total)
+            pid = n0 + born
+            pos = np.vstack([pos, b_pos[born]])
+            ids.append(pid)
+            paths[pid] = [np.array([(t, *b_pos[born])])]
+            events.append(EmitEvent(t, int(b_src[born]) + 1, tuple(b_dir[born]), pid))
+            born += 1
     end_stretch()
     return TrajectoryRecord(
         seed=params.seed,
@@ -478,13 +473,10 @@ def run_ensemble(gs, params, law=None):
     run = np.repeat(np.arange(m_runs), sectors)
     initial_sectors = sectors.copy()
     absorptions = np.zeros(system.n_sources, dtype=int)
-    # bosons sampled inside the absorption ball are absorbed on the spot
-    d0 = np.linalg.norm(pos[:, None, :] - X[None, :, :], axis=-1)
-    nearest = np.argmin(d0, axis=1)
-    inside = d0[np.arange(pos.shape[0]), nearest] < eps_absorb
-    np.add.at(absorptions, nearest[inside], 1)
+    inside, nearest = _absorbed_at_start(X, pos, eps_absorb)
+    np.add.at(absorptions, nearest, 1)
     np.subtract.at(sectors, run[inside], 1)
-    pos, run = pos[~inside], run[~inside]
+    pos, run = np.delete(pos, inside, axis=0), np.delete(run, inside)
     b_step, b_time, b_run, b_src, b_dir = _draw_births(rng, law, m_runs, n_steps, dt)
     emissions = np.bincount(b_src, minlength=system.n_sources)
     b_pos = X[b_src] + eps_start * b_dir
@@ -498,7 +490,7 @@ def run_ensemble(gs, params, law=None):
         span = np.append(np.full(pos.shape[0], (k1 - k0) * dt), k1 * dt - b_time[new])
         pos, run = np.concatenate([pos, b_pos[new]]), np.append(run, b_run[new])
         pos, hit_src, left = _advance(system, _velocity_raw, pos, span, eps_absorb)
-        if np.any((hit_src < 0) & (left > 1e-15)):
+        if _short_of_span(hit_src, left).any():
             raise RuntimeError(f"substep budget exhausted before t={k1 * dt:.6g}")
         hit = hit_src >= 0
         np.add.at(absorptions, hit_src[hit], 1)
@@ -691,31 +683,35 @@ class StartSensitivityReport:
     max_deviation: float
 
 
-def emission_start_sensitivity(gs, t_probe=2.0, factors=(0.5, 1.0, 2.0), eps_start=None, law=None):
+def emission_start_sensitivity(gs, t_probe=2.0, eps_start=None, law=None):
     """Quantify the effect of the newborn placement offset.
 
     The exact process emits a boson from the source point itself; the
     simulator starts it eps_start along the emission direction.  For each of
     six axis directions at the strongest-emitting source the flow is
-    integrated from factor*eps_start for t_probe; the report gives the
-    largest endpoint scatter across factors, which bounds the placement bias
-    of downstream positions.
+    integrated from factor*eps_start for t_probe, factor 0.5, 1 and 2; the
+    report gives the largest endpoint scatter across factors, which bounds
+    the placement bias of downstream positions.  Raises RuntimeError when a
+    start runs out of substep rounds.
     """
     system = gs.system
     law = derive_emission_law(gs) if law is None else law
     eps_absorb, eps0 = _resolve_radii(system, None, eps_start)
+    factors = (0.5, 1.0, 2.0)
     source = int(np.argmax(law.rates))
     if law.rates[source] <= 0.0:
-        return StartSensitivityReport(source + 1, eps0, tuple(factors), t_probe, (), 0.0)
+        return StartSensitivityReport(source + 1, eps0, factors, t_probe, (), 0.0)
     dirs = np.concatenate([np.eye(3), -np.eye(3)])
-    offsets = np.asarray(factors, dtype=float)[None, :, None] * eps0 * dirs[:, None, :]
+    offsets = np.array(factors)[None, :, None] * eps0 * dirs[:, None, :]
     starts = (system.positions[source] + offsets).reshape(-1, 3)
-    ends, _, _ = _advance(system, _velocity_raw, starts, t_probe, eps_absorb)
+    ends, hit, left = _advance(system, _velocity_raw, starts, t_probe, eps_absorb)
+    if _short_of_span(hit, left).any():
+        raise RuntimeError(f"substep budget exhausted before t={t_probe:.6g}")
     deviations = [float(pdist(e).max()) for e in ends.reshape(len(dirs), len(factors), 3)]
     return StartSensitivityReport(
         source=source + 1,
         eps_start=eps0,
-        factors=tuple(factors),
+        factors=factors,
         t_probe=t_probe,
         deviations=tuple(deviations),
         max_deviation=max(deviations),

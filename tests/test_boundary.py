@@ -130,7 +130,7 @@ def test_periodic_spectrum_levels_and_ground():
 
 def test_plane_waves_satisfy_shifted_periodicity():
     theta = 1.0
-    for k, _ in periodic_spectrum(theta, n_range=2, verify=False):
+    for k, _ in periodic_spectrum(theta, n_range=2):
         x = np.linspace(0, 1, 7)
         np.testing.assert_allclose(
             np.exp(1j * k * (x + 1.0)), np.exp(1j * theta) * np.exp(1j * k * x), rtol=1e-12

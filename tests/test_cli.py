@@ -601,6 +601,14 @@ def _edited(section, edit):
 
 _HOP = "hbar^2/(m*a^2)"
 _TOP = "n_max*(E0 + 2*hbar^2/(m*a^2))"
+# lattice edits inside the float range whose spectral scale the ground
+# state's inverse iteration cannot square; every --check still runs
+_SPECTRAL_EDGE = (
+    ("hbar = 1e150", "3.8e+300", "m = 1.0, a = 1.0, hbar = 1e+150, E0 = 0.5"),
+    ("a = 1e-150", "3.8e+300", "m = 1.0, a = 1e-150, hbar = 1.0, E0 = 0.5"),
+    ("m = 1e-300", "3.8e+300", "m = 1e-300, a = 1.0, hbar = 1.0, E0 = 0.5"),
+    ("E0 = 1e307", "2e+307", "m = 1.0, a = 1.0, hbar = 1.0, E0 = 1e+307"),
+)
 
 
 @pytest.mark.parametrize(
@@ -639,6 +647,11 @@ _TOP = "n_max*(E0 + 2*hbar^2/(m*a^2))"
                 ("hbar = 1e-320", "2/hbar", "m = 1.0, a = 1.0, hbar = 1e-320, E0 = 0.5"),
             )
         ),
+        *(
+            ("lattice", (), "lattice", edit, f"the lattice spectral scale {top} exceeds 1e+154 at {scales}")
+            for edit, top, scales in _SPECTRAL_EDGE
+        ),
+        *(("lattice", ("--check", "gauge"), "lattice", edit, None) for edit, _, _ in _SPECTRAL_EDGE),
     ],
 )
 def test_edits_at_the_float_limits_print_one_diagnostic_and_no_warning(

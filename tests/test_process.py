@@ -827,6 +827,13 @@ def test_start_offset_sensitivity_zero_rate():
     assert report.max_deviation == 0.0
 
 
+def test_start_offset_sensitivity_raises_when_the_substep_budget_runs_out(fig_gs, fig_law, monkeypatch):
+    monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=3))
+    with pytest.warns(UserWarning, match="budget"):
+        with pytest.raises(RuntimeError, match="budget"):
+            emission_start_sensitivity(fig_gs, law=fig_law)
+
+
 def test_poisson_chisquare_helper():
     rng = np.random.default_rng(11)
     good = rng.poisson(4.0, size=5000)
