@@ -1,11 +1,12 @@
 """Config-driven command line front end.
 
-Usage: ``chargeflow <command> --config <path> [--out <dir>] [--seed <u64>]``
-with commands ``symmetry``, ``field``, ``streamlines``, ``simulate``,
-``lattice`` (plus ``--check gauge|commutation|reversal``), ``potential`` and
-``boundary``.  Diagnostics go to standard error, data to files under the
-output directory.  Exit codes: 0 success, 1 configuration error, 2 numerical
-failure, 3 a ``--check`` style verification ran and failed.
+Usage: ``chargeflow <command> --config <path> [--out <dir>] [--seed <u64>]
+[--check gauge|commutation|reversal]`` with commands ``symmetry``, ``field``,
+``streamlines``, ``simulate``, ``lattice``, ``potential`` and ``boundary``;
+``--check`` applies to ``lattice`` only.  Diagnostics go to standard error,
+data to files under the output directory.  Exit codes: 0 success, 1
+configuration error, 2 numerical failure, 3 a ``--check`` style
+verification ran and failed.
 
 Randomness: the config's master seed is never used directly; each stochastic
 step draws from a derived stream (`io.derive_seed`), and both numbers appear
@@ -653,19 +654,16 @@ def _build_parser():
         prog="chargeflow",
         description="Particle-creation models: symmetry reports, fields, trajectories.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to the config file")
-        cmd.add_argument("--out", default=None, help="output directory (default from [run])")
-        cmd.add_argument("--seed", type=int, default=None, help="master seed override")
-        if name == "lattice":
-            cmd.add_argument(
-                "--check",
-                choices=("gauge", "commutation", "reversal"),
-                default=None,
-                help="run one verification instead of the full build",
-            )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="path to the config file")
+    parser.add_argument("--out", default=None, help="output directory (default from [run])")
+    parser.add_argument("--seed", type=int, default=None, help="master seed override")
+    parser.add_argument(
+        "--check",
+        choices=("gauge", "commutation", "reversal"),
+        default=None,
+        help="lattice only: run one verification instead of the full build",
+    )
     return parser
 
 
@@ -684,7 +682,7 @@ def main(argv=None):
         config = parse_config(text).with_command(
             args.command, seed=args.seed, out_dir=args.out
         )
-        return dispatch(config, check=getattr(args, "check", None))
+        return dispatch(config, check=args.check)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

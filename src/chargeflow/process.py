@@ -29,7 +29,8 @@ import numpy as np
 # tracer in perfbench/tracing.py patches process.solve_ivp by name
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.spatial.distance import pdist
-from scipy.stats import binomtest, kstest, poisson
+# scipy.stats (about 0.5 s to import) is imported inside the three
+# statistics functions, so a trajectory-only run never loads it
 
 from .chisquare import pooled_chisquare
 from .groundstate import _advance, _flow, _short_of_span, radial_cdf_interpolator
@@ -517,6 +518,8 @@ def run_ensemble(gs, params, law=None):
 def _poisson_chisquare(samples, lam, min_expected=5.0):
     """Chi-square p-value of integer samples against Poisson(lam), lam fixed
     a priori: bins 0..max plus an upper tail, pooled by `pooled_chisquare`."""
+    from scipy.stats import poisson
+
     samples = np.asarray(samples)
     kmax = int(samples.max(initial=0))
     counts = np.bincount(samples, minlength=kmax + 2)
@@ -594,6 +597,8 @@ def equivariance_report(gs, result):
     the sources are collinear, azimuth about the source axis against the
     uniform law (KS).
     """
+    from scipy.stats import kstest
+
     system = gs.system
     axis = _symmetry_axis(system)
     if axis is not None:
@@ -653,6 +658,8 @@ def reversal_test(gs, params, law=None):
 
 def reversal_report(result):
     """Per-source emission/absorption balance of an ensemble result."""
+    from scipy.stats import binomtest
+
     p_values = []
     for e, a in zip(result.emissions, result.absorptions):
         n = int(e + a)

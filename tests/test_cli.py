@@ -1493,10 +1493,13 @@ def test_exhausted_substep_budget_exits_2_without_statistics(tmp_path, monkeypat
         assert not out.exists() or not any(out.iterdir())
 
 
-def test_check_flag_only_for_lattice(tmp_path):
+def test_check_flag_only_for_lattice(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(MODEL)
     assert main(["symmetry", "--config", str(cfg), "--check", "gauge"]) == 1
+    assert capsys.readouterr().err == "config error: --check applies to the lattice command only\n"
+    assert main(["lattice", "--config", str(cfg), "--check", "bogus"]) == 1
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- fresh interpreters
@@ -1590,4 +1593,20 @@ def test_every_command_runs_in_a_fresh_interpreter(tmp_path, command):
         assert result["scipy"] == []
     # only simulate's statistics need scipy.stats; lattice's chi-square does not
     if command != "simulate":
-        assert not [m for m in result["scipy"] if m == "scipy.stats" or m.startswith("scipy.stats.")]
+        assert not _stats_modules(result["scipy"])
+
+
+def _stats_modules(modules):
+    return [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+
+def test_trajectory_only_simulate_loads_no_scipy_stats_in_a_fresh_interpreter(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    text = ALL_COMMANDS_SMALL.replace("sample_times = 0.1 0.2\n", "")
+    cfg.write_text(text.replace("runs = 1000", "runs = 0"))
+    out = tmp_path / "out"
+    result = run_fresh(_COMMAND, str(FIGURE_CFG), "simulate", "--config", str(cfg), "--out", str(out))
+    assert result["code"] == 0
+    assert (out / "trajectory.jsonl").exists()
+    assert "scipy.integrate" in result["scipy"]
+    assert not _stats_modules(result["scipy"])

@@ -167,6 +167,41 @@ def test_build_matches_per_state_oracle():
         np.testing.assert_array_equal(model.H.toarray(), H)
 
 
+@pytest.mark.parametrize("L, n_max", [(14, 3), (20, 4), (2, 1), (9, 1)])
+def test_basis_tables_match_an_enumeration_beyond_the_oracle_sizes(L, n_max):
+    occ = lattice._occupations(L, n_max)
+    want = [
+        np.bincount(np.array(sites, dtype=np.int64), minlength=L)
+        for k in range(n_max + 1)
+        for sites in combinations_with_replacement(range(L), k)
+    ]
+    np.testing.assert_array_equal(occ, np.array(want))
+    # every state by a key independent of the basis order: its digits in
+    # base n_max + 1
+    weights = (n_max + 1) ** np.arange(L, dtype=np.int64)
+    keys = occ @ weights
+    order = np.argsort(keys)
+
+    def index_of(target_keys):
+        found = order[np.searchsorted(keys[order], target_keys)]
+        np.testing.assert_array_equal(keys[found], target_keys)
+        return found
+
+    basis = lattice._basis(L, n_max)
+    frm, bond = np.nonzero(occ[:, :-1])
+    hopped = keys[frm] - weights[bond] + weights[bond + 1]
+    np.testing.assert_array_equal(frm + basis.shift[frm, bond], index_of(hopped))
+    open_states = np.nonzero(basis.total < n_max)[0]
+    for c in range(L):
+        created = index_of(keys[open_states] + weights[c])
+        target = (
+            open_states
+            + basis.sector_size[basis.total[open_states]]
+            + basis.shift_left_of[open_states, c]
+        )
+        np.testing.assert_array_equal(target, created)
+
+
 def test_dimension_guard():
     with pytest.raises(ValueError):
         LatticeParams(L=100, a=1.0, n_max=4, source_sites=(0,), charges=(1.0,))
@@ -624,7 +659,9 @@ def test_ground_vector_residual_check_raises_linalg_error(monkeypatch):
     # a factorization shifted one unit off the ground energy leaves two
     # inverse-iteration solves far from the eigenvector
     factor = lattice.splu
-    monkeypatch.setattr(lattice, "splu", lambda a: factor(a + eye_array(a.shape[0], format="csc")))
+    monkeypatch.setattr(
+        lattice, "splu", lambda a, **kw: factor(a + eye_array(a.shape[0], format="csc"), **kw)
+    )
     with pytest.raises(np.linalg.LinAlgError, match="residual"):
         build_model(lattice_preset()).ground()
 
