@@ -454,6 +454,8 @@ def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0, length
     *lu, info = zgttrf(*bands)
     if info > 0:
         raise LinAlgError("singular matrix")
+    # z*lo and z*up of every step's right side (zgttrf factors copies)
+    zlo, _, zup = bands
     n_steps = int(np.ceil(t_final / dt))
     times = np.arange(n_steps + 1) * dt
     norms = np.empty(n_steps + 1)
@@ -476,8 +478,8 @@ def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0, length
         block = rows[: n_steps - k0]
         for k, row in enumerate(block, start=k0 + 1):
             rhs = act - z * (diag * act)
-            rhs[:-1] -= z * up * act[1:]
-            rhs[1:] -= z * lo * act[:-1]
+            rhs[:-1] -= zup * act[1:]
+            rhs[1:] -= zlo * act[:-1]
             act = zgttrs(*lu, rhs)[0]
             row[inner] = act
             d0[k], d1[k] = abs(row[0]) ** 2, abs(row[-1]) ** 2

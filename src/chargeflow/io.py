@@ -6,7 +6,8 @@ per-stream seeds, and every resolved option of the command (defaults
 included).  Floating-point values are printed with a fixed 17-significant-
 digit format, so identical configs and seeds give byte-identical files; JSON
 writes NaN and infinities as null.  CSV tables are written in blocks of
-columns, each column formatted in one pass.  Files are written to a
+columns, and a float64 column goes through the vectorized '%.17g' of
+`chargeflow.g17`, loaded on first use.  Files are written to a
 temporary sibling and renamed into place with the permissions the umask
 grants; a failed write leaves no file, nor a directory that it created.
 """
@@ -111,7 +112,8 @@ def _option_text(value):
 
 
 def atomic_write_text(path, chunks):
-    """Write an iterable of strings via a temporary sibling and an atomic rename."""
+    """Write an iterable of strings (as UTF-8) or byte buffers via a temporary
+    sibling and an atomic rename."""
     directory = os.path.dirname(os.path.abspath(path))
     created = []  # the directories makedirs adds, deepest first
     head = directory
@@ -121,8 +123,9 @@ def atomic_write_text(path, chunks):
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(chunks)
+        with os.fdopen(fd, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         # mkstemp creates the file with mode 0600; give it what open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -138,8 +141,9 @@ def atomic_write_text(path, chunks):
         raise
 
 
-def _column(col):
-    """One column of a CSV block -> its '%' conversion and its values."""
+def _column_cells(col):
+    """One column of a CSV block -> its texts as an (n, w) uint8 matrix, and
+    None if NUL marks the unused bytes, else the mask of the bytes to keep."""
     dtype = getattr(col, "dtype", np.dtype(object))
     if dtype == np.float64:
         # where the distinct bit patterns are at most half of the column, format
@@ -149,31 +153,57 @@ def _column(col):
         bits = col.view(np.int64)
         ordered = np.sort(bits)
         distinct = np.append(ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])
+        # the kernel loads on the first float column: `import chargeflow.cli`
+        # does not compile it
+        from .g17 import g17_cells
+
         if 2 * distinct.size > bits.size:
-            return "%.17g", col.tolist()
-        text = list(map("%.17g".__mod__, distinct.view(np.float64).tolist()))
-        return "%s", list(map(text.__getitem__, np.searchsorted(distinct, bits).tolist()))
+            return g17_cells(col), None
+        return g17_cells(distinct.view(np.float64))[np.searchsorted(distinct, bits)], None
     if dtype.kind in "iu":
-        return "%d", col.tolist()
-    return "%s", list(map(format_value, col))
+        texts = list(map(str, col.tolist()))
+    else:
+        texts = list(map(format_value, col))
+    # a str cell may hold NUL bytes, so its mask comes from its length
+    data = [t.encode("utf-8") for t in texts]
+    lengths = np.fromiter(map(len, data), np.intp, len(data))
+    width = max(lengths.max(initial=0), 1)
+    cells = np.array(data, f"S{width}").view(np.uint8).reshape(len(data), width)
+    return cells, np.arange(width) < lengths[:, None]
 
 
 def write_csv(path, columns, blocks, provenance):
     """CSV with '#'-prefixed provenance, a header row, and 17-digit floats.
 
     `blocks` is consumed once.  Each block is a sequence of len(columns)
-    equal-length 1-D columns (numpy arrays or lists) and becomes one string
-    that streams into the temporary file.  A float64 array prints with
-    %.17g, an integer array with %d, anything else through `format_value`.
+    equal-length 1-D columns (numpy arrays or lists) and becomes one byte
+    buffer that streams into the temporary file.  A float64 array prints as
+    %.17g through `g17.g17_cells` (the bytes '%' gives), an integer array as
+    %d, anything else through `format_value`.  Each column becomes a byte
+    matrix with one row per cell and a mask of the bytes to keep; a block is
+    the columns and the separators side by side, compacted by the mask in
+    one pass.
     """
 
     def text(block):
         lengths = {len(col) for col in block}
         if len(block) != len(columns) or len(lengths) > 1:
             raise ValueError(f"a CSV block needs {len(columns)} columns of equal length")
-        conversions, values = zip(*map(_column, block))
-        line = ",".join(conversions) + "\n"
-        return line * lengths.pop() % tuple(itertools.chain.from_iterable(zip(*values)))
+        n = lengths.pop()
+        cells, masks = zip(*map(_column_cells, block))
+        comma = np.full((n, 1), ord(","), np.uint8)
+        parts = [part for col_cells in cells for part in (col_cells, comma)]
+        parts[-1] = np.full((n, 1), ord("\n"), np.uint8)
+        data = np.hstack(parts)
+        keep = data != 0
+        start = 0
+        for col_cells, mask in zip(cells, masks):
+            if mask is not None:
+                keep[:, start : start + mask.shape[1]] = mask
+            start += col_cells.shape[1] + 1
+        # a 1-D boolean index: np.compress would first list the kept
+        # positions, 8 bytes for each byte of the text
+        return data.ravel()[keep.ravel()]
 
     header = [f"# {line}\n" for line in provenance.comment_lines()]
     header.append(",".join(columns) + "\n")

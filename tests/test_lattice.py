@@ -155,16 +155,33 @@ def per_state_oracle(params):
     return basis, H
 
 
-def test_build_matches_per_state_oracle():
+def oracle_params():
+    """The 25 models that test_build_matches_per_state_oracle checks."""
     rng = np.random.default_rng(9)
     for _ in range(25):
         params = random_params(rng, L_max=9)
-        params = replace(params, n_max=int(rng.integers(1, 5)), a=float(rng.uniform(0.5, 2.0)))
+        yield replace(params, n_max=int(rng.integers(1, 5)), a=float(rng.uniform(0.5, 2.0)))
+
+
+def test_build_matches_per_state_oracle():
+    for params in oracle_params():
         model = build_model(params)
         basis, H = per_state_oracle(params)
         assert model.basis == basis
         assert all(model.state_index(occ) == i for i, occ in enumerate(basis))
         np.testing.assert_array_equal(model.H.toarray(), H)
+
+
+def test_assembled_hamiltonians_are_hermitian():
+    # build_model enters each hop and creation with its conjugate and does
+    # not check the sum: the check costs 2 ms a build at dim 10,626
+    big = LatticeParams(
+        L=20, a=1.0, n_max=4, source_sites=(2, 8), charges=(1.0, 1j), m=1.0, E0=0.5, hbar=1.0
+    )
+    for params in [*oracle_params(), big]:
+        H = build_model(params).H
+        assert abs(H - H.conj().T).max() <= 1e-12
+    assert H.shape == (10626, 10626)
 
 
 @pytest.mark.parametrize("L, n_max", [(14, 3), (20, 4), (2, 1), (9, 1)])
