@@ -13,8 +13,6 @@ infinities, the decades beyond 250, near-ties, a misjudged decade and a D
 that rounds up to 10**17, once per distinct bit pattern.
 """
 
-import functools
-
 import numpy as np
 
 _DECADES = 250  # |X| <= 250 keeps every partial product of the split normal
@@ -50,7 +48,6 @@ def _powers_of_ten():
 _HIGH, _LOW, _HIGH_HI, _HIGH_LO = _powers_of_ten()
 
 
-@functools.cache
 def _layout(x):
     """The %g layout of decade x: text before the digits, the number of digits
     before the point (None: no point among them) and the exponent text."""
@@ -122,7 +119,8 @@ def g17_cells(values):
             kept = significant[start:stop]
         else:
             body = text[start:stop, 1:19]
-            # the point follows the first `point` digits, and only a kept digit
+            # the point follows the first `point` digits; a point with no kept
+            # digit after it is cleared below
             body[:, :point] = digits[start:stop, :point]
             body[:, point] = 46
             body[:, point + 1 :] = digits[start:stop, point:]

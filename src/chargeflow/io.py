@@ -185,7 +185,7 @@ def write_csv(path, columns, blocks, provenance):
     one pass.
     """
 
-    def text(block):
+    def block_bytes(block):
         lengths = {len(col) for col in block}
         if len(block) != len(columns) or len(lengths) > 1:
             raise ValueError(f"a CSV block needs {len(columns)} columns of equal length")
@@ -207,7 +207,7 @@ def write_csv(path, columns, blocks, provenance):
 
     header = [f"# {line}\n" for line in provenance.comment_lines()]
     header.append(",".join(columns) + "\n")
-    atomic_write_text(path, itertools.chain(header, map(text, blocks)))
+    atomic_write_text(path, itertools.chain(header, map(block_bytes, blocks)))
 
 
 def _json_fragment(obj, out, indent):
