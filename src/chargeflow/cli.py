@@ -155,32 +155,35 @@ def _field_table(system, pts):
 _BLOCK = 4096
 
 
+def _parts(n):
+    return (slice(k, k + _BLOCK) for k in range(0, n, _BLOCK))
+
+
 def _cmd_field(config, out):
     system = _model_system(config)
     opts = config.options("field")
     xs = np.linspace(opts["x_min"], opts["x_max"], opts["nx"])
     ys = np.linspace(opts["y_min"], opts["y_max"], opts["ny"])
     n, ny = opts["nx"] * opts["ny"], opts["ny"]
+    scale = max(system.min_source_spacing() or 1.0, 1.0)
 
     def blocks():
         # the nodes in the order meshgrid(xs, ys, indexing="ij") ravels them
         for start in range(0, n, _BLOCK):
             k = np.arange(start, min(start + _BLOCK, n))
-            yield np.column_stack([xs[k // ny], ys[k % ny], np.full(k.size, opts["z"])])
+            pts = np.column_stack([xs[k // ny], ys[k % ny], np.full(k.size, opts["z"])])
+            # a node beyond about 1e154 is at an infinite distance, which passes
+            with np.errstate(over="ignore"):
+                dmin = np.min(np.linalg.norm(pts[:, None, :] - system.positions, axis=-1))
+            if dmin < 1e-12 * scale:
+                raise RuntimeError("a grid node coincides with a source; shift the grid bounds")
+            yield _field_table(system, pts).T
 
-    # a node beyond about 1e154 is at an infinite distance, which passes
-    with np.errstate(over="ignore"):
-        dmin = min(
-            np.min(np.linalg.norm(pts[:, None, :] - system.positions, axis=-1)) for pts in blocks()
-        )
-    scale = max(system.min_source_spacing() or 1.0, 1.0)
-    if dmin < 1e-12 * scale:
-        raise RuntimeError("a grid node coincides with a source; shift the grid bounds")
     prov = _provenance(config, ("model", "field"), {})
     write_csv(
         os.path.join(out, "field.csv"),
         ("x", "y", "z", "jx", "jy", "jz", "|psi1|", "phase"),
-        (_field_table(system, pts).T for pts in blocks()),
+        blocks(),
         prov,
     )
     return 0
@@ -216,10 +219,7 @@ def _cmd_streamlines(config, out):
     pts = np.concatenate([line.points for line in lines])
     labels = np.repeat(np.arange(len(lines)), [len(line.points) for line in lines])
     arcs = np.concatenate([line.arc_lengths for line in lines])
-    blocks = (
-        (labels[part], arcs[part], *_field_table(system, pts[part]).T)
-        for part in (slice(k, k + _BLOCK) for k in range(0, len(pts), _BLOCK))
-    )
+    blocks = ((labels[p], arcs[p], *_field_table(system, pts[p]).T) for p in _parts(len(pts)))
     write_csv(
         os.path.join(out, "streamlines.csv"),
         ("line", "s", "x", "y", "z", "jx", "jy", "jz", "|psi1|", "phase"),
@@ -344,10 +344,14 @@ def _cmd_simulate(config, out):
             }
     if record is not None:
         write_jsonl(os.path.join(out, "trajectory.jsonl"), trajectory_events(record), prov)
+        # every particle's vertices in pid order, a block of rows at a time
+        pids = sorted(record.paths)
+        rows = np.concatenate([np.empty((0, 4)), *map(record.paths.get, pids)])
+        labels = np.repeat(pids, [len(record.paths[pid]) for pid in pids])
         write_csv(
             os.path.join(out, "trajectory_paths.csv"),
             ("particle", "t", "x", "y", "z"),
-            ((np.full(len(p), pid), *p.T) for pid, p in sorted(record.paths.items())),
+            ((labels[p], *rows[p].T) for p in _parts(len(rows))),
             prov,
         )
     if payload is not None:
@@ -505,11 +509,6 @@ def _cmd_potential(config, out):
     return 0
 
 
-def _witness_pair(pair):
-    u, v = pair
-    return [[u.real, u.imag], [v.real, v.imag]]
-
-
 def _cmd_boundary(config, out):
     from .boundary import (
         RobinBC,
@@ -542,8 +541,8 @@ def _cmd_boundary(config, out):
                 "alpha": witness_in.alpha,
                 "beta": witness_in.beta,
                 "psi_q": witness_in.psi_q,
-                "positive": _witness_pair(witness.positive),
-                "negative": _witness_pair(witness.negative),
+                "positive": witness.positive,
+                "negative": witness.negative,
                 "current_positive": witness.current_positive,
                 "current_negative": witness.current_negative,
             }

@@ -25,14 +25,10 @@ signatures are 1-based.
 from dataclasses import dataclass
 
 import numpy as np
-# nothing here calls solve_ivp; the binding stays because the per-layer
-# tracer in perfbench/tracing.py patches process.solve_ivp by name
-from scipy.integrate import solve_ivp  # noqa: F401
-from scipy.spatial.distance import pdist
-# scipy.stats (about 0.5 s to import) is imported inside the three
-# statistics functions, so a trajectory-only run never loads it
 
-from .chisquare import pooled_chisquare
+# scipy is imported inside the functions that call it (scipy.stats, about
+# 0.5 s, by the three statistics functions), so importing this module or
+# running a trajectory loads no scipy module
 from .groundstate import _advance, _flow, _short_of_span, radial_cdf_interpolator
 from .groundstate import sample_boson_positions
 
@@ -59,6 +55,19 @@ __all__ = [
     "StartSensitivityReport",
     "emission_start_sensitivity",
 ]
+
+
+def solve_ivp(*args, **kwargs):
+    """`scipy.integrate.solve_ivp`, imported when first called.
+
+    Nothing here calls it.  It exists only because the per-layer tracer in
+    perfbench/tracing.py patches `process.solve_ivp` by name; ROADMAP item 1
+    deletes it together with that hook.
+    """
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
+
 
 def _velocity_raw(system, pts):
     """Velocity field current/|psi1|^2 with the density floored near nodes.
@@ -520,6 +529,8 @@ def _poisson_chisquare(samples, lam, min_expected=5.0):
     a priori: bins 0..max plus an upper tail, pooled by `pooled_chisquare`."""
     from scipy.stats import poisson
 
+    from .chisquare import pooled_chisquare
+
     samples = np.asarray(samples)
     kmax = int(samples.max(initial=0))
     counts = np.bincount(samples, minlength=kmax + 2)
@@ -701,6 +712,8 @@ def emission_start_sensitivity(gs, t_probe=2.0, eps_start=None, law=None):
     the placement bias of downstream positions.  Raises RuntimeError when a
     start runs out of substep rounds.
     """
+    from scipy.spatial.distance import pdist
+
     system = gs.system
     law = derive_emission_law(gs) if law is None else law
     eps_absorb, eps0 = _resolve_radii(system, None, eps_start)

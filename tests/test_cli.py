@@ -531,6 +531,23 @@ def test_field_outside_the_float_range_exits_2_naming_the_quantity(tmp_path, cap
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("block", [10**9, 2])
+def test_a_grid_node_on_a_source_exits_2_and_leaves_no_output_directory(
+    tmp_path, capsys, monkeypatch, block
+):
+    # the node (0, 0, 0) is source 1; in blocks of 2 it is in the third block
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    grid = "[field]\nx_min = -1.0\nx_max = 1.0\ny_min = -1.0\ny_max = 1.0\nnx = 3\nny = 3\n"
+    (tmp_path / "run.cfg").write_text(MODEL + grid)
+    out = tmp_path / "fresh" / "out"
+    code = main(["field", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: a grid node coincides with a source; shift the grid bounds\n"
+    )
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
 def test_a_failed_field_write_leaves_no_output_directory(tmp_path, capsys):
     text = "\n".join(_REDUCED_LINES).replace("\nhbar = 1.0\n", "\nhbar = 1e308\n", 1) + "\n"
     (tmp_path / "run.cfg").write_text(text)
@@ -1105,6 +1122,42 @@ def test_simulate_is_byte_deterministic(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def _recording_simulate(monkeypatch, edit=lambda record: record):
+    """Patch process.simulate to keep each record it returns, after `edit`."""
+    records = []
+    run = process.simulate
+
+    def recording(*args, **kwargs):
+        records.append(edit(run(*args, **kwargs)))
+        return records[-1]
+
+    monkeypatch.setattr(process, "simulate", recording)
+    return records
+
+
+def test_trajectory_paths_csv_matches_one_block_per_particle(tmp_path, monkeypatch):
+    # blocks of 7 rows split particles and join neighbours; the reference is
+    # one block per particle in pid order
+    records = _recording_simulate(monkeypatch)
+    monkeypatch.setattr(cli, "_BLOCK", 7)
+    code, out = run_cli(tmp_path, SIM_TRAJ, "simulate", "--seed", "1")
+    assert code == 0
+    paths = sorted(records[0].paths.items())
+    assert len(paths) > 1 and sum(len(p) for _, p in paths) > 7 * len(paths)
+    reference = tmp_path / "reference.csv"
+    blocks = ((np.full(len(p), pid), *p.T) for pid, p in paths)
+    prov = Provenance("simulate", "0" * 64, 0, {}, {})
+    write_csv(reference, ("particle", "t", "x", "y", "z"), blocks, prov)
+    assert read_csv(out / "trajectory_paths.csv")[1:] == read_csv(reference)[1:]
+
+
+def test_trajectory_paths_csv_with_no_particle_is_the_header_alone(tmp_path, monkeypatch):
+    _recording_simulate(monkeypatch, lambda record: dataclasses.replace(record, paths={}))
+    code, out = run_cli(tmp_path, SIM_TRAJ, "simulate", "--seed", "1")
+    assert code == 0
+    assert read_csv(out / "trajectory_paths.csv")[1:] == ("particle,t,x,y,z", [])
+
+
 # one config for all seven commands, each section small
 ALL_COMMANDS_SMALL = MODEL + """E0 = 0.005
 
@@ -1600,7 +1653,7 @@ def _stats_modules(modules):
     return [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
 
 
-def test_trajectory_only_simulate_loads_no_scipy_stats_in_a_fresh_interpreter(tmp_path):
+def test_trajectory_only_simulate_loads_no_scipy_in_a_fresh_interpreter(tmp_path):
     cfg = tmp_path / "run.cfg"
     text = ALL_COMMANDS_SMALL.replace("sample_times = 0.1 0.2\n", "")
     cfg.write_text(text.replace("runs = 1000", "runs = 0"))
@@ -1608,5 +1661,9 @@ def test_trajectory_only_simulate_loads_no_scipy_stats_in_a_fresh_interpreter(tm
     result = run_fresh(_COMMAND, str(FIGURE_CFG), "simulate", "--config", str(cfg), "--out", str(out))
     assert result["code"] == 0
     assert (out / "trajectory.jsonl").exists()
-    assert "scipy.integrate" in result["scipy"]
-    assert not _stats_modules(result["scipy"])
+    assert result["scipy"] == []
+
+
+def test_importing_process_loads_no_scipy_in_a_fresh_interpreter():
+    script = _SCIPY_MODULES + "import chargeflow.process\nprint(json.dumps(scipy_modules()))\n"
+    assert run_fresh(script) == []
