@@ -6,7 +6,7 @@ truncated lattice Fock models with Bell-type jump processes (`lattice`),
 continuum Bohmian trajectories with stochastic creation/annihilation
 (`process`), one-dimensional boundary-condition analogues (`boundary`),
 and a config-driven command line interface (`cli`).  The package re-exports
-the `__all__` of each of these modules except `cli`, plus `presets`.
+the `__all__` of each of these modules except `cli`.
 
 The re-exports resolve on first access (PEP 562), so importing the package
 or one of its light modules (`model`, `config`, `io`, `cli`) loads no scipy.
@@ -17,7 +17,7 @@ import importlib
 __version__ = "0.1.0"
 
 # the re-exporting modules, in the order of `__all__`
-_MODULES = ("model", "groundstate", "lattice", "process", "boundary", "presets")
+_MODULES = ("model", "groundstate", "lattice", "process", "boundary")
 # every submodule: `from chargeflow import cli` asks this hook for `cli`
 # before it imports the submodule, and must not load the others to answer
 _SUBMODULES = (*_MODULES, "chisquare", "config", "io", "g17", "cli")

@@ -30,7 +30,6 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 __all__ = [
     "RobinBC",
-    "PhasePeriodicBC",
     "WitnessInput",
     "EndVerdict",
     "ConservationReport",
@@ -40,7 +39,6 @@ __all__ = [
     "EmissionWitness",
     "RobinEvolution",
     "LeakReport",
-    "boundary_current",
     "is_probability_conserving",
     "bethe_peierls_check",
     "periodic_spectrum",
@@ -73,17 +71,6 @@ class RobinBC:
 
 
 @dataclass(frozen=True)
-class PhasePeriodicBC:
-    """psi(x+1) = e^{i theta} psi(x) on the unit circle, theta in (-pi, pi]."""
-
-    theta: float
-
-    def __post_init__(self):
-        if not (-np.pi < self.theta <= np.pi):
-            raise ValueError("theta must lie in (-pi, pi]")
-
-
-@dataclass(frozen=True)
 class WitnessInput:
     """Data of the local condition (alpha + beta d/dn) psi(q') = psi(q)."""
 
@@ -97,11 +84,6 @@ class WitnessInput:
             raise ValueError(
                 "psi(q) must be nonzero (psi(q) = 0 is the absorbing case, not supported)"
             )
-
-
-def boundary_current(psi_val, dpsi_val, m=1.0, hbar=1.0):
-    """Pointwise probability current j = (hbar/m) Im[conj(psi) psi']."""
-    return float(hbar / m * np.imag(np.conj(psi_val) * dpsi_val))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ Usage: ``chargeflow <command> --config <path> [--out <dir>] [--seed <u64>]
 ``streamlines``, ``simulate``, ``lattice``, ``potential`` and ``boundary``;
 ``--check`` applies to ``lattice`` only.  Diagnostics go to standard error,
 data to files under the output directory.  Exit codes: 0 success, 1
-configuration error, 2 numerical failure, 3 a ``--check`` style
+configuration or output error, 2 numerical failure, 3 a ``--check`` style
 verification ran and failed.
 
 Randomness: the config's master seed is never used directly; each stochastic
@@ -35,7 +35,7 @@ from .model import GeneralIBCParams, classify_charges, classify_general_ibc
 
 __all__ = ["main", "dispatch"]
 
-# LinAlgError, NearNodeError and NodeError are ValueErrors
+# LinAlgError and NodeError are ValueErrors
 _NUMERICAL = (RuntimeError, ArithmeticError, ValueError)
 
 
@@ -49,13 +49,12 @@ def _provenance(config, sections, seed_streams):
     )
 
 
-def _verdict_payload(verdict):
-    return {
-        "symmetric": verdict.symmetric,
-        "theta": verdict.theta,
-        "witness": list(verdict.witness) if verdict.witness else None,
-        "theta_of_n": verdict.theta_of_n,
-    }
+def _fields(report, names):
+    """The fields of `report` named in the space-separated `names`, in order."""
+    return {name: getattr(report, name) for name in names.split()}
+
+
+_VERDICT = "symmetric theta witness theta_of_n"
 
 
 def _cmd_symmetry(config, out):
@@ -64,14 +63,14 @@ def _cmd_symmetry(config, out):
     payload = {
         "test": "charge symmetry",
         "charges": [[g.real, g.imag] for g in system.charges],
-        **_verdict_payload(classify_charges(system.charges, tol=opts["tol"])),
+        **_fields(classify_charges(system.charges, tol=opts["tol"]), _VERDICT),
     }
     if opts["ibc_thetas"]:
         params = GeneralIBCParams(thetas=np.asarray(opts["ibc_thetas"]))
         payload["ibc"] = {
             "test": "general boundary-coupling symmetry",
-            "thetas": list(opts["ibc_thetas"]),
-            **_verdict_payload(classify_general_ibc(params, tol=opts["tol"])),
+            "thetas": opts["ibc_thetas"],
+            **_fields(classify_general_ibc(params, tol=opts["tol"]), _VERDICT),
         }
     prov = _provenance(config, ("model", "symmetry"), {})
     write_json(os.path.join(out, "symmetry.json"), payload, prov)
@@ -316,30 +315,18 @@ def _cmd_simulate(config, out):
             "emission_law": {"rates": law.rates, "limits": law.limits},
             "reversal": {
                 "test": "per-source emission/absorption balance (two-sided binomial)",
-                "runs": rev.runs,
-                "t_final": rev.t_final,
-                "emissions": list(rev.emissions),
-                "absorptions": list(rev.absorptions),
-                "p_values": list(rev.p_values),
-                "balanced": rev.balanced,
-                "flux_balance_error": rev.flux_balance_error,
+                **_fields(
+                    rev, "runs t_final emissions absorptions p_values balanced flux_balance_error"
+                ),
             },
         }
         if opts["sample_times"]:
             eq = equivariance_report(gs, result)
             payload["equivariance"] = {
                 "test": "sector chi-square and radial/angular KS against the invariant law",
-                "runs": eq.runs,
-                "passed": eq.passed,
+                **_fields(eq, "runs passed"),
                 "samples": [
-                    {
-                        "time": s.time,
-                        "n_bosons": s.n_bosons,
-                        "sector_p": s.sector_p,
-                        "radial_p": s.radial_p,
-                        "angular_p": s.angular_p,
-                    }
-                    for s in eq.samples
+                    _fields(s, "time n_bosons sector_p radial_p angular_p") for s in eq.samples
                 ],
             }
     if record is not None:
@@ -423,9 +410,7 @@ def _cmd_lattice(config, out, check=None):
             payload = {
                 "check": "reversal",
                 "theta": theta,
-                "max_violation": report.max_violation,
-                "commutator_norm": report.commutator_norm,
-                "passed": report.passed,
+                **_fields(report, "max_violation commutator_norm passed"),
             }
         write_json(os.path.join(out, "lattice_check.json"), payload, prov)
         return 0 if payload["passed"] else 3
@@ -496,12 +481,9 @@ def _cmd_potential(config, out):
     payload = {"ground_energy": ground_energy(system), "pairs": len(rows)}
     if opts["verify"]:
         report = verify_eigen_vacuum(ground_state(system))
-        payload["vacuum_check"] = {
-            "numeric_energy": report.numeric_energy,
-            "closed_form_energy": report.closed_form_energy,
-            "rel_error": report.rel_error,
-            "passed": report.passed,
-        }
+        payload["vacuum_check"] = _fields(
+            report, "numeric_energy closed_form_energy rel_error passed"
+        )
     # one block of columns, or none for a single source
     blocks = [list(zip(*rows))] if rows else []
     write_csv(os.path.join(out, "kappa_table.csv"), ("i", "j", "kappa", "range"), blocks, prov)
@@ -538,13 +520,8 @@ def _cmd_boundary(config, out):
             raise ConfigError(str(exc), line) from exc
         witnesses.append(
             {
-                "alpha": witness_in.alpha,
-                "beta": witness_in.beta,
-                "psi_q": witness_in.psi_q,
-                "positive": witness.positive,
-                "negative": witness.negative,
-                "current_positive": witness.current_positive,
-                "current_negative": witness.current_negative,
+                **_fields(witness_in, "alpha beta psi_q"),
+                **_fields(witness, "positive negative current_positive current_negative"),
             }
         )
     bc = None
@@ -575,11 +552,10 @@ def _cmd_boundary(config, out):
                 "distance_to_pi_multiple": verdict.distance_to_pi_multiple,
                 "discrete": {
                     "grid": opts["grid"],
-                    "eigenvalue": discrete.eigenvalue,
-                    "continuum_energy": discrete.continuum_energy,
-                    "energy_rel_error": discrete.energy_rel_error,
-                    "current": discrete.current,
-                    "current_rel_error": discrete.current_rel_error,
+                    **_fields(
+                        discrete,
+                        "eigenvalue continuum_energy energy_rel_error current current_rel_error",
+                    ),
                 },
             }
         )
@@ -588,12 +564,7 @@ def _cmd_boundary(config, out):
         verdicts = is_probability_conserving(bc)
         robin = {
             "ends": [
-                {
-                    "end": end,
-                    "conserving": v.conserving,
-                    "dirichlet": v.dirichlet,
-                    "leak_coefficient": v.leak_coefficient,
-                }
+                {"end": end, **_fields(v, "conserving dirichlet leak_coefficient")}
                 for end, v in ((0, verdicts.end0), (1, verdicts.end1))
             ],
             "conserving": verdicts.conserving,
@@ -604,14 +575,7 @@ def _cmd_boundary(config, out):
             leak = robin_leak_check(
                 bc, end=opts["leak_end"], n_grid=opts["grid"], m=m, hbar=hbar, tol=opts["leak_tol"]
             )
-            robin["leak"] = {
-                "end": leak.end,
-                "measured": leak.measured,
-                "predicted": leak.predicted,
-                "rel_error": leak.rel_error,
-                "passed": leak.passed,
-                "sample_time": leak.sample_time,
-            }
+            robin["leak"] = _fields(leak, "end measured predicted rel_error passed sample_time")
     blocks = [list(zip(*rows))] if rows else []
     write_csv(os.path.join(out, "spectra.csv"), ("theta", "k", "E"), blocks, prov)
     write_json(os.path.join(out, "currents.json"), {"levels": currents}, prov)
@@ -688,6 +652,9 @@ def main(argv=None):
     except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an --out that cannot hold the artifacts
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -22,9 +22,9 @@ mean lambda_P = (m/(2*pi*hbar^2))^2 * integral |psi1|^2, positions within a
 sector i.i.d. with density |psi1|^2; hence Ncal = exp(-lambda_P/2).
 
 When the coupling phases are neither all equal nor opposite, psi1 carries a
-nonzero probability current even though it is (the one-boson shadow of) a
-ground state; the closed-form current implemented here is cross-checked
-against a finite-difference evaluation of (hbar/m) Im[conj(psi1) grad psi1].
+nonzero probability current (hbar/m) Im[conj(psi1) grad psi1] even though it
+is (the one-boson shadow of) a ground state; `current_closed_form` evaluates
+it in closed form, and the tests cross-check it against finite differences.
 
 Source labels in all public signatures are 1-based.  scipy is imported only
 inside the radial-CDF functions, so the field and its streamlines load none.
@@ -41,13 +41,11 @@ from .model import ChargeSystem, Configuration
 
 __all__ = [
     "GroundState",
-    "NearNodeError",
     "ground_state",
     "psi1",
     "psi1_gradient",
     "psi_min",
     "current_closed_form",
-    "current_numeric",
     "velocity",
     "ground_energy",
     "effective_kappa",
@@ -64,10 +62,6 @@ __all__ = [
 # RK4 substeps a point may take to cover one span: an `_advance` call, or
 # one arc chunk of a streamline
 _SUBSTEP_BUDGET = 20000
-
-
-class NearNodeError(ValueError):
-    """Velocity requested at a point where |psi1| underflows."""
 
 
 def _pair_scale(system):
@@ -240,47 +234,21 @@ def current_closed_form(system, y):
     `_flow`.  Of the two possible unit-vector attachments in this double
     sum, the one tying e_j to the radial factor (alpha + 1/r_j) agrees with
     the finite-difference evaluation of (hbar/m) Im[conj(psi1) grad psi1]; a
-    regression test against `current_numeric` freezes that reading.
+    regression test against a finite-difference oracle freezes that reading.
     """
     return _flow(system, y)[1]
 
 
-def current_numeric(system, y, h=1e-3):
-    """Finite-difference oracle (hbar/m) Im[conj(psi1) grad_h psi1].
-
-    Central differences of step h per axis, second-order accurate; requires
-    every evaluation point to be farther than 10*h from all sources.
-    """
-    if not h > 0:
-        raise ValueError("h must be positive")
-    y = np.asarray(y, dtype=float)
-    shape = y.shape
-    flat = y.reshape(-1, 3)
-    _, r = _source_displacements(system, flat)
-    if np.any(r <= 10.0 * h):
-        raise ValueError("step too large relative to distance to the nearest source")
-    val = psi1(system, flat)
-    grad = np.empty(flat.shape, dtype=complex)
-    for ax in range(3):
-        step = np.zeros(3)
-        step[ax] = h
-        grad[:, ax] = (psi1(system, flat + step) - psi1(system, flat - step)) / (2.0 * h)
-    return (system.hbar / system.m * np.imag(np.conj(val)[:, None] * grad)).reshape(shape)
-
-
 def velocity(system, y):
-    """Bohmian velocity field current/|psi1|^2.
+    """Bohmian velocity field current/|psi1|^2, the density floored at 1e-300.
 
-    Invariant under a global phase rotation of the couplings.  Points where
-    |psi1|^2 underflows (within 1e-300 of zero on the natural charge scale)
-    raise NearNodeError.
+    Invariant under a global phase rotation of the couplings.  It never
+    raises near a node: trajectories spend vanishing time there, and the
+    ensemble driver must not die there.  Real charge vectors give an exactly
+    zero current and hence exactly zero velocity.
     """
     val, cur = _flow(system, y)
-    dens = np.abs(val) ** 2
-    scale = float(np.max(np.abs(system.charges)) * system.alpha) ** 2
-    if np.any(dens < 1e-300 * max(scale, 1.0)):
-        raise NearNodeError("velocity requested at a near-node of psi1")
-    return cur / dens[..., None]
+    return cur / np.maximum(np.abs(val) ** 2, 1e-300)[..., None]
 
 
 def _rk4_round(system, field, p, remaining, nearest_d, eps_absorb):

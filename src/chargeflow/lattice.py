@@ -62,7 +62,6 @@ __all__ = [
     "run_bell_ensemble",
     "reversal_conditions_check",
     "ground_state_current",
-    "lattice_ground_state",
 ]
 
 MAX_DIMENSION = 200_000
@@ -262,9 +261,9 @@ class LatticeModel:
     `H` is a scipy CSR array at every size and `occupations` the basis as a
     (dim, L) integer array; `basis` (occupation tuples) and `index` (tuple to
     basis index) are built on first use.  Only `ground` and `eig` work on
-    dense matrices, so they and what builds on them (`lattice_ground_state`,
-    `ground_state_current`, the spectral `evolve`) are limited to DENSE_LIMIT
-    states and raise ValueError above it.  `ground` reduces the real
+    dense matrices, so they and what builds on them (`ground_state_current`,
+    the spectral `evolve`) are limited to DENSE_LIMIT states and raise
+    ValueError above it.  `ground` reduces the real
     Hamiltonian of the chain's normal modes, not H itself (see there).
     """
 
@@ -749,12 +748,6 @@ class GroundCurrentReport:
     max_abs: float
     eigengap: float
     energy: float
-
-
-def lattice_ground_state(model):
-    """(energy, amplitude vector) of the exact ground state."""
-    evals, ground = model.ground()
-    return float(evals[0]), ground
 
 
 def ground_state_current(model, gap_tol=1e-8):

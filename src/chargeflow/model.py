@@ -35,7 +35,6 @@ __all__ = [
     "classify_general_ibc",
     "time_reverse",
     "gauge_transform",
-    "reversed_charges",
     "sector_inner_product",
 ]
 
@@ -133,10 +132,6 @@ class ChargeSystem:
         d = self.pair_distances()
         return float(np.min(d[~np.eye(self.n_sources, dtype=bool)]))
 
-    def with_charges(self, charges):
-        """Same geometry and constants, different couplings."""
-        return ChargeSystem(self.positions, charges, self.m, self.E0, self.hbar)
-
 
 @dataclass(frozen=True)
 class Configuration:
@@ -162,13 +157,6 @@ class Configuration:
     @property
     def sector(self):
         return self.positions.shape[0]
-
-    def is_interior(self, system):
-        """True when no boson sits exactly on a source of `system`."""
-        if self.sector == 0:
-            return True
-        d = np.linalg.norm(self.positions[:, None, :] - system.positions[None, :, :], axis=-1)
-        return bool(np.all(d > 0.0))
 
 
 @dataclass(frozen=True)
@@ -221,11 +209,6 @@ def classify_charges(charges, tol=1e-10):
     return SymmetryVerdict(
         symmetric=True, theta=theta, theta_of_n=_sector_phase_description(theta)
     )
-
-
-def reversed_charges(charges):
-    """Couplings of the time-reversed model: elementwise conjugate."""
-    return np.conj(np.atleast_1d(np.asarray(charges, dtype=complex)))
 
 
 def _sector_map(psi, phases):

@@ -29,8 +29,8 @@ import numpy as np
 # scipy is imported inside the functions that call it (scipy.stats, about
 # 0.5 s, by the three statistics functions), so importing this module or
 # running a trajectory loads no scipy module
-from .groundstate import _advance, _flow, _short_of_span, radial_cdf_interpolator
-from .groundstate import sample_boson_positions
+from .groundstate import _advance, _short_of_span, radial_cdf_interpolator
+from .groundstate import sample_boson_positions, velocity
 
 __all__ = [
     "EmissionLaw",
@@ -67,17 +67,6 @@ def solve_ivp(*args, **kwargs):
     from scipy.integrate import solve_ivp
 
     return solve_ivp(*args, **kwargs)
-
-
-def _velocity_raw(system, pts):
-    """Velocity field current/|psi1|^2 with the density floored near nodes.
-
-    Unlike `velocity` this never raises: trajectories spend vanishing time
-    near nodes and the ensemble driver must not die there.  Real charge
-    vectors give an exactly zero current and hence exactly zero velocity.
-    """
-    val, cur = _flow(system, pts)
-    return cur / np.maximum(np.abs(val) ** 2, 1e-300)[..., None]
 
 
 def _unit_vectors(rng, n):
@@ -306,7 +295,7 @@ def simulate(gs, params, initial=None, law=None):
     while t < params.t_max - 1e-12:
         t_stop = min(t + params.dt_max, b_time[born], params.t_max)
         if ids:
-            moved, hit, left = _advance(system, _velocity_raw, pos, t_stop - t, eps_absorb)
+            moved, hit, left = _advance(system, velocity, pos, t_stop - t, eps_absorb)
             if _short_of_span(hit, left).any():
                 failure = f"substep budget exhausted in the step from t={t:.6g}"
                 break
@@ -316,7 +305,7 @@ def simulate(gs, params, initial=None, law=None):
                 t_stop -= left[first]
                 others = np.arange(len(ids)) != first
                 moved[others], hit[others], _ = _advance(
-                    system, _velocity_raw, pos[others], t_stop - t, eps_absorb
+                    system, velocity, pos[others], t_stop - t, eps_absorb
                 )
                 absorbed = (hit >= 0).nonzero()[0]
             if not ends:
@@ -499,7 +488,7 @@ def run_ensemble(gs, params, law=None):
         np.add.at(sectors, b_run[new], 1)
         span = np.append(np.full(pos.shape[0], (k1 - k0) * dt), k1 * dt - b_time[new])
         pos, run = np.concatenate([pos, b_pos[new]]), np.append(run, b_run[new])
-        pos, hit_src, left = _advance(system, _velocity_raw, pos, span, eps_absorb)
+        pos, hit_src, left = _advance(system, velocity, pos, span, eps_absorb)
         if _short_of_span(hit_src, left).any():
             raise RuntimeError(f"substep budget exhausted before t={k1 * dt:.6g}")
         hit = hit_src >= 0
@@ -724,7 +713,7 @@ def emission_start_sensitivity(gs, t_probe=2.0, eps_start=None, law=None):
     dirs = np.concatenate([np.eye(3), -np.eye(3)])
     offsets = np.array(factors)[None, :, None] * eps0 * dirs[:, None, :]
     starts = (system.positions[source] + offsets).reshape(-1, 3)
-    ends, hit, left = _advance(system, _velocity_raw, starts, t_probe, eps_absorb)
+    ends, hit, left = _advance(system, velocity, starts, t_probe, eps_absorb)
     if _short_of_span(hit, left).any():
         raise RuntimeError(f"substep budget exhausted before t={t_probe:.6g}")
     deviations = [float(pdist(e).max()) for e in ends.reshape(len(dirs), len(factors), 3)]

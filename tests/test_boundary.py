@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from chargeflow.boundary import (
-    PhasePeriodicBC,
     RobinBC,
     WitnessInput,
     bethe_peierls_check,
-    boundary_current,
     discrete_periodic_ground,
     emission_witness,
     evolve_robin,
@@ -27,21 +25,6 @@ def gaussian_packet(center=0.5, width=0.1, momentum=0.0):
         return np.exp(-((x - center) ** 2) / (2 * width**2)) * np.exp(1j * momentum * x)
 
     return psi0
-
-
-def test_boundary_current_basic_values():
-    assert boundary_current(1.3, -0.7) == 0.0
-    assert boundary_current(1.0, 1j) == 1.0
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        k = rng.uniform(-5, 5)
-        x = rng.uniform(0, 1)
-        m = rng.uniform(0.5, 2)
-        hbar = rng.uniform(0.5, 2)
-        psi = np.exp(1j * k * x)
-        np.testing.assert_allclose(
-            boundary_current(psi, 1j * k * psi, m, hbar), hbar * k / m, rtol=1e-14
-        )
 
 
 def test_conservation_verdicts():
@@ -222,8 +205,6 @@ def test_periodic_symmetry_verdict():
     assert symmetry_verdict_periodic(-np.pi).symmetric
     assert not symmetry_verdict_periodic(0.7).symmetric
     assert symmetry_verdict_periodic(0.7).distance_to_pi_multiple == pytest.approx(0.7)
-    with pytest.raises(ValueError):
-        PhasePeriodicBC(theta=4.0)
 
 
 def witness_current(u, v, m=1.0, hbar=1.0):

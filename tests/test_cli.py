@@ -558,6 +558,23 @@ def test_a_failed_field_write_leaves_no_output_directory(tmp_path, capsys):
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
+@pytest.mark.parametrize("command, text", [("symmetry", MODEL), ("simulate", SIM_TRAJ)])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_an_out_that_cannot_be_a_directory_exits_1_with_one_line(
+    tmp_path, capsys, command, text, below
+):
+    # --out is an existing regular file, or a path through one
+    (tmp_path / "run.cfg").write_text(text)
+    (tmp_path / "taken").write_text("kept\n")
+    out = tmp_path / "taken" / below
+    code = main([command, "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("output error: ") and err.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
 @pytest.mark.parametrize(
     ("section", "key", "command"),
     [
@@ -1578,7 +1595,7 @@ namespace = {}
 exec("from chargeflow import *", namespace)
 modules = [
     getattr(chargeflow, name)
-    for name in ("model", "groundstate", "lattice", "process", "boundary", "presets")
+    for name in ("model", "groundstate", "lattice", "process", "boundary")
 ]
 owner = {name: module for module in modules for name in module.__all__}
 print(json.dumps({

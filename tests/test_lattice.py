@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import FIGURE_CHARGES, lattice_preset
 from scipy import integrate, stats
 from scipy.sparse import eye_array
 
@@ -22,14 +23,12 @@ from chargeflow.lattice import (
     evolve,
     ground_state_current,
     lattice_dimension,
-    lattice_ground_state,
     reversal_conditions_check,
     run_bell_ensemble,
     run_bell_process,
     sector_reversal,
 )
 from chargeflow.model import classify_charges
-from chargeflow.presets import FIGURE_CHARGES, lattice_preset
 
 THETA_GRID = np.linspace(-np.pi / 2, np.pi / 2, 360, endpoint=False)
 
@@ -229,9 +228,9 @@ def test_evolve_identity_phase_and_group_property():
     model = build_model(lattice_preset())
     psi = random_state(rng, model.dim)
     np.testing.assert_allclose(evolve(model, psi, 0.0), psi)
-    energy, ground = lattice_ground_state(model)
+    evals, ground = model.ground()
     np.testing.assert_allclose(
-        evolve(model, ground, 0.8), np.exp(-1j * energy * 0.8) * ground, atol=1e-12
+        evolve(model, ground, 0.8), np.exp(-1j * evals[0] * 0.8) * ground, atol=1e-12
     )
     back = evolve(model, evolve(model, psi, 1.3), -1.3)
     np.testing.assert_allclose(back, psi, atol=1e-8)
@@ -430,7 +429,7 @@ def test_bell_rates_net_current_identity():
 
 def test_bell_rates_vanish_for_real_eigenstates():
     model = build_model(lattice_preset((1.0, -2.0)))
-    _, ground = lattice_ground_state(model)
+    _, ground = model.ground()
     ground = ground / np.exp(1j * np.angle(ground[np.argmax(np.abs(ground))]))
     for qi in range(model.dim):
         if abs(ground[qi]) > 1e-12:
@@ -454,7 +453,7 @@ def test_bell_rates_match_brute_force_on_three_state_model():
                 assert model.basis[qj] not in rates
             else:
                 np.testing.assert_allclose(got, expected, atol=1e-14)
-    _, ground = lattice_ground_state(model)
+    _, ground = model.ground()
     # single source is gauge-equivalent to a real coupling: stationary, no jumps
     assert all(
         bell_jump_rates(model, ground, qi) == {}
@@ -473,7 +472,7 @@ def test_bell_rates_signal_nodes():
 
 def test_bell_process_stationary_for_real_ground_state():
     model = build_model(lattice_preset((1.0, -2.0)))
-    _, ground = lattice_ground_state(model)
+    _, ground = model.ground()
     rec = run_bell_process(model, ground, 0.5, seed=11)
     assert len(rec.states) == 1 and rec.node_warnings == 0
     res = run_bell_ensemble(model, ground, 0.5, 300, seed=12)
@@ -603,7 +602,7 @@ def test_truncation_convergence_is_quartic_in_coupling():
             L=5, a=1.0, n_max=n_max, source_sites=(1, 3),
             charges=(scale, -0.8 * scale), E0=1.0,
         )
-        return lattice_ground_state(build_model(params))[0]
+        return build_model(params).ground()[0][0]
 
     g = 0.2
     d12 = abs(energy(g, 1) - energy(g, 2))
@@ -657,7 +656,7 @@ def test_ground_pair_matches_dense_eigh():
         assert np.max(np.abs(evals - want)) <= 1e-12 * scale
         assert abs(np.vdot(vecs[:, 0], ground)) >= 1.0 - 1e-12
         assert np.linalg.norm(model.H @ ground - evals[0] * ground) <= 1e-12 * scale
-        assert lattice_ground_state(model)[1] is ground
+        assert model.ground()[1] is ground
 
 
 def test_ground_pair_failure_raises_linalg_error(monkeypatch):
@@ -742,7 +741,7 @@ def stationary_run(name, n_chains=20000, seed=7):
     of a stationary Bell run that may call no `evolve`."""
     params, t = STATIONARY_RUNS[name]
     model = build_model(params)
-    _, ground = lattice_ground_state(model)
+    _, ground = model.ground()
     out_rates = np.array([sum(bell_jump_rates(model, ground, q).values()) for q in range(model.dim)])
 
     def refuse(*args, **kwargs):
@@ -793,7 +792,7 @@ def test_stationary_jump_count_matches_the_total_flux(name):
 
 def test_stationary_bell_process_records_its_jump_times():
     model = build_model(lattice_preset())
-    _, ground = lattice_ground_state(model)
+    _, ground = model.ground()
     jumps = 0
     for seed in (3, 4, 5):
         rec = run_bell_process(model, ground, 100.0, seed=seed)
@@ -812,7 +811,7 @@ def test_stationary_holding_times_are_exponential():
     # sigma_out(q), so 1 - e^{-sigma_out(q) tau} is uniform; one long chain
     # gives about 2,200 holding times (the last, cut off at t, is left out)
     model = build_model(lattice_preset())
-    _, ground = lattice_ground_state(model)
+    _, ground = model.ground()
     rec = run_bell_process(model, ground, 20000.0, seed=9)
     out_rates = np.array([sum(bell_jump_rates(model, ground, q).values()) for q in rec.states[:-1]])
     held = np.diff(rec.times)
@@ -827,7 +826,7 @@ def test_forced_stretches_keep_the_stationary_law(monkeypatch):
     # one-stretch run
     params, t = STATIONARY_RUNS["figure"]
     model = build_model(params)
-    _, ground = lattice_ground_state(model)
+    _, ground = model.ground()
     out_rates = np.array([sum(bell_jump_rates(model, ground, q).values()) for q in range(model.dim)])
     monkeypatch.setattr(lattice, "_is_stationary", lambda model, psi: False)
     res = run_bell_ensemble(model, ground, t, 20000, seed=7)

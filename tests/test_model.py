@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from chargeflow.model import (
     classify_charges,
     classify_general_ibc,
     gauge_transform,
-    reversed_charges,
     sector_inner_product,
     time_reverse,
 )
@@ -70,7 +71,6 @@ def test_classification_invariant_under_global_phase_and_conjugation():
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
         assert classify_charges(phase * g).symmetric == v.symmetric
         assert classify_charges(np.conj(g)).symmetric == v.symmetric
-        assert classify_charges(reversed_charges(g)).symmetric == v.symmetric
 
 
 def test_witness_is_lexicographically_first():
@@ -176,20 +176,12 @@ def test_im_products_are_antisymmetric_to_the_bit():
         want = np.imag(np.conj(g)[:, None] * g[None, :])
         np.testing.assert_allclose(B, want, rtol=0, atol=1e-15 * np.max(np.abs(g)) ** 2)
         assert not B.flags.writeable
-        np.testing.assert_array_equal(sys_.with_charges(np.conj(g)).im_products, -B)
+        np.testing.assert_array_equal(replace(sys_, charges=np.conj(g)).im_products, -B)
 
 
-def test_configuration_sector_and_interior():
-    sys_ = ChargeSystem(
-        positions=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
-        charges=np.array([1.0, 2.0]),
-    )
-    empty = Configuration(positions=np.zeros((0, 3)))
-    assert empty.sector == 0
-    assert empty.is_interior(sys_)
-    on_source = Configuration(positions=np.array([[1.0, 0.0, 0.0]]))
-    assert on_source.sector == 1
-    assert not on_source.is_interior(sys_)
+def test_configuration_sector():
+    assert Configuration(positions=np.zeros((0, 3))).sector == 0
+    assert Configuration(positions=np.array([[1.0, 0.0, 0.0]])).sector == 1
 
 
 def test_general_ibc_equal_mod_pi_is_symmetric():

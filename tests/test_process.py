@@ -1,14 +1,15 @@
 import time
 import types
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from oracles import figure_system
 
 from chargeflow import groundstate, process
 from chargeflow.groundstate import ground_state, source_flux
 from chargeflow.model import ChargeSystem
-from chargeflow.presets import figure_system
 from chargeflow.process import (
     AbsorbEvent,
     EmissionLaw,
@@ -191,7 +192,7 @@ def test_symmetric_charges_emit_nothing():
     assert law.total_rate == 0.0
     # a common phase rotation keeps every pairwise product real
     rotated = symmetric_system()
-    rotated = rotated.with_charges(np.exp(1j * np.pi / 7) * rotated.charges)
+    rotated = replace(rotated, charges=np.exp(1j * np.pi / 7) * rotated.charges)
     law = derive_emission_law(ground_state(rotated))
     assert law.rates.tolist() == [0.0, 0.0]
 
@@ -225,7 +226,7 @@ def test_single_source_emits_nothing():
 
 
 def test_rates_scale_with_squared_charge_norm(fig_gs, fig_law):
-    scaled = ground_state(fig_gs.system.with_charges(np.sqrt(2.0) * fig_gs.system.charges))
+    scaled = ground_state(replace(fig_gs.system, charges=np.sqrt(2.0) * fig_gs.system.charges))
     law2 = derive_emission_law(scaled)
     np.testing.assert_allclose(law2.limits, 2.0 * fig_law.limits, rtol=1e-9)
     np.testing.assert_allclose(law2.rates, 2.0 * fig_law.rates, rtol=1e-9)
@@ -404,7 +405,7 @@ def per_step_simulate(gs, params, initial=None, law=None):
         ids.pop(k)
         pos = np.delete(pos, k, axis=0)
     t_emit = rng.exponential(1.0 / total) if total > 0.0 else np.inf
-    velocity = process._velocity_raw
+    velocity = groundstate.velocity
     while t < params.t_max - 1e-12:
         t_stop = min(t + params.dt_max, t_emit, params.t_max)
         if ids:
@@ -608,7 +609,7 @@ def per_dt_run_ensemble(gs, params, law):
             next_emit[due] += rng.exponential(1.0 / total, size=due.size)
         pos, run = np.concatenate(rows), np.concatenate(runs)
         pos, hit_src, _ = groundstate._advance(
-            system, process._velocity_raw, pos, np.concatenate(durations), eps_absorb
+            system, groundstate.velocity, pos, np.concatenate(durations), eps_absorb
         )
         hit = hit_src >= 0
         np.add.at(absorptions, hit_src[hit], 1)
@@ -796,7 +797,7 @@ def test_reversal_detects_the_asymmetric_flow(fig_gs, fig_law):
 
 
 def test_reversal_direction_flips_under_conjugation(fig_gs):
-    conj = fig_gs.system.with_charges(np.conj(fig_gs.system.charges))
+    conj = replace(fig_gs.system, charges=np.conj(fig_gs.system.charges))
     report = reversal_test(ground_state(conj), EnsembleParams(runs=400, t_max=6.0, seed=0))
     assert not report.balanced
     assert report.emissions[1] == 0 and report.absorptions[0] == 0
