@@ -15,22 +15,20 @@ regenerated in isolation.
 """
 
 import argparse
+import contextlib
+import errno
 import os
+import shutil
 import sys
+import tempfile
+from functools import partial
 
 import numpy as np
 
 # the light modules only: each command imports the rest when it runs, so a
 # fresh process loads no scipy module that its command does not use
 from .config import COMMANDS, ConfigError, parse_config
-from .io import (
-    Provenance,
-    derive_seed,
-    trajectory_events,
-    write_csv,
-    write_json,
-    write_jsonl,
-)
+from .io import Provenance, derive_seed, trajectory_events, write_csv, write_json, write_jsonl
 from .model import GeneralIBCParams, classify_charges, classify_general_ibc
 
 __all__ = ["main", "dispatch"]
@@ -278,9 +276,6 @@ def _cmd_simulate(config, out):
     if opts["runs"] > 0:
         streams["ensemble"] = 2
     prov = _provenance(config, ("model", "simulate"), streams)
-    # everything is computed before the first artifact is written, so a
-    # failing ensemble leaves no partial output behind
-    record = payload = None
     if opts["trajectory"]:
         record = simulate(
             gs,
@@ -292,6 +287,17 @@ def _cmd_simulate(config, out):
                 eps_start=eps_start,
             ),
             law=law,
+        )
+        write_jsonl(os.path.join(out, "trajectory.jsonl"), trajectory_events(record), prov)
+        # every particle's vertices in pid order, a block of rows at a time
+        pids = sorted(record.paths)
+        rows = np.concatenate([np.empty((0, 4)), *map(record.paths.get, pids)])
+        labels = np.repeat(pids, [len(record.paths[pid]) for pid in pids])
+        write_csv(
+            os.path.join(out, "trajectory_paths.csv"),
+            ("particle", "t", "x", "y", "z"),
+            ((labels[p], *rows[p].T) for p in _parts(len(rows))),
+            prov,
         )
     if opts["runs"] > 0:
         # one ensemble to t_max serves both statistics: its counts feed the
@@ -329,19 +335,6 @@ def _cmd_simulate(config, out):
                     _fields(s, "time n_bosons sector_p radial_p angular_p") for s in eq.samples
                 ],
             }
-    if record is not None:
-        write_jsonl(os.path.join(out, "trajectory.jsonl"), trajectory_events(record), prov)
-        # every particle's vertices in pid order, a block of rows at a time
-        pids = sorted(record.paths)
-        rows = np.concatenate([np.empty((0, 4)), *map(record.paths.get, pids)])
-        labels = np.repeat(pids, [len(record.paths[pid]) for pid in pids])
-        write_csv(
-            os.path.join(out, "trajectory_paths.csv"),
-            ("particle", "t", "x", "y", "z"),
-            ((labels[p], *rows[p].T) for p in _parts(len(rows))),
-            prov,
-        )
-    if payload is not None:
         write_json(os.path.join(out, "statistics.json"), payload, prov)
     return 0
 
@@ -416,9 +409,9 @@ def _cmd_lattice(config, out, check=None):
         return 0 if payload["passed"] else 3
     streams = {"bell_chains": 0} if opts["chains"] > 0 else {}
     prov = _provenance(config, ("lattice",), streams)
-    # everything is computed before the first artifact is written, so a
-    # degenerate ground level leaves no partial output behind
     evals, psi0 = model.ground()
+    spectrum = [(np.arange(len(evals)), evals)]
+    write_csv(os.path.join(out, "spectrum.csv"), ("index", "eigenvalue"), spectrum, prov)
     current = ground_state_current(model)
     # Duhamel: ||e^{-iHt/hbar} psi0 - e^{-iE0 t/hbar} psi0|| <= t ||H psi0 -
     # E0 psi0|| / hbar, and two unit vectors lie at most 2 apart
@@ -455,12 +448,6 @@ def _cmd_lattice(config, out, check=None):
             "occupation_p": pooled_chisquare(observed, expected),
             "node_warnings": result.node_warnings,
         }
-    write_csv(
-        os.path.join(out, "spectrum.csv"),
-        ("index", "eigenvalue"),
-        [(np.arange(len(evals)), evals)],
-        prov,
-    )
     write_json(os.path.join(out, "lattice.json"), payload, prov)
     return 0
 
@@ -471,22 +458,20 @@ def _cmd_potential(config, out):
     system = _model_system(config, bound=True)
     opts = config.options("potential")
     prov = _provenance(config, ("model", "potential"), {})
-    # everything is computed before the first artifact is written, so a
-    # failing command leaves no partial output behind
     rows = []
     for i in range(1, system.n_sources + 1):
         for j in range(i + 1, system.n_sources + 1):
             pair = effective_kappa(system, i, j)
             rows.append((i, j, pair.kappa, pair.interaction_range))
+    # one block of columns, or none for a single source
+    blocks = [list(zip(*rows))] if rows else []
+    write_csv(os.path.join(out, "kappa_table.csv"), ("i", "j", "kappa", "range"), blocks, prov)
     payload = {"ground_energy": ground_energy(system), "pairs": len(rows)}
     if opts["verify"]:
         report = verify_eigen_vacuum(ground_state(system))
         payload["vacuum_check"] = _fields(
             report, "numeric_energy closed_form_energy rel_error passed"
         )
-    # one block of columns, or none for a single source
-    blocks = [list(zip(*rows))] if rows else []
-    write_csv(os.path.join(out, "kappa_table.csv"), ("i", "j", "kappa", "range"), blocks, prov)
     write_json(os.path.join(out, "potential.json"), payload, prov)
     return 0
 
@@ -506,9 +491,8 @@ def _cmd_boundary(config, out):
 
     opts = config.options("boundary")
     m, hbar = opts["m"], opts["hbar"]
-    # rejected witness and Robin rows are config errors, and everything is
-    # computed before the first artifact is written, so a failing command
-    # leaves no partial output behind
+    prov = _provenance(config, ("boundary",), {})
+    # witness and Robin rows are config errors, raised before any level is computed
     witnesses = []
     for wr, line in zip(opts["witness"], config.key_lines.get(("boundary", "witness"), ())):
         try:
@@ -524,6 +508,8 @@ def _cmd_boundary(config, out):
                 **_fields(witness, "positive negative current_positive current_negative"),
             }
         )
+    if witnesses:
+        write_json(os.path.join(out, "witnesses.json"), {"witnesses": witnesses}, prov)
     bc = None
     if opts["robin"]:
         r = opts["robin"]
@@ -536,7 +522,6 @@ def _cmd_boundary(config, out):
             )
         except ValueError as exc:
             raise ConfigError(str(exc), config.line("boundary", "robin")) from exc
-    prov = _provenance(config, ("boundary",), {})
     rows = []
     currents = []
     for theta in opts["theta"]:
@@ -559,7 +544,9 @@ def _cmd_boundary(config, out):
                 },
             }
         )
-    robin = leak = None
+    blocks = [list(zip(*rows))] if rows else []
+    write_csv(os.path.join(out, "spectra.csv"), ("theta", "k", "E"), blocks, prov)
+    write_json(os.path.join(out, "currents.json"), {"levels": currents}, prov)
     if bc is not None:
         verdicts = is_probability_conserving(bc)
         robin = {
@@ -576,16 +563,8 @@ def _cmd_boundary(config, out):
                 bc, end=opts["leak_end"], n_grid=opts["grid"], m=m, hbar=hbar, tol=opts["leak_tol"]
             )
             robin["leak"] = _fields(leak, "end measured predicted rel_error passed sample_time")
-    blocks = [list(zip(*rows))] if rows else []
-    write_csv(os.path.join(out, "spectra.csv"), ("theta", "k", "E"), blocks, prov)
-    write_json(os.path.join(out, "currents.json"), {"levels": currents}, prov)
-    if witnesses:
-        write_json(os.path.join(out, "witnesses.json"), {"witnesses": witnesses}, prov)
-    if leak is not None:
-        write_csv(
-            os.path.join(out, "norm_decay.csv"), ("t", "norm"), [(leak.times, leak.norms)], prov
-        )
-    if robin is not None:
+            decay = [(leak.times, leak.norms)]
+            write_csv(os.path.join(out, "norm_decay.csv"), ("t", "norm"), decay, prov)
         write_json(os.path.join(out, "robin.json"), robin, prov)
     return 0
 
@@ -602,14 +581,45 @@ _HANDLERS = {
 
 
 def dispatch(config, check=None):
-    """Execute a validated RunConfig; returns the process exit code."""
+    """Execute a validated RunConfig; returns the process exit code.
+
+    All or nothing: the command writes into a hidden staging directory inside
+    the output directory, whose files replace their namesakes there once it
+    returns.  An exception, an interrupt included, removes the staged files,
+    any already moved and the directories this run created, and propagates."""
     if config.command not in _HANDLERS:
         raise ConfigError(f"unknown command '{config.command}'")
-    if config.command == "lattice":
-        return _cmd_lattice(config, config.out_dir, check=check)
-    if check is not None:
+    if check is not None and config.command != "lattice":
         raise ConfigError("--check applies to the lattice command only")
-    return _HANDLERS[config.command](config, config.out_dir)
+    handler = partial(_cmd_lattice, check=check) if check else _HANDLERS[config.command]
+    out, stage, moved = config.out_dir or os.curdir, None, []
+    created = []  # the directories makedirs adds, deepest first
+    head = os.path.abspath(out)
+    while not os.path.isdir(head):
+        created.append(head)
+        head = os.path.dirname(head)
+    try:
+        os.makedirs(out, exist_ok=True)
+        stage = tempfile.mkdtemp(dir=out, prefix=".")
+        code = handler(config, stage)
+        names = sorted(os.listdir(stage))
+        for target in (os.path.join(out, name) for name in names):
+            if os.path.isdir(target):  # before any move; os.replace would name the staged file
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+        for name in names:
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+            moved.append(os.path.join(out, name))
+        os.rmdir(stage)
+        return code
+    except BaseException:
+        for path in moved:
+            os.unlink(path)
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        with contextlib.suppress(OSError):  # another writer has put a file there
+            for path in created:
+                os.rmdir(path)
+        raise
 
 
 def _build_parser():

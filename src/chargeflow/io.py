@@ -7,9 +7,9 @@ included).  Floating-point values are printed with a fixed 17-significant-
 digit format, so identical configs and seeds give byte-identical files; JSON
 writes NaN and infinities as null.  CSV tables are written in blocks of
 columns, and a float64 column goes through the vectorized '%.17g' of
-`chargeflow.g17`, loaded on first use.  Files are written to a
+`chargeflow.g17`, loaded on first use.  Each file is written to a
 temporary sibling and renamed into place with the permissions the umask
-grants; a failed write leaves no file, nor a directory that it created.
+grants, so a failed write leaves no file; `cli.dispatch` commits the set.
 """
 
 import itertools
@@ -113,15 +113,8 @@ def _option_text(value):
 
 def atomic_write_text(path, chunks):
     """Write an iterable of strings (as UTF-8) or byte buffers via a temporary
-    sibling and an atomic rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    created = []  # the directories makedirs adds, deepest first
-    head = directory
-    while not os.path.isdir(head):
-        created.append(head)
-        head = os.path.dirname(head)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    sibling and an atomic rename, into a directory that exists."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
             for chunk in chunks:
@@ -133,11 +126,6 @@ def atomic_write_text(path, chunks):
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
-        try:
-            for created_dir in created:
-                os.rmdir(created_dir)
-        except OSError:
-            pass  # another writer has put a file there
         raise
 
 

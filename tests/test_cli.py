@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import filecmp
 import hashlib
 import json
@@ -21,13 +22,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chargeflow import cli, groundstate, lattice, process
+from chargeflow import io as io_module
 from chargeflow.cli import main
 from chargeflow.config import COMMANDS, ConfigError, parse_config
 from chargeflow.groundstate import current_closed_form, ground_energy, psi1
 from chargeflow.io import (
     Provenance,
     _json_text,
-    atomic_write_text,
     derive_seed,
     format_value,
     write_csv,
@@ -504,7 +505,7 @@ def test_single_line_edits_of_the_figure_config_run_or_fail_cleanly(index, value
                 code = main([command, "--config", str(cfg), "--out", str(out)])
             assert code in (0, 1, 2), (command, code)
             if code != 0:
-                assert not out.exists() or not any(out.iterdir()), (command, code)
+                assert not out.exists(), (command, code)
             else:
                 assert not found, (command, found[:5])
 
@@ -528,7 +529,7 @@ def test_field_outside_the_float_range_exits_2_naming_the_quantity(tmp_path, cap
     code, out = run_cli(tmp_path, "\n".join(lines) + "\n", command)
     assert code == 2
     assert f"numerical failure: {quantity} leaves the float range" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("block", [10**9, 2])
@@ -573,6 +574,144 @@ def test_an_out_that_cannot_be_a_directory_exits_1_with_one_line(
     assert err.startswith("output error: ") and err.count("\n") == 1
     assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
     assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+# a Robin end whose ratio leaves the float range fails after witnesses.json,
+# spectra.csv and currents.json are written
+_BOUNDARY_LATE_FAILURE = BOUNDARY_CFG.replace(
+    "robin = 1.0 0.0 0.0 0.0 0.0 1.0 1.0 0.0", "robin = 1.0 0.0 0.0 0.0 1.0 1e308 1.0 0.0"
+)
+_BOUNDARY_ARTIFACTS = ["currents.json", "norm_decay.csv", "robin.json", "spectra.csv", "witnesses.json"]
+
+
+def test_a_failed_write_removes_only_the_directories_it_created(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text(_BOUNDARY_LATE_FAILURE)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("unrelated\n")
+    for out in (tmp_path / "new" / "deeper", kept):
+        code = main(["boundary", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+        assert code == 2
+        assert "numerical failure: the packet and the Robin ratios" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["kept", "run.cfg"]
+    # no staging directory is left either
+    assert os.listdir(kept) == ["notes.txt"]
+    assert (kept / "notes.txt").read_text() == "unrelated\n"
+    (tmp_path / "run.cfg").write_text(BOUNDARY_CFG)
+    assert main(["boundary", "--config", str(tmp_path / "run.cfg"), "--out", str(kept)]) == 0
+    assert sorted(os.listdir(kept)) == sorted(["notes.txt", *_BOUNDARY_ARTIFACTS])
+    assert (kept / "notes.txt").read_text() == "unrelated\n"
+
+
+# every command and --check kind on the figure config, with the artifacts it writes
+_FIGURE_RUNS = {
+    ("symmetry", None): ["symmetry.json"],
+    ("field", None): ["field.csv"],
+    ("streamlines", None): ["streamlines.csv", "streamlines.json"],
+    ("simulate", None): ["statistics.json", "trajectory.jsonl", "trajectory_paths.csv"],
+    ("lattice", None): ["lattice.json", "spectrum.csv"],
+    ("potential", None): ["kappa_table.csv", "potential.json"],
+    ("boundary", None): _BOUNDARY_ARTIFACTS,
+    **{("lattice", check): ["lattice_check.json"] for check in ("gauge", "commutation", "reversal")},
+}
+
+
+def _figure_argv(command, check, out, *extra):
+    argv = [command, "--config", str(FIGURE_CFG), "--out", str(out), *extra]
+    return argv + ["--check", check] if check else argv
+
+
+@pytest.mark.parametrize(("command", "check"), list(_FIGURE_RUNS))
+def test_an_artifact_name_taken_by_a_directory_commits_nothing(tmp_path, capsys, command, check):
+    # each artifact name in turn is a directory in --out: the run exits 1
+    # naming it, and none of the other artifacts reaches --out
+    for name in _FIGURE_RUNS[command, check]:
+        out = tmp_path / name
+        (out / name).mkdir(parents=True)
+        assert main(_figure_argv(command, check, out)) == 1
+        err = capsys.readouterr().err
+        assert err == f"output error: [Errno 21] Is a directory: '{out / name}'\n"
+        assert ".tmp-" not in err
+        assert os.listdir(out) == [name]
+        assert os.listdir(out / name) == []
+
+
+@pytest.mark.parametrize(("command", "check"), list(_FIGURE_RUNS))
+def test_a_failing_write_leaves_the_output_directory_as_it_was(tmp_path, capsys, command, check):
+    # --out holds an unrelated file and the artifacts of an earlier run; the
+    # k-th file write of a run at another seed fails after its first chunk
+    out = tmp_path / "out"
+    code = main(_figure_argv(command, check, out, "--seed", "1"))
+    (out / "notes.txt").write_text("unrelated\n")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == sorted(["notes.txt", *_FIGURE_RUNS[command, check]])
+    real = io_module.atomic_write_text
+
+    def failing(chunks):
+        yield next(iter(chunks))
+        raise OSError(errno.ENOSPC, "No space left")
+
+    for k in range(len(_FIGURE_RUNS[command, check])):
+        calls = []
+
+        def write(path, chunks):
+            calls.append(path)
+            real(path, failing(chunks) if len(calls) == k + 1 else chunks)
+
+        with mock.patch.object(io_module, "atomic_write_text", write):
+            assert main(_figure_argv(command, check, out, "--seed", "2")) == 1
+        assert capsys.readouterr().err == "output error: [Errno 28] No space left\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    # the same run without the failure commits its set with the exit code it had
+    assert main(_figure_argv(command, check, out, "--seed", "2")) == code
+    assert sorted(os.listdir(out)) == sorted(before)
+    assert (out / "notes.txt").read_text() == "unrelated\n"
+
+
+def test_a_failure_while_committing_removes_the_files_already_moved(tmp_path, monkeypatch, capsys):
+    (tmp_path / "run.cfg").write_text(STREAM_SMALL)
+    out = tmp_path / "kept"
+    out.mkdir()
+    (out / "notes.txt").write_text("unrelated\n")
+    real, moves = os.replace, []
+
+    def replace(src, dst):
+        # the second of the two moves from staging into --out fails
+        if not os.path.basename(src).startswith(".tmp-"):
+            moves.append(dst)
+            if len(moves) == 2:
+                raise PermissionError(errno.EACCES, "Permission denied", dst)
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    code = main(["streamlines", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("output error: [Errno 13] Permission denied")
+    assert [os.path.basename(dst) for dst in moves] == ["streamlines.csv", "streamlines.json"]
+    assert os.listdir(out) == ["notes.txt"]
+
+
+@pytest.mark.parametrize("fresh", [True, False])
+def test_an_interrupted_command_leaves_the_output_directory_as_it_was(
+    tmp_path, monkeypatch, fresh
+):
+    def interrupted(config, out):
+        cli.write_json(os.path.join(out, "symmetry.json"), {"x": 1.0}, prov_stub())
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._HANDLERS, "symmetry", interrupted)
+    (tmp_path / "run.cfg").write_text(MODEL)
+    out = tmp_path / "new" / "out" if fresh else tmp_path / "kept"
+    if not fresh:
+        out.mkdir()
+        (out / "notes.txt").write_text("unrelated\n")
+    with pytest.raises(KeyboardInterrupt):
+        main(["symmetry", "--config", str(tmp_path / "run.cfg"), "--out", str(out)])
+    if fresh:
+        assert os.listdir(tmp_path) == ["run.cfg"]
+    else:
+        assert sorted(os.listdir(tmp_path)) == ["kept", "run.cfg"]
+        assert os.listdir(out) == ["notes.txt"]
 
 
 @pytest.mark.parametrize(
@@ -850,20 +989,6 @@ def test_write_csv_rejects_blocks_of_the_wrong_shape(tmp_path, block):
     with pytest.raises(ValueError, match="2 columns of equal length"):
         write_csv(tmp_path / "t.csv", ("a", "b"), [block], prov_stub())
     assert os.listdir(tmp_path) == []
-
-
-def test_a_failed_write_removes_only_the_directories_it_created(tmp_path):
-    def failing():
-        yield "partial"
-        raise RuntimeError("source failed")
-
-    kept = tmp_path / "kept"
-    kept.mkdir()
-    for target in (tmp_path / "new" / "deeper" / "t.txt", kept / "t.txt"):
-        with pytest.raises(RuntimeError, match="source failed"):
-            atomic_write_text(target, failing())
-    assert sorted(os.listdir(tmp_path)) == ["kept"]
-    assert os.listdir(kept) == []
 
 
 def test_write_json_provenance_and_17_digit_floats(tmp_path):
@@ -1459,7 +1584,7 @@ def test_degenerate_lattice_ground_level_exits_2_and_writes_nothing(tmp_path, mo
     code, out = run_cli(tmp_path, LATTICE_SMALL, "lattice")
     assert code == 2
     assert "degenerate" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_lattice_uses_neither_eig_nor_eigh(tmp_path, monkeypatch):
@@ -1478,7 +1603,7 @@ def test_lattice_lapack_failure_exits_2_and_writes_nothing(tmp_path, monkeypatch
     code, out = run_cli(tmp_path, LATTICE_SMALL, "lattice")
     assert code == 2
     assert "LAPACK dsterf failed (info = 7)" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_long_lattice_time_reports_the_capped_residual_bound(tmp_path, monkeypatch):
@@ -1560,7 +1685,7 @@ def test_exhausted_substep_budget_exits_2_without_statistics(tmp_path, monkeypat
         assert code == 2
         assert "substep budget exhausted" in capsys.readouterr().err
         # nothing is written before every result is in, trajectory files included
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
 
 def test_check_flag_only_for_lattice(tmp_path, capsys):
