@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _MODULES = ("model", "groundstate", "lattice", "process", "boundary")
 # every submodule: `from chargeflow import cli` asks this hook for `cli`
 # before it imports the submodule, and must not load the others to answer
-_SUBMODULES = (*_MODULES, "chisquare", "config", "io", "g17", "cli")
+_SUBMODULES = (*_MODULES, "pvalues", "config", "io", "g17", "cli")
 
 
 def __getattr__(name):

@@ -350,7 +350,7 @@ _BELL_WORK_LIMIT = 2 * 10**7
 
 
 def _cmd_lattice(config, out, check=None):
-    from .chisquare import pooled_chisquare
+    from .pvalues import pooled_chisquare
     from .lattice import (
         DENSE_LIMIT,
         build_model,

@@ -27,7 +27,8 @@ is (the one-boson shadow of) a ground state; `current_closed_form` evaluates
 it in closed form, and the tests cross-check it against finite differences.
 
 Source labels in all public signatures are 1-based.  scipy is imported only
-inside the radial-CDF functions, so the field and its streamlines load none.
+inside the radial-CDF functions (`scipy.special`, and `scipy.integrate` from
+three sources on), so the field and its streamlines load none.
 """
 
 import warnings
@@ -803,16 +804,61 @@ def radial_distance_cdf(system, center, r_values):
     return out if np.ndim(r_values) else float(out[0])
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Moler's one-sided three-point end slope (pchiptx.m), zeroed when its
+    sign differs from m0's and capped at 3 m0 where the slopes change sign."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and np.abs(d) > 3.0 * np.abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x, y):
+    """Monotone cubic interpolant of y(x) on [x[0], x[-1]], x increasing.
+
+    Fritsch & Carlson (1980) with Fritsch & Butland's slopes: the weighted
+    harmonic mean of the neighbouring secants at an interior node, zero
+    where they change sign or vanish, `_pchip_end_slope` at the ends, and
+    the secant at both nodes of a single interval.  The Hermite cubic is
+    summed in powers of s = r - x[i] on the interval x[i] <= r < x[i+1]
+    (the last one closed), in the order of scipy's PPoly, so the values are
+    those of `scipy.interpolate.PchipInterpolator(x, y)`, bit for bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full(x.shape, m[0])
+    if x.size > 2:
+        sm = np.sign(m)
+        mean = (sm[1:] == sm[:-1]) & (m[1:] != 0) & (m[:-1] != 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the means where a secant is 0 are discarded
+            d[1:-1] = np.where(mean, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c0, c1, c2, c3 = t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]
+
+    def interp(r):
+        i = np.clip(np.searchsorted(x, r, side="right") - 1, 0, x.size - 2)
+        s = r - x[i]
+        s2 = s * s
+        return 0.0 + c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+
+    return interp
+
+
 def radial_cdf_interpolator(system, center, r_max, n_grid=512):
     """Monotone interpolant of `radial_distance_cdf` on [0, r_max].
 
     Suitable as the cdf callable of a Kolmogorov-Smirnov test; clamps to
-    [0, 1] and returns the exact tail value beyond r_max.  The grid is
-    refined geometrically around each source distance, where the shell
-    density has a kink.
+    [0, 1], maps NaN to 0 and returns the exact tail value beyond r_max.
+    The grid is refined geometrically around each source distance, where
+    the shell density has a kink; `_pchip` interpolates between its nodes.
     """
-    from scipy.interpolate import PchipInterpolator
-
     r_max = float(r_max)
     grid = np.linspace(0.0, r_max, n_grid)
     xc = system.positions[center - 1]
@@ -827,7 +873,7 @@ def radial_cdf_interpolator(system, center, r_max, n_grid=512):
         grid = np.concatenate([grid, cluster[(cluster > 0) & (cluster < r_max)]])
     grid = np.unique(grid)
     vals = radial_distance_cdf(system, center, grid)
-    interp = PchipInterpolator(grid, vals, extrapolate=False)
+    interp = _pchip(grid, vals)
     tail = float(vals[-1])
 
     def cdf(r):

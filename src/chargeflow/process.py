@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# scipy is imported inside the functions that call it (scipy.stats, about
-# 0.5 s, by the three statistics functions), so importing this module or
-# running a trajectory loads no scipy module
+# the report functions import `pvalues` (scipy.special) when they run, so
+# importing this module or running a trajectory loads no scipy module
 from .groundstate import _advance, _short_of_span, radial_cdf_interpolator
 from .groundstate import sample_boson_positions, velocity
 
@@ -516,14 +515,12 @@ def run_ensemble(gs, params, law=None):
 def _poisson_chisquare(samples, lam, min_expected=5.0):
     """Chi-square p-value of integer samples against Poisson(lam), lam fixed
     a priori: bins 0..max plus an upper tail, pooled by `pooled_chisquare`."""
-    from scipy.stats import poisson
-
-    from .chisquare import pooled_chisquare
+    from .pvalues import poisson_pmf, poisson_sf, pooled_chisquare
 
     samples = np.asarray(samples)
     kmax = int(samples.max(initial=0))
     counts = np.bincount(samples, minlength=kmax + 2)
-    expected = np.append(poisson.pmf(np.arange(kmax + 1), lam), poisson.sf(kmax, lam))
+    expected = np.append(poisson_pmf(np.arange(kmax + 1), lam), poisson_sf(kmax, lam))
     return pooled_chisquare(counts, samples.size * expected, min_expected)
 
 
@@ -597,7 +594,7 @@ def equivariance_report(gs, result):
     the sources are collinear, azimuth about the source axis against the
     uniform law (KS).
     """
-    from scipy.stats import kstest
+    from .pvalues import ks_pvalue
 
     system = gs.system
     axis = _symmetry_axis(system)
@@ -616,11 +613,11 @@ def equivariance_report(gs, result):
         rel = snap.positions - system.positions[0]
         dists = np.linalg.norm(rel, axis=1)
         sector_p = _poisson_chisquare(snap.sectors, gs.poisson_rate)
-        radial_p = float(kstest(dists, cdf).pvalue) if dists.size else 1.0
+        radial_p = ks_pvalue(dists, cdf) if dists.size else 1.0
         angular_p = None
         if axis is not None and dists.size:
             phi = np.arctan2(rel @ e2, rel @ e1)
-            angular_p = float(kstest(phi, lambda x: (x + np.pi) / (2.0 * np.pi)).pvalue)
+            angular_p = ks_pvalue(phi, lambda x: (x + np.pi) / (2.0 * np.pi))
         stats_out.append(
             SampleStats(snap.time, int(dists.size), float(sector_p), radial_p, angular_p)
         )
@@ -658,12 +655,12 @@ def reversal_test(gs, params, law=None):
 
 def reversal_report(result):
     """Per-source emission/absorption balance of an ensemble result."""
-    from scipy.stats import binomtest
+    from .pvalues import binomtest_p
 
     p_values = []
     for e, a in zip(result.emissions, result.absorptions):
         n = int(e + a)
-        p_values.append(1.0 if n == 0 else float(binomtest(int(e), n, 0.5).pvalue))
+        p_values.append(1.0 if n == 0 else binomtest_p(int(e), n))
     total_e = int(result.emissions.sum())
     total_a = int(result.absorptions.sum())
     return ReversalTestReport(
@@ -701,8 +698,6 @@ def emission_start_sensitivity(gs, t_probe=2.0, eps_start=None, law=None):
     the placement bias of downstream positions.  Raises RuntimeError when a
     start runs out of substep rounds.
     """
-    from scipy.spatial.distance import pdist
-
     system = gs.system
     law = derive_emission_law(gs) if law is None else law
     eps_absorb, eps0 = _resolve_radii(system, None, eps_start)
@@ -716,7 +711,10 @@ def emission_start_sensitivity(gs, t_probe=2.0, eps_start=None, law=None):
     ends, hit, left = _advance(system, velocity, starts, t_probe, eps_absorb)
     if _short_of_span(hit, left).any():
         raise RuntimeError(f"substep budget exhausted before t={t_probe:.6g}")
-    deviations = [float(pdist(e).max()) for e in ends.reshape(len(dirs), len(factors), 3)]
+    # per direction, the largest distance between two of its endpoints
+    ends = ends.reshape(len(dirs), len(factors), 1, 3)
+    gaps = np.linalg.norm(ends - ends.transpose(0, 2, 1, 3), axis=-1)
+    deviations = gaps.max(axis=(1, 2)).tolist()
     return StartSensitivityReport(
         source=source + 1,
         eps_start=eps0,

@@ -576,6 +576,19 @@ def test_an_out_that_cannot_be_a_directory_exits_1_with_one_line(
     assert (tmp_path / "taken").read_text() == "kept\n"
 
 
+def test_an_unusable_out_is_reported_before_the_command_runs(tmp_path, capsys):
+    # the source label is a config error that the command finds when it
+    # runs; dispatch finds the unusable --out before that
+    (tmp_path / "run.cfg").write_text(MODEL + "\n[streamlines]\nn_seeds = 4\nsource = 5\n")
+    (tmp_path / "taken").write_text("kept\n")
+    argv = ["streamlines", "--config", str(tmp_path / "run.cfg"), "--out"]
+    assert main([*argv, str(tmp_path / "taken")]) == 1
+    assert capsys.readouterr().err.startswith("output error: ")
+    assert main([*argv, str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: line 7: source label 5 exceeds")
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg", "taken"]
+
+
 # a Robin end whose ratio leaves the float range fails after witnesses.json,
 # spectra.csv and currents.json are written
 _BOUNDARY_LATE_FAILURE = BOUNDARY_CFG.replace(
@@ -1786,13 +1799,16 @@ def test_every_command_runs_in_a_fresh_interpreter(tmp_path, command):
     assert any(out.iterdir())
     if command in _SCIPY_FREE:
         assert result["scipy"] == []
-    # only simulate's statistics need scipy.stats; lattice's chi-square does not
-    if command != "simulate":
-        assert not _stats_modules(result["scipy"])
-
-
-def _stats_modules(modules):
-    return [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+    # every p-value and the radial CDF's interpolant come from scipy.special
+    # and numpy
+    loaded = {m.split(".")[1] for m in result["scipy"] if "." in m}
+    assert not loaded & {"stats", "interpolate"}
+    if command == "simulate":
+        # the statistics of 1000 runs at two sample times load no public
+        # scipy module but scipy.special and scipy.version (which `import
+        # scipy` loads); the private ones (scipy._lib, ...) are theirs
+        assert (out / "statistics.json").exists()
+        assert {name for name in loaded if name[0] != "_"} == {"special", "version"}
 
 
 def test_trajectory_only_simulate_loads_no_scipy_in_a_fresh_interpreter(tmp_path):
