@@ -12,13 +12,15 @@ The format is sectioned key-value text:
 
 Sections correspond to commands, plus [model] (the continuum source system
 shared by several commands) and [run] (master seed and output directory).
-Every key is declared in a schema with a type and a default; unknown keys,
-unknown sections, type mismatches and constraint violations are rejected
-with the offending line number.  `RunConfig` carries the fully resolved
-options of every section, so provenance headers can record each numeric
-default in force.  A hand-rolled parser is used instead of configparser
-because the error contract requires line numbers for unknown and malformed
-keys.
+Every key is declared in a schema with a type, a default and its range,
+which are checked as the key's line is parsed; the rules that relate two
+keys are checked once every line is parsed.  Unknown keys, unknown
+sections, type mismatches and values out of range or inconsistent are
+rejected with the offending line number.  `RunConfig` carries the fully
+resolved options of every section, so provenance headers can record each
+numeric default in force.  A hand-rolled parser is used instead of
+configparser because the error contract requires line numbers for unknown
+and malformed keys.
 """
 
 import hashlib
@@ -52,11 +54,33 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class _Field:
-    kind: str                 # float | int | u64 | bool | floats | tuple
+    kind: str                 # float | int | u64 | bool | str | floats | tuple
     default: object = None
     repeat: bool = False      # key may occur on several lines (kind "tuple")
     arity: int = 0            # number of floats per line for kind "tuple"
+    gt: float = None          # bounds of the value, or of each "floats" entry:
+    ge: float = None          # value > gt, value >= ge and value <= le
+    le: float = None
 
+
+# the most plane-wave levels on each side of the ground level that `boundary`
+# lists per theta; the list is built in memory before it is written
+_MAX_LEVELS = 100_000
+# the most runs of a `simulate` ensemble, which holds about 2.4 kB per run on
+# the figure system (5.2 bosons per run): about 2.4 GB at the bound
+_MAX_RUNS = 10**6
+# the most `field` nodes along each axis: the nodes stream to the CSV at
+# about 2.2 us and 123 bytes each (1,001 x 1,001 took 2.2 s and wrote
+# 123 MB), so 4,001 x 4,001 take about 35 s and write about 2.0 GB
+_MAX_AXIS = 4_001
+# the most `streamlines` seeds, about 0.16 ms, 1.9 kB written and 3 kB of
+# memory each on the figure system: 100,000 took 16 s, wrote 191 MB and
+# peaked at 343 MB
+_MAX_SEEDS = 100_000
+# the largest `boundary` grid, whose cost grows about linearly with it: on
+# the figure config (three thetas and a leak check) 8,192 nodes took 1.0 s
+# and 65,536 took 6.4 s and peaked at 138 MB
+_MAX_GRID = 65_536
 
 # fmt: off
 _SCHEMA = {
@@ -66,12 +90,12 @@ _SCHEMA = {
     },
     "model": {
         "charge": _Field("tuple", (), repeat=True, arity=5),
-        "m": _Field("float", 1.0),
-        "E0": _Field("float", 1.0),
-        "hbar": _Field("float", 1.0),
+        "m": _Field("float", 1.0, gt=0),
+        "E0": _Field("float", 1.0, ge=0),
+        "hbar": _Field("float", 1.0, gt=0),
     },
     "symmetry": {
-        "tol": _Field("float", 1e-10),
+        "tol": _Field("float", 1e-10, gt=0),
         "ibc_thetas": _Field("floats", ()),
     },
     "field": {
@@ -80,64 +104,58 @@ _SCHEMA = {
         "y_min": _Field("float", -1.3),
         "y_max": _Field("float", 1.3),
         "z": _Field("float", 0.0),
-        "nx": _Field("int", 101),
-        "ny": _Field("int", 101),
+        "nx": _Field("int", 101, ge=2, le=_MAX_AXIS),
+        "ny": _Field("int", 101, ge=2, le=_MAX_AXIS),
     },
+    # a radius of 0 selects the library default
     "streamlines": {
-        "source": _Field("int", 1),
-        "n_seeds": _Field("int", 100),
-        "seed_radius": _Field("float", 0.05),
-        "max_arc": _Field("float", 0.0),       # 0 -> library default
-        "domain_radius": _Field("float", 0.0),  # 0 -> library default
-        "eps_absorb": _Field("float", 0.0),     # 0 -> library default
+        "source": _Field("int", 1, ge=1),
+        "n_seeds": _Field("int", 100, ge=1, le=_MAX_SEEDS),
+        "seed_radius": _Field("float", 0.05, gt=0),
+        "max_arc": _Field("float", 0.0, ge=0),
+        "domain_radius": _Field("float", 0.0, ge=0),
+        "eps_absorb": _Field("float", 0.0, ge=0),
     },
     "simulate": {
-        "t_max": _Field("float", 10.0),
-        "dt_max": _Field("float", 0.05),
-        "runs": _Field("int", 0),
-        "dt": _Field("float", 0.01),
-        "sample_times": _Field("floats", ()),
-        "eps_absorb": _Field("float", 0.0),     # 0 -> library default
-        "eps_start": _Field("float", 0.0),      # 0 -> library default
+        "t_max": _Field("float", 10.0, gt=0),
+        "dt_max": _Field("float", 0.05, gt=0),
+        "runs": _Field("int", 0, ge=0, le=_MAX_RUNS),
+        "dt": _Field("float", 0.01, gt=0),
+        "sample_times": _Field("floats", (), ge=0),
+        "eps_absorb": _Field("float", 0.0, ge=0),
+        "eps_start": _Field("float", 0.0, ge=0),
         "trajectory": _Field("bool", True),
     },
     "lattice": {
-        "L": _Field("int", 8),
-        "a": _Field("float", 1.0),
-        "n_max": _Field("int", 2),
+        "L": _Field("int", 8, ge=2),
+        "a": _Field("float", 1.0, gt=0),
+        "n_max": _Field("int", 2, ge=1),
         "source_sites": _Field("floats", (2.0, 5.0)),
         "charge": _Field("tuple", ((1.0, 0.0), (0.0, 1.0)), repeat=True, arity=2),
-        "m": _Field("float", 1.0),
-        "E0": _Field("float", 0.5),
-        "hbar": _Field("float", 1.0),
+        "m": _Field("float", 1.0, gt=0),
+        "E0": _Field("float", 0.5, ge=0),
+        "hbar": _Field("float", 1.0, gt=0),
         "theta": _Field("float", 0.0),
-        "check_tol": _Field("float", 1e-8),
-        "t": _Field("float", 1.0),
-        "chains": _Field("int", 0),
+        "check_tol": _Field("float", 1e-8, gt=0),
+        "t": _Field("float", 1.0, gt=0),
+        "chains": _Field("int", 0, ge=0),
     },
     "potential": {
         "verify": _Field("bool", False),
     },
     "boundary": {
-        "theta": _Field("floats", (0.3, 1.0, 2.0)),
-        "n_levels": _Field("int", 3),
-        "grid": _Field("int", 512),
-        "m": _Field("float", 1.0),
-        "hbar": _Field("float", 1.0),
+        "theta": _Field("floats", (0.3, 1.0, 2.0), gt=-np.pi, le=np.pi),
+        "n_levels": _Field("int", 3, ge=0, le=_MAX_LEVELS),
+        "grid": _Field("int", 512, ge=8, le=_MAX_GRID),
+        "m": _Field("float", 1.0, gt=0),
+        "hbar": _Field("float", 1.0, gt=0),
         "witness": _Field("tuple", (), repeat=True, arity=6),
-        "robin": _Field("tuple", (), repeat=False, arity=8),
-        "leak_end": _Field("int", 1),
-        "leak_tol": _Field("float", 0.1),
+        "robin": _Field("tuple", (), arity=8),
+        "leak_end": _Field("int", 1, ge=0, le=1),
+        "leak_tol": _Field("float", 0.1, gt=0),
     },
 }
 # fmt: on
-
-# the most plane-wave levels on each side of the ground level that `boundary`
-# lists per theta; the list is built in memory before it is written
-_MAX_LEVELS = 100_000
-# the most runs of a `simulate` ensemble, which holds about 2.4 kB per run on
-# the figure system (5.2 bosons per run): about 2.4 GB at the bound
-_MAX_RUNS = 10**6
 
 _KIND_NOUN = {
     "float": "a number",
@@ -146,12 +164,8 @@ _KIND_NOUN = {
     "bool": "a boolean (true/false)",
     "floats": "a list of numbers",
 }
-
-
-def _finite(values, key, text, line):
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"key '{key}' must be finite, got '{text}'", line)
-    return values
+_BOOLS = dict.fromkeys(("true", "yes", "1", "on"), True)
+_BOOLS |= dict.fromkeys(("false", "no", "0", "off"), False)
 
 
 def _u64(value, what, line=None):
@@ -160,27 +174,48 @@ def _u64(value, what, line=None):
     return value
 
 
-def _parse_scalar(kind, text, key, line):
-    if kind in ("float", "floats"):
-        try:
-            value = float(text) if kind == "float" else tuple(float(t) for t in text.split())
-        except ValueError:
-            raise ConfigError(f"key '{key}' expects {_KIND_NOUN[kind]}, got '{text}'", line)
-        return _finite(value, key, text, line)
-    if kind in ("int", "u64"):
-        try:
+def _check_range(spec, value, key, line):
+    """Raise naming the first bound of `spec` that `value`, or an entry of a
+    list of numbers, breaks."""
+    for item in value if spec.kind == "floats" else (value,):
+        if spec.gt is not None and not item > spec.gt:
+            need = "must be positive" if spec.gt == 0 else f"must be greater than {spec.gt}"
+        elif spec.ge is not None and not item >= spec.ge:
+            need = "must be nonnegative" if spec.ge == 0 else f"must be at least {spec.ge}"
+        elif spec.le is not None and not item <= spec.le:
+            need = f"may not exceed {spec.le}"
+        else:
+            continue
+        entries = " entries" if spec.kind == "floats" else ""
+        raise ConfigError(f"key '{key}'{entries} {need}, got {item}", line)
+    return value
+
+
+def _parse_scalar(spec, text, key, line):
+    """The value of the line `key = text`, of the type and in the range of
+    its schema entry."""
+    kind = spec.kind
+    noun = f"{spec.arity} numbers" if kind == "tuple" else _KIND_NOUN.get(kind)
+    try:
+        if kind == "float":
+            value = float(text)
+        elif kind in ("floats", "tuple"):
+            value = tuple(float(t) for t in text.split())
+        elif kind in ("int", "u64"):
             value = int(text)
-        except ValueError:
-            raise ConfigError(f"key '{key}' expects {_KIND_NOUN[kind]}, got '{text}'", line)
-        return _u64(value, f"key '{key}'", line) if kind == "u64" else value
-    if kind == "bool":
-        low = text.lower()
-        if low in ("true", "yes", "1", "on"):
-            return True
-        if low in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"key '{key}' expects {_KIND_NOUN[kind]}, got '{text}'", line)
-    return text  # str
+        elif kind == "bool":
+            return _BOOLS[text.lower()]
+        else:
+            return text  # str
+    except (ValueError, KeyError):
+        raise ConfigError(f"key '{key}' expects {noun}, got '{text}'", line)
+    if kind == "tuple" and len(value) != spec.arity:
+        raise ConfigError(f"key '{key}' expects {noun}, got {len(value)}", line)
+    if kind == "u64":
+        return _u64(value, f"key '{key}'", line)
+    if kind != "int" and not np.all(np.isfinite(value)):
+        raise ConfigError(f"key '{key}' must be finite, got '{text}'", line)
+    return _check_range(spec, value, key, line)
 
 
 @dataclass(frozen=True)
@@ -238,7 +273,7 @@ class RunConfig:
                 hbar=opts["hbar"],
             )
         except ValueError as exc:
-            # _validate has checked every other key: the charge rows are at fault
+            # parsing has checked every other key: the charge rows are at fault
             raise ConfigError(str(exc), self.line("model", "charge")) from exc
 
     def lattice_params(self):
@@ -266,7 +301,7 @@ class RunConfig:
                 hbar=opts["hbar"],
             )
         except ValueError as exc:
-            # _validate has checked every other key: the sites and their
+            # parsing has checked every other key: the sites and their
             # couplings do not fit together or on the chain
             raise ConfigError(str(exc), line) from exc
 
@@ -278,7 +313,6 @@ def _strip(line):
 
 def parse_config(text):
     """Parse and validate config text; raises ConfigError with line numbers."""
-    sections = {}
     values = {name: {} for name in _SCHEMA}
     section_lines = {}
     key_lines = {}  # (section, key) -> line of each occurrence
@@ -302,42 +336,19 @@ def parse_config(text):
             raise ConfigError("expected 'key = value'", lineno)
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         spec = _SCHEMA[current].get(key)
         if spec is None:
             raise ConfigError(f"unknown key '{key}' in section [{current}]", lineno)
         key_lines.setdefault((current, key), []).append(lineno)
-        if spec.kind == "tuple":
-            parts = value.split()
-            if len(parts) != spec.arity:
-                raise ConfigError(
-                    f"key '{key}' expects {spec.arity} numbers, got {len(parts)}", lineno
-                )
-            try:
-                row = tuple(float(tok) for tok in parts)
-            except ValueError:
-                raise ConfigError(f"key '{key}' expects {spec.arity} numbers", lineno)
-            _finite(row, key, value, lineno)
-            if spec.repeat:
-                values[current].setdefault(key, []).append(row)
-            elif key in values[current]:
-                raise ConfigError(f"duplicate key '{key}'", lineno)
-            else:
-                values[current][key] = row
-            continue
-        if key in values[current]:
+        if key in values[current] and not spec.repeat:
             raise ConfigError(f"duplicate key '{key}'", lineno)
-        values[current][key] = _parse_scalar(spec.kind, value, key, lineno)
+        value = _parse_scalar(spec, value.strip(), key, lineno)
+        values[current][key] = values[current].get(key, ()) + (value,) if spec.repeat else value
 
-    for name, schema in _SCHEMA.items():
-        resolved = {}
-        for key, spec in schema.items():
-            if key in values[name]:
-                got = values[name][key]
-                resolved[key] = tuple(got) if spec.kind == "tuple" and spec.repeat else got
-            else:
-                resolved[key] = spec.default
-        sections[name] = resolved
+    sections = {
+        name: {key: values[name].get(key, spec.default) for key, spec in schema.items()}
+        for name, schema in _SCHEMA.items()
+    }
 
     config = RunConfig(
         sections=sections,
@@ -352,46 +363,19 @@ def parse_config(text):
 
 
 def _validate(config):
+    """The rules that relate two keys, or two lines of one key: parsing has
+    checked each value against its own range."""
     sections, line = config.sections, config.line
-
-    def positive(section, *keys):
-        for key in keys:
-            if not sections[section][key] > 0:
-                raise ConfigError(f"key '{key}' must be positive", line(section, key))
-
-    def nonnegative(section, *keys):
-        for key in keys:
-            if not sections[section][key] >= 0:
-                raise ConfigError(f"key '{key}' must be nonnegative", line(section, key))
-
     for section in ("model", "lattice"):
         rows = sections[section]["charge"]
         for row, lineno in zip(rows, config.key_lines.get((section, "charge"), ())):
             if row[0] == 0.0 and row[1] == 0.0:
                 raise ConfigError("couplings must be nonzero", lineno)
-    positive("model", "m", "hbar")
-    nonnegative("model", "E0")
-    positive("symmetry", "tol")
     fld = sections["field"]
-    for key in ("nx", "ny"):
-        if fld[key] < 2:
-            raise ConfigError("grid needs nx, ny >= 2", line("field", key))
     for lo, hi in (("x_min", "x_max"), ("y_min", "y_max")):
         if not fld[lo] < fld[hi]:
             raise ConfigError("grid bounds must satisfy min < max", line("field", lo, hi))
-    stream = sections["streamlines"]
-    if stream["n_seeds"] < 1:
-        raise ConfigError("key 'n_seeds' must be positive", line("streamlines", "n_seeds"))
-    if stream["source"] < 1:
-        raise ConfigError("source labels are 1-based", line("streamlines", "source"))
-    positive("streamlines", "seed_radius")
-    # 0 selects the library default of each of these radii
-    nonnegative("streamlines", "max_arc", "eps_absorb", "domain_radius")
     sim = sections["simulate"]
-    positive("simulate", "t_max", "dt", "dt_max")
-    nonnegative("simulate", "runs", "eps_absorb", "eps_start")
-    if sim["runs"] > _MAX_RUNS:
-        raise ConfigError(f"key 'runs' may not exceed {_MAX_RUNS}", line("simulate", "runs"))
     if sim["sample_times"] and sim["runs"] < 1000:
         raise ConfigError(
             "equivariance sampling (sample_times) needs runs >= 1000",
@@ -414,23 +398,7 @@ def _validate(config):
                     f"key '{label}' must lie on the dt grid for ensemble runs",
                     line("simulate", label, "dt"),
                 )
-    lat = sections["lattice"]
-    if lat["L"] < 2 or lat["n_max"] < 1:
-        raise ConfigError(
-            "lattice needs L >= 2 and n_max >= 1",
-            line("lattice", "L" if lat["L"] < 2 else "n_max"),
-        )
-    nonnegative("lattice", "E0", "chains")
-    positive("lattice", "a", "m", "hbar", "t", "check_tol")
-    bnd = sections["boundary"]
-    positive("boundary", "m", "hbar", "leak_tol")
-    if bnd["grid"] < 8:
-        raise ConfigError("key 'grid' must be at least 8", line("boundary", "grid"))
-    if not 0 <= bnd["n_levels"] <= _MAX_LEVELS:
-        raise ConfigError(
-            f"key 'n_levels' must lie in [0, {_MAX_LEVELS}]", line("boundary", "n_levels")
-        )
-    if bnd["leak_end"] not in (0, 1):
-        raise ConfigError("key 'leak_end' must be 0 or 1", line("boundary", "leak_end"))
-    if any(not -np.pi < th <= np.pi for th in bnd["theta"]):
-        raise ConfigError("key 'theta' entries must lie in (-pi, pi]", line("boundary", "theta"))
+        if len({round(ts / sim["dt"]) for ts in sim["sample_times"]}) < len(sim["sample_times"]):
+            raise ConfigError(
+                "sample times must be distinct on the dt grid", line("simulate", "sample_times")
+            )

@@ -343,8 +343,9 @@ class EnsembleParams:
     """Controls for the vectorized ensemble driver.
 
     dt is the sample grid: sample times (and t_max, which defaults to the
-    largest sample time) must lie on it, and emission-clock draws are
-    batched per dt.  It does not cap the integrator's substeps.
+    largest sample time) must lie on it, each nonnegative time on a step of
+    its own, and emission-clock draws are batched per dt.  It does not cap
+    the integrator's substeps.
     """
 
     runs: int
@@ -367,9 +368,12 @@ class EnsembleParams:
             raise ValueError("need t_max or sample_times")
         if self.t_max is not None and self.sample_times and self.sample_times[-1] > self.t_max:
             raise ValueError("sample times exceed t_max")
+        if self.sample_times and self.sample_times[0] < 0.0:
+            raise ValueError("sample times must be nonnegative")
         _grid_step(self.horizon, self.dt, "t_max")
-        for ts in self.sample_times:
-            _grid_step(ts, self.dt, "sample times")
+        steps = [_grid_step(ts, self.dt, "sample times") for ts in self.sample_times]
+        if len(set(steps)) < len(steps):
+            raise ValueError("sample times must be distinct on the dt grid")
 
     @property
     def horizon(self):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from chargeflow import cli, groundstate, lattice, process
 from chargeflow import io as io_module
 from chargeflow.cli import main
-from chargeflow.config import COMMANDS, ConfigError, parse_config
+from chargeflow.config import _SCHEMA, COMMANDS, ConfigError, parse_config
 from chargeflow.groundstate import current_closed_form, ground_energy, psi1
 from chargeflow.io import (
     Provenance,
@@ -215,10 +215,10 @@ def test_semicolon_starts_a_comment():
         ("[simulate]\nt_max = 2.0\ndt = 0.01\nruns = -1\n", r"line 4: key 'runs' must be nonneg"),
         ("[simulate]\nt_max = 2.0\ndt = 0.01\nruns = 1000001\n", r"line 4: key 'runs' may not exceed"),
         ("[model]\ncharge = 1 0 0 0 0\ncharge = 0 0 1 0 0\n", r"line 3: couplings must be nonzero"),
-        ("[field]\nnx = 5\nny = 1\n", r"line 3: grid needs nx, ny >= 2"),
+        ("[field]\nnx = 5\nny = 1\n", r"line 3: key 'ny' must be at least 2, got 1"),
         ("[field]\nz = 0.0\ny_max = -2.0\n", r"line 3: grid bounds must satisfy min < max"),
         ("[boundary]\nm = 1.0\nhbar = 0\n", r"line 3: key 'hbar' must be positive"),
-        ("[lattice]\nL = 4\nn_max = 0\n", r"line 3: lattice needs L >= 2 and n_max >= 1"),
+        ("[lattice]\nL = 4\nn_max = 0\n", r"line 3: key 'n_max' must be at least 1, got 0"),
         (
             "[simulate]\nruns = 1000\ndt = 0.01\nsample_times = 0.005\n",
             r"line 4: key 'sample_times' must lie on the dt grid",
@@ -235,9 +235,9 @@ def test_parse_errors_carry_line_numbers(text, message):
     [
         ("[model]\ncharge = 0 0 0 0 0\n", "couplings must be nonzero"),
         ("[model]\nE0 = -1.0\ncharge = 1 0 0 0 0\n", "'E0' must be nonnegative"),
-        (MODEL + "\n[field]\nnx = 1\n", "nx, ny >= 2"),
+        (MODEL + "\n[field]\nnx = 1\n", "'nx' must be at least 2"),
         (MODEL + "\n[field]\nx_min = 2.0\n", "min < max"),
-        (MODEL + "\n[streamlines]\nsource = 0\n", "1-based"),
+        (MODEL + "\n[streamlines]\nsource = 0\n", "'source' must be at least 1"),
         (MODEL + "\n[simulate]\nruns = -1\n", "'runs' must be nonnegative"),
         (MODEL + "\n[simulate]\nruns = 10\nsample_times = 1.0\n", "runs >= 1000"),
         (
@@ -248,10 +248,10 @@ def test_parse_errors_carry_line_numbers(text, message):
             MODEL + "\n[simulate]\nruns = 1000\nsample_times = 99.0\n",
             "sample times exceed t_max",
         ),
-        ("[lattice]\nL = 1\n", "L >= 2"),
+        ("[lattice]\nL = 1\n", "'L' must be at least 2"),
         ("[boundary]\ngrid = 4\n", "'grid' must be at least 8"),
-        ("[boundary]\ntheta = 4.0\n", r"lie in \(-pi, pi\]"),
-        ("[boundary]\nleak_end = 2\n", "'leak_end' must be 0 or 1"),
+        ("[boundary]\ntheta = 4.0\n", "'theta' entries may not exceed 3.141592653589793, got 4.0"),
+        ("[boundary]\nleak_end = 2\n", "'leak_end' may not exceed 1"),
     ],
 )
 def test_validation_rejects_bad_values(text, message):
@@ -300,7 +300,7 @@ def test_lattice_source_sites_must_be_integers():
             "lattice",
             "to t = 0.8 exceeds 2e+07 units of work: one per chain plus one per jump, 0.249 jumps",
         ),
-        ("[boundary]\ntheta = 0.3\nn_levels = 100001\n", "boundary", "line 3: key 'n_levels' must lie in"),
+        ("[boundary]\ntheta = 0.3\nn_levels = 100001\n", "boundary", "line 3: key 'n_levels' may not exceed 100000"),
         (
             "[model]\nm = 1.0\ncharge = 1 0 0 0 0\ncharge = 0 1 0 0 0\n",
             "field",
@@ -399,6 +399,110 @@ def test_single_line_edits_of_the_figure_config_parse_or_name_their_line(index, 
         config.lattice_params()
     except ConfigError as exc:
         assert exc.line is not None, str(exc)
+
+
+# the numeric keys that take any finite value; every other one is bounded
+_ANY_FINITE = {
+    ("field", "x_min"), ("field", "x_max"), ("field", "y_min"), ("field", "y_max"),
+    ("field", "z"), ("symmetry", "ibc_thetas"), ("lattice", "theta"), ("lattice", "source_sites"),
+}
+_BOUNDED = [
+    (section, key)
+    for section, schema in _SCHEMA.items()
+    for key, spec in schema.items()
+    if (spec.gt, spec.ge, spec.le) != (None, None, None)
+]
+
+
+def test_every_numeric_key_is_bounded_or_takes_any_finite_value():
+    for section, schema in _SCHEMA.items():
+        for key, spec in schema.items():
+            if spec.kind in ("int", "float", "floats"):
+                assert ((section, key) in _BOUNDED) != ((section, key) in _ANY_FINITE), (section, key)
+
+
+def _edges(spec):
+    """(the value on each bound of `spec`, the first value past it)."""
+
+    def step(value, way):
+        return value + way if spec.kind == "int" else float(np.nextafter(value, way * np.inf))
+
+    edges = []
+    if spec.gt is not None:
+        edges.append((step(spec.gt, 1), spec.gt))
+    if spec.ge is not None:
+        edges.append((spec.ge, step(spec.ge, -1)))
+    if spec.le is not None:
+        edges.append((spec.le, step(spec.le, 1)))
+    return edges
+
+
+def _set_key(section, key, value, insert):
+    """The figure config with `key = value` in `section`, on the key's own
+    line or on a line inserted after the section header (the key's own line
+    dropped), and the number of that line; None when the figure config does
+    not set the key and `insert` is false.
+
+    The figure's sample times are dropped: t_max and runs reach their lower
+    bounds only without them.  A dt of 5e-324 overflows the dt grid of any
+    ensemble, so runs is 0 when dt is set."""
+    lines = ["sample_times =" if line.startswith("sample_times =") else line for line in _FIGURE_LINES]
+    if key == "dt":
+        lines[lines.index("runs = 5000")] = "runs = 0"
+    start = lines.index(f"[{section}]") + 1
+    end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
+    own = [i for i in range(start, end) if lines[i].partition("=")[0].strip() == key]
+    if insert:
+        lines = [line for i, line in enumerate(lines) if i not in own]
+        lines.insert(start, "")
+        index = start
+    elif own:
+        index = own[0]
+    else:
+        return None
+    lines[index] = f"{key} = {value}"
+    return "\n".join(lines) + "\n", index + 1
+
+
+@pytest.mark.parametrize(("section", "key"), _BOUNDED)
+def test_each_bound_admits_its_edge_and_rejects_the_next_value_at_the_key_line(section, key):
+    # parse only: the keys figure.cfg leaves unset are reached by insertion
+    for inside, outside in _edges(_SCHEMA[section][key]):
+        for insert in (False, True):
+            edited = _set_key(section, key, inside, insert)
+            if edited is None:
+                continue
+            assert parse_config(edited[0]).options(section)[key] in (inside, (inside,))
+            text, lineno = _set_key(section, key, outside, insert)
+            with pytest.raises(ConfigError, match=f"^line {lineno}: key '{key}' "):
+                parse_config(text)
+
+
+@pytest.mark.parametrize(
+    ("old", "new", "command", "message"),
+    [
+        ("nx = 101", f"nx = {2**64}", "field", "key 'nx' may not exceed 4001"),
+        ("ny = 101", f"ny = {2**64}", "field", "key 'ny' may not exceed 4001"),
+        ("n_seeds = 100", f"n_seeds = {2**64}", "streamlines", "key 'n_seeds' may not exceed 100000"),
+        ("grid = 512", f"grid = {2**64}", "boundary", "key 'grid' may not exceed 65536"),
+        # the ensemble skipped a negative time and merged a repeated one, so
+        # statistics.json held one sample where the provenance listed two
+        ("sample_times = 5.0 10.0", "sample_times = -0.5 10.0", "simulate", "entries must be nonnegative"),
+        ("sample_times = 5.0 10.0", "sample_times = 10.0 10.0", "simulate", "must be distinct on the dt grid"),
+    ],
+)
+def test_sizes_past_their_bound_and_lost_sample_times_are_config_errors(
+    tmp_path, capsys, old, new, command, message
+):
+    # a size of 2**64 once reached numpy's allocation and exited 2
+    lines = list(_FIGURE_LINES)
+    index = lines.index(old)
+    lines[index] = new
+    code, out = run_cli(tmp_path, "\n".join(lines) + "\n", command)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: line {index + 1}: ") and message in err
+    assert not out.exists()
 
 
 # the figure config with every size cut down, for the commands to run

@@ -525,8 +525,15 @@ def test_ensemble_params_validate():
         EnsembleParams(runs=10)
     with pytest.raises(ValueError):
         EnsembleParams(runs=10, t_max=1.0, sample_times=(2.0,))
-    params = EnsembleParams(runs=10, sample_times=(1.0, 0.5))
-    assert params.sample_times == (0.5, 1.0)
+    # run_ensemble stops only at positive grid steps and keeps one snapshot
+    # per step, so a negative time would vanish and a repeated one merge
+    with pytest.raises(ValueError, match="sample times must be nonnegative"):
+        EnsembleParams(runs=1000, sample_times=(-0.5, 1.0))
+    for times in [(1.0, 1.0), (1.0, 1.0 + 1e-12)]:
+        with pytest.raises(ValueError, match="sample times must be distinct on the dt grid"):
+            EnsembleParams(runs=1000, sample_times=times)
+    params = EnsembleParams(runs=10, sample_times=(1.0, 0.5, -0.0))
+    assert params.sample_times == (0.0, 0.5, 1.0)
     assert params.horizon == 1.0
     assert EnsembleParams(runs=10, t_max=3.0).horizon == 3.0
 
