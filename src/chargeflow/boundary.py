@@ -3,7 +3,7 @@
 Three stand-ins for the interior boundary condition of the full model are
 implemented on simple 1D geometries:
 
-  * Robin conditions alpha*psi + beta*psi' = 0 at the ends of [0, L]: the end
+  * Robin conditions alpha*psi + beta*psi' = 0 at the ends of [0, 1]: the end
     conserves probability exactly when beta = 0 (Dirichlet) or alpha/beta is
     real; a complex ratio produces a boundary current
     j(end) = -(hbar/m) |psi(end)|^2 Im(alpha/beta) with psi' always taken as
@@ -110,25 +110,24 @@ class ConservationReport:
         return self.end0.conserving and self.end1.conserving
 
 
-def _end_verdict(alpha, beta, tol):
+def _end_verdict(alpha, beta):
     if beta == 0:
         return EndVerdict(conserving=True, dirichlet=True, leak_coefficient=0.0)
     ratio = alpha / beta
     im = float(np.imag(ratio))
-    return EndVerdict(conserving=abs(im) <= tol, dirichlet=False, leak_coefficient=im)
+    return EndVerdict(conserving=abs(im) <= 1e-12, dirichlet=False, leak_coefficient=im)
 
 
-def is_probability_conserving(bc, tol=1e-12):
-    """Per-end verdict: conserving iff Dirichlet or Im(alpha/beta) = 0.
+def is_probability_conserving(bc):
+    """Per-end verdict: conserving iff Dirichlet or |Im(alpha/beta)| <= 1e-12.
 
-    The tolerance is absolute on Im(alpha/beta).  A conserving end forces
-    j(end) = 0 for every wavefunction satisfying the condition, and the
-    condition is conjugation invariant there (real ratio), so the end is
-    compatible with time reversal.
+    A conserving end forces j(end) = 0 for every wavefunction satisfying the
+    condition, and the condition is conjugation invariant there (real
+    ratio), so the end is compatible with time reversal.
     """
     return ConservationReport(
-        end0=_end_verdict(bc.alpha0, bc.beta0, tol),
-        end1=_end_verdict(bc.alpha1, bc.beta1, tol),
+        end0=_end_verdict(bc.alpha0, bc.beta0),
+        end1=_end_verdict(bc.alpha1, bc.beta1),
     )
 
 
@@ -243,18 +242,14 @@ def discrete_periodic_ground(theta, m=1.0, hbar=1.0, n_grid=512):
 def periodic_spectrum(theta, m=1.0, hbar=1.0, n_range=3):
     """Plane-wave levels (k, E) of the phase-shifted circle, sorted by energy.
 
-    k = theta + 2*pi*n for n in -n_range..n_range (or an explicit iterable of
-    integers), E = hbar^2 k^2 / (2m).  The ground state sits at k = theta;
-    `discrete_periodic_ground` gives its finite-difference counterpart.
+    k = theta + 2*pi*n for n in -n_range..n_range, E = hbar^2 k^2 / (2m).
+    The ground state sits at k = theta; `discrete_periodic_ground` gives its
+    finite-difference counterpart.
     """
     if not (-np.pi < theta <= np.pi):
         raise ValueError("theta must lie in (-pi, pi]")
-    if np.isscalar(n_range):
-        ns = range(-int(n_range), int(n_range) + 1)
-    else:
-        ns = [int(n) for n in n_range]
     levels = []
-    for n in ns:
+    for n in range(-int(n_range), int(n_range) + 1):
         k = theta + 2.0 * np.pi * n
         levels.append((k, hbar**2 * k**2 / (2.0 * m)))
     levels.sort(key=lambda ke: ke[1])
@@ -270,15 +265,15 @@ class PeriodicVerdict:
     distance_to_pi_multiple: float
 
 
-def symmetry_verdict_periodic(theta, tol=1e-12):
-    """Symmetric iff theta is an integer multiple of pi (within tol).
+def symmetry_verdict_periodic(theta):
+    """Symmetric iff theta is an integer multiple of pi (within 1e-12).
 
     Conjugation maps the theta model to the -theta model, which coincides with
     the original exactly on the lattice pi*Z.
     """
     d = np.mod(theta, np.pi)
     dist = float(min(d, np.pi - d))
-    return PeriodicVerdict(symmetric=dist <= tol, theta=float(theta), distance_to_pi_multiple=dist)
+    return PeriodicVerdict(symmetric=dist <= 1e-12, theta=float(theta), distance_to_pi_multiple=dist)
 
 
 @dataclass(frozen=True)
@@ -374,8 +369,8 @@ def _robin_rows(bc, c, h):
     return rows
 
 
-def _build_robin_tridiag(bc, n_grid, m, hbar, length):
-    h = length / (n_grid - 1)
+def _build_robin_tridiag(bc, n_grid, m, hbar):
+    h = 1.0 / (n_grid - 1)
     c = hbar**2 / (2.0 * m * h**2)
     rows = _robin_rows(bc, c, h)
     active = np.ones(n_grid, dtype=bool)
@@ -403,11 +398,11 @@ def _build_robin_tridiag(bc, n_grid, m, hbar, length):
 _ROBIN_BLOCK_ROWS = 32
 
 
-def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0, length=1.0):
+def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0):
     """Evolve a packet under Robin conditions with Crank-Nicolson stepping.
 
     `psi0` is a callable on x or an array of n_grid samples on the uniform
-    grid over [0, length].  Dirichlet end values are clamped to zero.  The
+    grid over [0, 1].  Dirichlet end values are clamped to zero.  The
     implicit midpoint scheme is exactly norm preserving for conserving
     conditions and tracks the boundary leak for complex ratios; dt defaults
     to t_final/2000.  Returns times, box norms (rectangle rule) and the
@@ -419,11 +414,11 @@ def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0, length
         dt = t_final / 2000.0
     if not dt > 0:
         raise ValueError("dt must be positive")
-    grid = np.linspace(0.0, length, n_grid)
+    grid = np.linspace(0.0, 1.0, n_grid)
     psi = psi0(grid).astype(complex) if callable(psi0) else np.asarray(psi0, dtype=complex).copy()
     if psi.shape != grid.shape:
         raise ValueError("psi0 must provide one value per grid node")
-    diag, up, lo, active, h = _build_robin_tridiag(bc, n_grid, m, hbar, length)
+    diag, up, lo, active, h = _build_robin_tridiag(bc, n_grid, m, hbar)
     psi[~active] = 0.0
     z = 1j * dt / (2.0 * hbar)
     # Crank-Nicolson: (I + zH) psi_next = (I - zH) psi, both tridiagonal; the
@@ -492,15 +487,15 @@ class LeakReport:
     norms: np.ndarray
 
 
-def robin_leak_check(bc, end=1, t_final=0.3, n_grid=512, dt=None, m=1.0, hbar=1.0, tol=0.1):
+def robin_leak_check(bc, end=1, n_grid=512, dt=None, m=1.0, hbar=1.0, tol=0.1):
     """Quantify the boundary leak of a non-conserving end against its formula.
 
-    A smooth packet is evolved with Crank-Nicolson; at the time of maximal
-    boundary density (after an initial settling window) the outward current
-    through the tested end, measured as -d(norm)/dt, is compared with the
-    Robin prediction evaluated at the instantaneous boundary density.  The
-    opposite end must conserve probability so the whole norm change is
-    attributed to the tested end.
+    A smooth packet is evolved to t = 0.3 with Crank-Nicolson; at the time
+    of maximal boundary density (after an initial settling window) the
+    outward current through the tested end, measured as -d(norm)/dt, is
+    compared with the Robin prediction evaluated at the instantaneous
+    boundary density.  The opposite end must conserve probability so the
+    whole norm change is attributed to the tested end.
     """
     verdicts = is_probability_conserving(bc)
     opposite = verdicts.end0 if end == 1 else verdicts.end1
@@ -510,7 +505,7 @@ def robin_leak_check(bc, end=1, t_final=0.3, n_grid=512, dt=None, m=1.0, hbar=1.
     def packet(x):
         return np.exp(-((x - 0.5) ** 2) / (2 * 0.12**2))
 
-    ev = evolve_robin(bc, packet, t_final, n_grid=n_grid, dt=dt, m=m, hbar=hbar)
+    ev = evolve_robin(bc, packet, 0.3, n_grid=n_grid, dt=dt, m=m, hbar=hbar)
     dens = ev.end1_density if end == 1 else ev.end0_density
     coef = (verdicts.end1 if end == 1 else verdicts.end0).leak_coefficient
     # the window skips a settling tenth at each end, and always the two end

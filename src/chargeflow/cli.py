@@ -29,7 +29,7 @@ import numpy as np
 # fresh process loads no scipy module that its command does not use
 from .config import COMMANDS, ConfigError, parse_config
 from .io import Provenance, derive_seed, trajectory_events, write_csv, write_json, write_jsonl
-from .model import GeneralIBCParams, classify_charges, classify_general_ibc
+from .model import classify_charges, classify_general_ibc
 
 __all__ = ["main", "dispatch"]
 
@@ -64,11 +64,10 @@ def _cmd_symmetry(config, out):
         **_fields(classify_charges(system.charges, tol=opts["tol"]), _VERDICT),
     }
     if opts["ibc_thetas"]:
-        params = GeneralIBCParams(thetas=np.asarray(opts["ibc_thetas"]))
         payload["ibc"] = {
             "test": "general boundary-coupling symmetry",
             "thetas": opts["ibc_thetas"],
-            **_fields(classify_general_ibc(params, tol=opts["tol"]), _VERDICT),
+            **_fields(classify_general_ibc(opts["ibc_thetas"], tol=opts["tol"]), _VERDICT),
         }
     prov = _provenance(config, ("model", "symmetry"), {})
     write_json(os.path.join(out, "symmetry.json"), payload, prov)

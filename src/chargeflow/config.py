@@ -398,6 +398,12 @@ def _validate(config):
                     f"key '{label}' must lie on the dt grid for ensemble runs",
                     line("simulate", label, "dt"),
                 )
+            # a horizon of no step would leave every statistic vacuous
+            if label == "t_max" and k < 1:
+                raise ConfigError(
+                    "key 't_max' must be at least one dt step for ensemble runs",
+                    line("simulate", "t_max"),
+                )
         if len({round(ts / sim["dt"]) for ts in sim["sample_times"]}) < len(sim["sample_times"]):
             raise ConfigError(
                 "sample times must be distinct on the dt grid", line("simulate", "sample_times")

@@ -501,10 +501,9 @@ class EigenVacuumReport:
     closed_form_energy: float
     rel_error: float
     passed: bool
-    per_source: np.ndarray
 
 
-def verify_eigen_vacuum(gs, radii=None, tol=1e-6):
+def verify_eigen_vacuum(gs):
     """Apply the Hamiltonian's vacuum sector to the ground state numerically.
 
     The vacuum component of H psi_min is
@@ -514,13 +513,11 @@ def verify_eigen_vacuum(gs, radii=None, tol=1e-6):
     Gauss-Legendre x trapezoid product rule, the radial derivative central
     differences on the smooth function r*psi^{(1)}, and the limit Neville
     extrapolation over the radii schedule.  The result must equal
-    ground_energy * psi_min(vacuum); imaginary parts only survive at
-    rounding level.
+    ground_energy * psi_min(vacuum) to a relative 1e-6; imaginary parts only
+    survive at rounding level.
     """
     sys_ = gs.system
-    if radii is None:
-        radii = _default_radii(sys_, n=6, start_fraction=0.08)
-    radii = np.asarray(radii, dtype=float)
+    radii = _default_radii(sys_, n=6, start_fraction=0.08)
     omega, w = _sphere_nodes()
 
     def sector1(pts):
@@ -544,8 +541,7 @@ def verify_eigen_vacuum(gs, radii=None, tol=1e-6):
         numeric_energy=numeric,
         closed_form_energy=closed,
         rel_error=float(rel),
-        passed=bool(rel <= tol),
-        per_source=contributions,
+        passed=bool(rel <= 1e-6),
     )
 
 
@@ -851,16 +847,17 @@ def _pchip(x, y):
     return interp
 
 
-def radial_cdf_interpolator(system, center, r_max, n_grid=512):
+def radial_cdf_interpolator(system, center, r_max):
     """Monotone interpolant of `radial_distance_cdf` on [0, r_max].
 
     Suitable as the cdf callable of a Kolmogorov-Smirnov test; clamps to
     [0, 1], maps NaN to 0 and returns the exact tail value beyond r_max.
-    The grid is refined geometrically around each source distance, where
-    the shell density has a kink; `_pchip` interpolates between its nodes.
+    A uniform grid of 512 nodes is refined geometrically around each source
+    distance, where the shell density has a kink; `_pchip` interpolates
+    between its nodes.
     """
     r_max = float(r_max)
-    grid = np.linspace(0.0, r_max, n_grid)
+    grid = np.linspace(0.0, r_max, 512)
     xc = system.positions[center - 1]
     for k in range(system.n_sources):
         if k == center - 1:

@@ -60,7 +60,8 @@ def format_value(value):
 
 @dataclass(frozen=True)
 class Provenance:
-    """Identity of one artifact: config, command, seeds, resolved options."""
+    """Identity of one artifact: config, command, seeds, resolved options
+    (one dict of key to value per config section)."""
 
     command: str
     config_sha256: str
@@ -78,11 +79,8 @@ class Provenance:
         for name, stream in self.seed_streams.items():
             lines.append(f"seed[{name}]: stream {stream} -> {derive_seed(self.master_seed, stream)}")
         for section, mapping in self.options.items():
-            if isinstance(mapping, dict):
-                for key, value in mapping.items():
-                    lines.append(f"option {section}.{key} = {_option_text(value)}")
-            else:
-                lines.append(f"option {section} = {_option_text(mapping)}")
+            for key, value in mapping.items():
+                lines.append(f"option {section}.{key} = {_option_text(value)}")
         return lines
 
     def json_dict(self):

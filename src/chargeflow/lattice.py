@@ -723,14 +723,14 @@ class ReversalReport:
     theta: float
 
 
-def reversal_conditions_check(model, theta, psi, tol=1e-10):
-    """Verify that reversing psi reverses every directed jump flux."""
+def reversal_conditions_check(model, theta, psi):
+    """Verify that reversing psi reverses every directed jump flux, to 1e-10."""
     psi = np.asarray(psi, dtype=complex)
     forward = _flux(model, sector_reversal(model, theta, psi))
     backward = _flux(model, psi)[model._transpose]
     max_violation = float(np.max(np.abs(forward - backward)))
     return ReversalReport(
-        passed=bool(max_violation <= tol),
+        passed=bool(max_violation <= 1e-10),
         max_violation=max_violation,
         commutator_norm=check_T_commutation(model, theta, kind="fro"),
         theta=float(theta),

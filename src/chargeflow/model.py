@@ -30,7 +30,6 @@ __all__ = [
     "ChargeSystem",
     "Configuration",
     "SymmetryVerdict",
-    "GeneralIBCParams",
     "classify_charges",
     "classify_general_ibc",
     "time_reverse",
@@ -255,64 +254,20 @@ def sector_inner_product(psi, phi):
     return complex(total)
 
 
-@dataclass(frozen=True)
-class GeneralIBCParams:
-    """Per-source parameters (theta_j, alpha_j, beta_j, gamma_j, delta_j) of the
-    general interior-boundary-condition family.
+def classify_general_ibc(thetas, tol=1e-10):
+    """Symmetry classification for the general IBC family, from the phase
+    theta_j attached to each source j.
 
-    alpha, beta, gamma, delta are real with alpha_j*delta_j - gamma_j*beta_j = 1
-    for every source (checked to 1e-12); theta_j is the phase attached to
-    source j.
-    """
-
-    thetas: np.ndarray
-    alphas: np.ndarray = None
-    betas: np.ndarray = None
-    gammas: np.ndarray = None
-    deltas: np.ndarray = None
-
-    def __post_init__(self):
-        th = np.atleast_1d(np.asarray(self.thetas, dtype=float))
-        if th.size == 0:
-            raise ValueError("at least one source is required")
-        n = th.size
-
-        def _arr(x, default):
-            if x is None:
-                return np.full(n, default, dtype=float)
-            out = np.atleast_1d(np.asarray(x, dtype=float))
-            if out.shape != (n,):
-                raise ValueError("parameter arrays must have one entry per source")
-            return out
-
-        al = _arr(self.alphas, 1.0)
-        be = _arr(self.betas, 0.0)
-        ga = _arr(self.gammas, 0.0)
-        de = _arr(self.deltas, 1.0)
-        det = al * de - ga * be
-        if np.any(np.abs(det - 1.0) > 1e-12):
-            raise ValueError("alpha*delta - gamma*beta must equal 1 for every source")
-        for name, arr in (("thetas", th), ("alphas", al), ("betas", be),
-                          ("gammas", ga), ("deltas", de)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-
-    @property
-    def n_sources(self):
-        return self.thetas.size
-
-
-def classify_general_ibc(params, tol=1e-10):
-    """Symmetry classification for the general IBC family.
-
-    Symmetric exactly when all theta_j are equal mod pi (within tol, measured
-    as angular distance on the circle of period pi); the sector phase function
-    is then theta(n) = -2*n*theta_1 mod 2*pi, which is insensitive to the
-    mod-pi ambiguity of theta_1.
+    Only the phases decide: the real parameters (alpha_j, beta_j, gamma_j,
+    delta_j) of each source's condition do not enter.  Symmetric exactly
+    when all theta_j are equal mod pi (within tol, measured as angular
+    distance on the circle of period pi); the sector phase function is then
+    theta(n) = -2*n*theta_1 mod 2*pi, which is insensitive to the mod-pi
+    ambiguity of theta_1.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    th = params.thetas
+    th = np.asarray(thetas, dtype=float)
     n = th.size
     for i in range(n):
         for j in range(i + 1, n):

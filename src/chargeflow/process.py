@@ -344,8 +344,8 @@ class EnsembleParams:
 
     dt is the sample grid: sample times (and t_max, which defaults to the
     largest sample time) must lie on it, each nonnegative time on a step of
-    its own, and emission-clock draws are batched per dt.  It does not cap
-    the integrator's substeps.
+    its own and a given t_max at least one step on; emission-clock draws
+    are batched per dt.  It does not cap the integrator's substeps.
     """
 
     runs: int
@@ -370,7 +370,10 @@ class EnsembleParams:
             raise ValueError("sample times exceed t_max")
         if self.sample_times and self.sample_times[0] < 0.0:
             raise ValueError("sample times must be nonnegative")
-        _grid_step(self.horizon, self.dt, "t_max")
+        # a t_max of no step would leave the reversal statistics vacuous; an
+        # ensemble given only sample times may stop at t = 0
+        if _grid_step(self.horizon, self.dt, "t_max") < 1 and self.t_max is not None:
+            raise ValueError("t_max must be at least one dt step")
         steps = [_grid_step(ts, self.dt, "sample times") for ts in self.sample_times]
         if len(set(steps)) < len(steps):
             raise ValueError("sample times must be distinct on the dt grid")
@@ -516,7 +519,7 @@ def run_ensemble(gs, params, law=None):
     )
 
 
-def _poisson_chisquare(samples, lam, min_expected=5.0):
+def _poisson_chisquare(samples, lam):
     """Chi-square p-value of integer samples against Poisson(lam), lam fixed
     a priori: bins 0..max plus an upper tail, pooled by `pooled_chisquare`."""
     from .pvalues import poisson_pmf, poisson_sf, pooled_chisquare
@@ -525,7 +528,7 @@ def _poisson_chisquare(samples, lam, min_expected=5.0):
     kmax = int(samples.max(initial=0))
     counts = np.bincount(samples, minlength=kmax + 2)
     expected = np.append(poisson_pmf(np.arange(kmax + 1), lam), poisson_sf(kmax, lam))
-    return pooled_chisquare(counts, samples.size * expected, min_expected)
+    return pooled_chisquare(counts, samples.size * expected)
 
 
 def _symmetry_axis(system):

@@ -58,20 +58,20 @@ from scipy.special._ufuncs import _binom_cdf, _binom_pmf, _binom_sf
 __all__ = ["pooled_chisquare", "poisson_pmf", "poisson_sf", "binomtest_p", "ks_pvalue"]
 
 
-def pooled_chisquare(observed, expected, min_expected=5.0):
+def pooled_chisquare(observed, expected):
     """Chi-square p-value with greedy left-to-right pooling of thin bins.
 
-    Bins are merged in order until each pool's expected count reaches
-    min_expected, a thin remainder joins the last pool, and the expected
-    counts are rescaled to the observed total.  Fewer than two pools give
-    1.0; no degrees of freedom are subtracted.
+    Bins are merged in order until each pool's expected count reaches 5, a
+    thin remainder joins the last pool, and the expected counts are
+    rescaled to the observed total.  Fewer than two pools give 1.0; no
+    degrees of freedom are subtracted.
     """
     obs_pool, exp_pool = [], []
     acc_obs = acc_exp = 0.0
     for o, e in zip(observed, expected):
         acc_obs += o
         acc_exp += e
-        if acc_exp >= min_expected:
+        if acc_exp >= 5.0:
             obs_pool.append(acc_obs)
             exp_pool.append(acc_exp)
             acc_obs = acc_exp = 0.0
@@ -182,14 +182,47 @@ def ks_pvalue(sample, cdf):
 
 
 def _kstwo_sf(d, n):
-    """P(D_n >= d): 1 up to the support's start 1/(2n), 0 from 1 on."""
+    """P(D_n >= d) for an integer n >= 1: 1 up to the support's start 1/(2n),
+    0 from 1 on, and in between Simard & L'Ecuyer's method for each regime,
+    the survival function directly or as 1 - CDF."""
     if np.isnan(d):
         return float("nan")
     if d <= 0.5 / n:
         return 1.0
     if d >= 1.0:
         return 0.0
-    return float(np.clip(_kolmogn(n, np.float64(d), cdf=False), 0.0, 1.0))
+    x = np.float64(d)
+    t = n * x
+    nxsquared = t * x
+    if t <= 1.0:  # Ruben-Gambino: 1/2n <= x <= 1/n
+        if t <= 0.5:  # n*x can round to 1/2 although x > 1/2n
+            return 1.0
+        if n <= 140:
+            cdf = np.prod(np.arange(1, n + 1) * (1.0 / n) * (2 * t - 1))
+        else:
+            cdf = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2 * t - 1))
+        sf = 1.0 - cdf
+    elif t >= n - 1:  # Ruben-Gambino
+        sf = 2 * (1.0 - x) ** n
+    elif x >= 0.5:  # exact
+        sf = 2 * smirnov(n, x)
+    elif n <= 140:
+        if nxsquared <= 0.754693:
+            sf = 1.0 - _kolmogn_DMTW(n, x)
+        elif nxsquared <= 4:
+            sf = 1.0 - _kolmogn_Pomeranz(n, x)
+        else:  # Miller's approximation
+            sf = 2 * smirnov(n, x)
+    elif nxsquared >= 370.0:
+        return 0.0
+    elif nxsquared >= 2.2:
+        sf = 2 * smirnov(n, x)
+    elif n <= 100000 and n * x**1.5 <= 1.4:
+        sf = 1.0 - _kolmogn_DMTW(n, x)
+    else:
+        sf = 1.0 - _kolmogn_PelzGood(n, x)
+    # a long double 1 - CDF keeps its bits until this conversion
+    return float(np.clip(sf, 0.0, 1.0))
 
 
 # long double scale factors, as in scipy: a value rescaled once carries long
@@ -227,18 +260,7 @@ def _log_nfactorial_div_n_pow_n(n):
     return np.log(n) / 2 - n + _LOG_2PI / 2 + rn * np.polyval(_STIRLING_COEFFS, rn / n)
 
 
-def _clip_prob(p):
-    """Clip a probability to [0, 1]."""
-    return np.clip(p, 0.0, 1.0)
-
-
-def _select_and_clip_prob(cdfprob, sfprob, cdf=True):
-    """The CDF or the SF, clipped to [0, 1]."""
-    p = np.where(cdf, cdfprob, sfprob)
-    return _clip_prob(p)
-
-
-def _kolmogn_DMTW(n, d, cdf=True):
+def _kolmogn_DMTW(n, d):
     """Pr(D_n <= d) by the Durbin matrix algorithm as Marsaglia, Tsang and
     Wang (2003) compute it.
 
@@ -246,11 +268,7 @@ def _kolmogn_DMTW(n, d, cdf=True):
     k-th diagonal entry of (n!/n^n) H^n for an m-by-m matrix H, m = 2k - 1,
     the power taken by squaring with intermediate rescaling.
     """
-    if d >= 1.0:
-        return _select_and_clip_prob(1.0, 0.0, cdf)
     nd = n * d
-    if nd <= 0.5:
-        return _select_and_clip_prob(0.0, 1.0, cdf)
     k = int(np.ceil(nd))
     h = k - nd
     m = 2 * k - 1
@@ -302,7 +320,7 @@ def _kolmogn_DMTW(n, d, cdf=True):
     if expnt != 0:
         p = np.ldexp(p, expnt)
 
-    return _select_and_clip_prob(p, 1.0 - p, cdf)
+    return p
 
 
 def _pomeranz_compute_j1j2(i, n, ll, ceilf, roundf):
@@ -323,7 +341,7 @@ def _pomeranz_compute_j1j2(i, n, ll, ceilf, roundf):
     return max(j1 + 2, 0), min(j2, n)
 
 
-def _kolmogn_Pomeranz(n, x, cdf=True):
+def _kolmogn_Pomeranz(n, x):
     """Pr(D_n <= x) by the Pomeranz (1974) recursion.
 
     Each row of an n-by-(2n+2) matrix V is the convolution of the previous
@@ -391,28 +409,22 @@ def _kolmogn_Pomeranz(n, x, cdf=True):
 
     if expnt != 0:
         ans = np.ldexp(ans, expnt)
-    ans = _select_and_clip_prob(ans, 1.0 - ans, cdf)
     return ans
 
 
-def _kolmogn_PelzGood(n, x, cdf=True):
+def _kolmogn_PelzGood(n, x):
     """The Pelz and Good (1976) approximation to Pr(D_n <= x), 0 <= x <= 1.
 
     The Li-Chien and Korolyuk expansion K0(z) + K1(z)/sqrt(n) + K2(z)/n +
     K3(z)/n**1.5 in z = x*sqrt(n), each term transformed through Jacobi
     theta functions into a series that converges fast for small z.
     """
-    if x <= 0.0:
-        return _select_and_clip_prob(0.0, 1.0, cdf=cdf)
-    if x >= 1.0:
-        return _select_and_clip_prob(1.0, 0.0, cdf=cdf)
-
     z = np.sqrt(n) * x
     zsquared, zthree, zfour, zsix = z**2, z**3, z**4, z**6
 
     qlog = -_PI_SQUARED / 8 / zsquared
     if qlog < _MIN_LOG:  # z ~ 0.041743441416853426
-        return _select_and_clip_prob(0.0, 1.0, cdf=cdf)
+        return 0.0
 
     q = np.exp(qlog)
 
@@ -468,63 +480,4 @@ def _kolmogn_PelzGood(n, x, cdf=True):
     K0to3[3] += k3extra
     powers_of_n = np.power(n * 1.0, np.arange(len(K0to3)) / 2.0)
     K0to3 /= powers_of_n
-
-    if not cdf:
-        K0to3 *= -1
-        K0to3[0] += 1
-
-    Ksum = sum(K0to3)
-    return Ksum
-
-
-def _kolmogn(n, x, cdf=True):
-    """The CDF (or SF) of the two-sided KS statistic D_n at x, for an
-    integer n >= 1 and a float x, with Simard & L'Ecuyer's choice of method
-    in each regime."""
-    if x >= 1.0:
-        return _select_and_clip_prob(1.0, 0.0, cdf=cdf)
-    if x <= 0.0:
-        return _select_and_clip_prob(0.0, 1.0, cdf=cdf)
-    t = n * x
-    if t <= 1.0:  # Ruben-Gambino: 1/2n <= x <= 1/n
-        if t <= 0.5:
-            return _select_and_clip_prob(0.0, 1.0, cdf=cdf)
-        if n <= 140:
-            prob = np.prod(np.arange(1, n + 1) * (1.0 / n) * (2 * t - 1))
-        else:
-            prob = np.exp(_log_nfactorial_div_n_pow_n(n) + n * np.log(2 * t - 1))
-        return _select_and_clip_prob(prob, 1.0 - prob, cdf=cdf)
-    if t >= n - 1:  # Ruben-Gambino
-        prob = 2 * (1.0 - x) ** n
-        return _select_and_clip_prob(1 - prob, prob, cdf=cdf)
-    if x >= 0.5:  # exact: 2 * smirnov
-        prob = 2 * smirnov(n, x)
-        return _select_and_clip_prob(1.0 - prob, prob, cdf=cdf)
-
-    nxsquared = t * x
-    if n <= 140:
-        if nxsquared <= 0.754693:
-            prob = _kolmogn_DMTW(n, x, cdf=True)
-            return _select_and_clip_prob(prob, 1.0 - prob, cdf=cdf)
-        if nxsquared <= 4:
-            prob = _kolmogn_Pomeranz(n, x, cdf=True)
-            return _select_and_clip_prob(prob, 1.0 - prob, cdf=cdf)
-        # Miller's approximation 2 * smirnov
-        prob = 2 * smirnov(n, x)
-        return _select_and_clip_prob(1.0 - prob, prob, cdf=cdf)
-
-    # the CDF and the SF have different cut-offs in n x^2
-    if not cdf:
-        if nxsquared >= 370.0:
-            return 0.0
-        if nxsquared >= 2.2:
-            prob = 2 * smirnov(n, x)
-            return _clip_prob(prob)
-        # fall through: the SF as 1 - CDF
-    if nxsquared >= 18.0:
-        cdfprob = 1.0
-    elif n <= 100000 and n * x**1.5 <= 1.4:
-        cdfprob = _kolmogn_DMTW(n, x, cdf=True)
-    else:
-        cdfprob = _kolmogn_PelzGood(n, x, cdf=True)
-    return _select_and_clip_prob(cdfprob, 1.0 - cdfprob, cdf=cdf)
+    return sum(K0to3)

@@ -10,7 +10,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from oracles import current_numeric, figure_system, lattice_preset
+from oracles import current_numeric, figure_system, lattice_preset, pool_bins
 from scipy import stats
 
 from chargeflow.boundary import (
@@ -83,25 +83,6 @@ def random_system(rng, n_max=4):
             break
     charges = rng.uniform(0.3, 1.5, n) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
     return ChargeSystem(charges=charges, positions=pos, E0=rng.uniform(0.2, 1.5))
-
-
-def pool_bins(counts, expected, min_expected=5.0):
-    order = np.argsort(-expected)
-    obs_pool, exp_pool = [], []
-    acc_o = acc_e = 0.0
-    for i in order:
-        acc_o += counts[i]
-        acc_e += expected[i]
-        if acc_e >= min_expected:
-            obs_pool.append(acc_o)
-            exp_pool.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0 and exp_pool:
-        obs_pool[-1] += acc_o
-        exp_pool[-1] += acc_e
-    obs = np.array(obs_pool)
-    exp = np.array(exp_pool)
-    return obs, exp * obs.sum() / exp.sum()
 
 
 def test_criterion_01_symmetry_dichotomy():

@@ -300,11 +300,11 @@ def test_conserving_evolution_preserves_norm():
         assert abs(ev.norms[-1] / ev.norms[0] - 1.0) < 1e-6
 
 
-def _solve_banded_robin(bc, psi0, t_final, n_grid=512, m=1.0, hbar=1.0, length=1.0):
+def _solve_banded_robin(bc, psi0, t_final, n_grid=512, m=1.0, hbar=1.0):
     """The Crank-Nicolson loop that refactors its matrix each step (LAPACK gtsv)."""
     dt = t_final / 2000.0
-    grid = np.linspace(0.0, length, n_grid)
-    diag, up, lo, active, h = _build_robin_tridiag(bc, n_grid, m, hbar, length)
+    grid = np.linspace(0.0, 1.0, n_grid)
+    diag, up, lo, active, h = _build_robin_tridiag(bc, n_grid, m, hbar)
     full = psi0(grid).astype(complex)
     full[~active] = 0.0
     z = 1j * dt / (2.0 * hbar)

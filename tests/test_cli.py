@@ -445,9 +445,10 @@ def _set_key(section, key, value, insert):
 
     The figure's sample times are dropped: t_max and runs reach their lower
     bounds only without them.  A dt of 5e-324 overflows the dt grid of any
-    ensemble, so runs is 0 when dt is set."""
+    ensemble and a t_max of 5e-324 leaves it no dt step, so runs is 0 when
+    either is set."""
     lines = ["sample_times =" if line.startswith("sample_times =") else line for line in _FIGURE_LINES]
-    if key == "dt":
+    if key in ("dt", "t_max"):
         lines[lines.index("runs = 5000")] = "runs = 0"
     start = lines.index(f"[{section}]") + 1
     end = next((i for i in range(start, len(lines)) if lines[i].startswith("[")), len(lines))
@@ -1691,6 +1692,20 @@ def test_overflowing_dt_exits_1_for_every_command(tmp_path, capsys, command):
     assert code == 1
     assert "line 9: key 'dt' is too small" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_ensemble_of_no_dt_step_exits_1_and_writes_nothing(tmp_path, capsys):
+    # t_max = 5e-324 lies on the dt grid at step 0, where the ensemble would
+    # run no step and report balanced p-values of 1
+    text = FIGURE_CFG.read_text().replace("t_max = 10.0", "t_max = 5e-324")
+    text = text.replace("runs = 5000", "runs = 1000").replace("sample_times = 5.0 10.0\n", "")
+    code, out = run_cli(tmp_path, text, "simulate")
+    assert code == 1
+    assert "line 43: key 't_max' must be at least one dt step" in capsys.readouterr().err
+    assert not out.exists()
+    # one step is enough, and a sample at t = 0 below it stays valid
+    text = text.replace("t_max = 5e-324", "t_max = 0.01\nsample_times = 0.0")
+    assert parse_config(text).options("simulate")["sample_times"] == (0.0,)
 
 
 def test_degenerate_lattice_ground_level_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):

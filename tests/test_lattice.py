@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import FIGURE_CHARGES, lattice_preset
+from oracles import FIGURE_CHARGES, lattice_preset, pool_bins
 from scipy import integrate, stats
 from scipy.sparse import eye_array
 
@@ -493,28 +493,9 @@ def test_bell_ensemble_equivariance_three_presets():
         res = run_bell_ensemble(model, psi0, 0.6, 6000, seed=rng_seeds[name])
         probs = np.abs(evolve(model, psi0, 0.6)) ** 2
         counts = np.bincount(res.final_indices, minlength=model.dim)
-        pooled = _pool_bins(counts, probs * 6000)
+        pooled = pool_bins(counts, probs * 6000)
         p = stats.chisquare(*pooled).pvalue
         assert p > 0.01, (name, p)
-
-
-def _pool_bins(counts, expected, min_expected=5.0):
-    order = np.argsort(-expected)
-    obs_pool, exp_pool = [], []
-    acc_o = acc_e = 0.0
-    for i in order:
-        acc_o += counts[i]
-        acc_e += expected[i]
-        if acc_e >= min_expected:
-            obs_pool.append(acc_o)
-            exp_pool.append(acc_e)
-            acc_o = acc_e = 0.0
-    if acc_e > 0 and exp_pool:
-        obs_pool[-1] += acc_o
-        exp_pool[-1] += acc_e
-    obs = np.array(obs_pool)
-    exp = np.array(exp_pool)
-    return obs, exp * obs.sum() / exp.sum()
 
 
 def test_bell_process_is_the_one_chain_ensemble():
@@ -559,7 +540,7 @@ def test_sparse_sizes_above_the_dense_limit():
     probs = np.abs(evolve(model, psi0, 0.3)) ** 2
     np.testing.assert_allclose(np.sum(probs), 1.0, atol=1e-12)
     counts = np.bincount(res.final_indices, minlength=model.dim)
-    assert stats.chisquare(*_pool_bins(counts, probs * 3000)).pvalue > 0.01
+    assert stats.chisquare(*pool_bins(counts, probs * 3000)).pvalue > 0.01
 
 
 def test_reversal_identity_follows_commutation():
@@ -758,7 +739,7 @@ def test_stationary_ensemble_builds_one_rate_table(name):
     model, ground, _, t, res = stationary_run(name)
     assert res.t_final == t and res.n_jumps.sum() > 500
     counts = np.bincount(res.final_indices, minlength=model.dim)
-    p = stats.chisquare(*_pool_bins(counts, np.abs(ground) ** 2 * counts.sum())).pvalue
+    p = stats.chisquare(*pool_bins(counts, np.abs(ground) ** 2 * counts.sum())).pvalue
     assert p > 0.01, p
     again = run_bell_ensemble(model, ground, t, counts.sum(), seed=7)
     np.testing.assert_array_equal(again.final_indices, res.final_indices)
@@ -775,7 +756,7 @@ def test_stationary_chains_hold_for_exponential_times(name):
     idle = res.n_jumps == 0
     assert stats.binomtest(int(idle.sum()), idle.size, float(stay.sum())).pvalue > 0.01
     counts = np.bincount(res.final_indices[idle], minlength=model.dim)
-    p = stats.chisquare(*_pool_bins(counts, stay / stay.sum() * idle.sum())).pvalue
+    p = stats.chisquare(*pool_bins(counts, stay / stay.sum() * idle.sum())).pvalue
     assert p > 0.01, p
 
 
@@ -834,7 +815,7 @@ def test_forced_stretches_keep_the_stationary_law(monkeypatch):
     error = np.sqrt(res.n_jumps.size * res.n_jumps.var())
     assert abs(res.n_jumps.sum() - expected) <= 3.0 * error, (res.n_jumps.sum(), expected, error)
     counts = np.bincount(res.final_indices, minlength=model.dim)
-    p = stats.chisquare(*_pool_bins(counts, np.abs(ground) ** 2 * counts.sum())).pvalue
+    p = stats.chisquare(*pool_bins(counts, np.abs(ground) ** 2 * counts.sum())).pvalue
     assert p > 0.01, p
 
 

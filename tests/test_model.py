@@ -6,7 +6,6 @@ import pytest
 from chargeflow.model import (
     ChargeSystem,
     Configuration,
-    GeneralIBCParams,
     classify_charges,
     classify_general_ibc,
     gauge_transform,
@@ -185,27 +184,17 @@ def test_configuration_sector():
 
 
 def test_general_ibc_equal_mod_pi_is_symmetric():
-    v = classify_general_ibc(GeneralIBCParams(thetas=np.array([0.3, 0.3 + np.pi])))
+    v = classify_general_ibc(np.array([0.3, 0.3 + np.pi]))
     assert v.symmetric
     np.testing.assert_allclose(v.theta, 0.3, atol=1e-12)
 
 
 def test_general_ibc_detects_phase_gap():
-    v = classify_general_ibc(GeneralIBCParams(thetas=np.array([0.0, np.pi / 4])))
+    v = classify_general_ibc(np.array([0.0, np.pi / 4]))
     assert not v.symmetric
     assert v.witness == (1, 2)
 
 
 def test_general_ibc_single_source_symmetric():
-    assert classify_general_ibc(GeneralIBCParams(thetas=np.array([1.1]))).symmetric
+    assert classify_general_ibc(np.array([1.1])).symmetric
 
-
-def test_general_ibc_requires_unit_determinant():
-    with pytest.raises(ValueError):
-        GeneralIBCParams(
-            thetas=np.array([0.0]),
-            alphas=np.array([2.0]),
-            betas=np.array([0.0]),
-            gammas=np.array([0.0]),
-            deltas=np.array([1.0]),
-        )

@@ -545,6 +545,16 @@ def test_ensemble_params_reject_a_dt_that_overflows_the_grid():
         EnsembleParams(runs=1000, sample_times=(0.0, 1.0), dt=1e-320)
 
 
+def test_ensemble_params_reject_a_t_max_short_of_one_dt_step():
+    # both lie on the dt grid at step 0: the ensemble would run no step
+    for t_max in (5e-324, 1e-9):
+        with pytest.raises(ValueError, match="t_max must be at least one dt step"):
+            EnsembleParams(runs=1000, t_max=t_max)
+    # a sample at t = 0 stays valid, below a t_max of one step or alone
+    assert EnsembleParams(runs=1000, t_max=0.01, sample_times=(0.0,)).horizon == 0.01
+    assert EnsembleParams(runs=1000, sample_times=(0.0,)).horizon == 0.0
+
+
 def test_ensemble_grid_alignment(fig_gs, fig_law):
     with pytest.raises(ValueError, match="grid"):
         run_ensemble(fig_gs, EnsembleParams(runs=2, t_max=1.0, dt=0.3), law=fig_law)

@@ -90,8 +90,11 @@ def _ks_cutoffs():
     # above 140 points, smirnov's exact sum costs O(n): these stay small
     for n in (141, 1000, 5300):
         cuts += [(n, np.sqrt(c / n)) for c in (2.2, 18.0, 370.0)]
-    for n in (141, 5300, 30000):
+    # n = 100000 is the last n the Durbin matrix takes below n D^1.5 = 1.4
+    for n in (141, 5300, 30000, 100000, 100001):
         cuts.append((n, (1.4 / n) ** (2.0 / 3.0)))
+    # Pelz-Good's series underflows to a CDF of 0 for z = D sqrt(n) < 0.0418
+    cuts += [(200000, 1.5 / 200000), (10**6, 2.0 / 10**6)]
     for n, d in cuts:
         below, above = np.nextafter(d, 0.0), np.nextafter(d, 1.0)
         for x in (d * (1.0 - 1e-6), below, d, above, d * (1.0 + 1e-6)):
