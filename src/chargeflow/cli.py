@@ -170,7 +170,7 @@ def _cmd_field(config, out):
             pts = np.column_stack([xs[k // ny], ys[k % ny], np.full(k.size, opts["z"])])
             # a node beyond about 1e154 is at an infinite distance, which passes
             with np.errstate(over="ignore"):
-                dmin = np.min(np.linalg.norm(pts[:, None, :] - system.positions, axis=-1))
+                dmin = np.min(np.linalg.norm(pts.T[:, None, :] - system.source_columns, axis=0))
             if dmin < 1e-12 * scale:
                 raise RuntimeError("a grid node coincides with a source; shift the grid bounds")
             yield _field_table(system, pts).T

@@ -206,25 +206,48 @@ def psi_min(gs, q):
     return complex(pref * np.prod(psi1(sys_, pos)))
 
 
-def _flow(system, y):
-    """psi1 and its current at points y (any leading shape), in one pass.
+def _column_norms(x):
+    """Norms over the first axis, adding (x0^2 + x1^2) + x2^2 as np.linalg.norm does."""
+    return np.sqrt(np.add.reduce(x * x, axis=0))
+
+
+def _source_distances(system, p):
+    """(N, K) distances from the sources to the points p, a (3, K) array."""
+    return _column_norms(p[:, None, :] - system.source_columns)
+
+
+def _column_flow(system, p):
+    """psi1 and its current at the (3, K) points p: the field kernel.
 
     With u_j = exp(-alpha r_j)/r_j and B = system.im_products, the current is
-    (hbar/m) sum_j (u @ B)_j (alpha + 1/r_j) u_j/r_j (y - x_j): the pair sum
-    of `current_closed_form` taken over its first index first.  B is exactly
-    antisymmetric; for real charges it is zero, the terms of that sum can be
-    -0.0, and the + 0.0 makes the current +0.0 whatever order they add in.
+    (hbar/m) sum_j (u B)_j (alpha + 1/r_j) u_j/r_j (y - x_j): the pair sum
+    of `current_closed_form` taken over its first index first.  Points-last,
+    on (3, N, K) displacements and (N, K) per-source values, so numpy loops
+    run over the points; every sum keeps its order from the (K, N, 3) einsum
+    kernel before it, and every artifact its bits: r^2 adds as (d0^2 + d2^2)
+    + d1^2 (that einsum's lane order), the current adds its sources in
+    order, and B^T (a view) and conj_rows take the BLAS kernels of the row
+    products.  B is exactly antisymmetric; for real charges it is zero, the
+    terms of the current can be -0.0, and the + 0.0 makes the current +0.0.
     """
-    d = np.asarray(y, dtype=float)[..., None, :] - system.positions
-    r = np.sqrt(np.einsum("...i,...i->...", d, d))
-    if (r == 0.0).any():
+    d = p[:, None, :] - system.source_columns
+    dd = d * d
+    r = np.sqrt((dd[0] + dd[2]) + dd[1])
+    if not r.all():
         raise ValueError("evaluation point coincides with a source")
     a = system.alpha
     u = np.exp(-a * r) / r
-    w = (u @ system.im_products) * (a + 1.0 / r) * u / r
-    cur = system.hbar_over_m * np.einsum("...n,...ni->...i", w, d) + 0.0
+    w = (system.im_products_t @ u) * (a + 1.0 / r) * u / r
+    cur = system.hbar_over_m * np.add.reduce(w * d, axis=1) + 0.0
     # psi1 = u @ conj(g) as one real product with the (N, 2) rows (Re, -Im)
-    return (u @ system.conj_rows).view(complex)[..., 0], cur
+    return (u.T @ system.conj_rows).view(complex)[:, 0], cur
+
+
+def _flow(system, y):
+    """`_column_flow` at points y of any leading shape (last axis 3)."""
+    y = np.asarray(y, dtype=float)
+    val, cur = _column_flow(system, np.ascontiguousarray(y.reshape(-1, 3).T))
+    return val.reshape(y.shape[:-1]), cur.T.reshape(y.shape)
 
 
 def current_closed_form(system, y):
@@ -240,6 +263,12 @@ def current_closed_form(system, y):
     return _flow(system, y)[1]
 
 
+def _column_velocity(system, p):
+    """`velocity` at the points p, a (3, K) array: the field of `_advance`."""
+    val, cur = _column_flow(system, p)
+    return cur / np.maximum(np.abs(val) ** 2, 1e-300)
+
+
 def velocity(system, y):
     """Bohmian velocity field current/|psi1|^2, the density floored at 1e-300.
 
@@ -248,43 +277,33 @@ def velocity(system, y):
     ensemble driver must not die there.  Real charge vectors give an exactly
     zero current and hence exactly zero velocity.
     """
-    val, cur = _flow(system, y)
-    return cur / np.maximum(np.abs(val) ** 2, 1e-300)[..., None]
+    y = np.asarray(y, dtype=float)
+    return _column_velocity(system, np.ascontiguousarray(y.reshape(-1, 3).T)).T.reshape(y.shape)
 
 
 def _rk4_round(system, field, p, remaining, nearest_d, eps_absorb):
-    """One RK4 substep of the rows p, each of at most its `remaining` span.
+    """One RK4 substep of the (3, K) points p, each of at most its span.
 
     A substep moves a point by at most a quarter of its distance to the
     nearest source, nearest_d, floored at a quarter of the absorption
     radius, so a point cannot cross the absorption ball undetected.  Every
-    quantity is per row: a row's substep does not depend on the others.
+    quantity is per point: a point's substep does not depend on the others.
     Returns (positions, remaining, nearest_d, absorbed) after the substep,
-    absorbed[k] being the 0-based source whose ball row k entered, or -1.
+    absorbed[k] being the 0-based source whose ball point k entered, or -1.
     """
     k1 = field(system, p)
-    speed = _row_norms(k1)
+    speed = _column_norms(k1)
     target = np.maximum(0.25 * nearest_d, 0.25 * eps_absorb)
-    h = np.minimum(remaining, target / np.maximum(speed, 1e-300))[:, None]
+    h = np.minimum(remaining, target / np.maximum(speed, 1e-300))
     half = 0.5 * h
     k2 = field(system, p + half * k1)
     k3 = field(system, p + half * k2)
     k4 = field(system, p + h * k3)
     p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    dd = _row_norms(p[:, None, :] - system.positions)
-    nearest_d = dd.min(axis=1)
-    absorbed = np.where(nearest_d < eps_absorb, dd.argmin(axis=1), -1)
-    return p, remaining - h[:, 0], nearest_d, absorbed
-
-
-def _row_norms(x):
-    """Euclidean norms over the last axis: what np.linalg.norm(x, axis=-1)
-    computes for real x, without its Python wrapper."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
-
-
-def _nearest_distance(system, pts):
-    return _row_norms(pts[:, None, :] - system.positions).min(axis=1)
+    dd = _source_distances(system, p)
+    nearest_d = dd.min(axis=0)
+    absorbed = np.where(nearest_d < eps_absorb, dd.argmin(axis=0), -1)
+    return p, remaining - h, nearest_d, absorbed
 
 
 def _short_of_span(absorbed, left):
@@ -294,7 +313,8 @@ def _short_of_span(absorbed, left):
 
 
 def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
-    """Advance points by `span` (scalar or per-row) along field(system, pts).
+    """Advance the (K, 3) rows pts by `span` (scalar or per-row) along
+    field(system, p), which maps (3, K) points to their (3, K) velocities.
 
     The integrator of the trajectory and the ensemble: classical RK4 with
     per-point adaptive substepping, one `_rk4_round` per round for every
@@ -305,17 +325,17 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
     budget runs out is left there.
     """
     K = pts.shape[0]
-    out = pts.copy()
+    out = pts.T.copy()
     remaining = np.empty(K)
     remaining[:] = span
     absorbed = np.full(K, -1, dtype=int)
     active = remaining > 0.0
     # nearest-source distance of every row, carried from each round's step end
-    nearest_d = _nearest_distance(system, out)
+    nearest_d = _source_distances(system, out).min(axis=0)
     for _ in range(max_rounds):
         act = active.nonzero()[0]
         if act.size == 0:
-            return out, absorbed, remaining
+            return out.T.copy(), absorbed, remaining
         if act.size == K:
             # every row moves: no gather and scatter
             out, remaining, nearest_d, absorbed = _rk4_round(
@@ -323,12 +343,12 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
             )
             active = _short_of_span(absorbed, remaining)
             continue
-        out[act], remaining[act], nearest_d[act], absorbed[act] = _rk4_round(
-            system, field, out[act], remaining[act], nearest_d[act], eps_absorb
+        out[:, act], remaining[act], nearest_d[act], absorbed[act] = _rk4_round(
+            system, field, out[:, act], remaining[act], nearest_d[act], eps_absorb
         )
         active[act] = _short_of_span(absorbed[act], remaining[act])
     warnings.warn("substepping budget exhausted; some points frozen early")
-    return out, absorbed, remaining
+    return out.T.copy(), absorbed, remaining
 
 
 def ground_energy(system):
@@ -555,10 +575,10 @@ class Streamline:
     source: int | None = None
 
 
-def _unit_current(system, pts):
-    """Direction field j/|j|, zero where the current vanishes."""
-    j = current_closed_form(system, pts)
-    n = _row_norms(j)[..., None]
+def _unit_current(system, p):
+    """Direction field j/|j| at the (3, K) points p, zero where j = 0."""
+    j = current_closed_form(system, p.T).T
+    n = _column_norms(j)
     return np.divide(j, n, out=np.zeros_like(j), where=n > 0.0)
 
 
@@ -605,17 +625,17 @@ def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None
     source = [None] * n
     # per curve: position, end of its current chunk and the span left to it,
     # nearest-source distance, absorbing source and substeps in the chunk
-    pos = seeds.copy()
+    pos = seeds.T.copy()
     s_next = np.full(n, min(0.25 * scale, max_arc))
     left = s_next.copy()
-    nearest_d = _nearest_distance(system, pos)
+    nearest_d = _source_distances(system, pos).min(axis=0)
     hit = np.full(n, -1)
     substeps = np.zeros(n, dtype=int)
     running = np.linalg.norm(current_closed_form(system, seeds), axis=1) > 0.0
     while np.any(running):
         live = np.flatnonzero(running)
-        pos[live], left[live], nearest_d[live], hit[live] = _rk4_round(
-            system, _unit_current, pos[live], left[live], nearest_d[live], eps_absorb
+        pos[:, live], left[live], nearest_d[live], hit[live] = _rk4_round(
+            system, _unit_current, pos[:, live], left[live], nearest_d[live], eps_absorb
         )
         substeps[live] += 1
         # the test of `_advance`, so that a NaN span ends the chunk too
@@ -623,9 +643,9 @@ def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None
         end = live[~going | (substeps[live] == _SUBSTEP_BUDGET)]
         # stopped short of the chunk end: by contact or by the substep budget
         short = (hit[end] >= 0) | _short_of_span(hit[end], left[end])
-        outside = np.linalg.norm(pos[end], axis=1) > domain_radius
+        outside = _column_norms(pos[:, end]) > domain_radius
         for row, cut, out in zip(end, short, outside):
-            points[row].append(pos[row].copy())
+            points[row].append(pos[:, row].copy())
             arcs[row].append(s_next[row] - left[row] if cut else s_next[row])
             if hit[row] >= 0:
                 termination[row], source[row] = "source_hit", int(hit[row]) + 1
@@ -685,7 +705,8 @@ def sample_boson_positions(gs, n, rng):
         u = rng.normal(size=(k, 3))
         u /= np.linalg.norm(u, axis=1)[:, None]
         pts = sys_.positions[which] + r[:, None] * u
-        d = np.linalg.norm(pts[:, None, :] - sys_.positions, axis=-1)
+        # (k, N) rows, so that the complex sum over sources keeps its order
+        d = _source_distances(sys_, pts.T).T
         ok = np.all(d > 0.0, axis=1)
         pts = pts[ok]
         d = d[ok]

@@ -61,8 +61,9 @@ class ChargeSystem:
     it is antisymmetric to the bit (a complex product gives B + B^T != 0 in
     the last place, which the current's cancellations amplify); alpha =
     sqrt(2 m E0)/hbar, the decay constant of psi1 (inf when it leaves the
-    float range); hbar_over_m; and conj_rows, the (N, 2) rows (Re g, -Im g)
-    of conj(g) as real numbers, which the field kernel multiplies by.
+    float range); hbar_over_m; and, for the points-last field kernel, the
+    (N, 2) rows conj_rows = (Re g, -Im g) of conj(g), im_products_t, the
+    view im_products.T, and source_columns, the (3, N, 1) positions.
     """
 
     positions: np.ndarray
@@ -74,6 +75,8 @@ class ChargeSystem:
     alpha: float = field(init=False, repr=False, compare=False)
     hbar_over_m: float = field(init=False, repr=False, compare=False)
     conj_rows: np.ndarray = field(init=False, repr=False, compare=False)
+    im_products_t: np.ndarray = field(init=False, repr=False, compare=False)
+    source_columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
@@ -100,20 +103,21 @@ class ChargeSystem:
         m, E0, hbar = float(self.m), float(self.E0), float(self.hbar)
         outer = np.outer(g.real, g.imag)
         im_products = outer - outer.T
-        conj_rows = np.conj(g).view(float).reshape(-1, 2)
-        for arr in (pos, g, im_products, conj_rows):
+        values = {
+            "positions": pos,
+            "charges": g,
+            "im_products": im_products,
+            "conj_rows": np.conj(g).view(float).reshape(-1, 2),
+            "im_products_t": im_products.T,
+            "source_columns": pos.T[:, :, None].copy(),
+        }
+        for arr in values.values():
             arr.flags.writeable = False
         with np.errstate(over="ignore"):
             alpha = np.sqrt(2.0 * m * E0) / hbar
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "charges", g)
-        object.__setattr__(self, "im_products", im_products)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "E0", E0)
-        object.__setattr__(self, "hbar", hbar)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "hbar_over_m", hbar / m)
-        object.__setattr__(self, "conj_rows", conj_rows)
+        values.update(m=m, E0=E0, hbar=hbar, alpha=alpha, hbar_over_m=hbar / m)
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_sources(self):

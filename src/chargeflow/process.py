@@ -28,8 +28,8 @@ import numpy as np
 
 # the report functions import `pvalues` (scipy.special) when they run, so
 # importing this module or running a trajectory loads no scipy module
-from .groundstate import _advance, _short_of_span, radial_cdf_interpolator
-from .groundstate import sample_boson_positions, velocity
+from .groundstate import _advance, _column_velocity, _short_of_span, _source_distances
+from .groundstate import radial_cdf_interpolator, sample_boson_positions
 
 __all__ = [
     "EmissionLaw",
@@ -73,13 +73,13 @@ def _unit_vectors(rng, n):
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _absorbed_at_start(X, pos, eps_absorb):
+def _absorbed_at_start(system, pos, eps_absorb):
     """Rows of pos inside an absorption ball, nearest to its source first,
     and their 0-based sources.  A sampled boson starts there with
     probability of order eps_absorb and is absorbed on the spot."""
-    d = np.linalg.norm(pos[:, None, :] - X, axis=-1)
-    nearest = np.argmin(d, axis=1)
-    gap = d[np.arange(pos.shape[0]), nearest]
+    d = _source_distances(system, pos.T)
+    nearest = np.argmin(d, axis=0)
+    gap = d.min(axis=0)
     inside = np.flatnonzero(gap < eps_absorb)
     inside = inside[np.argsort(gap[inside], kind="stable")]
     return inside, nearest[inside]
@@ -266,7 +266,7 @@ def simulate(gs, params, initial=None, law=None):
         n0 = pos.shape[0]
     # per particle, its path as a list of (k, 4) blocks of (t, x, y, z) vertices
     paths = {pid: [np.array([(0.0, *p)])] for pid, p in enumerate(pos)}
-    inside, nearest = _absorbed_at_start(X, pos, eps_absorb)
+    inside, nearest = _absorbed_at_start(system, pos, eps_absorb)
     events = [AbsorbEvent(0.0, s + 1, k) for k, s in zip(inside.tolist(), nearest.tolist())]
     ids = np.delete(np.arange(n0), inside).tolist()
     pos = np.delete(pos, inside, axis=0)
@@ -294,7 +294,7 @@ def simulate(gs, params, initial=None, law=None):
     while t < params.t_max - 1e-12:
         t_stop = min(t + params.dt_max, b_time[born], params.t_max)
         if ids:
-            moved, hit, left = _advance(system, velocity, pos, t_stop - t, eps_absorb)
+            moved, hit, left = _advance(system, _column_velocity, pos, t_stop - t, eps_absorb)
             if _short_of_span(hit, left).any():
                 failure = f"substep budget exhausted in the step from t={t:.6g}"
                 break
@@ -304,7 +304,7 @@ def simulate(gs, params, initial=None, law=None):
                 t_stop -= left[first]
                 others = np.arange(len(ids)) != first
                 moved[others], hit[others], _ = _advance(
-                    system, velocity, pos[others], t_stop - t, eps_absorb
+                    system, _column_velocity, pos[others], t_stop - t, eps_absorb
                 )
                 absorbed = (hit >= 0).nonzero()[0]
             if not ends:
@@ -478,7 +478,7 @@ def run_ensemble(gs, params, law=None):
     run = np.repeat(np.arange(m_runs), sectors)
     initial_sectors = sectors.copy()
     absorptions = np.zeros(system.n_sources, dtype=int)
-    inside, nearest = _absorbed_at_start(X, pos, eps_absorb)
+    inside, nearest = _absorbed_at_start(system, pos, eps_absorb)
     np.add.at(absorptions, nearest, 1)
     np.subtract.at(sectors, run[inside], 1)
     pos, run = np.delete(pos, inside, axis=0), np.delete(run, inside)
@@ -494,7 +494,7 @@ def run_ensemble(gs, params, law=None):
         np.add.at(sectors, b_run[new], 1)
         span = np.append(np.full(pos.shape[0], (k1 - k0) * dt), k1 * dt - b_time[new])
         pos, run = np.concatenate([pos, b_pos[new]]), np.append(run, b_run[new])
-        pos, hit_src, left = _advance(system, velocity, pos, span, eps_absorb)
+        pos, hit_src, left = _advance(system, _column_velocity, pos, span, eps_absorb)
         if _short_of_span(hit_src, left).any():
             raise RuntimeError(f"substep budget exhausted before t={k1 * dt:.6g}")
         hit = hit_src >= 0
@@ -715,7 +715,7 @@ def emission_start_sensitivity(gs, t_probe=2.0, eps_start=None, law=None):
     dirs = np.concatenate([np.eye(3), -np.eye(3)])
     offsets = np.array(factors)[None, :, None] * eps0 * dirs[:, None, :]
     starts = (system.positions[source] + offsets).reshape(-1, 3)
-    ends, hit, left = _advance(system, velocity, starts, t_probe, eps_absorb)
+    ends, hit, left = _advance(system, _column_velocity, starts, t_probe, eps_absorb)
     if _short_of_span(hit, left).any():
         raise RuntimeError(f"substep budget exhausted before t={t_probe:.6g}")
     # per direction, the largest distance between two of its endpoints

@@ -7,7 +7,10 @@ other.  The lattice preset is the smallest chain on which all symmetry,
 gauge and jump-process statements are exercised exactly (dimension 45).
 `current_numeric` is the finite-difference oracle for the closed-form
 current, and `pool_bins` pools the thin bins of a lattice occupation table
-for `scipy.stats.chisquare`.
+for `scipy.stats.chisquare`.  `reference_flow`, `reference_velocity` and
+`reference_rk4_round` are the field kernel and the RK4 round as they were
+written before the kernel went points-last, over (K, N, 3) arrays: the
+bit-identity reference for the points-last code.
 """
 
 import numpy as np
@@ -89,3 +92,44 @@ def pool_bins(counts, expected):
     obs = np.array(obs_pool)
     exp = np.array(exp_pool)
     return obs, exp * obs.sum() / exp.sum()
+
+
+def reference_flow(system, y):
+    """psi1 and its current at points y (any leading shape), over (..., N, 3)
+    displacements with einsum sums."""
+    d = np.asarray(y, dtype=float)[..., None, :] - system.positions
+    r = np.sqrt(np.einsum("...i,...i->...", d, d))
+    if (r == 0.0).any():
+        raise ValueError("evaluation point coincides with a source")
+    a = system.alpha
+    u = np.exp(-a * r) / r
+    w = (u @ system.im_products) * (a + 1.0 / r) * u / r
+    cur = system.hbar_over_m * np.einsum("...n,...ni->...i", w, d) + 0.0
+    return (u @ system.conj_rows).view(complex)[..., 0], cur
+
+
+def reference_velocity(system, y):
+    """current/|psi1|^2 from `reference_flow`, the density floored at 1e-300."""
+    val, cur = reference_flow(system, y)
+    return cur / np.maximum(np.abs(val) ** 2, 1e-300)[..., None]
+
+
+def _reference_row_norms(x):
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def reference_rk4_round(system, field, p, remaining, nearest_d, eps_absorb):
+    """One RK4 substep of the (K, 3) rows p along field(system, rows)."""
+    k1 = field(system, p)
+    speed = _reference_row_norms(k1)
+    target = np.maximum(0.25 * nearest_d, 0.25 * eps_absorb)
+    h = np.minimum(remaining, target / np.maximum(speed, 1e-300))[:, None]
+    half = 0.5 * h
+    k2 = field(system, p + half * k1)
+    k3 = field(system, p + half * k2)
+    k4 = field(system, p + h * k3)
+    p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    dd = _reference_row_norms(p[:, None, :] - system.positions)
+    nearest_d = dd.min(axis=1)
+    absorbed = np.where(nearest_d < eps_absorb, dd.argmin(axis=1), -1)
+    return p, remaining - h[:, 0], nearest_d, absorbed

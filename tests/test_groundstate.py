@@ -4,16 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import current_numeric, figure_system
+from oracles import (
+    current_numeric,
+    figure_system,
+    reference_flow,
+    reference_rk4_round,
+    reference_velocity,
+)
 from scipy import integrate, stats
 from scipy.special import exp1
 
 from chargeflow import groundstate
 from chargeflow.groundstate import (
     _advance,
+    _column_velocity,
     _flow,
     _norm_integral_closed,
     _offcenter_shell_density,
+    _rk4_round,
     _source_displacements,
     _unit_current,
     current_closed_form,
@@ -158,8 +166,8 @@ def _radial_cdf_oracle(system, center, radii):
     return np.array(out)
 
 
-def random_system(rng, n_max=4, complex_charges=True):
-    n = int(rng.integers(1, n_max + 1))
+def random_system(rng, n_max=4, complex_charges=True, n_sources=None):
+    n = int(rng.integers(1, n_max + 1)) if n_sources is None else n_sources
     while True:
         pos = rng.uniform(-2.0, 2.0, size=(n, 3))
         if n == 1 or np.min(
@@ -380,6 +388,56 @@ def test_flow_kernel_keeps_the_shape_of_its_points():
     assert val.shape == (2, 5) and cur.shape == (2, 5, 3)
     np.testing.assert_allclose(cur[1, 3], current_closed_form(sys_, y[1, 3]), rtol=1e-14)
     np.testing.assert_allclose(velocity(sys_, y)[0], velocity(sys_, y[0]), rtol=1e-14)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    bits = [np.ascontiguousarray(x).reshape(-1).view(np.uint64) for x in (a, b)]
+    return np.array_equal(*bits)
+
+
+def _points_about(rng, system, k):
+    """k points 1e-6 to 60 units from a source, in random order."""
+    dirs = rng.normal(size=(k, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    offsets = rng.permutation(np.geomspace(1e-6, 60.0, k))[:, None] * dirs
+    return system.positions[rng.integers(0, system.n_sources, k)] + offsets
+
+
+@pytest.mark.parametrize("n_sources", range(1, 7))
+def test_points_last_kernel_keeps_the_bits_of_the_row_kernel(n_sources):
+    # the reference is the (K, N, 3) einsum kernel the points-last one
+    # replaced; a numpy that sums in another order fails here first
+    rng = np.random.default_rng(40 + n_sources)
+    absorbed = 0
+    for complex_charges in (True, False):
+        sys_ = random_system(rng, complex_charges=complex_charges, n_sources=n_sources)
+        for k in (1, 2, 3, 7, 8, 450, 5000):
+            y = _points_about(rng, sys_, k)
+            y[rng.integers(0, k)] = np.nan
+            shapes = (y, y[0], _points_about(rng, sys_, 10).reshape(2, 5, 3))
+            for pts in shapes:
+                val, cur = _flow(sys_, pts)
+                ref_val, ref_cur = reference_flow(sys_, pts)
+                assert _same_bits(val, ref_val) and _same_bits(cur, ref_cur)
+                assert _same_bits(current_closed_form(sys_, pts), ref_cur)
+                assert _same_bits(velocity(sys_, pts), reference_velocity(sys_, pts))
+            remaining = rng.uniform(0.0, 0.5, k)
+            near = np.linalg.norm(y[:, None, :] - sys_.positions, axis=-1).min(axis=1)
+            eps_absorb = 1e-3
+            got = _rk4_round(sys_, _column_velocity, y.T.copy(), remaining, near, eps_absorb)
+            ref = reference_rk4_round(sys_, reference_velocity, y, remaining, near, eps_absorb)
+            assert _same_bits(got[0].T, ref[0])
+            assert all(_same_bits(a, b) for a, b in zip(got[1:], ref[1:]))
+            absorbed += np.count_nonzero(ref[3] >= 0)
+        at_source = np.array([[0.5, 0.5, 0.5], sys_.positions[-1]])
+        for kernel in (_flow, velocity, reference_flow, reference_velocity):
+            with pytest.raises(ValueError, match="coincides with a source"):
+                kernel(sys_, at_source)
+        with pytest.raises(ValueError, match="coincides with a source"):
+            _rk4_round(sys_, _column_velocity, at_source.T.copy(), np.ones(2), np.ones(2), 1e-3)
+    assert absorbed > 0
 
 
 def test_current_numeric_rejects_large_steps_near_sources():
@@ -642,7 +700,8 @@ def test_streamlines_report_stationary_field():
 
 def _solve_ivp_oracle(system, field, start, span, eps_absorb, max_step):
     """One point through scipy's adaptive RK45 (rtol 1e-8) with a terminal
-    contact event per source: the reference for `_advance`.
+    contact event per source: the reference for `_advance`, whose field
+    takes and returns (3, K) columns.
 
     Returns (end, 0-based absorbing source or -1, span travelled).
     """
@@ -656,7 +715,7 @@ def _solve_ivp_oracle(system, field, start, span, eps_absorb, max_step):
         contact.direction = -1.0
         events.append(contact)
     sol = integrate.solve_ivp(
-        lambda s, y: field(system, y[None, :])[0],
+        lambda s, y: field(system, y[:, None])[:, 0],
         (0.0, span),
         start,
         rtol=1e-8,
@@ -673,8 +732,8 @@ def test_advance_matches_per_point_solve_ivp_oracle():
     sys_ = figure_system()
     eps_absorb = 1e-4
     pts = sample_boson_positions(ground_state(sys_), 40, np.random.default_rng(3))
-    end, hit, left = _advance(sys_, velocity, pts, 2.0, eps_absorb)
-    ref = [_solve_ivp_oracle(sys_, velocity, p, 2.0, eps_absorb, 0.05) for p in pts]
+    end, hit, left = _advance(sys_, _column_velocity, pts, 2.0, eps_absorb)
+    ref = [_solve_ivp_oracle(sys_, _column_velocity, p, 2.0, eps_absorb, 0.05) for p in pts]
     ref_end = np.array([r[0] for r in ref])
     np.testing.assert_array_equal(hit, [r[1] for r in ref])
     absorbed = hit >= 0
@@ -695,10 +754,10 @@ def test_advance_of_a_batch_equals_each_row_alone():
     sys_ = figure_system()
     pts = sample_boson_positions(ground_state(sys_), 30, np.random.default_rng(5))
     span = np.linspace(0.0, 1.5, 30)
-    end, hit, left = _advance(sys_, velocity, pts, span, 1e-4)
+    end, hit, left = _advance(sys_, _column_velocity, pts, span, 1e-4)
     assert 0 < np.count_nonzero(hit >= 0) < 30
     for k in range(30):
-        alone = _advance(sys_, velocity, pts[k : k + 1], span[k], 1e-4)
+        alone = _advance(sys_, _column_velocity, pts[k : k + 1], span[k], 1e-4)
         assert np.array_equal(end[k], alone[0][0])
         assert (hit[k], left[k]) == (alone[1][0], alone[2][0])
 

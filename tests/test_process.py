@@ -405,7 +405,7 @@ def per_step_simulate(gs, params, initial=None, law=None):
         ids.pop(k)
         pos = np.delete(pos, k, axis=0)
     t_emit = rng.exponential(1.0 / total) if total > 0.0 else np.inf
-    velocity = groundstate.velocity
+    velocity = groundstate._column_velocity
     while t < params.t_max - 1e-12:
         t_stop = min(t + params.dt_max, t_emit, params.t_max)
         if ids:
@@ -626,7 +626,7 @@ def per_dt_run_ensemble(gs, params, law):
             next_emit[due] += rng.exponential(1.0 / total, size=due.size)
         pos, run = np.concatenate(rows), np.concatenate(runs)
         pos, hit_src, _ = groundstate._advance(
-            system, groundstate.velocity, pos, np.concatenate(durations), eps_absorb
+            system, groundstate._column_velocity, pos, np.concatenate(durations), eps_absorb
         )
         hit = hit_src >= 0
         np.add.at(absorptions, hit_src[hit], 1)
