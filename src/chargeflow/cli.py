@@ -156,6 +156,8 @@ def _parts(n):
 
 
 def _cmd_field(config, out):
+    from .groundstate import _source_distances
+
     system = _model_system(config)
     opts = config.options("field")
     xs = np.linspace(opts["x_min"], opts["x_max"], opts["nx"])
@@ -170,7 +172,7 @@ def _cmd_field(config, out):
             pts = np.column_stack([xs[k // ny], ys[k % ny], np.full(k.size, opts["z"])])
             # a node beyond about 1e154 is at an infinite distance, which passes
             with np.errstate(over="ignore"):
-                dmin = np.min(np.linalg.norm(pts.T[:, None, :] - system.source_columns, axis=0))
+                dmin = _source_distances(system, pts.T).min()
             if dmin < 1e-12 * scale:
                 raise RuntimeError("a grid node coincides with a source; shift the grid bounds")
             yield _field_table(system, pts).T

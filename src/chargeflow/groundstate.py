@@ -221,14 +221,13 @@ def _column_flow(system, p):
 
     With u_j = exp(-alpha r_j)/r_j and B = system.im_products, the current is
     (hbar/m) sum_j (u B)_j (alpha + 1/r_j) u_j/r_j (y - x_j): the pair sum
-    of `current_closed_form` taken over its first index first.  Points-last,
-    on (3, N, K) displacements and (N, K) per-source values, so numpy loops
-    run over the points; every sum keeps its order from the (K, N, 3) einsum
-    kernel before it, and every artifact its bits: r^2 adds as (d0^2 + d2^2)
-    + d1^2 (that einsum's lane order), the current adds its sources in
-    order, and B^T (a view) and conj_rows take the BLAS kernels of the row
-    products.  B is exactly antisymmetric; for real charges it is zero, the
-    terms of the current can be -0.0, and the + 0.0 makes the current +0.0.
+    of `current_closed_form` taken over its first index first.  Arrays are
+    points-last, (3, N, K) and (N, K), so numpy loops run over the points.
+    Each sum keeps its order from the (K, N, 3) einsum kernel before it, and
+    every artifact its bits: r^2 adds as (d0^2 + d2^2) + d1^2, the current
+    adds its sources in order, and B^T (a view) and conj_rows take the BLAS
+    paths of the row products.  B is exactly antisymmetric; for real charges
+    it is zero, the current's terms can be -0.0, and the + 0.0 makes it +0.0.
     """
     d = p[:, None, :] - system.source_columns
     dd = d * d
@@ -244,9 +243,12 @@ def _column_flow(system, p):
 
 
 def _flow(system, y):
-    """`_column_flow` at points y of any leading shape (last axis 3)."""
+    """`_column_flow` at points y of any leading shape (last axis 3).  As
+    from the einsum kernel, a point about 1e154 or farther from a source, or
+    with an infinite coordinate, gives 0 or NaN without a warning."""
     y = np.asarray(y, dtype=float)
-    val, cur = _column_flow(system, np.ascontiguousarray(y.reshape(-1, 3).T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, cur = _column_flow(system, np.ascontiguousarray(y.reshape(-1, 3).T))
     return val.reshape(y.shape[:-1]), cur.T.reshape(y.shape)
 
 
@@ -277,8 +279,8 @@ def velocity(system, y):
     ensemble driver must not die there.  Real charge vectors give an exactly
     zero current and hence exactly zero velocity.
     """
-    y = np.asarray(y, dtype=float)
-    return _column_velocity(system, np.ascontiguousarray(y.reshape(-1, 3).T)).T.reshape(y.shape)
+    val, cur = _flow(system, y)
+    return cur / np.maximum(np.abs(val) ** 2, 1e-300)[..., None]
 
 
 def _rk4_round(system, field, p, remaining, nearest_d, eps_absorb):

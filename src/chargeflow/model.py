@@ -103,21 +103,23 @@ class ChargeSystem:
         m, E0, hbar = float(self.m), float(self.E0), float(self.hbar)
         outer = np.outer(g.real, g.imag)
         im_products = outer - outer.T
-        values = {
-            "positions": pos,
-            "charges": g,
-            "im_products": im_products,
-            "conj_rows": np.conj(g).view(float).reshape(-1, 2),
-            "im_products_t": im_products.T,
-            "source_columns": pos.T[:, :, None].copy(),
-        }
-        for arr in values.values():
+        conj_rows = np.conj(g).view(float).reshape(-1, 2)
+        source_columns = pos.T[:, :, None].copy()
+        for arr in (pos, g, im_products, conj_rows, source_columns):
             arr.flags.writeable = False
         with np.errstate(over="ignore"):
             alpha = np.sqrt(2.0 * m * E0) / hbar
-        values.update(m=m, E0=E0, hbar=hbar, alpha=alpha, hbar_over_m=hbar / m)
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "charges", g)
+        object.__setattr__(self, "im_products", im_products)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "E0", E0)
+        object.__setattr__(self, "hbar", hbar)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "hbar_over_m", hbar / m)
+        object.__setattr__(self, "conj_rows", conj_rows)
+        object.__setattr__(self, "im_products_t", im_products.T)
+        object.__setattr__(self, "source_columns", source_columns)
 
     @property
     def n_sources(self):

@@ -5,10 +5,9 @@ repeated timings of `velocity` (one call on (K, 3) rows) and of `_advance`
 (one span of 0.05, absorption radius 1e-4) at each K.  The suite does not
 collect this file; run it from the root of a checkout:
 
-    PYTHONPATH=src python tests/bench_kernel.py [--repeats 7]
+    PYTHONPATH=src python tests/bench_kernel.py
 """
 
-import argparse
 import sys
 import time
 from pathlib import Path
@@ -30,17 +29,19 @@ from chargeflow.groundstate import (  # noqa: E402
 SIZES = (1, 3, 6, 60, 450, 5393, 30000)
 SPAN = 0.05
 EPS_ABSORB = 1e-4
+REPEATS = 7
+BUDGET_S = 0.2
 
 
-def best_us(fn, repeats, budget_s=0.2):
-    """Best per-call time in microseconds over `repeats` rounds, each round
-    calling fn as many times as fit in about budget_s / repeats."""
+def best_us(fn):
+    """Best per-call time in microseconds over REPEATS rounds, each round
+    calling fn as many times as fit in about BUDGET_S / REPEATS."""
     start = time.perf_counter()
     fn()
     once = time.perf_counter() - start
-    number = max(1, int(budget_s / repeats / max(once, 1e-9)))
+    number = max(1, int(BUDGET_S / REPEATS / max(once, 1e-9)))
     best = np.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         for _ in range(number):
             fn()
@@ -48,17 +49,14 @@ def best_us(fn, repeats, budget_s=0.2):
     return best * 1e6
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeats", type=int, default=7)
-    args = parser.parse_args(argv)
+def main():
     system = figure_system()
     pool = sample_boson_positions(ground_state(system), max(SIZES), np.random.default_rng(12345))
     print(f"{'K':>6} {'velocity_us':>12} {'advance_us':>12}")
     for k in SIZES:
         pts = pool[:k]
-        v = best_us(lambda: velocity(system, pts), args.repeats)
-        a = best_us(lambda: _advance(system, _column_velocity, pts, SPAN, EPS_ABSORB), args.repeats)
+        v = best_us(lambda: velocity(system, pts))
+        a = best_us(lambda: _advance(system, _column_velocity, pts, SPAN, EPS_ABSORB))
         print(f"{k:>6} {v:>12.1f} {a:>12.1f}")
 
 

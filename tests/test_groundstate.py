@@ -440,6 +440,23 @@ def test_points_last_kernel_keeps_the_bits_of_the_row_kernel(n_sources):
     assert absorbed > 0
 
 
+def test_far_and_infinite_points_give_the_row_kernel_values_without_a_warning():
+    # r^2 overflows beyond about 1e154 from a source and an infinite
+    # coordinate makes the current 0 * inf; the einsum kernel gave 0 and NaN
+    # there silently, and the suite turns "encountered in" warnings into errors
+    sys_ = figure_system()
+    y = np.array([[1e160, 0.0, 0.0], [0.0, -3e200, 1.0], [np.inf, 0.0, 0.0], [1.0, 2.0, 3.0]])
+    val, cur = _flow(sys_, y)
+    with np.errstate(all="ignore"):
+        ref_val, ref_cur = reference_flow(sys_, y)
+        ref_v = reference_velocity(sys_, y)
+    assert _same_bits(val, ref_val) and _same_bits(cur, ref_cur)
+    assert _same_bits(current_closed_form(sys_, y), ref_cur)
+    assert _same_bits(velocity(sys_, y), ref_v)
+    assert _same_bits(velocity(sys_, y[0]), ref_v[0])
+    assert np.all(cur[:2] == 0.0) and np.isnan(cur[2, 0])
+
+
 def test_current_numeric_rejects_large_steps_near_sources():
     sys_ = figure_system()
     with pytest.raises(ValueError):
