@@ -34,7 +34,7 @@ from .model import classify_charges, classify_general_ibc
 __all__ = ["main", "dispatch"]
 
 # LinAlgError and NodeError are ValueErrors
-_NUMERICAL = (RuntimeError, ArithmeticError, ValueError)
+_NUMERICAL = (RuntimeError, ArithmeticError, ValueError, MemoryError)
 
 
 def _provenance(config, sections, seed_streams):
@@ -126,16 +126,15 @@ def _check_lattice_scales(params):
 
 def _field_table(system, pts):
     """Columns x, y, z, jx, jy, jz, |psi1|, phase at the (N, 3) points."""
-    from .groundstate import current_closed_form, psi1
+    from .groundstate import _flow
 
     # scales that pass _model_system can still overflow in the products:
     # hbar = 1e308 makes the current 1e308 times the pair sum, m = 1e-320
     # makes hbar/m infinite; the table is checked as a whole below
     with np.errstate(over="ignore", invalid="ignore"):
-        val = psi1(system, pts)
+        val, cur = _flow(system, pts)
         # hypot and the array angle give the bits of scalar abs() and np.angle;
         # np.abs of the complex array differs from them in the last place
-        cur = current_closed_form(system, pts)
         table = np.column_stack([pts, cur, np.hypot(val.real, val.imag), np.angle(val)])
     if not np.all(np.isfinite(table)):
         raise ValueError(

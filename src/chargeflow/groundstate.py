@@ -25,6 +25,8 @@ When the coupling phases are neither all equal nor opposite, psi1 carries a
 nonzero probability current (hbar/m) Im[conj(psi1) grad psi1] even though it
 is (the one-boson shadow of) a ground state; `current_closed_form` evaluates
 it in closed form, and the tests cross-check it against finite differences.
+psi1 has one formula, that of the points-last kernel `_column_flow`, which
+gives psi1 and its current in one pass.
 
 Source labels in all public signatures are 1-based.  scipy is imported only
 inside the radial-CDF functions (`scipy.special`, and `scipy.integrate` from
@@ -86,43 +88,6 @@ def _positions_of(q):
     if pos.size == 0:
         return pos.reshape(0, 3)
     return np.atleast_2d(pos)
-
-
-def _source_displacements(system, y):
-    """Displacements y - x_j with shape (..., N, 3) and distances (..., N)."""
-    y = np.asarray(y, dtype=float)
-    d = y[..., None, :] - system.positions
-    r = np.linalg.norm(d, axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("evaluation point coincides with a source")
-    return d, r
-
-
-def psi1(system, y):
-    """Single-boson profile sum_j conj(g_j) exp(-alpha r_j)/r_j.
-
-    Vectorized over any leading shape of `y` (last axis length 3).  Near a
-    source x_j the value behaves as conj(g_j)/r + O(1); evaluation exactly at
-    a source is rejected.
-    """
-    _, r = _source_displacements(system, y)
-    a = system.alpha
-    return np.sum(np.conj(system.charges) * np.exp(-a * r) / r, axis=-1)
-
-
-def psi1_gradient(system, y):
-    """psi1 and its analytic gradient, vectorized like `psi1`.
-
-    grad psi1 = sum_j conj(g_j) * (-(alpha + 1/r_j)) * exp(-alpha r_j)/r_j * e_j
-    with e_j the unit vector from x_j towards y.
-    """
-    d, r = _source_displacements(system, y)
-    a = system.alpha
-    u = np.exp(-a * r) / r
-    val = np.sum(np.conj(system.charges) * u, axis=-1)
-    coef = np.conj(system.charges) * (-(a + 1.0 / r)) * u / r
-    grad = np.sum(coef[..., None] * d, axis=-2)
-    return val, grad
 
 
 @dataclass(frozen=True)
@@ -243,13 +208,43 @@ def _column_flow(system, p):
 
 
 def _flow(system, y):
-    """`_column_flow` at points y of any leading shape (last axis 3).  As
-    from the einsum kernel, a point about 1e154 or farther from a source, or
-    with an infinite coordinate, gives 0 or NaN without a warning."""
+    """`_column_flow` at points y of any leading shape (last axis 3): psi1
+    and its current from one pass.  It is the only evaluation of psi1, so
+    `psi1`, `psi_min`, the current, the velocity and both columns of a field
+    table share one formula and its bits.  As from the einsum kernel, a
+    point about 1e154 or farther from a source, or with an infinite
+    coordinate, gives 0 or NaN without a warning."""
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         val, cur = _column_flow(system, np.ascontiguousarray(y.reshape(-1, 3).T))
     return val.reshape(y.shape[:-1]), cur.T.reshape(y.shape)
+
+
+def psi1(system, y):
+    """Single-boson profile sum_j conj(g_j) exp(-alpha r_j)/r_j.
+
+    Vectorized over any leading shape of `y` (last axis length 3).  Near a
+    source x_j the value behaves as conj(g_j)/r + O(1); evaluation exactly at
+    a source is rejected.
+    """
+    return _flow(system, y)[0]
+
+
+def psi1_gradient(system, y):
+    """psi1 and its analytic gradient, vectorized like `psi1`.
+
+    grad psi1 = sum_j conj(g_j) * (-(alpha + 1/r_j)) * exp(-alpha r_j)/r_j * e_j
+    with e_j the unit vector from x_j towards y, summed over (3, N, K)
+    displacements; the value is `psi1`'s.
+    """
+    val = psi1(system, y)
+    d = np.asarray(y, dtype=float).reshape(-1, 3).T[:, None, :] - system.source_columns
+    r = _column_norms(d)
+    a = system.alpha
+    u = np.exp(-a * r) / r
+    coef = np.conj(system.charges)[:, None] * (-(a + 1.0 / r)) * u / r
+    grad = np.add.reduce(coef * d, axis=1)
+    return val, grad.T.reshape(np.shape(y))
 
 
 def current_closed_form(system, y):
@@ -289,7 +284,9 @@ def _rk4_round(system, field, p, remaining, nearest_d, eps_absorb):
     A substep moves a point by at most a quarter of its distance to the
     nearest source, nearest_d, floored at a quarter of the absorption
     radius, so a point cannot cross the absorption ball undetected.  Every
-    quantity is per point: a point's substep does not depend on the others.
+    quantity is per point, but a point's bits may depend on its batch: the
+    kernel's BLAS products take the gemv path for one point and the gemm
+    path for several, which round differently from four sources on.
     Returns (positions, remaining, nearest_d, absorbed) after the substep,
     absorbed[k] being the 0-based source whose ball point k entered, or -1.
     """
@@ -430,11 +427,14 @@ def _extrapolate_to_zero(rs, vals):
     return cur[0]
 
 
+def _length_scale(system):
+    """The smallest source spacing, else the decay length 1/alpha."""
+    spacing = system.min_source_spacing()
+    return spacing if spacing is not None else 1.0 / system.alpha
+
+
 def _default_radii(system, n=7, start_fraction=0.05):
-    d = system.min_source_spacing()
-    if d is None:
-        d = 1.0 / system.alpha
-    r0 = start_fraction * d
+    r0 = start_fraction * _length_scale(system)
     return np.array([r0 * 0.5**k for k in range(n)])
 
 
@@ -604,12 +604,11 @@ def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None
     (symmetric charges) return a degenerate zero-length polyline.
     """
     a = system.alpha
-    spacing = system.min_source_spacing()
     extent = float(np.max(np.linalg.norm(system.positions, axis=1)))
     # the defaults that scale with the decay length 1/alpha are infinite at
     # alpha = 0 (E0 = 0) and where 1/alpha leaves the float range
     with np.errstate(divide="ignore", over="ignore"):
-        scale = spacing if spacing is not None else 1.0 / a
+        scale = _length_scale(system)
         if eps_absorb is None:
             eps_absorb = 1e-4 * scale
         if max_arc is None:
@@ -707,13 +706,14 @@ def sample_boson_positions(gs, n, rng):
         u = rng.normal(size=(k, 3))
         u /= np.linalg.norm(u, axis=1)[:, None]
         pts = sys_.positions[which] + r[:, None] * u
-        # (k, N) rows, so that the complex sum over sources keeps its order
-        d = _source_distances(sys_, pts.T).T
-        ok = np.all(d > 0.0, axis=1)
+        d = _source_distances(sys_, pts.T)
+        ok = np.all(d > 0.0, axis=0)
         pts = pts[ok]
-        d = d[ok]
-        dens = np.abs(np.sum(np.conj(sys_.charges) * np.exp(-a * d) / d, axis=-1)) ** 2
-        bound = sys_.n_sources * np.sum(g2 * np.exp(-2.0 * a * d) / d**2, axis=-1)
+        d = d[:, ok]
+        u = np.exp(-a * d) / d
+        # psi1 as `_column_flow` forms it, and the sources summed in order
+        dens = np.abs((u.T @ sys_.conj_rows).view(complex)[:, 0]) ** 2
+        bound = sys_.n_sources * np.add.reduce(g2[:, None] * u * u, axis=0)
         accept = rng.random(pts.shape[0]) * bound < dens
         pts = pts[accept]
         take = min(n - have, pts.shape[0])
@@ -733,15 +733,16 @@ def _offcenter_shell_density(system, center):
         return None
     a = system.alpha
     g = system.charges
-    xc = system.positions[center - 1]
+    xc = system.positions[center - 1][:, None, None]
     omega, w = _sphere_nodes()
+    omega = omega.T[:, None, :]
 
     def density(s):
-        pts = xc + np.atleast_1d(s)[:, None, None] * omega  # (ns, nq, 3)
-        d = np.linalg.norm(pts[..., None, :] - system.positions[others], axis=-1)
-        u = np.exp(-a * d) / d
+        pts = xc + np.atleast_1d(s)[:, None] * omega  # (3, ns, nq)
+        d = _source_distances(system, pts.reshape(3, -1))[others]
+        u = (np.exp(-a * d) / d).reshape(len(others), *pts.shape[1:])
         total = sum(
-            2.0 * np.real(np.conj(g[ki]) * g[kj]) * np.sum(u[..., i] * u[..., j] * w, axis=-1)
+            2.0 * np.real(np.conj(g[ki]) * g[kj]) * np.sum(u[i] * u[j] * w, axis=-1)
             for (i, ki), (j, kj) in combinations(enumerate(others), 2)
         )
         return float(total[0]) * s**2 if np.isscalar(s) else total * s**2

@@ -28,8 +28,8 @@ import numpy as np
 
 # the report functions import `pvalues` (scipy.special) when they run, so
 # importing this module or running a trajectory loads no scipy module
-from .groundstate import _advance, _column_velocity, _short_of_span, _source_distances
-from .groundstate import radial_cdf_interpolator, sample_boson_positions
+from .groundstate import _advance, _column_velocity, _length_scale, _short_of_span
+from .groundstate import _source_distances, radial_cdf_interpolator, sample_boson_positions
 
 __all__ = [
     "EmissionLaw",
@@ -85,16 +85,9 @@ def _absorbed_at_start(system, pos, eps_absorb):
     return inside, nearest[inside]
 
 
-def _length_scale(system):
-    d = system.min_source_spacing()
-    if d is None:
-        d = system.hbar / np.sqrt(2.0 * system.m * system.E0)
-    return d
-
-
 def _resolve_radii(system, eps_absorb, eps_start):
     """Absorption radius and newborn offset, defaulting to 1e-4 and 1e-3
-    times the smallest source spacing."""
+    times the smallest source spacing (1/alpha for one source)."""
     d = _length_scale(system)
     eps_absorb = 1e-4 * d if eps_absorb is None else float(eps_absorb)
     eps_start = 1e-3 * d if eps_start is None else float(eps_start)

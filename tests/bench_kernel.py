@@ -1,9 +1,10 @@
 """Hand-run timings of the field kernel and the integrator.
 
 For K points drawn from |psi1|^2 of the figure system, prints the best of
-repeated timings of `velocity` (one call on (K, 3) rows) and of `_advance`
-(one span of 0.05, absorption radius 1e-4) at each K.  The suite does not
-collect this file; run it from the root of a checkout:
+repeated timings of `velocity` and `psi1` (one call on (K, 3) rows) and of
+`_advance` (one span of 0.05, absorption radius 1e-4) at each K, then that
+of `sample_boson_positions` for 5,000 draws.  The suite does not collect
+this file; run it from the root of a checkout:
 
     PYTHONPATH=src python tests/bench_kernel.py
 """
@@ -22,11 +23,13 @@ from chargeflow.groundstate import (  # noqa: E402
     _advance,
     _column_velocity,
     ground_state,
+    psi1,
     sample_boson_positions,
     velocity,
 )
 
 SIZES = (1, 3, 6, 60, 450, 5393, 30000)
+DRAWS = 5000
 SPAN = 0.05
 EPS_ABSORB = 1e-4
 REPEATS = 7
@@ -51,13 +54,17 @@ def best_us(fn):
 
 def main():
     system = figure_system()
-    pool = sample_boson_positions(ground_state(system), max(SIZES), np.random.default_rng(12345))
-    print(f"{'K':>6} {'velocity_us':>12} {'advance_us':>12}")
+    gs = ground_state(system)
+    pool = sample_boson_positions(gs, max(SIZES), np.random.default_rng(12345))
+    print(f"{'K':>6} {'velocity_us':>12} {'psi1_us':>12} {'advance_us':>12}")
     for k in SIZES:
         pts = pool[:k]
         v = best_us(lambda: velocity(system, pts))
+        p = best_us(lambda: psi1(system, pts))
         a = best_us(lambda: _advance(system, _column_velocity, pts, SPAN, EPS_ABSORB))
-        print(f"{k:>6} {v:>12.1f} {a:>12.1f}")
+        print(f"{k:>6} {v:>12.1f} {p:>12.1f} {a:>12.1f}")
+    s = best_us(lambda: sample_boson_positions(gs, DRAWS, np.random.default_rng(12345)))
+    print(f"sample_boson_positions, {DRAWS} draws: {s:.1f} us")
 
 
 if __name__ == "__main__":

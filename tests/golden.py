@@ -2,8 +2,10 @@
 
 The digests cover the seven commands and the three ``lattice --check`` kinds
 at two master seeds, and they record the Python, numpy and scipy versions
-that produced them.  ``tests/test_golden.py`` recomputes them.  A change that
-means to change an artifact regenerates the file and says why:
+that produced them, beside numpy's SIMD baseline, the dispatch targets its
+host offered and the BLAS it links.  ``tests/test_golden.py`` recomputes
+them.  A change that means to change an artifact regenerates the file and
+says why:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -35,6 +37,20 @@ def versions():
     return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
 
 
+def build():
+    """numpy's SIMD baseline and found dispatch targets, and its BLAS build:
+    what may round differently on another host with the same versions."""
+    config = np.show_config(mode="dicts")
+    simd = config["SIMD Extensions"]
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "simd_baseline": simd.get("baseline", []),
+        "simd_found": simd.get("found", []),
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_configuration": blas.get("openblas configuration"),
+    }
+
+
 def artifact_digests():
     """{"<seed> <command>[ --check <kind>]": {"exit": code, "files": {name: sha256}}}.
 
@@ -56,6 +72,6 @@ def artifact_digests():
 
 
 if __name__ == "__main__":
-    document = {"versions": versions(), "artifacts": artifact_digests()}
+    document = {"versions": versions(), "build": build(), "artifacts": artifact_digests()}
     GOLDEN.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)

@@ -7,15 +7,19 @@ other.  The lattice preset is the smallest chain on which all symmetry,
 gauge and jump-process statements are exercised exactly (dimension 45).
 `current_numeric` is the finite-difference oracle for the closed-form
 current, and `pool_bins` pools the thin bins of a lattice occupation table
-for `scipy.stats.chisquare`.  `reference_flow`, `reference_velocity` and
-`reference_rk4_round` are the field kernel and the RK4 round as they were
-written before the kernel went points-last, over (K, N, 3) arrays: the
-bit-identity reference for the points-last code.
+for `scipy.stats.chisquare`.  `source_displacements` is the row-layout
+(..., N, 3) distance table.  `reference_flow`, `reference_velocity`,
+`reference_rk4_round` and `reference_offcenter_shell_density` are the field
+kernel, the RK4 round and the off-centre quadrature as they were written
+before they went points-last, over (K, N, 3) arrays: the bit-identity
+reference for the points-last code.
 """
+
+from itertools import combinations
 
 import numpy as np
 
-from chargeflow.groundstate import _source_displacements, psi1
+from chargeflow.groundstate import _sphere_nodes, psi1
 from chargeflow.lattice import LatticeParams
 from chargeflow.model import ChargeSystem
 
@@ -47,6 +51,16 @@ def lattice_preset(charges=(1.0, 1j)):
     )
 
 
+def source_displacements(system, y):
+    """Displacements y - x_j with shape (..., N, 3) and distances (..., N)."""
+    y = np.asarray(y, dtype=float)
+    d = y[..., None, :] - system.positions
+    r = np.linalg.norm(d, axis=-1)
+    if np.any(r == 0.0):
+        raise ValueError("evaluation point coincides with a source")
+    return d, r
+
+
 def current_numeric(system, y, h=1e-3):
     """Finite-difference oracle (hbar/m) Im[conj(psi1) grad_h psi1].
 
@@ -58,7 +72,7 @@ def current_numeric(system, y, h=1e-3):
     y = np.asarray(y, dtype=float)
     shape = y.shape
     flat = y.reshape(-1, 3)
-    _, r = _source_displacements(system, flat)
+    _, r = source_displacements(system, flat)
     if np.any(r <= 10.0 * h):
         raise ValueError("step too large relative to distance to the nearest source")
     val = psi1(system, flat)
@@ -133,3 +147,27 @@ def reference_rk4_round(system, field, p, remaining, nearest_d, eps_absorb):
     nearest_d = dd.min(axis=1)
     absorbed = np.where(nearest_d < eps_absorb, dd.argmin(axis=1), -1)
     return p, remaining - h[:, 0], nearest_d, absorbed
+
+
+def reference_offcenter_shell_density(system, center):
+    """`groundstate._offcenter_shell_density` over an (ns, nq, No, 3)
+    displacement table and `np.linalg.norm`."""
+    others = [k for k in range(system.n_sources) if k != center - 1]
+    if len(others) < 2:
+        return None
+    a = system.alpha
+    g = system.charges
+    xc = system.positions[center - 1]
+    omega, w = _sphere_nodes()
+
+    def density(s):
+        pts = xc + np.atleast_1d(s)[:, None, None] * omega  # (ns, nq, 3)
+        d = np.linalg.norm(pts[..., None, :] - system.positions[others], axis=-1)
+        u = np.exp(-a * d) / d
+        total = sum(
+            2.0 * np.real(np.conj(g[ki]) * g[kj]) * np.sum(u[..., i] * u[..., j] * w, axis=-1)
+            for (i, ki), (j, kj) in combinations(enumerate(others), 2)
+        )
+        return float(total[0]) * s**2 if np.isscalar(s) else total * s**2
+
+    return density

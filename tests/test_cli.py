@@ -1719,6 +1719,20 @@ def test_degenerate_lattice_ground_level_exits_2_and_writes_nothing(tmp_path, mo
     assert not out.exists()
 
 
+def test_an_ensemble_out_of_memory_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    # an admitted ensemble can need more memory than the host has (E0 = 1e-20
+    # with 1,000 runs asks for 83.9 TiB); the stand-in raises as numpy does
+    message = "Unable to allocate 83.9 TiB for an array with shape (3842339613664, 3)"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(process, "run_ensemble", out_of_memory)
+    code, out = run_cli(tmp_path, SIM_ENS, "simulate")
+    assert (code, capsys.readouterr().err) == (2, f"numerical failure: {message}\n")
+    assert not out.exists()
+
+
 def test_lattice_uses_neither_eig_nor_eigh(tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the lattice command needs no dense eigenvectors")

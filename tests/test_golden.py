@@ -1,6 +1,6 @@
 import json
 
-from golden import GOLDEN, artifact_digests, versions
+from golden import GOLDEN, artifact_digests, build, versions
 
 
 def test_figure_artifacts_match_the_golden_digests():
@@ -11,4 +11,8 @@ def test_figure_artifacts_match_the_golden_digests():
         f"golden digests were made with {golden['versions']}, this run has {versions()}; "
         "regenerate them with tests/golden.py on a checkout known to be correct"
     )
-    assert artifact_digests() == golden["artifacts"]
+    # the SIMD dispatch and the BLAS build are named, not required: a host
+    # that dispatches otherwise but rounds alike passes
+    assert artifact_digests() == golden["artifacts"], (
+        f"golden digests were made on {golden['build']}, this host has {build()}"
+    )
