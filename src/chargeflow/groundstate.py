@@ -225,9 +225,9 @@ def psi1(system, y):
 
     Vectorized over any leading shape of `y` (last axis length 3).  Near a
     source x_j the value behaves as conj(g_j)/r + O(1); evaluation exactly at
-    a source is rejected.
+    a source is rejected.  A single point gives a scalar.
     """
-    return _flow(system, y)[0]
+    return _flow(system, y)[0][()]
 
 
 def psi1_gradient(system, y):
@@ -739,7 +739,7 @@ def _offcenter_shell_density(system, center):
 
     def density(s):
         pts = xc + np.atleast_1d(s)[:, None] * omega  # (3, ns, nq)
-        d = _source_distances(system, pts.reshape(3, -1))[others]
+        d = _column_norms(pts.reshape(3, 1, -1) - system.source_columns[:, others])
         u = (np.exp(-a * d) / d).reshape(len(others), *pts.shape[1:])
         total = sum(
             2.0 * np.real(np.conj(g[ki]) * g[kj]) * np.sum(u[i] * u[j] * w, axis=-1)

@@ -8,7 +8,9 @@ gauge and jump-process statements are exercised exactly (dimension 45).
 `current_numeric` is the finite-difference oracle for the closed-form
 current, and `pool_bins` pools the thin bins of a lattice occupation table
 for `scipy.stats.chisquare`.  `source_displacements` is the row-layout
-(..., N, 3) distance table.  `reference_flow`, `reference_velocity`,
+(..., N, 3) distance table, and `reference_psi1` is psi1 summed over it one
+source term at a time, as `psi1` evaluated it before it went through the
+field kernel.  `reference_flow`, `reference_velocity`,
 `reference_rk4_round` and `reference_offcenter_shell_density` are the field
 kernel, the RK4 round and the off-centre quadrature as they were written
 before they went points-last, over (K, N, 3) arrays: the bit-identity
@@ -59,6 +61,14 @@ def source_displacements(system, y):
     if np.any(r == 0.0):
         raise ValueError("evaluation point coincides with a source")
     return d, r
+
+
+def reference_psi1(system, y):
+    """sum_j conj(g_j) exp(-alpha r_j)/r_j over the (..., N) distances of
+    `source_displacements`, dividing conj(g_j) exp(-alpha r_j) by r_j."""
+    _, r = source_displacements(system, y)
+    a = system.alpha
+    return np.sum(np.conj(system.charges) * np.exp(-a * r) / r, axis=-1)
 
 
 def current_numeric(system, y, h=1e-3):

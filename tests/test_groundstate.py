@@ -9,6 +9,7 @@ from oracles import (
     figure_system,
     reference_flow,
     reference_offcenter_shell_density,
+    reference_psi1,
     reference_rk4_round,
     reference_velocity,
     source_displacements,
@@ -353,7 +354,8 @@ def velocity_complex(system, y):
     own rounding scale (hbar/m) |grad psi1| / |psi1|: the self terms
     |g_j|^2 u_j du_j/dr cancel inside the imaginary part, so near a source
     its error is set by them, not by the pair terms."""
-    val, grad = psi1_gradient(system, y)
+    val = reference_psi1(system, y)
+    _, grad = psi1_gradient(system, y)
     cur = np.imag(np.conj(val)[..., None] * grad)
     dens = np.abs(val) ** 2
     own = system.hbar / system.m * np.linalg.norm(np.abs(grad), axis=-1) / np.abs(val)
@@ -376,7 +378,7 @@ def test_flow_kernel_matches_the_pair_loop_and_complex_gradient_oracles(seed):
     val, _ = _flow(sys_, y)
     _, r = source_displacements(sys_, y)
     magnitude = np.sum(np.abs(sys_.charges) * np.exp(-sys_.alpha * r) / r, axis=1)
-    assert np.all(np.abs(val - psi1(sys_, y)) <= 1e-13 * magnitude)
+    assert np.all(np.abs(val - reference_psi1(sys_, y)) <= 1e-13 * magnitude)
     v_ref, own = velocity_complex(sys_, y)
     budget = 1e-13 * (pair_scale / np.abs(val) ** 2 + own)
     assert np.all(np.linalg.norm(velocity(sys_, y) - v_ref, axis=1) <= budget)
@@ -387,6 +389,7 @@ def test_flow_kernel_keeps_the_shape_of_its_points():
     y = np.random.default_rng(6).uniform(-3.0, 3.0, size=(2, 5, 3))
     val, cur = _flow(sys_, y)
     assert val.shape == (2, 5) and cur.shape == (2, 5, 3)
+    assert isinstance(psi1(sys_, y[1, 3]), complex)
     np.testing.assert_allclose(cur[1, 3], current_closed_form(sys_, y[1, 3]), rtol=1e-14)
     np.testing.assert_allclose(velocity(sys_, y)[0], velocity(sys_, y[0]), rtol=1e-14)
 
@@ -787,21 +790,6 @@ def test_advance_matches_per_point_solve_ivp_oracle():
     assert np.all(left[~absorbed] <= 1e-15)
 
 
-def test_advance_of_a_batch_equals_each_row_alone():
-    # rows finish, and are absorbed, in different rounds; a lone row moves
-    # in every round until it stops, so this compares the rounds that move
-    # every row with those that gather the rows still moving
-    sys_ = figure_system()
-    pts = sample_boson_positions(ground_state(sys_), 30, np.random.default_rng(5))
-    span = np.linspace(0.0, 1.5, 30)
-    end, hit, left = _advance(sys_, _column_velocity, pts, span, 1e-4)
-    assert 0 < np.count_nonzero(hit >= 0) < 30
-    for k in range(30):
-        alone = _advance(sys_, _column_velocity, pts[k : k + 1], span[k], 1e-4)
-        assert np.array_equal(end[k], alone[0][0])
-        assert (hit[k], left[k]) == (alone[1][0], alone[2][0])
-
-
 # from four sources on, the kernel's BLAS products round one point (gemv)
 # differently from several (gemm); ordered sums in their place remove the split
 _BATCH_SPLIT = pytest.mark.xfail(
@@ -812,23 +800,31 @@ _BATCH_SPLIT = pytest.mark.xfail(
 _BATCH_SIZES = [1, 2, 3] + [pytest.param(n, marks=_BATCH_SPLIT) for n in (4, 5, 6)]
 
 
-@pytest.mark.parametrize("n_sources", _BATCH_SIZES)
-def test_advance_of_a_batch_equals_each_row_alone_at_one_to_six_sources(n_sources):
-    # as above, on three random systems of each size
-    rng = np.random.default_rng(60 + n_sources)
+@pytest.mark.parametrize("n_sources", ["figure"] + _BATCH_SIZES)
+def test_advance_of_a_batch_equals_each_row_alone(n_sources):
+    # rows finish, and are absorbed, in different rounds; a lone row moves
+    # in every round until it stops, so this compares the rounds that move
+    # every row with those that gather the rows still moving.  Cases: the
+    # figure system, and three random systems of each N = 1-6
+    if n_sources == "figure":
+        rng = np.random.default_rng(5)
+        systems = [figure_system()]
+    else:
+        rng = np.random.default_rng(60 + n_sources)
+        systems = (random_system(rng, n_sources=n_sources) for _ in range(3))
     span = np.linspace(0.0, 1.5, 30)
     absorbed = 0
-    for _ in range(3):
-        sys_ = random_system(rng, n_sources=n_sources)
+    for sys_ in systems:
         pts = sample_boson_positions(ground_state(sys_), 30, rng)
         end, hit, left = _advance(sys_, _column_velocity, pts, span, 1e-4)
+        assert np.count_nonzero(hit >= 0) < 30
         absorbed += np.count_nonzero(hit >= 0)
         for k in range(30):
             alone = _advance(sys_, _column_velocity, pts[k : k + 1], span[k], 1e-4)
             assert _same_bits(end[k], alone[0][0])
             assert (hit[k], left[k]) == (alone[1][0], alone[2][0])
     # one source carries no current, and nothing it holds moves
-    assert (absorbed > 0) == (n_sources > 1)
+    assert (absorbed > 0) == (sys_.n_sources > 1)
 
 
 @pytest.mark.parametrize("n_sources", _BATCH_SIZES)
