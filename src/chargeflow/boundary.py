@@ -286,7 +286,7 @@ class EmissionWitness:
     current_negative: float
 
 
-def _witness_current(w, u, v, m, hbar):
+def _witness_current(u, v, m, hbar):
     # emission_witness rejects a current that under- or overflows
     with np.errstate(all="ignore"):
         return hbar / m * float(np.imag(np.conj(u) * v))
@@ -322,7 +322,7 @@ def emission_witness(w, m=1.0, hbar=1.0):
             pairs[label] = (u, (psi_q - alpha * u) / beta)
     currents = {}
     for label, (u, v) in pairs.items():
-        j = _witness_current(w, u, v, m, hbar)
+        j = _witness_current(u, v, m, hbar)
         if not np.isfinite(j) or j == 0:
             raise ValueError(f"the witness current is {j}: alpha, beta and psi(q) are out of range")
         residual = abs(alpha * u + beta * v - psi_q)
@@ -351,45 +351,32 @@ class RobinEvolution:
     psi_final: np.ndarray
 
 
-def _robin_rows(bc, c, h):
-    """Diagonal corrections and active-node masks for the two ends.
+def _build_robin_tridiag(bc, n_grid, m, hbar):
+    """The Hamiltonian's diagonal, upper and lower bands on the active nodes,
+    the active-node mask and the grid spacing.
 
     With a ghost point eliminated through alpha*psi + beta*psi' = 0 the end
     row of the second-difference operator becomes
     2c*(1 -/+ h*alpha/beta)*psi_end - 2c*psi_neighbor (minus at end 0, plus at
     end 1).  Dirichlet ends (beta = 0) simply drop the end node.
     """
-    rows = {}
-    for end, alpha, beta in ((0, bc.alpha0, bc.beta0), (1, bc.alpha1, bc.beta1)):
-        if beta == 0:
-            rows[end] = None
-        else:
-            sign = -1.0 if end == 0 else 1.0
-            rows[end] = 2.0 * c * (1.0 + sign * h * alpha / beta)
-    return rows
-
-
-def _build_robin_tridiag(bc, n_grid, m, hbar):
     h = 1.0 / (n_grid - 1)
     c = hbar**2 / (2.0 * m * h**2)
-    rows = _robin_rows(bc, c, h)
+    ends = ((0, -1.0, bc.alpha0, bc.beta0), (-1, 1.0, bc.alpha1, bc.beta1))
     active = np.ones(n_grid, dtype=bool)
-    if rows[0] is None:
-        active[0] = False
-    if rows[1] is None:
-        active[-1] = False
+    for end, _, _, beta in ends:
+        active[end] = beta != 0
     na = int(active.sum())
     if na < 3:
         raise ValueError("the grid needs at least 3 nodes besides its Dirichlet ends")
     diag = np.full(na, 2.0 * c, dtype=complex)
     up = np.full(na - 1, -c, dtype=complex)
     lo = np.full(na - 1, -c, dtype=complex)
-    if rows[0] is not None:
-        diag[0] = rows[0]
-        up[0] = -2.0 * c
-    if rows[1] is not None:
-        diag[-1] = rows[1]
-        lo[-1] = -2.0 * c
+    # an end's coupling to its neighbour is up[0] at end 0 and lo[-1] at end 1
+    for (end, sign, alpha, beta), band in zip(ends, (up, lo)):
+        if beta != 0:
+            diag[end] = 2.0 * c * (1.0 + sign * h * alpha / beta)
+            band[end] = -2.0 * c
     return diag, up, lo, active, h
 
 

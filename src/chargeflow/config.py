@@ -26,12 +26,13 @@ and malformed keys.
 import hashlib
 import re
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .model import ChargeSystem
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "COMMANDS"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "ensemble_steps", "COMMANDS"]
 
 COMMANDS = (
     "symmetry",
@@ -381,30 +382,39 @@ def _validate(config):
             "equivariance sampling (sample_times) needs runs >= 1000",
             line("simulate", "runs", "sample_times"),
         )
-    if any(ts > sim["t_max"] for ts in sim["sample_times"]):
-        raise ConfigError("sample times exceed t_max", line("simulate", "sample_times"))
     if sim["runs"] > 0:
-        for label, value in [("t_max", sim["t_max"])] + [
-            ("sample_times", ts) for ts in sim["sample_times"]
-        ]:
-            steps = value / sim["dt"]
-            if not np.isfinite(steps):
-                raise ConfigError(
-                    f"key 'dt' is too small: {label}/dt overflows", line("simulate", "dt")
-                )
-            k = round(steps)
-            if abs(k * sim["dt"] - value) > 1e-9 * max(abs(value), 1.0):
-                raise ConfigError(
-                    f"key '{label}' must lie on the dt grid for ensemble runs",
-                    line("simulate", label, "dt"),
-                )
-            # a horizon of no step would leave every statistic vacuous
-            if label == "t_max" and k < 1:
-                raise ConfigError(
-                    "key 't_max' must be at least one dt step for ensemble runs",
-                    line("simulate", "t_max"),
-                )
-        if len({round(ts / sim["dt"]) for ts in sim["sample_times"]}) < len(sim["sample_times"]):
-            raise ConfigError(
-                "sample times must be distinct on the dt grid", line("simulate", "sample_times")
-            )
+        ensemble_steps(sim["t_max"], sim["sample_times"], sim["dt"], partial(line, "simulate"))
+
+
+def ensemble_steps(t_max, sample_times, dt, line=lambda *keys: None):
+    """The dt step of an ensemble's horizon and, in order, of each sample time.
+
+    The grid rules: t_max/dt does not overflow; t_max and each sample time
+    lie on the grid (within 1e-9, relative above 1); t_max is at least one
+    step on; no sample time is later than t_max; no two share a step.  With
+    no t_max the horizon is the last sample time, which may be t = 0.  A
+    broken rule raises ConfigError naming its key, at `line(key, ...)`.
+    """
+
+    def fail(key, need, *also):
+        raise ConfigError(f"key '{key}' {need}", line(key, *also))
+
+    def step(key, value):
+        ratio = value / dt
+        if not np.isfinite(ratio):
+            fail("dt", f"is too small: {key}/dt overflows")
+        k = int(round(ratio))
+        if abs(k * dt - value) > 1e-9 * max(abs(value), 1.0):
+            fail(key, "must lie on the dt grid for ensemble runs", "dt")
+        return k
+
+    if t_max is not None and any(ts > t_max for ts in sample_times):
+        fail("sample_times", "entries may not exceed t_max")
+    n_steps = None if t_max is None else step("t_max", t_max)
+    # a horizon of no step would leave the reversal statistics vacuous
+    if n_steps is not None and n_steps < 1:
+        fail("t_max", "must be at least one dt step for ensemble runs")
+    samples = tuple(step("sample_times", ts) for ts in sample_times)
+    if len(set(samples)) < len(samples):
+        fail("sample_times", "entries must be distinct on the dt grid")
+    return max(samples) if n_steps is None else n_steps, samples

@@ -217,22 +217,18 @@ def _json_fragment(obj, out, indent):
         if not obj:
             out.append("{}")
             return
+        # compact: {"a": 1, "b": 2}; indented: each key on a line of its own,
+        # two blanks in from the brace
+        inner = None if indent is None else indent + 2
         if indent is None:
-            out.append("{")
-            for i, (key, value) in enumerate(obj.items()):
-                out.append(json.dumps(str(key), ensure_ascii=False) + ": ")
-                _json_fragment(value, out, None)
-                if i < len(obj) - 1:
-                    out.append(", ")
-            out.append("}")
-            return
-        pad = " " * indent
-        out.append("{\n")
+            lead, sep, close = "", ", ", "}"
+        else:
+            lead, sep, close = "\n" + " " * inner, ",", "\n" + " " * indent + "}"
+        out.append("{")
         for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{pad}  {json.dumps(str(key), ensure_ascii=False)}: ")
-            _json_fragment(value, out, indent + 2)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+            out.append(f"{sep if i else ''}{lead}{json.dumps(str(key), ensure_ascii=False)}: ")
+            _json_fragment(value, out, inner)
+        out.append(close)
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")

@@ -189,6 +189,23 @@ def _sector_phase_description(theta):
     return f"theta(n) = -2*n*{theta:.12g} mod 2*pi"
 
 
+def _phase_verdict(g, theta, tol):
+    """The verdict of the pair test |Im(conj(g_i) g_j)| <= tol * |g_i| * |g_j|
+    over the nonzero couplings g, with the common phase theta when it
+    passes."""
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    n = g.size
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(np.imag(np.conj(g[i]) * g[j])) > tol * abs(g[i]) * abs(g[j]):
+                return SymmetryVerdict(symmetric=False, witness=(i + 1, j + 1))
+    theta = _reduce_mod_pi(theta)
+    return SymmetryVerdict(
+        symmetric=True, theta=theta, theta_of_n=_sector_phase_description(theta)
+    )
+
+
 def classify_charges(charges, tol=1e-10):
     """Decide whether the couplings admit a time-reversal operator.
 
@@ -203,17 +220,7 @@ def classify_charges(charges, tol=1e-10):
         raise ValueError("at least one coupling is required")
     if np.any(np.abs(g) == 0):
         raise ValueError("couplings must be nonzero")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    n = g.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(np.imag(np.conj(g[i]) * g[j])) > tol * abs(g[i]) * abs(g[j]):
-                return SymmetryVerdict(symmetric=False, witness=(i + 1, j + 1))
-    theta = _reduce_mod_pi(np.angle(g[0]))
-    return SymmetryVerdict(
-        symmetric=True, theta=theta, theta_of_n=_sector_phase_description(theta)
-    )
+    return _phase_verdict(g, np.angle(g[0]), tol)
 
 
 def _sector_map(psi, phases):
@@ -265,22 +272,12 @@ def classify_general_ibc(thetas, tol=1e-10):
     theta_j attached to each source j.
 
     Only the phases decide: the real parameters (alpha_j, beta_j, gamma_j,
-    delta_j) of each source's condition do not enter.  Symmetric exactly
-    when all theta_j are equal mod pi (within tol, measured as angular
-    distance on the circle of period pi); the sector phase function is then
+    delta_j) of each source's condition do not enter.  The test is that of
+    `classify_charges` on the unit phasors exp(i*theta_j): symmetric exactly
+    when |sin(theta_i - theta_j)| <= tol for every pair, so all theta_j are
+    equal mod pi; the sector phase function is then
     theta(n) = -2*n*theta_1 mod 2*pi, which is insensitive to the mod-pi
     ambiguity of theta_1.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     th = np.asarray(thetas, dtype=float)
-    n = th.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = np.mod(th[i] - th[j], np.pi)
-            if min(d, np.pi - d) > tol:
-                return SymmetryVerdict(symmetric=False, witness=(i + 1, j + 1))
-    theta = _reduce_mod_pi(th[0])
-    return SymmetryVerdict(
-        symmetric=True, theta=theta, theta_of_n=_sector_phase_description(theta)
-    )
+    return _phase_verdict(np.exp(1j * th), th[0], tol)

@@ -22,12 +22,13 @@ flat array, from one sample time to the next.  Source labels in public
 signatures are 1-based.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 # the report functions import `pvalues` (scipy.special) when they run, so
 # importing this module or running a trajectory loads no scipy module
+from .config import ensemble_steps
 from .groundstate import _advance, _column_velocity, _length_scale, _short_of_span
 from .groundstate import _source_distances, radial_cdf_interpolator, sample_boson_positions
 
@@ -335,10 +336,13 @@ def simulate(gs, params, initial=None, law=None):
 class EnsembleParams:
     """Controls for the vectorized ensemble driver.
 
-    dt is the sample grid: sample times (and t_max, which defaults to the
-    largest sample time) must lie on it, each nonnegative time on a step of
-    its own and a given t_max at least one step on; emission-clock draws
-    are batched per dt.  It does not cap the integrator's substeps.
+    dt is the sample grid.  Its rules, which `config.ensemble_steps`
+    checks: t_max/dt does not overflow; t_max and each sample time lie on
+    the grid; t_max is at least one step on; no sample time is later than
+    t_max; no two share a step.  t_max defaults to the largest sample time,
+    which may then be t = 0.  `steps` holds the step of the horizon and
+    that of each (sorted) sample time.  Emission-clock draws are batched
+    per dt; dt does not cap the integrator's substeps.
     """
 
     runs: int
@@ -348,6 +352,7 @@ class EnsembleParams:
     seed: int = 0
     eps_absorb: float = None
     eps_start: float = None
+    steps: tuple = field(init=False)
 
     def __post_init__(self):
         if self.runs < 1:
@@ -357,23 +362,17 @@ class EnsembleParams:
         object.__setattr__(
             self, "sample_times", tuple(sorted(float(ts) for ts in self.sample_times))
         )
-        if self.t_max is None and not self.sample_times:
+        if self.horizon is None:
             raise ValueError("need t_max or sample_times")
-        if self.t_max is not None and self.sample_times and self.sample_times[-1] > self.t_max:
-            raise ValueError("sample times exceed t_max")
         if self.sample_times and self.sample_times[0] < 0.0:
             raise ValueError("sample times must be nonnegative")
-        # a t_max of no step would leave the reversal statistics vacuous; an
-        # ensemble given only sample times may stop at t = 0
-        if _grid_step(self.horizon, self.dt, "t_max") < 1 and self.t_max is not None:
-            raise ValueError("t_max must be at least one dt step")
-        steps = [_grid_step(ts, self.dt, "sample times") for ts in self.sample_times]
-        if len(set(steps)) < len(steps):
-            raise ValueError("sample times must be distinct on the dt grid")
+        object.__setattr__(self, "steps", ensemble_steps(self.t_max, self.sample_times, self.dt))
 
     @property
     def horizon(self):
-        return float(self.t_max) if self.t_max is not None else max(self.sample_times)
+        """The time the ensemble stops at: t_max, else the last sample time
+        (None when neither is set)."""
+        return float(self.t_max) if self.t_max is not None else max(self.sample_times, default=None)
 
 
 @dataclass(frozen=True)
@@ -401,16 +400,6 @@ class EnsembleResult:
     initial_sectors: np.ndarray
     final_sectors: np.ndarray
     snapshots: tuple
-
-
-def _grid_step(value, dt, what):
-    steps = value / dt
-    if not np.isfinite(steps):
-        raise ValueError(f"dt is too small: {what}/dt overflows")
-    k = int(round(steps))
-    if abs(k * dt - value) > 1e-9 * max(abs(value), 1.0):
-        raise ValueError(f"{what} must lie on the dt grid")
-    return k
 
 
 def _draw_births(rng, law, runs, n_steps, dt):
@@ -464,8 +453,8 @@ def run_ensemble(gs, params, law=None):
     rng = np.random.default_rng(params.seed)
     m_runs = params.runs
     dt = params.dt
-    n_steps = _grid_step(params.horizon, dt, "t_max")
-    snap_steps = {_grid_step(ts, dt, "sample times"): ts for ts in params.sample_times}
+    n_steps, sample_steps = params.steps
+    snap_steps = dict(zip(sample_steps, params.sample_times))
     sectors = rng.poisson(gs.poisson_rate, size=m_runs)
     pos = sample_boson_positions(gs, int(sectors.sum()), rng)
     run = np.repeat(np.arange(m_runs), sectors)

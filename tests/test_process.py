@@ -8,6 +8,7 @@ import pytest
 from oracles import figure_system
 
 from chargeflow import groundstate, process
+from chargeflow.config import ConfigError, ensemble_steps, parse_config
 from chargeflow.groundstate import ground_state, source_flux
 from chargeflow.model import ChargeSystem
 from chargeflow.process import (
@@ -523,45 +524,61 @@ def test_ensemble_params_validate():
         EnsembleParams(runs=10, t_max=1.0, dt=0.0)
     with pytest.raises(ValueError):
         EnsembleParams(runs=10)
-    with pytest.raises(ValueError):
-        EnsembleParams(runs=10, t_max=1.0, sample_times=(2.0,))
     # run_ensemble stops only at positive grid steps and keeps one snapshot
     # per step, so a negative time would vanish and a repeated one merge
     with pytest.raises(ValueError, match="sample times must be nonnegative"):
         EnsembleParams(runs=1000, sample_times=(-0.5, 1.0))
-    for times in [(1.0, 1.0), (1.0, 1.0 + 1e-12)]:
-        with pytest.raises(ValueError, match="sample times must be distinct on the dt grid"):
-            EnsembleParams(runs=1000, sample_times=times)
     params = EnsembleParams(runs=10, sample_times=(1.0, 0.5, -0.0))
     assert params.sample_times == (0.0, 0.5, 1.0)
     assert params.horizon == 1.0
+    assert params.steps == (100, (0, 50, 100))
     assert EnsembleParams(runs=10, t_max=3.0).horizon == 3.0
-
-
-def test_ensemble_params_reject_a_dt_that_overflows_the_grid():
-    with pytest.raises(ValueError, match="dt is too small"):
-        EnsembleParams(runs=10, t_max=1.0, dt=1e-320)
-    with pytest.raises(ValueError, match="dt is too small"):
+    # without a t_max the grid rules hold as with one (table below), but the
+    # horizon, the last sample time, may be t = 0
+    for times in [(1.0, 1.0), (1.0, 1.0 + 1e-12)]:
+        with pytest.raises(ValueError, match="key 'sample_times' entries must be distinct"):
+            EnsembleParams(runs=1000, sample_times=times)
+    with pytest.raises(ValueError, match="key 'dt' is too small"):
         EnsembleParams(runs=1000, sample_times=(0.0, 1.0), dt=1e-320)
+    params = EnsembleParams(runs=1000, sample_times=(0.0,))
+    assert (params.horizon, params.steps) == (0.0, (0, (0,)))
 
 
-def test_ensemble_params_reject_a_t_max_short_of_one_dt_step():
+# (t_max, sample_times, dt, and the key at fault or the accepted steps): the
+# ensemble's dt grid, as parse_config and EnsembleParams decide it
+_GRID_CASES = [
+    (10.0, (), 1e-320, "dt"),
+    (1.0, (), 0.3, "t_max"),
+    (1.0, (0.25,), 0.1, "sample_times"),
+    (10.0, (0.005,), 0.01, "sample_times"),
     # both lie on the dt grid at step 0: the ensemble would run no step
-    for t_max in (5e-324, 1e-9):
-        with pytest.raises(ValueError, match="t_max must be at least one dt step"):
-            EnsembleParams(runs=1000, t_max=t_max)
-    # a sample at t = 0 stays valid, below a t_max of one step or alone
-    assert EnsembleParams(runs=1000, t_max=0.01, sample_times=(0.0,)).horizon == 0.01
-    assert EnsembleParams(runs=1000, sample_times=(0.0,)).horizon == 0.0
+    (5e-324, (), 0.01, "t_max"),
+    (1e-9, (), 0.01, "t_max"),
+    (10.0, (1.0, 1.0), 0.01, "sample_times"),
+    (10.0, (1.0, 1.0 + 1e-12), 0.01, "sample_times"),
+    (1.0, (2.0,), 0.01, "sample_times"),
+    # a sample at t = 0 stays valid, alone or below a t_max of one step
+    (10.0, (0.0,), 0.01, (1000, (0,))),
+    (0.01, (0.0,), 0.01, (1, (0,))),
+    (10.0, (5.0, 10.0), 0.01, (1000, (500, 1000))),
+]
 
 
-def test_ensemble_grid_alignment(fig_gs, fig_law):
-    with pytest.raises(ValueError, match="grid"):
-        run_ensemble(fig_gs, EnsembleParams(runs=2, t_max=1.0, dt=0.3), law=fig_law)
-    with pytest.raises(ValueError, match="grid"):
-        run_ensemble(
-            fig_gs, EnsembleParams(runs=2, t_max=1.0, sample_times=(0.25,), dt=0.1), law=fig_law
-        )
+@pytest.mark.parametrize(("t_max", "sample_times", "dt", "want"), _GRID_CASES)
+def test_config_and_ensemble_params_decide_the_dt_grid_alike(t_max, sample_times, dt, want):
+    times = " ".join(map(repr, sample_times))
+    text = f"[simulate]\nruns = 1000\nt_max = {t_max!r}\ndt = {dt!r}\nsample_times = {times}\n"
+    make = partial(EnsembleParams, runs=1000, t_max=t_max, sample_times=sample_times, dt=dt)
+    if isinstance(want, str):
+        lineno = {"t_max": 3, "dt": 4, "sample_times": 5}[want]
+        with pytest.raises(ConfigError, match=f"^line {lineno}: key '{want}' "):
+            parse_config(text)
+        with pytest.raises(ValueError, match=f"^key '{want}' "):
+            make()
+    else:
+        opts = parse_config(text).options("simulate")
+        assert ensemble_steps(opts["t_max"], opts["sample_times"], opts["dt"]) == want
+        assert make().steps == want
 
 
 def test_ensemble_counts_and_determinism(fig_gs, fig_law):
@@ -590,8 +607,8 @@ def per_dt_run_ensemble(gs, params, law):
     X = system.positions
     eps_absorb, eps_start = _resolve_radii(system, params.eps_absorb, params.eps_start)
     rng = np.random.default_rng(params.seed)
-    n_steps = process._grid_step(params.horizon, params.dt, "t_max")
-    snap_steps = {process._grid_step(ts, params.dt, "times"): ts for ts in params.sample_times}
+    n_steps, sample_steps = params.steps
+    snap_steps = dict(zip(sample_steps, params.sample_times))
     sectors = rng.poisson(gs.poisson_rate, size=params.runs)
     pos = groundstate.sample_boson_positions(gs, int(sectors.sum()), rng)
     run = np.repeat(np.arange(params.runs), sectors)
