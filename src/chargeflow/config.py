@@ -389,17 +389,20 @@ def _validate(config):
 def ensemble_steps(t_max, sample_times, dt, line=lambda *keys: None):
     """The dt step of an ensemble's horizon and, in order, of each sample time.
 
-    The grid rules: t_max/dt does not overflow; t_max and each sample time
-    lie on the grid (within 1e-9, relative above 1); t_max is at least one
-    step on; no sample time is later than t_max; no two share a step.  With
-    no t_max the horizon is the last sample time, which may be t = 0.  A
-    broken rule raises ConfigError naming its key, at `line(key, ...)`.
+    The grid rules: t_max and each sample time are finite and lie on the
+    grid (within 1e-9, relative above 1); t_max/dt does not overflow; t_max
+    is at least one step on; no sample time is later than t_max; no two
+    share a step.  With no t_max the horizon is the last sample time, which
+    may be t = 0.  A broken rule raises ConfigError naming its key, at
+    `line(key, ...)`.
     """
 
     def fail(key, need, *also):
         raise ConfigError(f"key '{key}' {need}", line(key, *also))
 
     def step(key, value):
+        if not np.isfinite(value):
+            fail(key, "must be finite")
         ratio = value / dt
         if not np.isfinite(ratio):
             fail("dt", f"is too small: {key}/dt overflows")

@@ -33,7 +33,6 @@ inside the radial-CDF functions (`scipy.special`, and `scipy.integrate` from
 three sources on), so the field and its streamlines load none.
 """
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations, pairwise
 from math import lgamma
@@ -321,7 +320,7 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
     absorbed[k] is the 0-based source whose ball row k entered, or -1, and
     left[k] the part of its span not travelled, so an absorbed row made
     contact at span - left.  A row still `_short_of_span` when the round
-    budget runs out is left there.
+    budget runs out is left there, for the caller to report.
     """
     K = pts.shape[0]
     out = pts.T.copy()
@@ -334,7 +333,7 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
     for _ in range(max_rounds):
         act = active.nonzero()[0]
         if act.size == 0:
-            return out.T.copy(), absorbed, remaining
+            break
         if act.size == K:
             # every row moves: no gather and scatter
             out, remaining, nearest_d, absorbed = _rk4_round(
@@ -346,7 +345,6 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
             system, field, out[:, act], remaining[act], nearest_d[act], eps_absorb
         )
         active[act] = _short_of_span(absorbed[act], remaining[act])
-    warnings.warn("substepping budget exhausted; some points frozen early")
     return out.T.copy(), absorbed, remaining
 
 

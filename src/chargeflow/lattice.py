@@ -31,7 +31,6 @@ inverse iteration; only the full eigendecomposition behind the spectral
 """
 
 import cmath
-import warnings
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import comb, sqrt
@@ -274,18 +273,10 @@ class LatticeModel:
         self.sector = basis.total
         self.H = H
         self.dim = len(self.occupations)
-        # row of each stored entry of H; `_transpose` gives the position of
-        # its mirror entry
+        # row of each stored entry of H
         self._rows = np.repeat(np.arange(self.dim), np.diff(H.indptr))
         self._ground = None
         self._eig = None
-
-    @cached_property
-    def _transpose(self):
-        # H's pattern is symmetric, so column-major order lists the mirror of
-        # each entry in CSR order; built on first use, as only the fluxes
-        # read it (not the gauge or commutation checks)
-        return np.lexsort((self._rows, self.H.indices))
 
     @cached_property
     def basis(self):
@@ -521,15 +512,9 @@ def check_gauge_equivalence(model, theta):
 
 def _current(model, psi):
     """J(q -> q') = (2/hbar) Im[conj(psi(q')) H_{q'q} psi(q)] at each stored
-    entry (q', q) of H, in CSR order."""
+    entry (q', q) of H, in CSR order; antisymmetric, as H is Hermitian."""
     H = model.H
     return 2.0 / model.params.hbar * np.imag((np.conj(psi)[model._rows] * H.data) * psi[H.indices])
-
-
-def _flux(model, psi):
-    """F(q -> q') = max{0, J(q -> q')} at each stored entry (q', q) of H, in
-    CSR order; indexing with model._transpose gives F(q' -> q) instead."""
-    return np.maximum(0.0, _current(model, psi))
 
 
 def bell_jump_rates(model, psi, q):
@@ -538,7 +523,8 @@ def bell_jump_rates(model, psi, q):
     sigma(q -> q') = (2/hbar) max{0, Im[conj(psi(q')) H_{q'q} psi(q)]} / |psi(q)|^2
     for every q' coupled to q by H.  Between any pair at most one direction is
     active, and the difference of the two directed flows reproduces the net
-    probability current.  Keys of the returned map are occupation tuples.
+    probability current.  Each flux is max{0, -J} in row q of H (`_current`).
+    Keys of the returned map are occupation tuples.
     """
     psi = np.asarray(psi, dtype=complex)
     qi = model.state_index(q)
@@ -546,18 +532,17 @@ def bell_jump_rates(model, psi, q):
     if dens == 0.0:
         raise NodeError("jump rates are undefined at a node of psi")
     lo, hi = model.H.indptr[qi], model.H.indptr[qi + 1]
-    targets = model.H.indices[lo:hi]
-    flux = _flux(model, psi)[model._transpose[lo:hi]]
+    flux = np.maximum(0.0, -_current(model, psi)[lo:hi])
     return {
         model.basis[target]: float(f / dens)
-        for target, f in zip(targets, flux)
+        for target, f in zip(model.H.indices[lo:hi], flux)
         if f > 0.0 and target != qi
     }
 
 
 @dataclass(frozen=True)
 class JumpChainRecord:
-    """One Bell-process chain: jump times, visited configurations, warnings."""
+    """One Bell-process chain: jump times, visited configurations, floored-node visits."""
 
     times: np.ndarray
     states: list
@@ -603,7 +588,7 @@ def _run_chains(model, psi0, t_max, n_chains, seed):
         dens = np.abs(psi) ** 2
         floor = BELL_NODE_FLOOR * np.max(dens)
         rates = np.zeros(targets.shape)
-        rates[rows, slots] = _flux(model, psi)[model._transpose] / np.maximum(dens, floor)[rows]
+        rates[rows, slots] = np.maximum(0.0, -_current(model, psi)) / np.maximum(dens, floor)[rows]
         return np.cumsum(rates, axis=1), dens < floor
 
     def land(chains, cum):
@@ -652,13 +637,6 @@ def _run_chains(model, psi0, t_max, n_chains, seed):
             keep = clock < end
             live, clock = live[keep], clock[keep]
         t = end
-    if node_hits:
-        warnings.warn(
-            f"jump rates were capped near wavefunction nodes {node_hits} time(s); "
-            "statistics near nodes carry extra error",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     result = BellEnsembleResult(
         final_indices=states, n_jumps=n_jumps, t_final=float(t_max), node_warnings=node_hits
     )
@@ -701,7 +679,7 @@ def run_bell_ensemble(model, psi0, t_max, n_chains, seed):
 
     Rate denominators are floored at BELL_NODE_FLOOR times the largest
     density; node_warnings counts the chain visits (start or landing) to a
-    floored configuration, and a non-zero count is reported with a warning.
+    floored configuration and is the only report of the capped rates.
     """
     return _run_chains(model, psi0, t_max, n_chains, seed)[0]
 
@@ -726,8 +704,9 @@ class ReversalReport:
 def reversal_conditions_check(model, theta, psi):
     """Verify that reversing psi reverses every directed jump flux, to 1e-10."""
     psi = np.asarray(psi, dtype=complex)
-    forward = _flux(model, sector_reversal(model, theta, psi))
-    backward = _flux(model, psi)[model._transpose]
+    # at entry (q', q): F^{T psi}(q -> q') against F^{psi}(q' -> q)
+    forward = np.maximum(0.0, _current(model, sector_reversal(model, theta, psi)))
+    backward = np.maximum(0.0, -_current(model, psi))
     max_violation = float(np.max(np.abs(forward - backward)))
     return ReversalReport(
         passed=bool(max_violation <= 1e-10),

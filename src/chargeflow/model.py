@@ -189,10 +189,12 @@ def _sector_phase_description(theta):
     return f"theta(n) = -2*n*{theta:.12g} mod 2*pi"
 
 
-def _phase_verdict(g, theta, tol):
+def _phase_verdict(g, phases, tol, what):
     """The verdict of the pair test |Im(conj(g_i) g_j)| <= tol * |g_i| * |g_j|
-    over the nonzero couplings g, with the common phase theta when it
-    passes."""
+    over the nonzero couplings g, with the common phase phases[0] when it
+    passes; g is built from at least one `what`."""
+    if g.size == 0:
+        raise ValueError(f"at least one {what} is required")
     if not tol > 0:
         raise ValueError("tol must be positive")
     n = g.size
@@ -200,7 +202,7 @@ def _phase_verdict(g, theta, tol):
         for j in range(i + 1, n):
             if abs(np.imag(np.conj(g[i]) * g[j])) > tol * abs(g[i]) * abs(g[j]):
                 return SymmetryVerdict(symmetric=False, witness=(i + 1, j + 1))
-    theta = _reduce_mod_pi(theta)
+    theta = _reduce_mod_pi(phases[0])
     return SymmetryVerdict(
         symmetric=True, theta=theta, theta_of_n=_sector_phase_description(theta)
     )
@@ -216,11 +218,9 @@ def classify_charges(charges, tol=1e-10):
     opposite phase carry real couplings of opposite sign).
     """
     g = np.atleast_1d(np.asarray(charges, dtype=complex))
-    if g.size == 0:
-        raise ValueError("at least one coupling is required")
     if np.any(np.abs(g) == 0):
         raise ValueError("couplings must be nonzero")
-    return _phase_verdict(g, np.angle(g[0]), tol)
+    return _phase_verdict(g, np.angle(g), tol, "coupling")
 
 
 def _sector_map(psi, phases):
@@ -279,5 +279,5 @@ def classify_general_ibc(thetas, tol=1e-10):
     theta(n) = -2*n*theta_1 mod 2*pi, which is insensitive to the mod-pi
     ambiguity of theta_1.
     """
-    th = np.asarray(thetas, dtype=float)
-    return _phase_verdict(np.exp(1j * th), th[0], tol)
+    th = np.atleast_1d(np.asarray(thetas, dtype=float))
+    return _phase_verdict(np.exp(1j * th), th, tol, "phase")

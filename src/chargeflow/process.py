@@ -337,12 +337,12 @@ class EnsembleParams:
     """Controls for the vectorized ensemble driver.
 
     dt is the sample grid.  Its rules, which `config.ensemble_steps`
-    checks: t_max/dt does not overflow; t_max and each sample time lie on
-    the grid; t_max is at least one step on; no sample time is later than
-    t_max; no two share a step.  t_max defaults to the largest sample time,
-    which may then be t = 0.  `steps` holds the step of the horizon and
-    that of each (sorted) sample time.  Emission-clock draws are batched
-    per dt; dt does not cap the integrator's substeps.
+    checks: t_max and each sample time are finite and lie on the grid;
+    t_max/dt does not overflow; t_max is at least one step on; no sample
+    time is later than t_max; no two share a step.  t_max defaults to the
+    largest sample time, which may then be t = 0.  `steps` holds the step
+    of the horizon and that of each (sorted) sample time.  Emission-clock
+    draws are batched per dt; dt does not cap the integrator's substeps.
     """
 
     runs: int

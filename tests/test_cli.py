@@ -1732,6 +1732,19 @@ def test_lattice_uses_neither_eig_nor_eigh(tmp_path, monkeypatch):
     assert read_json(out / "lattice.json")["bell"]["mean_jumps"] > 0.0
 
 
+def test_a_lattice_run_counts_its_floored_node_visits_in_silence(tmp_path, monkeypatch, capsys):
+    # with the rate floor at half the largest density, the figure ground
+    # state's chains keep visiting floored configurations: the run succeeds,
+    # prints nothing and reports the visits in lattice.json only
+    monkeypatch.setattr(lattice, "BELL_NODE_FLOOR", 0.5)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["lattice", "--config", str(FIGURE_CFG), "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert read_json(out / "lattice.json")["bell"]["node_warnings"] > 0
+
+
 def test_lattice_lapack_failure_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(lattice.lapack, "dsterf", lambda d, e: (d, 7))
     code, out = run_cli(tmp_path, LATTICE_SMALL, "lattice")
@@ -1814,7 +1827,8 @@ def test_exhausted_substep_budget_exits_2_without_statistics(tmp_path, monkeypat
     for trajectory in ("false", "true"):
         text = SIM_ENS.replace("trajectory = false", f"trajectory = {trajectory}")
         (tmp_path / trajectory).mkdir()
-        with pytest.warns(UserWarning, match="budget"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code, out = run_cli(tmp_path / trajectory, text, "simulate")
         assert code == 2
         assert "substep budget exhausted" in capsys.readouterr().err
@@ -1944,6 +1958,30 @@ def test_trajectory_only_simulate_loads_no_scipy_in_a_fresh_interpreter(tmp_path
     assert result["code"] == 0
     assert (out / "trajectory.jsonl").exists()
     assert result["scipy"] == []
+
+
+# the ensemble's substep budget cut to two rounds, under Python's own
+# warning filters: the run's exit code and its whole standard error
+_BUDGET = """
+import contextlib, io, json, sys
+from functools import partial
+from chargeflow import cli, groundstate, process
+
+process._advance = partial(groundstate._advance, max_rounds=2)
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "err": err.getvalue()}))
+"""
+
+
+def test_an_exhausted_substep_budget_prints_one_line_in_a_fresh_interpreter(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SIM_ENS)
+    out = tmp_path / "out"
+    result = run_fresh(_BUDGET, "simulate", "--config", str(cfg), "--out", str(out))
+    assert result == {"code": 2, "err": "numerical failure: substep budget exhausted before t=2\n"}
+    assert not out.exists()
 
 
 def test_importing_process_loads_no_scipy_in_a_fresh_interpreter():

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -968,7 +969,8 @@ def test_streamline_ends_where_its_substep_budget_runs_out(monkeypatch):
         assert np.array_equal(line.arc_lengths[:-1], full.arc_lengths[: len(line.points) - 1])
         s = line.arc_lengths[-2]
         s_next = min(s + 0.25, 40.0)
-        with pytest.warns(UserWarning, match="substepping budget exhausted"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             end, hit, left = _advance(sys_, _unit_current, line.points[-2:-1], s_next - s, 1e-4, max_rounds=10)
         assert hit[0] == -1 and left[0] > 1e-15
         np.testing.assert_array_equal(line.points[-1], end[0])

@@ -198,3 +198,9 @@ def test_general_ibc_detects_phase_gap():
 def test_general_ibc_single_source_symmetric():
     assert classify_general_ibc(np.array([1.1])).symmetric
 
+
+def test_general_ibc_needs_a_phase():
+    # as classify_charges needs a coupling
+    with pytest.raises(ValueError, match="at least one phase is required"):
+        classify_general_ibc([])
+

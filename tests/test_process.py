@@ -1,5 +1,6 @@
 import time
 import types
+import warnings
 from dataclasses import replace
 from functools import partial
 
@@ -367,7 +368,8 @@ def test_absorption_is_recorded_at_the_contact_time(fig_gs):
 def test_exhausted_substep_budget_ends_the_record(fig_gs, monkeypatch):
     monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=1))
     start = np.array([[0.5, 0.1, 0.0]])
-    with pytest.warns(UserWarning, match="budget"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rec = simulate(fig_gs, SimulationParams(t_max=2.0), initial=start, law=_no_emission_law())
     assert rec.failure is not None and "budget" in rec.failure
     assert rec.t_final < 2.0
@@ -510,7 +512,8 @@ def test_simulate_matches_the_per_step_oracle_when_the_substep_budget_runs_out(f
     monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=3))
     start = np.array([[0.5, 0.1, 0.0], [0.5, 0.8, 0.3]])
     params = SimulationParams(t_max=2.0)
-    with pytest.warns(UserWarning, match="budget"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rec = simulate(fig_gs, params, initial=start, law=_no_emission_law())
         want = per_step_simulate(fig_gs, params, initial=start, law=_no_emission_law())
     assert rec.failure is not None and rec.t_final > 0.0
@@ -542,6 +545,12 @@ def test_ensemble_params_validate():
         EnsembleParams(runs=1000, sample_times=(0.0, 1.0), dt=1e-320)
     params = EnsembleParams(runs=1000, sample_times=(0.0,))
     assert (params.horizon, params.steps) == (0.0, (0, (0,)))
+    # a non-finite time is its own key's fault, not an overflow of t/dt
+    for value in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="key 't_max' must be finite"):
+            EnsembleParams(runs=10, t_max=value)
+        with pytest.raises(ValueError, match="key 'sample_times' must be finite"):
+            EnsembleParams(runs=10, sample_times=(0.0, value))
 
 
 # (t_max, sample_times, dt, and the key at fault or the accepted steps): the
@@ -772,7 +781,8 @@ def test_a_fine_emission_grid_costs_no_step_scan(fig_gs, fig_law):
 
 def test_ensemble_raises_when_the_substep_budget_runs_out(fig_gs, fig_law, monkeypatch):
     monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=2))
-    with pytest.warns(UserWarning, match="budget"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="budget"):
             run_ensemble(fig_gs, EnsembleParams(runs=50, t_max=1.0, seed=0), law=fig_law)
 
@@ -864,7 +874,8 @@ def test_start_offset_sensitivity_zero_rate():
 
 def test_start_offset_sensitivity_raises_when_the_substep_budget_runs_out(fig_gs, fig_law, monkeypatch):
     monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=3))
-    with pytest.warns(UserWarning, match="budget"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="budget"):
             emission_start_sensitivity(fig_gs, law=fig_law)
 
