@@ -6,8 +6,8 @@ per-stream seeds, and every resolved option of the command (defaults
 included).  Floating-point values are printed with a fixed 17-significant-
 digit format, so identical configs and seeds give byte-identical files; JSON
 writes NaN and infinities as null.  CSV tables are written in blocks of
-columns, and a float64 column goes through the vectorized '%.17g' of
-`chargeflow.g17`, loaded on first use.  Each file is written to a
+columns, and the float64 columns of a block go through one vectorized
+'%.17g' of `chargeflow.g17`, loaded on first use.  Each file is written to a
 temporary sibling and renamed into place with the permissions the umask
 grants, so a failed write leaves no file; `cli.dispatch` commits the set.
 """
@@ -128,34 +128,16 @@ def atomic_write_text(path, chunks):
 
 
 def _column_cells(col):
-    """One column of a CSV block -> its texts as an (n, w) uint8 matrix, and
-    None if NUL marks the unused bytes, else the mask of the bytes to keep."""
-    dtype = getattr(col, "dtype", np.dtype(object))
-    if dtype == np.float64:
-        # where the distinct bit patterns are at most half of the column, format
-        # each once; bits, not values, so -0.0 and NaN print as format_value does.
-        # A sort finds them: numpy 2.4's np.unique hashes first, 0.6 ms against
-        # 35 us for 4,096 distinct values on a 2-core Xeon
-        bits = col.view(np.int64)
-        ordered = np.sort(bits)
-        distinct = np.append(ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])
-        # the kernel loads on the first float column: `import chargeflow.cli`
-        # does not compile it
-        from .g17 import g17_cells
-
-        if 2 * distinct.size > bits.size:
-            return g17_cells(col), None
-        return g17_cells(distinct.view(np.float64))[np.searchsorted(distinct, bits)], None
-    if dtype.kind in "iu":
-        texts = list(map(str, col.tolist()))
+    """A CSV column other than float64 -> its texts as an (n, w) uint8 matrix,
+    with 0xFF, a byte UTF-8 never uses, in the bytes a cell does not use."""
+    if getattr(col, "dtype", np.dtype(object)).kind in "iu":
+        texts = map(str, col.tolist())
     else:
-        texts = list(map(format_value, col))
-    # a str cell may hold NUL bytes, so its mask comes from its length
+        texts = map(format_value, col)
     data = [t.encode("utf-8") for t in texts]
-    lengths = np.fromiter(map(len, data), np.intp, len(data))
-    width = max(lengths.max(initial=0), 1)
-    cells = np.array(data, f"S{width}").view(np.uint8).reshape(len(data), width)
-    return cells, np.arange(width) < lengths[:, None]
+    width = max(map(len, data), default=0)
+    cells = b"".join([t.ljust(width, b"\xff") for t in data])
+    return np.frombuffer(cells, np.uint8).reshape(len(data), width)
 
 
 def write_csv(path, columns, blocks, provenance):
@@ -163,12 +145,12 @@ def write_csv(path, columns, blocks, provenance):
 
     `blocks` is consumed once.  Each block is a sequence of len(columns)
     equal-length 1-D columns (numpy arrays or lists) and becomes one byte
-    buffer that streams into the temporary file.  A float64 array prints as
-    %.17g through `g17.g17_cells` (the bytes '%' gives), an integer array as
-    %d, anything else through `format_value`.  Each column becomes a byte
-    matrix with one row per cell and a mask of the bytes to keep; a block is
-    the columns and the separators side by side, compacted by the mask in
-    one pass.
+    buffer that streams into the temporary file.  Every float64 array of a
+    block prints as %.17g through one `g17.g17_cells` call (the bytes '%'
+    gives), an integer array as %d, anything else through `format_value`.
+    Each column becomes a byte matrix with one row per cell; a block is the
+    columns and the separators side by side, less the unused bytes of each
+    cell in one pass.
     """
 
     def block_bytes(block):
@@ -176,17 +158,33 @@ def write_csv(path, columns, blocks, provenance):
         if len(block) != len(columns) or len(lengths) > 1:
             raise ValueError(f"a CSV block needs {len(columns)} columns of equal length")
         n = lengths.pop()
-        cells, masks = zip(*map(_column_cells, block))
-        comma = np.full((n, 1), ord(","), np.uint8)
-        parts = [part for col_cells in cells for part in (col_cells, comma)]
-        parts[-1] = np.full((n, 1), ord("\n"), np.uint8)
-        data = np.hstack(parts)
-        keep = data != 0
-        start = 0
-        for col_cells, mask in zip(cells, masks):
-            if mask is not None:
-                keep[:, start : start + mask.shape[1]] = mask
-            start += col_cells.shape[1] + 1
+        # a float64 column gives the g17 pass its values or, where they are at
+        # most half of it, its distinct bit patterns; bits, so -0.0 and NaN print
+        # as format_value does.  A sort finds them: numpy 2.4's np.unique hashes
+        # first, 0.6 ms against 35 us for 4,096 distinct values on a 2-core Xeon
+        values, picks = [], {}
+        for j, col in enumerate(block):
+            if getattr(col, "dtype", None) == np.float64:
+                bits = col.view(np.int64)
+                ordered = np.sort(bits)
+                distinct = np.append(ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])
+                size = sum(map(len, values))
+                whole = 2 * distinct.size > n
+                values.append(bits if whole else distinct)
+                picks[j] = slice(size, size + n) if whole else size + np.searchsorted(distinct, bits)
+        if picks:
+            # the kernel loads on the first float column: `import chargeflow.cli`
+            # does not compile it
+            from .g17 import g17_cells
+
+            texts = g17_cells(np.concatenate(values).view(np.float64))
+        cells = [texts[picks[j]] if j in picks else _column_cells(col) for j, col in enumerate(block)]
+        ends = np.full((n, len(block)), ord(","), np.uint8)
+        ends[:, -1] = ord("\n")
+        data = np.hstack([part for j, c in enumerate(cells) for part in (c, ends[:, j : j + 1])])
+        # NUL fills the unused bytes of a float cell, 0xFF those of any other
+        fill = np.array([0 if j in picks else 255 for j in range(len(block))], np.uint8)
+        keep = data != np.repeat(fill, [c.shape[1] + 1 for c in cells])
         # a 1-D boolean index: np.compress would first list the kept
         # positions, 8 bytes for each byte of the text
         return data.ravel()[keep.ravel()]

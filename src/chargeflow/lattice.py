@@ -583,12 +583,15 @@ def _run_chains(model, psi0, t_max, n_chains, seed):
     slots = np.arange(H.nnz) - H.indptr[rows]
     targets = np.zeros((model.dim, slots.max() + 1), dtype=np.int64)
     targets[rows, slots] = H.indices
+    # no chain jumps to its own state: the diagonal current is rounding
+    diagonal = rows[H.indices == rows], slots[H.indices == rows]
 
     def cumulative_rates(psi):
         dens = np.abs(psi) ** 2
         floor = BELL_NODE_FLOOR * np.max(dens)
         rates = np.zeros(targets.shape)
         rates[rows, slots] = np.maximum(0.0, -_current(model, psi)) / np.maximum(dens, floor)[rows]
+        rates[diagonal] = 0.0
         return np.cumsum(rates, axis=1), dens < floor
 
     def land(chains, cum):

@@ -289,18 +289,19 @@ def simulate(gs, params, initial=None, law=None):
         t_stop = min(t + params.dt_max, b_time[born], params.t_max)
         if ids:
             moved, hit, left = _advance(system, _column_velocity, pos, t_stop - t, eps_absorb)
-            if _short_of_span(hit, left).any():
-                failure = f"substep budget exhausted in the step from t={t:.6g}"
-                break
             absorbed = (hit >= 0).nonzero()[0]
-            if absorbed.size:
+            if absorbed.size and not _short_of_span(hit, left).any():
                 first = absorbed[np.argmax(left[absorbed])]
                 t_stop -= left[first]
                 others = np.arange(len(ids)) != first
-                moved[others], hit[others], _ = _advance(
+                moved[others], hit[others], left[others] = _advance(
                     system, _column_velocity, pos[others], t_stop - t, eps_absorb
                 )
                 absorbed = (hit >= 0).nonzero()[0]
+            # either call may run out of substep rounds
+            if _short_of_span(hit, left).any():
+                failure = f"substep budget exhausted in the step from t={t:.6g}"
+                break
             if not ends:
                 t_start = t
             ends.append(t_stop)

@@ -1,15 +1,20 @@
-"""Hand-run timings of the field kernel and the integrator.
+"""Hand-run timings of the field kernel, the integrator and the CSV writer.
 
 For K points drawn from |psi1|^2 of the figure system, prints the best of
 repeated timings of `velocity` and `psi1` (one call on (K, 3) rows) and of
 `_advance` (one span of 0.05, absorption radius 1e-4) at each K, then that
-of `sample_boson_positions` for 5,000 draws.  The suite does not collect
-this file; run it from the root of a checkout:
+of `sample_boson_positions` for 5,000 draws.  Then the CSV writer: one
+4,096-row block of a 201 x 201 field.csv over the figure config's bounds
+through `write_csv`, per row, and `g17_cells` at 1 and 4,096 values of
+that block.  The suite does not collect this file; run it from the root
+of a checkout:
 
     PYTHONPATH=src python tests/bench_kernel.py
 """
 
+import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -19,6 +24,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from oracles import figure_system  # noqa: E402
 
+from chargeflow.cli import _BLOCK, _field_table  # noqa: E402
+from chargeflow.g17 import g17_cells  # noqa: E402
 from chargeflow.groundstate import (  # noqa: E402
     _advance,
     _column_velocity,
@@ -27,6 +34,7 @@ from chargeflow.groundstate import (  # noqa: E402
     sample_boson_positions,
     velocity,
 )
+from chargeflow.io import Provenance, write_csv  # noqa: E402
 
 SIZES = (1, 3, 6, 60, 450, 5393, 30000)
 DRAWS = 5000
@@ -34,6 +42,8 @@ SPAN = 0.05
 EPS_ABSORB = 1e-4
 REPEATS = 7
 BUDGET_S = 0.2
+# the [field] bounds of configs/figure.cfg, at 201 nodes a side
+FIELD_X, FIELD_Y, FIELD_N = (-0.8, 1.8), (-1.3, 1.3), 201
 
 
 def best_us(fn):
@@ -65,6 +75,20 @@ def main():
         print(f"{k:>6} {v:>12.1f} {p:>12.1f} {a:>12.1f}")
     s = best_us(lambda: sample_boson_positions(gs, DRAWS, np.random.default_rng(12345)))
     print(f"sample_boson_positions, {DRAWS} draws: {s:.1f} us")
+
+    # the first block of field.csv, as `cli._cmd_field` makes it
+    k = np.arange(_BLOCK)
+    xs, ys = np.linspace(*FIELD_X, FIELD_N), np.linspace(*FIELD_Y, FIELD_N)
+    block = _field_table(system, np.column_stack([xs[k // FIELD_N], ys[k % FIELD_N], np.zeros(_BLOCK)])).T
+    columns = ("x", "y", "z", "jx", "jy", "jz", "|psi1|", "phase")
+    prov = Provenance("field", "0" * 64, 12345, {}, {})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.csv")
+        w = best_us(lambda: write_csv(path, columns, [block], prov))
+    print(f"write_csv, one {_BLOCK}-row field.csv block: {w * 1e3 / _BLOCK:.1f} ns per row")
+    for n in (1, _BLOCK):
+        g = best_us(lambda: g17_cells(block[3, :n]))
+        print(f"g17_cells, {n} value(s): {g:.1f} us")
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ import scipy.sparse.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chargeflow import cli, groundstate, lattice, process
+from chargeflow import cli, g17, groundstate, lattice, process
 from chargeflow import io as io_module
 from chargeflow.cli import main
 from chargeflow.config import _SCHEMA, COMMANDS, ConfigError, parse_config
@@ -1052,8 +1052,25 @@ _CSV_TABLES = st.lists(st.sampled_from(sorted(_CSV_COLUMNS)), min_size=1, max_si
 )
 
 
+# a block as `_field_table(...).T` passes it: eight strided float64 rows of
+# one table, some with repeated values (x, z, jz) and some without
+_FIELD_BLOCK = np.column_stack(
+    [
+        np.repeat([-0.8, 0.5], 3),
+        np.linspace(-1.3, 1.3, 6),
+        np.zeros(6),
+        np.arange(6) / 7,
+        -np.arange(6) * 1e-5,
+        np.full(6, -0.0),
+        np.geomspace(1e-300, 1e300, 6),
+        np.linspace(-np.pi, np.pi, 6),
+    ]
+).T
+
+
 @settings(max_examples=200, deadline=None)
 @given(_CSV_TABLES)
+@example([_FIELD_BLOCK, _FIELD_BLOCK[:, 1:3]])
 @example([(np.array([0.0, -0.0, 0.0, -0.0]), np.array([math.nan, 1.0, math.nan, math.nan]))])
 @example([(np.array([1.0]), ["a"])])
 def test_write_csv_matches_the_per_value_writer(blocks):
@@ -1076,6 +1093,29 @@ def test_write_csv_matches_the_per_value_writer(blocks):
                     assert math.isnan(back)
                 else:
                     assert back == value and math.copysign(1.0, back) == math.copysign(1.0, value)
+
+
+def test_write_csv_formats_the_float_columns_of_a_block_in_one_g17_call(tmp_path, monkeypatch):
+    calls, real = [], g17.g17_cells
+
+    def counted(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(g17, "g17_cells", counted)
+    table = np.random.default_rng(7).normal(size=(40, 8))
+    table[:, 0] = np.repeat(np.arange(4.0), 10)
+    columns = tuple(f"c{i}" for i in range(8))
+    write_csv(tmp_path / "t.csv", columns, [table.T], prov_stub())
+    # the first column adds its 4 distinct values, the others all 40 of theirs
+    assert calls == [4 + 7 * 40]
+    want = _per_value_csv(columns, table.tolist(), prov_stub())
+    assert (tmp_path / "t.csv").read_text() == want
+
+
+def test_write_csv_block_of_no_rows_writes_only_the_header(tmp_path):
+    write_csv(tmp_path / "t.csv", ("a", "b", "c"), [(np.empty(0), np.empty(0), [])], prov_stub())
+    assert (tmp_path / "t.csv").read_text() == _per_value_csv(("a", "b", "c"), [], prov_stub())
 
 
 def test_write_csv_failing_rows_leave_no_file(tmp_path):

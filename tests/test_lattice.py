@@ -479,6 +479,19 @@ def test_bell_process_stationary_for_real_ground_state():
     assert res.n_jumps.sum() == 0
 
 
+def test_bell_chains_never_jump_to_their_own_state(monkeypatch):
+    # a flux on the diagonal entries of H only, which a chain would spend on
+    # jumps from a state to itself
+    def diagonal_current(model, psi):
+        return np.where(model.H.indices == model._rows, -1.0, 0.0)
+
+    model = build_model(lattice_preset((1.0, 1j)))
+    monkeypatch.setattr(lattice, "_current", diagonal_current)
+    _, ground = model.ground()
+    res = run_bell_ensemble(model, ground, 0.5, 300, seed=12)
+    assert np.all(res.n_jumps == 0)
+
+
 def test_bell_ensemble_equivariance_three_presets():
     rng_seeds = {"real": 21, "rotated": 22, "asymmetric": 23}
     charge_sets = {

@@ -375,6 +375,28 @@ def test_exhausted_substep_budget_ends_the_record(fig_gs, monkeypatch):
     assert rec.t_final < 2.0
 
 
+def test_a_re_advance_short_of_its_span_ends_the_record(fig_gs, monkeypatch):
+    # the call after one with a contact re-advances the survivors to the
+    # contact time; here it leaves them half their span short
+    hits = []
+
+    def advance(system, field, pts, span, eps_absorb):
+        moved, hit, left = groundstate._advance(system, field, pts, span, eps_absorb)
+        if hits and (hits[-1] >= 0).any():
+            left = np.where(hit < 0, 0.5 * span, left)
+        hits.append(hit)
+        return moved, hit, left
+
+    monkeypatch.setattr(process, "_advance", advance)
+    start = _SIMULATE_CASES["cut re-advances the others"][0]
+    rec = simulate(fig_gs, SimulationParams(t_max=2.0), initial=start, law=_no_emission_law())
+    assert rec.failure is not None and "budget" in rec.failure
+    # the record ends at the start of the step with the contact, before it
+    (move,) = rec.events
+    assert move.t_end == rec.t_final and 0.6 < rec.t_final < 0.75
+    assert all(path[-1, 0] == rec.t_final for path in rec.paths.values())
+
+
 def per_step_simulate(gs, params, initial=None, law=None):
     """The trajectory loop that appends one (t, x, y, z) vertex per boson per
     step and pops and re-pushes the open MoveEvent every step: the oracle of
@@ -421,9 +443,12 @@ def per_step_simulate(gs, params, initial=None, law=None):
                 first = absorbed[np.argmax(left[absorbed])]
                 t_stop -= left[first]
                 others = np.arange(len(ids)) != first
-                moved[others], hit[others], _ = process._advance(
+                moved[others], hit[others], left[others] = process._advance(
                     system, velocity, pos[others], t_stop - t, eps_absorb
                 )
+                if np.any((hit < 0) & (left > 1e-15)):
+                    failure = f"substep budget exhausted in the step from t={t:.6g}"
+                    break
                 absorbed = np.flatnonzero(hit >= 0)
             for k, pid in enumerate(ids):
                 paths[pid].append((t_stop, *moved[k]))
