@@ -156,7 +156,7 @@ def _occupations(L, n_max):
     order of combinations_with_replacement(range(L), n) over sorted site
     tuples, which is descending lexicographic in (n_1..n_L).
     """
-    occ = np.zeros((lattice_dimension(L, n_max), L), dtype=np.int64)
+    occ = np.zeros((lattice_dimension(L, n_max), L), dtype=np.int16)
     for _, c, source, target in _sector_blocks(L, n_max):
         occ[target, c:] = occ[source, c:]
         occ[target, c] += 1
@@ -174,12 +174,18 @@ class _Basis:
     site c raises it by the size of the state's sector plus shift_left_of[i,
     c], the shifts of every bond left of c.  Both raise the index, so these
     entries of a Hamiltonian lie in its strictly lower triangle.
+    shift_left_of has a row only for the states below n_max bosons, which
+    come first in the basis order: a full state accepts no boson.
+
+    The tables are as small as MAX_DIMENSION allows: C(n_max + 2, 2) <=
+    200,000 caps n_max at 630 on any chain, so occupations and totals fit
+    int16, and shifts, below the dimension, fit int32.
     """
 
-    occupations: np.ndarray  # (dim, L) occupation rows in basis order
-    total: np.ndarray  # boson number of each state
-    shift: np.ndarray  # (dim, L - 1)
-    shift_left_of: np.ndarray  # (dim, L)
+    occupations: np.ndarray  # (dim, L) int16 occupation rows in basis order
+    total: np.ndarray  # int16 boson number of each state
+    shift: np.ndarray  # (dim, L - 1) int32
+    shift_left_of: np.ndarray  # (states below n_max bosons, L) int32
     sector_size: np.ndarray  # states with exactly k bosons, k = 0..n_max
 
 
@@ -195,19 +201,20 @@ def _basis(L, n_max):
     )
     left = np.zeros((n_max + 1, L), dtype=np.int64)
     np.cumsum(ways, axis=1, out=left[:, 1:])
-    shift = np.empty((len(occ), L - 1), dtype=np.int64)
-    shift_left_of = np.empty((len(occ), L), dtype=np.int64)
+    shift = np.empty((len(occ), L - 1), dtype=np.int32)
+    shift_left_of = np.empty((len(occ) - sector_size[-1], L), dtype=np.int32)
     shift[0], shift_left_of[0] = ways[0], left[0]
     for n, c, source, target in _sector_blocks(L, n_max):
         # the boson added at c leaves every bond right of c as it was in
         # the source row and puts all n bosons right of each bond left of c
         shift[target, :c] = ways[n, :c]
         shift[target, c:] = shift[source, c:]
-        shift_left_of[target, :c] = left[n, :c]
-        shift_left_of[target, c:] = shift_left_of[source, c:] + (left[n, c] - left[n - 1, c])
+        if n < n_max:
+            shift_left_of[target, :c] = left[n, :c]
+            shift_left_of[target, c:] = shift_left_of[source, c:] + (left[n, c] - left[n - 1, c])
     return _Basis(
         occupations=occ,
-        total=np.repeat(np.arange(n_max + 1), sector_size),
+        total=np.repeat(np.arange(n_max + 1, dtype=np.int16), sector_size),
         shift=shift,
         shift_left_of=shift_left_of,
         sector_size=sector_size,
@@ -217,48 +224,69 @@ def _basis(L, n_max):
 def _hop_entries(basis, hop):
     """(rows, cols, values) of the hops right, -hop sqrt(n_s (n_{s+1} + 1))."""
     occ = basis.occupations
-    frm, bond = np.nonzero(occ[:, :-1])
-    values = -hop * np.sqrt(occ[frm, bond] * (occ[frm, bond + 1] + 1))
-    return frm + basis.shift[frm, bond], frm, values
+    # k = i (L - 1) + s runs over the shift table and k + i = i L + s over
+    # occ, for the occupied sites s < L - 1 of state i (a flat search of a
+    # boolean table is several times faster than a 2-D one)
+    k = np.flatnonzero(occ[:, :-1] != 0)
+    frm = k // (occ.shape[1] - 1)
+    at = k + frm
+    n = occ.ravel()
+    # n_s (n_{s+1} + 1) passes int16 from n_max = 362 on; in float64 it is
+    # exact, as every product below 2**53 is
+    values = -hop * np.sqrt(n[at] * (n[at + 1] + 1.0))
+    return frm + basis.shift.ravel()[k], frm, values
 
 
 def _creation_entries(basis, sites, amplitudes):
     """(rows, cols, values) of the creations amplitude sqrt(n_site + 1), one
     site after the other."""
-    n_max = len(basis.sector_size) - 1
-    open_states = np.nonzero(basis.total < n_max)[0]
-    sites = np.asarray(sites, dtype=np.int64)
-    target = open_states + basis.sector_size[basis.total[open_states]]
-    rows = target + basis.shift_left_of[open_states][:, sites].T
-    occ = basis.occupations[open_states][:, sites].T
-    values = np.asarray(amplitudes)[:, None] * np.sqrt(occ + 1.0)
+    open_states = np.arange(len(basis.shift_left_of))
+    at = open_states, np.asarray(sites, dtype=np.intp)[:, None]
+    rows = basis.shift_left_of[at] + (open_states + basis.sector_size[basis.total[open_states]])
+    values = np.asarray(amplitudes)[:, None] * np.sqrt(basis.occupations[at] + 1.0)
     return rows.ravel(), np.broadcast_to(open_states, rows.shape).ravel(), values.ravel()
 
 
 def _hamiltonian(basis, params):
     """H of `params` over `basis` as CSR: each hop right and each creation
-    together with its Hermitian conjugate (hop left, annihilation)."""
+    together with its Hermitian conjugate (hop left, annihilation).
+
+    The COO triplets fill one preallocated set of int32 rows and cols and
+    complex data: the hops, then the creations site after site (the strict
+    lower triangle), then their conjugates in the same order, then the
+    diagonal."""
     hop = params.hbar**2 / (2.0 * params.m * params.a**2)
     onsite = params.E0 + params.hbar**2 / (params.m * params.a**2)
-    hops = _hop_entries(basis, hop)
-    creations = _creation_entries(basis, params.source_sites, np.conj(params.charges))
-    rows, cols, vals = (np.concatenate(pair) for pair in zip(hops, creations))
-    i = np.arange(len(basis.total))
-    return csr_array(
-        (
-            np.concatenate([vals, np.conj(vals), onsite * basis.total]),
-            (np.concatenate([rows, cols, i]), np.concatenate([cols, rows, i])),
-        ),
-        shape=(len(i), len(i)),
-        dtype=complex,
-    )
+    dim = len(basis.total)
+    n_creations = len(basis.shift_left_of) * len(params.source_sites)
+    lower = np.count_nonzero(basis.occupations[:, :-1]) + n_creations
+    rows = np.empty(2 * lower + dim, dtype=np.int32)
+    cols = np.empty_like(rows)
+    data = np.empty(len(rows), dtype=complex)
+
+    def fill(start, entries):
+        r, c, v = entries
+        stop = start + len(v)
+        rows[start:stop] = cols[lower + start : lower + stop] = r
+        cols[start:stop] = rows[lower + start : lower + stop] = c
+        data[start:stop] = v
+        # from the complex copy, so a real hop gets the imaginary part -0.0
+        np.conj(data[start:stop], out=data[lower + start : lower + stop])
+        return stop
+
+    # the hop triplets are dropped before the creations are formed
+    start = fill(0, _hop_entries(basis, hop))
+    fill(start, _creation_entries(basis, params.source_sites, np.conj(params.charges)))
+    rows[2 * lower :] = cols[2 * lower :] = np.arange(dim)
+    data[2 * lower :] = onsite * basis.total
+    return csr_array((data, (rows, cols)), shape=(dim, dim))
 
 
 class LatticeModel:
     """Immutable assembled model: basis, CSR Hamiltonian, cached spectral data.
 
-    `H` is a scipy CSR array at every size and `occupations` the basis as a
-    (dim, L) integer array; `basis` (occupation tuples) and `index` (tuple to
+    `H` is a scipy CSR array (int32 indices) at every size and `occupations`
+    the basis as a (dim, L) int16 array; `basis` (occupation tuples) and `index` (tuple to
     basis index) are built on first use.  Only `ground` and `eig` work on
     dense matrices, so they and what builds on them (`ground_state_current`,
     the spectral `evolve`) are limited to DENSE_LIMIT states and raise
@@ -274,7 +302,7 @@ class LatticeModel:
         self.H = H
         self.dim = len(self.occupations)
         # row of each stored entry of H
-        self._rows = np.repeat(np.arange(self.dim), np.diff(H.indptr))
+        self._rows = np.repeat(np.arange(self.dim, dtype=np.int32), np.diff(H.indptr))
         self._ground = None
         self._eig = None
 
@@ -506,8 +534,12 @@ def check_gauge_equivalence(model, theta):
     # in the CSR positions of H's
     rot = _hamiltonian(model._basis, replace(model.params, charges=charges))
     phases = np.exp(-1j * theta * model.sector)
-    entries = (np.conj(phases)[model._rows] * rot.data) * phases[rot.indices]
-    return float(np.linalg.norm(entries - model.H.data))
+    # (conj(phases)[row] * rot) * phases[col] - H, formed in rot's own data
+    entries = rot.data
+    np.multiply(np.conj(phases)[model._rows], entries, out=entries)
+    entries *= phases[rot.indices]
+    entries -= model.H.data
+    return float(np.linalg.norm(entries))
 
 
 def _current(model, psi):

@@ -6,8 +6,11 @@ repeated timings of `velocity` and `psi1` (one call on (K, 3) rows) and of
 of `sample_boson_positions` for 5,000 draws.  Then the CSV writer: one
 4,096-row block of a 201 x 201 field.csv over the figure config's bounds
 through `write_csv`, per row, and `g17_cells` at 1 and 4,096 values of
-that block.  The suite does not collect this file; run it from the root
-of a checkout:
+that block.  Last the lattice assembly: `build_model` and
+`check_gauge_equivalence` at dimensions 680, 10,626 and 169,911, best-of
+times and tracemalloc peaks (the build alone, then the build plus the
+check).  The suite does not collect this file; run it from the root of a
+checkout:
 
     PYTHONPATH=src python tests/bench_kernel.py
 """
@@ -16,6 +19,7 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +39,7 @@ from chargeflow.groundstate import (  # noqa: E402
     velocity,
 )
 from chargeflow.io import Provenance, write_csv  # noqa: E402
+from chargeflow.lattice import LatticeParams, build_model, check_gauge_equivalence  # noqa: E402
 
 SIZES = (1, 3, 6, 60, 450, 5393, 30000)
 DRAWS = 5000
@@ -44,6 +49,9 @@ REPEATS = 7
 BUDGET_S = 0.2
 # the [field] bounds of configs/figure.cfg, at 201 nodes a side
 FIELD_X, FIELD_Y, FIELD_N = (-0.8, 1.8), (-1.3, 1.3), 201
+# (L, n_max) of dimensions 680, 10,626 and 169,911
+LATTICE_SIZES = ((14, 3), (20, 4), (26, 5))
+THETA = 0.7
 
 
 def best_us(fn):
@@ -89,6 +97,22 @@ def main():
     for n in (1, _BLOCK):
         g = best_us(lambda: g17_cells(block[3, :n]))
         print(f"g17_cells, {n} value(s): {g:.1f} us")
+
+    print(f"{'dim':>7} {'build_ms':>9} {'gauge_ms':>9} {'build_MiB':>10} {'gauge_MiB':>10}")
+    for L, n_max in LATTICE_SIZES:
+        # the sources and couplings of the benchmark's gauge check
+        params = LatticeParams(
+            L=L, a=1.0, n_max=n_max, source_sites=(3, L - 5), charges=(1.0, 1j), E0=0.5
+        )
+        tracemalloc.start()
+        model = build_model(params)
+        built = tracemalloc.get_traced_memory()[1] / 2**20
+        check_gauge_equivalence(model, THETA)
+        checked = tracemalloc.get_traced_memory()[1] / 2**20
+        tracemalloc.stop()
+        b = best_us(lambda: build_model(params))
+        g = best_us(lambda: check_gauge_equivalence(model, THETA))
+        print(f"{model.dim:>7} {b / 1e3:>9.2f} {g / 1e3:>9.2f} {built:>10.2f} {checked:>10.2f}")
 
 
 if __name__ == "__main__":

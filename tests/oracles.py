@@ -14,12 +14,15 @@ field kernel.  `reference_flow`, `reference_velocity`,
 `reference_rk4_round` and `reference_offcenter_shell_density` are the field
 kernel, the RK4 round and the off-centre quadrature as they were written
 before they went points-last, over (K, N, 3) arrays: the bit-identity
-reference for the points-last code.
+reference for the points-last code.  `reference_hamiltonian` is the
+lattice Hamiltonian assembled from int64 triplets joined by
+np.concatenate, the bit-identity reference for the preallocated assembly.
 """
 
 from itertools import combinations
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from chargeflow.groundstate import _sphere_nodes, psi1
 from chargeflow.lattice import LatticeParams
@@ -50,6 +53,39 @@ def lattice_preset(charges=(1.0, 1j)):
         m=1.0,
         E0=0.5,
         hbar=1.0,
+    )
+
+
+def reference_hamiltonian(basis, params):
+    """H of `params` over the tables of a `lattice._Basis`, read as int64: the
+    hops right and the creations site after site as COO triplets, each joined
+    to its Hermitian conjugate by np.concatenate, then the diagonal, through
+    csr_array."""
+    occ = basis.occupations.astype(np.int64)
+    shift = basis.shift.astype(np.int64)
+    shift_left_of = basis.shift_left_of.astype(np.int64)
+    total = basis.total.astype(np.int64)
+    sector_size = basis.sector_size
+    hop = params.hbar**2 / (2.0 * params.m * params.a**2)
+    onsite = params.E0 + params.hbar**2 / (params.m * params.a**2)
+    frm, bond = np.nonzero(occ[:, :-1])
+    values = -hop * np.sqrt(occ[frm, bond] * (occ[frm, bond + 1] + 1))
+    hops = frm + shift[frm, bond], frm, values
+    open_states = np.nonzero(total < len(sector_size) - 1)[0]
+    sites = np.asarray(params.source_sites, dtype=np.int64)
+    target = open_states + sector_size[total[open_states]]
+    rows = target + shift_left_of[open_states][:, sites].T
+    values = np.conj(params.charges)[:, None] * np.sqrt(occ[open_states][:, sites].T + 1.0)
+    creations = rows.ravel(), np.broadcast_to(open_states, rows.shape).ravel(), values.ravel()
+    rows, cols, vals = (np.concatenate(pair) for pair in zip(hops, creations))
+    i = np.arange(len(total))
+    return csr_array(
+        (
+            np.concatenate([vals, np.conj(vals), onsite * total]),
+            (np.concatenate([rows, cols, i]), np.concatenate([cols, rows, i])),
+        ),
+        shape=(len(i), len(i)),
+        dtype=complex,
     )
 
 

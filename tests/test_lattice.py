@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement
 from math import comb
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import FIGURE_CHARGES, lattice_preset, pool_bins
+from oracles import FIGURE_CHARGES, lattice_preset, pool_bins, reference_hamiltonian
 from scipy import integrate, stats
 from scipy.sparse import eye_array
 
@@ -31,6 +32,10 @@ from chargeflow.lattice import (
 from chargeflow.model import classify_charges
 
 THETA_GRID = np.linspace(-np.pi / 2, np.pi / 2, 360, endpoint=False)
+# dimension 10,626, the size of the benchmark's gauge check
+GAUGE_SIZE = LatticeParams(
+    L=20, a=1.0, n_max=4, source_sites=(2, 8), charges=(1.0, 1j), m=1.0, E0=0.5, hbar=1.0
+)
 
 
 def random_params(rng, L_max=6, n_sources_max=3):
@@ -174,13 +179,50 @@ def test_build_matches_per_state_oracle():
 def test_assembled_hamiltonians_are_hermitian():
     # build_model enters each hop and creation with its conjugate and does
     # not check the sum: the check costs 2 ms a build at dim 10,626
-    big = LatticeParams(
-        L=20, a=1.0, n_max=4, source_sites=(2, 8), charges=(1.0, 1j), m=1.0, E0=0.5, hbar=1.0
-    )
-    for params in [*oracle_params(), big]:
+    for params in [*oracle_params(), GAUGE_SIZE]:
         H = build_model(params).H
         assert abs(H - H.conj().T).max() <= 1e-12
     assert H.shape == (10626, 10626)
+
+
+def test_assembly_keeps_the_bits_of_the_concatenated_triplets():
+    # on a two-site chain with n_max = 400 the hop product n_s (n_{s+1} + 1)
+    # reaches 200 * 201 = 40,200, past int16
+    pair = LatticeParams(L=2, a=0.7, n_max=400, source_sites=(1,), charges=(0.6 - 0.8j,))
+    for params in [*oracle_params(), GAUGE_SIZE, pair]:
+        model = build_model(params)
+        want = reference_hamiltonian(model._basis, params)
+        np.testing.assert_array_equal(model.H.indptr, want.indptr)
+        np.testing.assert_array_equal(model.H.indices, want.indices)
+        # the bits, signed zeros included
+        np.testing.assert_array_equal(model.H.data.view(np.uint64), want.data.view(np.uint64))
+    assert model.dim == 80_601
+    tables = model._basis
+    assert tables.occupations.dtype == tables.total.dtype == model.sector.dtype == np.int16
+    assert tables.shift.dtype == tables.shift_left_of.dtype == np.int32
+    # a row of creation shifts for each state below n_max bosons
+    assert tables.shift_left_of.shape == (model.dim - 401, 2)
+    assert model._rows.dtype == model.H.indices.dtype == model.H.indptr.dtype == np.int32
+
+
+def test_build_and_gauge_check_memory_at_dimension_10626():
+    # int64 tables, three concatenations and an int64 CSR peaked at 11.8
+    # and 14.5 MiB; the compact tables and one fill peak at 4.9 and 6.9 MiB
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        model = build_model(GAUGE_SIZE)
+        built = tracemalloc.get_traced_memory()[1] - base
+        assert check_gauge_equivalence(model, 0.7) <= 1e-12
+        checked = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert built <= 8 * 2**20
+    assert checked <= 10 * 2**20
 
 
 @pytest.mark.parametrize("L, n_max", [(14, 3), (20, 4), (2, 1), (9, 1)])
