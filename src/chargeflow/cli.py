@@ -463,9 +463,8 @@ def _cmd_potential(config, out):
         for j in range(i + 1, system.n_sources + 1):
             pair = effective_kappa(system, i, j)
             rows.append((i, j, pair.kappa, pair.interaction_range))
-    # one block of columns, or none for a single source
-    blocks = [list(zip(*rows))] if rows else []
-    write_csv(os.path.join(out, "kappa_table.csv"), ("i", "j", "kappa", "range"), blocks, prov)
+    table = np.array(rows, dtype=float).reshape(-1, 4)
+    write_csv(os.path.join(out, "kappa_table.csv"), ("i", "j", "kappa", "range"), [table.T], prov)
     payload = {"ground_energy": ground_energy(system), "pairs": len(rows)}
     if opts["verify"]:
         report = verify_eigen_vacuum(ground_state(system))
@@ -544,8 +543,8 @@ def _cmd_boundary(config, out):
                 },
             }
         )
-    blocks = [list(zip(*rows))] if rows else []
-    write_csv(os.path.join(out, "spectra.csv"), ("theta", "k", "E"), blocks, prov)
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    write_csv(os.path.join(out, "spectra.csv"), ("theta", "k", "E"), [table.T], prov)
     write_json(os.path.join(out, "currents.json"), {"levels": currents}, prov)
     if bc is not None:
         verdicts = is_probability_conserving(bc)

@@ -44,7 +44,7 @@ def _powers_of_ten():
     return high, np.array(low), *_veltkamp(high)
 
 
-# 2 ms to build: `io` imports this module on the first float column it writes
+# 2 ms to build: `io` imports this module on the first CSV block it writes
 _HIGH, _LOW, _HIGH_HI, _HIGH_LO = _powers_of_ten()
 
 

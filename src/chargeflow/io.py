@@ -6,10 +6,12 @@ per-stream seeds, and every resolved option of the command (defaults
 included).  Floating-point values are printed with a fixed 17-significant-
 digit format, so identical configs and seeds give byte-identical files; JSON
 writes NaN and infinities as null.  CSV tables are written in blocks of
-columns, and the float64 columns of a block go through one vectorized
-'%.17g' of `chargeflow.g17`, loaded on first use.  Each file is written to a
-temporary sibling and renamed into place with the permissions the umask
-grants, so a failed write leaves no file; `cli.dispatch` commits the set.
+columns of real numbers, and every cell of a block goes through one
+vectorized '%.17g' of `chargeflow.g17`, loaded on first use, so an integer
+up to 2**53 in magnitude prints as '%d'; any other column raises ValueError.
+Each file is written to a temporary sibling and renamed into place with the
+permissions the umask grants, so a failed write leaves no file;
+`cli.dispatch` commits the set.
 """
 
 import itertools
@@ -127,30 +129,18 @@ def atomic_write_text(path, chunks):
         raise
 
 
-def _column_cells(col):
-    """A CSV column other than float64 -> its texts as an (n, w) uint8 matrix,
-    with 0xFF, a byte UTF-8 never uses, in the bytes a cell does not use."""
-    if getattr(col, "dtype", np.dtype(object)).kind in "iu":
-        texts = map(str, col.tolist())
-    else:
-        texts = map(format_value, col)
-    data = [t.encode("utf-8") for t in texts]
-    width = max(map(len, data), default=0)
-    cells = b"".join([t.ljust(width, b"\xff") for t in data])
-    return np.frombuffer(cells, np.uint8).reshape(len(data), width)
-
-
 def write_csv(path, columns, blocks, provenance):
     """CSV with '#'-prefixed provenance, a header row, and 17-digit floats.
 
     `blocks` is consumed once.  Each block is a sequence of len(columns)
-    equal-length 1-D columns (numpy arrays or lists) and becomes one byte
-    buffer that streams into the temporary file.  Every float64 array of a
-    block prints as %.17g through one `g17.g17_cells` call (the bytes '%'
-    gives), an integer array as %d, anything else through `format_value`.
-    Each column becomes a byte matrix with one row per cell; a block is the
-    columns and the separators side by side, less the unused bytes of each
-    cell in one pass.
+    equal-length 1-D columns (numpy arrays or lists) of real numbers and
+    becomes one byte buffer that streams into the temporary file.  Every
+    cell of a block prints as %.17g through one `g17.g17_cells` call (the
+    bytes '%' gives), so an integer of magnitude up to 2**53 prints as %d;
+    a column of anything else (bool, str, objects, larger integers) raises
+    ValueError and leaves no file.  Each column becomes a byte matrix with
+    one row per cell; a block is the columns and the separators side by
+    side, less the NUL bytes that fill each cell, in one pass.
     """
 
     def block_bytes(block):
@@ -158,36 +148,37 @@ def write_csv(path, columns, blocks, provenance):
         if len(block) != len(columns) or len(lengths) > 1:
             raise ValueError(f"a CSV block needs {len(columns)} columns of equal length")
         n = lengths.pop()
-        # a float64 column gives the g17 pass its values or, where they are at
-        # most half of it, its distinct bit patterns; bits, so -0.0 and NaN print
+        # a column gives the g17 pass its values or, where they are at most
+        # half of it, its distinct bit patterns; bits, so -0.0 and NaN print
         # as format_value does.  A sort finds them: numpy 2.4's np.unique hashes
         # first, 0.6 ms against 35 us for 4,096 distinct values on a 2-core Xeon
-        values, picks = [], {}
-        for j, col in enumerate(block):
-            if getattr(col, "dtype", None) == np.float64:
-                bits = col.view(np.int64)
-                ordered = np.sort(bits)
-                distinct = np.append(ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])
-                size = sum(map(len, values))
-                whole = 2 * distinct.size > n
-                values.append(bits if whole else distinct)
-                picks[j] = slice(size, size + n) if whole else size + np.searchsorted(distinct, bits)
-        if picks:
-            # the kernel loads on the first float column: `import chargeflow.cli`
-            # does not compile it
-            from .g17 import g17_cells
+        values, picks, size = [], [], 0
+        for col in block:
+            col = np.asarray(col)
+            # an integer up to 2**53 in magnitude is a double that '%.17g'
+            # prints as '%d' does
+            big = col.dtype.kind in "iu" and col.size and max(-int(col.min()), int(col.max())) > 2**53
+            if big or col.dtype.kind not in "iuf":
+                raise ValueError(f"a {col.dtype} CSV column: cells are reals or integers up to 2**53")
+            bits = col.astype(np.float64, copy=False).view(np.int64)
+            ordered = np.sort(bits)
+            distinct = np.append(ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]])
+            whole = 2 * distinct.size > n
+            values.append(bits if whole else distinct)
+            picks.append(slice(size, size + n) if whole else size + np.searchsorted(distinct, bits))
+            size += len(values[-1])
+        # the kernel loads on the first block: `import chargeflow.cli` does
+        # not compile it
+        from .g17 import g17_cells
 
-            texts = g17_cells(np.concatenate(values).view(np.float64))
-        cells = [texts[picks[j]] if j in picks else _column_cells(col) for j, col in enumerate(block)]
+        texts = g17_cells(np.concatenate(values).view(np.float64))
         ends = np.full((n, len(block)), ord(","), np.uint8)
         ends[:, -1] = ord("\n")
-        data = np.hstack([part for j, c in enumerate(cells) for part in (c, ends[:, j : j + 1])])
-        # NUL fills the unused bytes of a float cell, 0xFF those of any other
-        fill = np.array([0 if j in picks else 255 for j in range(len(block))], np.uint8)
-        keep = data != np.repeat(fill, [c.shape[1] + 1 for c in cells])
+        parts = [part for j, p in enumerate(picks) for part in (texts[p], ends[:, j : j + 1])]
+        data = np.hstack(parts).ravel()
         # a 1-D boolean index: np.compress would first list the kept
         # positions, 8 bytes for each byte of the text
-        return data.ravel()[keep.ravel()]
+        return data[data != 0]
 
     header = [f"# {line}\n" for line in provenance.comment_lines()]
     header.append(",".join(columns) + "\n")
@@ -196,15 +187,11 @@ def write_csv(path, columns, blocks, provenance):
 
 def _json_fragment(obj, out, indent):
     # indent None selects the compact single-line form (JSON-lines records)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    if obj is None or isinstance(obj, (float, np.floating)) and not np.isfinite(obj):
         # JSON has no NaN or infinity
-        out.append(format(float(obj), ".17g") if np.isfinite(obj) else "null")
+        out.append("null")
+    elif isinstance(obj, (bool, int, float, np.bool_, np.integer, np.floating)):
+        out.append(format_value(obj))
     elif isinstance(obj, (complex, np.complexfloating)):
         _json_fragment([obj.real, obj.imag], out, indent)
     elif isinstance(obj, str):

@@ -307,6 +307,13 @@ class LatticeModel:
         self._eig = None
 
     @cached_property
+    def _gather_index(self):
+        # intp copies of `_rows` and H.indices, made on first use: numpy
+        # gathers by an int32 index on a slow path (224 against 72 us for
+        # the 85,008 entries of dim 10,626)
+        return self._rows.astype(np.intp), self.H.indices.astype(np.intp)
+
+    @cached_property
     def basis(self):
         return list(map(tuple, self.occupations.tolist()))
 
@@ -545,8 +552,8 @@ def check_gauge_equivalence(model, theta):
 def _current(model, psi):
     """J(q -> q') = (2/hbar) Im[conj(psi(q')) H_{q'q} psi(q)] at each stored
     entry (q', q) of H, in CSR order; antisymmetric, as H is Hermitian."""
-    H = model.H
-    return 2.0 / model.params.hbar * np.imag((np.conj(psi)[model._rows] * H.data) * psi[H.indices])
+    rows, cols = model._gather_index
+    return 2.0 / model.params.hbar * np.imag((np.conj(psi)[rows] * model.H.data) * psi[cols])
 
 
 def bell_jump_rates(model, psi, q):

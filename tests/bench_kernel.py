@@ -5,8 +5,10 @@ repeated timings of `velocity` and `psi1` (one call on (K, 3) rows) and of
 `_advance` (one span of 0.05, absorption radius 1e-4) at each K, then that
 of `sample_boson_positions` for 5,000 draws.  Then the CSV writer: one
 4,096-row block of a 201 x 201 field.csv over the figure config's bounds
-through `write_csv`, per row, and `g17_cells` at 1 and 4,096 values of
-that block.  Last the lattice assembly: `build_model` and
+through `write_csv`, per row, then the same rows as a streamlines.csv
+block (int64 line labels, 205 rows a line, and an arc-length column in
+front of them), and `g17_cells` at 1 and 4,096 values of the field
+block.  Last the lattice assembly: `build_model` and
 `check_gauge_equivalence` at dimensions 680, 10,626 and 169,911, best-of
 times and tracemalloc peaks (the build alone, then the build plus the
 check).  The suite does not collect this file; run it from the root of a
@@ -93,7 +95,11 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "field.csv")
         w = best_us(lambda: write_csv(path, columns, [block], prov))
-    print(f"write_csv, one {_BLOCK}-row field.csv block: {w * 1e3 / _BLOCK:.1f} ns per row")
+        print(f"write_csv, one {_BLOCK}-row field.csv block: {w * 1e3 / _BLOCK:.1f} ns per row")
+        # 20 lines of 205 vertices, as `cli._cmd_streamlines` labels them
+        lines = (np.repeat(np.arange(20), 205)[:_BLOCK], np.linspace(0.0, 20.0, _BLOCK), *block)
+        w = best_us(lambda: write_csv(path, ("line", "s", *columns), [lines], prov))
+        print(f"write_csv, one {_BLOCK}-row streamlines.csv block: {w * 1e3 / _BLOCK:.1f} ns per row")
     for n in (1, _BLOCK):
         g = best_us(lambda: g17_cells(block[3, :n]))
         print(f"g17_cells, {n} value(s): {g:.1f} us")
