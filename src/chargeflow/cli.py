@@ -353,6 +353,7 @@ def _cmd_lattice(config, out, check=None):
     from .pvalues import pooled_chisquare
     from .lattice import (
         DENSE_LIMIT,
+        _norm,
         build_model,
         check_gauge_equivalence,
         check_T_commutation,
@@ -398,7 +399,7 @@ def _cmd_lattice(config, out, check=None):
         else:
             rng = np.random.default_rng(derive_seed(config.seed, 1))
             psi = rng.normal(size=model.dim) + 1j * rng.normal(size=model.dim)
-            psi /= np.linalg.norm(psi)
+            psi /= _norm(psi)
             report = reversal_conditions_check(model, theta, psi)
             payload = {
                 "check": "reversal",

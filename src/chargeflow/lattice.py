@@ -528,6 +528,16 @@ def check_T_commutation(model, theta, kind="op"):
     return np.sqrt(np.sum(np.array(weights) * s**2, axis=-1))
 
 
+def _norm(x):
+    """Euclidean norm of a real or complex vector by numpy's pairwise sum.
+
+    np.linalg.norm calls BLAS dot, which OpenBLAS splits over its threads
+    above 10,000 entries: the last bits then depend on the thread count, and
+    the pool it wakes keeps spinning against scipy's own OpenBLAS threads.
+    """
+    return np.sqrt(np.add.reduce(x.real * x.real + x.imag * x.imag))
+
+
 def check_gauge_equivalence(model, theta):
     """Frobenius norm of U_theta^dag H_{e^{i theta} g} U_theta - H_g.
 
@@ -546,7 +556,7 @@ def check_gauge_equivalence(model, theta):
     np.multiply(np.conj(phases)[model._rows], entries, out=entries)
     entries *= phases[rot.indices]
     entries -= model.H.data
-    return float(np.linalg.norm(entries))
+    return float(_norm(entries))
 
 
 def _current(model, psi):
@@ -606,7 +616,7 @@ def _is_stationary(model, psi):
     psi(t) = e^{-iEt/hbar} psi, whose error is at most t ||(H - E) psi||/hbar,
     and every jump rate is constant in time."""
     H_psi = model.H @ psi
-    residual = np.linalg.norm(H_psi - np.vdot(psi, H_psi).real * psi)
+    residual = _norm(H_psi - np.add.reduce(np.conj(psi) * H_psi).real * psi)
     return residual <= 1e-12 * max(1.0, float(abs(model.H).sum(axis=0).max()))
 
 

@@ -11,8 +11,10 @@ front of them), and `g17_cells` at 1 and 4,096 values of the field
 block.  Last the lattice assembly: `build_model` and
 `check_gauge_equivalence` at dimensions 680, 10,626 and 169,911, best-of
 times and tracemalloc peaks (the build alone, then the build plus the
-check).  The suite does not collect this file; run it from the root of a
-checkout:
+check).  Then the lattice benchmark's order in one process:
+`LatticeModel.ground` at dimension 680 right before the gauge check at
+10,626, the median time of each over fresh rounds.  The suite does not
+collect this file; run it from the root of a checkout:
 
     PYTHONPATH=src python tests/bench_kernel.py
 """
@@ -54,6 +56,14 @@ FIELD_X, FIELD_Y, FIELD_N = (-0.8, 1.8), (-1.3, 1.3), 201
 # (L, n_max) of dimensions 680, 10,626 and 169,911
 LATTICE_SIZES = ((14, 3), (20, 4), (26, 5))
 THETA = 0.7
+CONTENDED_ROUNDS = 21
+
+
+def gauge_params(L, n_max):
+    """The sources and couplings of the lattice benchmark's gauge check."""
+    return LatticeParams(
+        L=L, a=1.0, n_max=n_max, source_sites=(3, L - 5), charges=(1.0, 1j), E0=0.5
+    )
 
 
 def best_us(fn):
@@ -106,10 +116,7 @@ def main():
 
     print(f"{'dim':>7} {'build_ms':>9} {'gauge_ms':>9} {'build_MiB':>10} {'gauge_MiB':>10}")
     for L, n_max in LATTICE_SIZES:
-        # the sources and couplings of the benchmark's gauge check
-        params = LatticeParams(
-            L=L, a=1.0, n_max=n_max, source_sites=(3, L - 5), charges=(1.0, 1j), E0=0.5
-        )
+        params = gauge_params(L, n_max)
         tracemalloc.start()
         model = build_model(params)
         built = tracemalloc.get_traced_memory()[1] / 2**20
@@ -119,6 +126,25 @@ def main():
         b = best_us(lambda: build_model(params))
         g = best_us(lambda: check_gauge_equivalence(model, THETA))
         print(f"{model.dim:>7} {b / 1e3:>9.2f} {g / 1e3:>9.2f} {built:>10.2f} {checked:>10.2f}")
+
+    # the lattice benchmark's order in one process: the ground state of its
+    # dim-680 chain (a dense dsytrd on scipy's OpenBLAS), then the gauge
+    # check at 10,626; medians, as contention between the two varies
+    chain = LatticeParams(L=14, a=1.0, n_max=3, source_sites=(2, 10), charges=(1.0, 1j), E0=0.5)
+    gauge = build_model(gauge_params(*LATTICE_SIZES[1]))
+    times = []
+    for _ in range(CONTENDED_ROUNDS):
+        model = build_model(chain)
+        start = time.perf_counter()
+        model.ground()
+        mid = time.perf_counter()
+        check_gauge_equivalence(gauge, THETA)
+        times.append((mid - start, time.perf_counter() - mid))
+    ground_ms, gauge_ms = np.median(times, axis=0) * 1e3
+    print(
+        f"ground at 680 then gauge check at {gauge.dim} (median of {CONTENDED_ROUNDS}): "
+        f"{ground_ms:.2f} ms, {gauge_ms:.2f} ms"
+    )
 
 
 if __name__ == "__main__":

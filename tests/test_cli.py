@@ -1951,13 +1951,14 @@ print(json.dumps({"import": loaded, "started": started, "code": code, "scipy": s
 _SCIPY_FREE = ("symmetry", "field", "streamlines", "potential")
 
 
-def run_fresh(script, *args):
-    """Run `script` in a new interpreter; returns its last stdout line as JSON."""
+def run_fresh(script, *args, **env):
+    """Run `script` in a new interpreter, with the keyword arguments as extra
+    environment variables; returns its last stdout line as JSON."""
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": _SRC_PATH},
+        env={**os.environ, "PYTHONPATH": _SRC_PATH, **env},
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -2037,3 +2038,39 @@ def test_an_exhausted_substep_budget_prints_one_line_in_a_fresh_interpreter(tmp_
 def test_importing_process_loads_no_scipy_in_a_fresh_interpreter():
     script = _SCIPY_MODULES + "import chargeflow.process\nprint(json.dumps(scipy_modules()))\n"
     assert run_fresh(script) == []
+
+
+# the gauge check of the lattice benchmark: dimension 10,626, with 85,008
+# stored entries, above the 10,000 at which OpenBLAS threads a dot product
+LATTICE_GAUGE = """\
+[lattice]
+L = 20
+n_max = 4
+source_sites = 3 15
+charge = 1.0 0.0
+charge = 0.0 1.0
+E0 = 0.5
+theta = 0.7
+"""
+
+_CHECKS = """
+import json, sys
+from chargeflow import cli
+
+cfg, out = sys.argv[1:]
+print(json.dumps([
+    cli.main(["lattice", "--config", cfg, "--out", f"{out}/{check}", "--check", check])
+    for check in ("gauge", "reversal")
+]))
+"""
+
+
+def test_lattice_checks_are_byte_identical_at_any_blas_thread_count(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(LATTICE_GAUGE)
+    for threads in ("1", "2"):
+        codes = run_fresh(_CHECKS, str(cfg), str(tmp_path / threads), OPENBLAS_NUM_THREADS=threads)
+        assert codes == [0, 3]
+    for check in ("gauge", "reversal"):
+        one, two = (tmp_path / threads / check / "lattice_check.json" for threads in ("1", "2"))
+        assert one.read_bytes() == two.read_bytes()

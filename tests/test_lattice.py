@@ -449,6 +449,19 @@ def test_gauge_equivalence_is_exact():
     assert check_gauge_equivalence(model, t1 + t2) <= 1e-12
 
 
+def test_norm_agrees_with_numpy_norm():
+    rng = np.random.default_rng(12)
+    # both sides of OpenBLAS's 10,000-entry threading threshold
+    for n in (1, 2, 3, 8, 9, 127, 128, 129, 9_999, 10_001, 50_000, *rng.integers(1, 50_001, 8)):
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert lattice._norm(x) == pytest.approx(np.linalg.norm(x), rel=1e-13, abs=0.0)
+    real = rng.normal(size=1000)
+    assert lattice._norm(real) == pytest.approx(np.linalg.norm(real), rel=1e-13, abs=0.0)
+    assert lattice._norm(np.zeros(50, dtype=complex)) == 0.0
+    # at theta = 0 the gauge residual is a vector of exact zeros
+    assert check_gauge_equivalence(build_model(lattice_preset((1.0, 1j))), 0.0) == 0.0
+
+
 def test_bell_rates_net_current_identity():
     rng = np.random.default_rng(6)
     model = build_model(lattice_preset((1.0, 1j)))
