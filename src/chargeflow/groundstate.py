@@ -196,7 +196,8 @@ def _column_flow(system, p):
     d = p[:, None, :] - system.source_columns
     dd = d * d
     r = np.sqrt((dd[0] + dd[2]) + dd[1])
-    if not r.all():
+    # count_nonzero, like all, takes NaN for nonzero, at less cost
+    if np.count_nonzero(r) < r.size:
         raise ValueError("evaluation point coincides with a source")
     a = system.alpha
     u = np.exp(-a * r) / r
@@ -300,7 +301,11 @@ def _rk4_round(system, field, p, remaining, nearest_d, eps_absorb):
     p = p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     dd = _source_distances(system, p)
     nearest_d = dd.min(axis=0)
-    absorbed = np.where(nearest_d < eps_absorb, dd.argmin(axis=0), -1)
+    inside = nearest_d < eps_absorb
+    if np.count_nonzero(inside):
+        absorbed = np.where(inside, dd.argmin(axis=0), -1)
+    else:
+        absorbed = np.full(p.shape[1], -1)
     return p, remaining - h, nearest_d, absorbed
 
 
@@ -577,7 +582,9 @@ class Streamline:
 
 def _unit_current(system, p):
     """Direction field j/|j| at the (3, K) points p, zero where j = 0."""
-    j = current_closed_form(system, p.T).T
+    # far points give 0 or NaN without a warning, as from `_flow`
+    with np.errstate(over="ignore", invalid="ignore"):
+        j = _column_flow(system, p)[1]
     n = _column_norms(j)
     return np.divide(j, n, out=np.zeros_like(j), where=n > 0.0)
 

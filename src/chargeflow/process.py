@@ -143,10 +143,11 @@ def derive_emission_law(gs):
 
 
 # a trajectory takes at least t_max/dt_max steps, each adding a path vertex
-# of 4 floats (32 bytes) per boson present and taking 0.2-0.3 ms with a
-# handful of bosons on a 2-CPU Xeon; t_max/dt_max may not exceed
-# MAX_TRAJECTORY_STEPS, 32 MB of path per boson and 3-5 minutes (at t_max =
-# 1e308 the steps stop advancing, t + dt_max == t, and a run never ends)
+# of 4 floats (32 bytes) per boson present and taking about 0.15 ms (1.5
+# RK4 rounds) with a handful of bosons on a 2-CPU Xeon; t_max/dt_max may not
+# exceed MAX_TRAJECTORY_STEPS, 32 MB of path per boson and about 2.5 minutes
+# (at t_max = 1e308 the steps stop advancing, t + dt_max == t, and a run
+# never ends)
 MAX_TRAJECTORY_STEPS = 10**6
 
 

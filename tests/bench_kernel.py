@@ -3,7 +3,12 @@
 For K points drawn from |psi1|^2 of the figure system, prints the best of
 repeated timings of `velocity` and `psi1` (one call on (K, 3) rows) and of
 `_advance` (one span of 0.05, absorption radius 1e-4) at each K, then that
-of `sample_boson_positions` for 5,000 draws.  Then the CSV writer: one
+of `sample_boson_positions` for 5,000 draws.  Then the two sequential
+steppers per step: one `evolve_robin` Crank-Nicolson step at grid 512 (the
+boundary command's leak-check packet, 2,000 steps to t = 0.3), and the
+figure trajectory of `simulate` to t_max = 30 (its time and RK4 rounds per
+`_advance` call, which is one step to the next path vertex, or the re-advance
+of an absorption).  Then the CSV writer: one
 4,096-row block of a 201 x 201 field.csv over the figure config's bounds
 through `write_csv`, per row, then the same rows as a streamlines.csv
 block (int64 line labels, 205 rows a line, and an arc-length column in
@@ -32,6 +37,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from oracles import figure_system  # noqa: E402
 
+from chargeflow import groundstate, process  # noqa: E402
+from chargeflow.boundary import RobinBC, evolve_robin  # noqa: E402
 from chargeflow.cli import _BLOCK, _field_table  # noqa: E402
 from chargeflow.g17 import g17_cells  # noqa: E402
 from chargeflow.groundstate import (  # noqa: E402
@@ -42,8 +49,9 @@ from chargeflow.groundstate import (  # noqa: E402
     sample_boson_positions,
     velocity,
 )
-from chargeflow.io import Provenance, write_csv  # noqa: E402
+from chargeflow.io import Provenance, derive_seed, write_csv  # noqa: E402
 from chargeflow.lattice import LatticeParams, build_model, check_gauge_equivalence  # noqa: E402
+from chargeflow.process import SimulationParams, simulate  # noqa: E402
 
 SIZES = (1, 3, 6, 60, 450, 5393, 30000)
 DRAWS = 5000
@@ -57,6 +65,13 @@ FIELD_X, FIELD_Y, FIELD_N = (-0.8, 1.8), (-1.3, 1.3), 201
 LATTICE_SIZES = ((14, 3), (20, 4), (26, 5))
 THETA = 0.7
 CONTENDED_ROUNDS = 21
+# the Robin packet and evolution of `robin_leak_check` on the figure
+# config's boundary: Dirichlet left end, leaking right end
+ROBIN_BC = RobinBC(1.0, 0.0, 1j, 1.0)
+ROBIN_T, ROBIN_STEPS = 0.3, 2000
+# the paths benchmark's trajectory: the figure system to t_max = 30 in
+# steps of at most 0.05, on the simulate command's stream of seed 12345
+TRAJECTORY = SimulationParams(t_max=30.0, dt_max=0.05, seed=derive_seed(12345, 0))
 
 
 def gauge_params(L, n_max):
@@ -95,6 +110,34 @@ def main():
         print(f"{k:>6} {v:>12.1f} {p:>12.1f} {a:>12.1f}")
     s = best_us(lambda: sample_boson_positions(gs, DRAWS, np.random.default_rng(12345)))
     print(f"sample_boson_positions, {DRAWS} draws: {s:.1f} us")
+
+    def packet(x):
+        return np.exp(-((x - 0.5) ** 2) / (2 * 0.12**2))
+
+    r = best_us(lambda: evolve_robin(ROBIN_BC, packet, ROBIN_T, n_grid=512))
+    print(f"evolve_robin, grid 512: {r / ROBIN_STEPS:.2f} us per step ({ROBIN_STEPS} steps a call)")
+    counts = {"steps": 0, "rounds": 0}
+
+    def counted(key, original):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    advance, rk4_round = process._advance, groundstate._rk4_round
+    process._advance = counted("steps", advance)
+    groundstate._rk4_round = counted("rounds", rk4_round)
+    try:
+        simulate(gs, TRAJECTORY)
+    finally:
+        process._advance, groundstate._rk4_round = advance, rk4_round
+    t = best_us(lambda: simulate(gs, TRAJECTORY))
+    steps, rounds = counts["steps"], counts["rounds"]
+    print(
+        f"figure trajectory to t = {TRAJECTORY.t_max:g}: {steps} steps, "
+        f"{t / steps:.1f} us and {rounds / steps:.2f} RK4 rounds per step"
+    )
 
     # the first block of field.csv, as `cli._cmd_field` makes it
     k = np.arange(_BLOCK)
