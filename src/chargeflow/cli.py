@@ -187,7 +187,7 @@ def _cmd_field(config, out):
 
 
 def _cmd_streamlines(config, out):
-    from .groundstate import streamlines
+    from .groundstate import _unit_vectors, streamlines
 
     system = _model_system(config)
     opts = config.options("streamlines")
@@ -197,8 +197,7 @@ def _cmd_streamlines(config, out):
             config.line("streamlines", "source"),
         )
     rng = np.random.default_rng(derive_seed(config.seed, 0))
-    dirs = rng.normal(size=(opts["n_seeds"], 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    dirs = _unit_vectors(rng, opts["n_seeds"])
     seeds = system.positions[opts["source"] - 1] + opts["seed_radius"] * dirs
     # a current that overflows leaves non-finite vertices, which _field_table
     # rejects with the current itself

@@ -690,6 +690,13 @@ def source_flux(system, source, radius):
     return float(np.sum(np.sum(j * omega, axis=-1) * w) * radius**2)
 
 
+def _unit_vectors(rng, n):
+    """n directions uniform on the unit sphere, as (n, 3) rows: normalized
+    standard normal draws."""
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
 def sample_boson_positions(gs, n, rng):
     """Draw n i.i.d. positions with density |psi1|^2 / integral |psi1|^2.
 
@@ -708,9 +715,7 @@ def sample_boson_positions(gs, n, rng):
         k = max(64, int(1.5 * (n - have)))
         which = rng.choice(sys_.n_sources, size=k, p=probs)
         r = rng.exponential(1.0 / (2.0 * a), size=k)
-        u = rng.normal(size=(k, 3))
-        u /= np.linalg.norm(u, axis=1)[:, None]
-        pts = sys_.positions[which] + r[:, None] * u
+        pts = sys_.positions[which] + r[:, None] * _unit_vectors(rng, k)
         d = _source_distances(sys_, pts.T)
         ok = np.all(d > 0.0, axis=0)
         pts = pts[ok]

@@ -17,7 +17,6 @@ permissions the umask grants, so a failed write leaves no file;
 import itertools
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -114,15 +113,13 @@ def _option_text(value):
 def atomic_write_text(path, chunks):
     """Write an iterable of strings (as UTF-8) or byte buffers via a temporary
     sibling and an atomic rename, into a directory that exists."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+    # created as open() would create it: mode 0666, less the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             for chunk in chunks:
                 handle.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
-        # mkstemp creates the file with mode 0600; give it what open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)

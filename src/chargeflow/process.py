@@ -30,7 +30,8 @@ import numpy as np
 # importing this module or running a trajectory loads no scipy module
 from .config import ensemble_steps
 from .groundstate import _advance, _column_velocity, _length_scale, _short_of_span
-from .groundstate import _source_distances, radial_cdf_interpolator, sample_boson_positions
+from .groundstate import _source_distances, _unit_vectors, radial_cdf_interpolator
+from .groundstate import sample_boson_positions
 
 __all__ = [
     "EmissionLaw",
@@ -67,11 +68,6 @@ def solve_ivp(*args, **kwargs):
     from scipy.integrate import solve_ivp
 
     return solve_ivp(*args, **kwargs)
-
-
-def _unit_vectors(rng, n):
-    v = rng.normal(size=(n, 3))
-    return v / np.linalg.norm(v, axis=1)[:, None]
 
 
 def _absorbed_at_start(system, pos, eps_absorb):

@@ -1219,6 +1219,27 @@ def test_artifacts_honour_the_umask(tmp_path):
     assert (tmp_path / "b.json").stat().st_mode & 0o777 == 0o664
 
 
+@pytest.mark.parametrize(("umask", "mode"), [(0o027, 0o640), (0o002, 0o664)])
+def test_writers_leave_the_process_umask_alone(tmp_path, monkeypatch, umask, mode):
+    # the kernel applies the umask at creation; a writer that reads or
+    # toggles it would open a window in which other threads create files
+    def umask_called(mask):
+        raise AssertionError("os.umask was called")
+
+    old = os.umask(umask)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", umask_called)
+            write_csv(tmp_path / "a.csv", ("a",), [([1],)], prov_stub())
+            write_json(tmp_path / "b.json", {"x": 1}, prov_stub())
+            write_jsonl(tmp_path / "c.jsonl", [{"x": 1}], prov_stub())
+    finally:
+        os.umask(old)
+    for name in ("a.csv", "b.json", "c.jsonl"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode
+    assert sorted(os.listdir(tmp_path)) == ["a.csv", "b.json", "c.jsonl"]
+
+
 # ---------------------------------------------------------------- commands
 
 
