@@ -380,30 +380,29 @@ def _build_robin_tridiag(bc, n_grid, m, hbar):
     return diag, up, lo, active, h
 
 
+# steps of `evolve_robin`, whatever t_final
+_ROBIN_STEPS = 2000
 # steps of `evolve_robin` recorded per block of full-grid rows: 256 kB at
 # grid 512; with one solve a step, 128 rows ran no faster (30-37 ms a
 # leak check either way) and tripled the traced peak to 2.3 MB
 _ROBIN_BLOCK_ROWS = 32
 
 
-def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0):
+def evolve_robin(bc, psi0, t_final, n_grid=512, m=1.0, hbar=1.0):
     """Evolve a packet under Robin conditions with Crank-Nicolson stepping.
 
     `psi0` is a callable on x or an array of n_grid samples on the uniform
     grid over [0, 1].  Dirichlet end values are clamped to zero.  The
     implicit midpoint scheme is exactly norm preserving for conserving
-    conditions and tracks the boundary leak for complex ratios; dt defaults
-    to t_final/2000.  Each step is one tridiagonal solve against a matrix
-    factored once, about 15 us at grid 512 on a 2-CPU Xeon, so the default
-    2000 steps take about 30 ms whatever t_final.  Returns times, box norms
+    conditions and tracks the boundary leak for complex ratios.  It always
+    takes 2000 steps of dt = t_final/2000, each one tridiagonal solve against
+    a matrix factored once, about 15 us at grid 512 on a 2-CPU Xeon, so a
+    call takes about 30 ms whatever t_final.  Returns times, box norms
     (trapezoid rule) and the squared end densities alongside the final state.
     """
-    if t_final <= 0:
-        raise ValueError("t_final must be positive")
-    if dt is None:
-        dt = t_final / 2000.0
-    if not dt > 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < t_final < np.inf:
+        raise ValueError("t_final must be positive and finite")
+    dt = t_final / _ROBIN_STEPS
     grid = np.linspace(0.0, 1.0, n_grid)
     psi = psi0(grid).astype(complex) if callable(psi0) else np.asarray(psi0, dtype=complex).copy()
     if psi.shape != grid.shape:
@@ -422,11 +421,10 @@ def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0):
     *lu, info = zgttrf(*bands)
     if info > 0:
         raise LinAlgError("singular matrix")
-    n_steps = int(np.ceil(t_final / dt))
-    times = np.arange(n_steps + 1) * dt
-    norms = np.empty(n_steps + 1)
-    d0 = np.empty(n_steps + 1)
-    d1 = np.empty(n_steps + 1)
+    times = np.arange(_ROBIN_STEPS + 1) * dt
+    norms = np.empty(_ROBIN_STEPS + 1)
+    d0 = np.empty(_ROBIN_STEPS + 1)
+    d1 = np.empty(_ROBIN_STEPS + 1)
     # trapezoid weights make the discrete operator self-adjoint for real ratios
     wts = np.full(n_grid, h)
     wts[0] = wts[-1] = h / 2.0
@@ -442,11 +440,11 @@ def evolve_robin(bc, psi0, t_final, n_grid=512, dt=None, m=1.0, hbar=1.0):
     # written as a full-grid row into a block whose Dirichlet columns stay 0,
     # and a block is recorded at once
     first = 0 if active[0] else 1
-    rows = np.zeros((min(n_steps, _ROBIN_BLOCK_ROWS), n_grid), dtype=complex)
+    rows = np.zeros((_ROBIN_BLOCK_ROWS, n_grid), dtype=complex)
     inner = rows[:, first : first + diag.size]
     act = psi[active]
-    for k0 in range(0, n_steps, len(rows)):
-        block = rows[: n_steps - k0]
+    for k0 in range(0, _ROBIN_STEPS, _ROBIN_BLOCK_ROWS):
+        block = rows[: _ROBIN_STEPS - k0]
         for out in inner[: len(block)]:
             y = zgttrs(*lu, act)[0]
             act = np.subtract(2.0 * y, act, out=out)
@@ -481,16 +479,18 @@ class LeakReport:
     norms: np.ndarray
 
 
-def robin_leak_check(bc, end=1, n_grid=512, dt=None, m=1.0, hbar=1.0, tol=0.1):
+def robin_leak_check(bc, end=1, n_grid=512, m=1.0, hbar=1.0, tol=0.1):
     """Quantify the boundary leak of a non-conserving end against its formula.
 
     A smooth packet is evolved to t = 0.3 with Crank-Nicolson; at the time
     of maximal boundary density (after an initial settling window) the
-    outward current through the tested end, measured as -d(norm)/dt, is
-    compared with the Robin prediction evaluated at the instantaneous
-    boundary density.  The opposite end must conserve probability so the
-    whole norm change is attributed to the tested end.
+    outward current through the tested end (0 or 1), measured as
+    -d(norm)/dt, is compared with the Robin prediction evaluated at the
+    instantaneous boundary density.  The opposite end must conserve
+    probability so the whole norm change is attributed to the tested end.
     """
+    if end not in (0, 1):
+        raise ValueError(f"the tested end must be 0 or 1, got {end!r}")
     verdicts = is_probability_conserving(bc)
     opposite = verdicts.end0 if end == 1 else verdicts.end1
     if not opposite.conserving:
@@ -499,14 +499,12 @@ def robin_leak_check(bc, end=1, n_grid=512, dt=None, m=1.0, hbar=1.0, tol=0.1):
     def packet(x):
         return np.exp(-((x - 0.5) ** 2) / (2 * 0.12**2))
 
-    ev = evolve_robin(bc, packet, 0.3, n_grid=n_grid, dt=dt, m=m, hbar=hbar)
+    ev = evolve_robin(bc, packet, 0.3, n_grid=n_grid, m=m, hbar=hbar)
     dens = ev.end1_density if end == 1 else ev.end0_density
     coef = (verdicts.end1 if end == 1 else verdicts.end0).leak_coefficient
-    # the window skips a settling tenth at each end, and always the two end
-    # samples, so the sample k has neighbours on both sides
-    settle = max(ev.times.size // 10, 1)
-    if ev.times.size - 2 * settle < 1:
-        raise ValueError("the leak check needs at least two time steps")
+    # the window skips a settling tenth at each end, so the sample k has
+    # neighbours on both sides
+    settle = ev.times.size // 10
     k = settle + int(np.argmax(dens[settle : ev.times.size - settle]))
     dtv = ev.times[1] - ev.times[0]
     measured = -(ev.norms[k + 1] - ev.norms[k - 1]) / (2.0 * dtv)

@@ -108,14 +108,12 @@ _SCHEMA = {
         "nx": _Field("int", 101, ge=2, le=_MAX_AXIS),
         "ny": _Field("int", 101, ge=2, le=_MAX_AXIS),
     },
-    # a radius of 0 selects the library default
+    # a max_arc of 0 selects the library default
     "streamlines": {
         "source": _Field("int", 1, ge=1),
         "n_seeds": _Field("int", 100, ge=1, le=_MAX_SEEDS),
         "seed_radius": _Field("float", 0.05, gt=0),
         "max_arc": _Field("float", 0.0, ge=0),
-        "domain_radius": _Field("float", 0.0, ge=0),
-        "eps_absorb": _Field("float", 0.0, ge=0),
     },
     "simulate": {
         "t_max": _Field("float", 10.0, gt=0),
@@ -123,8 +121,6 @@ _SCHEMA = {
         "runs": _Field("int", 0, ge=0, le=_MAX_RUNS),
         "dt": _Field("float", 0.01, gt=0),
         "sample_times": _Field("floats", (), ge=0),
-        "eps_absorb": _Field("float", 0.0, ge=0),
-        "eps_start": _Field("float", 0.0, ge=0),
         "trajectory": _Field("bool", True),
     },
     "lattice": {
@@ -137,7 +133,6 @@ _SCHEMA = {
         "E0": _Field("float", 0.5, ge=0),
         "hbar": _Field("float", 1.0, gt=0),
         "theta": _Field("float", 0.0),
-        "check_tol": _Field("float", 1e-8, gt=0),
         "t": _Field("float", 1.0, gt=0),
         "chains": _Field("int", 0, ge=0),
     },
@@ -152,8 +147,6 @@ _SCHEMA = {
         "hbar": _Field("float", 1.0, gt=0),
         "witness": _Field("tuple", (), repeat=True, arity=6),
         "robin": _Field("tuple", (), arity=8),
-        "leak_end": _Field("int", 1, ge=0, le=1),
-        "leak_tol": _Field("float", 0.1, gt=0),
     },
 }
 # fmt: on

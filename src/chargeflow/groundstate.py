@@ -436,6 +436,14 @@ def _length_scale(system):
     return spacing if spacing is not None else 1.0 / system.alpha
 
 
+def _point_radii(system):
+    """The absorption radius and the newborn start offset, 1e-4 and 1e-3
+    times `_length_scale`: the balls that stand in for the source points, at
+    which the exact process absorbs and creates bosons."""
+    scale = _length_scale(system)
+    return 1e-4 * scale, 1e-3 * scale
+
+
 def _default_radii(system, n=7, start_fraction=0.05):
     r0 = start_fraction * _length_scale(system)
     return np.array([r0 * 0.5**k for k in range(n)])
@@ -589,7 +597,7 @@ def _unit_current(system, p):
     return np.divide(j, n, out=np.zeros_like(j), where=n > 0.0)
 
 
-def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None):
+def streamlines(system, seeds, max_arc=None, domain_radius=None):
     """Integrate integral curves of the current direction field.
 
     The curves are parametrized by arc length (dy/ds = j/|j|), which traces
@@ -600,13 +608,14 @@ def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None
     `_rk4_round` substep per round, and a curve that ends a chunk starts its
     next one in the same round, so a batch takes as many rounds as its
     longest curve and each curve comes out as it would alone.  Each curve
-    terminates on source contact (within eps_absorb, the last vertex being
-    the contact point), on leaving the ball of domain_radius about the
-    origin (the last vertex being the first chunk end outside), when the arc
-    budget max_arc is exhausted, or, as "substep_budget", when a chunk is
-    still unfinished after _SUBSTEP_BUDGET substeps (the last vertex and
-    arc length being where it stopped); seeds at stationary points
-    (symmetric charges) return a degenerate zero-length polyline.
+    terminates on source contact (within the absorption radius of
+    `_point_radii`, the last vertex being the contact point), on leaving the
+    ball of domain_radius about the origin (the last vertex being the first
+    chunk end outside), when the arc budget max_arc is exhausted, or, as
+    "substep_budget", when a chunk is still unfinished after _SUBSTEP_BUDGET
+    substeps (the last vertex and arc length being where it stopped); seeds
+    at stationary points (symmetric charges) return a degenerate zero-length
+    polyline.
     """
     a = system.alpha
     extent = float(np.max(np.linalg.norm(system.positions, axis=1)))
@@ -614,8 +623,7 @@ def streamlines(system, seeds, eps_absorb=None, max_arc=None, domain_radius=None
     # alpha = 0 (E0 = 0) and where 1/alpha leaves the float range
     with np.errstate(divide="ignore", over="ignore"):
         scale = _length_scale(system)
-        if eps_absorb is None:
-            eps_absorb = 1e-4 * scale
+        eps_absorb = _point_radii(system)[0]
         if max_arc is None:
             max_arc = max(100.0 * scale, 60.0 / a)
         if domain_radius is None:

@@ -29,7 +29,7 @@ import numpy as np
 # the report functions import `pvalues` (scipy.special) when they run, so
 # importing this module or running a trajectory loads no scipy module
 from .config import ensemble_steps
-from .groundstate import _advance, _column_velocity, _length_scale, _short_of_span
+from .groundstate import _advance, _column_velocity, _point_radii, _short_of_span
 from .groundstate import _source_distances, _unit_vectors, radial_cdf_interpolator
 from .groundstate import sample_boson_positions
 
@@ -82,14 +82,16 @@ def _absorbed_at_start(system, pos, eps_absorb):
     return inside, nearest[inside]
 
 
-def _resolve_radii(system, eps_absorb, eps_start):
-    """Absorption radius and newborn offset, defaulting to 1e-4 and 1e-3
-    times the smallest source spacing (1/alpha for one source)."""
-    d = _length_scale(system)
-    eps_absorb = 1e-4 * d if eps_absorb is None else float(eps_absorb)
-    eps_start = 1e-3 * d if eps_start is None else float(eps_start)
+def _resolve_radii(system):
+    """The absorption radius and newborn offset of `_point_radii`, checked:
+    a source spacing (1/alpha for one source) that leaves the float range
+    leaves no 0 < eps_absorb < eps_start."""
+    eps_absorb, eps_start = _point_radii(system)
     if not 0.0 < eps_absorb < eps_start:
-        raise ValueError("need 0 < eps_absorb < eps_start")
+        raise ValueError(
+            f"the absorption radius {eps_absorb!r} and start offset {eps_start!r} (1e-4 and "
+            "1e-3 times the source spacing) are not 0 < eps_absorb < eps_start"
+        )
     return eps_absorb, eps_start
 
 
@@ -153,15 +155,13 @@ class SimulationParams:
 
     dt_max is the longest step between two path vertices (steps also end at
     emissions and absorptions), and t_max/dt_max may not exceed
-    MAX_TRAJECTORY_STEPS; eps_absorb and eps_start default as in
-    `_resolve_radii`.
+    MAX_TRAJECTORY_STEPS.  The absorption radius and the newborn offset are
+    not controls: `_resolve_radii` derives them from the source spacing.
     """
 
     t_max: float
     dt_max: float = 0.05
     seed: int = 0
-    eps_absorb: float = None
-    eps_start: float = None
 
     def __post_init__(self):
         if not self.t_max > 0.0:
@@ -247,7 +247,7 @@ def simulate(gs, params, initial=None, law=None):
     system = gs.system
     X = system.positions
     law = derive_emission_law(gs) if law is None else law
-    eps_absorb, eps_start = _resolve_radii(system, params.eps_absorb, params.eps_start)
+    eps_absorb, eps_start = _resolve_radii(system)
     rng = np.random.default_rng(params.seed)
     if initial is None:
         n0 = int(rng.poisson(gs.poisson_rate))
@@ -341,6 +341,8 @@ class EnsembleParams:
     largest sample time, which may then be t = 0.  `steps` holds the step
     of the horizon and that of each (sorted) sample time.  Emission-clock
     draws are batched per dt; dt does not cap the integrator's substeps.
+    The absorption radius and the newborn offset come from
+    `_resolve_radii`, and `EnsembleResult` reports them.
     """
 
     runs: int
@@ -348,8 +350,6 @@ class EnsembleParams:
     sample_times: tuple = ()
     dt: float = 0.01
     seed: int = 0
-    eps_absorb: float = None
-    eps_start: float = None
     steps: tuple = field(init=False)
 
     def __post_init__(self):
@@ -447,7 +447,7 @@ def run_ensemble(gs, params, law=None):
     system = gs.system
     X = system.positions
     law = derive_emission_law(gs) if law is None else law
-    eps_absorb, eps_start = _resolve_radii(system, params.eps_absorb, params.eps_start)
+    eps_absorb, eps_start = _resolve_radii(system)
     rng = np.random.default_rng(params.seed)
     m_runs = params.runs
     dt = params.dt
@@ -674,26 +674,26 @@ class StartSensitivityReport:
     max_deviation: float
 
 
-def emission_start_sensitivity(gs, t_probe=2.0, eps_start=None, law=None):
+def emission_start_sensitivity(gs, t_probe=2.0, law=None):
     """Quantify the effect of the newborn placement offset.
 
     The exact process emits a boson from the source point itself; the
-    simulator starts it eps_start along the emission direction.  For each of
-    six axis directions at the strongest-emitting source the flow is
-    integrated from factor*eps_start for t_probe, factor 0.5, 1 and 2; the
-    report gives the largest endpoint scatter across factors, which bounds
-    the placement bias of downstream positions.  Raises RuntimeError when a
-    start runs out of substep rounds.
+    simulator starts it eps_start (of `_resolve_radii`) along the emission
+    direction.  For each of six axis directions at the strongest-emitting
+    source the flow is integrated from factor*eps_start for t_probe, factor
+    0.5, 1 and 2; the report gives the largest endpoint scatter across
+    factors, which bounds the placement bias of downstream positions.
+    Raises RuntimeError when a start runs out of substep rounds.
     """
     system = gs.system
     law = derive_emission_law(gs) if law is None else law
-    eps_absorb, eps0 = _resolve_radii(system, None, eps_start)
+    eps_absorb, eps_start = _resolve_radii(system)
     factors = (0.5, 1.0, 2.0)
     source = int(np.argmax(law.rates))
     if law.rates[source] <= 0.0:
-        return StartSensitivityReport(source + 1, eps0, factors, t_probe, (), 0.0)
+        return StartSensitivityReport(source + 1, eps_start, factors, t_probe, (), 0.0)
     dirs = np.concatenate([np.eye(3), -np.eye(3)])
-    offsets = np.array(factors)[None, :, None] * eps0 * dirs[:, None, :]
+    offsets = np.array(factors)[None, :, None] * eps_start * dirs[:, None, :]
     starts = (system.positions[source] + offsets).reshape(-1, 3)
     ends, hit, left = _advance(system, _column_velocity, starts, t_probe, eps_absorb)
     if _short_of_span(hit, left).any():
@@ -704,7 +704,7 @@ def emission_start_sensitivity(gs, t_probe=2.0, eps_start=None, law=None):
     deviations = gaps.max(axis=(1, 2)).tolist()
     return StartSensitivityReport(
         source=source + 1,
-        eps_start=eps0,
+        eps_start=eps_start,
         factors=factors,
         t_probe=t_probe,
         deviations=tuple(deviations),

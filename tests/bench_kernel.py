@@ -38,7 +38,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from oracles import figure_system  # noqa: E402
 
 from chargeflow import groundstate, process  # noqa: E402
-from chargeflow.boundary import RobinBC, evolve_robin  # noqa: E402
+from chargeflow.boundary import _ROBIN_STEPS, RobinBC, evolve_robin  # noqa: E402
 from chargeflow.cli import _BLOCK, _field_table  # noqa: E402
 from chargeflow.g17 import g17_cells  # noqa: E402
 from chargeflow.groundstate import (  # noqa: E402
@@ -68,7 +68,7 @@ CONTENDED_ROUNDS = 21
 # the Robin packet and evolution of `robin_leak_check` on the figure
 # config's boundary: Dirichlet left end, leaking right end
 ROBIN_BC = RobinBC(1.0, 0.0, 1j, 1.0)
-ROBIN_T, ROBIN_STEPS = 0.3, 2000
+ROBIN_T = 0.3
 # the paths benchmark's trajectory: the figure system to t_max = 30 in
 # steps of at most 0.05, on the simulate command's stream of seed 12345
 TRAJECTORY = SimulationParams(t_max=30.0, dt_max=0.05, seed=derive_seed(12345, 0))
@@ -115,7 +115,7 @@ def main():
         return np.exp(-((x - 0.5) ** 2) / (2 * 0.12**2))
 
     r = best_us(lambda: evolve_robin(ROBIN_BC, packet, ROBIN_T, n_grid=512))
-    print(f"evolve_robin, grid 512: {r / ROBIN_STEPS:.2f} us per step ({ROBIN_STEPS} steps a call)")
+    print(f"evolve_robin, grid 512: {r / _ROBIN_STEPS:.2f} us per step ({_ROBIN_STEPS} steps a call)")
     counts = {"steps": 0, "rounds": 0}
 
     def counted(key, original):

@@ -8,6 +8,9 @@ them.  A change that means to change an artifact regenerates the file and
 says why:
 
     PYTHONPATH=src python tests/golden.py
+
+which prints each ``<seed> <command> <file>`` whose digest changed,
+appeared or vanished against the file it replaces.
 """
 
 import hashlib
@@ -71,7 +74,30 @@ def artifact_digests():
     return digests
 
 
+def changes(old, new):
+    """Lines `<seed> <command> <file>: changed|appeared|vanished` for every
+    file digest that differs between two artifact maps, and a line per
+    changed exit code."""
+    lines = []
+    for name in [*new, *(name for name in old if name not in new)]:
+        was, now = old.get(name, {}), new.get(name, {})
+        if was.get("exit") != now.get("exit"):
+            lines.append(f"{name}: exit {was.get('exit')} -> {now.get('exit')}")
+        files_was, files_now = was.get("files", {}), now.get("files", {})
+        for file in [*files_now, *(f for f in files_was if f not in files_now)]:
+            if file not in files_now:
+                lines.append(f"{name} {file}: vanished")
+            elif file not in files_was:
+                lines.append(f"{name} {file}: appeared")
+            elif files_was[file] != files_now[file]:
+                lines.append(f"{name} {file}: changed")
+    return lines
+
+
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     document = {"versions": versions(), "build": build(), "artifacts": artifact_digests()}
     GOLDEN.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    for line in changes(old.get("artifacts", {}), document["artifacts"]):
+        print(line)
     print(f"wrote {GOLDEN}", file=sys.stderr)

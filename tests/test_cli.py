@@ -239,7 +239,6 @@ def test_parse_errors_carry_line_numbers(text, message):
         ("[lattice]\nL = 1\n", "'L' must be at least 2"),
         ("[boundary]\ngrid = 4\n", "'grid' must be at least 8"),
         ("[boundary]\ntheta = 4.0\n", "'theta' entries may not exceed 3.141592653589793, got 4.0"),
-        ("[boundary]\nleak_end = 2\n", "'leak_end' may not exceed 1"),
     ],
 )
 def test_validation_rejects_bad_values(text, message):
@@ -820,29 +819,40 @@ def test_an_interrupted_command_leaves_the_output_directory_as_it_was(
         assert os.listdir(out) == ["notes.txt"]
 
 
+def test_a_negative_max_arc_is_a_config_error_at_its_line(tmp_path, capsys):
+    # 0 keeps selecting the library default; a negative arc budget is an error
+    lines = list(_FIGURE_LINES)
+    index = lines.index("max_arc = 40.0")
+    lines[index] = "max_arc = -1.0"
+    code, out = run_cli(tmp_path, "\n".join(lines) + "\n", "streamlines")
+    assert code == 1
+    assert f"line {index + 1}: key 'max_arc' must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
-    ("section", "key", "command"),
+    ("section", "key"),
     [
-        ("streamlines", "max_arc", "streamlines"),
-        ("streamlines", "eps_absorb", "streamlines"),
-        ("streamlines", "domain_radius", "streamlines"),
-        ("simulate", "eps_absorb", "simulate"),
-        ("simulate", "eps_start", "simulate"),
+        ("streamlines", "eps_absorb"),
+        ("streamlines", "domain_radius"),
+        ("simulate", "eps_absorb"),
+        ("simulate", "eps_start"),
+        ("lattice", "check_tol"),
+        ("boundary", "leak_end"),
+        ("boundary", "leak_tol"),
     ],
 )
-def test_negative_radii_are_config_errors_at_their_line(tmp_path, capsys, section, key, command):
-    # 0 keeps selecting the library default; a negative radius is an error
+def test_derived_settings_are_unknown_keys(tmp_path, capsys, section, key):
+    # the absorption and start radii, the leak end and the check tolerances
+    # are derived, so a config that sets one names its line
     lines = list(_FIGURE_LINES)
-    edit = f"{key} = -1.0"
-    if key == "max_arc":  # the one of the five that figure.cfg sets
-        index = lines.index("max_arc = 40.0")
-        lines[index] = edit
-    else:
-        index = lines.index(f"[{section}]") + 1
-        lines.insert(index, edit)
-    code, out = run_cli(tmp_path, "\n".join(lines) + "\n", command)
+    index = lines.index(f"[{section}]") + 1
+    lines.insert(index, f"{key} = 1")
+    code, out = run_cli(tmp_path, "\n".join(lines) + "\n", section)
     assert code == 1
-    assert f"line {index + 1}: key '{key}' must be nonnegative" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"config error: line {index + 1}: unknown key '{key}' in section [{section}]"
+    )
     assert not out.exists()
 
 
@@ -1219,7 +1229,7 @@ def test_artifacts_honour_the_umask(tmp_path):
     assert (tmp_path / "b.json").stat().st_mode & 0o777 == 0o664
 
 
-@pytest.mark.parametrize(("umask", "mode"), [(0o027, 0o640), (0o002, 0o664)])
+@pytest.mark.parametrize(("umask", "mode"), [(0o027, 0o640), (0o002, 0o664)], ids=["027", "002"])
 def test_writers_leave_the_process_umask_alone(tmp_path, monkeypatch, umask, mode):
     # the kernel applies the umask at creation; a writer that reads or
     # toggles it would open a window in which other threads create files
@@ -1699,6 +1709,30 @@ def test_boundary_artifacts(tmp_path):
     assert header == "t,norm"
     times = [float(row[0]) for row in rows]
     assert times == sorted(times) and times[0] == 0.0
+
+
+@pytest.mark.parametrize(
+    ("robin", "leak_end"),
+    [
+        ("0.0 1.0 1.0 0.0 1.0 0.0 0.0 0.0", 0),  # a leaking left end, a Dirichlet right end
+        ("1.0 0.0 0.0 0.0 0.0 1.0 1.0 0.0", 1),  # its mirror image
+        ("0.0 1.0 1.0 0.0 0.0 -2.0 1.0 0.0", None),  # both ends leak
+        ("1.0 0.0 0.0 0.0 1.0 0.0 1.0 0.0", None),  # both ends conserve
+    ],
+)
+def test_boundary_checks_the_leak_of_the_one_end_that_leaks(tmp_path, robin, leak_end):
+    text = BOUNDARY_CFG.replace("robin = 1.0 0.0 0.0 0.0 0.0 1.0 1.0 0.0", f"robin = {robin}")
+    code, out = run_cli(tmp_path, text, "boundary")
+    assert code == 0
+    report = read_json(out / "robin.json")
+    if leak_end is None:
+        assert "leak" not in report
+        assert not (out / "norm_decay.csv").exists()
+    else:
+        assert report["leak"]["end"] == leak_end
+        assert report["leak"]["passed"] is True
+        _, header, rows = read_csv(out / "norm_decay.csv")
+        assert header == "t,norm" and len(rows) == 2001
 
 
 # ---------------------------------------------------------------- exit codes

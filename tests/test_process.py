@@ -236,15 +236,15 @@ def test_rates_scale_with_squared_charge_norm(fig_gs, fig_law):
 
 
 def test_resolve_radii():
-    system = figure_system()
-    eps_absorb, eps_start = _resolve_radii(system, None, None)
-    assert eps_absorb == pytest.approx(1e-4)
-    assert eps_start == pytest.approx(1e-3)
-    assert _resolve_radii(system, 2e-5, 3e-4) == (2e-5, 3e-4)
-    with pytest.raises(ValueError):
-        _resolve_radii(system, 1e-3, 1e-4)
-    with pytest.raises(ValueError):
-        _resolve_radii(system, 0.0, 1e-3)
+    # 1e-4 and 1e-3 times the smallest source spacing, 1/alpha for one source
+    assert _resolve_radii(figure_system()) == (1e-4, 1e-3)
+    lone = ChargeSystem(np.zeros((1, 3)), [1.0], m=1.0, E0=0.005, hbar=1.0)
+    assert _resolve_radii(lone) == pytest.approx((1e-3, 1e-2))
+    # a spacing past the float range leaves no radii
+    with np.errstate(over="ignore"):
+        far = ChargeSystem([[-1e308, 0.0, 0.0], [1e308, 0.0, 0.0]], [1.0, 1j], m=1.0, E0=0.5)
+        with pytest.raises(ValueError, match="not 0 < eps_absorb < eps_start"):
+            _resolve_radii(far)
 
 
 def test_simulation_params_validate():
@@ -404,7 +404,7 @@ def per_step_simulate(gs, params, initial=None, law=None):
     system = gs.system
     X = system.positions
     law = derive_emission_law(gs) if law is None else law
-    eps_absorb, eps_start = _resolve_radii(system, params.eps_absorb, params.eps_start)
+    eps_absorb, eps_start = _resolve_radii(system)
     rng = np.random.default_rng(params.seed)
     if initial is None:
         n0 = int(rng.poisson(gs.poisson_rate))
@@ -639,7 +639,7 @@ def per_dt_run_ensemble(gs, params, law):
     times.  It draws the same random stream as `run_ensemble`."""
     system = gs.system
     X = system.positions
-    eps_absorb, eps_start = _resolve_radii(system, params.eps_absorb, params.eps_start)
+    eps_absorb, eps_start = _resolve_radii(system)
     rng = np.random.default_rng(params.seed)
     n_steps, sample_steps = params.steps
     snap_steps = dict(zip(sample_steps, params.sample_times))
