@@ -239,7 +239,6 @@ def _cmd_streamlines(config, out):
 
 def _cmd_simulate(config, out):
     from .process import (
-        MAX_TRAJECTORY_STEPS,
         EnsembleParams,
         SimulationParams,
         derive_emission_law,
@@ -250,13 +249,16 @@ def _cmd_simulate(config, out):
     )
 
     opts = config.options("simulate")
-    if opts["trajectory"] and not opts["t_max"] / opts["dt_max"] <= MAX_TRAJECTORY_STEPS:
-        raise ConfigError(
-            f"the trajectory to t_max = {opts['t_max']!r} in steps of dt_max = "
-            f"{opts['dt_max']!r} exceeds {MAX_TRAJECTORY_STEPS:.0e} steps, each a path "
-            "vertex of 4 floats per boson (set trajectory = false for the ensemble alone)",
-            config.line("simulate", "t_max", "dt_max"),
-        )
+    if opts["trajectory"]:
+        try:
+            sim = SimulationParams(
+                t_max=opts["t_max"], dt_max=opts["dt_max"], seed=derive_seed(config.seed, 0)
+            )
+        except ValueError as exc:
+            raise ConfigError(
+                f"{exc} (set trajectory = false for the ensemble alone)",
+                config.line("simulate", "t_max", "dt_max"),
+            ) from exc
     from .groundstate import ground_state
 
     gs = ground_state(_model_system(config, bound=True))
@@ -268,15 +270,7 @@ def _cmd_simulate(config, out):
         streams["ensemble"] = 2
     prov = _provenance(config, ("model", "simulate"), streams)
     if opts["trajectory"]:
-        record = simulate(
-            gs,
-            SimulationParams(
-                t_max=opts["t_max"],
-                dt_max=opts["dt_max"],
-                seed=derive_seed(config.seed, 0),
-            ),
-            law=law,
-        )
+        record = simulate(gs, sim, law=law)
         write_jsonl(os.path.join(out, "trajectory.jsonl"), trajectory_events(record), prov)
         # every particle's vertices in pid order, a block of rows at a time
         pids = sorted(record.paths)
@@ -341,6 +335,7 @@ def _cmd_lattice(config, out, check=None):
     from .lattice import (
         DENSE_LIMIT,
         _norm,
+        _residual,
         build_model,
         check_gauge_equivalence,
         check_T_commutation,
@@ -365,23 +360,19 @@ def _cmd_lattice(config, out, check=None):
     theta = opts["theta"]
     if check is not None:
         prov = _provenance(config, ("lattice",), {"random_state": 1} if check == "reversal" else {})
-        if check == "gauge":
-            norm = check_gauge_equivalence(model, theta)
+        norm_checks = {
+            "gauge": (check_gauge_equivalence, 1e-12),
+            "commutation": (check_T_commutation, 1e-8),
+        }
+        if check in norm_checks:
+            measure, tolerance = norm_checks[check]
+            norm = measure(model, theta)
             payload = {
-                "check": "gauge",
+                "check": check,
                 "theta": theta,
                 "norm": norm,
-                "tolerance": 1e-12,
-                "passed": bool(norm <= 1e-12),
-            }
-        elif check == "commutation":
-            norm = check_T_commutation(model, theta, kind="op")
-            payload = {
-                "check": "commutation",
-                "theta": theta,
-                "norm": norm,
-                "tolerance": 1e-8,
-                "passed": bool(norm <= 1e-8),
+                "tolerance": tolerance,
+                "passed": bool(norm <= tolerance),
             }
         else:
             rng = np.random.default_rng(derive_seed(config.seed, 1))
@@ -403,7 +394,7 @@ def _cmd_lattice(config, out, check=None):
     current = ground_state_current(model)
     # Duhamel: ||e^{-iHt/hbar} psi0 - e^{-iE0 t/hbar} psi0|| <= t ||H psi0 -
     # E0 psi0|| / hbar, and two unit vectors lie at most 2 apart
-    residual = float(np.linalg.norm(model.H @ psi0 - evals[0] * psi0))
+    residual = _residual(model, psi0, evals[0])
     payload = {
         "dimension": model.dim,
         "ground_energy": float(evals[0]),

@@ -461,13 +461,15 @@ class IBCReport:
     radii: np.ndarray
 
 
-def verify_ibc(gs, base_config, source, direction, radii=None, tol=1e-8):
+def verify_ibc(gs, base_config, source, direction):
     """Check the interior boundary condition at a source numerically.
 
     Extrapolates r * psi_min(base_config + extra boson at x_j + r*omega) to
     r -> 0 and compares with -(m conj(g_j)/(2*pi*hbar^2*sqrt(n))) * psi_min of
     the base configuration, n being the sector including the extra boson.
     `source` is a 1-based label, `direction` a (not necessarily unit) vector.
+    The radii are `_default_radii`, and the check passes at a relative
+    error of at most 1e-8.
     """
     sys_ = gs.system
     if not (1 <= source <= sys_.n_sources):
@@ -475,11 +477,7 @@ def verify_ibc(gs, base_config, source, direction, radii=None, tol=1e-8):
     base = _positions_of(base_config)
     omega = np.asarray(direction, dtype=float)
     omega = omega / np.linalg.norm(omega)
-    if radii is None:
-        radii = _default_radii(sys_)
-    radii = np.asarray(radii, dtype=float)
-    if radii.size < 3 or np.any(np.diff(radii) >= 0):
-        raise ValueError("radii must be strictly decreasing with at least 3 entries")
+    radii = _default_radii(sys_)
     xj = sys_.positions[source - 1]
     vals = []
     for r in radii:
@@ -498,7 +496,7 @@ def verify_ibc(gs, base_config, source, direction, radii=None, tol=1e-8):
         limit=limit,
         target=complex(target),
         rel_error=float(rel),
-        passed=bool(rel <= tol),
+        passed=bool(rel <= 1e-8),
         radii=radii,
     )
 

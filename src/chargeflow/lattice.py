@@ -24,10 +24,11 @@ Site indices are 0-based; basis states are ordered sector-major (total boson
 number ascending), deterministic across runs.  H is stored as a sparse CSR
 array at every size; the spectral data are limited to DENSE_LIMIT states.
 The ground pair takes every eigenvalue from the real Hamiltonian of the
-chain's normal modes, which has H's spectrum (one real Householder
-reduction of a dense copy), and the ground eigenvector from H by sparse
-inverse iteration; only the full eigendecomposition behind the spectral
-`evolve` needs a dense complex copy of H.
+chain's normal modes, which has H's spectrum (LAPACK's dsyev driver on a
+dense copy), and the ground eigenvector from H by sparse inverse
+iteration; only the full eigendecomposition behind the spectral `evolve`
+needs a dense complex copy of H.  Every norm is numpy's pairwise sum
+(`_norm`), at every size.
 """
 
 import cmath
@@ -36,7 +37,7 @@ from functools import cached_property, lru_cache
 from math import comb, sqrt
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import eigvalsh
 from scipy.sparse import csr_array, eye_array
 from scipy.sparse.linalg import expm_multiply, splu
 from scipy.special import roots_hermite
@@ -148,25 +149,16 @@ def _sector_blocks(L, n_max):
         start = row
 
 
-def _occupations(L, n_max):
-    """Occupation rows of the truncated basis in basis order, written sector
-    by sector from `_sector_blocks` with no sorting.
-
-    Sector-major (total boson number ascending), then within sector n the
-    order of combinations_with_replacement(range(L), n) over sorted site
-    tuples, which is descending lexicographic in (n_1..n_L).
-    """
-    occ = np.zeros((lattice_dimension(L, n_max), L), dtype=np.int16)
-    for _, c, source, target in _sector_blocks(L, n_max):
-        occ[target, c:] = occ[source, c:]
-        occ[target, c] += 1
-    return occ
-
-
 @dataclass(frozen=True)
 class _Basis:
     """Index tables of the truncated basis, shared by every Hamiltonian
     assembled over it.
+
+    The basis order is sector-major (total boson number ascending), then
+    within sector n the order of combinations_with_replacement(range(L), n)
+    over sorted site tuples, which is descending lexicographic in
+    (n_1..n_L).  `_basis` writes every table sector by sector from
+    `_sector_blocks`, with no sorting.
 
     Combinatorial number system of the basis order: moving one boson from
     site s to s+1 raises the index by shift[i, s], the number of placements
@@ -190,8 +182,8 @@ class _Basis:
 
 
 def _basis(L, n_max):
-    occ = _occupations(L, n_max)
     sector_size = np.array([comb(L + k - 1, k) for k in range(n_max + 1)], dtype=np.int64)
+    occ = np.zeros((lattice_dimension(L, n_max), L), dtype=np.int16)
     # ways[r, s] places r bosons on the L - s - 1 sites right of s, and
     # left[r, c] sums ways[r, s] over s < c: the tables of a state whose r
     # bosons all lie right of the sites in question
@@ -205,6 +197,8 @@ def _basis(L, n_max):
     shift_left_of = np.empty((len(occ) - sector_size[-1], L), dtype=np.int32)
     shift[0], shift_left_of[0] = ways[0], left[0]
     for n, c, source, target in _sector_blocks(L, n_max):
+        occ[target, c:] = occ[source, c:]
+        occ[target, c] += 1
         # the boson added at c leaves every bond right of c as it was in
         # the source row and puts all n bosons right of each bond left of c
         shift[target, :c] = ways[n, :c]
@@ -351,9 +345,9 @@ class LatticeModel:
         truncated H is unitarily equivalent to the real symmetric
             H' = sum_k eps_k n_k + sum_k |phi_k| (A_k + A_k^dag)
         on the same occupation basis, with a source of amplitude |phi_k| on
-        every mode and no hopping.  dsytrd reduces a dense copy of H' to
-        tridiagonal form and dsterf gives its eigenvalues (LAPACK Users'
-        Guide, SIAM 1999).
+        every mode and no hopping.  LAPACK's dsyev driver gives the
+        eigenvalues of a dense copy of H': dsytrd reduces it to tridiagonal
+        form and dsterf finds their roots (LAPACK Users' Guide, SIAM 1999).
 
         The ground vector comes from H itself, by inverse iteration: one
         sparse LU factorization of H - sigma, sigma a few ulps of the
@@ -367,9 +361,10 @@ class LatticeModel:
         sector phase d^n makes real keeps every iterate in that gauge,
         exactly so when d is a power of i, and the phase fixed by a real
         positive vacuum amplitude makes a real H's ground vector exactly
-        real.  A spectral scale max(1, |E|) beyond 1e154 raises ValueError;
-        a LAPACK failure, or a vector whose residual ||H psi - E0 psi||
-        exceeds 1e-12 times that scale, raises LinAlgError.
+        real.  Its norms are pairwise sums (`_norm`).  A spectral scale
+        max(1, |E|) beyond 1e154 raises ValueError; a LAPACK failure, or a
+        vector whose residual ||H psi - E0 psi|| (`_residual`) exceeds 1e-12
+        times that scale, raises LinAlgError.
         """
         if self._ground is None:
             self._check_dense("ground state")
@@ -390,13 +385,7 @@ class LatticeModel:
         h = np.zeros((self.dim, self.dim), order="F")
         h[rows, cols] = vals
         h[np.diag_indices(self.dim)] = self.occupations @ eps
-        lwork, info = lapack.dsytrd_lwork(self.dim, lower=1)
-        _check_lapack("dsytrd_lwork", info)
-        _, d, e, _, info = lapack.dsytrd(h, lower=1, lwork=int(lwork), overwrite_a=1)
-        _check_lapack("dsytrd", info)
-        evals, info = lapack.dsterf(d, e)
-        _check_lapack("dsterf", info)
-        return evals
+        return eigvalsh(h, lower=True, overwrite_a=True, check_finite=False, driver="ev")
 
     def _ground_vector(self, evals):
         scale = max(1.0, abs(evals[0]), abs(evals[-1]))
@@ -423,8 +412,8 @@ class LatticeModel:
         psi = np.array(powers)[self.sector] * np.random.default_rng(20).random(self.dim)
         for _ in range(2):
             psi = lu.solve(psi)
-            psi /= np.linalg.norm(psi)
-        residual = float(np.linalg.norm(self.H @ psi - evals[0] * psi))
+            psi /= _norm(psi)
+        residual = _residual(self, psi, evals[0])
         if not residual <= 1e-12 * scale:
             raise np.linalg.LinAlgError(
                 f"inverse iteration left a ground-state residual of {residual:.3e}"
@@ -439,11 +428,6 @@ class LatticeModel:
             self._check_dense("eigendecomposition")
             self._eig = tuple(np.linalg.eigh(self.H.toarray(order="F")))
         return self._eig
-
-
-def _check_lapack(name, info):
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {name} failed (info = {info})")
 
 
 def build_model(params):
@@ -491,8 +475,9 @@ def _largest_hermite_root(n):
     return float(roots_hermite(n)[0].max())
 
 
-def check_T_commutation(model, theta, kind="op"):
-    """Norm of the commutator of T_theta with H, in closed form at every size.
+def check_T_commutation(model, theta):
+    """Operator norm of the commutator of T_theta with H, in closed form at
+    every size.
 
     T_theta H - H T_theta applied to psi equals Delta applied to D conj(psi),
     with D = diag(e^{-2 i theta n(q)}) unitary and Delta = D conj(H) D^dag - H.
@@ -500,42 +485,36 @@ def check_T_commutation(model, theta, kind="op"):
     sources survive:
         Delta = -2i e^{i theta} sum_j s_j b_{s_j} + h.c.,
         s_j = Im(e^{-i theta} g_j).
-    Both norms are sqrt(sum_j w_j s_j^2):
-    kind="op": w_j = 8 x^2, with x the largest root of the Hermite polynomial
-        H_{n_max+1}.  A sector phase and a rotation of the modes turn Delta
-        into 2 |s| (b + b^dag) under the cutoff n_max, whose largest
-        eigenvalue is sqrt(2) x (the Jacobi matrix of Gauss-Hermite
-        quadrature; Golub & Welsch, Math. Comp. 23 (1969) 221).
-    kind="fro": w_j = 8 S_j, where S_j sums n_{s_j}(q) + 1 over the states q
-        that still accept a boson: the squared magnitudes of Delta's entries.
-    theta may be an array.  The two norms vanish together, and
-    op <= fro <= sqrt(rank) * op.
+    The norm is sqrt(sum_j w s_j^2) with w = 8 x^2, x the largest root of
+    the Hermite polynomial H_{n_max+1}: a sector phase and a rotation of the
+    modes turn Delta into 2 |s| (b + b^dag) under the cutoff n_max, whose
+    largest eigenvalue is sqrt(2) x (the Jacobi matrix of Gauss-Hermite
+    quadrature; Golub & Welsch, Math. Comp. 23 (1969) 221).  theta may be
+    an array.
     """
     charges = model.params.charges
-    if kind == "op":
-        weights = (8.0 * _largest_hermite_root(model.params.n_max + 1) ** 2,) * len(charges)
-    elif kind == "fro":
-        open_states = model.sector < model.params.n_max
-        occ = model.occupations[open_states][:, list(model.params.source_sites)]
-        weights = tuple(8.0 * np.sum(occ + 1, axis=0))
-    else:
-        raise ValueError("kind must be 'op' or 'fro'")
+    w = 8.0 * _largest_hermite_root(model.params.n_max + 1) ** 2
     if np.ndim(theta) == 0:
         # scalar theta in plain Python: a sweep calls this once per grid point
         rot = cmath.exp(-1j * theta)
-        return sqrt(sum(w * (rot * g).imag ** 2 for w, g in zip(weights, charges)))
+        return sqrt(sum(w * (rot * g).imag ** 2 for g in charges))
     s = np.imag(np.exp(-1j * np.asarray(theta, dtype=float)[..., None]) * np.array(charges))
-    return np.sqrt(np.sum(np.array(weights) * s**2, axis=-1))
+    return np.sqrt(np.sum(w * s**2, axis=-1))
 
 
 def _norm(x):
     """Euclidean norm of a real or complex vector by numpy's pairwise sum.
 
-    np.linalg.norm calls BLAS dot, which OpenBLAS splits over its threads
+    numpy's own norm calls BLAS dot, which OpenBLAS splits over its threads
     above 10,000 entries: the last bits then depend on the thread count, and
     the pool it wakes keeps spinning against scipy's own OpenBLAS threads.
     """
     return np.sqrt(np.add.reduce(x.real * x.real + x.imag * x.imag))
+
+
+def _residual(model, psi, energy):
+    """||H psi - energy psi|| by `_norm`."""
+    return float(_norm(model.H @ psi - energy * psi))
 
 
 def check_gauge_equivalence(model, theta):
@@ -615,9 +594,9 @@ def _is_stationary(model, psi):
     ||H psi - E psi|| <= 1e-12 max(1, ||H||_1) with E = <psi|H|psi>.  Then
     psi(t) = e^{-iEt/hbar} psi, whose error is at most t ||(H - E) psi||/hbar,
     and every jump rate is constant in time."""
-    H_psi = model.H @ psi
-    residual = _norm(H_psi - np.add.reduce(np.conj(psi) * H_psi).real * psi)
-    return residual <= 1e-12 * max(1.0, float(abs(model.H).sum(axis=0).max()))
+    energy = np.add.reduce(np.conj(psi) * (model.H @ psi)).real
+    scale = max(1.0, float(abs(model.H).sum(axis=0).max()))
+    return _residual(model, psi, energy) <= 1e-12 * scale
 
 
 def _run_chains(model, psi0, t_max, n_chains, seed):
@@ -625,7 +604,7 @@ def _run_chains(model, psi0, t_max, n_chains, seed):
     the first chain as (time, states[:1]) pairs: the start and each of its
     jumps."""
     psi0 = np.asarray(psi0, dtype=complex)
-    psi0 = psi0 / np.linalg.norm(psi0)
+    psi0 = psi0 / _norm(psi0)
     rng = np.random.default_rng(seed)
     H, rows = model.H, model._rows
     # row q of the rate table holds sigma(q -> q') for the q' of row q of H
@@ -644,9 +623,10 @@ def _run_chains(model, psi0, t_max, n_chains, seed):
         return np.cumsum(rates, axis=1), dens < floor
 
     def land(chains, cum):
-        # the uniforms go to the jumping chains ordered by current state;
-        # returns the states they land in, in the order of `chains`
-        moving = chains[np.argsort(states[chains], kind="stable")]
+        # the uniforms go to the jumping chains ordered by current state, in
+        # their own order within a state (lexsort is stable); returns the
+        # states they land in, in the order of `chains`
+        moving = chains[np.lexsort((states[chains],))]
         at = states[moving]
         row = cum[at]
         row /= np.maximum(row[:, -1:], 1e-300)
@@ -742,9 +722,10 @@ class ReversalReport:
 
     The identity F^{T psi}(q -> q') = F^{psi}(q' -> q) over all basis pairs
     (flux form, no division, so nodes are unproblematic) holds for all psi
-    exactly when T_theta commutes with H; `commutator_norm` reports that norm
-    for cross-reference.  A single psi can satisfy the identity accidentally,
-    so callers probing asymmetry should use a generic psi.
+    exactly when T_theta commutes with H; `commutator_norm` is the operator
+    norm of that commutator from `check_T_commutation`, the number `--check
+    commutation` writes.  A single psi can satisfy the identity
+    accidentally, so callers probing asymmetry should use a generic psi.
     """
 
     passed: bool
@@ -763,7 +744,7 @@ def reversal_conditions_check(model, theta, psi):
     return ReversalReport(
         passed=bool(max_violation <= 1e-10),
         max_violation=max_violation,
-        commutator_norm=check_T_commutation(model, theta, kind="fro"),
+        commutator_norm=check_T_commutation(model, theta),
         theta=float(theta),
     )
 

@@ -169,7 +169,11 @@ class SimulationParams:
         if not self.dt_max > 0.0:
             raise ValueError("dt_max must be positive")
         if not self.t_max / self.dt_max <= MAX_TRAJECTORY_STEPS:
-            raise ValueError(f"t_max/dt_max exceeds {MAX_TRAJECTORY_STEPS:.0e} steps")
+            raise ValueError(
+                f"the trajectory to t_max = {self.t_max!r} in steps of dt_max = "
+                f"{self.dt_max!r} exceeds {MAX_TRAJECTORY_STEPS:.0e} steps, each a path "
+                "vertex of 4 floats per boson"
+            )
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,12 @@ front of them), and `g17_cells` at 1 and 4,096 values of the field
 block.  Last the lattice assembly: `build_model` and
 `check_gauge_equivalence` at dimensions 680, 10,626 and 169,911, best-of
 times and tracemalloc peaks (the build alone, then the build plus the
-check).  Then the lattice benchmark's order in one process:
-`LatticeModel.ground` at dimension 680 right before the gauge check at
-10,626, the median time of each over fresh rounds.  The suite does not
-collect this file; run it from the root of a checkout:
+check).  Then the dense spectrum of the lattice benchmark's dimension-680
+chain alone (`LatticeModel._mode_spectrum`, LAPACK's dsyev driver), and
+the benchmark's order in one process: `LatticeModel.ground` at dimension
+680 right before the gauge check at 10,626, the median time of each over
+fresh rounds.  The suite does not collect this file; run it from the root
+of a checkout:
 
     PYTHONPATH=src python tests/bench_kernel.py
 """
@@ -171,9 +173,19 @@ def main():
         print(f"{model.dim:>7} {b / 1e3:>9.2f} {g / 1e3:>9.2f} {built:>10.2f} {checked:>10.2f}")
 
     # the lattice benchmark's order in one process: the ground state of its
-    # dim-680 chain (a dense dsytrd on scipy's OpenBLAS), then the gauge
+    # dim-680 chain (a dense dsyev on scipy's OpenBLAS), then the gauge
     # check at 10,626; medians, as contention between the two varies
     chain = LatticeParams(L=14, a=1.0, n_max=3, source_sites=(2, 10), charges=(1.0, 1j), E0=0.5)
+    model = build_model(chain)
+    spectrum = []
+    for _ in range(CONTENDED_ROUNDS):
+        start = time.perf_counter()
+        model._mode_spectrum()
+        spectrum.append(time.perf_counter() - start)
+    print(
+        f"mode spectrum alone at {model.dim} (median of {CONTENDED_ROUNDS}): "
+        f"{np.median(spectrum) * 1e3:.2f} ms"
+    )
     gauge = build_model(gauge_params(*LATTICE_SIZES[1]))
     times = []
     for _ in range(CONTENDED_ROUNDS):

@@ -1851,10 +1851,13 @@ def test_a_lattice_run_counts_its_floored_node_visits_in_silence(tmp_path, monke
 
 
 def test_lattice_lapack_failure_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(lattice.lapack, "dsterf", lambda d, e: (d, 7))
+    def failure(h, **kwargs):
+        raise np.linalg.LinAlgError("the algorithm failed to converge")
+
+    monkeypatch.setattr(lattice, "eigvalsh", failure)
     code, out = run_cli(tmp_path, LATTICE_SMALL, "lattice")
     assert code == 2
-    assert "LAPACK dsterf failed (info = 7)" in capsys.readouterr().err
+    assert "the algorithm failed to converge" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1874,10 +1877,36 @@ def test_long_lattice_time_reports_the_capped_residual_bound(tmp_path, monkeypat
     params = parse_config(text).lattice_params()
     model = lattice.build_model(params)
     evals, psi0 = model.ground()
-    residual = float(np.linalg.norm(model.H @ psi0 - evals[0] * psi0))
+    residual = lattice._norm(model.H @ psi0 - evals[0] * psi0)
     bound = read_json(out / "lattice.json")["evolution_phase_error"]
     assert bound == min(2.0, 10000.0 * residual / params.hbar)
     assert bound <= 1e-8
+
+
+def test_figure_phase_error_is_the_pairwise_residual_bound(tmp_path):
+    # the residual ||H psi0 - E0 psi0|| is summed pairwise, as every lattice
+    # norm is, so the artifact carries no BLAS rounding
+    out = tmp_path / "out"
+    assert main(["lattice", "--config", str(FIGURE_CFG), "--out", str(out)]) == 0
+    config = parse_config(FIGURE_CFG.read_text())
+    params = config.lattice_params()
+    model = lattice.build_model(params)
+    evals, psi0 = model.ground()
+    bound = config.options("lattice")["t"] * lattice._norm(model.H @ psi0 - evals[0] * psi0)
+    error = read_json(out / "lattice.json")["evolution_phase_error"]
+    assert error == min(2.0, bound / params.hbar)
+
+
+def test_figure_reversal_reports_the_norm_of_the_commutation_check(tmp_path):
+    # both checks fail on the figure's charges 1 and i; the reversal report
+    # names the same commutator norm, to the bit
+    norms = {}
+    for check, key in (("commutation", "norm"), ("reversal", "commutator_norm")):
+        out = tmp_path / check
+        argv = ["lattice", "--config", str(FIGURE_CFG), "--out", str(out), "--check", check]
+        assert main(argv) == 3
+        norms[check] = read_json(out / "lattice_check.json")[key]
+    assert norms["reversal"] == norms["commutation"] > 0.0
 
 
 @pytest.mark.parametrize("edit", ["t = 1e308\nhbar = 0.5", "t = 1e300\nhbar = 1e-300"])
