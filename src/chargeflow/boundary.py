@@ -136,8 +136,6 @@ class BethePeierlsReport:
     """Extrapolated residual of lim_{r->0} (d/dr - gamma)(r psi)."""
 
     residual: complex
-    conjugate_residual: complex
-    limit_value: complex
     passed: bool
     conjugate_passed: bool
 
@@ -170,8 +168,6 @@ def bethe_peierls_check(gamma, radii, values, tol=1e-8):
     scale = max(1.0, abs(gamma)) * max(1.0, abs(f0))
     return BethePeierlsReport(
         residual=complex(residual),
-        conjugate_residual=complex(conj_residual),
-        limit_value=complex(f0),
         passed=bool(abs(residual) <= tol * scale),
         conjugate_passed=bool(abs(conj_residual) <= tol * scale),
     )

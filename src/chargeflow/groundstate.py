@@ -80,25 +80,15 @@ def _pair_scale(system):
     return scale
 
 
-def _positions_of(q):
-    if isinstance(q, Configuration):
-        return q.positions
-    pos = np.asarray(q, dtype=float)
-    if pos.size == 0:
-        return pos.reshape(0, 3)
-    return np.atleast_2d(pos)
-
-
 @dataclass(frozen=True)
 class GroundState:
-    """Ground-state data: decay constant, normalization and Poisson rate.
+    """Ground-state data: normalization and Poisson rate.
 
     norm_const is Ncal = exp(-poisson_rate/2); norm_integral is the
     closed-form integral of |psi1|^2 over R^3.
     """
 
     system: ChargeSystem
-    alpha: float
     norm_const: float
     poisson_rate: float
     norm_integral: float
@@ -115,13 +105,9 @@ def _norm_integral_closed(system):
     2*pi*R*int_1^inf exp(-alpha R xi) dxi with R the source separation.
     """
     a = system.alpha
-    g = system.charges
-    dist = system.pair_distances()
-    total = np.sum(np.abs(g) ** 2)
-    for i in range(system.n_sources):
-        for j in range(i + 1, system.n_sources):
-            total += 2.0 * np.real(np.conj(g[i]) * g[j]) * np.exp(-a * dist[i, j])
-    return 2.0 * np.pi / a * total
+    pairs = np.triu_indices(system.n_sources, 1)
+    cross = np.sum(system.re_products[pairs] * np.exp(-a * system.pair_distances()[pairs]))
+    return 2.0 * np.pi / a * (np.sum(np.abs(system.charges) ** 2) + 2.0 * cross)
 
 
 def ground_state(system):
@@ -146,7 +132,6 @@ def ground_state(system):
         )
     return GroundState(
         system=system,
-        alpha=system.alpha,
         norm_const=float(np.exp(-lam / 2.0)),
         poisson_rate=float(lam),
         norm_integral=float(w),
@@ -159,7 +144,7 @@ def psi_min(gs, q):
     Permutation invariant by construction; the empty configuration returns
     Ncal.  Configurations with a boson exactly at a source are rejected.
     """
-    pos = _positions_of(q)
+    pos = Configuration(getattr(q, "positions", q)).positions
     n = pos.shape[0]
     sys_ = gs.system
     pref = gs.norm_const * (-sys_.m) ** n / (
@@ -209,11 +194,11 @@ def _column_flow(system, p):
 
 def _flow(system, y):
     """`_column_flow` at points y of any leading shape (last axis 3): psi1
-    and its current from one pass.  It is the only evaluation of psi1, so
-    `psi1`, `psi_min`, the current, the velocity and both columns of a field
-    table share one formula and its bits.  As from the einsum kernel, a
-    point about 1e154 or farther from a source, or with an infinite
-    coordinate, gives 0 or NaN without a warning."""
+    and its current from one pass.  That kernel is the only evaluation of
+    psi1, so `psi1`, `psi_min`, the current, the velocity and both columns
+    of a field table share one formula and its bits.  As from the einsum
+    kernel, a point about 1e154 or farther from a source, or with an
+    infinite coordinate, gives 0 or NaN without a warning."""
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         val, cur = _column_flow(system, np.ascontiguousarray(y.reshape(-1, 3).T))
@@ -261,21 +246,25 @@ def current_closed_form(system, y):
 
 
 def _column_velocity(system, p):
-    """`velocity` at the points p, a (3, K) array: the field of `_advance`."""
+    """current/|psi1|^2 at the (3, K) points p, the density floored at 1e-300:
+    the field of `_advance` and of `velocity`."""
     val, cur = _column_flow(system, p)
     return cur / np.maximum(np.abs(val) ** 2, 1e-300)
 
 
 def velocity(system, y):
-    """Bohmian velocity field current/|psi1|^2, the density floored at 1e-300.
+    """Bohmian velocity field: `_column_velocity` at points y of any leading
+    shape (last axis 3), silent at far points as `_flow` is.
 
     Invariant under a global phase rotation of the couplings.  It never
     raises near a node: trajectories spend vanishing time there, and the
     ensemble driver must not die there.  Real charge vectors give an exactly
     zero current and hence exactly zero velocity.
     """
-    val, cur = _flow(system, y)
-    return cur / np.maximum(np.abs(val) ** 2, 1e-300)[..., None]
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _column_velocity(system, np.ascontiguousarray(y.reshape(-1, 3).T))
+    return v.T.reshape(y.shape)
 
 
 def _rk4_round(system, field, p, remaining, nearest_d, eps_absorb):
@@ -315,7 +304,7 @@ def _short_of_span(absorbed, left):
     return (absorbed < 0) & (left > 1e-15)
 
 
-def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
+def _advance(system, field, pts, span, eps_absorb):
     """Advance the (K, 3) rows pts by `span` (scalar or per-row) along
     field(system, p), which maps (3, K) points to their (3, K) velocities.
 
@@ -324,8 +313,8 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
     row still short of its span.  Returns (positions, absorbed, left):
     absorbed[k] is the 0-based source whose ball row k entered, or -1, and
     left[k] the part of its span not travelled, so an absorbed row made
-    contact at span - left.  A row still `_short_of_span` when the round
-    budget runs out is left there, for the caller to report.
+    contact at span - left.  A row still `_short_of_span` after
+    _SUBSTEP_BUDGET rounds is left there, for the caller to report.
     """
     K = pts.shape[0]
     out = pts.T.copy()
@@ -335,7 +324,7 @@ def _advance(system, field, pts, span, eps_absorb, max_rounds=_SUBSTEP_BUDGET):
     active = remaining > 0.0
     # nearest-source distance of every row, carried from each round's step end
     nearest_d = _source_distances(system, out).min(axis=0)
-    for _ in range(max_rounds):
+    for _ in range(_SUBSTEP_BUDGET):
         act = active.nonzero()[0]
         if act.size == 0:
             break
@@ -365,17 +354,12 @@ def ground_energy(system):
     if not system.E0 > 0:
         raise ValueError("E0 must be positive")
     scale = _pair_scale(system)
-    a = system.alpha
-    g = system.charges
-    dist = system.pair_distances()
     self_term = (np.sqrt(2.0 * system.m * system.E0) / (2.0 * system.hbar)) * np.sum(
-        np.abs(g) ** 2
+        np.abs(system.charges) ** 2
     )
-    pair_term = 0.0
-    for i in range(system.n_sources):
-        for j in range(i + 1, system.n_sources):
-            R = dist[i, j]
-            pair_term += np.real(np.conj(g[i]) * g[j]) * np.exp(-a * R) / R
+    pairs = np.triu_indices(system.n_sources, 1)
+    R = system.pair_distances()[pairs]
+    pair_term = np.sum(system.re_products[pairs] * np.exp(-system.alpha * R) / R)
     energy = float(scale * (self_term - pair_term))
     if not np.isfinite(energy):
         raise ValueError(
@@ -404,10 +388,7 @@ def effective_kappa(system, i, j):
         raise IndexError("source labels out of range (labels are 1-based)")
     if i == j:
         raise ValueError("pair interaction needs two distinct sources")
-    g = system.charges
-    kappa = _pair_scale(system) * float(
-        np.real(np.conj(g[i - 1]) * g[j - 1])
-    )
+    kappa = _pair_scale(system) * float(system.re_products[i - 1, j - 1])
     if system.E0 > 0:
         rng = system.hbar / np.sqrt(2.0 * system.m * system.E0)
     else:
@@ -474,7 +455,7 @@ def verify_ibc(gs, base_config, source, direction):
     sys_ = gs.system
     if not (1 <= source <= sys_.n_sources):
         raise IndexError("source label out of range (labels are 1-based)")
-    base = _positions_of(base_config)
+    base = Configuration(getattr(base_config, "positions", base_config)).positions
     omega = np.asarray(direction, dtype=float)
     omega = omega / np.linalg.norm(omega)
     radii = _default_radii(sys_)
@@ -712,7 +693,7 @@ def sample_boson_positions(gs, n, rng):
     the Cauchy-Schwarz inequality.
     """
     sys_ = gs.system
-    a = gs.alpha
+    a = sys_.alpha
     g2 = np.abs(sys_.charges) ** 2
     probs = g2 / g2.sum()
     out = np.empty((n, 3))
@@ -748,7 +729,7 @@ def _offcenter_shell_density(system, center):
     if len(others) < 2:
         return None
     a = system.alpha
-    g = system.charges
+    re = system.re_products
     xc = system.positions[center - 1][:, None, None]
     omega, w = _sphere_nodes()
     omega = omega.T[:, None, :]
@@ -758,7 +739,7 @@ def _offcenter_shell_density(system, center):
         d = _column_norms(pts.reshape(3, 1, -1) - system.source_columns[:, others])
         u = (np.exp(-a * d) / d).reshape(len(others), *pts.shape[1:])
         total = sum(
-            2.0 * np.real(np.conj(g[ki]) * g[kj]) * np.sum(u[i] * u[j] * w, axis=-1)
+            2.0 * re[ki, kj] * np.sum(u[i] * u[j] * w, axis=-1)
             for (i, ki), (j, kj) in combinations(enumerate(others), 2)
         )
         return float(total[0]) * s**2 if np.isscalar(s) else total * s**2
@@ -794,14 +775,15 @@ def _radial_closed_cdf(system, center, r):
     b = 2.0 * a
     g = system.charges
     c = center - 1
+    dist = system.pair_distances()[c]
     decayed = np.expm1(-b * r)
     total = np.abs(g[c]) ** 2 * (-2.0 * np.pi / a) * decayed
     for k in (k for k in range(system.n_sources) if k != c):
-        R = float(np.linalg.norm(system.positions[k] - system.positions[c]))
+        R = float(dist[k])
         inside = np.minimum(r, R)
         beyond = np.maximum(r - R, 0.0)
         cross = np.exp(-a * R) * (inside + (decayed - np.expm1(-b * beyond)) / b)
-        total += 2.0 * np.real(np.conj(g[c]) * g[k]) * 2.0 * np.pi / (R * a) * cross
+        total += 2.0 * system.re_products[c, k] * 2.0 * np.pi / (R * a) * cross
         (i_far, j_far), (i_near, j_near), (i_out, j_out), (i_0, j_0) = (
             _e1_antiderivatives(t, b) for t in (r + R, R - inside, beyond, 0.0)
         )
@@ -830,8 +812,7 @@ def radial_distance_cdf(system, center, r_values):
         from scipy import integrate
 
         radii, where = np.unique(r[finite], return_inverse=True)
-        xc = system.positions[center - 1]
-        kinks = np.linalg.norm(np.delete(system.positions, center - 1, axis=0) - xc, axis=1)
+        kinks = np.delete(system.pair_distances()[center - 1], center - 1)
         nodes = np.union1d(np.concatenate([[0.0], radii]), kinks[kinks < radii.max(initial=0.0)])
         gaps = [integrate.quad(density, lo, hi, limit=200)[0] for lo, hi in pairwise(nodes)]
         total += np.concatenate([[0.0], np.cumsum(gaps)])[np.searchsorted(nodes, radii)][where]
@@ -898,13 +879,8 @@ def radial_cdf_interpolator(system, center, r_max):
     """
     r_max = float(r_max)
     grid = np.linspace(0.0, r_max, 512)
-    xc = system.positions[center - 1]
-    for k in range(system.n_sources):
-        if k == center - 1:
-            continue
-        R = float(np.linalg.norm(system.positions[k] - xc))
-        if R >= r_max:
-            continue
+    kinks = np.delete(system.pair_distances()[center - 1], center - 1)
+    for R in kinks[kinks < r_max]:
         offsets = R * np.geomspace(1e-4, 0.5, 12)
         cluster = np.concatenate([[R], R - offsets, R + offsets])
         grid = np.concatenate([grid, cluster[(cluster > 0) & (cluster < r_max)]])

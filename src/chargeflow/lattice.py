@@ -489,17 +489,13 @@ def check_T_commutation(model, theta):
     the Hermite polynomial H_{n_max+1}: a sector phase and a rotation of the
     modes turn Delta into 2 |s| (b + b^dag) under the cutoff n_max, whose
     largest eigenvalue is sqrt(2) x (the Jacobi matrix of Gauss-Hermite
-    quadrature; Golub & Welsch, Math. Comp. 23 (1969) 221).  theta may be
-    an array.
+    quadrature; Golub & Welsch, Math. Comp. 23 (1969) 221).  theta is one
+    angle, and the sum runs in plain Python: a sweep calls this once per
+    grid point.
     """
-    charges = model.params.charges
     w = 8.0 * _largest_hermite_root(model.params.n_max + 1) ** 2
-    if np.ndim(theta) == 0:
-        # scalar theta in plain Python: a sweep calls this once per grid point
-        rot = cmath.exp(-1j * theta)
-        return sqrt(sum(w * (rot * g).imag ** 2 for g in charges))
-    s = np.imag(np.exp(-1j * np.asarray(theta, dtype=float)[..., None]) * np.array(charges))
-    return np.sqrt(np.sum(w * s**2, axis=-1))
+    rot = cmath.exp(-1j * theta)
+    return sqrt(sum(w * (rot * g).imag ** 2 for g in model.params.charges))
 
 
 def _norm(x):

@@ -59,7 +59,9 @@ class ChargeSystem:
     Derived, read-only: im_products, the (N, N) matrix Im(conj(g_i) g_j) of
     the pair currents, built as P - P^T from P_ij = Re(g_i) Im(g_j) so that
     it is antisymmetric to the bit (a complex product gives B + B^T != 0 in
-    the last place, which the current's cancellations amplify); alpha =
+    the last place, which the current's cancellations amplify); re_products,
+    the (N, N) matrix Re(conj(g_i) g_j) of the norm and the pair energies,
+    built as Re(g) Re(g)^T + Im(g) Im(g)^T, exactly symmetric; alpha =
     sqrt(2 m E0)/hbar, the decay constant of psi1 (inf when it leaves the
     float range); hbar_over_m; and, for the points-last field kernel, the
     (N, 2) rows conj_rows = (Re g, -Im g) of conj(g), im_products_t, the
@@ -72,6 +74,7 @@ class ChargeSystem:
     E0: float = 1.0
     hbar: float = 1.0
     im_products: np.ndarray = field(init=False, repr=False, compare=False)
+    re_products: np.ndarray = field(init=False, repr=False, compare=False)
     alpha: float = field(init=False, repr=False, compare=False)
     hbar_over_m: float = field(init=False, repr=False, compare=False)
     conj_rows: np.ndarray = field(init=False, repr=False, compare=False)
@@ -89,10 +92,8 @@ class ChargeSystem:
             raise ValueError("at least one source is required")
         if np.any(np.abs(g) == 0):
             raise ValueError("couplings must be nonzero")
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        n = pos.shape[0]
-        if n > 1 and np.min(dist[~np.eye(n, dtype=bool)]) == 0.0:
+        object.__setattr__(self, "positions", pos)
+        if self.min_source_spacing() == 0.0:
             raise ValueError("sources must be pairwise distinct")
         if not self.m > 0:
             raise ValueError("m must be positive")
@@ -103,15 +104,16 @@ class ChargeSystem:
         m, E0, hbar = float(self.m), float(self.E0), float(self.hbar)
         outer = np.outer(g.real, g.imag)
         im_products = outer - outer.T
+        re_products = np.outer(g.real, g.real) + np.outer(g.imag, g.imag)
         conj_rows = np.conj(g).view(float).reshape(-1, 2)
         source_columns = pos.T[:, :, None].copy()
-        for arr in (pos, g, im_products, conj_rows, source_columns):
+        for arr in (pos, g, im_products, re_products, conj_rows, source_columns):
             arr.flags.writeable = False
         with np.errstate(over="ignore"):
             alpha = np.sqrt(2.0 * m * E0) / hbar
-        object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "charges", g)
         object.__setattr__(self, "im_products", im_products)
+        object.__setattr__(self, "re_products", re_products)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "E0", E0)
         object.__setattr__(self, "hbar", hbar)

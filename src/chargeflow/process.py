@@ -32,6 +32,7 @@ from .config import ensemble_steps
 from .groundstate import _advance, _column_velocity, _point_radii, _short_of_span
 from .groundstate import _source_distances, _unit_vectors, radial_cdf_interpolator
 from .groundstate import sample_boson_positions
+from .model import Configuration
 
 __all__ = [
     "EmissionLaw",
@@ -131,7 +132,7 @@ def derive_emission_law(gs):
     system = gs.system
     dist = system.pair_distances()
     off = ~np.eye(system.n_sources, dtype=bool)
-    K = np.divide(np.exp(-gs.alpha * dist), dist, out=np.zeros_like(dist), where=off)
+    K = np.divide(np.exp(-system.alpha * dist), dist, out=np.zeros_like(dist), where=off)
     limits = np.sum(system.im_products * K, axis=0)
     mod = np.abs(system.charges)
     scale = float(np.max(mod * (mod @ K)))
@@ -257,7 +258,7 @@ def simulate(gs, params, initial=None, law=None):
         n0 = int(rng.poisson(gs.poisson_rate))
         pos = sample_boson_positions(gs, n0, rng)
     else:
-        pos = np.array(getattr(initial, "positions", initial), dtype=float).reshape(-1, 3)
+        pos = Configuration(getattr(initial, "positions", initial)).positions
         n0 = pos.shape[0]
     # per particle, its path as a list of (k, 4) blocks of (t, x, y, z) vertices
     paths = {pid: [np.array([(0.0, *p)])] for pid, p in enumerate(pos)}
@@ -583,10 +584,12 @@ def equivariance_report(gs, result):
     distribution: boson count per run against Poisson(lambda_P) (chi-square),
     distance to source 1 against the semi-analytic radial CDF (KS) and, when
     the sources are collinear, azimuth about the source axis against the
-    uniform law (KS).
+    uniform law (KS).  A result without sample times raises ValueError.
     """
     from .pvalues import ks_pvalue
 
+    if not result.snapshots:
+        raise ValueError("no sample times requested: the ensemble result holds no snapshots")
     system = gs.system
     axis = _symmetry_axis(system)
     if axis is not None:
@@ -673,19 +676,18 @@ class StartSensitivityReport:
     source: int
     eps_start: float
     factors: tuple
-    t_probe: float
     deviations: tuple
     max_deviation: float
 
 
-def emission_start_sensitivity(gs, t_probe=2.0, law=None):
+def emission_start_sensitivity(gs, law=None):
     """Quantify the effect of the newborn placement offset.
 
     The exact process emits a boson from the source point itself; the
     simulator starts it eps_start (of `_resolve_radii`) along the emission
     direction.  For each of six axis directions at the strongest-emitting
-    source the flow is integrated from factor*eps_start for t_probe, factor
-    0.5, 1 and 2; the report gives the largest endpoint scatter across
+    source the flow is integrated from factor*eps_start for a time of 2.0,
+    factor 0.5, 1 and 2; the report gives the largest endpoint scatter across
     factors, which bounds the placement bias of downstream positions.
     Raises RuntimeError when a start runs out of substep rounds.
     """
@@ -695,13 +697,13 @@ def emission_start_sensitivity(gs, t_probe=2.0, law=None):
     factors = (0.5, 1.0, 2.0)
     source = int(np.argmax(law.rates))
     if law.rates[source] <= 0.0:
-        return StartSensitivityReport(source + 1, eps_start, factors, t_probe, (), 0.0)
+        return StartSensitivityReport(source + 1, eps_start, factors, (), 0.0)
     dirs = np.concatenate([np.eye(3), -np.eye(3)])
     offsets = np.array(factors)[None, :, None] * eps_start * dirs[:, None, :]
     starts = (system.positions[source] + offsets).reshape(-1, 3)
-    ends, hit, left = _advance(system, _column_velocity, starts, t_probe, eps_absorb)
+    ends, hit, left = _advance(system, _column_velocity, starts, 2.0, eps_absorb)
     if _short_of_span(hit, left).any():
-        raise RuntimeError(f"substep budget exhausted before t={t_probe:.6g}")
+        raise RuntimeError("substep budget exhausted before t=2")
     # per direction, the largest distance between two of its endpoints
     ends = ends.reshape(len(dirs), len(factors), 1, 3)
     gaps = np.linalg.norm(ends - ends.transpose(0, 2, 1, 3), axis=-1)
@@ -710,7 +712,6 @@ def emission_start_sensitivity(gs, t_probe=2.0, law=None):
         source=source + 1,
         eps_start=eps_start,
         factors=factors,
-        t_probe=t_probe,
         deviations=tuple(deviations),
         max_deviation=max(deviations),
     )

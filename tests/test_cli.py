@@ -1957,7 +1957,7 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
 
 
 def test_exhausted_substep_budget_exits_2_without_statistics(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=2))
+    monkeypatch.setattr(groundstate, "_SUBSTEP_BUDGET", 2)
     for trajectory in ("false", "true"):
         text = SIM_ENS.replace("trajectory = false", f"trajectory = {trajectory}")
         (tmp_path / trajectory).mkdir()
@@ -2095,14 +2095,29 @@ def test_trajectory_only_simulate_loads_no_scipy_in_a_fresh_interpreter(tmp_path
     assert result["scipy"] == []
 
 
+def test_trajectory_only_simulate_exits_0_when_its_substep_budget_runs_out(tmp_path, monkeypatch):
+    # a trajectory ends its record where the budget runs out and reports it
+    # in the summary; only the ensemble turns the failure into exit code 2
+    monkeypatch.setattr(groundstate, "_SUBSTEP_BUDGET", 1)
+    text = FIGURE_CFG.read_text().replace("t_max = 10.0", "t_max = 30.0")
+    text = text.replace("runs = 5000", "runs = 0").replace("sample_times = 5.0 10.0\n", "")
+    code, out = run_cli(tmp_path, text, "simulate")
+    assert code == 0
+    summary = json.loads((out / "trajectory.jsonl").read_text().splitlines()[-1])
+    assert summary["type"] == "summary"
+    assert summary["failure"].startswith("substep budget exhausted in the step from t=")
+    assert summary["t_final"] < 30.0
+    assert (out / "trajectory_paths.csv").exists()
+    assert not (out / "statistics.json").exists()
+
+
 # the ensemble's substep budget cut to two rounds, under Python's own
 # warning filters: the run's exit code and its whole standard error
 _BUDGET = """
 import contextlib, io, json, sys
-from functools import partial
-from chargeflow import cli, groundstate, process
+from chargeflow import cli, groundstate
 
-process._advance = partial(groundstate._advance, max_rounds=2)
+groundstate._SUBSTEP_BUDGET = 2
 err = io.StringIO()
 with contextlib.redirect_stderr(err):
     code = cli.main(sys.argv[1:])

@@ -255,6 +255,31 @@ def test_quadrature_matches_closed_form_normalization():
         np.testing.assert_allclose(gs.norm_integral, _norm_integral_quad(sys_), rtol=1e-9)
 
 
+
+@pytest.mark.parametrize("n_sources", range(1, 7))
+def test_pair_sums_match_the_loop_over_pairs(n_sources):
+    # the norm integral and the ground energy sum their i < j terms in one
+    # vectorized pass; the loop is the reference, and the order of the sum
+    # may move each result by a few ulp of the sum of its terms' magnitudes
+    rng = np.random.default_rng(90 + n_sources)
+    for _ in range(20):
+        sys_ = random_system(rng, n_sources=n_sources)
+        g, a, dist = sys_.charges, sys_.alpha, sys_.pair_distances()
+        pairs = [
+            (np.real(np.conj(g[i]) * g[j]) * np.exp(-a * dist[i, j]), dist[i, j])
+            for i in range(n_sources)
+            for j in range(i + 1, n_sources)
+        ]
+        self_w = np.sum(np.abs(g) ** 2)
+        w = 2.0 * np.pi / a * (self_w + sum(2.0 * c for c, _ in pairs))
+        w_mag = 2.0 * np.pi / a * (self_w + sum(2.0 * abs(c) for c, _ in pairs))
+        assert abs(_norm_integral_closed(sys_) - w) <= 32 * np.finfo(float).eps * w_mag
+        self_e = np.sqrt(2.0 * sys_.m * sys_.E0) / (2.0 * sys_.hbar) * self_w
+        scale = sys_.m / (np.pi * sys_.hbar**2)
+        e = scale * (self_e - sum(c / R for c, R in pairs))
+        e_mag = scale * (self_e + sum(abs(c) / R for c, R in pairs))
+        assert abs(ground_energy(sys_) - e) <= 32 * np.finfo(float).eps * e_mag
+
 def test_ground_state_requires_positive_rest_energy():
     sys_ = ChargeSystem(
         positions=np.array([[0.0, 0.0, 0.0]]), charges=np.array([1.0]), E0=0.0
@@ -976,7 +1001,7 @@ def test_streamline_ends_where_its_substep_budget_runs_out(monkeypatch):
         s_next = min(s + 0.25, 40.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            end, hit, left = _advance(sys_, _unit_current, line.points[-2:-1], s_next - s, 1e-4, max_rounds=10)
+            end, hit, left = _advance(sys_, _unit_current, line.points[-2:-1], s_next - s, 1e-4)
         assert hit[0] == -1 and left[0] > 1e-15
         np.testing.assert_array_equal(line.points[-1], end[0])
         assert line.arc_lengths[-1] == s_next - left[0]

@@ -178,6 +178,17 @@ def test_im_products_are_antisymmetric_to_the_bit():
         np.testing.assert_array_equal(replace(sys_, charges=np.conj(g)).im_products, -B)
 
 
+
+def test_re_products_are_the_scalar_pair_products_to_the_bit():
+    # two real outer products give the bits of each scalar conj(g_i) * g_j
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 4, 6):
+        g = rng.uniform(0.1, 3.0, size=n) * np.exp(1j * rng.uniform(-np.pi, np.pi, size=n))
+        A = ChargeSystem(positions=rng.uniform(-2.0, 2.0, size=(n, 3)), charges=g).re_products
+        np.testing.assert_array_equal(A, [[np.real(np.conj(gi) * gj) for gj in g] for gi in g])
+        np.testing.assert_array_equal(A, A.T)
+        assert not A.flags.writeable
+
 def test_configuration_sector():
     assert Configuration(positions=np.zeros((0, 3))).sector == 0
     assert Configuration(positions=np.array([[1.0, 0.0, 0.0]])).sector == 1

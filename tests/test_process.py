@@ -23,6 +23,7 @@ from chargeflow.process import (
     _resolve_radii,
     derive_emission_law,
     emission_start_sensitivity,
+    equivariance_report,
     equivariance_test,
     reversal_test,
     run_ensemble,
@@ -366,7 +367,7 @@ def test_absorption_is_recorded_at_the_contact_time(fig_gs):
 
 
 def test_exhausted_substep_budget_ends_the_record(fig_gs, monkeypatch):
-    monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=1))
+    monkeypatch.setattr(groundstate, "_SUBSTEP_BUDGET", 1)
     start = np.array([[0.5, 0.1, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -534,7 +535,7 @@ def test_simulate_matches_the_per_step_oracle_from_explicit_starts(fig_gs, fig_l
 
 
 def test_simulate_matches_the_per_step_oracle_when_the_substep_budget_runs_out(fig_gs, monkeypatch):
-    monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=3))
+    monkeypatch.setattr(groundstate, "_SUBSTEP_BUDGET", 3)
     start = np.array([[0.5, 0.1, 0.0], [0.5, 0.8, 0.3]])
     params = SimulationParams(t_max=2.0)
     with warnings.catch_warnings():
@@ -805,7 +806,7 @@ def test_a_fine_emission_grid_costs_no_step_scan(fig_gs, fig_law):
 
 
 def test_ensemble_raises_when_the_substep_budget_runs_out(fig_gs, fig_law, monkeypatch):
-    monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=2))
+    monkeypatch.setattr(groundstate, "_SUBSTEP_BUDGET", 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="budget"):
@@ -833,6 +834,14 @@ def test_equivariance_input_validation(fig_gs, fig_law):
         equivariance_test(fig_gs, EnsembleParams(runs=100, sample_times=(1.0,)), law=fig_law)
     with pytest.raises(ValueError, match="sample"):
         equivariance_test(fig_gs, EnsembleParams(runs=2000, t_max=1.0), law=fig_law)
+
+
+def test_equivariance_report_names_the_missing_sample_times(fig_gs, fig_law):
+    # an ensemble run without sample times keeps no snapshot to test
+    result = run_ensemble(fig_gs, EnsembleParams(runs=50, t_max=0.1), law=fig_law)
+    assert result.snapshots == ()
+    with pytest.raises(ValueError, match="no sample times"):
+        equivariance_report(fig_gs, result)
 
 
 def test_equivariance_null_baseline(fig_gs, fig_law):
@@ -883,7 +892,7 @@ def test_reversal_symmetric_charges_trivially_balanced():
 
 
 def test_start_offset_sensitivity_is_small(fig_gs, fig_law):
-    report = emission_start_sensitivity(fig_gs, t_probe=2.0, law=fig_law)
+    report = emission_start_sensitivity(fig_gs, law=fig_law)
     assert report.source == 2
     assert report.eps_start == pytest.approx(1e-3)
     assert len(report.deviations) == 6
@@ -898,7 +907,7 @@ def test_start_offset_sensitivity_zero_rate():
 
 
 def test_start_offset_sensitivity_raises_when_the_substep_budget_runs_out(fig_gs, fig_law, monkeypatch):
-    monkeypatch.setattr(process, "_advance", partial(groundstate._advance, max_rounds=3))
+    monkeypatch.setattr(groundstate, "_SUBSTEP_BUDGET", 3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(RuntimeError, match="budget"):
