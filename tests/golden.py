@@ -10,7 +10,10 @@ says why:
     PYTHONPATH=src python tests/golden.py
 
 which prints each ``<seed> <command> <file>`` whose digest changed,
-appeared or vanished against the file it replaces.
+appeared or vanished against the file it replaces.  Beside each file's
+digest the file keeps the digest of its body, the artifact without its
+provenance (`body_digest`), so a change that moves only the provenance is
+printed as ``changed (provenance only)``.
 """
 
 import hashlib
@@ -54,8 +57,25 @@ def build():
     }
 
 
+def body_digest(path):
+    """sha256 of an artifact without its provenance: a CSV's lines that do
+    not start with '#', a JSON document without `_provenance` dumped with
+    sorted keys, or a JSON-lines file's records after the first."""
+    data = path.read_bytes()
+    if path.suffix == ".csv":
+        body = b"".join(line for line in data.splitlines(True) if not line.startswith(b"#"))
+    elif path.suffix == ".json":
+        document = json.loads(data)
+        del document["_provenance"]
+        body = json.dumps(document, sort_keys=True).encode()
+    else:
+        body = b"".join(data.splitlines(True)[1:])
+    return hashlib.sha256(body).hexdigest()
+
+
 def artifact_digests():
-    """{"<seed> <command>[ --check <kind>]": {"exit": code, "files": {name: sha256}}}.
+    """{"<seed> <command>[ --check <kind>]": {"exit": code, "files": {name:
+    sha256}, "bodies": {name: body_digest}}}.
 
     A check that runs and fails exits 3 and still writes its report."""
     digests = {}
@@ -70,14 +90,16 @@ def artifact_digests():
                 digests[name] = {
                     "exit": code,
                     "files": {f: hashlib.sha256(Path(out, f).read_bytes()).hexdigest() for f in files},
+                    "bodies": {f: body_digest(Path(out, f)) for f in files},
                 }
     return digests
 
 
 def changes(old, new):
     """Lines `<seed> <command> <file>: changed|appeared|vanished` for every
-    file digest that differs between two artifact maps, and a line per
-    changed exit code."""
+    file digest that differs between two artifact maps, `changed
+    (provenance only)` where the body digests agree, and a line per changed
+    exit code."""
     lines = []
     for name in [*new, *(name for name in old if name not in new)]:
         was, now = old.get(name, {}), new.get(name, {})
@@ -90,7 +112,8 @@ def changes(old, new):
             elif file not in files_was:
                 lines.append(f"{name} {file}: appeared")
             elif files_was[file] != files_now[file]:
-                lines.append(f"{name} {file}: changed")
+                same_body = was.get("bodies", {}).get(file) == now["bodies"][file]
+                lines.append(f"{name} {file}: changed" + (" (provenance only)" if same_body else ""))
     return lines
 
 
