@@ -219,18 +219,18 @@ def discrete_periodic_ground(theta, m=1.0, hbar=1.0, n_grid=512):
     # relative to the analytic energy; theta = 0 falls back to the unit scale
     rel = abs(e0 - econt) / (abs(econt) if econt != 0 else scale)
     gap = float(evals[1] - evals[0])
+    jcont = periodic_ground_current(theta, m, hbar)
     current = None
     current_rel = None
     if gap > 1e-8 * scale:
         current = float(hbar * np.sin(theta * h) / (m * h))
-        jcont = periodic_ground_current(theta, m, hbar)
         current_rel = abs(current - jcont) / max(abs(jcont), 1e-300)
     return DiscreteGroundReport(
         eigenvalue=e0,
         continuum_energy=econt,
         energy_rel_error=float(rel),
         current=current,
-        continuum_current=periodic_ground_current(theta, m, hbar),
+        continuum_current=jcont,
         current_rel_error=current_rel,
     )
 

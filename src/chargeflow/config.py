@@ -123,15 +123,14 @@ _SCHEMA = {
         "sample_times": _Field("floats", (), ge=0),
         "trajectory": _Field("bool", True),
     },
+    # in units hbar = m = a = 1; E0 <= 1e150 keeps n_max (E0 + 2), the largest
+    # diagonal entry of H' at n_max <= 630, below the 1e154 `ground` squares
     "lattice": {
         "L": _Field("int", 8, ge=2),
-        "a": _Field("float", 1.0, gt=0),
         "n_max": _Field("int", 2, ge=1),
         "source_sites": _Field("floats", (2.0, 5.0)),
         "charge": _Field("tuple", ((1.0, 0.0), (0.0, 1.0)), repeat=True, arity=2),
-        "m": _Field("float", 1.0, gt=0),
-        "E0": _Field("float", 0.5, ge=0),
-        "hbar": _Field("float", 1.0, gt=0),
+        "E0": _Field("float", 0.5, ge=0, le=1e150),
         "theta": _Field("float", 0.0),
         "t": _Field("float", 1.0, gt=0),
         "chains": _Field("int", 0, ge=0),
@@ -139,12 +138,11 @@ _SCHEMA = {
     "potential": {
         "verify": _Field("bool", False),
     },
+    # the box and the ring run at hbar = m = 1
     "boundary": {
         "theta": _Field("floats", (0.3, 1.0, 2.0), gt=-np.pi, le=np.pi),
         "n_levels": _Field("int", 3, ge=0, le=_MAX_LEVELS),
         "grid": _Field("int", 512, ge=8, le=_MAX_GRID),
-        "m": _Field("float", 1.0, gt=0),
-        "hbar": _Field("float", 1.0, gt=0),
         "witness": _Field("tuple", (), repeat=True, arity=6),
         "robin": _Field("tuple", (), arity=8),
     },
@@ -271,7 +269,7 @@ class RunConfig:
             raise ConfigError(str(exc), self.line("model", "charge")) from exc
 
     def lattice_params(self):
-        """Build the lattice model parameters from the [lattice] section."""
+        """Build the lattice model parameters from the [lattice] section (hbar = m = a = 1)."""
         # lattice loads scipy, which parsing a config does not need
         from .lattice import LatticeParams, dimension_error
 
@@ -286,13 +284,11 @@ class RunConfig:
         try:
             return LatticeParams(
                 L=opts["L"],
-                a=opts["a"],
+                a=1.0,
                 n_max=opts["n_max"],
                 source_sites=sites,
                 charges=tuple(re + 1j * im for re, im in opts["charge"]),
-                m=opts["m"],
                 E0=opts["E0"],
-                hbar=opts["hbar"],
             )
         except ValueError as exc:
             # parsing has checked every other key: the sites and their

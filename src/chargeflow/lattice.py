@@ -34,7 +34,7 @@ needs a dense complex copy of H.  Every norm is numpy's pairwise sum
 import cmath
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from math import comb, sqrt
+from math import comb, hypot, sqrt
 
 import numpy as np
 from scipy.linalg import eigvalsh
@@ -396,7 +396,8 @@ class LatticeModel:
             p = self.params
             raise ValueError(
                 f"the lattice spectral scale {scale:.3g} exceeds 1e+154 at m = {p.m!r}, "
-                f"a = {p.a!r}, hbar = {p.hbar!r}, E0 = {p.E0!r}"
+                f"a = {p.a!r}, hbar = {p.hbar!r}, E0 = {p.E0!r}, "
+                f"max |g| = {max(map(abs, p.charges), default=0.0)!r}"
             )
         shifted = self.H - (evals[0] - 4.0 * np.spacing(scale)) * eye_array(self.dim)
         # minimum degree on A + A^T and diagonal pivots (see `ground`)
@@ -485,17 +486,18 @@ def check_T_commutation(model, theta):
     sources survive:
         Delta = -2i e^{i theta} sum_j s_j b_{s_j} + h.c.,
         s_j = Im(e^{-i theta} g_j).
-    The norm is sqrt(sum_j w s_j^2) with w = 8 x^2, x the largest root of
+    The norm is sqrt(w) |s| with w = 8 x^2, x the largest root of
     the Hermite polynomial H_{n_max+1}: a sector phase and a rotation of the
     modes turn Delta into 2 |s| (b + b^dag) under the cutoff n_max, whose
     largest eigenvalue is sqrt(2) x (the Jacobi matrix of Gauss-Hermite
     quadrature; Golub & Welsch, Math. Comp. 23 (1969) 221).  theta is one
-    angle, and the sum runs in plain Python: a sweep calls this once per
-    grid point.
+    angle (a sweep calls this once per grid point), and |s| is `math.hypot`,
+    which squares no s_j: the norm overflows only where it passes the float
+    range itself.
     """
     w = 8.0 * _largest_hermite_root(model.params.n_max + 1) ** 2
     rot = cmath.exp(-1j * theta)
-    return sqrt(sum(w * (rot * g).imag ** 2 for g in model.params.charges))
+    return sqrt(w) * hypot(*((rot * g).imag for g in model.params.charges))
 
 
 def _norm(x):

@@ -82,8 +82,9 @@ class ChargeSystem:
     source_columns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pos = np.atleast_2d(np.asarray(self.positions, dtype=float))
-        g = np.atleast_1d(np.asarray(self.charges, dtype=complex))
+        # copies: the arrays are frozen below, and the caller's stay writable
+        pos = np.atleast_2d(np.array(self.positions, dtype=float))
+        g = np.atleast_1d(np.array(self.charges, dtype=complex))
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must have shape (N, 3)")
         if g.shape != (pos.shape[0],):

@@ -597,15 +597,12 @@ def equivariance_report(gs, result):
         e1 = np.cross(axis, helper)
         e1 /= np.linalg.norm(e1)
         e2 = np.cross(axis, e1)
-    r_peak = max(
-        (float(np.linalg.norm(s.positions - system.positions[0], axis=1).max(initial=0.0)))
-        for s in result.snapshots
-    )
+    rels = [snap.positions - system.positions[0] for snap in result.snapshots]
+    distances = [np.linalg.norm(rel, axis=1) for rel in rels]
+    r_peak = max(float(dists.max(initial=0.0)) for dists in distances)
     cdf = radial_cdf_interpolator(system, 1, r_max=1.05 * r_peak + 1.0)
     stats_out = []
-    for snap in result.snapshots:
-        rel = snap.positions - system.positions[0]
-        dists = np.linalg.norm(rel, axis=1)
+    for snap, rel, dists in zip(result.snapshots, rels, distances):
         sector_p = _poisson_chisquare(snap.sectors, gs.poisson_rate)
         radial_p = ks_pvalue(dists, cdf) if dists.size else 1.0
         angular_p = None

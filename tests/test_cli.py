@@ -217,7 +217,7 @@ def test_semicolon_starts_a_comment():
         ("[model]\ncharge = 1 0 0 0 0\ncharge = 0 0 1 0 0\n", r"line 3: couplings must be nonzero"),
         ("[field]\nnx = 5\nny = 1\n", r"line 3: key 'ny' must be at least 2, got 1"),
         ("[field]\nz = 0.0\ny_max = -2.0\n", r"line 3: grid bounds must satisfy min < max"),
-        ("[boundary]\nm = 1.0\nhbar = 0\n", r"line 3: key 'hbar' must be positive"),
+        ("[model]\nm = 1.0\nhbar = 0\n", r"line 3: key 'hbar' must be positive"),
         ("[lattice]\nL = 4\nn_max = 0\n", r"line 3: key 'n_max' must be at least 1, got 0"),
     ],
 )
@@ -494,8 +494,7 @@ def test_sizes_past_their_bound_and_lost_sample_times_are_config_errors(
 
 
 # the figure config with every size cut down, for the commands to run
-# cheaply, and with the lattice's a, m and hbar, which figure.cfg leaves at
-# their defaults, written out so that single-line edits reach them
+# cheaply
 _REDUCED = {
     "nx = 101": "nx = 5",
     "ny = 101": "ny = 4",
@@ -510,7 +509,6 @@ _REDUCED = {
     "runs = 5000": "runs = 0",
     "sample_times = 5.0 10.0": "sample_times =",
     "dt = 0.01": "dt_max = 0.05",
-    "E0 = 0.5": "E0 = 0.5\na = 1.0\nm = 1.0\nhbar = 1.0",
 }
 _REDUCED_LINES = "\n".join(_REDUCED.get(line, line) for line in _FIGURE_LINES).splitlines()
 _REDUCED_KEY_LINES = [i for i, line in enumerate(_REDUCED_LINES) if "=" in line.partition("#")[0]]
@@ -840,11 +838,17 @@ def test_a_negative_max_arc_is_a_config_error_at_its_line(tmp_path, capsys):
         ("lattice", "check_tol"),
         ("boundary", "leak_end"),
         ("boundary", "leak_tol"),
+        ("lattice", "a"),
+        ("lattice", "m"),
+        ("lattice", "hbar"),
+        ("boundary", "m"),
+        ("boundary", "hbar"),
     ],
 )
 def test_derived_settings_are_unknown_keys(tmp_path, capsys, section, key):
     # the absorption and start radii, the leak end and the check tolerances
-    # are derived, so a config that sets one names its line
+    # are derived, and the lattice and the boundary models run at hbar = m =
+    # a = 1, so a config that sets one of these names its line
     lines = list(_FIGURE_LINES)
     index = lines.index(f"[{section}]") + 1
     lines.insert(index, f"{key} = 1")
@@ -888,18 +892,6 @@ def _edited(section, edit):
     return "\n".join(lines) + "\n"
 
 
-_HOP = "hbar^2/(m*a^2)"
-_TOP = "n_max*(E0 + 2*hbar^2/(m*a^2))"
-# lattice edits inside the float range whose spectral scale the ground
-# state's inverse iteration cannot square; every --check still runs
-_SPECTRAL_EDGE = (
-    ("hbar = 1e150", "3.8e+300", "m = 1.0, a = 1.0, hbar = 1e+150, E0 = 0.5"),
-    ("a = 1e-150", "3.8e+300", "m = 1.0, a = 1e-150, hbar = 1.0, E0 = 0.5"),
-    ("m = 1e-300", "3.8e+300", "m = 1e-300, a = 1.0, hbar = 1.0, E0 = 0.5"),
-    ("E0 = 1e307", "2e+307", "m = 1.0, a = 1.0, hbar = 1.0, E0 = 1e+307"),
-)
-
-
 @pytest.mark.parametrize(
     ("command", "extra", "section", "edit", "diagnostic"),
     [
@@ -925,22 +917,6 @@ _SPECTRAL_EDGE = (
             "robin = 1.0 0.0 0.0 0.0 1.0 1e308 1.0 0.0",
             "the packet and the Robin ratios must give finite values",
         ),
-        *(
-            ("lattice", extra, "lattice", edit, f"the lattice scale {scale} leaves the float range at {scales}")
-            for extra in ((), ("--check", "gauge"))
-            for edit, scale, scales in (
-                ("hbar = 1e160", _HOP, "m = 1.0, a = 1.0, hbar = 1e+160, E0 = 0.5"),
-                ("m = 1e-320", _HOP, "m = 1e-320, a = 1.0, hbar = 1.0, E0 = 0.5"),
-                ("a = 1e-160", _HOP, "m = 1.0, a = 1e-160, hbar = 1.0, E0 = 0.5"),
-                ("E0 = 1e308", _TOP, "m = 1.0, a = 1.0, hbar = 1.0, E0 = 1e+308"),
-                ("hbar = 1e-320", "2/hbar", "m = 1.0, a = 1.0, hbar = 1e-320, E0 = 0.5"),
-            )
-        ),
-        *(
-            ("lattice", (), "lattice", edit, f"the lattice spectral scale {top} exceeds 1e+154 at {scales}")
-            for edit, top, scales in _SPECTRAL_EDGE
-        ),
-        *(("lattice", ("--check", "gauge"), "lattice", edit, None) for edit, _, _ in _SPECTRAL_EDGE),
     ],
 )
 def test_edits_at_the_float_limits_print_one_diagnostic_and_no_warning(
@@ -956,6 +932,63 @@ def test_edits_at_the_float_limits_print_one_diagnostic_and_no_warning(
         assert (code, err) == (0, "")
     else:
         assert (code, err) == (2, f"numerical failure: {diagnostic}\n")
+        assert not out.exists()
+
+
+_MODES = ((), ("--check", "gauge"), ("--check", "commutation"), ("--check", "reversal"))
+_MODE_IDS = ("plain", "gauge", "commutation", "reversal")
+
+
+def _run_lattice_recording(tmp_path, text, extra):
+    """Exit code, output directory and the non-finite floats written of one
+    lattice run, with every warning an error."""
+    found = []
+    with warnings.catch_warnings(), _writers_recording_non_finite(found):
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, text, "lattice", *extra)
+    return code, out, found
+
+
+@pytest.mark.parametrize(("extra", "expected"), zip(_MODES, (0, 0, 3, 3)), ids=_MODE_IDS)
+def test_lattice_E0_at_its_bound_runs_every_mode_with_finite_numbers(tmp_path, capsys, extra, expected):
+    # the figure's lattice at E0 = 1e150, where n_max (E0 + 2) is 2e150; the
+    # figure's charges 1 and i fail the commutation and the reversal check
+    text = FIGURE_CFG.read_text().replace("\nE0 = 0.5\n", "\nE0 = 1e150\n")
+    code, out, found = _run_lattice_recording(tmp_path, text, extra)
+    assert (code, capsys.readouterr().err, found) == (expected, "", [])
+    files = ["lattice_check.json"] if extra else ["lattice.json", "spectrum.csv"]
+    assert sorted(os.listdir(out)) == files
+
+
+@pytest.mark.parametrize("g", ["1e200", "1e300"])
+@pytest.mark.parametrize(
+    ("extra", "diagnostic"),
+    zip(
+        _MODES,
+        (
+            "the lattice spectral scale 1.73e+{exp} exceeds 1e+154 at m = 1.0, a = 1.0, hbar = 1.0, "
+            "E0 = 0.5, max |g| = 1e+{exp}",
+            "the gauge norm leaves the float range at couplings up to |g| = 1e+{exp}",
+            None,
+            None,
+        ),
+    ),
+    ids=_MODE_IDS,
+)
+def test_huge_lattice_couplings_fail_cleanly_in_every_mode(tmp_path, capsys, g, extra, diagnostic):
+    # plain lattice cannot square the spectral scale, and the gauge residual
+    # of such couplings squares past the float range: each exits 2 with one
+    # line and writes nothing; the commutator norm (a hypot) and the
+    # reversal fluxes stay finite, and both checks fail
+    text = LATTICE_SMALL.replace("charge = 1.0 0.0", f"charge = {g} 0.0") + "theta = 0.7\n"
+    code, out, found = _run_lattice_recording(tmp_path, text, extra)
+    err = capsys.readouterr().err
+    if diagnostic is None:
+        assert (code, err, found) == (3, "", [])
+        assert read_json(out / "lattice_check.json")["passed"] is False
+    else:
+        message = diagnostic.format(exp=g.partition("e")[2])
+        assert (code, err) == (2, f"numerical failure: {message}\n")
         assert not out.exists()
 
 
@@ -1862,7 +1895,7 @@ def test_lattice_lapack_failure_exits_2_and_writes_nothing(tmp_path, monkeypatch
 
 
 def test_long_lattice_time_reports_the_capped_residual_bound(tmp_path, monkeypatch):
-    # ||tH/hbar||_1 = 6.5e4: a propagator would take seconds, and plain
+    # ||tH||_1 = 6.5e4: a propagator would take seconds, and plain
     # lattice runs none
     def refuse(*args, **kwargs):
         raise AssertionError("plain lattice neither propagates nor diagonalizes H")
@@ -1879,7 +1912,7 @@ def test_long_lattice_time_reports_the_capped_residual_bound(tmp_path, monkeypat
     evals, psi0 = model.ground()
     residual = lattice._norm(model.H @ psi0 - evals[0] * psi0)
     bound = read_json(out / "lattice.json")["evolution_phase_error"]
-    assert bound == min(2.0, 10000.0 * residual / params.hbar)
+    assert bound == min(2.0, 10000.0 * residual)
     assert bound <= 1e-8
 
 
@@ -1894,7 +1927,7 @@ def test_figure_phase_error_is_the_pairwise_residual_bound(tmp_path):
     evals, psi0 = model.ground()
     bound = config.options("lattice")["t"] * lattice._norm(model.H @ psi0 - evals[0] * psi0)
     error = read_json(out / "lattice.json")["evolution_phase_error"]
-    assert error == min(2.0, bound / params.hbar)
+    assert error == min(2.0, bound)
 
 
 def test_figure_reversal_reports_the_norm_of_the_commutation_check(tmp_path):
@@ -1909,12 +1942,11 @@ def test_figure_reversal_reports_the_norm_of_the_commutation_check(tmp_path):
     assert norms["reversal"] == norms["commutation"] > 0.0
 
 
-@pytest.mark.parametrize("edit", ["t = 1e308\nhbar = 0.5", "t = 1e300\nhbar = 1e-300"])
-def test_lattice_phase_error_is_capped_at_extreme_times(tmp_path, edit):
+def test_lattice_phase_error_is_capped_at_extreme_times(tmp_path):
     # the propagated phase once overflowed at t = 1e308 and was written as
-    # null; t ||H psi0 - E0 psi0|| / hbar is 1.2e293 there and overflows to inf
-    # at t/hbar = 1e600, and two unit vectors are never more than 2 apart
-    text = LATTICE_SMALL.replace("t = 0.8\nchains = 200", f"{edit}\nchains = 0")
+    # null; t ||H psi0 - E0 psi0|| is 4.9e292 there, and two unit vectors are
+    # never more than 2 apart
+    text = LATTICE_SMALL.replace("t = 0.8\nchains = 200", "t = 1e308\nchains = 0")
     code, out = run_cli(tmp_path, text, "lattice")
     assert code == 0
     assert read_json(out / "lattice.json")["evolution_phase_error"] == 2.0

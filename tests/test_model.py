@@ -164,6 +164,17 @@ def test_charge_system_validation():
         sys_.positions[0, 0] = 5.0
 
 
+def test_charge_system_freezes_copies_and_leaves_the_callers_arrays_writable():
+    positions = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    charges = np.array([1.0, 1j])
+    sys_ = ChargeSystem(positions=positions, charges=charges)
+    assert positions.flags.writeable and charges.flags.writeable
+    positions[0, 0], charges[0] = 5.0, 2.0
+    np.testing.assert_array_equal(sys_.positions[0], [0.0, 0.0, 0.0])
+    assert sys_.charges[0] == 1.0
+    assert not sys_.positions.flags.writeable and not sys_.charges.flags.writeable
+
+
 def test_im_products_are_antisymmetric_to_the_bit():
     rng = np.random.default_rng(8)
     for n in (1, 2, 3, 4, 6):
