@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement
@@ -704,6 +705,54 @@ def test_ground_vector_residual_check_raises_linalg_error(monkeypatch):
     )
     with pytest.raises(np.linalg.LinAlgError, match="residual"):
         build_model(lattice_preset()).ground()
+
+
+@pytest.mark.parametrize(
+    ("key", "value", "scales"),
+    [
+        ("hbar", 1e150, "m = 1.0, a = 1.0, hbar = 1e+150"),
+        ("a", 1e-150, "m = 1.0, a = 1e-150, hbar = 1.0"),
+        ("m", 1e-300, "m = 1e-300, a = 1.0, hbar = 1.0"),
+    ],
+    ids=["hbar", "a", "m"],
+)
+def test_a_spectral_scale_past_1e154_names_the_lattice_scales(key, value, scales):
+    # hbar^2/(m a^2) = 1e300 inside the float range: the top of the spectrum,
+    # n_max (1 + cos(pi/7)) 1e300 on six sites, cannot be squared
+    params = replace(
+        LatticeParams(L=6, a=1.0, n_max=2, source_sites=(2, 5), charges=(1.0, 1j), E0=0.5),
+        **{key: value},
+    )
+    message = (
+        f"the lattice spectral scale 3.8e+300 exceeds 1e+154 at {scales}, E0 = 0.5, max |g| = 1.0"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_model(params).ground()
+
+
+@pytest.mark.parametrize(
+    ("a", "m", "hbar", "E0"),
+    [(0.5, 2.0, 0.7, 0.3), (1.3, 0.4, 1.9, 0.0), (2.0, 1.0, 1e-3, 2.5)],
+)
+def test_the_lattice_is_eps_times_the_unit_lattice(a, m, hbar, E0):
+    # with eps = hbar^2/(m a^2), the lattice at (a, m, hbar, E0, g) and time
+    # t is eps times the hbar = m = a = 1 lattice at (E0/eps, g/eps) and time
+    # eps t/hbar, which lets the command line run at hbar = m = a = 1
+    eps = hbar**2 / (m * a**2)
+    charges = (0.8, 0.6j)
+    unit_params = LatticeParams(
+        L=6, a=1.0, n_max=2, source_sites=(2, 5), charges=tuple(g / eps for g in charges), E0=E0 / eps
+    )
+    unit = build_model(unit_params)
+    model = build_model(replace(unit_params, a=a, m=m, hbar=hbar, charges=charges, E0=E0))
+    assert abs(model.H - eps * unit.H).max() <= 1e-15 * abs(model.H).max()
+    (evals, ground), (unit_evals, unit_ground) = model.ground(), unit.ground()
+    assert np.max(np.abs(evals - eps * unit_evals)) <= 1e-14 * np.max(np.abs(evals))
+    assert np.max(np.abs(ground - unit_ground)) <= 1e-14
+    vacuum = np.zeros(model.dim, dtype=complex)
+    vacuum[0] = 1.0
+    moved = evolve(model, vacuum, 1.7) - evolve(unit, vacuum, eps * 1.7 / hbar)
+    assert np.max(np.abs(moved)) <= 1e-11
 
 
 @pytest.mark.parametrize("charges", [(1j, 2j), (1j, -3j)])
