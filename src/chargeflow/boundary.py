@@ -1,19 +1,20 @@
 """One-dimensional boundary conditions as a laboratory for time symmetry.
 
 Three stand-ins for the interior boundary condition of the full model are
-implemented on simple 1D geometries:
+implemented on simple 1D geometries, in natural units (hbar = m = 1; README
+gives the rescaling to other units):
 
   * Robin conditions alpha*psi + beta*psi' = 0 at the ends of [0, 1]: the end
     conserves probability exactly when beta = 0 (Dirichlet) or alpha/beta is
     real; a complex ratio produces a boundary current
-    j(end) = -(hbar/m) |psi(end)|^2 Im(alpha/beta) with psi' always taken as
+    j(end) = -|psi(end)|^2 Im(alpha/beta) with psi' always taken as
     d/dx (so a positive Im(alpha/beta) means outflow at the left end and
     inflow at the right end).
   * The Bethe-Peierls condition lim_{r->0} (d/dr - gamma)(r psi) = 0 of a 3D
     point interaction, checked by polynomial extrapolation of radial samples.
   * Phase-shifted periodic conditions psi(x+1) = e^{i theta} psi(x) on the
     circle: plane waves e^{ikx} with k = theta + 2*pi*n, ground state k =
-    theta carrying the constant current hbar*theta/m; time symmetric exactly
+    theta carrying the constant current theta; time symmetric exactly
     when theta is a multiple of pi (conjugation maps theta to -theta).
 
 An emission-witness constructor shows that any local condition
@@ -42,7 +43,6 @@ __all__ = [
     "is_probability_conserving",
     "bethe_peierls_check",
     "periodic_spectrum",
-    "periodic_ground_current",
     "discrete_periodic_ground",
     "symmetry_verdict_periodic",
     "emission_witness",
@@ -91,8 +91,8 @@ class EndVerdict:
     """Conservation verdict for one end.
 
     `leak_coefficient` is Im(alpha/beta) (0 for Dirichlet): the boundary
-    current there is -(hbar/m)|psi|^2 * leak_coefficient at the right end and
-    +(hbar/m)|psi|^2 * leak_coefficient at the left end (outflow positive).
+    current there is -|psi|^2 * leak_coefficient at the right end and
+    +|psi|^2 * leak_coefficient at the left end (outflow positive).
     """
 
     conserving: bool
@@ -173,14 +173,10 @@ def bethe_peierls_check(gamma, radii, values, tol=1e-8):
     )
 
 
-def periodic_ground_current(theta, m=1.0, hbar=1.0):
-    """Constant current hbar*theta/m of the circle ground state e^{i theta x}."""
-    return hbar * theta / m
-
-
 @dataclass(frozen=True)
 class DiscreteGroundReport:
-    """Finite-difference circle ground state versus the analytic one."""
+    """Finite-difference circle ground state versus the analytic one, whose
+    current is theta."""
 
     eigenvalue: float
     continuum_energy: float
@@ -190,20 +186,19 @@ class DiscreteGroundReport:
     current_rel_error: float | None
 
 
-def discrete_periodic_ground(theta, m=1.0, hbar=1.0, n_grid=512):
+def discrete_periodic_ground(theta, n_grid=512):
     """Ground state of the phase-shifted finite-difference ring versus e^{i theta x}.
 
     The ring is the second difference on n_grid >= 3 nodes x_j = j*h,
     h = 1/n_grid, whose wraparound bonds carry e^{+/- i theta}.  The twisted
     translation commutes with it, so its eigenvectors are the sampled plane
     waves e^{ikx}, k = theta + 2*pi*n for n_grid consecutive n, with
-    eigenvalues (2 hbar^2 / (m h^2)) sin^2(k h / 2).  The lowest one, at
-    k = theta, approaches hbar^2 theta^2 / (2m) at second order in h.  The
-    current of the normalized ground wave, taken with the phase-aware central
-    difference across the wrap, is the constant hbar sin(theta h) / (m h); it
-    is reported as None when the ground level is degenerate (theta = pi,
-    where k = +/-pi tie and the current within the eigenspace is not
-    determined).
+    eigenvalues (2 / h^2) sin^2(k h / 2).  The lowest one, at k = theta,
+    approaches theta^2 / 2 at second order in h.  The current of the
+    normalized ground wave, taken with the phase-aware central difference
+    across the wrap, is the constant sin(theta h) / h; it is reported as
+    None when the ground level is degenerate (theta = pi, where k = +/-pi
+    tie and the current within the eigenspace is not determined).
     """
     if not (-np.pi < theta <= np.pi):
         raise ValueError("theta must lie in (-pi, pi]")
@@ -212,33 +207,32 @@ def discrete_periodic_ground(theta, m=1.0, hbar=1.0, n_grid=512):
     h = 1.0 / n_grid
     k = theta + 2.0 * np.pi * (np.arange(n_grid) - n_grid // 2)
     # the sin^2 form keeps the digits that 1 - cos(k h) loses to cancellation
-    evals = np.sort(2.0 * hbar**2 / (m * h**2) * np.sin(k * h / 2.0) ** 2)
+    evals = np.sort(2.0 / h**2 * np.sin(k * h / 2.0) ** 2)
     e0 = float(evals[0])
-    econt = hbar**2 * theta**2 / (2.0 * m)
-    scale = hbar**2 / (2.0 * m)
+    econt = theta**2 / 2.0
+    scale = 0.5
     # relative to the analytic energy; theta = 0 falls back to the unit scale
     rel = abs(e0 - econt) / (abs(econt) if econt != 0 else scale)
     gap = float(evals[1] - evals[0])
-    jcont = periodic_ground_current(theta, m, hbar)
     current = None
     current_rel = None
     if gap > 1e-8 * scale:
-        current = float(hbar * np.sin(theta * h) / (m * h))
-        current_rel = abs(current - jcont) / max(abs(jcont), 1e-300)
+        current = float(np.sin(theta * h) / h)
+        current_rel = abs(current - theta) / max(abs(theta), 1e-300)
     return DiscreteGroundReport(
         eigenvalue=e0,
         continuum_energy=econt,
         energy_rel_error=float(rel),
         current=current,
-        continuum_current=jcont,
+        continuum_current=theta,
         current_rel_error=current_rel,
     )
 
 
-def periodic_spectrum(theta, m=1.0, hbar=1.0, n_range=3):
+def periodic_spectrum(theta, n_range=3):
     """Plane-wave levels (k, E) of the phase-shifted circle, sorted by energy.
 
-    k = theta + 2*pi*n for n in -n_range..n_range, E = hbar^2 k^2 / (2m).
+    k = theta + 2*pi*n for n in -n_range..n_range, E = k^2 / 2.
     The ground state sits at k = theta; `discrete_periodic_ground` gives its
     finite-difference counterpart.
     """
@@ -247,7 +241,7 @@ def periodic_spectrum(theta, m=1.0, hbar=1.0, n_range=3):
     levels = []
     for n in range(-int(n_range), int(n_range) + 1):
         k = theta + 2.0 * np.pi * n
-        levels.append((k, hbar**2 * k**2 / (2.0 * m)))
+        levels.append((k, k**2 / 2.0))
     levels.sort(key=lambda ke: ke[1])
     return levels
 
@@ -282,21 +276,15 @@ class EmissionWitness:
     current_negative: float
 
 
-def _witness_current(u, v, m, hbar):
-    # emission_witness rejects a current that under- or overflows
-    with np.errstate(all="ignore"):
-        return hbar / m * float(np.imag(np.conj(u) * v))
-
-
-def emission_witness(w, m=1.0, hbar=1.0):
+def emission_witness(w):
     """Construct boundary values of both current signs for a local condition.
 
     The condition alpha*u + beta*v = psi(q) always admits solutions with
     normal current of either sign.  For beta = 0, u is forced and v is free:
-    v = +/- i*u gives current +/- (hbar/m)|u|^2.  For beta != 0 write
+    v = +/- i*u gives current +/- |u|^2.  For beta != 0 write
     psi(q)/beta = s*e^{i chi} and pick u = r*e^{i phi} with phi = chi -/+ pi/2
     and r = s / (2*(1 + |alpha/beta|)); then the current
-    (hbar/m)*(r*s*sin(chi - phi) - r^2*Im(alpha/beta)) has the sign selected
+    r*s*sin(chi - phi) - r^2*Im(alpha/beta) has the sign selected
     by phi, and |alpha*u/beta| < s/2 keeps a large real ratio from drowning it
     in rounding.  Both pairs are verified against the condition (1e-14
     relative) and their current signs before returning; a failure raises
@@ -318,7 +306,8 @@ def emission_witness(w, m=1.0, hbar=1.0):
             pairs[label] = (u, (psi_q - alpha * u) / beta)
     currents = {}
     for label, (u, v) in pairs.items():
-        j = _witness_current(u, v, m, hbar)
+        with np.errstate(all="ignore"):  # a current out of range is rejected next
+            j = float(np.imag(np.conj(u) * v))
         if not np.isfinite(j) or j == 0:
             raise ValueError(f"the witness current is {j}: alpha, beta and psi(q) are out of range")
         residual = abs(alpha * u + beta * v - psi_q)
@@ -347,7 +336,7 @@ class RobinEvolution:
     psi_final: np.ndarray
 
 
-def _build_robin_tridiag(bc, n_grid, m, hbar):
+def _build_robin_tridiag(bc, n_grid):
     """The Hamiltonian's diagonal, upper and lower bands on the active nodes,
     the active-node mask and the grid spacing.
 
@@ -357,7 +346,7 @@ def _build_robin_tridiag(bc, n_grid, m, hbar):
     end 1).  Dirichlet ends (beta = 0) simply drop the end node.
     """
     h = 1.0 / (n_grid - 1)
-    c = hbar**2 / (2.0 * m * h**2)
+    c = 1.0 / (2.0 * h**2)
     ends = ((0, -1.0, bc.alpha0, bc.beta0), (-1, 1.0, bc.alpha1, bc.beta1))
     active = np.ones(n_grid, dtype=bool)
     for end, _, _, beta in ends:
@@ -384,7 +373,7 @@ _ROBIN_STEPS = 2000
 _ROBIN_BLOCK_ROWS = 32
 
 
-def evolve_robin(bc, psi0, t_final, n_grid=512, m=1.0, hbar=1.0):
+def evolve_robin(bc, psi0, t_final, n_grid=512):
     """Evolve a packet under Robin conditions with Crank-Nicolson stepping.
 
     `psi0` is a callable on x or an array of n_grid samples on the uniform
@@ -403,9 +392,9 @@ def evolve_robin(bc, psi0, t_final, n_grid=512, m=1.0, hbar=1.0):
     psi = psi0(grid).astype(complex) if callable(psi0) else np.asarray(psi0, dtype=complex).copy()
     if psi.shape != grid.shape:
         raise ValueError("psi0 must provide one value per grid node")
-    diag, up, lo, active, h = _build_robin_tridiag(bc, n_grid, m, hbar)
+    diag, up, lo, active, h = _build_robin_tridiag(bc, n_grid)
     psi[~active] = 0.0
-    z = 1j * dt / (2.0 * hbar)
+    z = 1j * dt / 2.0
     # Crank-Nicolson, (I + zH) psi_next = (I - zH) psi, in its Cayley form
     # psi_next = 2 y - psi with (I + zH) y = psi: the tridiagonal I + zH is
     # LU-factored once (LAPACK gttrf) and solved once per step (gttrs)
@@ -460,8 +449,8 @@ class LeakReport:
     """Measured outward boundary current versus the Robin prediction.
 
     Positive values mean probability leaves the box through the tested end
-    (the norm decays); the prediction is -(hbar/m)|psi(1)|^2 Im(alpha1/beta1)
-    at the right end and +(hbar/m)|psi(0)|^2 Im(alpha0/beta0) at the left.
+    (the norm decays); the prediction is -|psi(1)|^2 Im(alpha1/beta1)
+    at the right end and +|psi(0)|^2 Im(alpha0/beta0) at the left.
     times and norms are the packet's evolution the measurement was read from.
     """
 
@@ -475,7 +464,7 @@ class LeakReport:
     norms: np.ndarray
 
 
-def robin_leak_check(bc, end=1, n_grid=512, m=1.0, hbar=1.0, tol=0.1):
+def robin_leak_check(bc, end=1, n_grid=512, tol=0.1):
     """Quantify the boundary leak of a non-conserving end against its formula.
 
     A smooth packet is evolved to t = 0.3 with Crank-Nicolson; at the time
@@ -495,7 +484,7 @@ def robin_leak_check(bc, end=1, n_grid=512, m=1.0, hbar=1.0, tol=0.1):
     def packet(x):
         return np.exp(-((x - 0.5) ** 2) / (2 * 0.12**2))
 
-    ev = evolve_robin(bc, packet, 0.3, n_grid=n_grid, m=m, hbar=hbar)
+    ev = evolve_robin(bc, packet, 0.3, n_grid=n_grid)
     dens = ev.end1_density if end == 1 else ev.end0_density
     coef = (verdicts.end1 if end == 1 else verdicts.end0).leak_coefficient
     # the window skips a settling tenth at each end, so the sample k has
@@ -505,7 +494,7 @@ def robin_leak_check(bc, end=1, n_grid=512, m=1.0, hbar=1.0, tol=0.1):
     dtv = ev.times[1] - ev.times[0]
     measured = -(ev.norms[k + 1] - ev.norms[k - 1]) / (2.0 * dtv)
     sign = -1.0 if end == 1 else 1.0
-    predicted = sign * hbar / m * dens[k] * coef
+    predicted = sign * dens[k] * coef
     rel = abs(measured - predicted) / max(abs(predicted), 1e-300)
     return LeakReport(
         end=end,

@@ -344,13 +344,7 @@ def _cmd_lattice(config, out, check=None):
         }
         if check in norm_checks:
             measure, tolerance = norm_checks[check]
-            with np.errstate(over="ignore"):  # huge couplings' rounding, squared
-                norm = measure(model, theta)
-            if not np.isfinite(norm):
-                raise ValueError(
-                    f"the {check} norm leaves the float range at couplings up to "
-                    f"|g| = {max(map(abs, params.charges))!r}"
-                )
+            norm = measure(model, theta)
             payload = {
                 "check": check,
                 "theta": theta,
@@ -445,7 +439,6 @@ def _cmd_boundary(config, out):
         discrete_periodic_ground,
         emission_witness,
         is_probability_conserving,
-        periodic_ground_current,
         periodic_spectrum,
         robin_leak_check,
         symmetry_verdict_periodic,
@@ -493,7 +486,7 @@ def _cmd_boundary(config, out):
         currents.append(
             {
                 "theta": theta,
-                "ground_current": periodic_ground_current(theta),
+                "ground_current": theta,
                 "symmetric": verdict.symmetric,
                 "distance_to_pi_multiple": verdict.distance_to_pi_multiple,
                 "discrete": {

@@ -59,7 +59,7 @@ class _Field:
     default: object = None
     repeat: bool = False      # key may occur on several lines (kind "tuple")
     arity: int = 0            # number of floats per line for kind "tuple"
-    gt: float = None          # bounds of the value, or of each "floats" entry:
+    gt: float = None          # bounds of the value, or of each list entry:
     ge: float = None          # value > gt, value >= ge and value <= le
     le: float = None
 
@@ -124,12 +124,15 @@ _SCHEMA = {
         "trajectory": _Field("bool", True),
     },
     # in units hbar = m = a = 1; E0 <= 1e150 keeps n_max (E0 + 2), the largest
-    # diagonal entry of H' at n_max <= 630, below the 1e154 `ground` squares
+    # diagonal entry of H' at n_max <= 630, below the 1e154 `ground` squares,
+    # and |Re g|, |Im g| <= 1e150 keep every --check norm finite
     "lattice": {
         "L": _Field("int", 8, ge=2),
         "n_max": _Field("int", 2, ge=1),
         "source_sites": _Field("floats", (2.0, 5.0)),
-        "charge": _Field("tuple", ((1.0, 0.0), (0.0, 1.0)), repeat=True, arity=2),
+        "charge": _Field(
+            "tuple", ((1.0, 0.0), (0.0, 1.0)), repeat=True, arity=2, ge=-1e150, le=1e150
+        ),
         "E0": _Field("float", 0.5, ge=0, le=1e150),
         "theta": _Field("float", 0.0),
         "t": _Field("float", 1.0, gt=0),
@@ -169,7 +172,8 @@ def _u64(value, what, line=None):
 def _check_range(spec, value, key, line):
     """Raise naming the first bound of `spec` that `value`, or an entry of a
     list of numbers, breaks."""
-    for item in value if spec.kind == "floats" else (value,):
+    listed = spec.kind in ("floats", "tuple")
+    for item in value if listed else (value,):
         if spec.gt is not None and not item > spec.gt:
             need = "must be positive" if spec.gt == 0 else f"must be greater than {spec.gt}"
         elif spec.ge is not None and not item >= spec.ge:
@@ -178,7 +182,7 @@ def _check_range(spec, value, key, line):
             need = f"may not exceed {spec.le}"
         else:
             continue
-        entries = " entries" if spec.kind == "floats" else ""
+        entries = " entries" if listed else ""
         raise ConfigError(f"key '{key}'{entries} {need}, got {item}", line)
     return value
 
@@ -269,7 +273,7 @@ class RunConfig:
             raise ConfigError(str(exc), self.line("model", "charge")) from exc
 
     def lattice_params(self):
-        """Build the lattice model parameters from the [lattice] section (hbar = m = a = 1)."""
+        """Build the lattice model parameters from the [lattice] section."""
         # lattice loads scipy, which parsing a config does not need
         from .lattice import LatticeParams, dimension_error
 
@@ -284,7 +288,6 @@ class RunConfig:
         try:
             return LatticeParams(
                 L=opts["L"],
-                a=1.0,
                 n_max=opts["n_max"],
                 source_sites=sites,
                 charges=tuple(re + 1j * im for re, im in opts["charge"]),

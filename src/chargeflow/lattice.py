@@ -1,17 +1,19 @@
 """Exactly diagonalizable lattice truncation of the particle-creation model.
 
-Bosons hop on a 1D chain of L sites (spacing a, reflecting ends) and are
+Bosons hop on a 1D chain of L unit-spaced sites (reflecting ends) and are
 created/annihilated at source sites; the Fock space is truncated at a total
 boson number n_max.  In the occupation basis {(n_1..n_L): sum n_s <= n_max}
 the Hamiltonian is
 
-    H = sum_s (E0 + hbar^2/(m a^2)) n_s
-        - hbar^2/(2 m a^2) sum_<s,s'> b_s'^dag b_s          (hopping)
+    H = sum_s (E0 + 1) n_s
+        - (1/2) sum_<s,s'> b_s'^dag b_s                     (hopping)
         + sum_j (g_j b_{s_j} + conj(g_j) b_{s_j}^dag),      (sources)
 
 the second quantization of the discrete Laplacian plus rest energy, with the
-continuum smearing collapsed to a site delta.  Everything stays finite, so
-time-reversal and gauge statements become exact matrix identities:
+continuum smearing collapsed to a site delta, in natural units (hbar = m =
+a = 1; README gives the rescaling to other units).  Everything stays
+finite, so time-reversal and gauge statements become exact matrix
+identities:
 
   * T_theta psi = e^{-2 i theta n(q)} conj(psi) commutes with H exactly when
     every coupling satisfies conj(g_j) = e^{-2 i theta} g_j;
@@ -32,6 +34,7 @@ needs a dense complex copy of H.  Every norm is numpy's pairwise sum
 """
 
 import cmath
+import operator
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from math import comb, hypot, sqrt
@@ -96,24 +99,20 @@ def dimension_error(L, n_max):
 
 @dataclass(frozen=True)
 class LatticeParams:
-    """Build parameters: chain size, truncation, sources and couplings."""
+    """Build parameters: chain size, truncation, sources, couplings and the
+    rest energy E0, in units hbar = m = a = 1."""
 
     L: int
-    a: float
     n_max: int
     source_sites: tuple
     charges: tuple
-    m: float = 1.0
     E0: float = 1.0
-    hbar: float = 1.0
 
     def __post_init__(self):
         if self.L < 2:
             raise ValueError("need at least two lattice sites")
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
-        if self.a <= 0 or self.m <= 0 or self.hbar <= 0:
-            raise ValueError("a, m and hbar must be positive")
         if self.E0 < 0:
             raise ValueError("E0 must be nonnegative")
         sites = tuple(int(s) for s in self.source_sites)
@@ -215,8 +214,8 @@ def _basis(L, n_max):
     )
 
 
-def _hop_entries(basis, hop):
-    """(rows, cols, values) of the hops right, -hop sqrt(n_s (n_{s+1} + 1))."""
+def _hop_entries(basis):
+    """(rows, cols, values) of the hops right, -sqrt(n_s (n_{s+1} + 1)) / 2."""
     occ = basis.occupations
     # k = i (L - 1) + s runs over the shift table and k + i = i L + s over
     # occ, for the occupied sites s < L - 1 of state i (a flat search of a
@@ -227,7 +226,7 @@ def _hop_entries(basis, hop):
     n = occ.ravel()
     # n_s (n_{s+1} + 1) passes int16 from n_max = 362 on; in float64 it is
     # exact, as every product below 2**53 is
-    values = -hop * np.sqrt(n[at] * (n[at + 1] + 1.0))
+    values = -0.5 * np.sqrt(n[at] * (n[at + 1] + 1.0))
     return frm + basis.shift.ravel()[k], frm, values
 
 
@@ -249,8 +248,7 @@ def _hamiltonian(basis, params):
     complex data: the hops, then the creations site after site (the strict
     lower triangle), then their conjugates in the same order, then the
     diagonal."""
-    hop = params.hbar**2 / (2.0 * params.m * params.a**2)
-    onsite = params.E0 + params.hbar**2 / (params.m * params.a**2)
+    onsite = params.E0 + 1.0
     dim = len(basis.total)
     n_creations = len(basis.shift_left_of) * len(params.source_sites)
     lower = np.count_nonzero(basis.occupations[:, :-1]) + n_creations
@@ -269,7 +267,7 @@ def _hamiltonian(basis, params):
         return stop
 
     # the hop triplets are dropped before the creations are formed
-    start = fill(0, _hop_entries(basis, hop))
+    start = fill(0, _hop_entries(basis))
     fill(start, _creation_entries(basis, params.source_sites, np.conj(params.charges)))
     rows[2 * lower :] = cols[2 * lower :] = np.arange(dim)
     data[2 * lower :] = onsite * basis.total
@@ -280,12 +278,12 @@ class LatticeModel:
     """Immutable assembled model: basis, CSR Hamiltonian, cached spectral data.
 
     `H` is a scipy CSR array (int32 indices) at every size and `occupations`
-    the basis as a (dim, L) int16 array; `basis` (occupation tuples) and `index` (tuple to
-    basis index) are built on first use.  Only `ground` and `eig` work on
-    dense matrices, so they and what builds on them (`ground_state_current`,
-    the spectral `evolve`) are limited to DENSE_LIMIT states and raise
-    ValueError above it.  `ground` reduces the real
-    Hamiltonian of the chain's normal modes, not H itself (see there).
+    the basis as a (dim, L) int16 array: basis state i has the occupations
+    `occupations[i]`.  Only `ground` and `eig` work on dense matrices, so
+    they and what builds on them (`ground_state_current`, the spectral
+    `evolve`) are limited to DENSE_LIMIT states and raise ValueError above
+    it.  `ground` reduces the real Hamiltonian of the chain's normal modes,
+    not H itself (see there).
     """
 
     def __init__(self, params, basis, H):
@@ -307,25 +305,6 @@ class LatticeModel:
         # the 85,008 entries of dim 10,626)
         return self._rows.astype(np.intp), self.H.indices.astype(np.intp)
 
-    @cached_property
-    def basis(self):
-        return list(map(tuple, self.occupations.tolist()))
-
-    @cached_property
-    def index(self):
-        return dict(zip(self.basis, range(self.dim)))
-
-    def state_index(self, q):
-        """Index of an occupation tuple (or pass an int index through)."""
-        if isinstance(q, (int, np.integer)):
-            if not 0 <= q < self.dim:
-                raise IndexError("basis index out of range")
-            return int(q)
-        key = tuple(int(n) for n in q)
-        if key not in self.index:
-            raise KeyError(f"occupation {key} is not in the truncated basis")
-        return self.index[key]
-
     def _check_dense(self, what):
         if self.dim > DENSE_LIMIT:
             raise ValueError(
@@ -338,8 +317,8 @@ class LatticeModel:
 
         The spectrum comes from the chain's normal modes.  The open chain's
         one-boson Hamiltonian has the modes W_kx = sqrt(2/(L+1))
-        sin(k pi (x+1)/(L+1)) with energies eps_k = E0 + hbar^2/(m a^2)
-        (1 - cos(k pi/(L+1))), k = 1..L; the sources couple to mode k with
+        sin(k pi (x+1)/(L+1)) with energies eps_k = E0 + (1 - cos(k pi/(L+1))),
+        k = 1..L; the sources couple to mode k with
         phi_k = sum_j W_{k s_j} conj(g_j).  A_k = e^{-i arg phi_k} sum_x
         W_kx b_x are Bose modes that keep every boson-number sector, so the
         truncated H is unitarily equivalent to the real symmetric
@@ -375,7 +354,7 @@ class LatticeModel:
     def _mode_spectrum(self):
         p = self.params
         k = np.arange(1, p.L + 1)
-        eps = p.E0 + p.hbar**2 / (p.m * p.a**2) * (1.0 - np.cos(k * np.pi / (p.L + 1)))
+        eps = p.E0 + (1.0 - np.cos(k * np.pi / (p.L + 1)))
         modes = sqrt(2.0 / (p.L + 1)) * np.sin(
             np.outer(k, np.add(p.source_sites, 1)) * (np.pi / (p.L + 1))
         )
@@ -395,8 +374,7 @@ class LatticeModel:
             # bound is about the square root of the float range
             p = self.params
             raise ValueError(
-                f"the lattice spectral scale {scale:.3g} exceeds 1e+154 at m = {p.m!r}, "
-                f"a = {p.a!r}, hbar = {p.hbar!r}, E0 = {p.E0!r}, "
+                f"the lattice spectral scale {scale:.3g} exceeds 1e+154 at E0 = {p.E0!r}, "
                 f"max |g| = {max(map(abs, p.charges), default=0.0)!r}"
             )
         shifted = self.H - (evals[0] - 4.0 * np.spacing(scale)) * eye_array(self.dim)
@@ -446,7 +424,7 @@ def build_model(params):
 
 
 def evolve(model, psi, t):
-    """Propagate psi by e^{-iHt/hbar}.
+    """Propagate psi by e^{-iHt}.
 
     Up to DENSE_LIMIT states this is the spectral form of the matrix
     exponential (exact, norm drift at rounding level); above it, scipy's
@@ -459,9 +437,9 @@ def evolve(model, psi, t):
     if t == 0:
         return psi.copy()
     if model.dim > DENSE_LIMIT:
-        return expm_multiply((-1j * t / model.params.hbar) * model.H, psi)
+        return expm_multiply((-1j * t) * model.H, psi)
     evals, evecs = model.eig()
-    return evecs @ (np.exp(-1j * evals * t / model.params.hbar) * (evecs.conj().T @ psi))
+    return evecs @ (np.exp(-1j * evals * t) * (evecs.conj().T @ psi))
 
 
 def sector_reversal(model, theta, psi):
@@ -537,30 +515,33 @@ def check_gauge_equivalence(model, theta):
 
 
 def _current(model, psi):
-    """J(q -> q') = (2/hbar) Im[conj(psi(q')) H_{q'q} psi(q)] at each stored
+    """J(q -> q') = 2 Im[conj(psi(q')) H_{q'q} psi(q)] at each stored
     entry (q', q) of H, in CSR order; antisymmetric, as H is Hermitian."""
     rows, cols = model._gather_index
-    return 2.0 / model.params.hbar * np.imag((np.conj(psi)[rows] * model.H.data) * psi[cols])
+    return 2.0 * np.imag((np.conj(psi)[rows] * model.H.data) * psi[cols])
 
 
 def bell_jump_rates(model, psi, q):
-    """Minimal jump rates out of configuration q under wavefunction psi.
+    """Minimal jump rates out of the configuration of basis index q under
+    wavefunction psi.
 
-    sigma(q -> q') = (2/hbar) max{0, Im[conj(psi(q')) H_{q'q} psi(q)]} / |psi(q)|^2
+    sigma(q -> q') = 2 max{0, Im[conj(psi(q')) H_{q'q} psi(q)]} / |psi(q)|^2
     for every q' coupled to q by H.  Between any pair at most one direction is
     active, and the difference of the two directed flows reproduces the net
     probability current.  Each flux is max{0, -J} in row q of H (`_current`).
-    Keys of the returned map are occupation tuples.
+    Keys of the returned map are basis indices.
     """
     psi = np.asarray(psi, dtype=complex)
-    qi = model.state_index(q)
+    qi = operator.index(q)
+    if not 0 <= qi < model.dim:
+        raise IndexError("basis index out of range")
     dens = abs(psi[qi]) ** 2
     if dens == 0.0:
         raise NodeError("jump rates are undefined at a node of psi")
     lo, hi = model.H.indptr[qi], model.H.indptr[qi + 1]
     flux = np.maximum(0.0, -_current(model, psi)[lo:hi])
     return {
-        model.basis[target]: float(f / dens)
+        int(target): float(f / dens)
         for target, f in zip(model.H.indices[lo:hi], flux)
         if f > 0.0 and target != qi
     }
@@ -568,10 +549,11 @@ def bell_jump_rates(model, psi, q):
 
 @dataclass(frozen=True)
 class JumpChainRecord:
-    """One Bell-process chain: jump times, visited configurations, floored-node visits."""
+    """One Bell-process chain: jump times, the basis indices it visits
+    (`model.occupations[states]` are their occupations), floored-node visits."""
 
     times: np.ndarray
-    states: list
+    states: np.ndarray
     t_max: float
     seed: int
     node_warnings: int
@@ -590,7 +572,7 @@ class BellEnsembleResult:
 def _is_stationary(model, psi):
     """Whether unit-norm psi is an eigenvector of H to rounding:
     ||H psi - E psi|| <= 1e-12 max(1, ||H||_1) with E = <psi|H|psi>.  Then
-    psi(t) = e^{-iEt/hbar} psi, whose error is at most t ||(H - E) psi||/hbar,
+    psi(t) = e^{-iEt} psi, whose error is at most t ||(H - E) psi||,
     and every jump rate is constant in time."""
     energy = np.add.reduce(np.conj(psi) * (model.H @ psi)).real
     scale = max(1.0, float(abs(model.H).sum(axis=0).max()))
@@ -679,12 +661,12 @@ def run_bell_process(model, psi0, t_max, seed):
 
     The chain is an ensemble of one (`run_bell_ensemble` with n_chains=1 and
     the same seed ends in the same state, by the same rule); the record
-    holds its exact jump times and the configurations it visits.
+    holds its exact jump times and the basis indices it visits.
     """
     result, path = _run_chains(model, psi0, t_max, 1, seed)
     return JumpChainRecord(
         times=np.array([time for time, _ in path]),
-        states=[model.basis[state[0]] for _, state in path],
+        states=np.array([state[0] for _, state in path], dtype=np.intp),
         t_max=float(t_max),
         seed=int(seed),
         node_warnings=result.node_warnings,
@@ -761,7 +743,7 @@ class GroundCurrentReport:
 
 
 def ground_state_current(model, gap_tol=1e-8):
-    """J(q, q') = (2/hbar) Im[conj(psi(q')) H_{q'q} psi(q)] on the ground state.
+    """J(q, q') = 2 Im[conj(psi(q')) H_{q'q} psi(q)] on the ground state.
 
     Requires a nondegenerate ground level (gap > gap_tol); the maximum |J|
     vanishes (<= 1e-10) exactly for symmetric couplings and is strictly

@@ -79,7 +79,7 @@ TRAJECTORY = SimulationParams(t_max=30.0, dt_max=0.05, seed=derive_seed(12345, 0
 def gauge_params(L, n_max):
     """The sources and couplings of the lattice benchmark's gauge check."""
     return LatticeParams(
-        L=L, a=1.0, n_max=n_max, source_sites=(3, L - 5), charges=(1.0, 1j), E0=0.5
+        L=L, n_max=n_max, source_sites=(3, L - 5), charges=(1.0, 1j), E0=0.5
     )
 
 
@@ -175,7 +175,7 @@ def main():
     # the lattice benchmark's order in one process: the ground state of its
     # dim-680 chain (a dense dsyev on scipy's OpenBLAS), then the gauge
     # check at 10,626; medians, as contention between the two varies
-    chain = LatticeParams(L=14, a=1.0, n_max=3, source_sites=(2, 10), charges=(1.0, 1j), E0=0.5)
+    chain = LatticeParams(L=14, n_max=3, source_sites=(2, 10), charges=(1.0, 1j), E0=0.5)
     model = build_model(chain)
     spectrum = []
     for _ in range(CONTENDED_ROUNDS):

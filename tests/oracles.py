@@ -46,13 +46,10 @@ def lattice_preset(charges=(1.0, 1j)):
     """Eight sites, truncation n_max = 2, sources at sites 2 and 5 (dim 45)."""
     return LatticeParams(
         L=8,
-        a=1.0,
         n_max=2,
         source_sites=(2, 5),
         charges=tuple(charges),
-        m=1.0,
         E0=0.5,
-        hbar=1.0,
     )
 
 
@@ -66,8 +63,8 @@ def reference_hamiltonian(basis, params):
     shift_left_of = basis.shift_left_of.astype(np.int64)
     total = basis.total.astype(np.int64)
     sector_size = basis.sector_size
-    hop = params.hbar**2 / (2.0 * params.m * params.a**2)
-    onsite = params.E0 + params.hbar**2 / (params.m * params.a**2)
+    hop = 0.5
+    onsite = params.E0 + 1.0
     frm, bond = np.nonzero(occ[:, :-1])
     values = -hop * np.sqrt(occ[frm, bond] * (occ[frm, bond + 1] + 1))
     hops = frm + shift[frm, bond], frm, values

@@ -96,7 +96,7 @@ def test_criterion_01_symmetry_dichotomy():
         verdict = classify_charges(charges)
         model = build_model(
             LatticeParams(
-                L=6, a=1.0, n_max=1, source_sites=sites[: len(charges)], charges=charges, E0=0.7
+                L=6, n_max=1, source_sites=sites[: len(charges)], charges=charges, E0=0.7
             )
         )
         best = min(check_T_commutation(model, theta) for theta in THETA_GRID)
@@ -121,7 +121,6 @@ def test_criterion_02_gauge_equivalence():
         model = build_model(
             LatticeParams(
                 L=L,
-                a=1.0,
                 n_max=2,
                 source_sites=tuple(int(s) for s in site_pick),
                 charges=charges,

@@ -12,7 +12,6 @@ from chargeflow.boundary import (
     emission_witness,
     evolve_robin,
     is_probability_conserving,
-    periodic_ground_current,
     periodic_spectrum,
     robin_leak_check,
     symmetry_verdict_periodic,
@@ -96,12 +95,10 @@ def test_bethe_peierls_validates_radii():
 def test_periodic_spectrum_levels_and_ground():
     levels = periodic_spectrum(0.0, n_range=2)
     assert levels[0] == (0.0, 0.0)
-    assert periodic_ground_current(0.0) == 0.0
     levels = periodic_spectrum(np.pi / 2, n_range=3)
     ks = [k for k, _ in levels]
     np.testing.assert_allclose(levels[0][0], np.pi / 2)
     np.testing.assert_allclose(levels[0][1], (np.pi / 2) ** 2 / 2)
-    np.testing.assert_allclose(periodic_ground_current(np.pi / 2), np.pi / 2)
     assert set(np.round(ks, 10)) == set(
         np.round([np.pi / 2 + 2 * np.pi * n for n in range(-3, 4)], 10)
     )
@@ -146,10 +143,10 @@ def test_degenerate_half_turn_has_no_current_verdict():
     assert rep.current is None
 
 
-def _ring_hamiltonian(theta, m, hbar, n_grid):
+def _ring_hamiltonian(theta, n_grid):
     """Dense finite-difference Hamiltonian on the unit circle with phase-shifted wrap."""
     h = 1.0 / n_grid
-    c = hbar**2 / (2.0 * m * h**2)
+    c = 1.0 / (2.0 * h**2)
     H = np.zeros((n_grid, n_grid), dtype=complex)
     idx = np.arange(n_grid)
     H[idx, idx] = 2.0 * c
@@ -160,27 +157,26 @@ def _ring_hamiltonian(theta, m, hbar, n_grid):
     return H, h
 
 
-def _dense_ground_current(theta, evec, h, m, hbar):
+def _dense_ground_current(theta, evec, h):
     # phase-aware central difference of the normalized ground vector
     psi = evec / np.sqrt(np.sum(np.abs(evec) ** 2) * h)
     nxt = np.roll(psi, -1)
     prv = np.roll(psi, 1)
     nxt[-1] *= np.exp(1j * theta)
     prv[0] *= np.exp(-1j * theta)
-    return float(np.mean(hbar / m * np.imag(np.conj(psi) * (nxt - prv) / (2.0 * h))))
+    return float(np.mean(np.imag(np.conj(psi) * (nxt - prv) / (2.0 * h))))
 
 
 @pytest.mark.parametrize("n_grid", [64, 512])
 @pytest.mark.parametrize("theta", [0.0, 0.3, -0.3, 1.0, 2.0, np.pi])
 def test_closed_form_ring_matches_dense_eigh_oracle(theta, n_grid):
-    m, hbar = 1.3, 0.8
-    H, h = _ring_hamiltonian(theta, m, hbar, n_grid)
+    H, h = _ring_hamiltonian(theta, n_grid)
     evals, evecs = np.linalg.eigh(H)
     k = theta + 2.0 * np.pi * (np.arange(n_grid) - n_grid // 2)
-    closed = np.sort(2.0 * hbar**2 / (m * h**2) * np.sin(k * h / 2.0) ** 2)
-    # eigh's rounding floor is ~1e-11 relative to ||H|| ~ 4 hbar^2 / (2m h^2)
+    closed = np.sort(2.0 / h**2 * np.sin(k * h / 2.0) ** 2)
+    # eigh's rounding floor is ~1e-11 relative to ||H|| ~ 2 / h^2
     np.testing.assert_allclose(evals, closed, rtol=0, atol=1e-9)
-    rep = discrete_periodic_ground(theta, m, hbar, n_grid)
+    rep = discrete_periodic_ground(theta, n_grid)
     assert abs(rep.eigenvalue - evals[0]) < 1e-9
     if theta == np.pi:
         assert rep.current is None
@@ -188,7 +184,7 @@ def test_closed_form_ring_matches_dense_eigh_oracle(theta, n_grid):
     wave = np.exp(1j * theta * h * np.arange(n_grid)) / np.sqrt(n_grid)
     assert abs(np.vdot(wave, evecs[:, 0])) ** 2 > 1.0 - 1e-12
     np.testing.assert_allclose(
-        rep.current, _dense_ground_current(theta, evecs[:, 0], h, m, hbar), rtol=1e-12, atol=1e-15
+        rep.current, _dense_ground_current(theta, evecs[:, 0], h), rtol=1e-12, atol=1e-15
     )
 
 
@@ -207,8 +203,8 @@ def test_periodic_symmetry_verdict():
     assert symmetry_verdict_periodic(0.7).distance_to_pi_multiple == pytest.approx(0.7)
 
 
-def witness_current(u, v, m=1.0, hbar=1.0):
-    return hbar / m * np.imag(np.conj(u) * v)
+def witness_current(u, v):
+    return np.imag(np.conj(u) * v)
 
 
 def test_emission_witness_dirichlet_like_condition():
@@ -225,7 +221,7 @@ def test_emission_witness_neumann_like_condition():
 
 
 def test_emission_witness_matches_f_oracle():
-    # j = (hbar/m) * (r*s*sin(chi - phi) - r^2*Im(alpha/beta)) for u = r e^{i phi}
+    # j = r*s*sin(chi - phi) - r^2*Im(alpha/beta) for u = r e^{i phi}
     w = emission_witness(WitnessInput(alpha=5j, beta=1.0, psi_q=2.0))
     s, chi, im = 2.0, 0.0, 5.0
     r = s / (2 * (1 + im))
@@ -300,17 +296,17 @@ def test_conserving_evolution_preserves_norm():
         assert abs(ev.norms[-1] / ev.norms[0] - 1.0) < 1e-6
 
 
-def _solve_banded_robin(bc, psi0, t_final, n_grid=512, m=1.0, hbar=1.0, cayley=True):
+def _solve_banded_robin(bc, psi0, t_final, n_grid=512, cayley=True):
     """The Crank-Nicolson loop that refactors its matrix each step (LAPACK
     gtsv): by default in `evolve_robin`'s Cayley form, psi' = 2y - psi with
     (I + zH) y = psi, else with the three-term right side (I - zH) psi that
     `evolve_robin` assembled before it took that form."""
     dt = t_final / 2000.0
     grid = np.linspace(0.0, 1.0, n_grid)
-    diag, up, lo, active, h = _build_robin_tridiag(bc, n_grid, m, hbar)
+    diag, up, lo, active, h = _build_robin_tridiag(bc, n_grid)
     full = psi0(grid).astype(complex)
     full[~active] = 0.0
-    z = 1j * dt / (2.0 * hbar)
+    z = 1j * dt / 2.0
     band_up = np.zeros(diag.size, dtype=complex)
     band_lo = np.zeros(diag.size, dtype=complex)
     band_up[1:] = z * up

@@ -409,7 +409,8 @@ def test_every_numeric_key_is_bounded_or_takes_any_finite_value():
 
 
 def _edges(spec):
-    """(the value on each bound of `spec`, the first value past it)."""
+    """(the value on each bound of `spec`, the first value past it); for a
+    key that takes rows of numbers, rows with that value in every entry."""
 
     def step(value, way):
         return value + way if spec.kind == "int" else float(np.nextafter(value, way * np.inf))
@@ -421,14 +422,17 @@ def _edges(spec):
         edges.append((spec.ge, step(spec.ge, -1)))
     if spec.le is not None:
         edges.append((spec.le, step(spec.le, 1)))
+    if spec.kind == "tuple":
+        return [((inside,) * spec.arity, (outside,) * spec.arity) for inside, outside in edges]
     return edges
 
 
 def _set_key(section, key, value, insert):
     """The figure config with `key = value` in `section`, on the key's own
-    line or on a line inserted after the section header (the key's own line
+    line or on a line inserted after the section header (the key's own lines
     dropped), and the number of that line; None when the figure config does
-    not set the key and `insert` is false.
+    not set the key and `insert` is false.  A row of numbers is written
+    space-separated.
 
     The figure's sample times are dropped: t_max and runs reach their lower
     bounds only without them.  A dt of 5e-324 overflows the dt grid of any
@@ -448,6 +452,8 @@ def _set_key(section, key, value, insert):
         index = own[0]
     else:
         return None
+    if isinstance(value, tuple):
+        value = " ".join(map(repr, value))
     lines[index] = f"{key} = {value}"
     return "\n".join(lines) + "\n", index + 1
 
@@ -460,7 +466,9 @@ def test_each_bound_admits_its_edge_and_rejects_the_next_value_at_the_key_line(s
             edited = _set_key(section, key, inside, insert)
             if edited is None:
                 continue
-            assert parse_config(edited[0]).options(section)[key] in (inside, (inside,))
+            value = parse_config(edited[0]).options(section)[key]
+            # a list key holds the one value, a repeated key its first row
+            assert (value[0] if isinstance(value, tuple) else value) == inside
             text, lineno = _set_key(section, key, outside, insert)
             with pytest.raises(ConfigError, match=f"^line {lineno}: key '{key}' "):
                 parse_config(text)
@@ -960,36 +968,69 @@ def test_lattice_E0_at_its_bound_runs_every_mode_with_finite_numbers(tmp_path, c
     assert sorted(os.listdir(out)) == files
 
 
-@pytest.mark.parametrize("g", ["1e200", "1e300"])
-@pytest.mark.parametrize(
-    ("extra", "diagnostic"),
-    zip(
-        _MODES,
-        (
-            "the lattice spectral scale 1.73e+{exp} exceeds 1e+154 at m = 1.0, a = 1.0, hbar = 1.0, "
-            "E0 = 0.5, max |g| = 1e+{exp}",
-            "the gauge norm leaves the float range at couplings up to |g| = 1e+{exp}",
-            None,
-            None,
-        ),
-    ),
-    ids=_MODE_IDS,
+def _many_sources():
+    """1,999 sites with a source on every tenth, each coupled by
+    1e150 (1 - i), at E0 = 1e150: dimension 2,000, the dense limit."""
+    sites = " ".join(str(s) for s in range(0, 1999, 10))
+    return (
+        f"[lattice]\nL = 1999\nn_max = 1\nsource_sites = {sites}\n"
+        + "charge = 1e150 -1e150\n" * 200
+        + "E0 = 1e150\ntheta = 0.7\n"
+    )
+
+
+# the figure's lattice at theta = 0.7 with its first coupling on the bound,
+# without its Bell chains, which a ground current of up to 5e72 would put
+# past their work limit
+_FIGURE_AT_BOUND = (
+    FIGURE_CFG.read_text()
+    .replace("\ntheta = 0.0\n", "\ntheta = 0.7\n")
+    .replace("\nchains = 20000\n", "\nchains = 0\n")
 )
-def test_huge_lattice_couplings_fail_cleanly_in_every_mode(tmp_path, capsys, g, extra, diagnostic):
-    # plain lattice cannot square the spectral scale, and the gauge residual
-    # of such couplings squares past the float range: each exits 2 with one
-    # line and writes nothing; the commutator norm (a hypot) and the
-    # reversal fluxes stay finite, and both checks fail
-    text = LATTICE_SMALL.replace("charge = 1.0 0.0", f"charge = {g} 0.0") + "theta = 0.7\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *(
+            _FIGURE_AT_BOUND.replace("\ncharge = 1.0 0.0\n", f"\ncharge = {g}\n")
+            for g in ("1e150 0.0", "-1e150 0.0", "1e150 1e150")
+        ),
+        _many_sources(),
+    ],
+    ids=["1e150", "-1e150", "1e150+1e150i", "many-sources"],
+)
+@pytest.mark.parametrize(("extra", "expected"), zip(_MODES, (0, 3, 3, 3)), ids=_MODE_IDS)
+def test_lattice_couplings_on_their_bound_run_every_mode_with_finite_numbers(
+    tmp_path, capsys, text, extra, expected
+):
+    # every check fails, with a finite norm: the gauge residual's rounding
+    # of couplings near 1e150 is far above its 1e-12 tolerance
     code, out, found = _run_lattice_recording(tmp_path, text, extra)
+    assert (code, capsys.readouterr().err, found) == (expected, "", [])
+    files = ["lattice_check.json"] if extra else ["lattice.json", "spectrum.csv"]
+    assert sorted(os.listdir(out)) == files
+
+
+@pytest.mark.parametrize(
+    ("g", "message"),
+    [
+        ("1e200 0.0", "may not exceed 1e+150, got 1e+200"),
+        ("1e300 0.0", "may not exceed 1e+150, got 1e+300"),
+        ("1e308 0.0", "may not exceed 1e+150, got 1e+308"),
+        ("0.0 -1e308", "must be at least -1e+150, got -1e+308"),
+    ],
+)
+@pytest.mark.parametrize("extra", _MODES, ids=_MODE_IDS)
+def test_lattice_couplings_past_their_bound_are_config_errors(tmp_path, capsys, g, message, extra):
+    # charge = 1e308 0.0 once ran --check reversal to a null commutator norm
+    lines = LATTICE_SMALL.splitlines()
+    index = lines.index("charge = 1.0 0.0")
+    lines[index] = f"charge = {g}"
+    code, out = run_cli(tmp_path, "\n".join(lines) + "\n", "lattice", *extra)
     err = capsys.readouterr().err
-    if diagnostic is None:
-        assert (code, err, found) == (3, "", [])
-        assert read_json(out / "lattice_check.json")["passed"] is False
-    else:
-        message = diagnostic.format(exp=g.partition("e")[2])
-        assert (code, err) == (2, f"numerical failure: {message}\n")
-        assert not out.exists()
+    assert (code, err) == (1, f"config error: line {index + 1}: key 'charge' entries {message}\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- seeds
